@@ -53,8 +53,7 @@ func Search(phi *qsim.Sparse, marked func(int) bool, maxIterations int, rng *ran
 	}
 	m := 1.0
 	const lambda = 1.2 // BBHT growth factor in (1, 4/3)
-	nKeys := len(phi.Support())
-	mCap := math.Sqrt(float64(nKeys)) * 2
+	mCap := math.Sqrt(float64(phi.Len())) * 2
 	for c.GroverIterations < maxIterations {
 		j := rng.Intn(int(m) + 1)
 		if rem := maxIterations - c.GroverIterations; j > rem {
@@ -94,19 +93,19 @@ func FindAll(phi *qsim.Sparse, marked func(int) bool, delta float64, rng *rand.R
 	if delta <= 0 || delta >= 1 {
 		return nil, c, fmt.Errorf("amplify: delta %g out of (0,1)", delta)
 	}
-	support := phi.Support()
-	if len(support) == 0 {
+	size := phi.Len()
+	if size == 0 {
 		return nil, c, qsim.ErrEmptyDomain
 	}
 	boost := math.Ceil(math.Log(1 / delta))
 	if boost < 1 {
 		boost = 1
 	}
-	budget := int(boost*math.Ceil(3*math.Sqrt(float64(len(support))))) + 1
+	budget := int(boost*math.Ceil(3*math.Sqrt(float64(size)))) + 1
 
 	found := make(map[int]bool, 4)
 	var out []int
-	for len(out) < len(support) {
+	for len(out) < size {
 		residual := func(x int) bool { return marked(x) && !found[x] }
 		x, pass, err := Search(phi, residual, budget, rng)
 		c.add(pass)
@@ -145,14 +144,14 @@ func FindMax(phi *qsim.Sparse, f func(int) int, eps, delta float64, rng *rand.Ra
 	if delta <= 0 || delta >= 1 {
 		return res, fmt.Errorf("amplify: delta %g out of (0,1)", delta)
 	}
-	support := phi.Support()
-	if len(support) == 0 {
+	if phi.Len() == 0 {
 		return res, qsim.ErrEmptyDomain
 	}
 
 	// Step 1: start from a measured sample of the initial state (a fixed
 	// element would do; sampling matches the Dürr-Høyer analysis).
-	a := phi.Clone().Measure(rng)
+	// Measure leaves phi untouched.
+	a := phi.Measure(rng)
 	res.Counters.Measurements++
 	res.Counters.SetupCalls++
 	res.Counters.EvaluationCalls++ // learn f(a)

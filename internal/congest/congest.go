@@ -599,10 +599,13 @@ func WithBandwidth(bw int) Option {
 
 // WithWorkers sets the number of engine workers used by Run. k = 1 executes
 // every half-round serially; k > 1 shards the vertices over k goroutines.
-// k <= 0 (the default) selects runtime.NumCPU(), capped so that every
+// k <= 0 (the default) selects runtime.GOMAXPROCS(0), capped so that every
 // worker owns at least minVerticesPerWorker vertices — tiny networks always
-// run serially. Any worker count produces bit-for-bit identical outputs,
-// round counts and Metrics; the knob only trades wall-clock time.
+// run serially — and, on the frontier scheduler, further capped to the
+// number of 4096-vertex-aligned shards that own a vertex, so networks of at
+// most 4096 vertices run serially. Any worker count produces bit-for-bit
+// identical outputs, round counts and Metrics; the knob only trades
+// wall-clock time.
 func WithWorkers(k int) Option {
 	return func(nw *Network) { nw.workers = k }
 }
@@ -699,9 +702,17 @@ func (nw *Network) EffectiveWorkers() int {
 	n := nw.topo.n
 	k := nw.workers
 	if k <= 0 {
-		k = runtime.NumCPU()
+		k = runtime.GOMAXPROCS(0)
 		if cap := n / minVerticesPerWorker; k > cap {
 			k = cap
+		}
+		// Frontier shards are aligned to shardWordAlign words, so a k-way
+		// split of a smaller vertex set leaves trailing workers with empty
+		// shards; start only the workers that own a vertex.
+		if k > 1 && nw.EffectiveScheduler() == SchedulerFrontier {
+			nwords := (n + 63) >> 6
+			wps := wordsPerShard(nwords, k)
+			k = (nwords + wps - 1) / wps
 		}
 	}
 	if k > n {

@@ -3,7 +3,9 @@ package congest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"qcongest/internal/graph"
 )
@@ -236,4 +238,87 @@ func TestEffectiveWorkersClamps(t *testing.T) {
 	if got := nw.EffectiveWorkers(); got != 1 {
 		t.Errorf("EffectiveWorkers = %d, want 1 under the automatic rule on a tiny graph", got)
 	}
+
+	// The automatic rule reads GOMAXPROCS. Frontier networks start one
+	// worker per 4096-vertex-aligned shard that owns a vertex; dense
+	// networks keep the n/64 cap; an explicit count is honoured.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	wave := func(v int) Node { return NewWaveNode(false, 0, 1) }
+	small := NewNetworkOn(mustTopology(t, graph.Path(256)), wave)
+	large := NewNetworkOn(mustTopology(t, graph.Path(5000)), wave)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := small.EffectiveWorkers(); got != 1 {
+			t.Errorf("GOMAXPROCS %d: frontier n=256 EffectiveWorkers = %d, want 1", procs, got)
+		}
+		if got, want := large.EffectiveWorkers(), min(procs, 2); got != want {
+			t.Errorf("GOMAXPROCS %d: frontier n=5000 EffectiveWorkers = %d, want %d", procs, got, want)
+		}
+		explicit := NewNetworkOn(small.topo, wave, WithWorkers(4))
+		if got := explicit.EffectiveWorkers(); got != 4 {
+			t.Errorf("GOMAXPROCS %d: frontier WithWorkers(4) EffectiveWorkers = %d, want 4", procs, got)
+		}
+		dense := NewNetworkOn(small.topo, wave, WithScheduler(SchedulerDense))
+		if got, want := dense.EffectiveWorkers(), min(procs, 256/minVerticesPerWorker); got != want {
+			t.Errorf("GOMAXPROCS %d: dense n=256 EffectiveWorkers = %d, want %d", procs, got, want)
+		}
+	}
+}
+
+func mustTopology(t *testing.T, g *graph.Graph) *Topology {
+	t.Helper()
+	topo, err := NewTopology(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// A Session over a frontier network below the shard grain runs serially:
+// it starts no worker goroutines, even where the dense rule would start
+// several.
+func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := graph.RandomRegular(256, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau := make([]int, g.N())
+	for v := range tau {
+		tau[v] = -1
+	}
+	tau[0] = 0 // one wave, flooding from vertex 0
+	const duration = 64
+	before := settledGoroutines()
+	s := NewSession(mustTopology(t, g), func(v int) Node { return NewWaveNode(false, 0, duration) })
+	defer s.Close()
+	for run := 0; run < 2; run++ {
+		if err := s.Reset(WaveTau{Tau: tau}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(duration + 4); err != nil {
+			t.Fatal(err)
+		}
+		if d := runtime.NumGoroutine() - before; d > 0 {
+			t.Fatalf("run %d: session started %d goroutines, want 0", run, d)
+		}
+	}
+	if s.Metrics().Messages == 0 {
+		t.Fatal("wave session delivered no messages")
+	}
+}
+
+// settledGoroutines returns the goroutine count once the workers of
+// engines stopped by earlier tests have finished exiting.
+func settledGoroutines() int {
+	n, stable := runtime.NumGoroutine(), 0
+	for stable < 5 {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
 }

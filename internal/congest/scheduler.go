@@ -218,13 +218,17 @@ type frontierState struct {
 	doneDelta []int // per-worker notDone deltas
 }
 
-func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
-	nwords := (n + 63) >> 6
+// wordsPerShard returns the shard width, in bitset words, of a k-way split
+// of nwords words: ceil(nwords/k) rounded up to shardWordAlign.
+func wordsPerShard(nwords, k int) int {
 	wps := (nwords + k - 1) / k
-	wps = (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
+	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
+}
+
+func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
 	fr := &frontierState{
 		k:         k,
-		wps:       wps,
+		wps:       wordsPerShard((n+63)>>6, k),
 		alwaysOn:  alwaysOn,
 		cur:       newShardedBitset(n),
 		nxt:       newShardedBitset(n),

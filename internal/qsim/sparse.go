@@ -13,6 +13,10 @@
 // where |data(x)> and |init> are deterministic functions of x produced by
 // quantized classical (reversible) procedures. Tracking the map x -> alpha_x
 // therefore loses nothing; the data registers are reconstructed on demand.
+//
+// The map is stored as an ascending label slice with an aligned amplitude
+// slice. Every sum runs in ascending-label order, so amplitudes, norms and
+// measurement outcomes are bit-reproducible for a fixed rng stream.
 package qsim
 
 import (
@@ -27,8 +31,14 @@ import (
 // Sparse is a pure quantum state over integer basis labels with complex128
 // amplitudes. The zero value is unusable; construct with NewUniform or
 // NewState.
+//
+// amp[i] is the amplitude of labels[i]. The label slice is never written
+// after construction, so clones share it; two states that share one label
+// slice are "same-domain", and every binary operation on them is an
+// index-aligned loop that runs in place.
 type Sparse struct {
-	amp map[int]complex128
+	labels []int        // ascending, distinct; shared between clones
+	amp    []complex128 // aligned with labels
 }
 
 // ErrEmptyDomain is returned when a state would have no support.
@@ -39,22 +49,31 @@ func NewUniform(keys []int) (*Sparse, error) {
 	if len(keys) == 0 {
 		return nil, ErrEmptyDomain
 	}
-	a := complex(1/math.Sqrt(float64(len(keys))), 0)
-	s := &Sparse{amp: make(map[int]complex128, len(keys))}
-	for _, k := range keys {
-		if _, dup := s.amp[k]; dup {
-			return nil, fmt.Errorf("qsim: duplicate key %d", k)
+	labels := append([]int(nil), keys...)
+	sort.Ints(labels)
+	for i := 1; i < len(labels); i++ {
+		if labels[i] == labels[i-1] {
+			return nil, fmt.Errorf("qsim: duplicate key %d", labels[i])
 		}
-		s.amp[k] = a
+	}
+	a := complex(1/math.Sqrt(float64(len(labels))), 0)
+	s := &Sparse{labels: labels, amp: make([]complex128, len(labels))}
+	for i := range s.amp {
+		s.amp[i] = a
 	}
 	return s, nil
 }
 
 // NewState returns a state with the given amplitudes, normalized.
 func NewState(amps map[int]complex128) (*Sparse, error) {
-	s := &Sparse{amp: make(map[int]complex128, len(amps))}
-	for k, a := range amps {
-		s.amp[k] = a
+	labels := make([]int, 0, len(amps))
+	for k := range amps {
+		labels = append(labels, k)
+	}
+	sort.Ints(labels)
+	s := &Sparse{labels: labels, amp: make([]complex128, len(labels))}
+	for i, k := range labels {
+		s.amp[i] = amps[k]
 	}
 	n := s.Norm()
 	if n == 0 {
@@ -64,28 +83,48 @@ func NewState(amps map[int]complex128) (*Sparse, error) {
 	return s, nil
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that shares the (immutable) label slice and owns its
+// amplitudes.
 func (s *Sparse) Clone() *Sparse {
-	c := &Sparse{amp: make(map[int]complex128, len(s.amp))}
-	for k, a := range s.amp {
-		c.amp[k] = a
-	}
-	return c
+	return &Sparse{labels: s.labels, amp: append([]complex128(nil), s.amp...)}
+}
+
+// sameDomain reports whether s and o share one label slice, so their
+// amplitude slices are index-aligned.
+func (s *Sparse) sameDomain(o *Sparse) bool {
+	return len(s.labels) == len(o.labels) &&
+		(len(s.labels) == 0 || &s.labels[0] == &o.labels[0])
 }
 
 // Amplitude returns the amplitude of basis label k (zero if absent).
-func (s *Sparse) Amplitude(k int) complex128 { return s.amp[k] }
+func (s *Sparse) Amplitude(k int) complex128 {
+	if i := sort.SearchInts(s.labels, k); i < len(s.labels) && s.labels[i] == k {
+		return s.amp[i]
+	}
+	return 0
+}
 
 // Support returns the basis labels with nonzero amplitude, ascending.
 func (s *Sparse) Support() []int {
-	out := make([]int, 0, len(s.amp))
-	for k, a := range s.amp {
+	out := make([]int, 0, len(s.labels))
+	for i, a := range s.amp {
 		if a != 0 {
-			out = append(out, k)
+			out = append(out, s.labels[i])
 		}
 	}
-	sort.Ints(out)
 	return out
+}
+
+// Len returns the number of basis labels with nonzero amplitude:
+// len(s.Support()) without building the slice.
+func (s *Sparse) Len() int {
+	n := 0
+	for _, a := range s.amp {
+		if a != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Norm returns the Euclidean norm of the state.
@@ -99,17 +138,17 @@ func (s *Sparse) Norm() float64 {
 
 // Scale multiplies every amplitude by c.
 func (s *Sparse) Scale(c complex128) {
-	for k := range s.amp {
-		s.amp[k] *= c
+	for i := range s.amp {
+		s.amp[i] *= c
 	}
 }
 
 // PhaseFlip applies the oracle that negates the amplitude of every marked
 // basis label: |x> -> -|x> when marked(x).
 func (s *Sparse) PhaseFlip(marked func(int) bool) {
-	for k, a := range s.amp {
+	for i, k := range s.labels {
 		if marked(k) {
-			s.amp[k] = -a
+			s.amp[i] = -s.amp[i]
 		}
 	}
 }
@@ -117,8 +156,25 @@ func (s *Sparse) PhaseFlip(marked func(int) bool) {
 // InnerProduct returns <s|o>.
 func (s *Sparse) InnerProduct(o *Sparse) complex128 {
 	var t complex128
-	for k, a := range s.amp {
-		t += cmplx.Conj(a) * o.amp[k]
+	if s.sameDomain(o) {
+		for i, a := range s.amp {
+			t += cmplx.Conj(a) * o.amp[i]
+		}
+		return t
+	}
+	// Merge over the common labels; a label absent from either side
+	// contributes nothing.
+	for i, j := 0, 0; i < len(s.labels) && j < len(o.labels); {
+		switch {
+		case s.labels[i] < o.labels[j]:
+			i++
+		case s.labels[i] > o.labels[j]:
+			j++
+		default:
+			t += cmplx.Conj(s.amp[i]) * o.amp[j]
+			i++
+			j++
+		}
 	}
 	return t
 }
@@ -128,16 +184,43 @@ func (s *Sparse) InnerProduct(o *Sparse) complex128 {
 // the diffusion step of amplitude amplification: it is implemented in the
 // paper by Setup^{-1}, a phase flip on |0>, and Setup.
 func (s *Sparse) ReflectAbout(phi *Sparse) {
-	ip := phi.InnerProduct(s) // <phi|s>
-	// s' = 2 <phi|s> phi - s
-	next := make(map[int]complex128, len(s.amp)+len(phi.amp))
-	for k, a := range s.amp {
-		next[k] = -a
+	c := 2 * phi.InnerProduct(s) // s' = 2 <phi|s> phi - s
+	if s.sameDomain(phi) {
+		for i, p := range phi.amp {
+			s.amp[i] = c*p - s.amp[i]
+		}
+		return
 	}
-	for k, p := range phi.amp {
-		next[k] += 2 * ip * p
+	// Different label sets: the result lives on their union.
+	labels := make([]int, 0, len(s.labels)+len(phi.labels))
+	amp := make([]complex128, 0, cap(labels))
+	i, j := 0, 0
+	for i < len(s.labels) || j < len(phi.labels) {
+		switch {
+		case j == len(phi.labels) || (i < len(s.labels) && s.labels[i] < phi.labels[j]):
+			labels = append(labels, s.labels[i])
+			amp = append(amp, -s.amp[i])
+			i++
+		case i == len(s.labels) || phi.labels[j] < s.labels[i]:
+			labels = append(labels, phi.labels[j])
+			amp = append(amp, c*phi.amp[j])
+			j++
+		default:
+			labels = append(labels, s.labels[i])
+			amp = append(amp, c*phi.amp[j]-s.amp[i])
+			i++
+			j++
+		}
 	}
-	s.amp = next
+	// Adopt phi's label slice when the union is phi's domain, so later
+	// iterations take the in-place path.
+	switch len(labels) {
+	case len(phi.labels):
+		labels = phi.labels
+	case len(s.labels):
+		labels = s.labels
+	}
+	s.labels, s.amp = labels, amp
 }
 
 // GroverIteration applies one amplitude-amplification step: the marked-set
@@ -151,30 +234,35 @@ func (s *Sparse) GroverIteration(phi *Sparse, marked func(int) bool) {
 // pred holds.
 func (s *Sparse) Probability(pred func(int) bool) float64 {
 	t := 0.0
-	for k, a := range s.amp {
+	for i, k := range s.labels {
 		if pred(k) {
+			a := s.amp[i]
 			t += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
 	return t
 }
 
-// Measure samples a basis label from the state's distribution using rng.
-// The state itself is left untouched (callers clone per shot); sampling
-// iterates labels in ascending order for determinism given the rng.
+// Measure samples a basis label from the state's distribution using rng,
+// or returns -1 for the zero state. The state itself is left untouched;
+// sampling walks the labels in ascending order, so the outcome is a
+// deterministic function of the rng stream.
 func (s *Sparse) Measure(rng *rand.Rand) int {
-	keys := s.Support()
-	if len(keys) == 0 {
+	n := s.Norm()
+	if n == 0 {
 		return -1
 	}
-	r := rng.Float64() * s.Norm() * s.Norm()
-	acc := 0.0
-	for _, k := range keys {
-		a := s.amp[k]
+	r := rng.Float64() * n * n
+	acc, last := 0.0, -1
+	for i, a := range s.amp {
+		if a == 0 {
+			continue
+		}
+		last = s.labels[i]
 		acc += real(a)*real(a) + imag(a)*imag(a)
 		if r < acc {
-			return k
+			return last
 		}
 	}
-	return keys[len(keys)-1]
+	return last
 }
