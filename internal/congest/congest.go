@@ -710,9 +710,7 @@ func (nw *Network) EffectiveWorkers() int {
 		// split of a smaller vertex set leaves trailing workers with empty
 		// shards; start only the workers that own a vertex.
 		if k > 1 && nw.EffectiveScheduler() == SchedulerFrontier {
-			nwords := (n + 63) >> 6
-			wps := wordsPerShard(nwords, k)
-			k = (nwords + wps - 1) / wps
+			k = shardWorkers(n, k)
 		}
 	}
 	if k > n {

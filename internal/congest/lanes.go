@@ -291,6 +291,11 @@ type multiEngine struct {
 func newMultiEngine(ms *MultiSession) *multiEngine {
 	n := ms.topo.n
 	e := &multiEngine{ms: ms, n: n, k: ms.lanes[0].nw.EffectiveWorkers()}
+	if ms.lanes[0].nw.workers <= 0 && e.k > 1 {
+		// Every lane, dense ones included, is split by frontier shards, so
+		// the automatic count starts only the workers that own a vertex.
+		e.k = shardWorkers(n, e.k)
+	}
 	e.envs = make([]Env, n)
 	for v := 0; v < n; v++ {
 		e.envs[v] = Env{ID: v, N: n, Neighbors: ms.topo.neighbors[v], rd: Reader{N: n}}

@@ -225,6 +225,16 @@ func wordsPerShard(nwords, k int) int {
 	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
 }
 
+// shardWorkers returns the number of shards of a k-way split of n
+// vertices that own at least one vertex: shards are aligned to
+// shardWordAlign words, so on a small vertex set the trailing ones are
+// empty.
+func shardWorkers(n, k int) int {
+	nwords := (n + 63) >> 6
+	wps := wordsPerShard(nwords, k)
+	return (nwords + wps - 1) / wps
+}
+
 func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
 	fr := &frontierState{
 		k:         k,

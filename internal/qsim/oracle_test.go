@@ -169,8 +169,8 @@ func TestSparseMatchesMapOracle(t *testing.T) {
 			randomAmps(rng, 30, 150, 60),   // straddles the upper end
 			randomAmps(rng, 5, 1<<40, 100), // far-away labels
 		}
-		// A superset of the working state `own` below, so reflecting `own`
-		// about it adopts the reference's label slice.
+		// A superset of the working state `own` below: another merge-path
+		// input, where one label set contains the other.
 		own := randomAmps(rng, 70, 50, 150)
 		ownPlus := randomAmps(rng, 10, 300, 20)
 		for k := range own {

@@ -34,8 +34,8 @@ import (
 //
 // amp[i] is the amplitude of labels[i]. The label slice is never written
 // after construction, so clones share it; two states that share one label
-// slice are "same-domain", and every binary operation on them is an
-// index-aligned loop that runs in place.
+// slice are "same-domain", and ReflectAbout on them is an index-aligned
+// loop that runs in place.
 type Sparse struct {
 	labels []int        // ascending, distinct; shared between clones
 	amp    []complex128 // aligned with labels
@@ -155,15 +155,9 @@ func (s *Sparse) PhaseFlip(marked func(int) bool) {
 
 // InnerProduct returns <s|o>.
 func (s *Sparse) InnerProduct(o *Sparse) complex128 {
-	var t complex128
-	if s.sameDomain(o) {
-		for i, a := range s.amp {
-			t += cmplx.Conj(a) * o.amp[i]
-		}
-		return t
-	}
 	// Merge over the common labels; a label absent from either side
 	// contributes nothing.
+	var t complex128
 	for i, j := 0, 0; i < len(s.labels) && j < len(o.labels); {
 		switch {
 		case s.labels[i] < o.labels[j]:
@@ -211,14 +205,6 @@ func (s *Sparse) ReflectAbout(phi *Sparse) {
 			i++
 			j++
 		}
-	}
-	// Adopt phi's label slice when the union is phi's domain, so later
-	// iterations take the in-place path.
-	switch len(labels) {
-	case len(phi.labels):
-		labels = phi.labels
-	case len(s.labels):
-		labels = s.labels
 	}
 	s.labels, s.amp = labels, amp
 }
