@@ -1279,247 +1279,6 @@ func TestWriteSchedBench(t *testing.T) {
 	fmt.Println("wrote BENCH_sched.json")
 }
 
-// --- Lane-fused batch benchmark: BENCH_batch.json. ---
-//
-// QuantumOptions.Lanes (congest.MultiSession) runs k independent
-// Evaluations in lockstep through a single engine pass: one frontier
-// iteration per round over the union of the lanes' frontiers, one topology
-// row load per visited vertex feeding every lane's state. Outputs, Metrics
-// and traces are bit-identical per lane to solo sessions
-// (TestLaneEquivalenceSweep); only throughput differs. This benchmark
-// records what fusing buys the hot Evaluation of Eccentricities — the
-// single-initiator wave + max convergecast — on path/4096, workers=1, so
-// the comparison isolates lane fusion from worker sharding and from
-// Pool-level parallelism.
-
-// newBatchEccInfo prepares the batch benchmark's topology and BFS tree from
-// the sequential oracle (same rationale as newSchedWalk: distributed
-// preprocessing on a long path would dominate setup without touching what
-// the benchmark measures).
-func newBatchEccInfo(g *Graph) (*CongestTopology, *congest.PreInfo, error) {
-	topo, err := NewCongestTopology(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree, err := graph.NewBFSTree(g, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, &congest.PreInfo{
-		Leader:   0,
-		Parent:   tree.Parent,
-		Depth:    tree.Depth,
-		Children: tree.Child,
-		D:        tree.Height(),
-	}, nil
-}
-
-// batchEccEvaluator returns a closure running one batch of `lanes`
-// eccentricity Evaluations (lanes=1 uses a solo EccSession) plus its
-// teardown. Each call advances the initiator set deterministically.
-func batchEccEvaluator(topo *CongestTopology, info *congest.PreInfo, lanes int) (run func() error, close func()) {
-	n := topo.N()
-	waveDuration := 2*info.D + 1
-	// Initiators advance consecutively, the order query.EvalAll feeds a
-	// lane backend (the ordered identity domain, chunked): adjacent lanes
-	// run adjacent initiators, so the lane frontiers overlap maximally —
-	// the representative (and most favorable) batch shape.
-	if lanes <= 1 {
-		ecc := congest.NewEccSession(topo, info, waveDuration, WithWorkers(1))
-		tau := make([]int, n)
-		for i := range tau {
-			tau[i] = -1
-		}
-		last := -1
-		next := 1
-		return func() error {
-			if last >= 0 {
-				tau[last] = -1
-			}
-			tau[next], last = 0, next
-			next = (next + 1) % n
-			_, _, err := ecc.Eval(tau)
-			return err
-		}, ecc.Close
-	}
-	ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, WithWorkers(1))
-	taus := make([][]int, lanes)
-	lasts := make([]int, lanes)
-	for l := range taus {
-		taus[l] = make([]int, n)
-		for i := range taus[l] {
-			taus[l][i] = -1
-		}
-		lasts[l] = -1
-	}
-	next := 1
-	return func() error {
-		for l := range taus {
-			if lasts[l] >= 0 {
-				taus[l][lasts[l]] = -1
-			}
-			taus[l][next], lasts[l] = 0, next
-			next = (next + 1) % n
-		}
-		_, _, err := ecc.EvalBatch(taus)
-		return err
-	}, ecc.Close
-}
-
-// BenchmarkEvalBatch is the CI canary for the lane engine: one batch of
-// warm Evaluations per iteration, solo vs 8 lanes. The figure of merit is
-// evals/sec; lanes=8 falling back toward the lanes=1 rate means the fused
-// pass stopped sharing per-round work.
-func BenchmarkEvalBatch(b *testing.B) {
-	g := Path(4096)
-	topo, info, err := newBatchEccInfo(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lanes := range []int{1, 8} {
-		run, closeFn := batchEccEvaluator(topo, info, lanes)
-		b.Run("path/n=4096/lanes="+itoa(lanes), func(b *testing.B) {
-			if err := run(); err != nil { // warm: engines built, buffers grown
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*lanes)/b.Elapsed().Seconds(), "evals/sec")
-		})
-		closeFn()
-	}
-}
-
-// batchSoloBaseline freezes the solo (lanes=1) measurement of the
-// acceptance workload at the time the lane engine landed, on this machine,
-// so future regenerations of BENCH_batch.json keep the original
-// denominator even as the solo path evolves.
-var batchSoloBaseline = struct {
-	Workload    string  `json:"workload"`
-	EvalsPerSec float64 `json:"evals_per_sec"`
-}{
-	Workload:    "single-initiator eccentricity Evaluation (2d+1 wave + max convergecast) on path/4096, solo EccSession, workers=1, frontier scheduler",
-	EvalsPerSec: 460, // measured when the lane engine landed (best of 3 x 1.5s)
-}
-
-// batchBenchRow is one row of BENCH_batch.json.
-type batchBenchRow struct {
-	Graph          string  `json:"graph"`
-	N              int     `json:"n"`
-	Lanes          int     `json:"lanes"`
-	EvalsPerSec    float64 `json:"evals_per_sec"`
-	SpeedupVsSolo  float64 `json:"speedup_vs_frozen_solo"`
-	AllocsPerBatch float64 `json:"allocs_per_batch"`
-}
-
-type batchBenchFile struct {
-	GeneratedBy  string          `json:"generated_by"`
-	GoVersion    string          `json:"go_version"`
-	NumCPU       int             `json:"num_cpu"`
-	Workload     string          `json:"workload"`
-	Note         string          `json:"note"`
-	SoloBaseline any             `json:"solo_baseline_frozen"`
-	Results      []batchBenchRow `json:"results"`
-}
-
-// measureBatchEcc reports evals/sec of repeated batches over a wall-clock
-// floor.
-func measureBatchEcc(t *testing.T, run func() error, lanes int) float64 {
-	t.Helper()
-	const floor = 500 * time.Millisecond
-	if err := run(); err != nil { // warm
-		t.Fatal(err)
-	}
-	var elapsed time.Duration
-	batches := 0
-	for (elapsed < floor && batches < 4096) || batches < 1 {
-		start := time.Now()
-		if err := run(); err != nil {
-			t.Fatal(err)
-		}
-		elapsed += time.Since(start)
-		batches++
-	}
-	return float64(batches*lanes) / elapsed.Seconds()
-}
-
-// TestWriteBatchBench regenerates BENCH_batch.json and enforces the lane
-// engine's throughput floor: Eccentricities-style Evaluations on path/4096
-// at lanes=8 must hold at least half the evals/sec of the frozen lanes=1
-// baseline (the no-catastrophic-fusion-tax canary). The original 2x
-// amortization target is recorded in the JSON instead of enforced: on this
-// workload ~90% of an Evaluation's cost is per-lane wire and program work
-// that per-lane Bits/Rounds accounting requires fusion to repeat, so the
-// shareable per-round scan overhead caps the fused speedup well under 2x —
-// EXPERIMENTS.md ("Lane-fused throughput") has the measured decomposition
-// and the ceiling argument. Too slow for the default run, so it is gated:
-//
-//	QCONGEST_BENCH_BATCH=1 go test -run TestWriteBatchBench -timeout 30m
-func TestWriteBatchBench(t *testing.T) {
-	if os.Getenv("QCONGEST_BENCH_BATCH") == "" {
-		t.Skip("set QCONGEST_BENCH_BATCH=1 to measure and write BENCH_batch.json")
-	}
-	out := batchBenchFile{
-		GeneratedBy: "QCONGEST_BENCH_BATCH=1 go test -run TestWriteBatchBench",
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Workload:    "single-initiator eccentricity Evaluation (2d+1 wave + max convergecast) on path/4096, workers=1",
-		Note: "lanes=1 = solo congest.EccSession (Reset+Run per Evaluation); lanes=k = one " +
-			"congest.MultiEccSession running k Evaluations per engine pass, consecutive initiators " +
-			"(the EvalAll chunk shape). Per-lane outputs, Metrics and traces are bit-identical to " +
-			"solo runs (TestLaneEquivalenceSweep, TestMultiEvalSessionEquivalence); only throughput " +
-			"differs. workers=1 isolates lane fusion from worker sharding. solo_baseline_frozen is " +
-			"the lanes=1 rate measured when the lane engine landed — the fixed denominator of the " +
-			"speedup column. The 2x amortization target is not met on this workload: per-lane wire " +
-			"and program work (which per-lane accounting requires fusion to repeat) is ~90% of an " +
-			"Evaluation, capping the fused speedup — see EXPERIMENTS.md, Lane-fused throughput.",
-		SoloBaseline: batchSoloBaseline,
-	}
-	g := Path(4096)
-	topo, info, err := newBatchEccInfo(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lanes8 float64
-	for _, lanes := range []int{1, 2, 4, 8, 16} {
-		run, closeFn := batchEccEvaluator(topo, info, lanes)
-		rate := measureBatchEcc(t, run, lanes)
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		closeFn()
-		row := batchBenchRow{
-			Graph: "path", N: g.N(), Lanes: lanes, EvalsPerSec: rate,
-			SpeedupVsSolo: rate / batchSoloBaseline.EvalsPerSec, AllocsPerBatch: allocs,
-		}
-		out.Results = append(out.Results, row)
-		t.Logf("lanes=%-3d %9.1f evals/sec  %6.2fx vs frozen solo  %5.1f allocs/batch",
-			lanes, rate, row.SpeedupVsSolo, allocs)
-		if lanes == 8 {
-			lanes8 = rate
-		}
-	}
-	if speedup := lanes8 / batchSoloBaseline.EvalsPerSec; speedup < 0.5 {
-		t.Errorf("acceptance: lanes=8 %.1f evals/sec = %.2fx frozen solo baseline %.1f, want >= 0.5x",
-			lanes8, speedup, batchSoloBaseline.EvalsPerSec)
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_batch.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println("wrote BENCH_batch.json")
-}
-
 // --- Quantum APSP: the skeleton-oracle sweep vs the classical Bellman–Ford
 // inner loop (ISSUE 9; EXPERIMENTS.md, "Quantum APSP"). ---
 
@@ -1531,25 +1290,23 @@ func apspBenchGraph(n int) *Graph {
 }
 
 // BenchmarkApsp is the CI canary for the APSP sweep: one full n-source
-// sweep per iteration, solo vs 8 lanes, reporting the measured per-source
-// round cost (the domain metric the papers bound by Õ(sqrt(n) + D)).
+// sweep per iteration, reporting the measured per-source round cost (the
+// domain metric the papers bound by Õ(sqrt(n) + D)).
 func BenchmarkApsp(b *testing.B) {
 	g := apspBenchGraph(256)
-	for _, lanes := range []int{1, 8} {
-		b.Run("er/n=256/lanes="+itoa(lanes), func(b *testing.B) {
-			b.ReportAllocs()
-			var res ApspResult
-			for i := 0; i < b.N; i++ {
-				r, err := APSP(g, QuantumOptions{Seed: 1, Lanes: lanes}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
+	b.Run("er/n=256", func(b *testing.B) {
+		b.ReportAllocs()
+		var res ApspResult
+		for i := 0; i < b.N; i++ {
+			r, err := APSP(g, QuantumOptions{Seed: 1}, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.EvalRounds), "rounds/eval")
-			b.ReportMetric(float64(res.Sources)*float64(b.N)/b.Elapsed().Seconds(), "evals/sec")
-		})
-	}
+			res = r
+		}
+		b.ReportMetric(float64(res.EvalRounds), "rounds/eval")
+		b.ReportMetric(float64(res.Sources)*float64(b.N)/b.Elapsed().Seconds(), "evals/sec")
+	})
 }
 
 // apspClassicalBaseline freezes the classical weighted Evaluation cost on
@@ -1572,7 +1329,6 @@ var apspClassicalBaseline = struct {
 type apspBenchRow struct {
 	Graph             string  `json:"graph"`
 	N                 int     `json:"n"`
-	Lanes             int     `json:"lanes"`
 	EvalRounds        int     `json:"eval_rounds"`
 	InitRounds        int     `json:"init_rounds"`
 	TotalRounds       int     `json:"total_rounds"`
@@ -1611,9 +1367,7 @@ func TestWriteApspBench(t *testing.T) {
 			"distribution), amortized over all n sources. classical_baseline_frozen is the " +
 			"(n-1)-round Bellman–Ford Evaluation on er-512, measured when quantum APSP landed — " +
 			"the fixed denominator of eval_rounds_vs_frozen_classical. Rounds are deterministic; " +
-			"only evals_per_sec is machine-dependent. Lane counts change throughput only — every " +
-			"emitted row and every round counter is bit-identical across lanes " +
-			"(TestApspMatchesOracles).",
+			"only evals_per_sec is machine-dependent.",
 		ClassicalBaseline: apspClassicalBaseline,
 	}
 	var accepted *apspBenchRow
@@ -1635,30 +1389,28 @@ func TestWriteApspBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range []int{1, 2, 4, 8} {
-			start := time.Now()
-			res, err := APSP(g, QuantumOptions{Seed: 1, Lanes: lanes}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			elapsed := time.Since(start)
-			row := apspBenchRow{
-				Graph: "er", N: n, Lanes: lanes,
-				EvalRounds: res.EvalRounds, InitRounds: res.InitRounds, TotalRounds: res.Rounds,
-				EvalsPerSec:       float64(res.Sources) / elapsed.Seconds(),
-				RoundsVsClassical: float64(res.EvalRounds) / float64(apspClassicalBaseline.EvalRounds),
-				ClassicalEvalMeas: cm.Rounds,
-			}
-			out.Results = append(out.Results, row)
-			t.Logf("n=%-5d lanes=%-3d eval=%4d rounds (classical here %4d, frozen %d)  init=%6d  %7.1f evals/sec",
-				n, lanes, row.EvalRounds, cm.Rounds, apspClassicalBaseline.EvalRounds, row.InitRounds, row.EvalsPerSec)
-			if n == apspClassicalBaseline.N && lanes == 1 {
-				accepted = &out.Results[len(out.Results)-1]
-			}
+		start := time.Now()
+		res, err := APSP(g, QuantumOptions{Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		out.Results = append(out.Results, apspBenchRow{
+			Graph: "er", N: n,
+			EvalRounds: res.EvalRounds, InitRounds: res.InitRounds, TotalRounds: res.Rounds,
+			EvalsPerSec:       float64(res.Sources) / elapsed.Seconds(),
+			RoundsVsClassical: float64(res.EvalRounds) / float64(apspClassicalBaseline.EvalRounds),
+			ClassicalEvalMeas: cm.Rounds,
+		})
+		row := &out.Results[len(out.Results)-1]
+		t.Logf("n=%-5d eval=%4d rounds (classical here %4d, frozen %d)  init=%6d  %7.1f evals/sec",
+			n, row.EvalRounds, cm.Rounds, apspClassicalBaseline.EvalRounds, row.InitRounds, row.EvalsPerSec)
+		if n == apspClassicalBaseline.N {
+			accepted = row
 		}
 	}
 	if accepted == nil {
-		t.Fatal("acceptance row (n=512, lanes=1) missing")
+		t.Fatal("acceptance row (n=512) missing")
 	}
 	if accepted.EvalRounds >= apspClassicalBaseline.EvalRounds {
 		t.Errorf("acceptance: skeleton Evaluation %d rounds >= frozen classical Bellman–Ford %d on er-512 — not sublinear",

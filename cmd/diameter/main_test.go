@@ -25,7 +25,7 @@ func TestCLISmoke(t *testing.T) {
 		},
 		{
 			"apsp",
-			[]string{"-graph", "random", "-n", "24", "-param", "apsp", "-weighted", "-lanes", "8"},
+			[]string{"-graph", "random", "-n", "24", "-param", "apsp", "-weighted"},
 			"quantum apsp: n=24 match-oracle=true",
 		},
 		{
@@ -35,7 +35,7 @@ func TestCLISmoke(t *testing.T) {
 		},
 		{
 			"sublinear weighted diameter",
-			[]string{"-graph", "random", "-n", "20", "-weighted", "-sublinear", "-lanes", "4"},
+			[]string{"-graph", "random", "-n", "20", "-weighted", "-sublinear"},
 			"quantum weighted diameter:",
 		},
 	} {
@@ -48,41 +48,5 @@ func TestCLISmoke(t *testing.T) {
 				t.Fatalf("run(%v) output %q does not contain %q", tc.args, stdout.String(), tc.want)
 			}
 		})
-	}
-}
-
-// TestCLILanesWarning asserts the -lanes flag is called out (not silently
-// ignored) for the single-evaluation workloads that cannot batch, and stays
-// quiet where lane fusion applies.
-func TestCLILanesWarning(t *testing.T) {
-	var stdout, stderr strings.Builder
-	args := []string{"-graph", "random", "-n", "16", "-param", "triangle", "-lanes", "8"}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	if !strings.Contains(stderr.String(), "-lanes 8 has no effect for -param triangle") {
-		t.Fatalf("stderr %q lacks the ignored-lanes warning", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	args = []string{"-graph", "random", "-n", "16", "-param", "mincut", "-lanes", "2"}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	if !strings.Contains(stderr.String(), "has no effect for -param mincut") {
-		t.Fatalf("stderr %q lacks the ignored-lanes warning", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	args = []string{"-graph", "random", "-n", "16", "-param", "ecc", "-lanes", "8"}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	if strings.Contains(stderr.String(), "has no effect") {
-		t.Fatalf("stderr %q warns for a workload that does batch", stderr.String())
-	}
-	// An invalid lane count surfaces as an error, not a silent clamp.
-	if err := run([]string{"-n", "12", "-lanes", "-3"}, &stdout, &stderr); err == nil {
-		t.Fatal("negative -lanes accepted")
 	}
 }

@@ -30,7 +30,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "random seed")
 		workers = fs.Int("workers", 0, "engine workers per round (0 = auto; measurements are identical for any value)")
 		sched   = fs.String("sched", "frontier", "round scheduler: frontier|dense (measurements are identical for either)")
-		lanes   = fs.Int("lanes", 0, "Figure-2 ecc Evaluations fused per lane-engine pass (0/1 = solo sessions; outputs are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,51 +75,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// The Evaluation sessions are built once; each u0 is a Reset+Run — the
 	// same execution shape the quantum algorithms use per Grover iteration.
-	// With -lanes > 1 the ecc Evaluations are fused into one lane-engine
-	// pass (MultiEccSession.EvalBatch); the per-u0 lines are bit-identical
-	// to the solo sessions either way.
-	u0s := []int{0, 13, 27}
 	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D, engine...)
 	defer walk.Close()
-	taus := make([][]int, len(u0s))
-	walkRounds := make([]int, len(u0s))
-	for i, u0 := range u0s {
+	ecc := congest.NewEccSession(topo, info, 6*info.D+2, engine...)
+	defer ecc.Close()
+	for _, u0 := range []int{0, 13, 27} {
 		tau, mw, err := walk.Eval(u0)
 		if err != nil {
 			return err
 		}
-		taus[i] = append([]int(nil), tau...)
-		walkRounds[i] = mw.Rounds
-	}
-	vals := make([]int, len(u0s))
-	eccRounds := make([]int, len(u0s))
-	if *lanes > 1 {
-		me := congest.NewMultiEccSession(topo, info, 6*info.D+2, *lanes, engine...)
-		defer me.Close()
-		for start := 0; start < len(u0s); start += *lanes {
-			end := min(start+*lanes, len(u0s))
-			vs, ms, err := me.EvalBatch(taus[start:end])
-			if err != nil {
-				return err
-			}
-			for i := start; i < end; i++ {
-				vals[i] = vs[i-start]
-				eccRounds[i] = ms[i-start].Rounds
-			}
+		val, mr, err := ecc.Eval(tau)
+		if err != nil {
+			return err
 		}
-	} else {
-		ecc := congest.NewEccSession(topo, info, 6*info.D+2, engine...)
-		defer ecc.Close()
-		for i := range u0s {
-			val, mr, err := ecc.Eval(taus[i])
-			if err != nil {
-				return err
-			}
-			vals[i] = val
-			eccRounds[i] = mr.Rounds
-		}
-	}
-	for i, u0 := range u0s {
 		want := 0
 		for _, v := range tree.SetS(u0, info.D) {
 			if eccs[v] > want {
@@ -128,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		fmt.Fprintf(stdout, "u0=%2d: f(u0)=%d (reference %d) rounds=%d (O(D), D<=%d)\n",
-			u0, vals[i], want, walkRounds[i]+eccRounds[i], 2*info.D)
+			u0, val, want, mw.Rounds+mr.Rounds, 2*info.D)
 	}
 
 	fmt.Fprintln(stdout, "\n=== Lemma 1: coverage of the window sets S(u) ===")

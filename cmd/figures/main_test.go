@@ -30,15 +30,14 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLILanesDeterministic asserts lane-fused Figure-2 Evaluations and the
-// dense scheduler produce byte-identical output to the solo default — the
-// bit-identity contract of MultiEccSession surfaced at the CLI.
-func TestCLILanesDeterministic(t *testing.T) {
+// TestCLIDeterministic asserts the -workers and -sched knobs produce
+// byte-identical output to the default run.
+func TestCLIDeterministic(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, args := range [][]string{
 		nil,
-		{"-lanes", "2"},
-		{"-lanes", "8", "-sched", "dense", "-workers", "2"},
+		{"-workers", "8"},
+		{"-sched", "dense", "-workers", "2"},
 	} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -48,7 +47,7 @@ func TestCLILanesDeterministic(t *testing.T) {
 	}
 	for i := 1; i < len(outputs); i++ {
 		if outputs[i] != outputs[0] {
-			t.Errorf("output %d differs from solo baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
+			t.Errorf("output %d differs from baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
 		}
 	}
 }

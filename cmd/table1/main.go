@@ -30,7 +30,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers  = fs.Int("workers", 0, "engine workers per round (0 = auto; measured rounds are identical for any value)")
 		sched    = fs.String("sched", "frontier", "round scheduler: frontier|dense (measurements are identical for either)")
 		parallel = fs.Int("parallel", 1, "quantum trials run concurrently per sweep point (results are identical for any value)")
-		lanes    = fs.Int("lanes", 0, "Evaluations fused per lane-engine pass (0/1 = solo sessions; results are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "=== Table 1, row 'Exact computation' ===")
-	classical, quantum, err := qcongest.ExactComparison(sizes, *diam, *trials, *seed, *parallel, *lanes, engine...)
+	classical, quantum, err := qcongest.ExactComparison(sizes, *diam, *trials, *seed, *parallel, engine...)
 	if err != nil {
 		return err
 	}
@@ -67,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "=== Theorem 1: quantum rounds vs D (n fixed) ===")
-	sweep, err := qcongest.DiameterSweep(sizes[len(sizes)-1]/2, []int{3, 6, 12}, *trials, *seed, *parallel, *lanes, engine...)
+	sweep, err := qcongest.DiameterSweep(sizes[len(sizes)-1]/2, []int{3, 6, 12}, *trials, *seed, *parallel, engine...)
 	if err != nil {
 		return err
 	}
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sweep.Slope(func(p qcongest.Point) float64 { return float64(p.D) }))
 
 	fmt.Fprintln(stdout, "=== Table 1, row '3/2-approximation' ===")
-	ca, qa, err := qcongest.ApproxComparison(sizes, *diam, *trials, *seed, *parallel, *lanes, engine...)
+	ca, qa, err := qcongest.ApproxComparison(sizes, *diam, *trials, *seed, *parallel, engine...)
 	if err != nil {
 		return err
 	}

@@ -19,8 +19,8 @@ func TestCLISmoke(t *testing.T) {
 			[]string{"=== Table 1, row 'Exact computation' ===", "quantum exact (Theorem 1)", "classical slope vs n:"},
 		},
 		{
-			"dense scheduler with lanes",
-			[]string{"-trials", "1", "-sched", "dense", "-lanes", "4", "-parallel", "2"},
+			"dense scheduler parallel",
+			[]string{"-trials", "1", "-sched", "dense", "-parallel", "2"},
 			[]string{"quantum exact (Theorem 1)", "=== Table 1, row '3/2-approximation' ==="},
 		},
 	} {
@@ -41,14 +41,14 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLILanesDeterministic asserts the -lanes and -sched knobs never change
-// the measured tables: lane fusion and scheduling strategy are wall-clock
-// levers, not semantics.
-func TestCLILanesDeterministic(t *testing.T) {
+// TestCLIDeterministic asserts the -parallel, -sched and -workers knobs
+// never change the measured tables: concurrency and scheduling strategy are
+// wall-clock levers, not semantics.
+func TestCLIDeterministic(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, args := range [][]string{
 		{"-trials", "1"},
-		{"-trials", "1", "-lanes", "4"},
+		{"-trials", "1", "-parallel", "2"},
 		{"-trials", "1", "-sched", "dense", "-workers", "2"},
 	} {
 		var stdout, stderr strings.Builder

@@ -10,7 +10,7 @@ import (
 
 // skelFixture builds topology + preprocessing + a full-vertex skeleton
 // oracle (S = V, hop budget h) — the unconditionally exact configuration.
-func skelFixture(t *testing.T, g *graph.Graph, h, lanes int) (*Topology, *PreInfo, *SkelOracle) {
+func skelFixture(t *testing.T, g *graph.Graph, h int) (*Topology, *PreInfo, *SkelOracle) {
 	t.Helper()
 	topo, err := NewTopology(g)
 	if err != nil {
@@ -24,7 +24,7 @@ func skelFixture(t *testing.T, g *graph.Graph, h, lanes int) (*Topology, *PreInf
 	for v := range skeleton {
 		skeleton[v] = v
 	}
-	o, err := NewSkelOracle(topo, info, skeleton, h, lanes, WithStrictAccounting())
+	o, err := NewSkelOracle(topo, info, skeleton, h, WithStrictAccounting())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSkelOracleMatchesDijkstra(t *testing.T) {
 		g := weightedTestGraph(t, 22, seed)
 		for _, h := range []int{1, 3, g.N()} {
 			for _, workers := range []int{1, 8} {
-				_, _, o := skelFixture(t, g, h, 1)
+				_, _, o := skelFixture(t, g, h)
 				es := o.NewEvalSession(WithWorkers(workers), WithStrictAccounting())
 				row := make([]int, g.N())
 				fixedRounds := -1
@@ -76,81 +76,6 @@ func TestSkelOracleMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestSkelOracleLaneInitBitIdentical checks the lane-fused init path:
-// batching the skeleton relaxations through MultiSession must leave
-// InitRounds and every Evaluation bit-identical to the solo init.
-func TestSkelOracleLaneInitBitIdentical(t *testing.T) {
-	g := weightedTestGraph(t, 20, 7)
-	_, _, solo := skelFixture(t, g, 3, 1)
-	for _, lanes := range []int{2, 8, 64} { // 64 > |S| exercises the clamp+pad path
-		_, _, fused := skelFixture(t, g, 3, lanes)
-		if fused.InitRounds != solo.InitRounds {
-			t.Fatalf("lanes %d: InitRounds %d, want solo %d", lanes, fused.InitRounds, solo.InitRounds)
-		}
-		se := solo.NewEvalSession(WithStrictAccounting())
-		fe := fused.NewEvalSession(WithStrictAccounting())
-		for src := 0; src < g.N(); src += 7 {
-			a, am, err := se.Eval(src, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, bm, err := fe.Eval(src, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b || am != bm {
-				t.Fatalf("lanes %d src %d: fused (%d, %+v) != solo (%d, %+v)", lanes, src, b, bm, a, am)
-			}
-		}
-		se.Close()
-		fe.Close()
-	}
-}
-
-// TestMultiSkelEvalMatchesSolo checks that every lane of the fused
-// evaluation session is bit-identical — eccentricity, distance row, and
-// Metrics — to a solo SkelEvalSession Eval.
-func TestMultiSkelEvalMatchesSolo(t *testing.T) {
-	g := weightedTestGraph(t, 18, 11)
-	_, _, o := skelFixture(t, g, 2, 1)
-	solo := o.NewEvalSession(WithStrictAccounting())
-	defer solo.Close()
-	for _, lanes := range []int{2, 5} {
-		me := o.NewMultiEvalSession(lanes, WithStrictAccounting())
-		rows := make([][]int, lanes)
-		for l := range rows {
-			rows[l] = make([]int, g.N())
-		}
-		soloRow := make([]int, g.N())
-		for base := 0; base+lanes <= g.N(); base += lanes {
-			sources := make([]int, lanes)
-			for l := range sources {
-				sources[l] = base + l
-			}
-			vals, mets, err := me.EvalBatch(sources, rows)
-			if err != nil {
-				t.Fatalf("lanes %d batch at %d: %v", lanes, base, err)
-			}
-			for l, src := range sources {
-				want, wm, err := solo.Eval(src, soloRow)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vals[l] != want || mets[l] != wm {
-					t.Fatalf("lanes %d src %d: lane (%d, %+v) != solo (%d, %+v)",
-						lanes, src, vals[l], mets[l], want, wm)
-				}
-				for v := range soloRow {
-					if rows[l][v] != soloRow[v] {
-						t.Fatalf("lanes %d src %d: row[%d] = %d, want %d", lanes, src, v, rows[l][v], soloRow[v])
-					}
-				}
-			}
-		}
-		me.Close()
-	}
-}
-
 // TestSkelOracleSparseSkeletonError checks the documented failure mode: a
 // skeleton that misses every h-hop window of some shortest path yields an
 // explicit error, never a wrong distance. On a path graph, skeleton {0}
@@ -170,7 +95,7 @@ func TestSkelOracleSparseSkeletonError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewSkelOracle(topo, info, []int{0}, 1, 1)
+	o, err := NewSkelOracle(topo, info, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +129,7 @@ func TestSkelOracleValidation(t *testing.T) {
 		{"vertex out of range", []int{0, 8}, 1},
 		{"duplicate vertex", []int{3, 3}, 1},
 	} {
-		if _, err := NewSkelOracle(topo, info, tc.skeleton, tc.h, 1); err == nil {
+		if _, err := NewSkelOracle(topo, info, tc.skeleton, tc.h); err == nil {
 			t.Fatalf("%s: no error", tc.name)
 		}
 	}
@@ -213,7 +138,7 @@ func TestSkelOracleValidation(t *testing.T) {
 // TestSkelOracleSingleVertex checks the n = 1 degenerate case end to end.
 func TestSkelOracleSingleVertex(t *testing.T) {
 	g := graph.New(1)
-	_, _, o := skelFixture(t, g, 1, 1)
+	_, _, o := skelFixture(t, g, 1)
 	es := o.NewEvalSession(WithStrictAccounting())
 	defer es.Close()
 	row := make([]int, 1)
@@ -280,7 +205,7 @@ func TestSkelOracleBoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSkelOracle(topo, info, []int{0, 1}, 1, 1); err == nil {
+	if _, err := NewSkelOracle(topo, info, []int{0, 1}, 1); err == nil {
 		t.Fatal("bound above skelMaxBound: no error")
 	}
 }

@@ -308,51 +308,6 @@ func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	}
 }
 
-// The lane engine splits every lane by frontier shards, dense lanes too, so
-// under the automatic rule a small MultiSession of dense lanes also runs
-// serially, although a solo dense network of that size would start
-// n/64 workers.
-func TestSmallDenseMultiSessionStartsNoGoroutines(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	g, err := graph.RandomRegular(256, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lanes, duration = 3, 64
-	before := settledGoroutines()
-	ms := NewMultiSession(mustTopology(t, g), lanes,
-		func(l, v int) Node { return NewWaveNode(false, 0, duration) },
-		WithScheduler(SchedulerDense))
-	defer ms.Close()
-	if got := ms.lanes[0].nw.EffectiveWorkers(); got < 2 {
-		t.Fatalf("dense n=256 lane EffectiveWorkers = %d, want the n/64 rule's >= 2", got)
-	}
-	for run := 0; run < 2; run++ {
-		for l := 0; l < lanes; l++ {
-			tau := make([]int, g.N())
-			for v := range tau {
-				tau[v] = -1
-			}
-			tau[17*l] = 0
-			if err := ms.Reset(l, WaveTau{Tau: tau}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ms.Run(duration + 4); err != nil {
-			t.Fatal(err)
-		}
-		if d := runtime.NumGoroutine() - before; d > 0 {
-			t.Fatalf("run %d: multi-session started %d goroutines, want 0", run, d)
-		}
-	}
-	if ms.e.k != 1 {
-		t.Errorf("lane engine workers = %d, want 1", ms.e.k)
-	}
-	if ms.Metrics(0).Messages == 0 {
-		t.Fatal("wave lane delivered no messages")
-	}
-}
-
 // settledGoroutines returns the goroutine count once the workers of
 // engines stopped by earlier tests have finished exiting.
 func settledGoroutines() int {

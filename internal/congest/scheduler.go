@@ -225,10 +225,11 @@ func wordsPerShard(nwords, k int) int {
 	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
 }
 
-// shardWorkers returns the number of shards of a k-way split of n
-// vertices that own at least one vertex: shards are aligned to
-// shardWordAlign words, so on a small vertex set the trailing ones are
-// empty.
+// shardWorkers returns how many shards of a k-way frontier split of n
+// vertices own at least one vertex: shards are aligned to shardWordAlign
+// words, so on a small vertex set the trailing ones are empty.
+// EffectiveWorkers caps the automatic worker count of a frontier network
+// with it.
 func shardWorkers(n, k int) int {
 	nwords := (n + 63) >> 6
 	wps := wordsPerShard(nwords, k)
@@ -441,11 +442,8 @@ func (fr *frontierState) drainBucket(s int, b wakeBucket, cur *shardedBitset, co
 // receivers/near-wakes become current by a bitset swap, then the self-wakes
 // due by `round` and the always-active vertices are inserted (the bitset
 // dedupes, so no sort and no membership arrays).
-func (e *engine) buildFrontier(round int) { e.fr.build(round) }
-
-// build is buildFrontier's body, shared with the lane-fused engine
-// (lanes.go), which builds one frontier per lane per round.
-func (fr *frontierState) build(round int) {
+func (e *engine) buildFrontier(round int) {
+	fr := e.fr
 	fr.cur, fr.nxt = fr.nxt, fr.cur
 	fr.nxt.clear()
 	count := fr.nxtCount
@@ -475,11 +473,8 @@ func (fr *frontierState) build(round int) {
 // are exactly their initial states; folding this maximum (at the first
 // round barrier, like the dense engine's first samples) makes
 // Metrics.MaxStateBits scheduler-independent.
-func (e *engine) samplePre() { e.fr.samplePre() }
-
-// samplePre is the shared body (see above); the lane-fused engine samples
-// each lane's pre-frontier states at that lane's first frontier build.
-func (fr *frontierState) samplePre() {
+func (e *engine) samplePre() {
+	fr := e.fr
 	max := 0
 	for v, s := range fr.sizers {
 		if s == nil || fr.cur.has(int32(v)) {

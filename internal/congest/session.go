@@ -365,11 +365,10 @@ func (s *Session) Topology() *Topology { return s.nw.topo }
 //
 // A session with a WithObserver option refuses to clone: the options are
 // reused as given, so the clones would share one callback and interleave
-// their wire traces nondeterministically. Observe a solo Session — or a
-// MultiSession with SetLaneObserver, which keeps per-lane traces separate.
+// their wire traces nondeterministically. Observe a solo Session.
 func (s *Session) Clone() (*Session, error) {
 	if s.nw.observer != nil {
-		return nil, fmt.Errorf("congest: Clone of a session with an observer (traces would interleave; observe a solo Session or use MultiSession.SetLaneObserver)")
+		return nil, fmt.Errorf("congest: Clone of a session with an observer (traces would interleave; observe a solo Session)")
 	}
 	return NewSession(s.nw.topo, s.makeNode, s.opts...), nil
 }

@@ -408,3 +408,74 @@ func TestTopologySharedAcrossNetworks(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneObserverRefused: cloning a session that has an observer is an
+// explicit error (the clones would share the callback and interleave their
+// traces); unobserved sessions keep cloning.
+func TestCloneObserverRefused(t *testing.T) {
+	topo, err := NewTopology(graph.Path(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []string
+	observed := NewSession(topo, func(v int) Node { return NewLeaderElectNode() },
+		WithObserver(recordObs(&trace)))
+	defer observed.Close()
+	if _, err := observed.Clone(); err == nil {
+		t.Error("Clone of an observed session: no error")
+	}
+	plain := NewSession(topo, func(v int) Node { return NewLeaderElectNode() })
+	defer plain.Close()
+	c, err := plain.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	// The Evaluation sessions built on Session inherit the refusal.
+	info, _, err := PreprocessOn(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, _, err := TriangleFlagsOn(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := WithObserver(recordObs(&trace))
+	for name, clone := range map[string]func() error{
+		"WalkSession": func() error {
+			s := NewWalkSession(topo, info, info.Children, 2*info.D, obs)
+			defer s.Close()
+			_, err := s.Clone()
+			return err
+		},
+		"EccSession": func() error {
+			s := NewEccSession(topo, info, 2*info.D+1, obs)
+			defer s.Close()
+			_, err := s.Clone()
+			return err
+		},
+		"WeightedEccSession": func() error {
+			s := NewWeightedEccSession(topo, info, obs)
+			defer s.Close()
+			_, err := s.Clone()
+			return err
+		},
+		"CutSession": func() error {
+			s := NewCutSession(topo, info, obs)
+			defer s.Close()
+			_, err := s.Clone()
+			return err
+		},
+		"TriangleSession": func() error {
+			s := NewTriangleSession(topo, info, flags, obs)
+			defer s.Close()
+			_, err := s.Clone()
+			return err
+		},
+	} {
+		if err := clone(); err == nil {
+			t.Errorf("Clone of an observed %s: no error", name)
+		}
+	}
+}

@@ -18,10 +18,10 @@ package core
 //   - WeightedDiameter / WeightedRadius with Options.Sublinear run quantum
 //     maximum/minimum finding over the oracle-backed eccentricity family —
 //     Õ(sqrt(n)·(sqrt(n) + D)) total instead of Õ(sqrt(n)·n);
-//   - APSP runs the straight-line sweep: one Evaluation per source, lane-
-//     fused (Options.Lanes) and sharded over cloned sessions
-//     (Options.Parallel), streaming each Θ(n)-sized distance row to a
-//     callback instead of materializing the Θ(n²) table.
+//   - APSP runs the straight-line sweep: one Evaluation per source,
+//     sharded over cloned sessions (Options.Parallel), streaming each
+//     Θ(n)-sized distance row to a callback instead of materializing the
+//     Θ(n²) table.
 
 import (
 	"fmt"
@@ -32,7 +32,6 @@ import (
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
-	"qcongest/internal/query"
 )
 
 // skelCutoff is the vertex count below which the planner keeps the whole
@@ -75,55 +74,29 @@ func planSkeleton(n int, seed int64) (skeleton []int, h int) {
 }
 
 // buildSkelOracle plans and preprocesses the skeleton oracle for one
-// topology. The init relaxations are lane-fused through Options.Lanes
-// (wall-clock only; the charged InitRounds are bit-identical to solo runs).
+// topology.
 func buildSkelOracle(topo *congest.Topology, info *congest.PreInfo, opts Options) (*congest.SkelOracle, error) {
 	skeleton, h := planSkeleton(topo.N(), opts.Seed)
-	lanes := opts.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	return congest.NewSkelOracle(topo, info, skeleton, h, lanes, opts.Engine...)
+	return congest.NewSkelOracle(topo, info, skeleton, h, opts.Engine...)
 }
 
 // skelEccFamily is the oracle-backed weighted eccentricity Evaluation
 // family: f(u0) = weighted ecc(u0) in Õ(sqrt(n) + D) rounds per
 // Evaluation. The oracle itself is read-only after construction, so
-// cloned contexts (Options.Parallel) and lane fusion (Options.Lanes) both
-// apply.
+// cloned contexts (Options.Parallel) apply.
 func skelEccFamily(o *congest.SkelOracle, opts Options) evalFamily {
-	return evalFamily{
-		newCtx: func() *evalContext {
-			es := o.NewEvalSession(opts.Engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					value, m, err := es.Eval(u0, nil)
-					if err != nil {
-						return 0, 0, err
-					}
-					return value, m.Rounds, nil
-				},
-				close: es.Close,
-			}
-		},
-		newBatchCtx: func(lanes int) query.BatchContext {
-			me := o.NewMultiEvalSession(lanes, opts.Engine...)
-			rounds := make([]int, lanes)
-			return &batchEvalContext{
-				width: lanes,
-				eval: func(xs []int) ([]int, []int, error) {
-					values, mets, err := me.EvalBatch(xs, nil)
-					if err != nil {
-						return nil, nil, err
-					}
-					for i := range xs {
-						rounds[i] = mets[i].Rounds
-					}
-					return values, rounds[:len(xs)], nil
-				},
-				close: me.Close,
-			}
-		},
+	return func() *evalContext {
+		es := o.NewEvalSession(opts.Engine...)
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				value, m, err := es.Eval(u0, nil)
+				if err != nil {
+					return 0, 0, err
+				}
+				return value, m.Rounds, nil
+			},
+			close: es.Close,
+		}
 	}
 }
 
@@ -152,10 +125,9 @@ type ApspResult struct {
 // Rows are delivered in source order through emit(source, row) — row[v] is
 // the exact weighted distance d(source, v); the slice is reused between
 // calls and only valid during the call (copy to retain). A nil emit skips
-// delivery (round accounting only). Options.Lanes fuses up to Lanes
-// Evaluations into one engine pass and Options.Parallel shards the sweep
-// over cloned sessions; like everywhere in this package, neither changes
-// any emitted value or the round accounting. An emit error aborts the
+// delivery (round accounting only). Options.Parallel shards the sweep
+// over cloned sessions; like everywhere in this package, it changes no
+// emitted value and not the round accounting. An emit error aborts the
 // sweep and is returned verbatim.
 func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) (ApspResult, error) {
 	if err := opts.validate(); err != nil {
@@ -182,82 +154,44 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	if workers < 1 {
 		workers = 1
 	}
-	span := opts.Lanes // sources per worker per block (1 = solo sessions)
-	if span < 1 {
-		span = 1
-	}
 
 	// One evaluation session per worker, reused across blocks.
-	evalRange := make([]func(lo, hi int, rows [][]int, rounds []int) error, workers)
-	for w := 0; w < workers; w++ {
-		if span == 1 {
-			es := oracle.NewEvalSession(opts.Engine...)
-			defer es.Close()
-			evalRange[w] = func(lo, hi int, rows [][]int, rounds []int) error {
-				for s := lo; s < hi; s++ {
-					_, m, err := es.Eval(s, rows[s-lo])
-					if err != nil {
-						return fmt.Errorf("apsp: source %d: %w", s, err)
-					}
-					rounds[s-lo] = m.Rounds
-				}
-				return nil
-			}
-		} else {
-			me := oracle.NewMultiEvalSession(span, opts.Engine...)
-			defer me.Close()
-			srcs := make([]int, span)
-			evalRange[w] = func(lo, hi int, rows [][]int, rounds []int) error {
-				for s := lo; s < hi; s++ {
-					srcs[s-lo] = s
-				}
-				_, mets, err := me.EvalBatch(srcs[:hi-lo], rows)
-				if err != nil {
-					return fmt.Errorf("apsp: sources %d-%d: %w", lo, hi-1, err)
-				}
-				for i := range mets[:hi-lo] {
-					rounds[i] = mets[i].Rounds
-				}
-				return nil
-			}
-		}
+	sessions := make([]*congest.SkelEvalSession, workers)
+	for w := range sessions {
+		sessions[w] = oracle.NewEvalSession(opts.Engine...)
+		defer sessions[w].Close()
 	}
 
-	// The sweep: blocks of workers*span sources — each worker fills its
-	// span of the block's row buffer concurrently, then the block is
-	// emitted in source order. Peak extra memory is O(workers·span·n),
-	// never Θ(n²).
-	block := workers * span
-	rows := make([][]int, block)
+	// The sweep: blocks of one source per worker — the workers fill the
+	// block's rows concurrently, then the block is emitted in source order.
+	// Peak extra memory is O(workers·n), never Θ(n²).
+	rows := make([][]int, workers)
 	for i := range rows {
 		rows[i] = make([]int, n)
 	}
-	rounds := make([]int, block)
+	rounds := make([]int, workers)
 	errs := make([]error, workers)
 	res := ApspResult{Sources: n, Ecc: make([]int, n), InitRounds: pre.Rounds + oracle.InitRounds, EvalRounds: -1}
-	for base := 0; base < n; base += block {
-		upper := min(n, base+block)
+	for base := 0; base < n; base += workers {
+		upper := min(n, base+workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := base + w*span
-			if lo >= upper {
-				errs[w] = nil
-				continue
-			}
-			hi := min(lo+span, upper)
+		for s := base; s < upper; s++ {
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(w, s int) {
 				defer wg.Done()
-				off := lo - base
-				errs[w] = evalRange[w](lo, hi, rows[off:off+hi-lo], rounds[off:off+hi-lo])
-			}(w, lo, hi)
+				_, m, err := sessions[w].Eval(s, rows[w])
+				if err != nil {
+					err = fmt.Errorf("apsp: source %d: %w", s, err)
+				}
+				rounds[w], errs[w] = m.Rounds, err
+			}(s-base, s)
 		}
 		wg.Wait()
-		// Workers cover disjoint ascending ranges, so the first non-nil
-		// worker error is the smallest-source failure — deterministic.
-		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				return ApspResult{}, errs[w]
+		// Workers hold ascending sources, so the first non-nil error is the
+		// smallest-source failure — deterministic.
+		for _, err := range errs[:upper-base] {
+			if err != nil {
+				return ApspResult{}, err
 			}
 		}
 		for s := base; s < upper; s++ {

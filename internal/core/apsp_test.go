@@ -38,20 +38,19 @@ func apspRun(t *testing.T, g *graph.Graph, opts Options) ([][]int, ApspResult) {
 // TestApspMatchesOracles cross-checks the quantum APSP sweep against the
 // Floyd–Warshall and Dijkstra oracles on the ~50-graph randomized suite,
 // and checks that the full engine configuration matrix — workers ×
-// parallel × scheduler × lanes — reproduces the baseline bit for bit (rows,
+// parallel × scheduler — reproduces the baseline bit for bit (rows,
 // eccentricities and every measured field).
 func TestApspMatchesOracles(t *testing.T) {
 	configs := []struct {
 		name      string
 		workers   int
 		parallel  int
-		lanes     int
 		scheduler congest.Scheduler
 	}{
-		{"w2", 2, 1, 1, congest.SchedulerDense},
-		{"w8/lanes8", 8, 1, 8, congest.SchedulerDense},
-		{"par4/frontier", 1, 4, 1, congest.SchedulerFrontier},
-		{"w8/par4/lanes8/frontier", 8, 4, 8, congest.SchedulerFrontier},
+		{"w2", 2, 1, congest.SchedulerDense},
+		{"w8", 8, 1, congest.SchedulerDense},
+		{"par4/frontier", 1, 4, congest.SchedulerFrontier},
+		{"w8/par4/frontier", 8, 4, congest.SchedulerFrontier},
 	}
 	for _, c := range oracleSuite(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -71,7 +70,7 @@ func TestApspMatchesOracles(t *testing.T) {
 			}
 			for _, cfg := range configs {
 				opts := Options{
-					Seed: 42, Parallel: cfg.parallel, Lanes: cfg.lanes,
+					Seed: 42, Parallel: cfg.parallel,
 					Engine: []congest.Option{
 						congest.WithWorkers(cfg.workers),
 						congest.WithScheduler(cfg.scheduler),
@@ -114,13 +113,13 @@ func TestSublinearWeightedMatchesClassical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range []struct {
-				name             string
-				workers, par, ln int
+				name         string
+				workers, par int
 			}{
-				{"w1", 1, 1, 1}, {"w2", 2, 1, 1}, {"w8/lanes8", 8, 1, 8}, {"par4/lanes8", 1, 4, 8},
+				{"w1", 1, 1}, {"w2", 2, 1}, {"w8", 8, 1}, {"par4", 1, 4},
 			} {
 				opts := Options{
-					Seed: 42, Sublinear: true, Parallel: cfg.par, Lanes: cfg.ln,
+					Seed: 42, Sublinear: true, Parallel: cfg.par,
 					Engine: []congest.Option{congest.WithWorkers(cfg.workers), congest.WithStrictAccounting()},
 				}
 				diam, err := WeightedDiameter(c.g, opts)
@@ -180,7 +179,7 @@ func TestApspSampledSkeleton(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, res := apspRun(t, tc.g, Options{Seed: 7, Lanes: 8})
+			rows, res := apspRun(t, tc.g, Options{Seed: 7})
 			for s := range rows {
 				if !reflect.DeepEqual(rows[s], want[s]) {
 					t.Fatalf("row %d diverges from Floyd–Warshall", s)

@@ -263,3 +263,67 @@ func TestApproxProbeRoundsCharged(t *testing.T) {
 			res.InitRounds, probeM.Rounds, prepM.Rounds, want)
 	}
 }
+
+// Negative Parallel is a caller bug, rejected with an explicit error by
+// every entry point before any topology or session is built; 0 and 1 both
+// mean sequential evaluation.
+func TestNegativeOptionsRejected(t *testing.T) {
+	g := graph.RandomConnected(12, 0.2, 1)
+	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)
+	for name, run := range map[string]func(Options) error{
+		"ExactDiameterSimple": func(o Options) error { _, err := ExactDiameterSimple(g, o); return err },
+		"ExactDiameter":       func(o Options) error { _, err := ExactDiameter(g, o); return err },
+		"ApproxDiameter":      func(o Options) error { _, err := ApproxDiameter(g, o); return err },
+		"Radius":              func(o Options) error { _, err := Radius(g, o); return err },
+		"WeightedDiameter":    func(o Options) error { _, err := WeightedDiameter(wg, o); return err },
+		"WeightedRadius":      func(o Options) error { _, err := WeightedRadius(wg, o); return err },
+		"Eccentricities":      func(o Options) error { _, err := Eccentricities(g, o); return err },
+		"APSP":                func(o Options) error { _, err := APSP(wg, o, nil); return err },
+		"TriangleDetect":      func(o Options) error { _, err := TriangleDetect(g, o); return err },
+		"TriangleCount":       func(o Options) error { _, err := TriangleCount(g, o); return err },
+		"MinTreeCut":          func(o Options) error { _, err := MinTreeCut(wg, o); return err },
+	} {
+		if err := run(Options{Parallel: -2}); err == nil {
+			t.Errorf("%s: Parallel -2 accepted", name)
+		}
+		if err := run(Options{}); err != nil {
+			t.Errorf("%s: zero Options: %v", name, err)
+		}
+	}
+}
+
+// TestEntryPointsReturnEngineErrors runs every entry point on an engine
+// whose bandwidth no message fits: the first CONGEST execution fails, and
+// the failure must come back as an error, never as a panic or a result.
+func TestEntryPointsReturnEngineErrors(t *testing.T) {
+	g := graph.RandomConnected(12, 0.2, 1)
+	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)
+	opts := Options{Seed: 1, Engine: []congest.Option{congest.WithBandwidth(1)}}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ExactDiameter", func() error { _, err := ExactDiameter(g, opts); return err }},
+		{"ExactDiameterSimple", func() error { _, err := ExactDiameterSimple(g, opts); return err }},
+		{"ApproxDiameter", func() error { _, err := ApproxDiameter(g, opts); return err }},
+		{"Radius", func() error { _, err := Radius(g, opts); return err }},
+		{"Eccentricities", func() error { _, err := Eccentricities(g, opts); return err }},
+		{"WeightedDiameter", func() error { _, err := WeightedDiameter(wg, opts); return err }},
+		{"WeightedRadius", func() error { _, err := WeightedRadius(wg, opts); return err }},
+		{"TriangleDetect", func() error { _, err := TriangleDetect(g, opts); return err }},
+		{"TriangleCount", func() error { _, err := TriangleCount(g, opts); return err }},
+		{"MinTreeCut", func() error { _, err := MinTreeCut(wg, opts); return err }},
+		{"APSP", func() error { _, err := APSP(wg, opts, nil); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("bandwidth-1 engine: no error")
+			}
+		})
+	}
+}

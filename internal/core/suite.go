@@ -61,7 +61,7 @@ func weightedFamilyFor(topo *congest.Topology, info *congest.PreInfo, opts Optio
 	}
 	oracle, err := buildSkelOracle(topo, info, opts)
 	if err != nil {
-		return evalFamily{}, 0, err
+		return nil, 0, err
 	}
 	return skelEccFamily(oracle, opts), oracle.InitRounds, nil
 }
@@ -98,7 +98,6 @@ func Radius(g *graph.Graph, opts Options) (Result, error) {
 		initRounds:  pre.Rounds,
 		setupRounds: info.D + 1,
 		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 		minimize:    true,
 	})
 }
@@ -134,7 +133,6 @@ func WeightedDiameter(g *graph.Graph, opts Options) (Result, error) {
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
 		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 	})
 }
 
@@ -167,7 +165,6 @@ func WeightedRadius(g *graph.Graph, opts Options) (Result, error) {
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
 		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 		minimize:    true,
 	})
 }
@@ -229,10 +226,10 @@ func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 		family:      fam,
 	}
 	// The straight-line use of the query layer: one Evaluation per vertex,
-	// batched over cloned sessions (Parallel) and fused into multi-lane
-	// engine passes (Lanes), with the per-vertex cost uniformity (the
-	// property the quantum queries rely on) asserted by EvalAll.
-	ecc, evalRounds, err := query.EvalAll(oracle, query.Options{Seed: opts.Seed, Parallel: opts.Parallel, Lanes: opts.Lanes})
+	// batched over cloned sessions (Parallel), with the per-vertex cost
+	// uniformity (the property the quantum queries rely on) asserted by
+	// EvalAll.
+	ecc, evalRounds, err := query.EvalAll(oracle, query.Options{Seed: opts.Seed, Parallel: opts.Parallel})
 	if err != nil {
 		return EccResult{}, err
 	}

@@ -62,7 +62,7 @@ func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, error) {
 		domain:      identityDomain(g.N()),
 		initRounds:  pre.Rounds + probe.Rounds,
 		setupRounds: info.D + 1,
-		family: evalFamily{newCtx: func() *evalContext {
+		family: func() *evalContext {
 			ts := congest.NewTriangleSession(topo, info, flags, opts.Engine...)
 			return &evalContext{
 				eval: func(u0 int) (int, int, error) {
@@ -71,7 +71,7 @@ func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, error) {
 				},
 				close: ts.Close,
 			}
-		}},
+		},
 	}, nil
 }
 
@@ -116,6 +116,9 @@ func trivialTriangle(g *graph.Graph) (TriangleResult, error) {
 // triangle. With probability at least 1-Delta the answer is correct in both
 // directions.
 func TriangleDetect(g *graph.Graph, opts Options) (TriangleResult, error) {
+	if err := opts.validate(); err != nil {
+		return TriangleResult{}, err
+	}
 	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
 		return r, err
 	}
@@ -135,6 +138,9 @@ func TriangleDetect(g *graph.Graph, opts Options) (TriangleResult, error) {
 // lists them) by the quantum search-and-exclude loop over the same
 // predicate.
 func TriangleCount(g *graph.Graph, opts Options) (TriangleResult, error) {
+	if err := opts.validate(); err != nil {
+		return TriangleResult{}, err
+	}
 	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
 		return r, err
 	}
@@ -175,6 +181,9 @@ type CutResult struct {
 // convergecast; on unweighted graphs every edge weighs 1 and the result is
 // the smallest crossing edge count.
 func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
+	if err := opts.validate(); err != nil {
+		return CutResult{}, err
+	}
 	n := g.N()
 	switch n {
 	case 0, 1:
@@ -205,7 +214,7 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 		domain:      domain,
 		initRounds:  pre.Rounds,
 		setupRounds: info.D + 1,
-		family: evalFamily{newCtx: func() *evalContext {
+		family: func() *evalContext {
 			cs := congest.NewCutSession(topo, info, opts.Engine...)
 			return &evalContext{
 				eval: func(u0 int) (int, int, error) {
@@ -214,7 +223,7 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 				},
 				close: cs.Close,
 			}
-		}},
+		},
 	}
 	qr, err := query.Minimum(oracle, 1/float64(len(domain)),
 		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})

@@ -51,7 +51,7 @@ func TestMeasuredCrossoverExtrapolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured sweep")
 	}
-	classical, quantum, err := ExactComparison([]int{30, 60, 120}, 4, 2, 1, 2, 0)
+	classical, quantum, err := ExactComparison([]int{30, 60, 120}, 4, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

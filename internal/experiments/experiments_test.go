@@ -34,7 +34,7 @@ func TestSlopeFit(t *testing.T) {
 }
 
 func TestExactComparisonSmall(t *testing.T) {
-	classical, quantum, err := ExactComparison([]int{24, 48}, 4, 2, 1, 1, 0)
+	classical, quantum, err := ExactComparison([]int{24, 48}, 4, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFormatTable(t *testing.T) {
 }
 
 func TestApproxComparisonSmall(t *testing.T) {
-	classical, quantum, err := ApproxComparison([]int{30}, 5, 2, 3, 1, 0)
+	classical, quantum, err := ApproxComparison([]int{30}, 5, 2, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestApproxComparisonSmall(t *testing.T) {
 }
 
 func TestDiameterSweep(t *testing.T) {
-	s, err := DiameterSweep(40, []int{4, 8}, 2, 5, 1, 0)
+	s, err := DiameterSweep(40, []int{4, 8}, 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +115,22 @@ func TestDiameterSweep(t *testing.T) {
 // Parallel trials must fold into exactly the series a sequential sweep
 // produces: results are keyed by trial index, not by completion order.
 func TestSweepParallelDeterministic(t *testing.T) {
-	want, wantQ, err := ExactComparison([]int{24, 48}, 4, 4, 9, 1, 0)
+	want, wantQ, err := ExactComparison([]int{24, 48}, 4, 4, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotQ, err := ExactComparison([]int{24, 48}, 4, 4, 9, 3, 2)
+	got, gotQ, err := ExactComparison([]int{24, 48}, 4, 4, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotQ, wantQ) {
 		t.Errorf("parallel sweep differs from sequential:\n%v\nvs\n%v", FormatTable(got, gotQ), FormatTable(want, wantQ))
 	}
-	wantS, err := DiameterSweep(36, []int{4, 6}, 3, 2, 1, 0)
+	wantS, err := DiameterSweep(36, []int{4, 6}, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotS, err := DiameterSweep(36, []int{4, 6}, 3, 2, 4, 2)
+	gotS, err := DiameterSweep(36, []int{4, 6}, 3, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,11 @@ package query_test
 // evaluation, and both schedulers.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qcongest/internal/congest"
@@ -292,5 +294,66 @@ func TestQueryEvalAll(t *testing.T) {
 		} else if evalRounds != baseRounds {
 			t.Errorf("%s: evalRounds = %d, want %d", cfg.name, evalRounds, baseRounds)
 		}
+	}
+}
+
+// fakeOracle is an in-memory Oracle for the error contracts: f(x) =
+// (x*37) mod 101 in a fixed 7 rounds, failing at failAt (-1: never), with
+// optional input-dependent round counts (uneven).
+type fakeOracle struct {
+	n      int
+	failAt int
+	uneven bool
+}
+
+func (o *fakeOracle) Domain() []int {
+	d := make([]int, o.n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+
+func (o *fakeOracle) InitRounds() int           { return 3 }
+func (o *fakeOracle) SetupRounds() int          { return 2 }
+func (o *fakeOracle) NewContext() query.Context { return fakeContext{o} }
+
+type fakeContext struct{ o *fakeOracle }
+
+func (c fakeContext) Eval(x int) (int, int, error) {
+	if x == c.o.failAt {
+		return 0, 0, errors.New("relay window missed")
+	}
+	r := 7
+	if c.o.uneven {
+		r += x % 2
+	}
+	return (x * 37) % 101, r, nil
+}
+
+func (c fakeContext) Close() {}
+
+// TestQueryErrorContract pins the error rules: a pooled query wraps the
+// smallest failing element as "evaluate <x>", EvalAll returns the bare
+// evaluation error, input-dependent round counts are rejected, and an
+// empty domain evaluates to an empty table at zero cost.
+func TestQueryErrorContract(t *testing.T) {
+	failing := &fakeOracle{n: 12, failAt: 7}
+	if _, err := query.Maximum(failing, 1.0/12, query.Options{Seed: 1, Parallel: 4}); err == nil {
+		t.Error("pooled Maximum on a failing oracle: no error")
+	} else if !strings.Contains(err.Error(), "evaluate 7") {
+		t.Errorf("pooled Maximum error %q does not name element 7", err)
+	}
+	if _, _, err := query.EvalAll(failing, query.Options{}); err == nil || err.Error() != "relay window missed" {
+		t.Errorf("solo EvalAll error %v, want the bare evaluation error", err)
+	}
+
+	uneven := &fakeOracle{n: 10, failAt: -1, uneven: true}
+	if _, _, err := query.EvalAll(uneven, query.Options{}); err == nil || !strings.Contains(err.Error(), "evaluation cost depends on input") {
+		t.Errorf("uneven oracle: err %v, want the uniformity violation", err)
+	}
+
+	if vals, rounds, err := query.EvalAll(&fakeOracle{n: 0, failAt: -1}, query.Options{}); err != nil || len(vals) != 0 || rounds != 0 {
+		t.Errorf("empty domain: (%v, %d, %v), want ([], 0, nil)", vals, rounds, err)
 	}
 }

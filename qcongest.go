@@ -35,10 +35,8 @@
 // Pool): the network is built once and every further run is a
 // Reset-and-rerun on recycled state, bit-identical to a fresh build.
 // The quantum algorithms amortize all per-Evaluation setup this way;
-// QuantumOptions.Parallel batches independent Evaluations onto cloned
-// sessions concurrently, and QuantumOptions.Lanes fuses independent
-// Evaluations into multi-lane engine passes (CongestMultiSession) that
-// share each round's scheduling and topology traversal — both
+// QuantumOptions.Parallel is the one batching mechanism: it runs
+// independent Evaluations concurrently on cloned sessions (Pool),
 // deterministically, like every other knob.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
@@ -214,39 +212,6 @@ type (
 	CongestResettable = congest.Resettable
 )
 
-// Lane-fused execution: a CongestMultiSession runs k independent copies
-// (lanes) of a node program in lockstep through a single engine pass — one
-// frontier iteration per round over the union of the lanes' frontiers, one
-// topology-row load per visited vertex feeding every lane's state. Each
-// lane's outputs, Metrics, errors and observer traces are bit-identical to
-// a solo CongestSession run. The quantum layer uses it through
-// QuantumOptions.Lanes; custom programs can drive it directly. See
-// DESIGN.md, "Lane-fused execution".
-type (
-	// CongestMultiSession is the k-lane counterpart of CongestSession.
-	CongestMultiSession = congest.MultiSession
-	// CongestMultiWalkSession / CongestMultiEccSession are the lane-fused
-	// counterparts of the Figure 2 Evaluation sessions: a batch of token
-	// walks, and a batch of wave+convergecast eccentricity computations.
-	CongestMultiWalkSession = congest.MultiWalkSession
-	CongestMultiEccSession  = congest.MultiEccSession
-	// LaneError attributes a batch failure to the smallest failing lane;
-	// its Error() string is exactly the solo session's error.
-	LaneError = congest.LaneError
-)
-
-// Lane-fused session constructors.
-var (
-	// NewCongestMultiSession builds a k-lane session; makeNode constructs
-	// the program of vertex v in a given lane.
-	NewCongestMultiSession = congest.NewMultiSession
-	// NewCongestMultiWalkSession and NewCongestMultiEccSession build the
-	// lane-fused Evaluation sessions the quantum algorithms run on when
-	// QuantumOptions.Lanes > 1.
-	NewCongestMultiWalkSession = congest.NewMultiWalkSession
-	NewCongestMultiEccSession  = congest.NewMultiEccSession
-)
-
 // Pool runs independent jobs concurrently on cloned execution contexts;
 // results are keyed by job index and the error reported is the one at the
 // smallest failing index, so outcomes are deterministic regardless of
@@ -361,9 +326,8 @@ type ApspResult = core.ApspResult
 // + D))-round preprocessing. Rows arrive in source order through
 // emit(source, row); the row slice is reused between calls (copy to
 // retain), and a nil emit runs the sweep for its round accounting only.
-// QuantumOptions.Lanes fuses Evaluations into multi-lane engine passes and
-// QuantumOptions.Parallel shards the sweep over cloned sessions; neither
-// changes any emitted value. Setting QuantumOptions.Sublinear routes
+// QuantumOptions.Parallel shards the sweep over cloned sessions without
+// changing any emitted value. Setting QuantumOptions.Sublinear routes
 // WeightedDiameter, WeightedRadius and weighted Eccentricities through the
 // same oracle.
 func APSP(g *Graph, opts QuantumOptions, emit func(source int, row []int) error) (ApspResult, error) {
