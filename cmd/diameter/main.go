@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxw       = fs.Int("maxw", 8, "largest edge weight used by -weighted")
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "engine workers per round (0 = auto, 1 = serial; output is identical for any value)")
-		sched      = fs.String("sched", "frontier", "round scheduler: frontier|dense (output is identical for either)")
 		parallel   = fs.Int("parallel", 1, "evaluation sessions run concurrently by the quantum algorithms (output is identical for any value)")
 		sublinear  = fs.Bool("sublinear", false, "route the weighted parameters through the skeleton distance oracle (sublinear per-Evaluation rounds; -param apsp always does)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -79,14 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	engine := []qcongest.EngineOption{qcongest.WithWorkers(*workers)}
-	switch *sched {
-	case "frontier":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerFrontier))
-	case "dense":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerDense))
-	default:
-		return fmt.Errorf("unknown scheduler %q (want frontier or dense)", *sched)
-	}
 
 	g, err := buildGraph(*kind, *n, *d, *p, *seed)
 	if err != nil {

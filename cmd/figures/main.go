@@ -29,20 +29,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		seed    = fs.Int64("seed", 1, "random seed")
 		workers = fs.Int("workers", 0, "engine workers per round (0 = auto; measurements are identical for any value)")
-		sched   = fs.String("sched", "frontier", "round scheduler: frontier|dense (measurements are identical for either)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	engine := []congest.Option{congest.WithWorkers(*workers)}
-	switch *sched {
-	case "frontier":
-		engine = append(engine, congest.WithScheduler(congest.SchedulerFrontier))
-	case "dense":
-		engine = append(engine, congest.WithScheduler(congest.SchedulerDense))
-	default:
-		return fmt.Errorf("unknown scheduler %q (want frontier or dense)", *sched)
-	}
 
 	fmt.Fprintln(stdout, "=== Figure 1: BFS(leader) construction in O(D) rounds ===")
 	for _, n := range []int{30, 60, 120} {

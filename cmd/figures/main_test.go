@@ -30,14 +30,14 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLIDeterministic asserts the -workers and -sched knobs produce
-// byte-identical output to the default run.
+// TestCLIDeterministic asserts the -workers knob produces byte-identical
+// output to the default run.
 func TestCLIDeterministic(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, args := range [][]string{
 		nil,
 		{"-workers", "8"},
-		{"-sched", "dense", "-workers", "2"},
+		{"-workers", "2"},
 	} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -49,14 +49,5 @@ func TestCLIDeterministic(t *testing.T) {
 		if outputs[i] != outputs[0] {
 			t.Errorf("output %d differs from baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
 		}
-	}
-}
-
-// TestCLIBadScheduler asserts unknown -sched values are rejected up front.
-func TestCLIBadScheduler(t *testing.T) {
-	var stdout, stderr strings.Builder
-	err := run([]string{"-sched", "nope"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("run(-sched nope) = %v, want unknown-scheduler error", err)
 	}
 }

@@ -28,21 +28,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		diam     = fs.Int("d", 4, "fixed diameter for the n sweep")
 		long     = fs.Bool("long", false, "use larger sweeps")
 		workers  = fs.Int("workers", 0, "engine workers per round (0 = auto; measured rounds are identical for any value)")
-		sched    = fs.String("sched", "frontier", "round scheduler: frontier|dense (measurements are identical for either)")
 		parallel = fs.Int("parallel", 1, "quantum trials run concurrently per sweep point (results are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	engine := []qcongest.EngineOption{qcongest.WithWorkers(*workers)}
-	switch *sched {
-	case "frontier":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerFrontier))
-	case "dense":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerDense))
-	default:
-		return fmt.Errorf("unknown scheduler %q (want frontier or dense)", *sched)
-	}
 
 	sizes := []int{30, 60, 120}
 	if *long {

@@ -19,8 +19,8 @@ func TestCLISmoke(t *testing.T) {
 			[]string{"=== Table 1, row 'Exact computation' ===", "quantum exact (Theorem 1)", "classical slope vs n:"},
 		},
 		{
-			"dense scheduler parallel",
-			[]string{"-trials", "1", "-sched", "dense", "-parallel", "2"},
+			"workers parallel",
+			[]string{"-trials", "1", "-workers", "2", "-parallel", "2"},
 			[]string{"quantum exact (Theorem 1)", "=== Table 1, row '3/2-approximation' ==="},
 		},
 	} {
@@ -41,15 +41,15 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLIDeterministic asserts the -parallel, -sched and -workers knobs
-// never change the measured tables: concurrency and scheduling strategy are
-// wall-clock levers, not semantics.
+// TestCLIDeterministic asserts the -parallel and -workers knobs never
+// change the measured tables: concurrency is a wall-clock lever, not
+// semantics.
 func TestCLIDeterministic(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, args := range [][]string{
 		{"-trials", "1"},
 		{"-trials", "1", "-parallel", "2"},
-		{"-trials", "1", "-sched", "dense", "-workers", "2"},
+		{"-trials", "1", "-workers", "2"},
 	} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -61,14 +61,5 @@ func TestCLIDeterministic(t *testing.T) {
 		if outputs[i] != outputs[0] {
 			t.Errorf("output %d differs from baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
 		}
-	}
-}
-
-// TestCLIBadScheduler asserts unknown -sched values are rejected up front.
-func TestCLIBadScheduler(t *testing.T) {
-	var stdout, stderr strings.Builder
-	err := run([]string{"-sched", "nope"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("run(-sched nope) = %v, want unknown-scheduler error", err)
 	}
 }

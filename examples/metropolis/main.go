@@ -5,20 +5,18 @@
 // directly from the packed form, and then runs a real distributed BFS
 // flood over every node on the frontier scheduler — the engine executes
 // only the expanding wave each round, so the wall-clock cost is the
-// delivered messages, not the n x rounds vertex-round pairs the dense
-// engine would grind through. At -n 10000000 the whole build (stream,
-// oracle, topology) is a few seconds; the dense engine could not even
-// touch that regime.
+// delivered messages, not the n x rounds vertex-round pairs an
+// every-vertex-every-round executor would grind through. At -n 10000000
+// the whole build (stream, oracle, topology) is a few seconds.
 //
 // The flood program is written against the public CONGEST programming
 // layer (a custom wire kind from the user-reserved range plus the
 // CongestScheduled activity contract), so it doubles as a template for
 // frontier-friendly user programs.
 //
-//	go run ./examples/metropolis                 # 1M vertices, frontier
+//	go run ./examples/metropolis                 # 1M vertices
 //	go run ./examples/metropolis -n 10000000     # 10M vertices
 //	go run ./examples/metropolis -side 300       # smaller
-//	go run ./examples/metropolis -side 300 -sched dense
 package main
 
 import (
@@ -105,7 +103,6 @@ func main() {
 		side       = flag.Int("side", 1000, "grid side (side*side vertices)")
 		nFlag      = flag.Int("n", 0, "target vertex count (overrides -side with floor(sqrt(n)))")
 		workers    = flag.Int("workers", 0, "engine workers (0 = auto)")
-		sched      = flag.String("sched", "frontier", "round scheduler: frontier|dense")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	)
@@ -169,28 +166,17 @@ func main() {
 	}
 	fmt.Printf("topology built in %v (total build %v)\n", time.Since(start), buildT+time.Since(start))
 
-	var schedOpt qcongest.EngineScheduler
-	switch *sched {
-	case "frontier":
-		schedOpt = qcongest.SchedulerFrontier
-	case "dense":
-		schedOpt = qcongest.SchedulerDense
-		fmt.Println("note: the dense scheduler executes every vertex every round — expect minutes at side=1000")
-	default:
-		log.Fatalf("unknown scheduler %q", *sched)
-	}
-
 	// 4. Run the distributed flood.
 	nw := qcongest.NewCongestNetworkOn(topo, func(v int) qcongest.CongestNode { return &floodNode{dist: -1} },
-		qcongest.WithWorkers(*workers), qcongest.WithScheduler(schedOpt))
+		qcongest.WithWorkers(*workers))
 	start = time.Now()
 	if err := nw.Run(4*(*side) + 16); err != nil {
 		log.Fatal(err)
 	}
 	runT := time.Since(start)
 	m := nw.Metrics()
-	fmt.Printf("flood [%s]: rounds=%d messages=%d bits=%d in %v (%.0f rounds/s, %.2fM msgs/s)\n",
-		*sched, m.Rounds, m.Messages, m.Bits, runT,
+	fmt.Printf("flood: rounds=%d messages=%d bits=%d in %v (%.0f rounds/s, %.2fM msgs/s)\n",
+		m.Rounds, m.Messages, m.Bits, runT,
 		float64(m.Rounds)/runT.Seconds(), float64(m.Messages)/runT.Seconds()/1e6)
 
 	// 5. Verify the distributed result against the oracle, every vertex.

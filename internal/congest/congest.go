@@ -28,29 +28,29 @@
 // # Execution engine
 //
 // Run executes each half-round on a pool of worker goroutines (see
-// WithWorkers): worker w owns every vertex v with v ≡ w (mod k), runs the
-// Send half for its vertices with a private Outbox (arena, edge-bit ledger
-// and metrics shard) and private per-receiver message buffers, and after
-// the round barrier runs the Receive half for its vertices on inboxes
-// merged from all workers' buffers in ascending sender order. Because
-// delivery order, the metrics merge, and the selection of the reported
-// validation error are all canonical, a run is bit-for-bit deterministic:
-// outputs, round counts, Metrics and error messages are identical for every
-// worker count, including the k=1 serial execution. Encoded messages live
-// in recycled per-worker arenas, so steady-state rounds allocate nothing.
+// WithWorkers): the vertices are split into k contiguous shards aligned to
+// 4096 vertices, and worker w runs the Send half for its shard, in
+// ascending vertex order, with a private Outbox (arena, edge-bit ledger and
+// metrics shard) and private per-receiver message buffers; after the round
+// barrier it runs the Receive half for its shard on inboxes merged from
+// all workers' buffers in ascending sender order. Because delivery order,
+// the metrics merge, and the selection of the reported validation error
+// are all canonical, a run is bit-for-bit deterministic: outputs, round
+// counts, Metrics and error messages are identical for every worker count,
+// including the k=1 serial execution. Encoded messages live in recycled
+// per-worker arenas, so steady-state rounds allocate nothing.
 //
-// By default rounds are frontier-scheduled (see WithScheduler and
-// scheduler.go): only vertices that received a message last round,
-// self-scheduled a wake (the Scheduled contract), or lack the contract
-// entirely are executed, with worker shards iterating the sorted frontier
-// — bit-identical to dense execution, but wall-clock scales with the
-// algorithm's total work instead of n·rounds. The adjacency the engine
-// runs on is a packed CSR core built once per Topology (flat offset/arena
-// arrays; Env.Neighbors slices are views into the arena, and the
-// per-message destination check is a binary search on the packed row).
-// DESIGN.md ("Execution engine", "Scheduler", "Wire format") documents the
-// concurrency model, the determinism argument and the message encodings in
-// full.
+// Rounds are frontier-scheduled (see scheduler.go): only vertices that
+// received a message last round, self-scheduled a wake (the Scheduled
+// contract), or lack the contract entirely are executed — bit-identical to
+// RunReference, which executes every vertex every round, but wall-clock
+// scales with the algorithm's total work instead of n·rounds. The
+// adjacency the engine runs on is a packed CSR core built once per
+// Topology (flat offset/arena arrays; Env.Neighbors slices are views into
+// the arena, and the per-message destination check is a binary search on
+// the packed row). DESIGN.md ("Execution engine", "Scheduler", "Wire
+// format") documents the concurrency model, the determinism argument and
+// the message encodings in full.
 //
 // # Execution sessions
 //
@@ -526,11 +526,11 @@ type Metrics struct {
 	MaxInboxSize int // max messages delivered to one node in one round
 
 	// DroppedRounds counts rounds in which nothing was sent (idle rounds).
-	// The invariant is scheduler-independent: the frontier scheduler skips
-	// an all-idle round without executing any vertex, but accounts it here
-	// — and advances Rounds over it — exactly as if the dense engine had
-	// executed it empty, so Metrics compare bit-for-bit across
-	// WithScheduler settings (asserted by the DroppedRounds table test).
+	// Run's frontier scheduler skips an all-idle round without executing
+	// any vertex, but accounts it here — and advances Rounds over it —
+	// exactly as if RunReference had executed it empty, so Metrics compare
+	// bit-for-bit between the two (asserted by the DroppedRounds table
+	// test).
 	DroppedRounds int
 }
 
@@ -568,8 +568,7 @@ type Network struct {
 	topo      *Topology
 	nodes     []Node
 	bandwidth int
-	workers   int       // configured worker count; <= 0 selects the automatic rule
-	sched     Scheduler // round-execution strategy (default SchedulerFrontier)
+	workers   int // configured worker count; <= 0 selects the automatic rule
 	strict    bool
 	metrics   Metrics
 	observer  Observer
@@ -600,10 +599,9 @@ func WithBandwidth(bw int) Option {
 // WithWorkers sets the number of engine workers used by Run. k = 1 executes
 // every half-round serially; k > 1 shards the vertices over k goroutines.
 // k <= 0 (the default) selects runtime.GOMAXPROCS(0), capped so that every
-// worker owns at least minVerticesPerWorker vertices — tiny networks always
-// run serially — and, on the frontier scheduler, further capped to the
-// number of 4096-vertex-aligned shards that own a vertex, so networks of at
-// most 4096 vertices run serially. Any worker count produces bit-for-bit
+// worker owns at least minVerticesPerWorker vertices and further capped to
+// the number of 4096-vertex-aligned shards that own a vertex, so networks
+// of at most 4096 vertices run serially. Any worker count produces bit-for-bit
 // identical outputs, round counts and Metrics; the knob only trades
 // wall-clock time.
 func WithWorkers(k int) Option {
@@ -675,22 +673,6 @@ func (nw *Network) Metrics() Metrics { return nw.metrics }
 // Bandwidth returns the per-edge per-round bit budget in force.
 func (nw *Network) Bandwidth() int { return nw.bandwidth }
 
-// EffectiveScheduler reports the strategy Run will use: the configured
-// scheduler, demoted to SchedulerDense when no program implements the
-// Scheduled contract (the frontier would then execute every vertex every
-// round anyway; the dense path does the same with less bookkeeping).
-func (nw *Network) EffectiveScheduler() Scheduler {
-	if nw.sched != SchedulerFrontier {
-		return nw.sched
-	}
-	for _, nd := range nw.nodes {
-		if _, ok := nd.(Scheduled); ok {
-			return SchedulerFrontier
-		}
-	}
-	return SchedulerDense
-}
-
 // minVerticesPerWorker is the smallest shard the automatic worker rule will
 // create: below that, the per-round barrier costs more than the shard's
 // compute, so small networks run serially.
@@ -706,10 +688,10 @@ func (nw *Network) EffectiveWorkers() int {
 		if cap := n / minVerticesPerWorker; k > cap {
 			k = cap
 		}
-		// Frontier shards are aligned to shardWordAlign words, so a k-way
-		// split of a smaller vertex set leaves trailing workers with empty
-		// shards; start only the workers that own a vertex.
-		if k > 1 && nw.EffectiveScheduler() == SchedulerFrontier {
+		// Shards are aligned to shardWordAlign words, so a k-way split of a
+		// smaller vertex set leaves trailing workers with empty shards;
+		// start only the workers that own a vertex.
+		if k > 1 {
 			k = shardWorkers(n, k)
 		}
 	}
@@ -722,13 +704,11 @@ func (nw *Network) EffectiveWorkers() int {
 	return k
 }
 
-// phase identifiers for the worker loop (the F variants are the frontier
-// scheduler's half-rounds, see scheduler.go).
+// phase identifiers for the worker loop (the half-rounds, see
+// scheduler.go).
 const (
 	phaseSend = iota
 	phaseRecv
-	phaseSendF
-	phaseRecvF
 )
 
 // workerState is one worker's private slice of the engine state. Round
@@ -741,7 +721,6 @@ type workerState struct {
 	// Receive-half accumulators.
 	maxStateBits int
 	maxInboxSize int
-	shardDone    bool
 
 	heads []int32   // chain-merge cursors, one per worker
 	inbox []Inbound // reusable materialized inbox (one vertex at a time)
@@ -750,7 +729,7 @@ type workerState struct {
 // engine holds the per-run execution state of Run.
 type engine struct {
 	nw    *Network
-	n, k  int
+	k     int
 	round int
 	empty bool // the current round's send half produced no messages
 
@@ -759,7 +738,7 @@ type engine struct {
 	outs [][]stagedMsg // per-sender emissions, kept only for the observer
 	ws   []workerState
 
-	fr *frontierState // frontier scheduler state; nil on the dense path
+	fr *frontierState
 
 	phase []chan int // per-worker phase mailbox (k > 1 only)
 	wg    sync.WaitGroup
@@ -767,7 +746,7 @@ type engine struct {
 
 func newEngine(nw *Network) *engine {
 	n := nw.topo.n
-	e := &engine{nw: nw, n: n, k: nw.EffectiveWorkers()}
+	e := &engine{nw: nw, k: nw.EffectiveWorkers()}
 	e.envs = make([]Env, n)
 	for v := 0; v < n; v++ {
 		// The topology's adjacency tables are sorted at construction, so
@@ -784,20 +763,7 @@ func newEngine(nw *Network) *engine {
 	if nw.observer != nil {
 		e.outs = make([][]stagedMsg, n)
 	}
-	if nw.sched == SchedulerFrontier {
-		var always []int32
-		for v, nd := range nw.nodes {
-			if _, ok := nd.(Scheduled); !ok {
-				always = append(always, int32(v))
-			}
-		}
-		// A network whose programs all lack the contract would execute
-		// every vertex every round through the frontier machinery; run the
-		// leaner dense path instead — the semantics are identical anyway.
-		if len(always) < n {
-			e.fr = newFrontierState(n, e.k, always, nw.nodes)
-		}
-	}
+	e.fr = newFrontierState(n, e.k, nw.nodes)
 	if e.k > 1 {
 		e.phase = make([]chan int, e.k)
 		for w := 0; w < e.k; w++ {
@@ -814,10 +780,6 @@ func (e *engine) dispatch(w, ph int) {
 		e.sendShard(w)
 	case phaseRecv:
 		e.recvShard(w)
-	case phaseSendF:
-		e.sendShardF(w)
-	case phaseRecvF:
-		e.recvShardF(w)
 	}
 }
 
@@ -831,10 +793,16 @@ func (e *engine) worker(w int) {
 // runPhase executes one half-round on every worker and waits for the
 // barrier. The channel send/Wait pair orders each worker's reads of the
 // fields the coordinator wrote (round, empty) and of the other workers'
-// buffers from the previous phase.
-func (e *engine) runPhase(ph int) {
-	if e.k == 1 {
-		e.dispatch(0, ph)
+// buffers from the previous phase. Half-rounds touching fewer than
+// minVerticesPerWorker vertices (size) run inline on the coordinator —
+// dispatching k workers for a handful of vertices costs more in barrier
+// traffic than the work itself; the shard assignment is identical either
+// way, so the choice is invisible in the results.
+func (e *engine) runPhase(ph, size int) {
+	if e.k == 1 || size < minVerticesPerWorker {
+		for w := 0; w < e.k; w++ {
+			e.dispatch(w, ph)
+		}
 		return
 	}
 	e.wg.Add(e.k)
@@ -850,39 +818,13 @@ func (e *engine) stop() {
 	}
 }
 
-// sendShard runs the Send half for every vertex of worker w (v ≡ w mod k).
-// All writes go to worker-private state: the worker's receive buffers and
-// its Outbox (arena, ledger, metrics shard). Validation stops at the
-// shard's first offending message; since an offense depends only on its own
-// sender's emissions, the shard-first error at the smallest sender id is
-// exactly the error a serial execution reports.
-func (e *engine) sendShard(w int) {
-	nw := e.nw
-	ob := e.ws[w].outbox
-
-	// beginRound recycles the previous round's delivery buffers (the
-	// barrier guarantees every reader is done with them) and the arena.
-	ob.beginRound(e.round)
-	for v := w; v < e.n; v += e.k {
-		e.envs[v].Round = e.round
-		ob.begin(v)
-		nw.nodes[v].Send(&e.envs[v], ob)
-		if e.outs != nil {
-			e.outs[v] = append(e.outs[v][:0], ob.msgs...)
-		}
-		if ob.err != nil {
-			break
-		}
-	}
-}
-
 // finishSend merges the send half at the round barrier: it picks the
 // canonical error (the one at the smallest sender id — what a serial
 // execution hits first), folds the worker metric shards into the run
-// metrics, and replays the observer in canonical order. On the frontier
-// path the replay iterates the frontier bitset, ascending — only those
-// vertices ran the send half (their e.outs entries are current; everything
-// else is stale from earlier rounds).
+// metrics, and replays the observer in canonical order. The replay iterates
+// the frontier bitset, ascending — only those vertices ran the send half
+// (their e.outs entries are current; everything else is stale from earlier
+// rounds).
 func (e *engine) finishSend() error {
 	errW := -1
 	var sent, bitsTotal, maxEdge int
@@ -911,133 +853,25 @@ func (e *engine) finishSend() error {
 		m.DroppedRounds++
 	}
 	if obs := e.nw.observer; obs != nil {
-		if e.fr == nil {
-			for v := 0; v < e.n; v++ {
-				for i := range e.outs[v] {
-					r := &e.outs[v][i]
-					obs(e.round, v, r.to, r.bits, r.wire)
-				}
-			}
-		} else {
-			cur := e.fr.cur
-			for si := range cur.sum {
-				sw := cur.sum[si]
-				for sw != 0 {
-					wi := si<<6 + bits.TrailingZeros64(sw)
-					sw &= sw - 1
-					word := cur.words[wi]
-					for word != 0 {
-						v := wi<<6 + bits.TrailingZeros64(word)
-						word &= word - 1
-						for i := range e.outs[v] {
-							r := &e.outs[v][i]
-							obs(e.round, v, r.to, r.bits, r.wire)
-						}
+		cur := e.fr.cur
+		for si := range cur.sum {
+			sw := cur.sum[si]
+			for sw != 0 {
+				wi := si<<6 + bits.TrailingZeros64(sw)
+				sw &= sw - 1
+				word := cur.words[wi]
+				for word != 0 {
+					v := wi<<6 + bits.TrailingZeros64(word)
+					word &= word - 1
+					for i := range e.outs[v] {
+						r := &e.outs[v][i]
+						obs(e.round, v, r.to, r.bits, r.wire)
 					}
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// recvShard runs the Receive half for every vertex of worker w. Each inbox
-// is materialized from the workers' staged chains into the worker's scratch
-// by gatherChains, which reproduces the canonical delivery order —
-// ascending sender, emission order within a sender — for every worker
-// count. Vertices execute one at a time per worker and Receive must not
-// retain the inbox, so one reusable scratch per worker suffices.
-func (e *engine) recvShard(w int) {
-	nw := e.nw
-	st := &e.ws[w]
-	var maxState, maxInbox int
-	allDone := true
-	for v := w; v < e.n; v += e.k {
-		inbox := st.inbox[:0]
-		if !e.empty {
-			inbox = gatherChains(e.obs, st.heads, v, inbox)
-			st.inbox = inbox
-		}
-		if len(inbox) > maxInbox {
-			maxInbox = len(inbox)
-		}
-		nd := nw.nodes[v]
-		nd.Receive(&e.envs[v], inbox)
-		if s, ok := nd.(StateSizer); ok {
-			if b := s.StateBits(); b > maxState {
-				maxState = b
-			}
-		}
-		if allDone && !nd.Done() {
-			allDone = false
-		}
-	}
-	st.maxStateBits = maxState
-	st.maxInboxSize = maxInbox
-	st.shardDone = allDone
-}
-
-// finishRecv merges the receive half and reports whether every node is Done.
-func (e *engine) finishRecv() bool {
-	m := &e.nw.metrics
-	allDone := true
-	for w := range e.ws {
-		st := &e.ws[w]
-		if st.maxStateBits > m.MaxStateBits {
-			m.MaxStateBits = st.maxStateBits
-		}
-		if st.maxInboxSize > m.MaxInboxSize {
-			m.MaxInboxSize = st.maxInboxSize
-		}
-		if !st.shardDone {
-			allDone = false
-		}
-	}
-	return allDone
-}
-
-// execute runs one full execution on the engine: rounds until every node is
-// Done, or an error after maxRounds. It touches only state that beginRound
-// and the round barriers recycle, so a persistent engine (Session) can call
-// it repeatedly — after the node programs are Reset — and every execution
-// is bit-for-bit identical to a run on a freshly built engine.
-//
-// The body below is the dense strategy (every vertex, every round); with
-// the frontier scheduler selected (the default, when at least one program
-// implements the Scheduled contract) execution is delegated to
-// executeFrontier, which is bit-identical by construction (scheduler.go).
-func (e *engine) execute(maxRounds int) error {
-	if e.fr != nil {
-		return e.executeFrontier(maxRounds)
-	}
-	nw := e.nw
-	if nw.observer != nil {
-		nw.observer(0, -1, -1, 0, WireView{}) // run boundary
-	}
-	allDone := true
-	for _, nd := range nw.nodes {
-		if !nd.Done() {
-			allDone = false
-			break
-		}
-	}
-	for round := 1; ; round++ {
-		if allDone {
-			return nil
-		}
-		if round > maxRounds {
-			return fmt.Errorf("congest: no quiescence after %d rounds", maxRounds)
-		}
-		nw.metrics.Rounds = round
-		e.round = round
-
-		e.runPhase(phaseSend)
-		if err := e.finishSend(); err != nil {
-			return err
-		}
-		e.runPhase(phaseRecv)
-		allDone = e.finishRecv()
-	}
 }
 
 // Run executes rounds until every node is Done, or fails after maxRounds.
@@ -1060,12 +894,12 @@ func (nw *Network) Run(maxRounds int) error {
 }
 
 // RunReference is the original single-threaded engine, retained as the
-// behavioral baseline: the determinism tests assert that Run matches it bit
-// for bit, and the engine benchmarks (BENCH_engine.json, BENCH_wire.json)
-// measure Run's speedup against it. It shares the Outbox encoder with Run,
-// so message encodings, derived bit accounting and validation errors are
-// identical by construction; only the execution strategy differs (one
-// vertex at a time, allocation per round). New code should call Run.
+// behavioral oracle: it executes every vertex every round, one at a time,
+// and the equivalence tests assert that Run matches it bit for bit —
+// outputs, Metrics, observer traces and errors. It shares the Outbox
+// encoder with Run, so message encodings, derived bit accounting and
+// validation errors are identical by construction; only the execution
+// strategy differs (no frontier, no workers). New code should call Run.
 func (nw *Network) RunReference(maxRounds int) error {
 	n := nw.topo.n
 	envs := make([]Env, n)

@@ -239,9 +239,10 @@ func TestEffectiveWorkersClamps(t *testing.T) {
 		t.Errorf("EffectiveWorkers = %d, want 1 under the automatic rule on a tiny graph", got)
 	}
 
-	// The automatic rule reads GOMAXPROCS. Frontier networks start one
-	// worker per 4096-vertex-aligned shard that owns a vertex; dense
-	// networks keep the n/64 cap; an explicit count is honoured.
+	// The automatic rule reads GOMAXPROCS and starts one worker per
+	// 4096-vertex-aligned shard that owns a vertex, whether or not the
+	// programs implement the Scheduled contract; an explicit count is
+	// honoured.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	wave := func(v int) Node { return NewWaveNode(false, 0, 1) }
 	small := NewNetworkOn(mustTopology(t, graph.Path(256)), wave)
@@ -258,9 +259,9 @@ func TestEffectiveWorkersClamps(t *testing.T) {
 		if got := explicit.EffectiveWorkers(); got != 4 {
 			t.Errorf("GOMAXPROCS %d: frontier WithWorkers(4) EffectiveWorkers = %d, want 4", procs, got)
 		}
-		dense := NewNetworkOn(small.topo, wave, WithScheduler(SchedulerDense))
-		if got, want := dense.EffectiveWorkers(), min(procs, 256/minVerticesPerWorker); got != want {
-			t.Errorf("GOMAXPROCS %d: dense n=256 EffectiveWorkers = %d, want %d", procs, got, want)
+		plain := NewNetworkOn(small.topo, func(v int) Node { return &duelingHogNode{threshold: 1 << 30} })
+		if got := plain.EffectiveWorkers(); got != 1 {
+			t.Errorf("GOMAXPROCS %d: contract-less n=256 EffectiveWorkers = %d, want 1", procs, got)
 		}
 	}
 }
@@ -274,9 +275,8 @@ func mustTopology(t *testing.T, g *graph.Graph) *Topology {
 	return topo
 }
 
-// A Session over a frontier network below the shard grain runs serially:
-// it starts no worker goroutines, even where the dense rule would start
-// several.
+// A Session over a network below the shard grain runs serially: it starts
+// no worker goroutines, even where the n/64 cap alone would allow several.
 func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g, err := graph.RandomRegular(256, 4, 3)

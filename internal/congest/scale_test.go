@@ -113,7 +113,7 @@ func TestCapacity10M(t *testing.T) {
 	// Two workers regardless of GOMAXPROCS: exercises the sharded frontier
 	// paths while staying within CI-runner memory.
 	nw := NewNetworkOn(topo, func(v int) Node { return &capFloodNode{deadline: deadline, dist: -1} },
-		WithScheduler(SchedulerFrontier), WithWorkers(2))
+		WithWorkers(2))
 	start = time.Now()
 	if err := nw.Run(deadline + 8); err != nil {
 		t.Fatal(err)

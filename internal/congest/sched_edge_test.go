@@ -9,12 +9,13 @@ import (
 )
 
 // This file pins the frontier scheduler's wake-registration edge cases to
-// the dense engine: duplicate NextWake registrations for the same
+// RunReference: duplicate NextWake registrations for the same
 // (round, vertex), registrations that are later superseded (leaving stale
 // bucket entries and possibly a phantom wake round the frontier must skip
 // like any idle round), wakes scheduled past the run's round budget, and
 // the all-quiescent network that goes straight to timeout. Every case is
-// checked bit-identical between Dense and Frontier across workers {1,2,8}.
+// checked bit-identical between RunReference and Run across workers
+// {1,2,8}.
 
 // dupWakeNode re-registers the same target round on every execution:
 // vertex 0 pulses its neighbors for a few rounds, and every receive (plus
@@ -69,7 +70,7 @@ func (d *dupWakeNode) ResetNode(v int, params any) {
 // is left holding stale bucket entries for rounds nobody wants anymore.
 // On Path(2) the near round becomes a pure phantom — every registration
 // for it was retracted — and the frontier must account the phantom
-// exactly like a dense empty round.
+// exactly like an empty round of RunReference.
 type flipWakeNode struct {
 	pulses    int // vertex 0 broadcasts at rounds 1..pulses
 	near, far int // the two alternating wake targets, near < far
@@ -145,8 +146,8 @@ func wakeEdgeFingerprint(nw *Network, n int) string {
 	return sb.String()
 }
 
-// TestSchedulerWakeEdgeCases runs each edge-case program on Dense and
-// Frontier (workers 1, 2, 8) and requires identical outputs, Metrics and
+// TestSchedulerWakeEdgeCases runs each edge-case program on RunReference
+// and on Run (workers 1, 2, 8) and requires identical outputs, Metrics and
 // errors — including the timeout rows, where the error string must match
 // byte for byte.
 func TestSchedulerWakeEdgeCases(t *testing.T) {
@@ -175,15 +176,15 @@ func TestSchedulerWakeEdgeCases(t *testing.T) {
 		{
 			// Path(2): every registration for the near round is retracted,
 			// making it a pure phantom wake round the frontier drains
-			// empty and must skip with dense-identical accounting.
+			// empty and must skip with reference-identical accounting.
 			name: "phantom-wake-round", g: graph.Path(2),
 			make:      func(v int) Node { return &flipWakeNode{pulses: 4, near: 8, far: 11} },
 			maxRounds: 30,
 		},
 		{
 			// Every wake is registered past the round budget: the frontier
-			// sees an empty horizon and must time out exactly like the
-			// dense engine grinding through empty rounds.
+			// sees an empty horizon and must time out exactly like
+			// RunReference grinding through empty rounds.
 			name: "wakes-past-max-rounds", g: graph.Path(40),
 			make:      func(v int) Node { return &dupWakeNode{pulses: 0, target: 100} },
 			maxRounds: 12, wantErr: true,
@@ -198,29 +199,29 @@ func TestSchedulerWakeEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := tc.g.N()
-		run := func(sched Scheduler, workers int) (string, Metrics, error) {
-			nw, err := NewNetwork(tc.g, tc.make, WithScheduler(sched), WithWorkers(workers))
+		run := func(run func(*Network, int) error, opts ...Option) (string, Metrics, error) {
+			nw, err := NewNetwork(tc.g, tc.make, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runErr := nw.Run(tc.maxRounds)
+			runErr := run(nw, tc.maxRounds)
 			return wakeEdgeFingerprint(nw, n), nw.Metrics(), runErr
 		}
-		wantOut, wantM, wantErr := run(SchedulerDense, 1)
+		wantOut, wantM, wantErr := run((*Network).RunReference)
 		if (wantErr != nil) != tc.wantErr {
-			t.Fatalf("%s: dense err = %v, want error %v", tc.name, wantErr, tc.wantErr)
+			t.Fatalf("%s: reference err = %v, want error %v", tc.name, wantErr, tc.wantErr)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			gotOut, gotM, gotErr := run(SchedulerFrontier, workers)
+			gotOut, gotM, gotErr := run((*Network).Run, WithWorkers(workers))
 			if gotOut != wantOut {
-				t.Errorf("%s workers %d: frontier outputs differ from dense", tc.name, workers)
+				t.Errorf("%s workers %d: Run outputs differ from RunReference", tc.name, workers)
 			}
 			if gotM != wantM {
-				t.Errorf("%s workers %d: frontier Metrics = %+v, dense %+v", tc.name, workers, gotM, wantM)
+				t.Errorf("%s workers %d: Run Metrics = %+v, reference %+v", tc.name, workers, gotM, wantM)
 			}
 			if (gotErr == nil) != (wantErr == nil) ||
 				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Errorf("%s workers %d: frontier err %v, dense err %v", tc.name, workers, gotErr, wantErr)
+				t.Errorf("%s workers %d: Run err %v, reference err %v", tc.name, workers, gotErr, wantErr)
 			}
 		}
 	}
@@ -238,7 +239,7 @@ func TestSessionWakeArenaSteadyState(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		sess := NewSession(topo, func(v int) Node { return &dupWakeNode{pulses: 4, target: 24} },
-			WithScheduler(SchedulerFrontier), WithWorkers(workers))
+			WithWorkers(workers))
 		runOnce := func() {
 			if err := sess.Reset(nil); err != nil {
 				t.Fatal(err)

@@ -11,22 +11,18 @@ import (
 )
 
 // The frontier scheduler's contract: for every program in the suite, every
-// worker count and fresh-vs-session execution, the frontier engine is
-// bit-identical to the dense engine and to RunReference — outputs, Metrics,
-// and complete observer wire traces. These tests sweep that whole matrix.
+// worker count and fresh-vs-session execution, Run is bit-identical to
+// RunReference — outputs, Metrics, and complete observer wire traces.
+// These tests sweep that whole matrix.
 
-// schedMatrix is the scheduler × workers grid every equivalence assertion
-// runs over.
+// schedMatrix is the worker grid every equivalence assertion runs over.
 var schedMatrix = []struct {
 	name string
 	opts []Option
 }{
-	{"dense/w1", []Option{WithScheduler(SchedulerDense), WithWorkers(1)}},
-	{"dense/w2", []Option{WithScheduler(SchedulerDense), WithWorkers(2)}},
-	{"dense/w8", []Option{WithScheduler(SchedulerDense), WithWorkers(8)}},
-	{"frontier/w1", []Option{WithScheduler(SchedulerFrontier), WithWorkers(1)}},
-	{"frontier/w2", []Option{WithScheduler(SchedulerFrontier), WithWorkers(2)}},
-	{"frontier/w8", []Option{WithScheduler(SchedulerFrontier), WithWorkers(8)}},
+	{"w1", []Option{WithWorkers(1)}},
+	{"w2", []Option{WithWorkers(2)}},
+	{"w8", []Option{WithWorkers(8)}},
 }
 
 // schedCase is one program workload: a node family over a topology with an
@@ -57,8 +53,8 @@ func runSchedCase(t *testing.T, c schedCase, run func(*Network, int) error, opts
 }
 
 // TestSchedulerEquivalenceSuite sweeps every node program of the suite over
-// the scheduler × workers matrix, fresh and session-reused, against a
-// RunReference baseline.
+// the worker matrix, fresh and session-reused, against a RunReference
+// baseline.
 func TestSchedulerEquivalenceSuite(t *testing.T) {
 	g := graph.RandomConnected(150, 0.03, 4)
 	n := g.N()
@@ -66,14 +62,14 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := []Option{WithScheduler(SchedulerDense), WithWorkers(1)}
+	base := []Option{WithWorkers(1)}
 	info, _, err := PreprocessOn(topo, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := info.D
 
-	// Scaffolding inputs computed once on the dense oracle.
+	// Scaffolding inputs computed once, serially.
 	tourLen := 2 * (n - 1)
 	tau, _, err := TokenWalkOn(topo, info, info.Children, info.Leader, tourLen, base...)
 	if err != nil {
@@ -325,43 +321,77 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 
 // TestSchedulerEquivalenceComposites runs the composed classical algorithms
 // — every phase of the Figure 2 / Figure 3 pipelines back to back — over
-// the scheduler matrix.
+// the worker matrix under strict accounting: every worker count must match
+// the serial run bit for bit, and every result must agree with the
+// sequential graph oracles.
 func TestSchedulerEquivalenceComposites(t *testing.T) {
 	g := graph.RandomConnected(120, 0.04, 8)
 	gw := graph.WithWeights(g, 6, 8)
+	diam, err := g.Diameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eccs, err := g.AllEccentricities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdiam, err := gw.WeightedDiameter()
+	if err != nil {
+		t.Fatal(err)
+	}
 	type comp struct {
 		name string
-		run  func(opts ...Option) (string, error)
+		// run returns the result fingerprint, its disagreement with the
+		// oracle (nil when it agrees) and the run's own error.
+		run func(opts ...Option) (got string, bad, err error)
 	}
 	comps := []comp{
-		{"classical-exact", func(opts ...Option) (string, error) {
+		{"classical-exact", func(opts ...Option) (string, error, error) {
 			r, err := ClassicalExactDiameter(g, opts...)
-			return fmt.Sprintf("%+v", r), err
+			var bad error
+			if r.Diameter != diam {
+				bad = fmt.Errorf("diameter %d, oracle %d", r.Diameter, diam)
+			}
+			return fmt.Sprintf("%+v", r), bad, err
 		}},
-		{"classical-approx", func(opts ...Option) (string, error) {
+		{"classical-approx", func(opts ...Option) (string, error, error) {
 			r, err := ClassicalApproxDiameter(g, 0, 8, opts...)
-			return fmt.Sprintf("%+v", r), err
+			var bad error
+			if r.Diameter > diam || r.Diameter < 2*diam/3 {
+				bad = fmt.Errorf("estimate %d outside [floor(2D/3), D] for D = %d", r.Diameter, diam)
+			}
+			return fmt.Sprintf("%+v", r), bad, err
 		}},
-		{"classical-ecc", func(opts ...Option) (string, error) {
+		{"classical-ecc", func(opts ...Option) (string, error, error) {
 			ecc, m, err := ClassicalEccentricities(g, opts...)
-			return fmt.Sprintf("%v %+v", ecc, m), err
+			var bad error
+			if !reflect.DeepEqual(ecc, eccs) {
+				bad = fmt.Errorf("eccentricities %v, oracle %v", ecc, eccs)
+			}
+			return fmt.Sprintf("%v %+v", ecc, m), bad, err
 		}},
-		{"classical-weighted", func(opts ...Option) (string, error) {
+		{"classical-weighted", func(opts ...Option) (string, error, error) {
 			r, err := ClassicalWeightedDiameter(gw, opts...)
-			return fmt.Sprintf("%+v", r), err
+			var bad error
+			if r.Diameter != wdiam {
+				bad = fmt.Errorf("weighted diameter %d, oracle %d", r.Diameter, wdiam)
+			}
+			return fmt.Sprintf("%+v", r), bad, err
 		}},
 	}
 	for _, c := range comps {
-		want, err := c.run(WithScheduler(SchedulerDense), WithWorkers(1), WithStrictAccounting())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for _, m := range schedMatrix {
-			got, err := c.run(append([]Option{WithStrictAccounting()}, m.opts...)...)
+		var want string
+		for i, m := range schedMatrix {
+			got, bad, err := c.run(append([]Option{WithStrictAccounting()}, m.opts...)...)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", c.name, m.name, err)
 			}
-			if got != want {
+			if bad != nil {
+				t.Errorf("%s [%s]: %v", c.name, m.name, bad)
+			}
+			if i == 0 {
+				want = got // the serial run
+			} else if got != want {
 				t.Errorf("%s [%s]:\n got %s\nwant %s", c.name, m.name, got, want)
 			}
 		}
@@ -427,8 +457,9 @@ func (p *pulseNode) ResetNode(v int, params any) {
 
 // TestDroppedRoundsSchedulerInvariant is the Metrics.DroppedRounds table
 // test: an all-idle round that the frontier scheduler skips must account
-// identically to a dense empty round — same Rounds, same DroppedRounds,
-// same everything — including on timeout errors inside a gap.
+// identically to an empty round executed by RunReference — same Rounds,
+// same DroppedRounds, same everything — including on timeout errors inside
+// a gap.
 func TestDroppedRoundsSchedulerInvariant(t *testing.T) {
 	g := graph.Path(40)
 	cases := []struct {
@@ -447,61 +478,199 @@ func TestDroppedRoundsSchedulerInvariant(t *testing.T) {
 		{"gap-to-timeout", []int{50}, 10, true, 10, 10, true, 0},
 	}
 	for _, tc := range cases {
-		runM := func(sched Scheduler, workers int) (Metrics, error) {
-			nw, err := NewNetwork(g, func(v int) Node { return &pulseNode{wakes: tc.wakes} },
-				WithScheduler(sched), WithWorkers(workers))
+		runM := func(run func(*Network, int) error, opts ...Option) (Metrics, error) {
+			nw, err := NewNetwork(g, func(v int) Node { return &pulseNode{wakes: tc.wakes} }, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runErr := nw.Run(tc.maxRounds)
+			runErr := run(nw, tc.maxRounds)
 			return nw.Metrics(), runErr
 		}
-		wantM, wantErr := runM(SchedulerDense, 1)
+		wantM, wantErr := runM((*Network).RunReference)
 		if (wantErr != nil) != tc.wantErr {
-			t.Fatalf("%s: dense err = %v, want error %v", tc.name, wantErr, tc.wantErr)
+			t.Fatalf("%s: reference err = %v, want error %v", tc.name, wantErr, tc.wantErr)
 		}
 		if wantM.Rounds != tc.wantRounds || wantM.DroppedRounds != tc.wantDropped {
-			t.Fatalf("%s: dense Rounds/Dropped = %d/%d, want %d/%d",
+			t.Fatalf("%s: reference Rounds/Dropped = %d/%d, want %d/%d",
 				tc.name, wantM.Rounds, wantM.DroppedRounds, tc.wantRounds, tc.wantDropped)
 		}
 		if want := tc.wantDelivered * len(g.Neighbors(0)); wantM.Messages != want {
-			t.Fatalf("%s: dense Messages = %d, want %d", tc.name, wantM.Messages, want)
+			t.Fatalf("%s: reference Messages = %d, want %d", tc.name, wantM.Messages, want)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			gotM, gotErr := runM(SchedulerFrontier, workers)
+			gotM, gotErr := runM((*Network).Run, WithWorkers(workers))
 			if (gotErr == nil) != (wantErr == nil) ||
 				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Errorf("%s workers %d: frontier err %v, dense err %v", tc.name, workers, gotErr, wantErr)
+				t.Errorf("%s workers %d: Run err %v, reference err %v", tc.name, workers, gotErr, wantErr)
 			}
 			if gotM != wantM {
-				t.Errorf("%s workers %d: frontier Metrics = %+v, dense %+v", tc.name, workers, gotM, wantM)
+				t.Errorf("%s workers %d: Run Metrics = %+v, reference %+v", tc.name, workers, gotM, wantM)
 			}
 		}
 	}
 }
 
-// TestEffectiveSchedulerFallback: a network whose programs lack the
-// Scheduled contract must run the dense path even under the (default)
-// frontier setting — the conservative always-active default — while the
-// shipped programs engage the frontier.
-func TestEffectiveSchedulerFallback(t *testing.T) {
-	g := graph.Path(16)
-	legacy, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 1 << 30} })
-	if err != nil {
-		t.Fatal(err)
+// plainFloodNode is a BFS flood written without the Scheduled contract, so
+// the frontier engine keeps it always active: the source waits until round
+// start (rounds before it are idle rounds), then every vertex relays its
+// distance once, the round after it learns it. heard hashes the senders of
+// every delivered message in delivery order, so a lost, duplicated or
+// reordered message changes the output.
+type plainFloodNode struct {
+	source bool
+	start  int
+	dist   int // -1 until reached
+	pend   bool
+	heard  uint64
+	tx, rx msgActivate
+}
+
+func (f *plainFloodNode) Send(env *Env, out *Outbox) {
+	if f.source && f.dist == -1 && env.Round >= f.start {
+		f.dist, f.pend = 0, true
 	}
-	if got := legacy.EffectiveScheduler(); got != SchedulerDense {
-		t.Errorf("legacy network EffectiveScheduler = %v, want dense fallback", got)
+	if !f.pend {
+		return
 	}
-	modern, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() })
-	if err != nil {
-		t.Fatal(err)
+	f.pend = false
+	f.tx.Dist = f.dist + 1
+	out.Broadcast(env.Neighbors, &f.tx)
+}
+
+func (f *plainFloodNode) Receive(env *Env, inbox []Inbound) {
+	for i := range inbox {
+		in := &inbox[i]
+		f.heard = f.heard*1000003 + uint64(in.From+1)
+		if in.Decode(env, &f.rx) != nil {
+			continue
+		}
+		if f.dist == -1 {
+			f.dist, f.pend = f.rx.Dist, true
+		}
 	}
-	if got := modern.EffectiveScheduler(); got != SchedulerFrontier {
-		t.Errorf("suite network EffectiveScheduler = %v, want frontier", got)
+}
+
+func (f *plainFloodNode) Done() bool     { return f.dist >= 0 && !f.pend }
+func (f *plainFloodNode) StateBits() int { return 16 + 2*(f.dist+1) }
+
+func (f *plainFloodNode) ResetNode(v int, params any) {
+	if params != nil {
+		badResetParams("plainFloodNode", params)
 	}
-	if got := NewNetworkOn(modern.topo, func(v int) Node { return NewLeaderElectNode() },
-		WithScheduler(SchedulerDense)).EffectiveScheduler(); got != SchedulerDense {
-		t.Errorf("explicit dense EffectiveScheduler = %v, want dense", got)
+	f.dist, f.pend, f.heard = -1, false, 0
+}
+
+// wakeFloodNode is the same flood under the Scheduled contract: the source
+// sleeps until start, and everything else is message-driven.
+type wakeFloodNode struct{ plainFloodNode }
+
+func (f *wakeFloodNode) NextWake(env *Env, round int) int {
+	switch {
+	case f.source && f.dist == -1:
+		return f.start
+	case f.pend:
+		return round + 1
+	}
+	return NeverWake
+}
+
+// TestAlwaysActiveProgramsMatchReference runs programs without the
+// Scheduled contract — alone, and mixed with Scheduled programs on the same
+// topology — through the frontier engine's always-active set, fresh and on
+// Session reruns, and requires outputs, Metrics and the full observer trace
+// to equal RunReference. The grid is larger than one 4096-vertex shard, so
+// multi-worker runs split it and merge inboxes across shards.
+func TestAlwaysActiveProgramsMatchReference(t *testing.T) {
+	topo := mustTopology(t, graph.Grid(65, 65))
+	const start = 3
+	flood := func(v int) plainFloodNode { return plainFloodNode{source: v == 2101, start: start, dist: -1} }
+	fingerprint := func(at func(v int) Node, n int) string {
+		var sb strings.Builder
+		for v := 0; v < n; v++ {
+			switch f := at(v).(type) {
+			case *plainFloodNode:
+				fmt.Fprintf(&sb, "%d/%x;", f.dist, f.heard)
+			case *wakeFloodNode:
+				fmt.Fprintf(&sb, "%d/%x;", f.dist, f.heard)
+			}
+		}
+		return sb.String()
+	}
+	cases := []schedCase{
+		{
+			name: "contract-less", topo: topo, maxRounds: 4 * 65,
+			make:        func(v int) Node { f := flood(v); return &f },
+			fingerprint: fingerprint,
+		},
+		{
+			name: "mixed", topo: topo, maxRounds: 4 * 65,
+			make: func(v int) Node {
+				if v%3 == 0 {
+					f := flood(v)
+					return &f
+				}
+				return &wakeFloodNode{flood(v)}
+			},
+			fingerprint: fingerprint,
+		},
+	}
+	for _, c := range cases {
+		want := runSchedCase(t, c, (*Network).RunReference)
+		if want.Metrics.DroppedRounds != start-1 || want.Metrics.MaxStateBits == 0 {
+			t.Fatalf("%s: reference Metrics %+v: want %d dropped rounds and sampled state", c.name, want.Metrics, start-1)
+		}
+		for _, m := range schedMatrix {
+			got := runSchedCase(t, c, (*Network).Run, m.opts...)
+			if got.Out != want.Out {
+				t.Errorf("%s [%s]: outputs differ from RunReference", c.name, m.name)
+			}
+			if got.Metrics != want.Metrics {
+				t.Errorf("%s [%s]: Metrics = %+v, want %+v", c.name, m.name, got.Metrics, want.Metrics)
+			}
+			if !reflect.DeepEqual(got.Trace, want.Trace) {
+				t.Errorf("%s [%s]: observer trace differs from RunReference (%d vs %d events)",
+					c.name, m.name, len(got.Trace), len(want.Trace))
+			}
+
+			var trace []string
+			sess := NewSession(c.topo, c.make, append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
+			for rerun := 0; rerun < 2; rerun++ {
+				trace = trace[:0]
+				if err := sess.Reset(nil); err != nil {
+					t.Fatalf("%s [%s]: %v", c.name, m.name, err)
+				}
+				if err := sess.Run(c.maxRounds); err != nil {
+					t.Fatalf("%s [%s] rerun %d: %v", c.name, m.name, rerun, err)
+				}
+				if out := c.fingerprint(sess.Node, c.topo.N()); out != want.Out {
+					t.Errorf("%s [%s] session rerun %d: outputs differ from RunReference", c.name, m.name, rerun)
+				}
+				if sess.Metrics() != want.Metrics {
+					t.Errorf("%s [%s] session rerun %d: Metrics = %+v, want %+v",
+						c.name, m.name, rerun, sess.Metrics(), want.Metrics)
+				}
+				if !reflect.DeepEqual(trace, want.Trace) {
+					t.Errorf("%s [%s] session rerun %d: observer trace differs", c.name, m.name, rerun)
+				}
+			}
+			sess.Close()
+		}
+	}
+
+	// A contract-less bandwidth violation fails with the reference's error.
+	hog := func(v int) Node { return &duelingHogNode{threshold: 3} }
+	ref := NewNetworkOn(topo, hog)
+	wantErr := ref.RunReference(10)
+	if wantErr == nil {
+		t.Fatal("reference engine missed the bandwidth violation")
+	}
+	for _, m := range schedMatrix {
+		nw := NewNetworkOn(topo, hog, m.opts...)
+		if err := nw.Run(10); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("[%s]: error %v, want %q", m.name, err, wantErr)
+		}
+		if nw.Metrics() != ref.Metrics() {
+			t.Errorf("[%s]: Metrics = %+v, want %+v", m.name, nw.Metrics(), ref.Metrics())
+		}
 	}
 }

@@ -1,6 +1,6 @@
 package congest
 
-// This file implements the frontier scheduler: the engine strategy that
+// This file implements the frontier scheduler: Run's round executor, which
 // executes, each round, only the vertices that can possibly act — the
 // active frontier — instead of all n. Every program in the Figure 2
 // pipeline (BFS waves, token walks, the wave flood, Bellman–Ford) touches a
@@ -20,7 +20,7 @@ package congest
 //     pipelined schedule;
 //  3. its program does not implement the contract at all — the
 //     conservative always-active default, under which the vertex runs
-//     every round exactly as in the dense engine, so custom user programs
+//     every round exactly as in RunReference, so custom user programs
 //     written against the facade keep working unchanged.
 //
 // Message delivery is independent of the frontier: a message sent in round
@@ -29,11 +29,11 @@ package congest
 //
 // The contract a Scheduled program must uphold is exactly: whenever the
 // scheduler would skip the vertex, running its Send and Receive (with an
-// empty inbox) in the dense engine would emit nothing and change no state.
-// Under that contract the frontier execution is bit-identical to the dense
-// one by construction: skipped work is work that provably does nothing.
-// The scheduler-equivalence tests assert this across the whole program
-// suite, worker counts and session reuse, against RunReference.
+// empty inbox) in RunReference would emit nothing and change no state.
+// Under that contract the frontier execution is bit-identical to
+// RunReference by construction: skipped work is work that provably does
+// nothing. The scheduler-equivalence tests assert this across the whole
+// program suite, worker counts and session reuse.
 //
 // # Representation: hierarchical bitsets, shard-local everything
 //
@@ -71,60 +71,28 @@ package congest
 // and the always-active set by the program types. Worker w executes its
 // contiguous vertex shard in ascending order, so per-worker delivery
 // buffers stay ordered by ascending sender, and the round barrier's k-way
-// inbox merge, metrics fold and canonical error selection work exactly as
-// in the dense engine — outputs are bit-identical for every worker count
-// and shard geometry.
+// inbox merge, metrics fold and canonical error selection reproduce the
+// serial order of RunReference — outputs are bit-identical for every
+// worker count and shard geometry.
 //
 // # Quiescence and idle-round accounting
 //
 // The engine tracks the number of not-Done vertices incrementally (a
 // vertex's Done can only change in a round that executes it), so quiescence
-// is detected without the dense engine's O(n) per-round scan. When the
+// is detected without RunReference's O(n) per-round scan. When the
 // frontier is empty but self-wakes are pending, every round up to the next
-// wake would execute as an empty round in the dense engine; the scheduler
+// wake would execute as an empty round in RunReference; the scheduler
 // skips them in O(1) and accounts them identically — Metrics.Rounds
 // advances over the gap and Metrics.DroppedRounds counts each skipped
 // round, exactly as if they had been executed empty. An empty frontier
 // with no pending wake and not-Done vertices can never quiesce; the run
-// fails with the same error and metrics the dense engine produces at
+// fails with the same error and metrics RunReference produces at
 // maxRounds.
 
 import (
 	"fmt"
 	"math/bits"
 )
-
-// Scheduler selects the engine's round-execution strategy.
-type Scheduler uint8
-
-const (
-	// SchedulerFrontier (the default) executes only the active frontier
-	// each round: vertices that received a message last round, vertices
-	// whose program self-scheduled the round (Scheduled), and vertices
-	// whose program does not implement the contract (always active). It is
-	// bit-identical to the dense engine for every worker count.
-	SchedulerFrontier Scheduler = iota
-	// SchedulerDense executes every vertex every round — the original
-	// strategy, retained as a selectable oracle for equivalence testing
-	// and benchmarking.
-	SchedulerDense
-)
-
-// String returns the scheduler's flag name.
-func (s Scheduler) String() string {
-	if s == SchedulerDense {
-		return "dense"
-	}
-	return "frontier"
-}
-
-// WithScheduler selects the round-execution strategy (default
-// SchedulerFrontier). Like WithWorkers, the choice only trades wall-clock
-// time: outputs, Metrics, observer traces and errors are bit-identical for
-// either scheduler.
-func WithScheduler(s Scheduler) Option {
-	return func(nw *Network) { nw.sched = s }
-}
 
 // NeverWake is the NextWake return value meaning "message-driven": the
 // vertex needs no execution until a message arrives.
@@ -148,7 +116,7 @@ const NeverWake = 0
 // executing the vertex at round r with an empty inbox must emit nothing
 // and change no state — that is what makes skipping it invisible.
 // Programs that do not implement Scheduled are conservatively executed
-// every round, which reproduces dense behavior exactly.
+// every round, exactly as RunReference executes them.
 type Scheduled interface {
 	NextWake(env *Env, round int) int
 }
@@ -187,7 +155,6 @@ const shardWordAlign = 64
 // are fixed arrays, the shard heap arenas are kept at capacity, and the
 // epoch stamps make the wake array reusable without wiping it.
 type frontierState struct {
-	k   int // worker count (shard count)
 	wps int // words per shard; multiple of shardWordAlign
 
 	alwaysOn []int32 // vertices without the Scheduled contract, ascending
@@ -225,22 +192,19 @@ func wordsPerShard(nwords, k int) int {
 	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
 }
 
-// shardWorkers returns how many shards of a k-way frontier split of n
-// vertices own at least one vertex: shards are aligned to shardWordAlign
-// words, so on a small vertex set the trailing ones are empty.
-// EffectiveWorkers caps the automatic worker count of a frontier network
-// with it.
+// shardWorkers returns how many shards of a k-way split of n vertices own
+// at least one vertex: shards are aligned to shardWordAlign words, so on a
+// small vertex set the trailing ones are empty. EffectiveWorkers caps the
+// automatic worker count with it.
 func shardWorkers(n, k int) int {
 	nwords := (n + 63) >> 6
 	wps := wordsPerShard(nwords, k)
 	return (nwords + wps - 1) / wps
 }
 
-func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
+func newFrontierState(n, k int, nodes []Node) *frontierState {
 	fr := &frontierState{
-		k:         k,
 		wps:       wordsPerShard((n+63)>>6, k),
-		alwaysOn:  alwaysOn,
 		cur:       newShardedBitset(n),
 		nxt:       newShardedBitset(n),
 		wake:      make([]uint64, n),
@@ -261,6 +225,8 @@ func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
 	for v, nd := range nodes {
 		if sc, ok := nd.(Scheduled); ok {
 			fr.scheds[v] = sc
+		} else {
+			fr.alwaysOn = append(fr.alwaysOn, int32(v))
 		}
 		if s, ok := nd.(StateSizer); ok {
 			fr.sizers[v] = s
@@ -468,11 +434,11 @@ func (e *engine) buildFrontier(round int) {
 }
 
 // samplePre records the initial StateBits of every vertex outside the
-// first frontier. The dense engine samples every vertex every round, so
-// the states of vertices that are skipped before their first execution
-// are exactly their initial states; folding this maximum (at the first
-// round barrier, like the dense engine's first samples) makes
-// Metrics.MaxStateBits scheduler-independent.
+// first frontier. RunReference samples every vertex every round, so the
+// states of vertices that are skipped before their first execution are
+// exactly their initial states; folding this maximum (at the first round
+// barrier, like RunReference's first samples) makes Metrics.MaxStateBits
+// match it.
 func (e *engine) samplePre() {
 	fr := e.fr
 	max := 0
@@ -488,13 +454,19 @@ func (e *engine) samplePre() {
 	fr.preSampled = true
 }
 
-// sendShardF runs the Send half for worker w's vertex shard, iterating its
+// sendShard runs the Send half for worker w's vertex shard, iterating its
 // slice of the frontier bitset through the summary layer (ascending, so
-// the delivery buffers stay canonically ordered). Identical to sendShard
-// except for the iteration domain.
-func (e *engine) sendShardF(w int) {
+// the delivery buffers stay canonically ordered). All writes go to
+// worker-private state: the worker's Outbox (arena, ledger, delivery
+// chains, metrics shard). Validation stops at the shard's first offending
+// message; since an offense depends only on its own sender's emissions,
+// the shard-first error at the smallest sender id is exactly the error a
+// serial execution reports.
+func (e *engine) sendShard(w int) {
 	nw := e.nw
 	ob := e.ws[w].outbox
+	// beginRound recycles the previous round's delivery chains (the
+	// barrier guarantees every reader is done with them) and the arena.
 	ob.beginRound(e.round)
 	fr := e.fr
 	wlo, whi := fr.shardWords(w)
@@ -525,11 +497,15 @@ func (e *engine) sendShardF(w int) {
 	}
 }
 
-// recvShardF runs the Receive half for worker w's shard of the receive set
-// (frontier ∪ this round's receivers), merging inboxes exactly like
-// recvShard, and additionally maintains the incremental Done count and
-// registers the programs' next wakes — all into shard-local state, so the
-// barrier only folds counters.
+// recvShard runs the Receive half for worker w's shard of the receive set
+// (frontier ∪ this round's receivers). Each inbox is materialized from the
+// workers' staged chains into the worker's scratch by gatherChains, which
+// reproduces the canonical delivery order — ascending sender, emission
+// order within a sender — for every worker count; vertices execute one at
+// a time per worker and Receive must not retain the inbox, so one reusable
+// scratch per worker suffices. The worker also maintains the incremental
+// Done count and registers the programs' next wakes — all into shard-local
+// state, so the barrier only folds counters.
 //
 // The receive set is never materialized: at entry the worker claims its
 // own vertices from every worker's touched-receiver list into `nxt` (rule
@@ -537,7 +513,7 @@ func (e *engine) sendShardF(w int) {
 // receivers), and then iterates the union cur|nxt word by word. Insertions
 // during the iteration are safe snapshots: register only ever adds the
 // vertex currently being executed, whose union bit was already consumed.
-func (e *engine) recvShardF(w int) {
+func (e *engine) recvShard(w int) {
 	nw := e.nw
 	st := &e.ws[w]
 	fr := e.fr
@@ -610,12 +586,12 @@ func (e *engine) recvShardF(w int) {
 	st.maxInboxSize = maxInbox
 }
 
-// finishRecvF folds the receive half at the round barrier: metric shards,
+// finishRecv folds the receive half at the round barrier: metric shards,
 // the pre-sampled state maximum (folded from the first barrier on, when
-// the dense engine folds its first samples), and the shard-local Done and
-// frontier-size deltas. Unlike the pre-bitset engine there is no wake
-// merge here — registrations already landed in shard-local heaps.
-func (e *engine) finishRecvF() {
+// RunReference folds its first samples), and the shard-local Done and
+// frontier-size deltas. There is no wake merge here — registrations
+// already landed in shard-local heaps.
+func (e *engine) finishRecv() {
 	m := &e.nw.metrics
 	fr := e.fr
 	for w := range e.ws {
@@ -634,36 +610,21 @@ func (e *engine) finishRecvF() {
 	}
 }
 
-// runPhaseF executes one frontier half-round. Tiny frontiers run inline on
-// the coordinator — dispatching k workers for a handful of vertices costs
-// more in barrier traffic than the work itself; the shard assignment is
-// identical either way, so the choice is invisible in the results.
-func (e *engine) runPhaseF(ph, size int) {
-	if e.k == 1 || size < minVerticesPerWorker {
-		for w := 0; w < e.k; w++ {
-			e.dispatch(w, ph)
-		}
-		return
-	}
-	e.wg.Add(e.k)
-	for _, ch := range e.phase {
-		ch <- ph
-	}
-	e.wg.Wait()
-}
-
-// executeFrontier is the frontier scheduler's run loop; see the file
-// comment for the invariant and the accounting argument. It recycles all
-// frontier state, so a persistent Session engine re-runs it with zero
-// steady-state allocations, bit-identically to a fresh engine.
-func (e *engine) executeFrontier(maxRounds int) error {
+// execute runs one full execution on the engine: rounds until every node
+// is Done, or an error after maxRounds; see the file comment for the
+// frontier invariant and the accounting argument. It touches only state
+// that beginRound, the round barriers and frontierState.reset recycle, so
+// a persistent engine (Session) can call it repeatedly — after the node
+// programs are Reset — with zero steady-state allocations, and every
+// execution is bit-for-bit identical to a run on a freshly built engine.
+func (e *engine) execute(maxRounds int) error {
 	nw := e.nw
 	fr := e.fr
 	fr.reset()
 	if nw.observer != nil {
 		nw.observer(0, -1, -1, 0, WireView{}) // run boundary
 	}
-	// Initial scan, one pass over the programs: the dense engine's pre-run
+	// Initial scan, one pass over the programs: RunReference's pre-run
 	// allDone probe plus the initial self-wake collection (NextWake after
 	// construction/reset). Both are pure queries, so fusing the passes
 	// only improves locality.
@@ -691,14 +652,14 @@ func (e *engine) executeFrontier(maxRounds int) error {
 			e.samplePre()
 		}
 		if fr.curCount == 0 {
-			// Idle until the next self-wake: the dense engine would execute
+			// Idle until the next self-wake: RunReference would execute
 			// these rounds as empty rounds. Account them identically and
 			// skip ahead (satisfying the Metrics.DroppedRounds invariant).
 			w := fr.nextWakeRound()
 			if w == 0 || w > maxRounds {
 				// No wake can ever change state again (or none before the
-				// budget runs out): the dense engine executes empty rounds
-				// up to maxRounds and reports no quiescence.
+				// budget runs out): RunReference executes empty rounds up
+				// to maxRounds and reports no quiescence.
 				if maxRounds >= round {
 					nw.metrics.DroppedRounds += maxRounds - round + 1
 					nw.metrics.Rounds = maxRounds
@@ -722,7 +683,7 @@ func (e *engine) executeFrontier(maxRounds int) error {
 		nw.metrics.Rounds = round
 		e.round = round
 
-		e.runPhaseF(phaseSendF, fr.curCount)
+		e.runPhase(phaseSend, fr.curCount)
 		if err := e.finishSend(); err != nil {
 			return err
 		}
@@ -733,8 +694,8 @@ func (e *engine) executeFrontier(maxRounds int) error {
 		for w := range e.ws {
 			recvSize += len(e.ws[w].outbox.touched)
 		}
-		e.runPhaseF(phaseRecvF, recvSize)
-		e.finishRecvF()
+		e.runPhase(phaseRecv, recvSize)
+		e.finishRecv()
 		round++
 	}
 }

@@ -38,19 +38,18 @@ func apspRun(t *testing.T, g *graph.Graph, opts Options) ([][]int, ApspResult) {
 // TestApspMatchesOracles cross-checks the quantum APSP sweep against the
 // Floyd–Warshall and Dijkstra oracles on the ~50-graph randomized suite,
 // and checks that the full engine configuration matrix — workers ×
-// parallel × scheduler — reproduces the baseline bit for bit (rows,
-// eccentricities and every measured field).
+// parallel — reproduces the baseline bit for bit (rows, eccentricities and
+// every measured field).
 func TestApspMatchesOracles(t *testing.T) {
 	configs := []struct {
-		name      string
-		workers   int
-		parallel  int
-		scheduler congest.Scheduler
+		name     string
+		workers  int
+		parallel int
 	}{
-		{"w2", 2, 1, congest.SchedulerDense},
-		{"w8", 8, 1, congest.SchedulerDense},
-		{"par4/frontier", 1, 4, congest.SchedulerFrontier},
-		{"w8/par4/frontier", 8, 4, congest.SchedulerFrontier},
+		{"w2", 2, 1},
+		{"w8", 8, 1},
+		{"par4", 1, 4},
+		{"w8/par4", 8, 4},
 	}
 	for _, c := range oracleSuite(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -73,7 +72,6 @@ func TestApspMatchesOracles(t *testing.T) {
 					Seed: 42, Parallel: cfg.parallel,
 					Engine: []congest.Option{
 						congest.WithWorkers(cfg.workers),
-						congest.WithScheduler(cfg.scheduler),
 						congest.WithStrictAccounting(),
 					},
 				}

@@ -5,9 +5,9 @@ package core
 // implementation produced on a fixed graph/seed matrix (captured at the PR-6
 // boundary, before runOptimization moved onto internal/query). Every field —
 // value, Rounds, InitRounds, SetupRounds, EvalRounds, Iterations, qubit
-// counts — must match bit for bit, across worker counts {1, 2, 8},
-// sequential vs Parallel sessions, and Dense vs Frontier scheduling, so the
-// port is provably behavior-preserving.
+// counts — must match bit for bit, across worker counts {1, 2, 8} and
+// sequential vs Parallel sessions, so the port is provably
+// behavior-preserving.
 
 import (
 	"reflect"
@@ -63,12 +63,11 @@ func TestGoldenSuiteCompatibility(t *testing.T) {
 	configs := []struct {
 		name         string
 		workers, par int
-		sched        congest.Scheduler
 	}{
-		{"w1-seq-frontier", 1, 1, congest.SchedulerFrontier},
-		{"w2-seq-dense", 2, 1, congest.SchedulerDense},
-		{"w8-par4-frontier", 8, 4, congest.SchedulerFrontier},
-		{"w1-par4-dense", 1, 4, congest.SchedulerDense},
+		{"w1-seq", 1, 1},
+		{"w2-seq", 2, 1},
+		{"w8-par4", 8, 4},
+		{"w1-par4", 1, 4},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -81,7 +80,6 @@ func TestGoldenSuiteCompatibility(t *testing.T) {
 					Parallel: cfg.par,
 					Engine: []congest.Option{
 						congest.WithWorkers(cfg.workers),
-						congest.WithScheduler(cfg.sched),
 						congest.WithStrictAccounting(),
 					},
 				}
@@ -118,7 +116,6 @@ func TestGoldenSuiteCompatibility(t *testing.T) {
 					Parallel: cfg.par,
 					Engine: []congest.Option{
 						congest.WithWorkers(cfg.workers),
-						congest.WithScheduler(cfg.sched),
 						congest.WithStrictAccounting(),
 					},
 				}

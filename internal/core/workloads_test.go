@@ -183,22 +183,18 @@ func TestMinTreeCutAgainstBruteForce(t *testing.T) {
 }
 
 // TestWorkloadConfigIdentity replays both workloads under the golden-test
-// configuration matrix (workers x sequential/batched x scheduler, strict
-// accounting) and requires bit-identical Results.
+// configuration matrix (workers x sequential/batched, strict accounting)
+// and requires bit-identical Results.
 func TestWorkloadConfigIdentity(t *testing.T) {
 	configs := []struct {
 		name     string
 		parallel int
 		engine   []congest.Option
 	}{
-		{"w1-seq-frontier", 1, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w2-seq-dense", 1, []congest.Option{
-			congest.WithWorkers(2), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
-		{"w8-par4-frontier", 4, []congest.Option{
-			congest.WithWorkers(8), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w1-par4-dense", 4, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
+		{"w1-seq", 1, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
+		{"w2-seq", 1, []congest.Option{congest.WithWorkers(2), congest.WithStrictAccounting()}},
+		{"w8-par4", 4, []congest.Option{congest.WithWorkers(8), congest.WithStrictAccounting()}},
+		{"w1-par4", 4, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
 	}
 	graphs := []struct {
 		name string

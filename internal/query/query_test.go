@@ -5,8 +5,8 @@ package query_test
 // random graphs, each Evaluation one genuine max-convergecast on the
 // preprocessing BFS tree. Every query kind is cross-checked against the
 // plain loop over vals, and the full Result (values and every measured
-// cost) must be bit-identical across worker counts, sequential vs batched
-// evaluation, and both schedulers.
+// cost) must be bit-identical across worker counts and sequential vs
+// batched evaluation.
 
 import (
 	"errors"
@@ -145,14 +145,10 @@ type queryConfig struct {
 
 func queryConfigs() []queryConfig {
 	return []queryConfig{
-		{"w1-seq-frontier", 1, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w2-seq-dense", 1, []congest.Option{
-			congest.WithWorkers(2), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
-		{"w8-par4-frontier", 4, []congest.Option{
-			congest.WithWorkers(8), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w1-par4-dense", 4, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
+		{"w1-seq", 1, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
+		{"w2-seq", 1, []congest.Option{congest.WithWorkers(2), congest.WithStrictAccounting()}},
+		{"w8-par4", 4, []congest.Option{congest.WithWorkers(8), congest.WithStrictAccounting()}},
+		{"w1-par4", 4, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
 	}
 }
 
@@ -238,8 +234,8 @@ func checkCase(t *testing.T, vals []int, threshold int, run caseRun) {
 
 // TestQueryProperties cross-checks Search/Minimum/Maximum/Count against
 // brute force on every suite graph and asserts the full Results are
-// bit-identical across workers {1,2,8} x sequential/batched x
-// Dense/Frontier, under strict wire accounting.
+// bit-identical across workers {1,2,8} x sequential/batched, under strict
+// wire accounting.
 func TestQueryProperties(t *testing.T) {
 	configs := queryConfigs()
 	for _, pc := range propertySuite(t) {

@@ -321,23 +321,22 @@ func TestTwoPartyTranscriptMatchesCutBits(t *testing.T) {
 		t.Errorf("independent tally %d bits, transcript %d", sum, res.Transcript.Len())
 	}
 	// Determinism: a second capture yields the identical bit string —
-	// across worker counts and across engine schedulers. The frontier
-	// scheduler's observer replay (sorted frontier order) must reproduce
-	// the dense engine's canonical delivery order bit for bit, so the
-	// Theorem 10 transcript is scheduler-independent.
+	// across worker counts. The frontier scheduler's observer replay
+	// (ascending frontier order) must reproduce the canonical delivery
+	// order bit for bit, so the Theorem 10 transcript is independent of
+	// the engine configuration.
 	for _, opts := range [][]congest.Option{
+		{congest.WithWorkers(1)},
+		{congest.WithWorkers(2)},
 		{congest.WithWorkers(3)},
-		{congest.WithScheduler(congest.SchedulerDense), congest.WithWorkers(1)},
-		{congest.WithScheduler(congest.SchedulerDense), congest.WithWorkers(8)},
-		{congest.WithScheduler(congest.SchedulerFrontier), congest.WithWorkers(1)},
-		{congest.WithScheduler(congest.SchedulerFrontier), congest.WithWorkers(8)},
+		{congest.WithWorkers(8)},
 	} {
 		again, err := TwoPartyFromCongest(red, x, y, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Transcript.String() != res.Transcript.String() {
-			t.Errorf("%v: transcript differs between runs / worker counts / schedulers", opts)
+			t.Errorf("%v: transcript differs between runs / worker counts", opts)
 		}
 		if again.Protocol != res.Protocol || again.CutBits != res.CutBits || again.Rounds != res.Rounds {
 			t.Errorf("%v: protocol accounting differs across engine configurations", opts)

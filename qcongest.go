@@ -22,12 +22,11 @@
 // executes, each round, only the vertices that can act (message receivers,
 // self-scheduled programs, and — conservatively — programs without the
 // activity contract), sharded over a pool of workers. The execution is
-// bit-for-bit deterministic for any worker count and either scheduler, so
-// WithWorkers and WithScheduler only trade wall-clock time. Every message
-// is a typed wire message encoded to real bits, and all bandwidth
-// accounting is derived from the encoded lengths (see the CONGEST
-// programming layer below: CongestNode, Outbox, WireMessage,
-// RegisterMessageKind). Engine options (WithWorkers, WithScheduler,
+// bit-for-bit deterministic for any worker count, so WithWorkers only
+// trades wall-clock time. Every message is a typed wire message encoded to
+// real bits, and all bandwidth accounting is derived from the encoded
+// lengths (see the CONGEST programming layer below: CongestNode, Outbox,
+// WireMessage, RegisterMessageKind). Engine options (WithWorkers,
 // WithBandwidth, WithStrictAccounting) are accepted by every classical
 // entry point and by the Engine field of QuantumOptions.
 //
@@ -120,28 +119,11 @@ type ClassicalResult = congest.ExactResult
 // WithBandwidth, which changes the model itself.
 type EngineOption = congest.Option
 
-// EngineScheduler selects the engine's round-execution strategy; see
-// WithScheduler.
-type EngineScheduler = congest.Scheduler
-
-// Scheduler strategies.
-const (
-	// SchedulerFrontier (the default) executes, each round, only the
-	// vertices that can act: message receivers, self-scheduled programs
-	// (CongestScheduled), and programs without the contract (conservative
-	// always-active default). Bit-identical to dense, but wall-clock
-	// scales with the algorithm's total work instead of n x rounds.
-	SchedulerFrontier = congest.SchedulerFrontier
-	// SchedulerDense executes every vertex every round — the original
-	// strategy, retained as a selectable oracle.
-	SchedulerDense = congest.SchedulerDense
-)
-
 // CongestScheduled is the optional activity contract a custom node program
 // implements to benefit from frontier scheduling: NextWake reports the
 // next round the vertex must run without receiving a message (or
 // congest.NeverWake when it is purely message-driven). Programs that do
-// not implement it are executed every round, exactly as before.
+// not implement it are executed every round.
 type CongestScheduled = congest.Scheduled
 
 // Engine options.
@@ -149,9 +131,6 @@ var (
 	// WithWorkers shards round execution over k goroutines (k <= 0 selects
 	// the automatic rule; 1 runs serially). Output is identical for all k.
 	WithWorkers = congest.WithWorkers
-	// WithScheduler selects dense or frontier round execution; outputs,
-	// Metrics, observer traces and errors are bit-identical either way.
-	WithScheduler = congest.WithScheduler
 	// WithBandwidth overrides the per-edge per-round bit budget.
 	WithBandwidth = congest.WithBandwidth
 	// WithStrictAccounting cross-checks declared size formulas
