@@ -19,59 +19,19 @@ type (
 	msgBcast struct{ Value int }
 )
 
-func (m *msgMax) WireKind() Kind { return KindMax }
-func (m *msgMax) MarshalWire(w *Writer) {
-	w.WriteID(m.Value, 4*w.N+1)
-	w.WriteID(m.Witness, w.N)
-}
-func (m *msgMax) UnmarshalWire(r *Reader) {
-	m.Value = r.ReadID(4*r.N + 1)
-	m.Witness = r.ReadID(r.N)
-}
-func (m *msgMax) DeclaredBits(n int) int { return KindBits + BitsForID(4*n+1) + BitsForID(n) }
-func (m *msgMax) PackWire(n int) (uint64, int, bool) {
-	if m.Value < 0 || m.Value >= 4*n+1 || m.Witness < 0 || m.Witness >= n {
-		return 0, 0, false
-	}
-	wv := BitsForID(4*n + 1)
-	return uint64(m.Value) | uint64(m.Witness)<<wv, wv + BitsForID(n), true
-}
-func (m *msgMax) UnpackWire(n int, p uint64, width int) bool {
-	wv := BitsForID(4*n + 1)
-	if width != wv+BitsForID(n) {
-		return false
-	}
-	value, witness := p&(1<<wv-1), p>>wv
-	if value >= uint64(4*n+1) || witness >= uint64(n) {
-		return false
-	}
-	m.Value, m.Witness = int(value), int(witness)
-	return true
-}
+func (m *msgMax) WireKind() Kind          { return KindMax }
+func (m *msgMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgMax) fields(n int) wireFields { return fields2(&m.Value, 4*n+1, &m.Witness, n) }
 
 func (m *msgBcast) WireKind() Kind          { return KindBcast }
-func (m *msgBcast) MarshalWire(w *Writer)   { w.WriteID(m.Value, 4*w.N+1) }
-func (m *msgBcast) UnmarshalWire(r *Reader) { m.Value = r.ReadID(4*r.N + 1) }
-func (m *msgBcast) DeclaredBits(n int) int  { return KindBits + BitsForID(4*n+1) }
-func (m *msgBcast) PackWire(n int) (uint64, int, bool) {
-	if m.Value < 0 || m.Value >= 4*n+1 {
-		return 0, 0, false
-	}
-	return uint64(m.Value), BitsForID(4*n + 1), true
-}
-func (m *msgBcast) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(4*n+1) || p >= uint64(4*n+1) {
-		return false
-	}
-	m.Value = int(p)
-	return true
-}
+func (m *msgBcast) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgBcast) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgBcast) fields(n int) wireFields { return fields1(&m.Value, 4*n+1) }
 
 func init() {
 	RegisterKind(KindMax, "max", func() WireMessage { return new(msgMax) })
 	RegisterKind(KindBcast, "bcast", func() WireMessage { return new(msgBcast) })
-	RegisterKindWidth(KindMax, func(n int) int { return KindBits + BitsForID(4*n+1) + BitsForID(n) })
-	RegisterKindWidth(KindBcast, func(n int) int { return KindBits + BitsForID(4*n+1) })
 }
 
 // ConvergecastMaxNode aggregates the maximum of per-node input values at

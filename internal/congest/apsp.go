@@ -29,8 +29,8 @@ package congest
 // Wire widths: the relay carries (slot, value) pairs with slot in [0, |S|)
 // and value in [0, Bound+1], where Bound+1 encodes "no value within H hops"
 // — BitsForID(|S|) + BitsForID(Bound+2) payload bits, the same O(log n +
-// log Bound) budget as the weighted relaxation messages. DeclaredBits
-// states the formulas and strict accounting verifies them on every message.
+// log Bound) budget as the weighted relaxation messages, derived from the
+// one field list skelFields declares.
 
 import (
 	"fmt"
@@ -73,86 +73,20 @@ type (
 	}
 )
 
-func (m *msgSkelUp) WireKind() Kind { return KindSkelUp }
-func (m *msgSkelUp) MarshalWire(w *Writer) {
-	w.WriteID(m.Slot, m.Slots)
-	w.WriteID(m.Val, m.Bound+2)
-}
-func (m *msgSkelUp) UnmarshalWire(r *Reader) {
-	m.Slot = r.ReadID(m.Slots)
-	m.Val = r.ReadID(m.Bound + 2)
-}
-func (m *msgSkelUp) DeclaredBits(n int) int {
-	return KindBits + BitsForID(m.Slots) + BitsForID(m.Bound+2)
-}
+func (m *msgSkelUp) WireKind() Kind          { return KindSkelUp }
+func (m *msgSkelUp) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSkelUp) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgSkelUp) fields(n int) wireFields { return skelFields(&m.Slot, &m.Val, m.Slots, m.Bound) }
 
-// The width is (Slots, Bound)-parameterized configuration (no
-// RegisterKindWidth), so under strict accounting the engine encodes these
-// via the generic path; the packed pair still serves the non-strict encode
-// and the receive-side decode.
-func (m *msgSkelUp) PackWire(n int) (uint64, int, bool) {
-	return packSkel(m.Slot, m.Val, m.Slots, m.Bound)
-}
-func (m *msgSkelUp) UnpackWire(n int, p uint64, width int) bool {
-	slot, val, ok := unpackSkel(p, width, m.Slots, m.Bound)
-	if ok {
-		m.Slot, m.Val = slot, val
-	}
-	return ok
-}
+func (m *msgSkelDown) WireKind() Kind          { return KindSkelDown }
+func (m *msgSkelDown) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSkelDown) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgSkelDown) fields(n int) wireFields { return skelFields(&m.Slot, &m.Val, m.Slots, m.Bound) }
 
-func (m *msgSkelDown) WireKind() Kind { return KindSkelDown }
-func (m *msgSkelDown) MarshalWire(w *Writer) {
-	w.WriteID(m.Slot, m.Slots)
-	w.WriteID(m.Val, m.Bound+2)
-}
-func (m *msgSkelDown) UnmarshalWire(r *Reader) {
-	m.Slot = r.ReadID(m.Slots)
-	m.Val = r.ReadID(m.Bound + 2)
-}
-func (m *msgSkelDown) DeclaredBits(n int) int {
-	return KindBits + BitsForID(m.Slots) + BitsForID(m.Bound+2)
-}
-
-// Same dynamic-width situation as msgSkelUp.
-func (m *msgSkelDown) PackWire(n int) (uint64, int, bool) {
-	return packSkel(m.Slot, m.Val, m.Slots, m.Bound)
-}
-func (m *msgSkelDown) UnpackWire(n int, p uint64, width int) bool {
-	slot, val, ok := unpackSkel(p, width, m.Slots, m.Bound)
-	if ok {
-		m.Slot, m.Val = slot, val
-	}
-	return ok
-}
-
-// packSkel packs the shared (slot, value) layout of the skeleton relay
-// kinds: slot in the low bits, value above it, mirroring the sequential
-// MarshalWire writes.
-func packSkel(slot, val, slots, bound int) (uint64, int, bool) {
-	if bound < 0 || slot < 0 || slot >= slots || val < 0 || val >= bound+2 {
-		return 0, 0, false
-	}
-	ws, wv := BitsForID(slots), BitsForID(bound+2)
-	if ws+wv > 64 {
-		return 0, 0, false
-	}
-	return uint64(slot) | uint64(val)<<ws, ws + wv, true
-}
-
-func unpackSkel(p uint64, width, slots, bound int) (int, int, bool) {
-	if bound < 0 || slots <= 0 {
-		return 0, 0, false
-	}
-	ws, wv := BitsForID(slots), BitsForID(bound+2)
-	if width != ws+wv {
-		return 0, 0, false
-	}
-	slot, val := p&(1<<uint(ws)-1), p>>uint(ws)
-	if slot >= uint64(slots) || val >= uint64(bound+2) {
-		return 0, 0, false
-	}
-	return int(slot), int(val), true
+// skelFields is the (slot, value) layout both relay kinds share: the slot
+// in [0, slots), then the value in [0, bound+2) (skelNoVal included).
+func skelFields(slot, val *int, slots, bound int) wireFields {
+	return fields2(slot, slots, val, bound+2)
 }
 
 func init() {

@@ -5,9 +5,10 @@ package congest
 // (augmented with child discovery) and the convergecast that computes
 // ecc(root) at the root.
 
-// Wire payloads. Each type defines its encoding (see DESIGN.md, "Wire
-// format"); the engine charges the encoded length, and DeclaredBits states
-// the size formula that WithStrictAccounting verifies against the wire.
+// Wire payloads. Each type lists its payload fields once (fields, see
+// wire.go); the codec, the single-word fast path and the width are derived
+// from that list, and the engine charges the encoded length (DESIGN.md,
+// "Wire format").
 type (
 	// msgActivate is the Figure 1 activation message carrying the
 	// sender's distance to the root (also reused by the max-id flood of
@@ -22,57 +23,24 @@ type (
 )
 
 func (m *msgActivate) WireKind() Kind          { return KindActivate }
-func (m *msgActivate) MarshalWire(w *Writer)   { w.WriteID(m.Dist, w.N) }
-func (m *msgActivate) UnmarshalWire(r *Reader) { m.Dist = r.ReadID(r.N) }
-func (m *msgActivate) DeclaredBits(n int) int  { return KindBits + BitsForID(n) }
-func (m *msgActivate) PackWire(n int) (uint64, int, bool) {
-	if m.Dist < 0 || m.Dist >= n {
-		return 0, 0, false
-	}
-	return uint64(m.Dist), BitsForID(n), true
-}
-func (m *msgActivate) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(n) || p >= uint64(n) {
-		return false
-	}
-	m.Dist = int(p)
-	return true
-}
+func (m *msgActivate) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgActivate) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgActivate) fields(n int) wireFields { return fields1(&m.Dist, n) }
 
-func (m *msgChild) WireKind() Kind                     { return KindChild }
-func (m *msgChild) MarshalWire(w *Writer)              {}
-func (m *msgChild) UnmarshalWire(r *Reader)            {}
-func (m *msgChild) DeclaredBits(n int) int             { return KindBits }
-func (m *msgChild) PackWire(n int) (uint64, int, bool) { return 0, 0, true }
-func (m *msgChild) UnpackWire(n int, p uint64, width int) bool {
-	return width == 0
-}
+func (m *msgChild) WireKind() Kind          { return KindChild }
+func (m *msgChild) MarshalWire(w *Writer)   {}
+func (m *msgChild) UnmarshalWire(r *Reader) {}
+func (m *msgChild) fields(n int) wireFields { return wireFields{} }
 
 func (m *msgEccReport) WireKind() Kind          { return KindEccReport }
-func (m *msgEccReport) MarshalWire(w *Writer)   { w.WriteID(m.Max, w.N) }
-func (m *msgEccReport) UnmarshalWire(r *Reader) { m.Max = r.ReadID(r.N) }
-func (m *msgEccReport) DeclaredBits(n int) int  { return KindBits + BitsForID(n) }
-func (m *msgEccReport) PackWire(n int) (uint64, int, bool) {
-	if m.Max < 0 || m.Max >= n {
-		return 0, 0, false
-	}
-	return uint64(m.Max), BitsForID(n), true
-}
-func (m *msgEccReport) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(n) || p >= uint64(n) {
-		return false
-	}
-	m.Max = int(p)
-	return true
-}
+func (m *msgEccReport) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgEccReport) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgEccReport) fields(n int) wireFields { return fields1(&m.Max, n) }
 
 func init() {
 	RegisterKind(KindActivate, "activate", func() WireMessage { return new(msgActivate) })
 	RegisterKind(KindChild, "child", func() WireMessage { return new(msgChild) })
 	RegisterKind(KindEccReport, "ecc-report", func() WireMessage { return new(msgEccReport) })
-	RegisterKindWidth(KindActivate, func(n int) int { return KindBits + BitsForID(n) })
-	RegisterKindWidth(KindChild, func(n int) int { return KindBits })
-	RegisterKindWidth(KindEccReport, func(n int) int { return KindBits + BitsForID(n) })
 }
 
 // BFSNode runs the Figure 1 BFS construction from a fixed root, augmented

@@ -22,8 +22,9 @@
 // round never exceed the configured bandwidth (default Θ(log n)).
 // Violations fail the run, so passing tests prove the congestion claims
 // (e.g. the paper's Lemma 4) over real bit counts. WithStrictAccounting
-// additionally cross-checks any legacy declared size formula
-// (BitsDeclarer) against the encoded length.
+// additionally cross-checks the declared size formula (BitsDeclarer) of
+// external message kinds against the encoded length; built-in kinds derive
+// their widths from the field list that also encodes them.
 //
 // # Execution engine
 //
@@ -100,13 +101,13 @@ func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	if k := m.WireKind(); k != in.Kind {
 		return fmt.Errorf("congest: cannot decode %v message into %v", in.Kind, k)
 	}
-	// Single-word fast path: the whole message fits one uint64, so the
-	// payload is one shift-and-mask away. UnpackWire accepts exactly the
-	// payloads the generic decode accepts cleanly (the differential tests
-	// pin this); on ok=false we fall through to the generic path, which
-	// reproduces the canonical error.
-	if p, fast := m.(PackedWire); fast && in.wire.bits <= 64 {
-		if p.UnpackWire(env.N, in.wire.word()>>KindBits, int(in.wire.bits)-KindBits) {
+	// Single-word fast path for the built-in kinds: the whole message fits
+	// one uint64, so the payload is one shift-and-mask away. unpack accepts
+	// exactly the payloads the field-by-field decode accepts cleanly; on
+	// false we fall through to the generic path, which reproduces the
+	// canonical error.
+	if fm, fast := m.(fieldMessage); fast && in.wire.bits <= 64 {
+		if fm.fields(env.N).unpack(in.wire.word()>>KindBits, int(in.wire.bits)-KindBits) {
 			return nil
 		}
 	}
@@ -259,34 +260,26 @@ func (o *Outbox) fail(err error) {
 // encode marshals m (kind tag + payload) into the arena and returns its
 // start offset and encoded length. ok is false after a validation failure.
 //
-// Messages implementing PackedWire whose encoding fits one word take the
-// single-write fast path; under strict accounting the cross-check is the
-// precomputed per-kind width table (one integer compare). Any condition
-// the fast path cannot certify — pack refusal, width over one word, a
-// strict check with no fixed width — falls through to the generic path
-// below, which produces the canonical encodings and errors.
+// Built-in kinds whose encoding fits one word take the single-write fast
+// path. A value out of range or a payload over one word falls through to
+// the generic path below, which produces the canonical encodings and
+// errors. Built-in widths are derived from their field lists, so strict
+// accounting has only hand-written codecs (BitsDeclarer) left to verify.
 func (o *Outbox) encode(m WireMessage) (start, bits int, k Kind, ok bool) {
 	k = m.WireKind()
-	if p, fast := m.(PackedWire); fast && Registered(k) {
-		if payload, width, pok := p.PackWire(o.arena.N); pok {
-			bits = KindBits + width
-			if bits <= 64 && (!o.nw.strict || int(o.nw.packW[k]) == bits) {
-				word := uint64(k) | payload<<KindBits
-				if bits < 64 {
-					word &= 1<<uint(bits) - 1 // cap a buggy codec's stray high bits
-				}
-				start = o.arena.Len()
-				o.arena.writeRaw(word, bits)
-				return start, bits, k, true
-			}
-		}
-	}
 	if !Registered(k) {
 		o.fail(fmt.Errorf("congest: round %d: node %d sent a message of unregistered kind %d",
 			o.round, o.sender, uint8(k)))
 		return 0, 0, k, false
 	}
 	start = o.arena.Len()
+	if fm, fast := m.(fieldMessage); fast {
+		if payload, width, pok := fm.fields(o.arena.N).pack(); pok {
+			bits = KindBits + width
+			o.arena.writeRaw(uint64(k)|payload<<KindBits, bits)
+			return start, bits, k, true
+		}
+	}
 	o.arena.WriteUint(uint64(k), KindBits)
 	m.MarshalWire(&o.arena)
 	if err := o.arena.Err(); err != nil {
@@ -572,11 +565,6 @@ type Network struct {
 	strict    bool
 	metrics   Metrics
 	observer  Observer
-
-	// packW[k] is kind k's fixed total encoded width at this network's n
-	// (0 = dynamic), precomputed so the strict cross-check on the packed
-	// encode fast path is one compare. See RegisterKindWidth.
-	packW [numKinds]uint8
 }
 
 // DefaultBandwidth returns the bandwidth used when none is configured:
@@ -611,8 +599,10 @@ func WithWorkers(k int) Option {
 // WithStrictAccounting makes the engine cross-check, for every message
 // whose type implements BitsDeclarer, the declared size formula against the
 // actual encoded length, failing the run on any mismatch. Accounting always
-// uses the encoded length; this option certifies that the documented
-// formulas (DESIGN.md's encoding tables) match the wire.
+// uses the encoded length. Only hand-written codecs (external kinds, and
+// raw) declare formulas: a built-in kind's width is derived from the same
+// field list as its encoding, so it matches by construction and is not
+// re-checked.
 func WithStrictAccounting() Option {
 	return func(nw *Network) { nw.strict = true }
 }
@@ -647,7 +637,6 @@ func NewNetworkOn(topo *Topology, make func(v int) Node, opts ...Option) *Networ
 		topo:      topo,
 		nodes:     make2(topo.n, make),
 		bandwidth: DefaultBandwidth(topo.n),
-		packW:     packedWidths(topo.n),
 	}
 	for _, o := range opts {
 		o(nw)

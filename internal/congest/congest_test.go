@@ -13,7 +13,7 @@ func TestDefaultBandwidth(t *testing.T) {
 	// Room for a two-field message plus its kind tag even on tiny networks.
 	for n := 1; n <= 8; n++ {
 		m := msgWave{Tau: 0, Delta: 0}
-		if got, bw := m.DeclaredBits(n), DefaultBandwidth(n); got > bw {
+		if got, bw := m.fields(n).bits(), DefaultBandwidth(n); got > bw {
 			t.Errorf("n=%d: wave message %d bits exceeds default bandwidth %d", n, got, bw)
 		}
 	}

@@ -16,8 +16,8 @@ import "fmt"
 
 type (
 	// msgSide carries one side bit of the mark flood (1 = inside the
-	// subtree of the current evaluation's root).
-	msgSide struct{ Marked bool }
+	// subtree of the current evaluation's root, 0 = outside).
+	msgSide struct{ Marked int }
 	// msgCutSum carries a partial crossing-weight sum up the tree. Weighted
 	// cut sums range over [0, Bound] where Bound is the topology's total
 	// edge weight — wider than the unweighted msgSum field — so the width
@@ -28,56 +28,19 @@ type (
 	}
 )
 
-func (m *msgSide) WireKind() Kind { return KindSide }
-func (m *msgSide) MarshalWire(w *Writer) {
-	b := uint64(0)
-	if m.Marked {
-		b = 1
-	}
-	w.WriteUint(b, 1)
-}
-func (m *msgSide) UnmarshalWire(r *Reader) { m.Marked = r.ReadUint(1) == 1 }
-func (m *msgSide) DeclaredBits(n int) int  { return KindBits + 1 }
-func (m *msgSide) PackWire(n int) (uint64, int, bool) {
-	if m.Marked {
-		return 1, 1, true
-	}
-	return 0, 1, true
-}
-func (m *msgSide) UnpackWire(n int, p uint64, width int) bool {
-	if width != 1 {
-		return false
-	}
-	m.Marked = p == 1
-	return true
-}
+func (m *msgSide) WireKind() Kind          { return KindSide }
+func (m *msgSide) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSide) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgSide) fields(n int) wireFields { return fields1(&m.Marked, 2) }
 
 func (m *msgCutSum) WireKind() Kind          { return KindCutSum }
-func (m *msgCutSum) MarshalWire(w *Writer)   { w.WriteID(m.Sum, m.Bound+1) }
-func (m *msgCutSum) UnmarshalWire(r *Reader) { m.Sum = r.ReadID(m.Bound + 1) }
-func (m *msgCutSum) DeclaredBits(n int) int  { return KindBits + BitsForID(m.Bound+1) }
-
-// The width is Bound-parameterized (no RegisterKindWidth), so under strict
-// accounting the engine encodes these via the generic path; the packed pair
-// still serves the non-strict encode and the receive-side decode.
-func (m *msgCutSum) PackWire(n int) (uint64, int, bool) {
-	if m.Bound < 0 || m.Sum < 0 || m.Sum > m.Bound {
-		return 0, 0, false
-	}
-	return uint64(m.Sum), BitsForID(m.Bound + 1), true
-}
-func (m *msgCutSum) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(m.Bound+1) || (m.Bound >= 0 && p > uint64(m.Bound)) {
-		return false
-	}
-	m.Sum = int(p)
-	return true
-}
+func (m *msgCutSum) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgCutSum) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgCutSum) fields(n int) wireFields { return fields1(&m.Sum, m.Bound+1) }
 
 func init() {
 	RegisterKind(KindSide, "side", func() WireMessage { return new(msgSide) })
 	RegisterKind(KindCutSum, "cutsum", func() WireMessage { return new(msgCutSum) })
-	RegisterKindWidth(KindSide, func(n int) int { return KindBits + 1 })
 }
 
 // CutMarkNode runs the mark flood: the root starts marked, every vertex
@@ -131,7 +94,10 @@ func (c *CutMarkNode) Send(env *Env, out *Outbox) {
 	if c.finished || env.Round > c.Duration {
 		return
 	}
-	c.tx.Marked = c.Marked
+	c.tx.Marked = 0
+	if c.Marked {
+		c.tx.Marked = 1
+	}
 	out.Broadcast(env.Neighbors, &c.tx)
 }
 
@@ -144,11 +110,12 @@ func (c *CutMarkNode) Receive(env *Env, inbox []Inbound) {
 		if in.Kind != KindSide || in.Decode(env, &c.rx) != nil {
 			continue
 		}
+		marked := c.rx.Marked == 1
 		j := neighborIndex(env.Neighbors, in.From)
 		if j >= 0 {
-			c.NeighborSide[j] = c.rx.Marked
+			c.NeighborSide[j] = marked
 		}
-		if in.From == c.Parent && c.rx.Marked {
+		if in.From == c.Parent && marked {
 			c.Marked = true
 		}
 	}

@@ -114,56 +114,72 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
+// wireSeeds are FuzzWireMessage's in-code seeds, in f.Add order (which
+// fixes their seed#i names). TestPackedWireCorpusDifferential replays them
+// too, so every kind's single-word path is exercised even before a fuzz
+// run has grown the corpus directory.
+var wireSeeds = []corpusEntry{
+	{"seed-wave", uint8(KindWave), 64, []byte{0xaa, 0x05}},
+	{"seed-near", uint8(KindNear), 300, []byte{0xff, 0xff, 0x01}},
+	{"seed-wdist", uint8(KindWDist), 40, []byte{0x10, 0x27}},
+	{"seed-raw", uint8(KindRaw), 9, []byte{0x00, 0x11, 0x22, 0x33}},
+	{"seed-child", uint8(KindChild), 2, []byte{}},
+	{"seed-adj", uint8(KindAdj), 40, []byte{0x1f}},
+	{"seed-side", uint8(KindSide), 12, []byte{0x01}},
+	{"seed-cutsum-ok", uint8(KindCutSum), 40, []byte{0x7f}},              // 127 < bound: clean
+	{"seed-cutsum-range", uint8(KindCutSum), 40, []byte{0xff}},           // 255 > bound: id range error
+	{"seed-cutsum-trunc", uint8(KindCutSum), 1000, []byte{}},             // truncated
+	{"seed-skelup-ok", uint8(KindSkelUp), 40, []byte{0x83, 0x01}},        // slot 3, mid value: clean
+	{"seed-skelup-range", uint8(KindSkelUp), 40, []byte{0xff, 0xff}},     // value past Bound+1: id range error
+	{"seed-skelup-trunc", uint8(KindSkelUp), 1000, []byte{0x05}},         // truncated value field
+	{"seed-skeldown-ok", uint8(KindSkelDown), 40, []byte{0x00, 0x00}},    // slot 0, value 0: clean
+	{"seed-skeldown-range", uint8(KindSkelDown), 40, []byte{0xfc, 0xff}}, // slot past Slots: id range error
+	{"seed-skeldown-trunc", uint8(KindSkelDown), 1000, []byte{}},         // truncated slot field
+}
+
+// fuzzKind maps a FuzzWireMessage input's kind byte and size to the kind
+// and network size the harness decodes with (n >= 1).
+func fuzzKind(kindByte uint8, nRaw uint16) (Kind, int) {
+	return Kind(kindByte % numKinds), max(int(nRaw), 1)
+}
+
+// diffWireEntry runs diffDecode on one FuzzWireMessage input, under the
+// harness's configuration (bound = 4n), when the kind is registered; it
+// reports whether the single-word path was checked.
+func diffWireEntry(t *testing.T, e corpusEntry) bool {
+	k, n := fuzzKind(e.kind, e.n)
+	if !Registered(k) {
+		return false
+	}
+	var payload uint64
+	for i, b := range e.data {
+		payload |= uint64(b) << (8 * uint(i))
+	}
+	return diffDecode(t, e.name, k, n, 4*n, payload, 8*len(e.data))
+}
+
 // FuzzWireMessage decodes arbitrary bytes as every registered message kind:
 // malformed input must surface as a Reader error (or a clean partial
 // decode), never as a panic or an out-of-bounds access. When a decode
 // consumes the payload cleanly, the message must re-marshal and re-decode to
 // the identical value (the codec-pair consistency the engine's Decode
-// enforces).
+// enforces). Whenever the payload fits one word with its tag, the engine's
+// single-word decode must also accept and reject the same inputs as the
+// field-by-field decode and yield the same value (diffDecode).
 func FuzzWireMessage(f *testing.F) {
-	f.Add(uint8(KindWave), uint16(64), []byte{0xaa, 0x05})
-	f.Add(uint8(KindNear), uint16(300), []byte{0xff, 0xff, 0x01})
-	f.Add(uint8(KindWDist), uint16(40), []byte{0x10, 0x27})
-	f.Add(uint8(KindRaw), uint16(9), []byte{0x00, 0x11, 0x22, 0x33})
-	f.Add(uint8(KindChild), uint16(2), []byte{})
-	f.Add(uint8(KindAdj), uint16(40), []byte{0x1f})
-	f.Add(uint8(KindSide), uint16(12), []byte{0x01})
-	f.Add(uint8(KindCutSum), uint16(40), []byte{0x7f})         // 127 < bound: clean
-	f.Add(uint8(KindCutSum), uint16(40), []byte{0xff})         // 255 > bound: id range error
-	f.Add(uint8(KindCutSum), uint16(1000), []byte{})           // truncated
-	f.Add(uint8(KindSkelUp), uint16(40), []byte{0x83, 0x01})   // slot 3, mid value: clean
-	f.Add(uint8(KindSkelUp), uint16(40), []byte{0xff, 0xff})   // value past Bound+1: id range error
-	f.Add(uint8(KindSkelUp), uint16(1000), []byte{0x05})       // truncated value field
-	f.Add(uint8(KindSkelDown), uint16(40), []byte{0x00, 0x00}) // slot 0, value 0: clean
-	f.Add(uint8(KindSkelDown), uint16(40), []byte{0xfc, 0xff}) // slot past Slots: id range error
-	f.Add(uint8(KindSkelDown), uint16(1000), []byte{})         // truncated slot field
+	for _, s := range wireSeeds {
+		f.Add(s.kind, s.n, s.data)
+	}
 	f.Fuzz(func(t *testing.T, kindByte uint8, nRaw uint16, data []byte) {
-		k := Kind(kindByte % numKinds)
+		k, n := fuzzKind(kindByte, nRaw)
 		if !Registered(k) {
 			return
 		}
-		n := int(nRaw)
-		if n < 1 {
-			n = 1
-		}
-		m := NewKindMessage(k)
+		diffWireEntry(t, corpusEntry{name: "fuzz", kind: kindByte, n: nRaw, data: data})
 		// Bound-parameterized kinds: the decoder's bound is configuration,
 		// like n; derive it from the fuzzed size.
-		bound := 4 * n
-		switch wm := m.(type) {
-		case *msgWDist:
-			wm.Bound = bound
-		case *msgWMax:
-			wm.Bound = bound
-		case *msgCutSum:
-			wm.Bound = bound
-		case *msgSkelUp:
-			wm.Slots = n
-			wm.Bound = bound
-		case *msgSkelDown:
-			wm.Slots = n
-			wm.Bound = bound
-		}
+		m := NewKindMessage(k)
+		configureBounds(m, n, 4*n)
 		words := wordsFromBytes(data)
 		r := Reader{N: n, words: words, off: 0, end: 8 * len(data)}
 		m.UnmarshalWire(&r) // must not panic, whatever the bytes
@@ -181,20 +197,7 @@ func FuzzWireMessage(f *testing.F) {
 			t.Fatalf("%v: decoded %d bits, re-encoded %d", k, 8*len(data), w.Len())
 		}
 		m2 := NewKindMessage(k)
-		switch wm := m2.(type) {
-		case *msgWDist:
-			wm.Bound = bound
-		case *msgWMax:
-			wm.Bound = bound
-		case *msgCutSum:
-			wm.Bound = bound
-		case *msgSkelUp:
-			wm.Slots = n
-			wm.Bound = bound
-		case *msgSkelDown:
-			wm.Slots = n
-			wm.Bound = bound
-		}
+		configureBounds(m2, n, 4*n)
 		r2 := Reader{N: n, words: w.words, off: 0, end: w.Len()}
 		m2.UnmarshalWire(&r2)
 		if r2.Err() != nil || !reflect.DeepEqual(m, m2) {

@@ -83,16 +83,16 @@ func BenchmarkOutbox(b *testing.B) {
 		}
 	}
 	b.Run("packed/broadcast", func(b *testing.B) {
-		// msgWave has a registered fixed width: the strict check is one
-		// table compare and the encode is one writeRaw.
+		// msgWave fits one word with its tag: the encode is one writeRaw,
+		// with no strict check (its width is derived from its field list).
 		tx := &msgWave{Tau: 3, Delta: 5}
 		run(b, func(f *hotPathFixture) { f.stageRound(tx) })
 	})
 	b.Run("generic/broadcast", func(b *testing.B) {
-		// msgCutSum is Bound-parameterized (no fixed width), so under
-		// strict accounting it takes the generic MarshalWire path — the
+		// RawMessage has a hand-written codec, so it takes the generic
+		// MarshalWire path plus the strict DeclaredBits check — the
 		// before-side of the packed fast path.
-		tx := &msgCutSum{Sum: 9, Bound: 4 * n}
+		tx := &RawMessage{Width: 20}
 		run(b, func(f *hotPathFixture) {
 			f.round++
 			f.obs[0].beginRound(f.round)

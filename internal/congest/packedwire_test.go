@@ -1,12 +1,15 @@
 package congest
 
-// Differential tests for the word-packed wire fast path: the PackWire /
-// UnpackWire pair of every registered kind must agree bit-for-bit with the
-// generic MarshalWire / UnmarshalWire oracle — on valid messages (both the
-// encode and the decode half) and on every checked-in fuzz corpus entry
-// (whatever the generic path refuses, the packed path must refuse too).
+// Differential tests for the single-word wire fast path: the derived
+// pack/unpack pair of every built-in kind must agree bit-for-bit with the
+// derived field-by-field codec (marshal/unmarshal) — on valid messages (both
+// the encode and the decode half), at degenerate Bound configurations, and
+// on every checked-in fuzz corpus entry (whatever the field-by-field path
+// refuses, the single-word path must refuse too).
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,10 +19,10 @@ import (
 )
 
 // configureBounds installs the configuration fields (never transmitted) that
-// Bound-parameterized codecs need before decoding, mirroring the engine's
-// receive-side setup and the FuzzWireMessage convention (bound = 4n).
-func configureBounds(m WireMessage, n int) {
-	bound := 4 * n
+// Bound-parameterized kinds need before encoding or decoding, mirroring the
+// programs' receive-side setup: Slots = n and the given Bound. The tests use
+// bound = 4n unless they probe degenerate bounds.
+func configureBounds(m WireMessage, n, bound int) {
 	switch wm := m.(type) {
 	case *msgWDist:
 		wm.Bound = bound
@@ -36,18 +39,19 @@ func configureBounds(m WireMessage, n int) {
 	}
 }
 
+// wireSizes is the network-size sweep of the differential and layout tests.
+var wireSizes = []int{1, 2, 3, 7, 40, 1000, 65536}
+
+// boundKinds are the kinds whose field bounds depend on configuration
+// besides n.
+var boundKinds = []Kind{KindWDist, KindWMax, KindCutSum, KindSkelUp, KindSkelDown}
+
 // packedCases returns, for network size n, representative valid messages of
-// every kind that implements PackedWire, with fields at the extremes of
-// their declared ranges. Bound-parameterized kinds use bound = 4n so the
-// values line up with configureBounds on the decode side.
+// every built-in kind, with fields at the extremes of their ranges.
+// Bound-parameterized kinds use bound = 4n so the values line up with
+// configureBounds on the decode side.
 func packedCases(n int) []WireMessage {
 	b := 4 * n
-	var sum int
-	if w := 2 * BitsForID(n); w >= 63 {
-		sum = int(^uint64(0) >> 1) // any non-negative value fits
-	} else {
-		sum = 1<<uint(w) - 1
-	}
 	return []WireMessage{
 		&msgActivate{Dist: 0},
 		&msgActivate{Dist: n - 1},
@@ -60,84 +64,190 @@ func packedCases(n int) []WireMessage {
 		&msgBcast{Value: b / 2},
 		&msgNear{Dist: 2*n - 1, Src: 0},
 		&msgSum{Sum: 0},
-		&msgSum{Sum: sum},
+		&msgSum{Sum: 1<<uint(2*BitsForID(n)) - 1},
 		&msgPair{Src: n - 1, Dist: 2*n - 1},
 		&msgSrcMax{Src: 0, Max: 2*n - 1},
 		&msgWDist{Dist: b, Bound: b},
 		&msgWMax{Value: b, Witness: n - 1, Bound: b},
 		&msgAdj{ID: n - 1},
-		&msgSide{Marked: true},
-		&msgSide{Marked: false},
+		&msgSide{Marked: 1},
+		&msgSide{Marked: 0},
 		&msgCutSum{Sum: b, Bound: b},
 		&msgSkelUp{Slot: n - 1, Val: b + 1, Slots: n, Bound: b},
 		&msgSkelDown{Slot: 0, Val: 0, Slots: n, Bound: b},
 	}
 }
 
-// TestPackedWireMatchesGeneric checks both halves of the fast path against
-// the generic oracle for every PackedWire kind across a sweep of network
-// sizes: PackWire must reproduce the exact bits MarshalWire lays down (tag
-// included), and UnpackWire must recover the exact message UnmarshalWire
-// does.
-func TestPackedWireMatchesGeneric(t *testing.T) {
-	covered := map[Kind]bool{}
-	for _, n := range []int{1, 2, 3, 7, 40, 1000, 65536} {
-		for _, m := range packedCases(n) {
-			k := m.WireKind()
-			p, ok := m.(PackedWire)
-			if !ok {
-				t.Fatalf("n=%d %v: packedCases holds a kind without PackWire", n, k)
-			}
-			covered[k] = true
+// diffEncode checks the encode half for one message: pack must succeed
+// exactly when marshal succeeds within one word, and lay down the identical
+// bits (tag included).
+func diffEncode(t *testing.T, m WireMessage, n int) {
+	t.Helper()
+	k := m.WireKind()
+	var w Writer
+	w.Reset(n)
+	w.WriteUint(uint64(k), KindBits)
+	m.MarshalWire(&w)
+	payload, width, ok := m.(fieldMessage).fields(n).pack()
+	if want := w.Err() == nil && w.Len() <= 64; ok != want {
+		t.Fatalf("n=%d %v %+v: pack ok=%v, marshal ok=%v (err %v, %d bits)", n, k, m, ok, want, w.Err(), w.Len())
+	}
+	if !ok {
+		return
+	}
+	if KindBits+width != w.Len() {
+		t.Fatalf("n=%d %v: packed width %d+%d, marshal %d bits", n, k, KindBits, width, w.Len())
+	}
+	if word := uint64(k) | payload<<KindBits; w.words[0] != word {
+		t.Fatalf("n=%d %v %+v: packed word %#x, marshal bits %#x", n, k, m, word, w.words[0])
+	}
+}
 
-			// Generic oracle: tag, then the payload fields.
+// diffDecode checks the decode half for one payload of width bits decoded
+// as kind k at network size n and the given Bound: unpack must accept
+// exactly what unmarshal decodes cleanly, yield the identical message, and
+// re-pack to the identical payload. Kinds with hand-written codecs (raw)
+// and payloads over one word have no fast path and are skipped; the return
+// value reports whether the payload was checked.
+func diffDecode(t *testing.T, name string, k Kind, n, bound int, payload uint64, width int) bool {
+	t.Helper()
+	gm, pm := NewKindMessage(k), NewKindMessage(k)
+	if _, ok := gm.(fieldMessage); !ok || KindBits+width > 64 {
+		return false
+	}
+	configureBounds(gm, n, bound)
+	configureBounds(pm, n, bound)
+	r := Reader{N: n, words: []uint64{payload}, end: width}
+	gm.UnmarshalWire(&r)
+	clean := r.Err() == nil && r.Remaining() == 0
+	fs := pm.(fieldMessage).fields(n)
+	if got := fs.unpack(payload, width); got != clean {
+		t.Fatalf("%s (%v, n=%d, bound=%d, %#x/%d bits): unmarshal clean=%v, unpack=%v (err %v)",
+			name, k, n, bound, payload, width, clean, got, r.Err())
+	}
+	if !clean {
+		return true
+	}
+	if !reflect.DeepEqual(gm, pm) {
+		t.Fatalf("%s (%v, n=%d): unmarshal %+v, unpack %+v", name, k, n, gm, pm)
+	}
+	if rp, rw, ok := fs.pack(); !ok || rw != width || rp != payload {
+		t.Fatalf("%s (%v, n=%d): re-pack (%#x, %d, %v) of clean decode, want (%#x, %d, true)",
+			name, k, n, rp, rw, ok, payload, width)
+	}
+	return true
+}
+
+// wireDigest hashes the encodings (tag included) of every packedCases
+// message of kind k across wireSizes: each message's bit length, then its
+// words, as MarshalWire lays them down.
+func wireDigest(k Kind) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, n := range wireSizes {
+		for _, m := range packedCases(n) {
+			if m.WireKind() != k {
+				continue
+			}
 			var w Writer
 			w.Reset(n)
 			w.WriteUint(uint64(k), KindBits)
 			m.MarshalWire(&w)
-			if w.Err() != nil {
-				t.Fatalf("n=%d %v: oracle rejects valid case %+v: %v", n, k, m, w.Err())
+			binary.LittleEndian.PutUint64(buf[:], uint64(w.Len()))
+			h.Write(buf[:])
+			for _, word := range w.words[:(w.Len()+63)/64] {
+				binary.LittleEndian.PutUint64(buf[:], word)
+				h.Write(buf[:])
 			}
-			if w.Len() > 64 {
-				continue // fast path not applicable at this size
-			}
+		}
+	}
+	return h.Sum64()
+}
 
-			payload, width, pok := p.PackWire(n)
-			if !pok {
-				t.Fatalf("n=%d %v: PackWire refuses valid case %+v", n, k, m)
-			}
-			if KindBits+width != w.Len() {
-				t.Fatalf("n=%d %v: packed width %d+%d, generic %d bits", n, k, KindBits, width, w.Len())
-			}
-			word := uint64(k) | payload<<KindBits
-			if w.Len() < 64 {
-				word &= 1<<uint(w.Len()) - 1
-			}
-			if got := w.words[0]; got != word {
-				t.Fatalf("n=%d %v %+v: packed word %#x, generic bits %#x", n, k, m, word, got)
-			}
+// TestWireLayoutPinned pins the exact encoding of every built-in kind
+// across wireSizes to digests recorded from the hand-written codecs the
+// field lists replaced: a change to any field's order, bound or width, or
+// to the accept set at the extremes packedCases probes, fails here.
+func TestWireLayoutPinned(t *testing.T) {
+	want := map[Kind]uint64{
+		KindActivate:  0x192598e1567489bf,
+		KindChild:     0x9de9416fdde94ca2,
+		KindEccReport: 0xaf5eed22779f195f,
+		KindToken:     0x3348de09d4ee693f,
+		KindWave:      0xfb13769f415a2a00,
+		KindMax:       0xd22107d7efd03700,
+		KindBcast:     0x145c43ed43695c1f,
+		KindNear:      0xee305419c9c5e4fa,
+		KindSum:       0x11b45cd41381d3ae,
+		KindPair:      0x986b66b94ba18154,
+		KindSrcMax:    0x3344a526e243d737,
+		KindWDist:     0x760e973cbf8dfc02,
+		KindWMax:      0xba794881a0f35288,
+		KindAdj:       0xb3210be39cd28151,
+		KindSide:      0x3acc045c90a44945,
+		KindCutSum:    0xccf695b7c4c780ee,
+		KindSkelUp:    0x2758fd600b1bb3ae,
+		KindSkelDown:  0xb27314705c7dd6b2,
+	}
+	for _, k := range RegisteredKinds() {
+		if _, ok := NewKindMessage(k).(fieldMessage); !ok {
+			continue
+		}
+		if got := wireDigest(k); got != want[k] {
+			t.Errorf("%v: wire digest %#x, want %#x: the encoding changed", k, got, want[k])
+		}
+	}
+}
 
-			// Decode half: UnpackWire vs UnmarshalWire from the same bits.
-			gm := NewKindMessage(k)
-			configureBounds(gm, n)
-			r := Reader{N: n, words: w.words, off: KindBits, end: w.Len()}
-			gm.UnmarshalWire(&r)
-			if r.Err() != nil || r.Remaining() != 0 {
-				t.Fatalf("n=%d %v: oracle decode of own encoding failed: err=%v rem=%d", n, k, r.Err(), r.Remaining())
+// TestPackedWireMatchesGeneric checks both halves of the fast path against
+// the field-by-field codec for every built-in kind across a sweep of network
+// sizes, then probes the Bound-parameterized kinds at Bound -1 and 0, where
+// no value (Bound -1) or only zero (Bound 0) fits the bound-ranged field.
+func TestPackedWireMatchesGeneric(t *testing.T) {
+	covered := map[Kind]bool{}
+	for _, n := range wireSizes {
+		for _, m := range packedCases(n) {
+			k := m.WireKind()
+			covered[k] = true
+			diffEncode(t, m, n)
+			var w Writer
+			w.Reset(n)
+			m.MarshalWire(&w)
+			payload := uint64(0)
+			if len(w.words) > 0 {
+				payload = w.words[0]
 			}
-			pm := NewKindMessage(k)
-			configureBounds(pm, n)
-			if !pm.(PackedWire).UnpackWire(n, payload, width) {
-				t.Fatalf("n=%d %v: UnpackWire refuses its own packing of %+v", n, k, m)
-			}
-			if !reflect.DeepEqual(gm, pm) {
-				t.Fatalf("n=%d %v: generic decode %+v, packed decode %+v", n, k, gm, pm)
+			if w.Len() <= 64-KindBits && !diffDecode(t, "case", k, n, 4*n, payload, w.Len()) {
+				t.Fatalf("n=%d %v: single-word case not checked", n, k)
 			}
 		}
 	}
 	for _, k := range RegisteredKinds() {
-		if _, isPacked := NewKindMessage(k).(PackedWire); isPacked && !covered[k] {
-			t.Errorf("%v implements PackedWire but packedCases has no case for it", k)
+		if _, ok := NewKindMessage(k).(fieldMessage); ok && !covered[k] {
+			t.Errorf("%v has a field list but packedCases has no case for it", k)
+		}
+	}
+
+	for _, bound := range []int{-1, 0} {
+		for _, n := range []int{1, 2, 40} {
+			for _, k := range boundKinds {
+				for _, v := range []int{0, 1} {
+					m := NewKindMessage(k)
+					configureBounds(m, n, bound)
+					fs := m.(fieldMessage).fields(n)
+					for _, f := range []wireField{fs.a, fs.b} {
+						if f.v != nil {
+							*f.v = v
+						}
+					}
+					diffEncode(t, m, n)
+				}
+				for width := 0; width <= 8; width++ {
+					for _, p := range []uint64{0, 1, 1<<uint(width) - 1} {
+						diffDecode(t, "bound", k, n, bound, p&(1<<uint(width)-1), width)
+					}
+				}
+			}
 		}
 	}
 }
@@ -205,114 +315,17 @@ func loadWireCorpus(t *testing.T) []corpusEntry {
 }
 
 // TestPackedWireCorpusDifferential replays every checked-in FuzzWireMessage
-// corpus entry (plus the in-code seeds of that harness) through both decode
-// paths: when the generic oracle decodes cleanly, UnpackWire must accept and
-// produce the identical message — and re-pack to the identical bits; when
-// the oracle refuses, UnpackWire must refuse too, so the engine's fallback
-// keeps error identity.
+// corpus entry and every in-code seed of that harness through both decode
+// paths (diffDecode), under the harness's configuration (bound = 4n).
 func TestPackedWireCorpusDifferential(t *testing.T) {
-	entries := loadWireCorpus(t)
-	// The harness's f.Add seeds live in code, not testdata; replay them too
-	// so every kind is exercised even before a fuzz run has grown the
-	// directory.
-	seeds := []corpusEntry{
-		{"seed-wave", uint8(KindWave), 64, []byte{0xaa, 0x05}},
-		{"seed-near", uint8(KindNear), 300, []byte{0xff, 0xff, 0x01}},
-		{"seed-wdist", uint8(KindWDist), 40, []byte{0x10, 0x27}},
-		{"seed-raw", uint8(KindRaw), 9, []byte{0x00, 0x11, 0x22, 0x33}},
-		{"seed-child", uint8(KindChild), 2, []byte{}},
-		{"seed-adj", uint8(KindAdj), 40, []byte{0x1f}},
-		{"seed-side", uint8(KindSide), 12, []byte{0x01}},
-		{"seed-cutsum-ok", uint8(KindCutSum), 40, []byte{0x7f}},
-		{"seed-cutsum-range", uint8(KindCutSum), 40, []byte{0xff}},
-		{"seed-cutsum-trunc", uint8(KindCutSum), 1000, []byte{}},
-		{"seed-skelup-ok", uint8(KindSkelUp), 40, []byte{0x83, 0x01}},
-		{"seed-skelup-range", uint8(KindSkelUp), 40, []byte{0xff, 0xff}},
-		{"seed-skelup-trunc", uint8(KindSkelUp), 1000, []byte{0x05}},
-		{"seed-skeldown-ok", uint8(KindSkelDown), 40, []byte{0x00, 0x00}},
-		{"seed-skeldown-range", uint8(KindSkelDown), 40, []byte{0xfc, 0xff}},
-		{"seed-skeldown-trunc", uint8(KindSkelDown), 1000, []byte{}},
-	}
-	entries = append(entries, seeds...)
 	checked := 0
-	for _, e := range entries {
-		k := Kind(e.kind % numKinds)
-		if !Registered(k) {
-			continue
+	for _, e := range append(loadWireCorpus(t), wireSeeds...) {
+		if diffWireEntry(t, e) {
+			checked++
 		}
-		n := int(e.n)
-		if n < 1 {
-			n = 1
-		}
-		gm := NewKindMessage(k)
-		if _, isPacked := gm.(PackedWire); !isPacked {
-			continue // dynamic-payload kinds (raw) have no fast path
-		}
-		width := 8 * len(e.data)
-		if KindBits+width > 64 {
-			continue // the engine never takes the fast path at this size
-		}
-		configureBounds(gm, n)
-		r := Reader{N: n, words: wordsFromBytes(e.data), off: 0, end: width}
-		gm.UnmarshalWire(&r)
-		clean := r.Err() == nil && r.Remaining() == 0
-
-		var payload uint64
-		for i, b := range e.data {
-			payload |= uint64(b) << (8 * uint(i))
-		}
-		pm := NewKindMessage(k)
-		configureBounds(pm, n)
-		got := pm.(PackedWire).UnpackWire(n, payload, width)
-		if got != clean {
-			t.Errorf("%s (%v, n=%d, % x): generic clean=%v, UnpackWire=%v", e.name, k, n, e.data, clean, got)
-			continue
-		}
-		if clean {
-			if !reflect.DeepEqual(gm, pm) {
-				t.Errorf("%s (%v, n=%d): generic decode %+v, packed decode %+v", e.name, k, n, gm, pm)
-			}
-			rp, rw, rok := pm.(PackedWire).PackWire(n)
-			if !rok || rw != width || rp != payload {
-				t.Errorf("%s (%v, n=%d): re-pack (%#x, %d, %v) of clean decode, want (%#x, %d, true)",
-					e.name, k, n, rp, rw, rok, payload, width)
-			}
-		}
-		checked++
 	}
 	if checked == 0 {
-		t.Fatal("no corpus entry exercised the packed path")
+		t.Fatal("no corpus entry exercised the single-word path")
 	}
 	t.Logf("differential-checked %d corpus entries", checked)
-}
-
-// TestRegisterKindWidthTable checks the strict-accounting width table: every
-// kind with a registered fixed width must report exactly DeclaredBits for a
-// fresh message at that size, and the Bound-parameterized kinds must stay
-// dynamic (no entry), since their width is per-message configuration.
-func TestRegisterKindWidthTable(t *testing.T) {
-	for _, n := range []int{1, 2, 40, 1000} {
-		tab := packedWidths(n)
-		for _, k := range RegisteredKinds() {
-			m := NewKindMessage(k)
-			d, sized := m.(BitsDeclarer)
-			entry := int(tab[k])
-			switch k {
-			case KindWDist, KindWMax, KindCutSum, KindSkelUp, KindSkelDown, KindRaw:
-				if entry != 0 {
-					t.Errorf("n=%d %v: dynamic-width kind has table entry %d", n, k, entry)
-				}
-			default:
-				if !sized {
-					continue
-				}
-				if _, isPacked := m.(PackedWire); !isPacked {
-					continue // e.g. test-registered kinds without a fast path
-				}
-				if want := d.DeclaredBits(n); entry != want && want <= 64 {
-					t.Errorf("n=%d %v: width table %d, DeclaredBits %d", n, k, entry, want)
-				}
-			}
-		}
-	}
 }

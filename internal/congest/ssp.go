@@ -21,8 +21,10 @@ type (
 		Src  int
 	}
 	// msgSum carries a partial sum up the tree. The field is 2*BitsForID(n)
-	// bits: wide enough for the counting convergecasts used here (sums of
-	// n indicator values) and for sums up to ~n^2 in general.
+	// bits and admits every value of that width: wide enough for the
+	// counting convergecasts used here (sums of n indicator values) and for
+	// sums up to ~n^2 in general. The int32 CSR keeps n below 2^31, so the
+	// bound 1<<(2*BitsForID(n)) fits an int.
 	msgSum struct{ Sum int }
 	// msgPair is one (source rank, distance) pair of the pipelined
 	// multi-source BFS; ranks are < n, distances pre-incremented < 2n.
@@ -37,126 +39,31 @@ type (
 	}
 )
 
-func (m *msgNear) WireKind() Kind { return KindNear }
-func (m *msgNear) MarshalWire(w *Writer) {
-	w.WriteID(m.Dist, 2*w.N)
-	w.WriteID(m.Src, w.N)
-}
-func (m *msgNear) UnmarshalWire(r *Reader) {
-	m.Dist = r.ReadID(2 * r.N)
-	m.Src = r.ReadID(r.N)
-}
-func (m *msgNear) DeclaredBits(n int) int { return KindBits + BitsForID(2*n) + BitsForID(n) }
-func (m *msgNear) PackWire(n int) (uint64, int, bool) {
-	if m.Dist < 0 || m.Dist >= 2*n || m.Src < 0 || m.Src >= n {
-		return 0, 0, false
-	}
-	wd := BitsForID(2 * n)
-	return uint64(m.Dist) | uint64(m.Src)<<wd, wd + BitsForID(n), true
-}
-func (m *msgNear) UnpackWire(n int, p uint64, width int) bool {
-	wd := BitsForID(2 * n)
-	if width != wd+BitsForID(n) {
-		return false
-	}
-	dist, src := p&(1<<wd-1), p>>wd
-	if dist >= uint64(2*n) || src >= uint64(n) {
-		return false
-	}
-	m.Dist, m.Src = int(dist), int(src)
-	return true
-}
+func (m *msgNear) WireKind() Kind          { return KindNear }
+func (m *msgNear) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgNear) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgNear) fields(n int) wireFields { return fields2(&m.Dist, 2*n, &m.Src, n) }
 
 func (m *msgSum) WireKind() Kind          { return KindSum }
-func (m *msgSum) MarshalWire(w *Writer)   { w.WriteCount(m.Sum, 2*BitsForID(w.N)) }
-func (m *msgSum) UnmarshalWire(r *Reader) { m.Sum = int(r.ReadUint(2 * BitsForID(r.N))) }
-func (m *msgSum) DeclaredBits(n int) int  { return KindBits + 2*BitsForID(n) }
-func (m *msgSum) PackWire(n int) (uint64, int, bool) {
-	width := 2 * BitsForID(n)
-	if m.Sum < 0 || (width < 64 && uint64(m.Sum)>>uint(width) != 0) {
-		return 0, 0, false
-	}
-	return uint64(m.Sum), width, true
-}
-func (m *msgSum) UnpackWire(n int, p uint64, width int) bool {
-	// A counter field: any value of the exact width decodes cleanly,
-	// mirroring the generic ReadUint (no range restriction beyond width).
-	if width != 2*BitsForID(n) {
-		return false
-	}
-	m.Sum = int(p)
-	return true
-}
+func (m *msgSum) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSum) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgSum) fields(n int) wireFields { return fields1(&m.Sum, 1<<(2*BitsForID(n))) }
 
-func (m *msgPair) WireKind() Kind { return KindPair }
-func (m *msgPair) MarshalWire(w *Writer) {
-	w.WriteID(m.Src, w.N)
-	w.WriteID(m.Dist, 2*w.N)
-}
-func (m *msgPair) UnmarshalWire(r *Reader) {
-	m.Src = r.ReadID(r.N)
-	m.Dist = r.ReadID(2 * r.N)
-}
-func (m *msgPair) DeclaredBits(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) }
-func (m *msgPair) PackWire(n int) (uint64, int, bool) {
-	if m.Src < 0 || m.Src >= n || m.Dist < 0 || m.Dist >= 2*n {
-		return 0, 0, false
-	}
-	ws := BitsForID(n)
-	return uint64(m.Src) | uint64(m.Dist)<<ws, ws + BitsForID(2*n), true
-}
-func (m *msgPair) UnpackWire(n int, p uint64, width int) bool {
-	ws := BitsForID(n)
-	if width != ws+BitsForID(2*n) {
-		return false
-	}
-	src, dist := p&(1<<ws-1), p>>ws
-	if src >= uint64(n) || dist >= uint64(2*n) {
-		return false
-	}
-	m.Src, m.Dist = int(src), int(dist)
-	return true
-}
+func (m *msgPair) WireKind() Kind          { return KindPair }
+func (m *msgPair) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgPair) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgPair) fields(n int) wireFields { return fields2(&m.Src, n, &m.Dist, 2*n) }
 
-func (m *msgSrcMax) WireKind() Kind { return KindSrcMax }
-func (m *msgSrcMax) MarshalWire(w *Writer) {
-	w.WriteID(m.Src, w.N)
-	w.WriteID(m.Max, 2*w.N)
-}
-func (m *msgSrcMax) UnmarshalWire(r *Reader) {
-	m.Src = r.ReadID(r.N)
-	m.Max = r.ReadID(2 * r.N)
-}
-func (m *msgSrcMax) DeclaredBits(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) }
-func (m *msgSrcMax) PackWire(n int) (uint64, int, bool) {
-	if m.Src < 0 || m.Src >= n || m.Max < 0 || m.Max >= 2*n {
-		return 0, 0, false
-	}
-	ws := BitsForID(n)
-	return uint64(m.Src) | uint64(m.Max)<<ws, ws + BitsForID(2*n), true
-}
-func (m *msgSrcMax) UnpackWire(n int, p uint64, width int) bool {
-	ws := BitsForID(n)
-	if width != ws+BitsForID(2*n) {
-		return false
-	}
-	src, max := p&(1<<ws-1), p>>ws
-	if src >= uint64(n) || max >= uint64(2*n) {
-		return false
-	}
-	m.Src, m.Max = int(src), int(max)
-	return true
-}
+func (m *msgSrcMax) WireKind() Kind          { return KindSrcMax }
+func (m *msgSrcMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSrcMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgSrcMax) fields(n int) wireFields { return fields2(&m.Src, n, &m.Max, 2*n) }
 
 func init() {
 	RegisterKind(KindNear, "near", func() WireMessage { return new(msgNear) })
 	RegisterKind(KindSum, "sum", func() WireMessage { return new(msgSum) })
 	RegisterKind(KindPair, "pair", func() WireMessage { return new(msgPair) })
 	RegisterKind(KindSrcMax, "src-max", func() WireMessage { return new(msgSrcMax) })
-	RegisterKindWidth(KindNear, func(n int) int { return KindBits + BitsForID(2*n) + BitsForID(n) })
-	RegisterKindWidth(KindSum, func(n int) int { return KindBits + 2*BitsForID(n) })
-	RegisterKindWidth(KindPair, func(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) })
-	RegisterKindWidth(KindSrcMax, func(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) })
 }
 
 // MinFloodNode computes, at every node, the distance to the nearest member

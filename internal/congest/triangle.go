@@ -21,26 +21,12 @@ import (
 type msgAdj struct{ ID int }
 
 func (m *msgAdj) WireKind() Kind          { return KindAdj }
-func (m *msgAdj) MarshalWire(w *Writer)   { w.WriteID(m.ID, w.N) }
-func (m *msgAdj) UnmarshalWire(r *Reader) { m.ID = r.ReadID(r.N) }
-func (m *msgAdj) DeclaredBits(n int) int  { return KindBits + BitsForID(n) }
-func (m *msgAdj) PackWire(n int) (uint64, int, bool) {
-	if m.ID < 0 || m.ID >= n {
-		return 0, 0, false
-	}
-	return uint64(m.ID), BitsForID(n), true
-}
-func (m *msgAdj) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(n) || p >= uint64(n) {
-		return false
-	}
-	m.ID = int(p)
-	return true
-}
+func (m *msgAdj) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgAdj) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgAdj) fields(n int) wireFields { return fields1(&m.ID, n) }
 
 func init() {
 	RegisterKind(KindAdj, "adj", func() WireMessage { return new(msgAdj) })
-	RegisterKindWidth(KindAdj, func(n int) int { return KindBits + BitsForID(n) })
 }
 
 // TriangleProbeNode announces this vertex's adjacency list, one neighbor id

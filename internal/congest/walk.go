@@ -23,26 +23,12 @@ package congest
 type msgToken struct{ Step int }
 
 func (m *msgToken) WireKind() Kind          { return KindToken }
-func (m *msgToken) MarshalWire(w *Writer)   { w.WriteID(m.Step, 4*w.N+1) }
-func (m *msgToken) UnmarshalWire(r *Reader) { m.Step = r.ReadID(4*r.N + 1) }
-func (m *msgToken) DeclaredBits(n int) int  { return KindBits + BitsForID(4*n+1) }
-func (m *msgToken) PackWire(n int) (uint64, int, bool) {
-	if m.Step < 0 || m.Step >= 4*n+1 {
-		return 0, 0, false
-	}
-	return uint64(m.Step), BitsForID(4*n + 1), true
-}
-func (m *msgToken) UnpackWire(n int, p uint64, width int) bool {
-	if width != BitsForID(4*n+1) || p >= uint64(4*n+1) {
-		return false
-	}
-	m.Step = int(p)
-	return true
-}
+func (m *msgToken) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgToken) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgToken) fields(n int) wireFields { return fields1(&m.Step, 4*n+1) }
 
 func init() {
 	RegisterKind(KindToken, "token", func() WireMessage { return new(msgToken) })
-	RegisterKindWidth(KindToken, func(n int) int { return KindBits + BitsForID(4*n+1) })
 }
 
 // TokenWalkNode runs the walk at one node.

@@ -30,41 +30,16 @@ type msgWave struct {
 	Delta int
 }
 
-func (m *msgWave) WireKind() Kind { return KindWave }
-func (m *msgWave) MarshalWire(w *Writer) {
-	w.WriteID(m.Tau, 4*w.N+1)
-	w.WriteID(m.Delta, 4*w.N+1)
-}
-func (m *msgWave) UnmarshalWire(r *Reader) {
-	m.Tau = r.ReadID(4*r.N + 1)
-	m.Delta = r.ReadID(4*r.N + 1)
-}
-func (m *msgWave) DeclaredBits(n int) int { return KindBits + 2*BitsForID(4*n+1) }
-func (m *msgWave) PackWire(n int) (uint64, int, bool) {
+func (m *msgWave) WireKind() Kind          { return KindWave }
+func (m *msgWave) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgWave) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgWave) fields(n int) wireFields {
 	b := 4*n + 1
-	if m.Tau < 0 || m.Tau >= b || m.Delta < 0 || m.Delta >= b {
-		return 0, 0, false
-	}
-	w := BitsForID(b)
-	return uint64(m.Tau) | uint64(m.Delta)<<w, 2 * w, true
-}
-func (m *msgWave) UnpackWire(n int, p uint64, width int) bool {
-	b := 4*n + 1
-	w := BitsForID(b)
-	if width != 2*w {
-		return false
-	}
-	tau, delta := p&(1<<w-1), p>>w
-	if tau >= uint64(b) || delta >= uint64(b) {
-		return false
-	}
-	m.Tau, m.Delta = int(tau), int(delta)
-	return true
+	return fields2(&m.Tau, b, &m.Delta, b)
 }
 
 func init() {
 	RegisterKind(KindWave, "wave", func() WireMessage { return new(msgWave) })
-	RegisterKindWidth(KindWave, func(n int) int { return KindBits + 2*BitsForID(4*n+1) })
 }
 
 // WaveNode runs the Figure 2 Step 2 process at one node.

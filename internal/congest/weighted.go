@@ -15,8 +15,8 @@ package congest
 // distance fields are BitsForID(DistBound+1) bits — a function of the
 // topology's weight cap, not of n alone. The bound is program configuration
 // (every node knows n and the weight cap a priori, exactly like it knows n),
-// never transmitted; DeclaredBits states the formulas and strict accounting
-// verifies them against the encoded bits.
+// never transmitted. The field lists below are the only statement of these
+// widths; the codec and the declared width are both derived from them.
 
 import (
 	"fmt"
@@ -43,61 +43,15 @@ type (
 )
 
 func (m *msgWDist) WireKind() Kind          { return KindWDist }
-func (m *msgWDist) MarshalWire(w *Writer)   { w.WriteID(m.Dist, m.Bound+1) }
-func (m *msgWDist) UnmarshalWire(r *Reader) { m.Dist = r.ReadID(m.Bound + 1) }
-func (m *msgWDist) DeclaredBits(n int) int  { return KindBits + BitsForID(m.Bound+1) }
+func (m *msgWDist) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgWDist) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgWDist) fields(n int) wireFields { return fields1(&m.Dist, m.Bound+1) }
 
-// The width is Bound-parameterized (no RegisterKindWidth), so under strict
-// accounting the engine encodes these via the generic path; the packed pair
-// still serves the non-strict encode and the receive-side decode.
-func (m *msgWDist) PackWire(n int) (uint64, int, bool) {
-	if m.Bound < 0 || m.Dist < 0 || m.Dist >= m.Bound+1 {
-		return 0, 0, false
-	}
-	return uint64(m.Dist), BitsForID(m.Bound + 1), true
-}
-func (m *msgWDist) UnpackWire(n int, p uint64, width int) bool {
-	if m.Bound < 0 || width != BitsForID(m.Bound+1) || p >= uint64(m.Bound+1) {
-		return false
-	}
-	m.Dist = int(p)
-	return true
-}
-
-func (m *msgWMax) WireKind() Kind { return KindWMax }
-func (m *msgWMax) MarshalWire(w *Writer) {
-	w.WriteID(m.Value, m.Bound+1)
-	w.WriteID(m.Witness, w.N)
-}
-func (m *msgWMax) UnmarshalWire(r *Reader) {
-	m.Value = r.ReadID(m.Bound + 1)
-	m.Witness = r.ReadID(r.N)
-}
-func (m *msgWMax) DeclaredBits(n int) int { return KindBits + BitsForID(m.Bound+1) + BitsForID(n) }
-func (m *msgWMax) PackWire(n int) (uint64, int, bool) {
-	if m.Bound < 0 || m.Value < 0 || m.Value >= m.Bound+1 || m.Witness < 0 || m.Witness >= n {
-		return 0, 0, false
-	}
-	wv := BitsForID(m.Bound + 1)
-	if wv+BitsForID(n) > 64 {
-		return 0, 0, false // field pair wider than one word: generic path
-	}
-	return uint64(m.Value) | uint64(m.Witness)<<wv, wv + BitsForID(n), true
-}
-func (m *msgWMax) UnpackWire(n int, p uint64, width int) bool {
-	if m.Bound < 0 {
-		return false
-	}
-	wv := BitsForID(m.Bound + 1)
-	if width != wv+BitsForID(n) {
-		return false
-	}
-	value, witness := p&(1<<wv-1), p>>wv
-	if value >= uint64(m.Bound+1) || witness >= uint64(n) {
-		return false
-	}
-	m.Value, m.Witness = int(value), int(witness)
-	return true
+func (m *msgWMax) WireKind() Kind          { return KindWMax }
+func (m *msgWMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgWMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+func (m *msgWMax) fields(n int) wireFields {
+	return fields2(&m.Value, m.Bound+1, &m.Witness, n)
 }
 
 func init() {

@@ -163,7 +163,7 @@ func TestClassicalEccentricities(t *testing.T) {
 }
 
 // TestWeightedWireWidths pins the weighted wire encodings: the distance
-// field is BitsForID(bound+1) bits, verified against DeclaredBits and
+// field is BitsForID(bound+1) bits, verified against the derived width and
 // against a manual round-trip at the topology's bound.
 func TestWeightedWireWidths(t *testing.T) {
 	g := graph.New(5)
@@ -189,7 +189,7 @@ func TestWeightedWireWidths(t *testing.T) {
 	if got, want := w.Len(), BitsForID(bound+1); got != want {
 		t.Fatalf("encoded %d bits, want %d", got, want)
 	}
-	if got, want := w.Len()+KindBits, tx.DeclaredBits(topo.N()); got != want {
+	if got, want := w.Len()+KindBits, tx.fields(topo.N()).bits(); got != want {
 		t.Fatalf("declared %d bits, encoded+tag %d", want, got)
 	}
 	// Unweighted topologies keep weights nil and bound n-1.

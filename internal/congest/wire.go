@@ -9,10 +9,12 @@ package congest
 //
 //	[ kind tag : KindBits bits ][ payload : message-specific bits ]
 //
-// with payload field widths fixed functions of n (the network size), so
-// every message is O(log n) bits — the CONGEST premise, made literal.
-// DESIGN.md ("Wire format") tabulates the encoding of every registered
-// kind.
+// with payload field widths fixed functions of n (the network size) or of
+// per-node configuration known a priori (a distance bound), so every
+// message is O(log n) bits — the CONGEST premise, made literal. Built-in
+// kinds declare their payload once, as a list of bounded fields
+// (wireFields); DESIGN.md ("Wire format") tabulates the encoding of every
+// registered kind.
 
 import (
 	"fmt"
@@ -66,36 +68,127 @@ type WireMessage interface {
 	UnmarshalWire(r *Reader)
 }
 
-// BitsDeclarer is an optional interface for messages that additionally
-// declare their size by formula (the pre-wire-format convention). The
-// declared value is never used for accounting; under WithStrictAccounting
-// the engine cross-checks it against the encoded length and fails the run
-// on mismatch, which turns the declared formulas into verified
-// documentation.
+// BitsDeclarer is an optional interface for external messages that
+// additionally declare their size by formula. The declared value is never
+// used for accounting; under WithStrictAccounting the engine cross-checks
+// it against the encoded length and fails the run on mismatch, which turns
+// the declared formulas into verified documentation. Built-in kinds with a
+// field list (all but raw) do not implement it: their widths derive from
+// the list that encodes them.
 type BitsDeclarer interface {
 	DeclaredBits(n int) int
 }
 
-// PackedWire is an optional fast-path interface for messages whose whole
-// encoded form — kind tag plus payload — fits one uint64. PackWire returns
-// the payload bits (field order and layout identical to MarshalWire: first
-// field in the lowest bits) and the payload width; UnpackWire is the
-// inverse. Both return ok=false for any value MarshalWire/UnmarshalWire
-// would reject (out-of-range field, corrupt payload, wrong width), in which
-// case the engine falls back to the generic codec path — which produces the
-// canonical error — so the fast path never invents its own failure modes.
-// MarshalWire stays the oracle: the differential tests assert the two
-// encodings are bit-identical for every registered kind.
-type PackedWire interface {
-	PackWire(n int) (payload uint64, width int, ok bool)
-	UnpackWire(n int, payload uint64, width int) bool
+// wireField is one field of a built-in kind's payload: a value in
+// [0, bound), encoded in BitsForID(bound) bits. The bound is fixed by n or
+// by the message's own configuration (never transmitted); a bound <= 0
+// admits no value, so a message with such a field neither encodes nor
+// decodes. The zero wireField (nil v, bound 0) is an unused field: no
+// bits, no value.
+type wireField struct {
+	v     *int
+	bound int
+}
+
+// width returns the field's encoded width in bits (0 for an unused field,
+// whose bound is 0).
+func (f wireField) width() int { return BitsForID(f.bound) }
+
+// value returns the field's value and whether it is in range.
+func (f wireField) value() (uint64, bool) {
+	if f.v == nil {
+		return 0, true
+	}
+	return uint64(*f.v), *f.v >= 0 && *f.v < f.bound
+}
+
+// store sets the field to a decoded value of width() bits, which is below
+// 2^63 and so converts exactly, and reports whether it is in range.
+func (f wireField) store(p uint64) bool {
+	if f.v == nil {
+		return true
+	}
+	if int(p) >= f.bound {
+		return false
+	}
+	*f.v = int(p)
+	return true
+}
+
+// wireFields is a built-in kind's payload, declared once: its fields in
+// wire order, a first (lowest bits), then b; unused fields are left zero.
+// Everything else about the kind is derived from this one list — the
+// field-by-field codec (marshal/unmarshal), the single-word fast path the
+// engine takes when tag and payload fit one uint64 (pack/unpack), and the
+// declared width (bits) — so the views cannot disagree. It is a struct of
+// two (pointer, bound) pairs rather than an array or a wider record because
+// the compiler keeps a struct of at most four words in registers across
+// the fields call; the alternatives go through memory and cost several
+// nanoseconds per message on the hot path.
+type wireFields struct{ a, b wireField }
+
+// fieldMessage is implemented by every built-in kind but raw: fields(n)
+// lists the message's own fields for a network of n vertices. External
+// kinds keep hand-written codecs and take the generic path.
+type fieldMessage interface {
+	fields(n int) wireFields
+}
+
+// marshal writes the fields in order via WriteID, which reports any value
+// outside its field's range.
+func (fs wireFields) marshal(w *Writer) {
+	for _, f := range [...]wireField{fs.a, fs.b} {
+		if f.v != nil {
+			w.WriteID(*f.v, f.bound)
+		}
+	}
+}
+
+// unmarshal reads the fields in order via ReadID, which reports truncation
+// and out-of-range values.
+func (fs wireFields) unmarshal(r *Reader) {
+	for _, f := range [...]wireField{fs.a, fs.b} {
+		if f.v != nil {
+			*f.v = r.ReadID(f.bound)
+		}
+	}
+}
+
+// bits returns the encoded length of the message, kind tag included.
+func (fs wireFields) bits() int { return KindBits + fs.a.width() + fs.b.width() }
+
+// pack lays the payload out in one word with the bits marshal would write.
+// ok is false when a value is out of range or the message would not fit
+// one word with its tag; the engine then takes the field-by-field path,
+// which produces the canonical encoding or error.
+func (fs wireFields) pack() (payload uint64, width int, ok bool) {
+	va, oka := fs.a.value()
+	vb, okb := fs.b.value()
+	wa := fs.a.width()
+	width = wa + fs.b.width()
+	return va | vb<<uint(wa), width, oka && okb && width <= 64-KindBits
+}
+
+// unpack is the inverse of pack: it decodes a payload of the given width
+// (no bits set at or above it) and reports whether unmarshal would have
+// decoded it cleanly (every value in range, every payload bit consumed). On
+// false the fields may hold partial values; the engine then runs
+// unmarshal, which overwrites them and reports the canonical error.
+func (fs wireFields) unpack(payload uint64, width int) bool {
+	wa := uint(fs.a.width())
+	return width == int(wa)+fs.b.width() && fs.a.store(payload&(1<<wa-1)) && fs.b.store(payload>>wa)
+}
+
+// fields1 and fields2 build the field list of a one- or two-field kind.
+func fields1(v *int, bound int) wireFields { return wireFields{a: wireField{v, bound}} }
+func fields2(va *int, ba int, vb *int, bb int) wireFields {
+	return wireFields{wireField{va, ba}, wireField{vb, bb}}
 }
 
 // kindInfo is one registry entry.
 type kindInfo struct {
-	name  string
-	new   func() WireMessage
-	width func(n int) int // fixed total encoded width (tag included); nil = dynamic
+	name string
+	new  func() WireMessage
 }
 
 var kindRegistry [numKinds]kindInfo
@@ -116,39 +209,6 @@ func RegisterKind(k Kind, name string, factory func() WireMessage) {
 		panic(fmt.Sprintf("congest: kind %d registered twice (%s, %s)", k, kindRegistry[k].name, name))
 	}
 	kindRegistry[k] = kindInfo{name: name, new: factory}
-}
-
-// RegisterKindWidth records that every message of kind k encodes to exactly
-// width(n) bits (kind tag included) on a network of n vertices — i.e. the
-// width is a pure function of n, with no per-message parameters. The
-// formula must equal the kind's DeclaredBits; the engine precomputes it per
-// network so the strict-accounting cross-check on the packed encode path is
-// one integer compare instead of an interface call. Kinds with
-// message-dependent widths (Bound-parameterized codecs, RawMessage) must
-// not register one. Like RegisterKind, call only from init functions.
-func RegisterKindWidth(k Kind, width func(n int) int) {
-	if !Registered(k) {
-		panic(fmt.Sprintf("congest: width for unregistered kind %d", k))
-	}
-	if kindRegistry[k].width != nil {
-		panic(fmt.Sprintf("congest: kind %d (%s) width registered twice", k, kindRegistry[k].name))
-	}
-	kindRegistry[k].width = width
-}
-
-// packedWidths precomputes, for network size n, the fixed total encoded
-// width of every width-registered kind. Entry 0 means "no fixed width"
-// (unregistered, dynamic, or wider than one word): the strict cross-check
-// then takes the generic path.
-func packedWidths(n int) (t [numKinds]uint8) {
-	for k := range kindRegistry {
-		if wf := kindRegistry[k].width; wf != nil {
-			if wb := wf(n); wb > 0 && wb <= 64 {
-				t[k] = uint8(wb)
-			}
-		}
-	}
-	return t
 }
 
 // Registered reports whether k has been registered.

@@ -135,7 +135,8 @@ func TestWriterRecyclesCleanly(t *testing.T) {
 }
 
 // Every registered kind round-trips through the wire format, and its
-// encoded length matches its declared-formula documentation.
+// encoded length matches its declared width (derived from the field list
+// for built-in kinds, DeclaredBits for raw).
 func TestWireRoundTripAllKinds(t *testing.T) {
 	const n = 100
 	samples := []WireMessage{
@@ -154,7 +155,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		&msgWDist{Dist: 300, Bound: 450},
 		&msgWMax{Value: 301, Witness: 42, Bound: 450},
 		&msgAdj{ID: 42},
-		&msgSide{Marked: true},
+		&msgSide{Marked: 1},
 		&msgCutSum{Sum: 512, Bound: 600},
 		&msgSkelUp{Slot: 7, Val: 451, Slots: 20, Bound: 450},
 		&msgSkelDown{Slot: 19, Val: 0, Slots: 20, Bound: 450},
@@ -174,12 +175,17 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%v: %v", k, w.Err())
 		}
 		bits := w.Len()
-		if d, ok := m.(BitsDeclarer); ok {
-			if want := d.DeclaredBits(n); want != bits {
-				t.Errorf("%v: declared %d bits, encoded %d", k, want, bits)
-			}
-		} else {
-			t.Errorf("%v: shipped kind does not document its size via DeclaredBits", k)
+		want := -1
+		switch d := m.(type) {
+		case fieldMessage:
+			want = d.fields(n).bits()
+		case BitsDeclarer:
+			want = d.DeclaredBits(n)
+		default:
+			t.Errorf("%v: shipped kind has neither a field list nor DeclaredBits", k)
+		}
+		if want != bits {
+			t.Errorf("%v: declared %d bits, encoded %d", k, want, bits)
 		}
 		view := w.view(0, bits)
 		if view.Kind() != k {

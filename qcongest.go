@@ -133,8 +133,10 @@ var (
 	WithWorkers = congest.WithWorkers
 	// WithBandwidth overrides the per-edge per-round bit budget.
 	WithBandwidth = congest.WithBandwidth
-	// WithStrictAccounting cross-checks declared size formulas
-	// (WireBitsDeclarer) against encoded lengths and fails on mismatch.
+	// WithStrictAccounting cross-checks the declared size formulas of
+	// external kinds (WireBitsDeclarer) against encoded lengths and fails
+	// on mismatch; built-in widths are derived, so they match by
+	// construction.
 	WithStrictAccounting = congest.WithStrictAccounting
 	// WithCongestObserver installs a per-delivery callback that sees each
 	// message's encoded bits (used by the lower-bound transcripts).
@@ -161,7 +163,9 @@ type (
 	Inbound = congest.Inbound
 	// WireMessage is the marshalling contract every message implements.
 	WireMessage = congest.WireMessage
-	// WireBitsDeclarer optionally states a size formula for strict checks.
+	// WireBitsDeclarer optionally states a size formula, which strict
+	// accounting verifies against the encoding. Only external kinds need
+	// it: the built-in kinds derive their widths from their field lists.
 	WireBitsDeclarer = congest.BitsDeclarer
 	// WireWriter / WireReader are the packed bit codecs of the format.
 	WireWriter = congest.Writer

@@ -100,7 +100,7 @@ func TestLemma1CoveragePublic(t *testing.T) {
 }
 
 // A custom wire message defined entirely through the public facade: a ping
-// token counting its hops around a cycle. Kinds 16..31 are reserved for
+// token counting its hops around a cycle. Kinds 20..31 are reserved for
 // external programs.
 type pingMsg struct{ Hops int }
 
