@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxw       = fs.Int("maxw", 8, "largest edge weight used by -weighted")
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "engine workers per round (0 = auto, 1 = serial; output is identical for any value)")
-		parallel   = fs.Int("parallel", 1, "evaluation sessions run concurrently by the quantum algorithms (output is identical for any value)")
+		parallel   = fs.Int("parallel", 0, "evaluation sessions run concurrently by the quantum algorithms (0 = auto from the CPU budget, 1 = sequential; output is identical for any value)")
 		sublinear  = fs.Bool("sublinear", false, "route the weighted parameters through the skeleton distance oracle (sublinear per-Evaluation rounds; -param apsp always does)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")

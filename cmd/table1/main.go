@@ -28,7 +28,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		diam     = fs.Int("d", 4, "fixed diameter for the n sweep")
 		long     = fs.Bool("long", false, "use larger sweeps")
 		workers  = fs.Int("workers", 0, "engine workers per round (0 = auto; measured rounds are identical for any value)")
-		parallel = fs.Int("parallel", 1, "quantum trials run concurrently per sweep point (results are identical for any value)")
+		parallel = fs.Int("parallel", 0, "quantum trials run concurrently per sweep point (0 = auto: one trial at a time, each batching its evaluations over the CPU budget; results are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -47,6 +47,13 @@ var ErrNotFound = errors.New("amplify: no marked element found")
 // marked element. The expected number of iterations is O(sqrt(1/P_M)) when
 // the marked probability mass is P_M > 0 (Theorem 6).
 func Search(phi *qsim.Sparse, marked func(int) bool, maxIterations int, rng *rand.Rand) (int, Counters, error) {
+	return search(phi, phi.Clone(), marked, maxIterations, rng)
+}
+
+// search is Search over a caller-owned scratch state s, which every
+// measurement attempt restores to phi in place: FindMax and FindAll run
+// all their passes on one scratch, so restarts allocate nothing.
+func search(phi, s *qsim.Sparse, marked func(int) bool, maxIterations int, rng *rand.Rand) (int, Counters, error) {
 	var c Counters
 	if maxIterations < 1 {
 		maxIterations = 1
@@ -59,7 +66,7 @@ func Search(phi *qsim.Sparse, marked func(int) bool, maxIterations int, rng *ran
 		if rem := maxIterations - c.GroverIterations; j > rem {
 			j = rem
 		}
-		s := phi.Clone()
+		s.CopyFrom(phi)
 		for i := 0; i < j; i++ {
 			s.GroverIteration(phi, marked)
 		}
@@ -104,10 +111,11 @@ func FindAll(phi *qsim.Sparse, marked func(int) bool, delta float64, rng *rand.R
 	budget := int(boost*math.Ceil(3*math.Sqrt(float64(size)))) + 1
 
 	found := make(map[int]bool, 4)
+	residual := func(x int) bool { return marked(x) && !found[x] }
+	scratch := phi.Clone()
 	var out []int
 	for len(out) < size {
-		residual := func(x int) bool { return marked(x) && !found[x] }
-		x, pass, err := Search(phi, residual, budget, rng)
+		x, pass, err := search(phi, scratch, residual, budget, rng)
 		c.add(pass)
 		switch {
 		case err == nil:
@@ -162,10 +170,11 @@ func FindMax(phi *qsim.Sparse, f func(int) int, eps, delta float64, rng *rand.Ra
 		boost = 1
 	}
 	epsPrime := 0.5
+	marked := func(x int) bool { return f(x) > fa }
+	scratch := phi.Clone()
 	for {
 		budget := int(boost*math.Ceil(3/math.Sqrt(epsPrime))) + 1
-		marked := func(x int) bool { return f(x) > fa }
-		b, c, err := Search(phi, marked, budget, rng)
+		b, c, err := search(phi, scratch, marked, budget, rng)
 		res.Counters.add(c)
 		res.Counters.Phases++
 		switch {

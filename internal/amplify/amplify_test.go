@@ -199,3 +199,33 @@ func TestOptimalIterationSweetSpot(t *testing.T) {
 		t.Errorf("P(marked) after %d iterations = %g", kOpt, p)
 	}
 }
+
+// FindMax restores one scratch state in place for every measurement
+// attempt, so its allocations are a small constant: they do not grow with
+// the number of restarts, which a smaller eps multiplies.
+func TestFindMaxAllocsIndependentOfRestarts(t *testing.T) {
+	phi := uniformOver(256, t)
+	f := func(x int) int { return (x * 37) % 256 }
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(eps float64) (float64, int) {
+		var restarts int
+		a := testing.AllocsPerRun(20, func() {
+			rng.Seed(5)
+			res, err := FindMax(phi, f, eps, 0.1, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restarts = res.Counters.Measurements
+		})
+		return a, restarts
+	}
+	few, fewRestarts := allocs(0.5)
+	many, manyRestarts := allocs(1.0 / 256)
+	if manyRestarts <= 2*fewRestarts {
+		t.Fatalf("eps sweep did not multiply the restarts: %d vs %d", manyRestarts, fewRestarts)
+	}
+	if few != many || many > 2 {
+		t.Errorf("FindMax allocates %.0f objects at %d restarts and %.0f at %d, want one constant <= 2",
+			few, fewRestarts, many, manyRestarts)
+	}
+}

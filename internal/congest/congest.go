@@ -68,8 +68,9 @@
 // vertex at a time: Send(u) and Send(v) can run in parallel for u != v, and
 // likewise Receive. Programs therefore must not share mutable state across
 // vertices (all programs in this repository are pure per-vertex state
-// machines). The inbox slice passed to Receive is only valid for the
-// duration of the call and must not be retained.
+// machines). The inbox slice passed to Receive, and the *Env passed to
+// every program call, are only valid for the duration of the call and must
+// not be retained.
 package congest
 
 import (
@@ -94,8 +95,8 @@ type Inbound struct {
 
 // Decode unpacks the message payload into m, whose WireKind must equal the
 // inbound kind. The env must be the one the engine passed to Receive (it
-// holds the per-vertex decode scratch, which is what keeps the receive
-// path allocation-free); decode into a reusable struct for the same
+// holds the worker's decode scratch, which is what keeps the receive path
+// allocation-free); decode into a reusable struct for the same
 // reason.
 func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	if k := m.WireKind(); k != in.Kind {
@@ -469,13 +470,30 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 // Env is the read-only per-node view of the network that the engine passes
 // to node programs: everything a CONGEST node is allowed to know a priori
 // (its id, n, its incident edges) plus the current round number.
+//
+// The *Env a program receives is valid only for the duration of the call:
+// the engine keeps one Env per worker, not one per vertex, and re-points
+// it at the next vertex it executes. Programs read what they need from it
+// during Send, Receive or NextWake and never retain the pointer.
 type Env struct {
 	ID        int
 	N         int
 	Neighbors []int // ascending; must not be modified
 	Round     int   // current round, starting at 1
 
-	rd Reader // per-vertex decode scratch used by Inbound.Decode
+	rd Reader // decode scratch used by Inbound.Decode, reset per message
+}
+
+// newEnv returns an Env for a network of n vertices, not yet bound to a
+// vertex.
+func newEnv(n int) Env { return Env{N: n, rd: Reader{N: n}} }
+
+// bind points env at vertex v (whose sorted adjacency row is nbrs) in the
+// given round and returns it, ready to pass to one program call. N and the
+// decode scratch carry over: Decode resets the scratch per message.
+func (env *Env) bind(v int, nbrs []int, round int) *Env {
+	env.ID, env.Neighbors, env.Round = v, nbrs, round
+	return env
 }
 
 // Node is a per-node program.
@@ -483,9 +501,11 @@ type Env struct {
 // Send emits the messages the node transmits this round through out.Put.
 // Receive delivers the messages sent to the node this round; the inbox
 // slice is owned by the engine and must not be retained after the call
-// returns. Done reports whether the node has fixed its output and has
-// nothing further to send; once every node is Done at a round boundary the
-// run stops.
+// returns. Likewise the *Env passed to Send, Receive (and NextWake, see
+// Scheduled) is valid only for the duration of the call: the engine
+// re-binds one Env per worker to each vertex it executes. Done reports
+// whether the node has fixed its output and has nothing further to send;
+// once every node is Done at a round boundary the run stops.
 //
 // Programs at distinct vertices may run concurrently (see the package
 // comment), so a program must only touch its own per-vertex state and data
@@ -693,6 +713,17 @@ func (nw *Network) EffectiveWorkers() int {
 	return k
 }
 
+// EngineWorkers reports the worker count Run uses on a network over t
+// configured by opts (see EffectiveWorkers), without building one. Callers
+// that clone session contexts pass it to Contexts.
+func (t *Topology) EngineWorkers(opts ...Option) int {
+	nw := Network{topo: t}
+	for _, o := range opts {
+		o(&nw)
+	}
+	return nw.EffectiveWorkers()
+}
+
 // phase identifiers for the worker loop (the half-rounds, see
 // scheduler.go).
 const (
@@ -713,6 +744,10 @@ type workerState struct {
 
 	heads []int32   // chain-merge cursors, one per worker
 	inbox []Inbound // reusable materialized inbox (one vertex at a time)
+
+	// env is the worker's one Env, re-pointed at each vertex before every
+	// Send, Receive and NextWake call it makes (see Env.bind).
+	env Env
 }
 
 // engine holds the per-run execution state of Run.
@@ -722,7 +757,6 @@ type engine struct {
 	round int
 	empty bool // the current round's send half produced no messages
 
-	envs []Env
 	obs  []*Outbox     // the workers' outboxes (delivery reads their chains)
 	outs [][]stagedMsg // per-sender emissions, kept only for the observer
 	ws   []workerState
@@ -736,18 +770,13 @@ type engine struct {
 func newEngine(nw *Network) *engine {
 	n := nw.topo.n
 	e := &engine{nw: nw, k: nw.EffectiveWorkers()}
-	e.envs = make([]Env, n)
-	for v := 0; v < n; v++ {
-		// The topology's adjacency tables are sorted at construction, so
-		// the graph stays read-only once workers start.
-		e.envs[v] = Env{ID: v, N: n, Neighbors: nw.topo.neighbors[v], rd: Reader{N: n}}
-	}
 	e.obs = make([]*Outbox, e.k)
 	e.ws = make([]workerState, e.k)
 	for w := 0; w < e.k; w++ {
 		e.ws[w].outbox = newOutbox(nw, n)
 		e.obs[w] = e.ws[w].outbox
 		e.ws[w].heads = make([]int32, e.k)
+		e.ws[w].env = newEnv(n)
 	}
 	if nw.observer != nil {
 		e.outs = make([][]stagedMsg, n)
@@ -891,10 +920,8 @@ func (nw *Network) Run(maxRounds int) error {
 // strategy differs (no frontier, no workers). New code should call Run.
 func (nw *Network) RunReference(maxRounds int) error {
 	n := nw.topo.n
-	envs := make([]Env, n)
-	for v := 0; v < n; v++ {
-		envs[v] = Env{ID: v, N: n, Neighbors: nw.topo.neighbors[v], rd: Reader{N: n}}
-	}
+	nbrs := nw.topo.neighbors
+	env := newEnv(n) // one Env, re-bound before every program call
 	ob := newOutbox(nw, n)
 	// Observer replay buffer: emissions of the whole round, replayed at
 	// the round barrier exactly like Run does (in particular, a failing
@@ -930,9 +957,8 @@ func (nw *Network) RunReference(maxRounds int) error {
 		ob.beginRound(round)
 		pending = pending[:0]
 		for v, nd := range nw.nodes {
-			envs[v].Round = round
 			ob.begin(v)
-			nd.Send(&envs[v], ob)
+			nd.Send(env.bind(v, nbrs[v], round), ob)
 			if ob.err != nil {
 				return ob.err
 			}
@@ -964,7 +990,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 			if len(in) > nw.metrics.MaxInboxSize {
 				nw.metrics.MaxInboxSize = len(in)
 			}
-			nd.Receive(&envs[v], in)
+			nd.Receive(env.bind(v, nbrs[v], round), in)
 			if s, ok := nd.(StateSizer); ok {
 				if b := s.StateBits(); b > nw.metrics.MaxStateBits {
 					nw.metrics.MaxStateBits = b

@@ -92,6 +92,7 @@ package congest
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 )
 
 // NeverWake is the NextWake return value meaning "message-driven": the
@@ -200,6 +201,21 @@ func shardWorkers(n, k int) int {
 	nwords := (n + 63) >> 6
 	wps := wordsPerShard(nwords, k)
 	return (nwords + wps - 1) / wps
+}
+
+// Contexts is the second half of the one CPU budget, the half above the
+// engine: the number of cloned evaluation contexts to run concurrently
+// when each context's engine runs `workers` workers. The engine claims its
+// workers first (EffectiveWorkers: under the automatic rule,
+// min(GOMAXPROCS, occupied shards)), and contexts take what is left,
+// max(1, GOMAXPROCS/workers) capped at jobs, so contexts × workers ≤
+// GOMAXPROCS whenever the workers fit the budget. A network of at most
+// 4096 vertices thus gets GOMAXPROCS contexts of one worker each, and a
+// network with GOMAXPROCS occupied shards one context with every CPU —
+// its session state is never cloned.
+func Contexts(workers, jobs int) int {
+	c := runtime.GOMAXPROCS(0) / max(workers, 1)
+	return max(1, min(c, jobs))
 }
 
 func newFrontierState(n, k int, nodes []Node) *frontierState {
@@ -474,6 +490,7 @@ func (e *engine) sendShard(w int) {
 		return
 	}
 	cur := fr.cur
+	env, nbrs, round := &e.ws[w].env, nw.topo.neighbors, e.round
 	for si := wlo >> 6; si < (whi+63)>>6; si++ {
 		sw := cur.sum[si]
 		for sw != 0 {
@@ -483,9 +500,8 @@ func (e *engine) sendShard(w int) {
 			for word != 0 {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				e.envs[v].Round = e.round
 				ob.begin(v)
-				nw.nodes[v].Send(&e.envs[v], ob)
+				nw.nodes[v].Send(env.bind(v, nbrs[v], round), ob)
 				if e.outs != nil {
 					e.outs[v] = append(e.outs[v][:0], ob.msgs...)
 				}
@@ -536,6 +552,7 @@ func (e *engine) recvShard(w int) {
 		}
 	}
 	cur, nxt := fr.cur, fr.nxt
+	env, nbrs, round := &st.env, nw.topo.neighbors, e.round
 	for si := wlo >> 6; si < (whi+63)>>6; si++ {
 		sw := cur.sum[si] | nxt.sum[si]
 		for sw != 0 {
@@ -553,12 +570,10 @@ func (e *engine) recvShard(w int) {
 				if len(inbox) > maxInbox {
 					maxInbox = len(inbox)
 				}
-				// Receive-only vertices (receivers outside the frontier) did
-				// not pass through the send half; their Round must still be
-				// current.
-				e.envs[v].Round = e.round
+				// The same binding serves Receive and the NextWake below.
+				env.bind(v, nbrs[v], round)
 				nd := nw.nodes[v]
-				nd.Receive(&e.envs[v], inbox)
+				nd.Receive(env, inbox)
 				if s := fr.sizers[v]; s != nil {
 					if b := s.StateBits(); b > maxState {
 						maxState = b
@@ -573,7 +588,7 @@ func (e *engine) recvShard(w int) {
 					}
 				}
 				if sc := fr.scheds[v]; sc != nil {
-					if fr.register(w, int32(v), sc.NextWake(&e.envs[v], e.round), e.round) {
+					if fr.register(w, int32(v), sc.NextWake(env, round), round) {
 						added++
 					}
 				}
@@ -627,7 +642,9 @@ func (e *engine) execute(maxRounds int) error {
 	// Initial scan, one pass over the programs: RunReference's pre-run
 	// allDone probe plus the initial self-wake collection (NextWake after
 	// construction/reset). Both are pure queries, so fusing the passes
-	// only improves locality.
+	// only improves locality. It runs on the coordinator while the workers
+	// are parked, so it borrows worker 0's env.
+	env, nbrs := &e.ws[0].env, nw.topo.neighbors
 	for v, nd := range nw.nodes {
 		d := nd.Done()
 		fr.done[v] = d
@@ -635,8 +652,7 @@ func (e *engine) execute(maxRounds int) error {
 			fr.notDone++
 		}
 		if sc := fr.scheds[v]; sc != nil {
-			e.envs[v].Round = 0
-			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(&e.envs[v], 0), 0) {
+			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(env.bind(v, nbrs[v], 0), 0), 0) {
 				fr.nxtCount++
 			}
 		}

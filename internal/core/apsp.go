@@ -126,7 +126,8 @@ type ApspResult struct {
 // the exact weighted distance d(source, v); the slice is reused between
 // calls and only valid during the call (copy to retain). A nil emit skips
 // delivery (round accounting only). Options.Parallel shards the sweep
-// over cloned sessions; like everywhere in this package, it changes no
+// over cloned sessions (0: as many as congest.Contexts grants beside the
+// engine's workers); like everywhere in this package, it changes no
 // emitted value and not the round accounting. An emit error aborts the
 // sweep and is returned verbatim.
 func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) (ApspResult, error) {
@@ -151,8 +152,8 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	}
 
 	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
+	if workers == 0 {
+		workers = congest.Contexts(topo.EngineWorkers(opts.Engine...), n)
 	}
 
 	// One evaluation session per worker, reused across blocks.

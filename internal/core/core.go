@@ -18,9 +18,10 @@
 // its walk/wave sessions once (congest.WalkSession, congest.EccSession) and
 // every Evaluation is a Reset+Run on them — bit-identical to fresh
 // networks, without rebuilding topology tables, programs or arenas per
-// execution. Options.Parallel > 1 clones the sessions into a congest.Pool
-// and runs independent Evaluations concurrently; results are identical for
-// any value.
+// execution. Options.Parallel clones the sessions into a congest.Pool and
+// runs independent Evaluations concurrently — by default as many contexts
+// as the CPU budget leaves beside each context's engine workers; results
+// are identical for any value.
 package core
 
 import (
@@ -65,11 +66,15 @@ type Options struct {
 	// n^{2/3} / d^{1/3} per Theorem 4).
 	S int
 	// Parallel is the number of cloned evaluation contexts used to run
-	// independent Evaluations concurrently (<= 1: one context, sequential).
-	// Evaluations are deterministic and their values input-independent, so
-	// the computed Result is identical for every value; the knob only
-	// trades wall-clock time, like congest.WithWorkers. Negative values are
-	// rejected by every entry point (see Options.validate).
+	// independent Evaluations concurrently. 0 (the default) selects the
+	// automatic CPU budget: each context's engine takes its workers
+	// (congest.Topology.EngineWorkers), and congest.Contexts fills the rest
+	// of GOMAXPROCS with contexts; 1 runs one context sequentially, and
+	// k > 1 is an explicit override. Evaluations are deterministic and
+	// their values input-independent, so the computed Result is identical
+	// for every value; the knob only trades wall-clock time, like
+	// congest.WithWorkers. Negative values are rejected by every entry
+	// point (see Options.validate).
 	Parallel int
 	// Sublinear selects the skeleton distance-oracle Evaluation for the
 	// weighted parameters (WeightedDiameter, WeightedRadius and weighted
@@ -94,12 +99,12 @@ func (o Options) delta() float64 {
 }
 
 // validate rejects option values that cannot mean anything: Parallel 0
-// and 1 both mean sequential evaluation, but a negative count is a caller
-// bug. Every public entry point calls this before building any topology or
-// session.
+// means automatic and 1 sequential evaluation, but a negative count is a
+// caller bug. Every public entry point calls this before building any
+// topology or session.
 func (o Options) validate() error {
 	if o.Parallel < 0 {
-		return fmt.Errorf("core: Options.Parallel %d is negative (0 or 1 selects sequential evaluation)", o.Parallel)
+		return fmt.Errorf("core: Options.Parallel %d is negative (0 selects the automatic CPU budget, 1 sequential evaluation)", o.Parallel)
 	}
 	return nil
 }
@@ -149,9 +154,14 @@ type ctxOracle struct {
 	initRounds  int
 	setupRounds int
 	family      evalFamily
+	// workers is the engine worker count of one context's sessions
+	// (Topology.EngineWorkers under Options.Engine); the query layer's
+	// automatic budget clones contexts around it.
+	workers int
 }
 
 func (o ctxOracle) Domain() []int             { return o.domain }
+func (o ctxOracle) EngineWorkers() int        { return o.workers }
 func (o ctxOracle) InitRounds() int           { return o.initRounds }
 func (o ctxOracle) SetupRounds() int          { return o.setupRounds }
 func (o ctxOracle) NewContext() query.Context { return o.family() }
@@ -176,14 +186,11 @@ func ExactDiameterSimple(g *graph.Graph, opts Options) (Result, error) {
 	n := g.N()
 	d := info.D
 
-	return runOptimization(singleEccContext(topo, info, opts), optimizationParams{
+	return runOptimization(singleEccContext(topo, info, opts), topo, opts, optimizationParams{
 		domain:      identityDomain(n),
 		eps:         1 / float64(n),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: d + 1,
-		parallel:    opts.Parallel,
 	})
 }
 
@@ -219,14 +226,11 @@ func ExactDiameter(g *graph.Graph, opts Options) (Result, error) {
 	if eps > 1 {
 		eps = 1
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, topo, opts, optimizationParams{
 		domain:      identityDomain(n),
 		eps:         eps,
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: d + 1,
-		parallel:    opts.Parallel,
 	})
 }
 
@@ -349,25 +353,19 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 	if eps > 1 {
 		eps = 1
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, topo, opts, optimizationParams{
 		domain:      domain,
 		eps:         eps,
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  probeM.Rounds + preM.Rounds,
 		setupRounds: tStar + 1, // broadcast down the R-subtree
-		parallel:    opts.Parallel,
 	})
 }
 
 type optimizationParams struct {
 	domain      []int
 	eps         float64
-	delta       float64
-	seed        int64
 	initRounds  int
 	setupRounds int
-	parallel    int
 	// minimize runs quantum minimum finding instead of maximum finding
 	// (Dürr–Høyer is symmetric: amplify over negated values). Used by the
 	// radius entry points; eps then bounds the mass of minimizers.
@@ -428,16 +426,18 @@ func weightedEccContext(topo *congest.Topology, info *congest.PreInfo, opts Opti
 }
 
 // runOptimization runs quantum maximum (or minimum) finding over the
-// Evaluation family through the shared query layer; the golden tests pin
-// this path to the pre-refactor outputs bit for bit.
-func runOptimization(fam evalFamily, p optimizationParams) (Result, error) {
+// Evaluation family, whose sessions run on topo, through the shared query
+// layer; the golden tests pin this path to the pre-refactor outputs bit
+// for bit.
+func runOptimization(fam evalFamily, topo *congest.Topology, opts Options, p optimizationParams) (Result, error) {
 	oracle := ctxOracle{
 		domain:      p.domain,
 		initRounds:  p.initRounds,
 		setupRounds: p.setupRounds,
 		family:      fam,
+		workers:     topo.EngineWorkers(opts.Engine...),
 	}
-	qopts := query.Options{Delta: p.delta, Seed: p.seed, Parallel: p.parallel}
+	qopts := query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel}
 	var qr query.Result
 	var err error
 	if p.minimize {

@@ -265,8 +265,8 @@ func TestApproxProbeRoundsCharged(t *testing.T) {
 }
 
 // Negative Parallel is a caller bug, rejected with an explicit error by
-// every entry point before any topology or session is built; 0 and 1 both
-// mean sequential evaluation.
+// every entry point before any topology or session is built; 0 selects the
+// automatic CPU budget and 1 sequential evaluation.
 func TestNegativeOptionsRejected(t *testing.T) {
 	g := graph.RandomConnected(12, 0.2, 1)
 	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)

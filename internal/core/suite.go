@@ -90,14 +90,11 @@ func Radius(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(singleEccContext(topo, info, opts), optimizationParams{
+	return runOptimization(singleEccContext(topo, info, opts), topo, opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
 		minimize:    true,
 	})
 }
@@ -125,14 +122,11 @@ func WeightedDiameter(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, topo, opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
 	})
 }
 
@@ -157,14 +151,11 @@ func WeightedRadius(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, topo, opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
 		minimize:    true,
 	})
 }
@@ -186,9 +177,10 @@ type EccResult struct {
 }
 
 // Eccentricities computes ecc(v) for every vertex by running one Evaluation
-// per vertex on reused sessions — Options.Parallel > 1 batches independent
-// Evaluations onto cloned sessions via a congest.Pool, with results
-// identical to the sequential run. On weighted graphs each Evaluation is the
+// per vertex on reused sessions — Options.Parallel (by default the
+// automatic CPU budget) batches independent Evaluations onto cloned
+// sessions via a congest.Pool, with results identical to the sequential
+// run. On weighted graphs each Evaluation is the
 // weighted one and the vector holds weighted eccentricities.
 func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 	if err := opts.validate(); err != nil {
@@ -224,6 +216,7 @@ func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
 		family:      fam,
+		workers:     topo.EngineWorkers(opts.Engine...),
 	}
 	// The straight-line use of the query layer: one Evaluation per vertex,
 	// batched over cloned sessions (Parallel), with the per-vertex cost

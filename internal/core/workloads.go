@@ -62,6 +62,7 @@ func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, error) {
 		domain:      identityDomain(g.N()),
 		initRounds:  pre.Rounds + probe.Rounds,
 		setupRounds: info.D + 1,
+		workers:     topo.EngineWorkers(opts.Engine...),
 		family: func() *evalContext {
 			ts := congest.NewTriangleSession(topo, info, flags, opts.Engine...)
 			return &evalContext{
@@ -214,6 +215,7 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 		domain:      domain,
 		initRounds:  pre.Rounds,
 		setupRounds: info.D + 1,
+		workers:     topo.EngineWorkers(opts.Engine...),
 		family: func() *evalContext {
 			cs := congest.NewCutSession(topo, info, opts.Engine...)
 			return &evalContext{

@@ -54,14 +54,20 @@ func (s Series) Slope(x func(Point) float64) float64 {
 	return (fn*sxy - sx*sy) / (fn*sxx - sx*sx)
 }
 
-// runTrials executes `trials` independent runs of run (each trial gets its
-// own derived seed inside run), spreading them over up to `parallel`
-// goroutines, and folds the per-trial results in trial order — so the
-// returned Point is identical for every parallelism level.
-func runTrials(trials, parallel int, run func(tr int) (core.Result, error)) (rounds int, lastDiam int, hits func(ok func(int) bool) int, err error) {
+// runTrials executes `trials` independent runs of run, trial tr with
+// seed+tr, spreading them over up to `parallel` goroutines, and folds the
+// per-trial results in trial order — so the returned Point is identical for
+// every parallelism level. Trials and cloned evaluation contexts share one
+// CPU budget: concurrent trials each run one context (Parallel 1), and a
+// sequential sweep leaves each call the automatic budget (Parallel 0).
+func runTrials(trials, parallel int, seed int64, engine []congest.Option, run func(opts core.Options) (core.Result, error)) (rounds int, lastDiam int, hits func(ok func(int) bool) int, err error) {
+	inner := 0
+	if parallel > 1 {
+		inner = 1
+	}
 	results := make([]core.Result, trials)
 	err = congest.ForEach(parallel, trials, func(tr int) error {
-		res, err := run(tr)
+		res, err := run(core.Options{Seed: seed + int64(tr), Parallel: inner, Engine: engine})
 		if err != nil {
 			return err
 		}
@@ -89,8 +95,9 @@ func runTrials(trials, parallel int, run func(tr int) (core.Result, error)) (rou
 // ExactComparison measures the Table 1 "Exact computation" row: classical
 // Theta(n) vs quantum Õ(sqrt(nD)) rounds on constant-diameter graphs of
 // increasing size. trials averages the randomized quantum cost; parallel
-// runs that many trials concurrently (<= 1: sequential) with results folded
-// in trial order, so the measured series are identical for every value.
+// runs that many trials concurrently (<= 1: sequential trials, each on the
+// automatic evaluation budget) with results folded in trial order, so the
+// measured series are identical for every value.
 func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel int, engine ...congest.Option) (classical, quantum Series, err error) {
 	classical.Name = "classical exact (PRT12)"
 	quantum.Name = "quantum exact (Theorem 1)"
@@ -111,8 +118,8 @@ func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel
 			N: n, D: want, Rounds: cres.Metrics.Rounds,
 			Diameter: cres.Diameter, OK: cres.Diameter == want,
 		})
-		rounds, lastDiam, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
+		rounds, lastDiam, hits, err := runTrials(trials, parallel, seed, engine, func(opts core.Options) (core.Result, error) {
+			return core.ExactDiameter(g, opts)
 		})
 		if err != nil {
 			return classical, quantum, err
@@ -135,8 +142,8 @@ func DiameterSweep(n int, diameters []int, trials int, seed int64, parallel int,
 		if err != nil {
 			return s, err
 		}
-		rounds, last, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
+		rounds, last, hits, err := runTrials(trials, parallel, seed, engine, func(opts core.Options) (core.Result, error) {
+			return core.ExactDiameter(g, opts)
 		})
 		if err != nil {
 			return s, err
@@ -172,8 +179,8 @@ func ApproxComparison(sizes []int, diameter int, trials int, seed int64, paralle
 			N: n, D: want, Rounds: cres.Metrics.Rounds, Diameter: cres.Diameter,
 			OK: approxOK(cres.Diameter, want),
 		})
-		rounds, last, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ApproxDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
+		rounds, last, hits, err := runTrials(trials, parallel, seed, engine, func(opts core.Options) (core.Result, error) {
+			return core.ApproxDiameter(g, opts)
 		})
 		if err != nil {
 			return classical, quantum, err

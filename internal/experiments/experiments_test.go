@@ -4,8 +4,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"qcongest/internal/core"
 	"qcongest/internal/graph"
 )
 
@@ -136,6 +138,29 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotS, wantS) {
 		t.Errorf("parallel diameter sweep differs from sequential")
+	}
+}
+
+// TestRunTrialsSharesBudget pins the trial layer's share of the CPU
+// budget: concurrent trials each get one evaluation context, while a
+// sequential sweep leaves every call the automatic budget.
+func TestRunTrialsSharesBudget(t *testing.T) {
+	for _, tc := range []struct{ parallel, wantInner int }{{0, 0}, {1, 0}, {3, 1}} {
+		var mu sync.Mutex
+		seeds := map[int64]int{}
+		_, _, _, err := runTrials(4, tc.parallel, 10, nil, func(opts core.Options) (core.Result, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			seeds[opts.Seed] = opts.Parallel
+			return core.Result{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64]int{10: tc.wantInner, 11: tc.wantInner, 12: tc.wantInner, 13: tc.wantInner}
+		if !reflect.DeepEqual(seeds, want) {
+			t.Errorf("parallel %d: trials ran with seed -> Parallel %v, want %v", tc.parallel, seeds, want)
+		}
 	}
 }
 

@@ -89,6 +89,15 @@ func (s *Sparse) Clone() *Sparse {
 	return &Sparse{labels: s.labels, amp: append([]complex128(nil), s.amp...)}
 }
 
+// CopyFrom overwrites s with a copy of o, adopting o's (immutable) label
+// slice. It reuses s's amplitude storage, so restoring a scratch state
+// cloned from o — the restart of every amplitude-amplification attempt —
+// allocates nothing.
+func (s *Sparse) CopyFrom(o *Sparse) {
+	s.labels = o.labels
+	s.amp = append(s.amp[:0], o.amp...)
+}
+
 // sameDomain reports whether s and o share one label slice, so their
 // amplitude slices are index-aligned.
 func (s *Sparse) sameDomain(o *Sparse) bool {

@@ -20,6 +20,20 @@
 // the amplification consumes the memo table, so results, round counts and
 // qubit counts are identical for every Parallel value and every engine
 // configuration the oracle's sessions were built with.
+//
+// # Batching
+//
+// With more than one context a query batches: it evaluates the whole
+// domain on the pool up front, then amplifies against the memo table.
+// Under the automatic default (Parallel 0) only the queries that provably
+// touch every label batch — Maximum, Minimum, Count (each ends with a
+// fruitless amplification pass, whose phase flip evaluates every label,
+// unless Count has already found every label) and EvalAll. Search stays lazy there, because its first measurement
+// often hits a marked label after evaluating a fraction of the domain. An
+// explicit Parallel > 1 batches every query. Batching can surface an
+// Evaluation error at a label the lazy path would not have reached, or at
+// a different label than the one the lazy path hits first: the batch
+// reports the smallest failing domain position.
 package query
 
 import (
@@ -57,6 +71,17 @@ type Oracle interface {
 	NewContext() Context
 }
 
+// EngineBound is optionally implemented by an Oracle whose contexts run
+// CONGEST engines. EngineWorkers is the engine worker count of one context
+// (congest.Topology.EngineWorkers): the share of the CPU budget each clone
+// claims. Under Parallel 0 a query clones congest.Contexts(EngineWorkers(),
+// |domain|) contexts of such an oracle; an oracle without the method runs
+// on one context, since the query cannot tell what its contexts cost or
+// whether they are safe to run concurrently.
+type EngineBound interface {
+	EngineWorkers() int
+}
+
 // Options configures one query.
 type Options struct {
 	// Delta is the allowed failure probability (default 0.1).
@@ -64,8 +89,10 @@ type Options struct {
 	// Seed drives all measurements.
 	Seed int64
 	// Parallel is the number of cloned evaluation contexts used to run
-	// independent Evaluations concurrently (<= 1: one context, sequential).
-	// The computed Result is identical for every value.
+	// independent Evaluations concurrently. 0 selects the automatic CPU
+	// budget (see EngineBound and the package doc's "Batching"), 1 runs
+	// one context sequentially, and negative values act as 1. The computed
+	// Result is identical for every value.
 	Parallel int
 }
 
@@ -76,11 +103,21 @@ func (o Options) delta() float64 {
 	return o.Delta
 }
 
-func (o Options) parallel() int {
-	if o.Parallel < 1 {
+// contexts returns how many evaluation contexts a query over oracle o
+// clones. touchesAll reports whether the query evaluates every domain
+// label whatever its measurements: only those queries batch under the
+// automatic budget, since batching the others can waste Evaluations.
+func (opts Options) contexts(o Oracle, touchesAll bool) int {
+	switch {
+	case opts.Parallel > 0:
+		return opts.Parallel
+	case opts.Parallel < 0 || !touchesAll:
 		return 1
 	}
-	return o.Parallel
+	if eb, ok := o.(EngineBound); ok {
+		return congest.Contexts(eb.EngineWorkers(), len(o.Domain()))
+	}
+	return 1
 }
 
 // Result reports one query outcome together with its measured costs.
@@ -128,9 +165,8 @@ func (b *evalBackend) close() { b.pool.Close(func(c Context) { c.Close() }) }
 // contextPool builds the evaluation backend every query runs on: context 0
 // serves the sequential path, and the whole pool serves batched
 // evaluation. The batch closure is nil when the query should evaluate
-// lazily (sequential solo), mirroring qcongest's contract.
-func contextPool(o Oracle, opts Options, negate bool) *evalBackend {
-	parallel := opts.parallel()
+// lazily (one context), mirroring qcongest's contract.
+func contextPool(o Oracle, parallel int, negate bool) *evalBackend {
 	pool, _ := congest.NewPool(parallel, func(int) (Context, error) { return o.NewContext(), nil })
 	b := &evalBackend{pool: pool, evaluate: pool.Get(0).Eval}
 	if negate {
@@ -168,7 +204,7 @@ func contextPool(o Oracle, opts Options, negate bool) *evalBackend {
 // (Dürr–Høyer via qcongest.Optimizer) over the oracle, negating values for
 // minimization (the threshold climb is symmetric).
 func optimize(o Oracle, eps float64, opts Options, minimize bool) (Result, error) {
-	be := contextPool(o, opts, minimize)
+	be := contextPool(o, opts.contexts(o, true), minimize)
 	defer be.close()
 
 	opt := &qcongest.Optimizer{
@@ -218,7 +254,9 @@ func Minimum(o Oracle, eps float64, opts Options) (Result, error) {
 
 // search is the shared body of Search and Count.
 func search(o Oracle, marked func(value int) bool, opts Options, count bool) (Result, error) {
-	be := contextPool(o, opts, false)
+	// Count ends with a fruitless pass that evaluates every label; one
+	// Search can stop at its first measurement.
+	be := contextPool(o, opts.contexts(o, count), false)
 	defer be.close()
 
 	s := &qcongest.Searcher{
@@ -278,7 +316,7 @@ func Count(o Oracle, marked func(value int) bool, opts Options) (Result, error) 
 // together with the uniform per-evaluation round count, which EvalAll
 // asserts (the property the quantum queries rely on).
 func EvalAll(o Oracle, opts Options) (values []int, evalRounds int, err error) {
-	be := contextPool(o, opts, false)
+	be := contextPool(o, opts.contexts(o, true), false)
 	defer be.close()
 
 	domain := o.Domain()

@@ -36,7 +36,8 @@
 // The quantum algorithms amortize all per-Evaluation setup this way;
 // QuantumOptions.Parallel is the one batching mechanism: it runs
 // independent Evaluations concurrently on cloned sessions (Pool),
-// deterministically, like every other knob.
+// deterministically, like every other knob, and by default sizes the pool
+// from one GOMAXPROCS budget shared with the engine workers.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results versus the paper's claims.
@@ -252,7 +253,11 @@ func ClassicalApproxDiameter(g *Graph, s int, seed int64, opts ...EngineOption) 
 // QuantumResult is the outcome of a quantum diameter computation.
 type QuantumResult = core.Result
 
-// QuantumOptions configures the quantum algorithms.
+// QuantumOptions configures the quantum algorithms. Its Parallel field is
+// the number of cloned evaluation contexts: 0 (the default) splits
+// GOMAXPROCS between each context's engine workers and as many contexts as
+// fit beside them, 1 evaluates sequentially, and k > 1 runs k contexts.
+// The Result is identical for every value.
 type QuantumOptions = core.Options
 
 // QuantumExactDiameter runs the paper's main algorithm (Theorem 1):
