@@ -45,15 +45,30 @@ var ErrNotFound = errors.New("amplify: no marked element found")
 // phi (the Setup output) with the given marked-set predicate, spending at
 // most maxIterations Grover iterations. On success it returns the measured
 // marked element. The expected number of iterations is O(sqrt(1/P_M)) when
-// the marked probability mass is P_M > 0 (Theorem 6).
+// the marked probability mass is P_M > 0 (Theorem 6). marked must be a
+// fixed predicate for the duration of the call.
 func Search(phi *qsim.Sparse, marked func(int) bool, maxIterations int, rng *rand.Rand) (int, Counters, error) {
-	return search(phi, phi.Clone(), marked, maxIterations, rng)
+	return search(phi, newScratch(phi), marked, maxIterations, rng)
 }
 
-// search is Search over a caller-owned scratch state s, which every
-// measurement attempt restores to phi in place: FindMax and FindAll run
-// all their passes on one scratch, so restarts allocate nothing.
-func search(phi, s *qsim.Sparse, marked func(int) bool, maxIterations int, rng *rand.Rand) (int, Counters, error) {
+// scratch is the working memory of search passes: a state that every
+// measurement attempt restores to phi in place, and the positions of phi's
+// marked labels. A pass's predicate is fixed, so its first Grover iteration
+// evaluates it once per label (in ascending label order, like a phase
+// flip) and every later iteration replays the positions. FindMax and
+// FindAll run all their passes on one scratch, so restarts allocate
+// nothing.
+type scratch struct {
+	s      qsim.Sparse // by value: a scratch costs two allocations
+	marked []int
+}
+
+func newScratch(phi *qsim.Sparse) *scratch {
+	return &scratch{s: *phi.Clone(), marked: make([]int, 0, phi.Len())}
+}
+
+// search is Search over a caller-owned scratch.
+func search(phi *qsim.Sparse, sc *scratch, marked func(int) bool, maxIterations int, rng *rand.Rand) (int, Counters, error) {
 	var c Counters
 	if maxIterations < 1 {
 		maxIterations = 1
@@ -61,19 +76,24 @@ func search(phi, s *qsim.Sparse, marked func(int) bool, maxIterations int, rng *
 	m := 1.0
 	const lambda = 1.2 // BBHT growth factor in (1, 4/3)
 	mCap := math.Sqrt(float64(phi.Len())) * 2
+	evaluated := false // sc.marked holds this pass's positions
 	for c.GroverIterations < maxIterations {
 		j := rng.Intn(int(m) + 1)
 		if rem := maxIterations - c.GroverIterations; j > rem {
 			j = rem
 		}
-		s.CopyFrom(phi)
+		sc.s.CopyFrom(phi)
+		if j > 0 && !evaluated {
+			sc.marked, evaluated = phi.Mark(marked, sc.marked[:0]), true
+		}
 		for i := 0; i < j; i++ {
-			s.GroverIteration(phi, marked)
+			sc.s.FlipAt(sc.marked)
+			sc.s.ReflectAbout(phi)
 		}
 		c.GroverIterations += j
 		c.SetupCalls += 2*j + 1 // reflections + initial Setup
 		c.EvaluationCalls += 2 * j
-		x := s.Measure(rng)
+		x := sc.s.Measure(rng)
 		c.Measurements++
 		c.EvaluationCalls++ // classical verification of the outcome
 		if marked(x) {
@@ -87,35 +107,48 @@ func search(phi, s *qsim.Sparse, marked func(int) bool, maxIterations int, rng *
 	return 0, c, ErrNotFound
 }
 
+// Budget is the Theorem 6 iteration budget of one search over size labels:
+// 3·sqrt(size) iterations, enough for the smallest nonempty marked set (one
+// element, mass 1/size), boosted to failure probability delta.
+func Budget(size int, delta float64) int {
+	return budget(3*math.Sqrt(float64(size)), delta)
+}
+
+// budget boosts an expected iteration count iters by ceil(ln(1/delta)), at
+// least 1: the one budget shape of Search passes (Budget) and FindMax
+// phases (iters = 3/sqrt(eps')).
+func budget(iters, delta float64) int {
+	boost := math.Ceil(math.Log(1 / delta))
+	if boost < 1 {
+		boost = 1
+	}
+	return int(boost*math.Ceil(iters)) + 1
+}
+
 // FindAll finds every marked element in the support of phi by repeated
 // amplitude-amplified search, excluding each found element from the marked
-// set before the next pass. Each pass gets the Theorem 6 budget for the
-// smallest nonempty marked set (one element, mass 1/|support|), boosted by
-// ceil(ln(1/delta)); the procedure stops at the first fruitless pass, so a
-// complete run performs |M|+1 searches. The found elements are returned in
-// discovery order (measurement-driven, so seed-dependent but deterministic
-// for a fixed rng stream).
+// set before the next pass. Each pass gets Budget(|support|, delta); the
+// procedure stops at the first fruitless pass, so a complete run performs
+// |M|+1 searches (|M| when every element is marked). The found elements are
+// returned in discovery order (measurement-driven, so seed-dependent but
+// deterministic for a fixed rng stream).
 func FindAll(phi *qsim.Sparse, marked func(int) bool, delta float64, rng *rand.Rand) ([]int, Counters, error) {
 	var c Counters
-	if delta <= 0 || delta >= 1 {
+	if !(delta > 0 && delta < 1) {
 		return nil, c, fmt.Errorf("amplify: delta %g out of (0,1)", delta)
 	}
 	size := phi.Len()
 	if size == 0 {
 		return nil, c, qsim.ErrEmptyDomain
 	}
-	boost := math.Ceil(math.Log(1 / delta))
-	if boost < 1 {
-		boost = 1
-	}
-	budget := int(boost*math.Ceil(3*math.Sqrt(float64(size)))) + 1
+	passBudget := Budget(size, delta)
 
 	found := make(map[int]bool, 4)
 	residual := func(x int) bool { return marked(x) && !found[x] }
-	scratch := phi.Clone()
+	sc := newScratch(phi)
 	var out []int
 	for len(out) < size {
-		x, pass, err := search(phi, scratch, residual, budget, rng)
+		x, pass, err := search(phi, sc, residual, passBudget, rng)
 		c.add(pass)
 		switch {
 		case err == nil:
@@ -146,10 +179,10 @@ type MaxResult struct {
 // phase, and stop once epsilon' < eps and a phase finds nothing.
 func FindMax(phi *qsim.Sparse, f func(int) int, eps, delta float64, rng *rand.Rand) (MaxResult, error) {
 	var res MaxResult
-	if eps <= 0 || eps > 1 {
+	if !(eps > 0 && eps <= 1) {
 		return res, fmt.Errorf("amplify: eps %g out of (0,1]", eps)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !(delta > 0 && delta < 1) {
 		return res, fmt.Errorf("amplify: delta %g out of (0,1)", delta)
 	}
 	if phi.Len() == 0 {
@@ -165,16 +198,11 @@ func FindMax(phi *qsim.Sparse, f func(int) int, eps, delta float64, rng *rand.Ra
 	res.Counters.EvaluationCalls++ // learn f(a)
 	fa := f(a)
 
-	boost := math.Ceil(math.Log(1 / delta))
-	if boost < 1 {
-		boost = 1
-	}
 	epsPrime := 0.5
 	marked := func(x int) bool { return f(x) > fa }
-	scratch := phi.Clone()
+	sc := newScratch(phi)
 	for {
-		budget := int(boost*math.Ceil(3/math.Sqrt(epsPrime))) + 1
-		b, c, err := search(phi, scratch, marked, budget, rng)
+		b, c, err := search(phi, sc, marked, budget(3/math.Sqrt(epsPrime), delta), rng)
 		res.Counters.add(c)
 		res.Counters.Phases++
 		switch {

@@ -139,6 +139,12 @@ func TestFindMaxParameterValidation(t *testing.T) {
 	if _, err := FindMax(phi, f, 0.1, 1, rng); err == nil {
 		t.Error("delta=1 accepted")
 	}
+	if _, err := FindMax(phi, f, math.NaN(), 0.1, rng); err == nil {
+		t.Error("eps=NaN accepted")
+	}
+	if _, err := FindMax(phi, f, 0.1, math.NaN(), rng); err == nil {
+		t.Error("delta=NaN accepted")
+	}
 }
 
 // FindMax iteration count scales like sqrt(1/eps) = sqrt(N) for a unique
@@ -227,5 +233,118 @@ func TestFindMaxAllocsIndependentOfRestarts(t *testing.T) {
 	if few != many || many > 2 {
 		t.Errorf("FindMax allocates %.0f objects at %d restarts and %.0f at %d, want one constant <= 2",
 			few, fewRestarts, many, manyRestarts)
+	}
+}
+
+// FindAll's contract: parameter and domain errors, an empty marked set
+// costing exactly one fruitless pass, a full marked set stopping at |M| =
+// size without a fruitless pass, and counters that sum over the passes.
+func TestFindAll(t *testing.T) {
+	const n = 32
+	for _, tc := range []struct {
+		name   string
+		size   int
+		marked func(int) bool
+		delta  float64
+		want   int  // |M|
+		err    bool // FindAll must fail
+	}{
+		{"delta-zero", n, func(int) bool { return true }, 0, 0, true},
+		{"delta-one", n, func(int) bool { return true }, 1, 0, true},
+		{"delta-NaN", n, func(int) bool { return true }, math.NaN(), 0, true},
+		{"empty-state", 0, func(int) bool { return true }, 0.1, 0, true},
+		{"none-marked", n, func(int) bool { return false }, 0.1, 0, false},
+		{"one-marked", n, func(k int) bool { return k == 9 }, 0.1, 1, false},
+		{"some-marked", n, func(k int) bool { return k%5 == 0 }, 0.1, 7, false},
+		{"all-marked", n, func(int) bool { return true }, 0.1, n, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var phi *qsim.Sparse
+			if tc.size == 0 {
+				phi = &qsim.Sparse{}
+			} else {
+				phi = uniformOver(tc.size, t)
+			}
+			all, c, err := FindAll(phi, tc.marked, tc.delta, rand.New(rand.NewSource(3)))
+			if tc.err {
+				if err == nil || (tc.size == 0) != errors.Is(err, qsim.ErrEmptyDomain) {
+					t.Fatalf("FindAll = %v, %v; want a parameter or empty-domain error", all, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != tc.want {
+				t.Fatalf("found %d elements %v, want %d", len(all), all, tc.want)
+			}
+			// Replay the passes on a second rng of the same seed: each
+			// search over the not-yet-found marked set must reproduce
+			// FindAll's element, and the counters must sum to FindAll's.
+			rng := rand.New(rand.NewSource(3))
+			found := map[int]bool{}
+			var sum Counters
+			passes := 0
+			for {
+				x, pass, err := Search(phi, func(k int) bool { return tc.marked(k) && !found[k] }, Budget(tc.size, tc.delta), rng)
+				sum.add(pass)
+				passes++
+				if err != nil {
+					break
+				}
+				if found[x] || x != all[len(found)] {
+					t.Fatalf("pass %d found %d, FindAll %v", passes, x, all)
+				}
+				found[x] = true
+				if len(found) == tc.size {
+					break
+				}
+			}
+			if len(found) != len(all) || sum != c {
+				t.Errorf("passes sum to %d found, %+v; FindAll %d, %+v", len(found), sum, len(all), c)
+			}
+			wantPasses := tc.want + 1
+			if tc.want == tc.size {
+				wantPasses = tc.want // no fruitless pass
+			}
+			if c.Measurements < wantPasses || passes != wantPasses {
+				t.Errorf("%d passes, %d measurements, want %d passes", passes, c.Measurements, wantPasses)
+			}
+			if tc.want == 0 && c.GroverIterations != Budget(tc.size, tc.delta) {
+				t.Errorf("fruitless pass ran %d iterations, want the budget %d", c.GroverIterations, Budget(tc.size, tc.delta))
+			}
+		})
+	}
+}
+
+// The budget of a search pass and of a FindMax phase are the Theorem 6
+// expressions int(boost·ceil(3·sqrt(size)))+1 and int(boost·ceil(3/sqrt(eps')))+1
+// with boost = max(1, ceil(ln(1/delta))), evaluated in exactly this float
+// order: the golden suite pins the iteration counts they produce.
+func TestBudgetPinned(t *testing.T) {
+	boost := func(delta float64) float64 { return math.Max(1, math.Ceil(math.Log(1/delta))) }
+	for _, delta := range []float64{1e-9, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.2, 1 / math.E, 0.5, 0.9, 0.999} {
+		for size := 1; size <= 1<<12; size = size*3/2 + 1 {
+			want := int(boost(delta)*math.Ceil(3*math.Sqrt(float64(size)))) + 1
+			if got := Budget(size, delta); got != want {
+				t.Errorf("Budget(%d, %g) = %d, want %d", size, delta, got, want)
+			}
+		}
+		for epsPrime := 0.5; epsPrime > 1e-7; epsPrime /= 2 {
+			want := int(boost(delta)*math.Ceil(3/math.Sqrt(epsPrime))) + 1
+			if got := budget(3/math.Sqrt(epsPrime), delta); got != want {
+				t.Errorf("FindMax phase budget(eps' %g, %g) = %d, want %d", epsPrime, delta, got, want)
+			}
+		}
+	}
+	// Spot values, independent of the expressions above.
+	for _, tc := range []struct {
+		size  int
+		delta float64
+		want  int
+	}{{1, 0.5, 4}, {16, 0.1, 37}, {64, 0.1, 73}, {256, 0.1, 145}, {256, 0.5, 49}, {1000, 1e-6, 1331}} {
+		if got := Budget(tc.size, tc.delta); got != tc.want {
+			t.Errorf("Budget(%d, %g) = %d, want %d", tc.size, tc.delta, got, tc.want)
+		}
 	}
 }

@@ -14,7 +14,7 @@
 //
 // Every Evaluation is executed as a real message-passing CONGEST program
 // (internal/congest) whose round count is measured, and the quantum layer
-// charges rounds per Theorem 7 (internal/qcongest). Each algorithm builds
+// charges rounds per Theorem 7 (internal/query). Each algorithm builds
 // its walk/wave sessions once (congest.WalkSession, congest.EccSession) and
 // every Evaluation is a Reset+Run on them — bit-identical to fresh
 // networks, without rebuilding topology tables, programs or arenas per
@@ -92,7 +92,7 @@ type Options struct {
 }
 
 func (o Options) delta() float64 {
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(o.Delta > 0 && o.Delta < 1) {
 		return 0.1
 	}
 	return o.Delta
@@ -100,11 +100,15 @@ func (o Options) delta() float64 {
 
 // validate rejects option values that cannot mean anything: Parallel 0
 // means automatic and 1 sequential evaluation, but a negative count is a
-// caller bug. Every public entry point calls this before building any
+// caller bug, and so is a NaN Delta (any other out-of-range Delta selects
+// the default). Every public entry point calls this before building any
 // topology or session.
 func (o Options) validate() error {
 	if o.Parallel < 0 {
 		return fmt.Errorf("core: Options.Parallel %d is negative (0 selects the automatic CPU budget, 1 sequential evaluation)", o.Parallel)
+	}
+	if math.IsNaN(o.Delta) {
+		return errors.New("core: Options.Delta is NaN (0 selects the default 0.1)")
 	}
 	return nil
 }

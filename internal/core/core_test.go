@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"qcongest/internal/congest"
@@ -264,9 +265,10 @@ func TestApproxProbeRoundsCharged(t *testing.T) {
 	}
 }
 
-// Negative Parallel is a caller bug, rejected with an explicit error by
-// every entry point before any topology or session is built; 0 selects the
-// automatic CPU budget and 1 sequential evaluation.
+// Negative Parallel and a NaN Delta are caller bugs, rejected with an
+// explicit error naming the field by every entry point before any topology
+// or session is built; Parallel 0 selects the automatic CPU budget and 1
+// sequential evaluation.
 func TestNegativeOptionsRejected(t *testing.T) {
 	g := graph.RandomConnected(12, 0.2, 1)
 	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)
@@ -285,6 +287,9 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	} {
 		if err := run(Options{Parallel: -2}); err == nil {
 			t.Errorf("%s: Parallel -2 accepted", name)
+		}
+		if err := run(Options{Delta: math.NaN()}); err == nil || !strings.Contains(err.Error(), "Options.Delta") {
+			t.Errorf("%s: NaN Delta: err %v, want one naming Options.Delta", name, err)
 		}
 		if err := run(Options{}); err != nil {
 			t.Errorf("%s: zero Options: %v", name, err)

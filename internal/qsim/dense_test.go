@@ -6,10 +6,10 @@ import (
 	"math/rand"
 )
 
-// Dense is a dense state vector over q qubits (2^q complex amplitudes),
-// used to validate the sparse simulator and the CNOT-copy semantics of
-// Section 2 ("Preliminaries") on small systems. Qubit 0 is the least
-// significant bit of the basis index.
+// Dense is a dense state vector over q qubits (2^q complex amplitudes), a
+// test-only oracle used to validate the sparse simulator and the CNOT-copy
+// semantics of Section 2 ("Preliminaries") on small systems. Qubit 0 is
+// the least significant bit of the basis index.
 type Dense struct {
 	q   int
 	amp []complex128

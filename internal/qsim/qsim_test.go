@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -46,6 +47,21 @@ func TestPhaseFlip(t *testing.T) {
 	}
 	if math.Abs(s.Norm()-1) > tol {
 		t.Error("phase flip changed norm")
+	}
+	// Mark + FlipAt is the same flip, with the predicate called once per
+	// label in ascending order, replayable on a clone.
+	var calls []int
+	pos := s.Mark(func(k int) bool { calls = append(calls, k); return k == 2 }, nil)
+	c := s.Clone()
+	c.FlipAt(pos)
+	s.PhaseFlip(func(k int) bool { return k == 2 })
+	if !reflect.DeepEqual(calls, []int{0, 1, 2, 3}) || !reflect.DeepEqual(pos, []int{2}) {
+		t.Errorf("Mark called %v and returned %v, want [0 1 2 3] and [2]", calls, pos)
+	}
+	for _, k := range []int{0, 1, 2, 3} {
+		if c.Amplitude(k) != s.Amplitude(k) {
+			t.Errorf("FlipAt amplitude %v at %d, PhaseFlip %v", c.Amplitude(k), k, s.Amplitude(k))
+		}
 	}
 }
 

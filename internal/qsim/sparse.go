@@ -1,8 +1,8 @@
-// Package qsim provides the quantum-state simulators used by the
+// Package qsim provides the quantum-state simulator used by the
 // reproduction: a sparse amplitude-vector simulator over arbitrary integer
 // basis labels (the workhorse for amplitude amplification over network
-// configurations) and a dense qubit-register simulator used to validate the
-// sparse engine and the paper's CNOT-copy broadcast semantics on small
+// configurations). A dense qubit-register simulator in its tests validates
+// the sparse engine and the paper's CNOT-copy broadcast semantics on small
 // systems.
 //
 // Why a sparse simulator is exact here: in the paper's framework (Section
@@ -159,6 +159,27 @@ func (s *Sparse) PhaseFlip(marked func(int) bool) {
 		if marked(k) {
 			s.amp[i] = -s.amp[i]
 		}
+	}
+}
+
+// Mark appends to pos the positions of the labels for which marked holds,
+// calling marked once per label in ascending order, as PhaseFlip does.
+// FlipAt replays the positions on any state that shares s's label slice,
+// so a fixed predicate is evaluated once, not once per Grover iteration.
+func (s *Sparse) Mark(marked func(int) bool, pos []int) []int {
+	for i, k := range s.labels {
+		if marked(k) {
+			pos = append(pos, i)
+		}
+	}
+	return pos
+}
+
+// FlipAt negates the amplitudes at positions pos (from Mark on a state
+// sharing s's label slice): PhaseFlip with the predicate evaluated.
+func (s *Sparse) FlipAt(pos []int) {
+	for _, i := range pos {
+		s.amp[i] = -s.amp[i]
 	}
 }
 

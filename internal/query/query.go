@@ -4,8 +4,27 @@
 // followed the paper (van Apeldoorn–de Vos). An Oracle describes one
 // distributed Evaluation family — its domain, its measured Initialization
 // and Setup costs, and a factory of independent evaluation contexts — and
-// the package runs the quantum machinery of internal/qcongest (Theorem 7
-// round accounting) and internal/amplify (amplitude amplification) over it.
+// the package runs amplitude amplification (internal/amplify) over it and
+// charges the distributed costs per Theorem 7.
+//
+// # Cost model (Theorem 7)
+//
+// A leader runs amplitude amplification whose Setup and Evaluation black
+// boxes are distributed procedures executed by the whole network in
+// superposition. The simulator tracks amplitudes over the domain X and
+// runs the (classical, reversible) Evaluation per basis label, so a query
+// charges
+//
+//	Rounds = InitRounds + SetupCalls·SetupRounds + EvaluationCalls·(2·EvalRounds+1)
+//
+// where one reversible Evaluation is compute, copy out, uncompute, and the
+// call counts are amplify's. This is sound only if Evaluation costs the
+// same number of rounds on every input: that input-independence is what
+// makes running it in superposition cost a single execution, and every
+// query asserts it. Every node holds 5·⌈log₂(|X|+1)⌉ qubits of working
+// registers; the leader additionally records one label per amplification
+// phase: ⌈log₂(1/eps)⌉+1 phases for Maximum and Minimum, one for Search
+// and Count (the labels Count finds are measured, so classical).
 //
 // Every algorithm of internal/core is one call into this package; the
 // golden-compatibility tests of internal/core pin that port to the
@@ -37,11 +56,14 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
+	"qcongest/internal/amplify"
 	"qcongest/internal/congest"
-	"qcongest/internal/qcongest"
+	"qcongest/internal/qsim"
 )
 
 // Context is one independent evaluation context: Eval computes the
@@ -97,11 +119,13 @@ type Options struct {
 }
 
 func (o Options) delta() float64 {
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(o.Delta > 0 && o.Delta < 1) {
 		return 0.1
 	}
 	return o.Delta
 }
+
+func (o Options) rng() *rand.Rand { return rand.New(rand.NewSource(o.Seed)) }
 
 // contexts returns how many evaluation contexts a query over oracle o
 // clones. touchesAll reports whether the query evaluates every domain
@@ -148,95 +172,150 @@ type Result struct {
 	NodeQubits   int
 }
 
-// evalBackend is the evaluation machinery one query runs on: a pool of
-// solo Contexts, a sequential evaluator on context 0 for the lazy path, and
-// an optional whole-domain batch over the pool (nil: the query evaluates
-// lazily).
-type evalBackend struct {
-	evaluate qcongest.EvalProc
-	// batch precomputes the whole domain (errors wrapped "evaluate <x>"
-	// for the smallest failing element).
-	batch func([]int) ([]int, []int, error)
-	pool  *congest.Pool[Context]
+// evaluator runs one query's Evaluations on a pool of cloned Contexts:
+// lazily on context 0 through the memo (f), or for the whole domain at once
+// on the pool (batch). Both paths go through record, the one round
+// uniformity check.
+type evaluator struct {
+	oracle Oracle
+	domain []int
+	pool   *congest.Pool[Context]
+	// negate flips every value, so Minimum can maximize.
+	negate bool
+	// memo holds the values a quantum query has seen (nil for EvalAll).
+	memo map[int]int
+	// rounds is the measured cost of one classical Evaluation, -1 until the
+	// first one.
+	rounds int
+	// err is the first error of the lazy path, which amplification cannot
+	// stop at; the query reports it when the amplification returns.
+	err error
 }
 
-func (b *evalBackend) close() { b.pool.Close(func(c Context) { c.Close() }) }
-
-// contextPool builds the evaluation backend every query runs on: context 0
-// serves the sequential path, and the whole pool serves batched
-// evaluation. The batch closure is nil when the query should evaluate
-// lazily (one context), mirroring qcongest's contract.
-func contextPool(o Oracle, parallel int, negate bool) *evalBackend {
-	pool, _ := congest.NewPool(parallel, func(int) (Context, error) { return o.NewContext(), nil })
-	b := &evalBackend{pool: pool, evaluate: pool.Get(0).Eval}
-	if negate {
-		inner := b.evaluate
-		b.evaluate = func(x int) (int, int, error) {
-			v, r, err := inner(x)
-			return -v, r, err
-		}
-	}
-	if parallel > 1 {
-		// Precompute every domain value on the pool. The amplification then
-		// runs entirely against the memoized table; since evaluations are
-		// deterministic, the Result is the one sequential evaluation yields.
-		b.batch = func(domain []int) ([]int, []int, error) {
-			values := make([]int, len(domain))
-			rounds := make([]int, len(domain))
-			err := pool.Do(len(domain), func(j int, c Context) error {
-				v, r, err := c.Eval(domain[j])
-				if err != nil {
-					return fmt.Errorf("evaluate %d: %w", domain[j], err)
-				}
-				if negate {
-					v = -v
-				}
-				values[j], rounds[j] = v, r
-				return nil
-			})
-			return values, rounds, err
-		}
-	}
-	return b
+func newEvaluator(o Oracle, contexts int, negate bool) *evaluator {
+	pool, _ := congest.NewPool(contexts, func(int) (Context, error) { return o.NewContext(), nil })
+	return &evaluator{oracle: o, domain: o.Domain(), pool: pool, negate: negate, rounds: -1}
 }
 
-// optimize is the shared body of Maximum and Minimum: quantum optimization
-// (Dürr–Høyer via qcongest.Optimizer) over the oracle, negating values for
-// minimization (the threshold climb is symmetric).
+func (e *evaluator) close() { e.pool.Close(func(c Context) { c.Close() }) }
+
+func (e *evaluator) eval(c Context, x int) (int, int, error) {
+	v, r, err := c.Eval(x)
+	if e.negate {
+		v = -v
+	}
+	return v, r, err
+}
+
+// record memoizes value for x and asserts that x's Evaluation cost the
+// same rounds as every one before it.
+func (e *evaluator) record(x, value, rounds int) error {
+	if e.memo != nil {
+		e.memo[x] = value
+	}
+	if e.rounds == -1 {
+		e.rounds = rounds
+	} else if rounds != e.rounds {
+		return fmt.Errorf("query: evaluation cost depends on input: %d rounds at element %d, %d before", rounds, x, e.rounds)
+	}
+	return nil
+}
+
+// f is the lazy path, the value oracle amplification runs against: x's
+// value from the memo, or from one Evaluation on context 0.
+func (e *evaluator) f(x int) int {
+	if v, ok := e.memo[x]; ok {
+		return v
+	}
+	v, r, err := e.eval(e.pool.Get(0), x)
+	if err != nil {
+		v, err = 0, fmt.Errorf("evaluate %d: %w", x, err)
+	} else {
+		err = e.record(x, v, r)
+	}
+	if e.err == nil {
+		e.err = err
+	}
+	return v
+}
+
+// batch evaluates the whole domain on the pool and returns the values in
+// domain order. An Evaluation error is the one at the smallest domain
+// position, wrapped "evaluate <x>" when wrap is set.
+func (e *evaluator) batch(wrap bool) ([]int, error) {
+	values := make([]int, len(e.domain))
+	rounds := make([]int, len(e.domain))
+	err := e.pool.Do(len(e.domain), func(j int, c Context) error {
+		v, r, err := e.eval(c, e.domain[j])
+		if err != nil && wrap {
+			err = fmt.Errorf("evaluate %d: %w", e.domain[j], err)
+		}
+		values[j], rounds[j] = v, r
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for j, x := range e.domain {
+		if err := e.record(x, values[j], rounds[j]); err != nil {
+			return nil, err
+		}
+	}
+	return values, nil
+}
+
+// prepare readies a quantum query: with more than one context it fills the
+// memo from one batch, and it returns the uniform initial state over the
+// domain. Since evaluations are deterministic, amplifying against the
+// filled memo gives the Result the lazy path gives.
+func (e *evaluator) prepare() (*qsim.Sparse, error) {
+	e.memo = make(map[int]int, len(e.domain))
+	if e.pool.Size() > 1 {
+		if _, err := e.batch(true); err != nil {
+			return nil, err
+		}
+	}
+	return qsim.NewUniform(e.domain)
+}
+
+// charge completes res with the query's costs (see the package doc's "Cost
+// model"): c are the amplification's counters, and the leader records
+// phases domain labels.
+func (e *evaluator) charge(res Result, c amplify.Counters, phases int) (Result, error) {
+	if e.err != nil {
+		return Result{}, e.err
+	}
+	res.InitRounds = e.oracle.InitRounds()
+	res.SetupRounds = e.oracle.SetupRounds()
+	res.EvalRounds = e.rounds
+	res.Rounds = res.InitRounds + c.SetupCalls*res.SetupRounds + c.EvaluationCalls*(2*e.rounds+1)
+	res.Iterations = c.GroverIterations
+	logX := max(1, int(math.Ceil(math.Log2(float64(len(e.domain)+1)))))
+	res.NodeQubits = 5 * logX
+	res.LeaderQubits = res.NodeQubits + logX*phases
+	return res, nil
+}
+
+// optimize is the shared body of Maximum and Minimum: Dürr–Høyer maximum
+// finding over the oracle, negating values for minimization (the threshold
+// climb is symmetric).
 func optimize(o Oracle, eps float64, opts Options, minimize bool) (Result, error) {
-	be := contextPool(o, opts.contexts(o, true), minimize)
-	defer be.close()
-
-	opt := &qcongest.Optimizer{
-		Domain:      o.Domain(),
-		Evaluate:    be.evaluate,
-		InitRounds:  o.InitRounds(),
-		SetupRounds: o.SetupRounds(),
-		Eps:         eps,
-		Delta:       opts.delta(),
-		Rng:         rand.New(rand.NewSource(opts.Seed)),
-	}
-	opt.Batch = be.batch
-	qr, err := opt.Run()
+	e := newEvaluator(o, opts.contexts(o, true), minimize)
+	defer e.close()
+	phi, err := e.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	value := qr.Value
+	mr, err := amplify.FindMax(phi, e.f, eps, opts.delta(), opts.rng())
+	if err != nil {
+		return Result{}, err
+	}
+	value := mr.Value
 	if minimize {
 		value = -value
 	}
-	return Result{
-		X:            qr.Argmax,
-		Value:        value,
-		Found:        true,
-		Rounds:       qr.Rounds,
-		InitRounds:   o.InitRounds(),
-		SetupRounds:  o.SetupRounds(),
-		EvalRounds:   qr.ClassicalEvalRounds,
-		Iterations:   qr.Counters.GroverIterations,
-		LeaderQubits: qr.LeaderQubits,
-		NodeQubits:   qr.NodeQubits,
-	}, nil
+	phases := int(math.Ceil(math.Log2(1/eps))) + 1
+	return e.charge(Result{X: mr.Argmax, Value: value, Found: true}, mr.Counters, phases)
 }
 
 // Maximum finds a domain element maximizing the oracle's Evaluation value,
@@ -256,43 +335,37 @@ func Minimum(o Oracle, eps float64, opts Options) (Result, error) {
 func search(o Oracle, marked func(value int) bool, opts Options, count bool) (Result, error) {
 	// Count ends with a fruitless pass that evaluates every label; one
 	// Search can stop at its first measurement.
-	be := contextPool(o, opts.contexts(o, count), false)
-	defer be.close()
-
-	s := &qcongest.Searcher{
-		Domain:      o.Domain(),
-		Evaluate:    be.evaluate,
-		Marked:      marked,
-		InitRounds:  o.InitRounds(),
-		SetupRounds: o.SetupRounds(),
-		Batch:       be.batch,
-		Delta:       opts.delta(),
-		Rng:         rand.New(rand.NewSource(opts.Seed)),
-	}
-	var sr qcongest.SearchOutcome
-	var err error
-	if count {
-		sr, err = s.RunCount()
-	} else {
-		sr, err = s.Run()
-	}
+	e := newEvaluator(o, opts.contexts(o, count), false)
+	defer e.close()
+	phi, err := e.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		X:            sr.X,
-		Value:        sr.Value,
-		Found:        sr.Found,
-		All:          sr.All,
-		Count:        sr.Count,
-		Rounds:       sr.Rounds,
-		InitRounds:   o.InitRounds(),
-		SetupRounds:  o.SetupRounds(),
-		EvalRounds:   sr.ClassicalEvalRounds,
-		Iterations:   sr.Counters.GroverIterations,
-		LeaderQubits: sr.LeaderQubits,
-		NodeQubits:   sr.NodeQubits,
-	}, nil
+	isMarked := func(x int) bool { return marked(e.f(x)) }
+	var res Result
+	var c amplify.Counters
+	if count {
+		res.All, c, err = amplify.FindAll(phi, isMarked, opts.delta(), opts.rng())
+		if err != nil {
+			return Result{}, err
+		}
+		res.Count = len(res.All)
+		if res.Count > 0 {
+			res.Found, res.X = true, res.All[0]
+		}
+	} else {
+		res.X, c, err = amplify.Search(phi, isMarked, amplify.Budget(len(e.domain), opts.delta()), opts.rng())
+		switch {
+		case err == nil:
+			res.Found = true
+		case !errors.Is(err, amplify.ErrNotFound):
+			return Result{}, err
+		}
+	}
+	if res.Found {
+		res.Value = e.f(res.X)
+	}
+	return e.charge(res, c, 1)
 }
 
 // Search runs one BBHT amplitude-amplified search for a domain element
@@ -314,32 +387,13 @@ func Count(o Oracle, marked func(value int) bool, opts Options) (Result, error) 
 // straight-line, non-quantum use of an oracle: internal/core's
 // Eccentricities) and returns the per-element values in domain order
 // together with the uniform per-evaluation round count, which EvalAll
-// asserts (the property the quantum queries rely on).
+// asserts (the property the quantum queries rely on). An Evaluation error
+// is returned as the oracle reported it.
 func EvalAll(o Oracle, opts Options) (values []int, evalRounds int, err error) {
-	be := contextPool(o, opts.contexts(o, true), false)
-	defer be.close()
-
-	domain := o.Domain()
-	values = make([]int, len(domain))
-	rounds := make([]int, len(domain))
-	if err := be.pool.Do(len(domain), func(j int, c Context) error {
-		v, r, err := c.Eval(domain[j])
-		if err != nil {
-			return err
-		}
-		values[j], rounds[j] = v, r
-		return nil
-	}); err != nil {
+	e := newEvaluator(o, opts.contexts(o, true), false)
+	defer e.close()
+	if values, err = e.batch(false); err != nil {
 		return nil, 0, err
 	}
-	if len(domain) == 0 {
-		return values, 0, nil
-	}
-	evalRounds = rounds[0]
-	for j, r := range rounds {
-		if r != evalRounds {
-			return nil, 0, fmt.Errorf("query: evaluation cost depends on input: %d rounds at element %d, %d at element %d", r, domain[j], evalRounds, domain[0])
-		}
-	}
-	return values, evalRounds, nil
+	return values, max(e.rounds, 0), nil // rounds is -1 on an empty domain
 }

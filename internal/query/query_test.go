@@ -14,10 +14,12 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
+	"qcongest/internal/qsim"
 	"qcongest/internal/query"
 )
 
@@ -295,11 +297,13 @@ func TestQueryEvalAll(t *testing.T) {
 
 // fakeOracle is an in-memory Oracle for the error contracts: f(x) =
 // (x*37) mod 101 in a fixed 7 rounds, failing at failAt (-1: never), with
-// optional input-dependent round counts (uneven).
+// optional input-dependent round counts (uneven). evals counts the
+// Evaluations run on its contexts.
 type fakeOracle struct {
 	n      int
 	failAt int
 	uneven bool
+	evals  atomic.Int64
 }
 
 func (o *fakeOracle) Domain() []int {
@@ -317,6 +321,7 @@ func (o *fakeOracle) NewContext() query.Context { return fakeContext{o} }
 type fakeContext struct{ o *fakeOracle }
 
 func (c fakeContext) Eval(x int) (int, int, error) {
+	c.o.evals.Add(1)
 	if x == c.o.failAt {
 		return 0, 0, errors.New("relay window missed")
 	}
@@ -351,5 +356,115 @@ func TestQueryErrorContract(t *testing.T) {
 
 	if vals, rounds, err := query.EvalAll(&fakeOracle{n: 0, failAt: -1}, query.Options{}); err != nil || len(vals) != 0 || rounds != 0 {
 		t.Errorf("empty domain: (%v, %d, %v), want ([], 0, nil)", vals, rounds, err)
+	}
+}
+
+// quantumQueries runs each amplitude-amplified query kind on an oracle.
+// Search marks nothing, so its fruitless pass evaluates every label.
+var quantumQueries = []struct {
+	name string
+	run  func(o query.Oracle, opts query.Options) (query.Result, error)
+}{
+	{"Maximum", func(o query.Oracle, opts query.Options) (query.Result, error) { return query.Maximum(o, 1.0/16, opts) }},
+	{"Minimum", func(o query.Oracle, opts query.Options) (query.Result, error) { return query.Minimum(o, 1.0/16, opts) }},
+	{"Search", func(o query.Oracle, opts query.Options) (query.Result, error) {
+		return query.Search(o, func(v int) bool { return v > 101 }, opts)
+	}},
+	{"Count", func(o query.Oracle, opts query.Options) (query.Result, error) {
+		return query.Count(o, func(v int) bool { return v%3 == 0 }, opts)
+	}},
+}
+
+// TestQuantumQueryErrors pins the error rules of the amplified queries on
+// the lazy path (one context) and the batched one: input-dependent round
+// counts are rejected, an Evaluation error comes back wrapped "evaluate
+// <x>" however deep in the amplification it happened, and an empty domain
+// is an error.
+func TestQuantumQueryErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		oracle *fakeOracle
+		want   string
+	}{
+		{"uneven", &fakeOracle{n: 10, failAt: -1, uneven: true}, "evaluation cost depends on input"},
+		{"failing", &fakeOracle{n: 12, failAt: 7}, "evaluate 7: relay window missed"},
+		{"empty", &fakeOracle{n: 0, failAt: -1}, qsim.ErrEmptyDomain.Error()},
+	} {
+		for _, path := range []struct {
+			name     string
+			parallel int
+		}{{"lazy", 1}, {"batched", 4}} {
+			for _, q := range quantumQueries {
+				t.Run(tc.name+"/"+path.name+"/"+q.name, func(t *testing.T) {
+					_, err := q.run(tc.oracle, query.Options{Seed: 2, Parallel: path.parallel})
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("err %v, want %q", err, tc.want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBatchMatchesSequential pins the batching contract on fakeOracle over
+// 64 labels: for every amplified query kind and seed, the batched Result
+// (Parallel 4) equals the lazy one (Parallel 1), and the batched run
+// evaluates each label exactly once, its memo serving every later lookup.
+func TestBatchMatchesSequential(t *testing.T) {
+	for _, q := range quantumQueries {
+		for seed := int64(1); seed <= 5; seed++ {
+			want, err := q.run(&fakeOracle{n: 64, failAt: -1}, query.Options{Delta: 0.1, Seed: seed, Parallel: 1})
+			if err != nil {
+				t.Fatalf("%s seed %d lazy: %v", q.name, seed, err)
+			}
+			o := &fakeOracle{n: 64, failAt: -1}
+			got, err := q.run(o, query.Options{Delta: 0.1, Seed: seed, Parallel: 4})
+			if err != nil {
+				t.Fatalf("%s seed %d batched: %v", q.name, seed, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: batched Result %+v, want %+v", q.name, seed, got, want)
+			}
+			if n := o.evals.Load(); n != 64 {
+				t.Errorf("%s seed %d: batched run made %d Evaluations, want 64", q.name, seed, n)
+			}
+		}
+	}
+}
+
+// TestQueryAccounting pins the Theorem 7 costs on fakeOracle (T0 = 3,
+// Setup = 2, Evaluation = 7 rounds) over 1024 labels, 11 bits each: Setup
+// and Evaluation are each applied 2·Iterations + Measurements times, the
+// latter at 2·7+1 rounds, so Rounds = 3 + 17·(2·Iterations + Measurements);
+// every node holds 5·11 qubits and the leader 11 more per recorded phase,
+// ceil(log2(64))+1 = 7 for Maximum/Minimum at eps 1/64 and 1 for Search and
+// Count.
+func TestQueryAccounting(t *testing.T) {
+	o := &fakeOracle{n: 1024, failAt: -1}
+	opts := query.Options{Seed: 6, Parallel: 1}
+	for _, q := range []struct {
+		name   string
+		phases int
+		run    func() (query.Result, error)
+	}{
+		{"Maximum", 7, func() (query.Result, error) { return query.Maximum(o, 1.0/64, opts) }},
+		{"Minimum", 7, func() (query.Result, error) { return query.Minimum(o, 1.0/64, opts) }},
+		{"Search", 1, func() (query.Result, error) { return query.Search(o, func(v int) bool { return v == 50 }, opts) }},
+		{"Count", 1, func() (query.Result, error) { return query.Count(o, func(v int) bool { return v == 50 }, opts) }},
+	} {
+		r, err := q.run()
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if r.InitRounds != 3 || r.SetupRounds != 2 || r.EvalRounds != 7 {
+			t.Errorf("%s: Init/Setup/Eval rounds %d/%d/%d, want 3/2/7", q.name, r.InitRounds, r.SetupRounds, r.EvalRounds)
+		}
+		calls := (r.Rounds - 3) / 17
+		if measurements := calls - 2*r.Iterations; (r.Rounds-3)%17 != 0 || measurements < 1 {
+			t.Errorf("%s: Rounds %d is not 3 + 17·(2·%d iterations + measurements)", q.name, r.Rounds, r.Iterations)
+		}
+		if r.NodeQubits != 55 || r.LeaderQubits != 55+11*q.phases {
+			t.Errorf("%s: node/leader qubits %d/%d, want 55/%d", q.name, r.NodeQubits, r.LeaderQubits, 55+11*q.phases)
+		}
 	}
 }
