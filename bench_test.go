@@ -1,293 +1,18 @@
 package qcongest
 
-// One benchmark per artifact of the paper's evaluation: the rows of
-// Table 1 and the figure experiments (see the per-experiment index in
-// DESIGN.md). Each benchmark reports the domain metric — distributed
-// rounds, messages, or qubits — via b.ReportMetric, so `go test -bench=.`
-// regenerates the paper's comparisons. EXPERIMENTS.md records the measured
-// values against the theory.
+// Allocation and throughput canaries for the library's hot paths, run once
+// each by CI's bench smoke: the round engine, a warm Figure 2 Evaluation,
+// the quantum Eccentricities suite and the APSP sweep. The paper's
+// per-artifact measurements (Table 1, the figures) are the cmd/table1 and
+// cmd/figures commands; timed end-to-end runs are the bench/ module.
 
 import (
-	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"qcongest/internal/congest"
-	"qcongest/internal/simulation"
 )
-
-func benchGraph(b *testing.B, n, d int) *Graph {
-	b.Helper()
-	g, err := LollipopWithDiameter(n, d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// --- Table 1, row "Exact computation", classical column: Theta(n). ---
-
-func BenchmarkTable1ExactClassical(b *testing.B) {
-	for _, n := range []int{40, 80, 160} {
-		g := benchGraph(b, n, 4)
-		b.Run(sizeName(n), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := congest.ClassicalExactDiameter(g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Metrics.Rounds
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rounds")
-		})
-	}
-}
-
-// --- Table 1, row "Exact computation", quantum column: Õ(sqrt(nD)). ---
-
-func BenchmarkTable1ExactQuantum(b *testing.B) {
-	for _, n := range []int{40, 80, 160} {
-		g := benchGraph(b, n, 4)
-		b.Run(sizeName(n), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := QuantumExactDiameter(g, QuantumOptions{Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Rounds
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rounds")
-		})
-	}
-}
-
-// Section 3.1 ablation: the simpler Õ(sqrt(n)D) algorithm, for comparison
-// with the final Theorem 1 algorithm.
-func BenchmarkTable1ExactQuantumSimple(b *testing.B) {
-	g := benchGraph(b, 80, 4)
-	total := 0
-	for i := 0; i < b.N; i++ {
-		res, err := QuantumExactDiameterSimple(g, QuantumOptions{Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Rounds
-	}
-	b.ReportMetric(float64(total)/float64(b.N), "rounds")
-}
-
-// Theorem 1's D-dependence: rounds ~ sqrt(D) with n fixed.
-func BenchmarkTable1ExactQuantumDSweep(b *testing.B) {
-	for _, d := range []int{3, 6, 12} {
-		g := benchGraph(b, 60, d)
-		b.Run("D="+itoa(d), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := QuantumExactDiameter(g, QuantumOptions{Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Rounds
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rounds")
-		})
-	}
-}
-
-// --- Table 1, row "3/2-approximation". ---
-
-func BenchmarkTable1ApproxClassical(b *testing.B) {
-	for _, n := range []int{40, 120} {
-		g := benchGraph(b, n, 4)
-		b.Run(sizeName(n), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := ClassicalApproxDiameter(g, 0, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Metrics.Rounds
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rounds")
-		})
-	}
-}
-
-func BenchmarkTable1ApproxQuantum(b *testing.B) {
-	for _, n := range []int{40, 120} {
-		g := benchGraph(b, n, 4)
-		b.Run(sizeName(n), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := QuantumApproxDiameter(g, QuantumOptions{Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Rounds
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rounds")
-		})
-	}
-}
-
-// --- Table 1, rows "lower bounds": the Theorem 5 tradeoff and the
-// Theorem 10 conversion. ---
-
-func BenchmarkTable1DisjTradeoff(b *testing.B) {
-	for _, budget := range []int{16, 64, 256} {
-		b.Run("r="+itoa(budget), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			totalQubits := 0
-			for i := 0; i < b.N; i++ {
-				x, y := RandomIntersectingPair(4096, rng)
-				blocks := (budget / 4) * (budget / 4)
-				if blocks > 4096 {
-					blocks = 4096
-				}
-				res, err := BlockedGroverDisj(x, y, blocks, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalQubits += res.Metrics.Qubits
-			}
-			b.ReportMetric(float64(totalQubits)/float64(b.N), "qubits")
-		})
-	}
-}
-
-func BenchmarkTable1LowerBoundSqrtN(b *testing.B) {
-	red, err := NewHW12Reduction(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	totalBits := 0
-	for i := 0; i < b.N; i++ {
-		x, y := RandomIntersectingPair(red.K, rng)
-		res, err := TwoPartyFromCongest(red, x, y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalBits += res.CutBits
-	}
-	b.ReportMetric(float64(totalBits)/float64(b.N), "cut-bits")
-}
-
-// --- Figure experiments. ---
-
-// Figure 1: BFS construction is O(D) rounds.
-func BenchmarkFigureF1BFS(b *testing.B) {
-	g := RandomConnected(120, 0.05, 9)
-	totalRounds := 0
-	for i := 0; i < b.N; i++ {
-		_, m, err := congest.Preprocess(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalRounds += m.Rounds
-	}
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-}
-
-// Figure 2: one Evaluation execution is O(D) rounds regardless of u0.
-func BenchmarkFigureF2Evaluation(b *testing.B) {
-	g := RandomConnected(100, 0.06, 10)
-	info, _, err := congest.Preprocess(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	totalRounds := 0
-	for i := 0; i < b.N; i++ {
-		u0 := i % g.N()
-		tau, mw, err := congest.TokenWalk(g, info, info.Children, u0, 2*info.D)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, mr, err := congest.EccentricitiesOf(g, info, tau, 6*info.D+2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalRounds += mw.Rounds + mr.Rounds
-	}
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-}
-
-// Figure 4: building and checking the Theorem 8 graph.
-func BenchmarkFigureF4HW12(b *testing.B) {
-	red, err := NewHW12Reduction(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < b.N; i++ {
-		x, y := RandomIntersectingPair(red.K, rng)
-		g, err := red.Build(x, y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.Diameter(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Figures 6-7: the Theorem 11 two-party simulation; the metric is messages
-// per run (O(r/d)).
-func BenchmarkFigureF6F7Simulation(b *testing.B) {
-	for _, d := range []int{4, 16} {
-		b.Run("d="+itoa(d), func(b *testing.B) {
-			alg := simulation.NewRelayAlgorithm(d, func(x, y uint64) uint64 { return x ^ y })
-			totalMsgs := 0
-			for i := 0; i < b.N; i++ {
-				res, err := alg.RunTwoParty(uint64(i), uint64(2*i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalMsgs += res.Metrics.Messages
-			}
-			b.ReportMetric(float64(totalMsgs)/float64(b.N), "messages")
-		})
-	}
-}
-
-// Figure 8: subdivided graphs G'_n(x, y) and their diameters.
-func BenchmarkFigureF8Subdivided(b *testing.B) {
-	red, err := NewACHK16Reduction(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < b.N; i++ {
-		x, y := RandomIntersectingPair(red.K, rng)
-		sub, err := BuildSubdivided(red, x, y, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diam, err := sub.G.Diameter()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if diam != sub.RightDiameter {
-			b.Fatalf("diameter %d, want %d", diam, sub.RightDiameter)
-		}
-	}
-}
-
-// Lemma 1: coverage computation.
-func BenchmarkFigureLemma1(b *testing.B) {
-	g := RandomConnected(80, 0.06, 12)
-	for i := 0; i < b.N; i++ {
-		minProb, bound, err := Lemma1Coverage(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if minProb < bound {
-			b.Fatalf("coverage %g below bound %g", minProb, bound)
-		}
-	}
-}
 
 // --- Engine benchmark: sequential reference engine vs the sharded engine.
 //
@@ -387,21 +112,7 @@ func BenchmarkEvalSession(b *testing.B) {
 	}
 }
 
-func sizeName(n int) string { return "n=" + itoa(n) }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
+func sizeName(n int) string { return "n=" + strconv.Itoa(n) }
 
 // --- Distance-parameter suite: quantum Eccentricities on reused sessions. ---
 

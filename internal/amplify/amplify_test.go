@@ -201,7 +201,13 @@ func TestOptimalIterationSweetSpot(t *testing.T) {
 	for i := 0; i < kOpt; i++ {
 		s.GroverIteration(phi, marked)
 	}
-	if p := s.Probability(marked); p < 0.99 {
+	// P(marked) = |<512|s>|², the one marked label's squared amplitude.
+	basis, err := qsim.NewUniform([]int{512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := basis.InnerProduct(s)
+	if p := real(a)*real(a) + imag(a)*imag(a); p < 0.99 {
 		t.Errorf("P(marked) after %d iterations = %g", kOpt, p)
 	}
 }

@@ -37,18 +37,6 @@ func FromString(s string) (*Bits, error) {
 	return b, nil
 }
 
-// Random returns a bit vector where each bit is 1 independently with
-// probability p, drawn from rng.
-func Random(n int, p float64, rng *rand.Rand) *Bits {
-	b := New(n)
-	for i := 0; i < n; i++ {
-		if rng.Float64() < p {
-			b.Set(i, true)
-		}
-	}
-	return b
-}
-
 // Len returns the number of bits.
 func (b *Bits) Len() int { return b.n }
 
@@ -137,19 +125,6 @@ func Disj(x, y *Bits) int {
 		return 0
 	}
 	return 1
-}
-
-// FirstCommon returns the smallest index with x_i = y_i = 1, or -1.
-func FirstCommon(x, y *Bits) int {
-	if x.n != y.n {
-		panic(fmt.Sprintf("bitstring: length mismatch %d vs %d", x.n, y.n))
-	}
-	for i := 0; i < x.n; i++ {
-		if x.Get(i) && y.Get(i) {
-			return i
-		}
-	}
-	return -1
 }
 
 // RandomDisjointPair returns (x, y) with DISJ(x, y) = 1: each index is

@@ -1,6 +1,7 @@
 package bitstring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,4 +161,29 @@ func TestAppendBit(t *testing.T) {
 	if c.Len() != 65 || !c.Get(63) || !c.Get(64) {
 		t.Fatalf("append onto full word: %s", c.String())
 	}
+}
+
+// Random returns a bit vector where each bit is 1 independently with
+// probability p, drawn from rng.
+func Random(n int, p float64, rng *rand.Rand) *Bits {
+	b := New(n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < p {
+			b.Set(i, true)
+		}
+	}
+	return b
+}
+
+// FirstCommon returns the smallest index with x_i = y_i = 1, or -1.
+func FirstCommon(x, y *Bits) int {
+	if x.n != y.n {
+		panic(fmt.Sprintf("bitstring: length mismatch %d vs %d", x.n, y.n))
+	}
+	for i := 0; i < x.n; i++ {
+		if x.Get(i) && y.Get(i) {
+			return i
+		}
+	}
+	return -1
 }

@@ -158,12 +158,6 @@ func BlockedGroverDisj(x, y *bitstring.Bits, blocks int, rng *rand.Rand) (Grover
 	return res, nil
 }
 
-// SqrtGroverDisj is the Õ(sqrt(k))-communication protocol: one block per
-// index.
-func SqrtGroverDisj(x, y *bitstring.Bits, rng *rand.Rand) (GroverDisjResult, error) {
-	return BlockedGroverDisj(x, y, x.Len(), rng)
-}
-
 // TradeoffPoint is one measured point of the message/communication
 // tradeoff.
 type TradeoffPoint struct {

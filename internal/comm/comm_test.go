@@ -46,7 +46,7 @@ func TestGroverDisjCorrectness(t *testing.T) {
 			x, y = bitstring.RandomDisjointPair(k, rng)
 			want = 1
 		}
-		res, err := SqrtGroverDisj(x, y, rng)
+		res, err := BlockedGroverDisj(x, y, x.Len(), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +84,8 @@ func TestGroverDisjEdgeCases(t *testing.T) {
 	}
 }
 
-// The sqrt protocol's communication scales ~sqrt(k) log k, far below the
-// classical k.
+// With one block per index (the Õ(sqrt(k)) protocol) communication scales
+// ~sqrt(k) log k, far below the classical k.
 func TestSqrtProtocolCommunication(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	avgQubits := func(k int) float64 {
@@ -93,7 +93,7 @@ func TestSqrtProtocolCommunication(t *testing.T) {
 		const trials = 20
 		for i := 0; i < trials; i++ {
 			x, y := bitstring.RandomIntersectingPair(k, rng)
-			res, err := SqrtGroverDisj(x, y, rng)
+			res, err := BlockedGroverDisj(x, y, x.Len(), rng)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,21 +89,13 @@ func (nn *notifyNode) NextWake(env *Env, round int) int {
 	return round + 1
 }
 
-// PrepareApprox runs Steps 1-3 of Figure 3 with target sample size s and
-// the given randomness seed. It retries the sampling (with derived seeds)
-// when Step 1's abort condition triggers or the sample is empty.
-func PrepareApprox(g *graph.Graph, s int, seed int64, opts ...Option) (*ApproxPrep, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return PrepareApproxOn(topo, s, seed, opts...)
-}
-
-// PrepareApproxOn is PrepareApprox on an already-built topology. The
-// repeated counting probes of the R-selection binary searches (one
-// convergecast sum plus one broadcast each, O(log n) of them) run on two
-// sessions built once and Reset per probe instead of fresh networks.
+// PrepareApproxOn runs Steps 1-3 of Figure 3 on an already-built topology
+// with target sample size s and the given randomness seed. It retries the
+// sampling (with derived seeds) when Step 1's abort condition triggers or
+// the sample is empty. The repeated counting probes of the R-selection
+// binary searches (one convergecast sum plus one broadcast each, O(log n)
+// of them) run on two sessions built once and Reset per probe instead of
+// fresh networks.
 func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*ApproxPrep, Metrics, error) {
 	var total Metrics
 	n := topo.N()
@@ -420,34 +412,8 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 	return res, nil
 }
 
-func Sum(g *graph.Graph, info *PreInfo, values []int, opts ...Option) (int, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return 0, Metrics{}, err
-	}
-	return SumOn(topo, info, values, opts...)
-}
-
-// SumOn is Sum on an already-built topology.
-func SumOn(topo *Topology, info *PreInfo, values []int, opts ...Option) (int, Metrics, error) {
-	nw := NewNetworkOn(topo, func(v int) Node {
-		return NewConvergecastSumNode(info.Parent[v], info.Children[v], values[v])
-	}, opts...)
-	if err := nw.Run(4*topo.N() + 16); err != nil {
-		return 0, nw.Metrics(), fmt.Errorf("sum convergecast: %w", err)
-	}
-	return nw.Node(info.Leader).(*ConvergecastSumNode).Sum, nw.Metrics(), nil
-}
-
-func Broadcast(g *graph.Graph, info *PreInfo, value int, opts ...Option) (Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return BroadcastOn(topo, info, value, opts...)
-}
-
-// BroadcastOn is Broadcast on an already-built topology.
+// BroadcastOn broadcasts value down the tree info describes, on an
+// already-built topology.
 func BroadcastOn(topo *Topology, info *PreInfo, value int, opts ...Option) (Metrics, error) {
 	nw := NewNetworkOn(topo, func(v int) Node {
 		return NewBroadcastNode(info.Parent[v], info.Children[v], value)

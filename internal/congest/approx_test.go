@@ -39,6 +39,21 @@ func TestMinFloodMatchesReference(t *testing.T) {
 	}
 }
 
+// runSum runs a ConvergecastSumNode convergecast of values on info's tree
+// and returns the sum at the leader.
+func runSum(g *graph.Graph, info *PreInfo, values []int) (int, error) {
+	nw, err := NewNetwork(g, func(v int) Node {
+		return NewConvergecastSumNode(info.Parent[v], info.Children[v], values[v])
+	})
+	if err != nil {
+		return 0, err
+	}
+	if err := nw.Run(4*g.N() + 16); err != nil {
+		return 0, err
+	}
+	return nw.Node(info.Leader).(*ConvergecastSumNode).Sum, nil
+}
+
 func TestConvergecastSum(t *testing.T) {
 	g := graph.CompleteBinaryTree(15)
 	info, _, err := Preprocess(g)
@@ -53,7 +68,7 @@ func TestConvergecastSum(t *testing.T) {
 		vals[v] = v % 5
 		want += vals[v]
 	}
-	got, _, err := Sum(g, info, vals)
+	got, err := runSum(g, info, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +90,10 @@ func TestAggregationRejectsOverCapValues(t *testing.T) {
 	for v := range vals {
 		vals[v] = v * v * v // partial sums overflow 2*BitsForID(n) bits
 	}
-	if _, _, err := Sum(g, info, vals); err == nil {
+	if _, err := runSum(g, info, vals); err == nil {
 		t.Error("over-cap convergecast sum accepted")
 	}
-	if _, err := Broadcast(g, info, 1<<20); err == nil {
+	if _, err := BroadcastOn(mustTopology(t, g), info, 1<<20); err == nil {
 		t.Error("over-cap broadcast value accepted")
 	}
 }
@@ -92,7 +107,7 @@ func TestConvergecastMaxWitness(t *testing.T) {
 	vals := make([]int, g.N())
 	vals[7] = 42
 	vals[11] = 42
-	maxV, wit, _, err := ConvergecastMax(g, info, vals, nil)
+	maxV, wit, _, err := ConvergecastMaxOn(mustTopology(t, g), info, vals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +177,7 @@ func TestSSPMatchesReference(t *testing.T) {
 func TestPrepareApproxInvariants(t *testing.T) {
 	g := graph.RandomConnected(40, 0.07, 13)
 	s := 8
-	prep, _, err := PrepareApprox(g, s, 99)
+	prep, _, err := PrepareApproxOn(mustTopology(t, g), s, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +265,11 @@ func TestClassicalApproxQuality(t *testing.T) {
 
 func TestClassicalApproxBadParams(t *testing.T) {
 	g := graph.Path(10)
-	if _, _, err := PrepareApprox(g, 0, 1); err == nil {
+	topo := mustTopology(t, g)
+	if _, _, err := PrepareApproxOn(topo, 0, 1); err == nil {
 		t.Error("s=0 accepted")
 	}
-	if _, _, err := PrepareApprox(g, 11, 1); err == nil {
+	if _, _, err := PrepareApproxOn(topo, 11, 1); err == nil {
 		t.Error("s>n accepted")
 	}
 }

@@ -13,7 +13,8 @@ func TestDefaultBandwidth(t *testing.T) {
 	// Room for a two-field message plus its kind tag even on tiny networks.
 	for n := 1; n <= 8; n++ {
 		m := msgWave{Tau: 0, Delta: 0}
-		if got, bw := m.fields(n).bits(), DefaultBandwidth(n); got > bw {
+		_, width, _ := m.fields(n).pack()
+		if got, bw := KindBits+width, DefaultBandwidth(n); got > bw {
 			t.Errorf("n=%d: wave message %d bits exceeds default bandwidth %d", n, got, bw)
 		}
 	}
@@ -240,7 +241,7 @@ func TestTokenWalkFullTourMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		refTau := tree.DFSNumbering()
-		tau, m, err := TokenWalk(g, info, info.Children, info.Leader, 2*(g.N()-1))
+		tau, m, err := TokenWalkOn(mustTopology(t, g), info, info.Children, info.Leader, 2*(g.N()-1))
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
@@ -266,8 +267,9 @@ func TestTokenWalkWindowMatchesSetS(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := info.D
+	topo := mustTopology(t, g)
 	for u0 := 0; u0 < g.N(); u0++ {
-		tau, _, err := TokenWalk(g, info, info.Children, u0, 2*d)
+		tau, _, err := TokenWalkOn(topo, info, info.Children, u0, 2*d)
 		if err != nil {
 			t.Fatalf("u0=%d: %v", u0, err)
 		}
@@ -361,12 +363,15 @@ func TestWindowedWaveComputesMaxEccOverS(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := info.D
+	topo := mustTopology(t, g)
+	ecc := NewEccSession(topo, info, 6*d+2)
+	defer ecc.Close()
 	for u0 := 0; u0 < g.N(); u0 += 3 {
-		tau, _, err := TokenWalk(g, info, info.Children, u0, 2*d)
+		tau, _, err := TokenWalkOn(topo, info, info.Children, u0, 2*d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := EccentricitiesOf(g, info, tau, 6*d+2)
+		got, _, err := ecc.Eval(tau)
 		if err != nil {
 			t.Fatalf("u0=%d: %v", u0, err)
 		}
@@ -388,7 +393,7 @@ func TestWaveMemoryIsLogarithmic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau, _, err := TokenWalk(g, info, info.Children, info.Leader, 2*(g.N()-1))
+	tau, _, err := TokenWalkOn(mustTopology(t, g), info, info.Children, info.Leader, 2*(g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}

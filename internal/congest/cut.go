@@ -338,27 +338,6 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 	return cs.sum.Node(cs.leader).(*CutSumNode).Sum, total, nil
 }
 
-// Clone builds an independent cut session over the same shared topology.
-// Like Session.Clone, it refuses when the sessions carry an observer.
-func (cs *CutSession) Clone() (*CutSession, error) {
-	mark, err := cs.mark.Clone()
-	if err != nil {
-		return nil, err
-	}
-	sum, err := cs.sum.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &CutSession{
-		mark:     mark,
-		sum:      sum,
-		topo:     cs.topo,
-		leader:   cs.leader,
-		duration: cs.duration,
-		vals:     make([]int, len(cs.vals)),
-	}, nil
-}
-
 // Close releases both sessions' engines.
 func (cs *CutSession) Close() {
 	cs.mark.Close()

@@ -3,15 +3,16 @@ package congest
 // Composite sessions for the paper's Evaluation procedure (Figure 2): the
 // quantum algorithms run one token walk plus one wave-and-convergecast per
 // Evaluation, hundreds of times per optimization. WalkSession and
-// EccSession are the reusable counterparts of the one-shot TokenWalk and
-// EccentricitiesOf helpers: built once per (topology, tree, schedule), then
-// Reset+Run per Evaluation. Each Eval is bit-for-bit identical — values,
-// Metrics, observer traces, error strings — to the fresh-network helper it
-// replaces; the session determinism tests assert that equivalence.
+// EccSession are the reusable counterparts of the one-shot TokenWalkOn and
+// WaveOn + ConvergecastMaxOn runs: built once per (topology, tree,
+// schedule), then Reset+Run per Evaluation. Each Eval is bit-for-bit
+// identical — values, Metrics, observer traces, error strings — to those
+// fresh-network runs; the session determinism tests assert that
+// equivalence.
 
 import "fmt"
 
-// WalkSession is a reusable TokenWalk: the Figure 2 Step 1 walk over a
+// WalkSession is a reusable TokenWalkOn: the Figure 2 Step 1 walk over a
 // fixed tree, re-runnable from a different start vertex per execution.
 type WalkSession struct {
 	s     *Session
@@ -60,24 +61,13 @@ func (ws *WalkSession) Eval(start int) ([]int, Metrics, error) {
 	return ws.tau, ws.s.Metrics(), nil
 }
 
-// Clone builds an independent walk session over the same shared topology.
-// Like Session.Clone, it refuses when the session carries an observer.
-func (ws *WalkSession) Clone() (*WalkSession, error) {
-	s, err := ws.s.Clone()
-	if err != nil {
-		return nil, err
-	}
-	c := &WalkSession{s: s, steps: ws.steps, tau: make([]int, len(ws.tau))}
-	c.cacheNodes()
-	return c, nil
-}
-
 // Close releases the session's engine.
 func (ws *WalkSession) Close() { ws.s.Close() }
 
-// EccSession is a reusable EccentricitiesOf: the Figure 2 Step 2 wave
-// process followed by the Step 3 max convergecast on BFS(leader),
-// re-runnable with a different tau' assignment per execution.
+// EccSession is the Figure 2 Step 2 wave process followed by the Step 3
+// max convergecast on BFS(leader), re-runnable with a different tau'
+// assignment per execution: the classical core that the quantum Evaluation
+// procedure quantizes.
 type EccSession struct {
 	wave     *Session
 	cc       *Session
@@ -87,8 +77,8 @@ type EccSession struct {
 }
 
 // NewEccSession builds the wave+convergecast pair on the tree described by
-// info. waveDuration is the fixed length of the wave process (callers
-// derive it from d, as for EccentricitiesOf).
+// info. waveDuration is the fixed length of the wave process; it must be
+// at least 2*max(tau') + 2*ecc bounds, and callers derive it from d.
 func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Option) *EccSession {
 	return &EccSession{
 		wave: NewSession(topo, func(v int) Node {
@@ -104,7 +94,7 @@ func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Opti
 }
 
 // Eval computes max_{u in S} ecc(u) for the set S given as tau'
-// assignments (tau[v] >= 0 iff v in S), exactly like EccentricitiesOf.
+// assignments (tau[v] >= 0 iff v in S).
 func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 	var total Metrics
 	if err := es.wave.Reset(WaveTau{Tau: tau}); err != nil {
@@ -129,26 +119,6 @@ func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 	}
 	total.Add(es.cc.Metrics())
 	return es.cc.Node(es.leader).(*ConvergecastMaxNode).Max, total, nil
-}
-
-// Clone builds an independent ecc session over the same shared topology.
-// Like Session.Clone, it refuses when the sessions carry an observer.
-func (es *EccSession) Clone() (*EccSession, error) {
-	wave, err := es.wave.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cc, err := es.cc.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &EccSession{
-		wave:     wave,
-		cc:       cc,
-		leader:   es.leader,
-		duration: es.duration,
-		dv:       make([]int, len(es.dv)),
-	}, nil
 }
 
 // Close releases both sessions' engines.

@@ -113,23 +113,3 @@ func ClassicalEccentricities(g *graph.Graph, opts ...Option) ([]int, Metrics, er
 	_, dv, m, err := classicalEccPhases(topo, opts...)
 	return dv, m, err
 }
-
-// EccentricitiesOf computes, for a set S given as tau' assignments
-// (tau[v] >= 0 iff v in S), the value max_{u in S} ecc(u) by the wave
-// process plus a convergecast; it is the classical core that the quantum
-// Evaluation procedure (Figure 2) quantizes. waveDuration must be at least
-// 2*max(tau') + 2*ecc bounds; callers derive it from d.
-func EccentricitiesOf(g *graph.Graph, info *PreInfo, tau []int, waveDuration int, opts ...Option) (int, Metrics, error) {
-	var total Metrics
-	dv, m, err := Wave(g, tau, waveDuration, opts...)
-	if err != nil {
-		return 0, total, err
-	}
-	total.Add(m)
-	maxEcc, _, m, err := ConvergecastMax(g, info, dv, nil, opts...)
-	if err != nil {
-		return 0, total, err
-	}
-	total.Add(m)
-	return maxEcc, total, nil
-}

@@ -96,18 +96,9 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	return info, total, nil
 }
 
-// TokenWalk executes the Figure 2 Step 1 walk (L token steps from start
-// on the tree described by info, with the given per-node child lists) and
-// returns tau' (-1 for unvisited vertices).
-func TokenWalk(g *graph.Graph, info *PreInfo, children [][]int, start, steps int, opts ...Option) ([]int, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return TokenWalkOn(topo, info, children, start, steps, opts...)
-}
-
-// TokenWalkOn is TokenWalk on an already-built topology.
+// TokenWalkOn executes the Figure 2 Step 1 walk (L token steps from start
+// on the tree described by info, with the given per-node child lists) on
+// an already-built topology and returns tau' (-1 for unvisited vertices).
 func TokenWalkOn(topo *Topology, info *PreInfo, children [][]int, start, steps int, opts ...Option) ([]int, Metrics, error) {
 	nw := NewNetworkOn(topo, func(v int) Node {
 		return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, start, steps)
@@ -122,18 +113,9 @@ func TokenWalkOn(topo *Topology, info *PreInfo, children [][]int, start, steps i
 	return tau, nw.Metrics(), nil
 }
 
-// Wave executes the Figure 2 Step 2 wave process for the initiators
-// marked in tau (tau[v] >= 0 means v in S with tau'(v) = tau[v]) and
-// returns each node's dv.
-func Wave(g *graph.Graph, tau []int, duration int, opts ...Option) ([]int, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return WaveOn(topo, tau, duration, opts...)
-}
-
-// WaveOn is Wave on an already-built topology.
+// WaveOn executes the Figure 2 Step 2 wave process for the initiators
+// marked in tau (tau[v] >= 0 means v in S with tau'(v) = tau[v]) on an
+// already-built topology and returns each node's dv.
 func WaveOn(topo *Topology, tau []int, duration int, opts ...Option) ([]int, Metrics, error) {
 	nw := NewNetworkOn(topo, func(v int) Node {
 		return NewWaveNode(tau[v] >= 0, tau[v], duration)
@@ -152,17 +134,8 @@ func WaveOn(topo *Topology, tau []int, duration int, opts ...Option) ([]int, Met
 	return dv, nw.Metrics(), nil
 }
 
-// ConvergecastMax aggregates max(values) at the tree root and returns
-// (max, witness).
-func ConvergecastMax(g *graph.Graph, info *PreInfo, values, witnesses []int, opts ...Option) (int, int, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return 0, 0, Metrics{}, err
-	}
-	return ConvergecastMaxOn(topo, info, values, witnesses, opts...)
-}
-
-// ConvergecastMaxOn is ConvergecastMax on an already-built topology.
+// ConvergecastMaxOn aggregates max(values) at the root of the tree info
+// describes, on an already-built topology, and returns (max, witness).
 func ConvergecastMaxOn(topo *Topology, info *PreInfo, values, witnesses []int, opts ...Option) (int, int, Metrics, error) {
 	nw := NewNetworkOn(topo, func(v int) Node {
 		w := v

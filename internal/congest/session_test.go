@@ -39,14 +39,20 @@ func freshFigure2(t *testing.T, g *graph.Graph, info *PreInfo, u0 int, opts ...O
 	t.Helper()
 	var r figure2Result
 	o := append([]Option{WithObserver(recordObs(&r.Trace))}, opts...)
-	tau, mW, err := TokenWalk(g, info, info.Children, u0, 2*info.D, o...)
+	topo := mustTopology(t, g)
+	tau, mW, err := TokenWalkOn(topo, info, info.Children, u0, 2*info.D, o...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, mR, err := EccentricitiesOf(g, info, tau, 6*info.D+2, o...)
+	dv, mR, err := WaveOn(topo, tau, 6*info.D+2, o...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	val, _, mC, err := ConvergecastMaxOn(topo, info, dv, nil, o...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mR.Add(mC)
 	r.Value, r.Walk, r.Rest = val, mW, mR
 	return r
 }
@@ -101,17 +107,17 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// PrepareApprox now runs its counting probes on reused sessions; its output
+// PrepareApproxOn runs its counting probes on reused sessions; its output
 // and metrics must be unchanged across worker counts and identical to the
 // serial execution.
 func TestPrepareApproxSessionDeterministic(t *testing.T) {
-	g := graph.RandomConnected(90, 0.06, 5)
-	wantPrep, wantM, err := PrepareApprox(g, 9, 11, WithWorkers(1))
+	topo := mustTopology(t, graph.RandomConnected(90, 0.06, 5))
+	wantPrep, wantM, err := PrepareApproxOn(topo, 9, 11, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 3, 8} {
-		prep, m, err := PrepareApprox(g, 9, 11, WithWorkers(k))
+		prep, m, err := PrepareApproxOn(topo, 9, 11, WithWorkers(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,9 +309,9 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// Cloned sessions share the topology but nothing mutable: concurrent
-// evaluations on clones must agree with the serial session. Run with -race
-// this also proves the isolation.
+// Evaluation contexts built by their constructors share the topology but
+// nothing mutable: concurrent evaluations on a pool of them must agree with
+// the serial sessions. Run with -race this also proves the isolation.
 func TestSessionCloneConcurrent(t *testing.T) {
 	g := graph.RandomConnected(96, 0.06, 7)
 	info, _, err := Preprocess(g, WithWorkers(1))
@@ -337,15 +343,10 @@ func TestSessionCloneConcurrent(t *testing.T) {
 		e *EccSession
 	}
 	pool, err := NewPool(4, func(int) (*evalCtx, error) {
-		w, err := walk.Clone()
-		if err != nil {
-			return nil, err
-		}
-		e, err := ecc.Clone()
-		if err != nil {
-			return nil, err
-		}
-		return &evalCtx{w: w, e: e}, nil
+		return &evalCtx{
+			w: NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(1)),
+			e: NewEccSession(topo, info, 6*info.D+2, WithWorkers(1)),
+		}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +393,7 @@ func TestTopologySharedAcrossNetworks(t *testing.T) {
 			t.Fatal(err)
 		}
 		got.Metrics.Add(m2)
-		dv, m3, err := Wave(g, tau, 4*(g.N()-1)+2*info.D+2, WithWorkers(2))
+		dv, m3, err := WaveOn(topo, tau, 4*(g.N()-1)+2*info.D+2, WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,51 +432,4 @@ func TestCloneObserverRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-
-	// The Evaluation sessions built on Session inherit the refusal.
-	info, _, err := PreprocessOn(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flags, _, err := TriangleFlagsOn(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := WithObserver(recordObs(&trace))
-	for name, clone := range map[string]func() error{
-		"WalkSession": func() error {
-			s := NewWalkSession(topo, info, info.Children, 2*info.D, obs)
-			defer s.Close()
-			_, err := s.Clone()
-			return err
-		},
-		"EccSession": func() error {
-			s := NewEccSession(topo, info, 2*info.D+1, obs)
-			defer s.Close()
-			_, err := s.Clone()
-			return err
-		},
-		"WeightedEccSession": func() error {
-			s := NewWeightedEccSession(topo, info, obs)
-			defer s.Close()
-			_, err := s.Clone()
-			return err
-		},
-		"CutSession": func() error {
-			s := NewCutSession(topo, info, obs)
-			defer s.Close()
-			_, err := s.Clone()
-			return err
-		},
-		"TriangleSession": func() error {
-			s := NewTriangleSession(topo, info, flags, obs)
-			defer s.Close()
-			_, err := s.Clone()
-			return err
-		},
-	} {
-		if err := clone(); err == nil {
-			t.Errorf("Clone of an observed %s: no error", name)
-		}
-	}
 }

@@ -185,21 +185,5 @@ func (ts *TriangleSession) Eval(u0 int) (int, Metrics, error) {
 	return ts.cc.Node(ts.leader).(*ConvergecastMaxNode).Max, ts.cc.Metrics(), nil
 }
 
-// Clone builds an independent session over the same shared topology and
-// flags. Like Session.Clone, it refuses when the session carries an
-// observer.
-func (ts *TriangleSession) Clone() (*TriangleSession, error) {
-	cc, err := ts.cc.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &TriangleSession{
-		cc:     cc,
-		leader: ts.leader,
-		flags:  ts.flags,
-		vals:   make([]int, len(ts.vals)),
-	}, nil
-}
-
 // Close releases the session's engine.
 func (ts *TriangleSession) Close() { ts.cc.Close() }

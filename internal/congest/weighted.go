@@ -290,63 +290,11 @@ func ssspDuration(n int) int {
 	return n - 1
 }
 
-// WeightedSSSP computes the weighted distance from source to every vertex by
-// the synchronous Bellman–Ford program (n-1 rounds).
-func WeightedSSSP(g *graph.Graph, source int, opts ...Option) ([]int, Metrics, error) {
-	topo, err := NewTopology(g)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return WeightedSSSPOn(topo, source, opts...)
-}
-
-// WeightedSSSPOn is WeightedSSSP on an already-built topology.
-func WeightedSSSPOn(topo *Topology, source int, opts ...Option) ([]int, Metrics, error) {
-	n := topo.N()
-	duration := ssspDuration(n)
-	bound := topo.DistBound()
-	nw := NewNetworkOn(topo, func(v int) Node {
-		return NewWeightedSSSPNode(v == source, topo.NeighborWeights(v), bound, duration)
-	}, opts...)
-	if err := nw.Run(duration + 4); err != nil {
-		return nil, nw.Metrics(), fmt.Errorf("weighted sssp: %w", err)
-	}
-	dist := make([]int, n)
-	for v := 0; v < n; v++ {
-		d := nw.Node(v).(*WeightedSSSPNode).Dist
-		if d < 0 {
-			return nil, nw.Metrics(), fmt.Errorf("congest: vertex %d unreached by weighted sssp from %d", v, source)
-		}
-		dist[v] = d
-	}
-	return dist, nw.Metrics(), nil
-}
-
-// WeightedEccentricityOn computes the weighted eccentricity of source — the
-// Evaluation of the weighted suite: one Bellman–Ford relaxation plus one
-// weighted max convergecast on BFS(leader). Both phases have fixed,
-// input-independent durations.
-func WeightedEccentricityOn(topo *Topology, info *PreInfo, source int, opts ...Option) (int, Metrics, error) {
-	var total Metrics
-	dist, m, err := WeightedSSSPOn(topo, source, opts...)
-	if err != nil {
-		return 0, m, err
-	}
-	total.Add(m)
-	bound := topo.DistBound()
-	nw := NewNetworkOn(topo, func(v int) Node {
-		return NewWeightedMaxNode(info.Parent[v], info.Children[v], dist[v], v, bound)
-	}, opts...)
-	if err := nw.Run(4*topo.N() + 16); err != nil {
-		return 0, total, fmt.Errorf("weighted convergecast: %w", err)
-	}
-	total.Add(nw.Metrics())
-	return nw.Node(info.Leader).(*WeightedMaxNode).Max, total, nil
-}
-
-// WeightedEccSession is the reusable WeightedEccentricityOn: the weighted
-// counterpart of EccSession, built once per topology and Reset+Run per
-// Evaluation. Eval(source) is bit-for-bit identical to the one-shot helper.
+// WeightedEccSession is the Evaluation of the weighted suite, the weighted
+// counterpart of EccSession: one Bellman–Ford relaxation (n-1 rounds) plus
+// one weighted max convergecast on BFS(leader), both of fixed,
+// input-independent duration. It is built once per topology and
+// Reset+Run per Evaluation.
 type WeightedEccSession struct {
 	sssp   *Session
 	cc     *Session
@@ -402,27 +350,6 @@ func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
 	}
 	total.Add(es.cc.Metrics())
 	return es.cc.Node(es.leader).(*WeightedMaxNode).Max, total, nil
-}
-
-// Clone builds an independent weighted ecc session over the same topology.
-// Like Session.Clone, it refuses when the sessions carry an observer.
-func (es *WeightedEccSession) Clone() (*WeightedEccSession, error) {
-	sssp, err := es.sssp.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cc, err := es.cc.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &WeightedEccSession{
-		sssp:     sssp,
-		cc:       cc,
-		leader:   es.leader,
-		n:        es.n,
-		duration: es.duration,
-		dv:       make([]int, len(es.dv)),
-	}, nil
 }
 
 // Close releases both sessions' engines.

@@ -12,6 +12,25 @@ func weightedTestGraph(t *testing.T, n int, seed int64) *graph.Graph {
 	return graph.WithWeights(graph.RandomConnected(n, 0.12, seed), 9, seed+50)
 }
 
+// weightedSSSP runs the synchronous Bellman–Ford program from source on a
+// fresh network and returns every vertex's weighted distance.
+func weightedSSSP(topo *Topology, source int, opts ...Option) ([]int, Metrics, error) {
+	n := topo.N()
+	duration := ssspDuration(n)
+	bound := topo.DistBound()
+	nw := NewNetworkOn(topo, func(v int) Node {
+		return NewWeightedSSSPNode(v == source, topo.NeighborWeights(v), bound, duration)
+	}, opts...)
+	if err := nw.Run(duration + 4); err != nil {
+		return nil, nw.Metrics(), err
+	}
+	dist := make([]int, n)
+	for v := range dist {
+		dist[v] = nw.Node(v).(*WeightedSSSPNode).Dist
+	}
+	return dist, nw.Metrics(), nil
+}
+
 // TestWeightedSSSPMatchesDijkstra checks the distributed Bellman–Ford
 // program against the sequential Dijkstra oracle, on weighted and unweighted
 // graphs, for several worker counts.
@@ -28,7 +47,7 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 			for src := 0; src < g.N(); src += 5 {
 				want := g.Dijkstra(src)
 				for _, workers := range []int{1, 2, 8} {
-					dist, m, err := WeightedSSSPOn(topo, src, WithWorkers(workers), WithStrictAccounting())
+					dist, m, err := weightedSSSP(topo, src, WithWorkers(workers), WithStrictAccounting())
 					if err != nil {
 						t.Fatalf("seed %d src %d workers %d: %v", seed, src, workers, err)
 					}
@@ -46,8 +65,9 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 }
 
 // TestWeightedEccentricitySession checks the session-backed weighted
-// Evaluation against both the one-shot helper and the graph oracle, and that
-// reuse is bit-identical to fresh runs.
+// Evaluation against the graph oracle, that reuse is bit-identical to a
+// freshly built session, and that two sessions evaluate independently and
+// identically.
 func TestWeightedEccentricitySession(t *testing.T) {
 	g := weightedTestGraph(t, 24, 3)
 	topo, err := NewTopology(g)
@@ -72,7 +92,9 @@ func TestWeightedEccentricitySession(t *testing.T) {
 		if got != want {
 			t.Fatalf("src %d: session ecc %d, want %d", src, got, want)
 		}
-		fresh, fm, err := WeightedEccentricityOn(topo, info, src, WithStrictAccounting())
+		once := NewWeightedEccSession(topo, info, WithStrictAccounting())
+		fresh, fm, err := once.Eval(src)
+		once.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +102,7 @@ func TestWeightedEccentricitySession(t *testing.T) {
 			t.Fatalf("src %d: session (%d, %+v) != fresh (%d, %+v)", src, got, m, fresh, fm)
 		}
 	}
-	// Clones evaluate independently and identically.
-	c, err := es.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewWeightedEccSession(topo, info, WithStrictAccounting())
 	defer c.Close()
 	for _, src := range []int{0, 7, 13} {
 		a, ma, err := es.Eval(src)
@@ -96,7 +114,7 @@ func TestWeightedEccentricitySession(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != b || ma != mb {
-			t.Fatalf("src %d: clone (%d, %+v) != original (%d, %+v)", src, b, mb, a, ma)
+			t.Fatalf("src %d: second session (%d, %+v) != first (%d, %+v)", src, b, mb, a, ma)
 		}
 	}
 }
@@ -189,8 +207,8 @@ func TestWeightedWireWidths(t *testing.T) {
 	if got, want := w.Len(), BitsForID(bound+1); got != want {
 		t.Fatalf("encoded %d bits, want %d", got, want)
 	}
-	if got, want := w.Len()+KindBits, tx.fields(topo.N()).bits(); got != want {
-		t.Fatalf("declared %d bits, encoded+tag %d", want, got)
+	if _, width, _ := tx.fields(topo.N()).pack(); w.Len() != width {
+		t.Fatalf("declared %d payload bits, encoded %d", width, w.Len())
 	}
 	// Unweighted topologies keep weights nil and bound n-1.
 	ut, err := NewTopology(graph.Path(6))

@@ -154,9 +154,6 @@ func (fs wireFields) unmarshal(r *Reader) {
 	}
 }
 
-// bits returns the encoded length of the message, kind tag included.
-func (fs wireFields) bits() int { return KindBits + fs.a.width() + fs.b.width() }
-
 // pack lays the payload out in one word with the bits marshal would write.
 // ok is false when a value is out of range or the message would not fit
 // one word with its tag; the engine then takes the field-by-field path,
@@ -216,32 +213,12 @@ func Registered(k Kind) bool {
 	return int(k) < numKinds && kindRegistry[k].name != ""
 }
 
-// NewKindMessage returns a zero message of the registered kind k, or nil.
-func NewKindMessage(k Kind) WireMessage {
-	if !Registered(k) {
-		return nil
-	}
-	return kindRegistry[k].new()
-}
-
 // String returns the registered name of the kind.
 func (k Kind) String() string {
 	if Registered(k) {
 		return kindRegistry[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// RegisteredKinds returns all registered kinds in ascending order (used by
-// the round-trip tests and diagnostics).
-func RegisteredKinds() []Kind {
-	var out []Kind
-	for k := 1; k < numKinds; k++ {
-		if kindRegistry[k].name != "" {
-			out = append(out, Kind(k))
-		}
-	}
-	return out
 }
 
 // Writer packs values into a little-endian bit stream over uint64 words.

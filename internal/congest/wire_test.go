@@ -178,7 +178,8 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		want := -1
 		switch d := m.(type) {
 		case fieldMessage:
-			want = d.fields(n).bits()
+			_, width, _ := d.fields(n).pack()
+			want = KindBits + width
 		case BitsDeclarer:
 			want = d.DeclaredBits(n)
 		default:
@@ -422,4 +423,23 @@ func TestEngineSteadyStateAllocsZero(t *testing.T) {
 				k, perRound, base, long)
 		}
 	}
+}
+
+// NewKindMessage returns a zero message of the registered kind k, or nil.
+func NewKindMessage(k Kind) WireMessage {
+	if !Registered(k) {
+		return nil
+	}
+	return kindRegistry[k].new()
+}
+
+// RegisteredKinds returns all registered kinds in ascending order.
+func RegisteredKinds() []Kind {
+	var out []Kind
+	for k := 1; k < numKinds; k++ {
+		if kindRegistry[k].name != "" {
+			out = append(out, Kind(k))
+		}
+	}
+	return out
 }

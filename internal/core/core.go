@@ -18,10 +18,11 @@
 // its walk/wave sessions once (congest.WalkSession, congest.EccSession) and
 // every Evaluation is a Reset+Run on them — bit-identical to fresh
 // networks, without rebuilding topology tables, programs or arenas per
-// execution. Options.Parallel clones the sessions into a congest.Pool and
-// runs independent Evaluations concurrently — by default as many contexts
-// as the CPU budget leaves beside each context's engine workers; results
-// are identical for any value.
+// execution. Options.Parallel builds further contexts from the same
+// constructors into a congest.Pool and runs independent Evaluations
+// concurrently — by default as many contexts as the CPU budget leaves
+// beside each context's engine workers; results are identical for any
+// value.
 package core
 
 import (

@@ -250,7 +250,11 @@ func TestApproxProbeRoundsCharged(t *testing.T) {
 	if s > n {
 		s = n
 	}
-	_, prepM, err := congest.PrepareApprox(g, s, seed)
+	topo, err := congest.NewTopology(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, prepM, err := congest.PrepareApproxOn(topo, s, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

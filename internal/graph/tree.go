@@ -43,17 +43,6 @@ func NewBFSTree(g *Graph, root int) (*BFSTree, error) {
 	return t, nil
 }
 
-// Height returns the depth of the deepest vertex, i.e. ecc(root).
-func (t *BFSTree) Height() int {
-	h := 0
-	for _, d := range t.Depth {
-		if d > h {
-			h = d
-		}
-	}
-	return h
-}
-
 // EulerTour returns the sequence of vertices visited by a depth-first
 // traversal of the tree starting and ending at the root, visiting children
 // in ascending id order. The tour has 2(n-1)+1 entries (each edge is walked

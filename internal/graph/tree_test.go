@@ -206,3 +206,14 @@ func TestSetSFullWindowCoversAll(t *testing.T) {
 		t.Errorf("full window |S| = %d, want %d", len(s), g.N())
 	}
 }
+
+// Height returns the depth of the deepest vertex, i.e. ecc(root).
+func (t *BFSTree) Height() int {
+	h := 0
+	for _, d := range t.Depth {
+		if d > h {
+			h = d
+		}
+	}
+	return h
+}

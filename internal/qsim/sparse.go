@@ -64,25 +64,6 @@ func NewUniform(keys []int) (*Sparse, error) {
 	return s, nil
 }
 
-// NewState returns a state with the given amplitudes, normalized.
-func NewState(amps map[int]complex128) (*Sparse, error) {
-	labels := make([]int, 0, len(amps))
-	for k := range amps {
-		labels = append(labels, k)
-	}
-	sort.Ints(labels)
-	s := &Sparse{labels: labels, amp: make([]complex128, len(labels))}
-	for i, k := range labels {
-		s.amp[i] = amps[k]
-	}
-	n := s.Norm()
-	if n == 0 {
-		return nil, ErrEmptyDomain
-	}
-	s.Scale(complex(1/n, 0))
-	return s, nil
-}
-
 // Clone returns a copy that shares the (immutable) label slice and owns its
 // amplitudes.
 func (s *Sparse) Clone() *Sparse {
@@ -105,27 +86,7 @@ func (s *Sparse) sameDomain(o *Sparse) bool {
 		(len(s.labels) == 0 || &s.labels[0] == &o.labels[0])
 }
 
-// Amplitude returns the amplitude of basis label k (zero if absent).
-func (s *Sparse) Amplitude(k int) complex128 {
-	if i := sort.SearchInts(s.labels, k); i < len(s.labels) && s.labels[i] == k {
-		return s.amp[i]
-	}
-	return 0
-}
-
-// Support returns the basis labels with nonzero amplitude, ascending.
-func (s *Sparse) Support() []int {
-	out := make([]int, 0, len(s.labels))
-	for i, a := range s.amp {
-		if a != 0 {
-			out = append(out, s.labels[i])
-		}
-	}
-	return out
-}
-
-// Len returns the number of basis labels with nonzero amplitude:
-// len(s.Support()) without building the slice.
+// Len returns the number of basis labels with nonzero amplitude.
 func (s *Sparse) Len() int {
 	n := 0
 	for _, a := range s.amp {
@@ -143,13 +104,6 @@ func (s *Sparse) Norm() float64 {
 		t += real(a)*real(a) + imag(a)*imag(a)
 	}
 	return math.Sqrt(t)
-}
-
-// Scale multiplies every amplitude by c.
-func (s *Sparse) Scale(c complex128) {
-	for i := range s.amp {
-		s.amp[i] *= c
-	}
 }
 
 // PhaseFlip applies the oracle that negates the amplitude of every marked
@@ -244,19 +198,6 @@ func (s *Sparse) ReflectAbout(phi *Sparse) {
 func (s *Sparse) GroverIteration(phi *Sparse, marked func(int) bool) {
 	s.PhaseFlip(marked)
 	s.ReflectAbout(phi)
-}
-
-// Probability returns the total probability of measuring a label for which
-// pred holds.
-func (s *Sparse) Probability(pred func(int) bool) float64 {
-	t := 0.0
-	for i, k := range s.labels {
-		if pred(k) {
-			a := s.amp[i]
-			t += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	return t
 }
 
 // Measure samples a basis label from the state's distribution using rng,

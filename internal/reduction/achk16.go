@@ -110,19 +110,3 @@ func NewACHK16(m int) (*Reduction, error) {
 		},
 	}, nil
 }
-
-// CriticalPairDistance returns d(l_i, r_i) in the ACHK16 construction for
-// the given inputs: 5 when x_i = y_i = 1, at most 4 otherwise.
-func CriticalPairDistance(red *Reduction, x, y *bitstring.Bits, i int) (int, error) {
-	g, err := red.Build(x, y)
-	if err != nil {
-		return 0, err
-	}
-	m := red.K
-	q := bits.Len(uint(m - 1))
-	if q < 1 {
-		q = 1
-	}
-	off := m + 2*q + 1
-	return g.Distance(i, off+i)
-}

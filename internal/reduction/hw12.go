@@ -100,18 +100,3 @@ func NewHW12(s int) (*Reduction, error) {
 		},
 	}, nil
 }
-
-// PairDistanceIs3 reports, for the HW12 construction, whether the distance
-// between l_i and r'_j equals 3 in Gn(x, y) — the paper's witness property:
-// it must hold exactly when x_{ij} = y_{ij} = 1.
-func PairDistanceIs3(red *Reduction, x, y *bitstring.Bits, s, i, j int) (bool, error) {
-	g, err := red.Build(x, y)
-	if err != nil {
-		return false, err
-	}
-	d, err := g.Distance(i, 3*s+1+j)
-	if err != nil {
-		return false, err
-	}
-	return d >= 3, nil
-}

@@ -57,24 +57,6 @@ func (r *Reduction) Build(x, y *bitstring.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// CrossDelta returns the paper's Delta(G): the largest distance between a
-// vertex of Un and a vertex of Vn.
-func CrossDelta(g *graph.Graph, un, vn []int) (int, error) {
-	best := 0
-	for _, u := range un {
-		dist, _ := g.BFS(u)
-		for _, v := range vn {
-			if dist[v] < 0 {
-				return 0, graph.ErrDisconnected
-			}
-			if dist[v] > best {
-				best = dist[v]
-			}
-		}
-	}
-	return best, nil
-}
-
 // Verify checks Definition 3's conditions for one input pair: the diameter
 // of Gn(x, y) must be <= D1 when the inputs are disjoint and >= D2
 // otherwise. (The constructions in this package satisfy the stronger

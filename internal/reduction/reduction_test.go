@@ -1,12 +1,26 @@
 package reduction
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"qcongest/internal/bitstring"
 	"qcongest/internal/congest"
 )
+
+// randomBits returns a bit vector where each bit is 1 independently with
+// probability p, drawn from rng.
+func randomBits(n int, p float64, rng *rand.Rand) *bitstring.Bits {
+	b := bitstring.New(n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < p {
+			b.Set(i, true)
+		}
+	}
+	return b
+}
 
 // Exhaustive verification of the HW12 construction (Figure 4 / Theorem 8)
 // for s = 2: all 2^(2k) input pairs with k = 4.
@@ -73,8 +87,8 @@ func TestHW12PairDistances(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
-		x := bitstring.Random(s*s, 0.5, rng)
-		y := bitstring.Random(s*s, 0.5, rng)
+		x := randomBits(s*s, 0.5, rng)
+		y := randomBits(s*s, 0.5, rng)
 		for i := 0; i < s; i++ {
 			for j := 0; j < s; j++ {
 				is3, err := PairDistanceIs3(red, x, y, s, i, j)
@@ -156,8 +170,8 @@ func TestACHK16CriticalPairs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
-		x := bitstring.Random(m, 0.5, rng)
-		y := bitstring.Random(m, 0.5, rng)
+		x := randomBits(m, 0.5, rng)
+		y := randomBits(m, 0.5, rng)
 		for i := 0; i < m; i++ {
 			d, err := CriticalPairDistance(red, x, y, i)
 			if err != nil {
@@ -376,4 +390,70 @@ func TestSideOf(t *testing.T) {
 			t.Errorf("cut edge %v within one side", e)
 		}
 	}
+}
+
+// CriticalPairDistance returns d(l_i, r_i) in the ACHK16 construction for
+// the given inputs: 5 when x_i = y_i = 1, at most 4 otherwise.
+func CriticalPairDistance(red *Reduction, x, y *bitstring.Bits, i int) (int, error) {
+	g, err := red.Build(x, y)
+	if err != nil {
+		return 0, err
+	}
+	m := red.K
+	q := bits.Len(uint(m - 1))
+	if q < 1 {
+		q = 1
+	}
+	off := m + 2*q + 1
+	return g.Distance(i, off+i)
+}
+
+// PairDistanceIs3 reports, for the HW12 construction, whether the distance
+// between l_i and r'_j equals 3 in Gn(x, y) — the paper's witness property:
+// it must hold exactly when x_{ij} = y_{ij} = 1.
+func PairDistanceIs3(red *Reduction, x, y *bitstring.Bits, s, i, j int) (bool, error) {
+	g, err := red.Build(x, y)
+	if err != nil {
+		return false, err
+	}
+	d, err := g.Distance(i, 3*s+1+j)
+	if err != nil {
+		return false, err
+	}
+	return d >= 3, nil
+}
+
+// VerifySubdivided checks the Figure 8 property for one input pair: the
+// diameter of G'_n(x, y) must be at most d+d1 when the inputs are disjoint
+// and exactly d+d2 when they intersect (at least d+d2 by condition (ii) of
+// Definition 3; at most because every pair can cross the cut once and
+// in-side distances are unchanged).
+func VerifySubdivided(red *Reduction, x, y *bitstring.Bits, d int) error {
+	sub, err := BuildSubdivided(red, x, y, d)
+	if err != nil {
+		return err
+	}
+	diam, err := sub.G.Diameter()
+	if err != nil {
+		return err
+	}
+	if bitstring.Disj(x, y) == 1 {
+		if diam > sub.LeftDiameter {
+			return fmt.Errorf("reduction %s/d=%d: disjoint inputs give diameter %d, want <= %d",
+				red.Name, d, diam, sub.LeftDiameter)
+		}
+		return nil
+	}
+	if diam != sub.RightDiameter {
+		return fmt.Errorf("reduction %s/d=%d: intersecting inputs give diameter %d, want %d",
+			red.Name, d, diam, sub.RightDiameter)
+	}
+	return nil
+}
+
+// MaxCutTrafficPerRound returns the maximum possible cut traffic per round
+// for the reduction under the given graph's default bandwidth: b edges
+// times bandwidth bits, the O(b log n) factor of Theorem 10.
+func MaxCutTrafficPerRound(red *Reduction) int {
+	return red.B * congest.DefaultBandwidth(red.Base.N())
 }

@@ -86,31 +86,3 @@ func norm(e [2]int) [2]int {
 	}
 	return e
 }
-
-// VerifySubdivided checks the Figure 8 property for one input pair: the
-// diameter of G'_n(x, y) must be at most d+d1 when the inputs are disjoint
-// and exactly d+d2 when they intersect (at least d+d2 by condition (ii) of
-// Definition 3; at most because every pair can cross the cut once and
-// in-side distances are unchanged).
-func VerifySubdivided(red *Reduction, x, y *bitstring.Bits, d int) error {
-	sub, err := BuildSubdivided(red, x, y, d)
-	if err != nil {
-		return err
-	}
-	diam, err := sub.G.Diameter()
-	if err != nil {
-		return err
-	}
-	if bitstring.Disj(x, y) == 1 {
-		if diam > sub.LeftDiameter {
-			return fmt.Errorf("reduction %s/d=%d: disjoint inputs give diameter %d, want <= %d",
-				red.Name, d, diam, sub.LeftDiameter)
-		}
-		return nil
-	}
-	if diam != sub.RightDiameter {
-		return fmt.Errorf("reduction %s/d=%d: intersecting inputs give diameter %d, want %d",
-			red.Name, d, diam, sub.RightDiameter)
-	}
-	return nil
-}

@@ -104,13 +104,6 @@ func TwoPartyFromCongest(red *Reduction, x, y *bitstring.Bits, engine ...congest
 	return res, nil
 }
 
-// MaxCutTrafficPerRound returns the maximum possible cut traffic per round
-// for the reduction under the given graph's default bandwidth: b edges
-// times bandwidth bits, the O(b log n) factor of Theorem 10.
-func MaxCutTrafficPerRound(red *Reduction) int {
-	return red.B * congest.DefaultBandwidth(red.Base.N())
-}
-
 // LowerBoundRounds evaluates the Theorem 10 bound Ω(sqrt(k/b)) and the
 // Theorem 3 bound Ω(sqrt(k*d/(b+s))) for given parameters, up to the
 // suppressed polylog factors (set logFactor to 1 for the raw value).

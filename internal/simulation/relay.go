@@ -63,12 +63,3 @@ func NewRelayAlgorithm(d int, f func(x, y uint64) uint64) *Algorithm {
 		Memory:    58,
 	}
 }
-
-// AliceOutput extracts Alice's captured result from a final state, and
-// whether it was captured at all.
-func AliceOutput(st State) (uint64, bool) {
-	if st.R[0]&relayDoneBit == 0 {
-		return 0, false
-	}
-	return (st.R[0] >> 32) & relayValueMask, true
-}

@@ -175,3 +175,12 @@ func TestValidate(t *testing.T) {
 		t.Error("bw=0 accepted")
 	}
 }
+
+// AliceOutput extracts Alice's captured result from a final state, and
+// whether it was captured at all.
+func AliceOutput(st State) (uint64, bool) {
+	if st.R[0]&relayDoneBit == 0 {
+		return 0, false
+	}
+	return (st.R[0] >> 32) & relayValueMask, true
+}
