@@ -7,6 +7,7 @@ package congest
 // path and must stage the identical messages (or fail on a non-neighbor).
 
 import (
+	"fmt"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -30,7 +31,7 @@ func TestBroadcastNeighborRowPrefix(t *testing.T) {
 	// stage runs one round of sender staging through targets and returns
 	// the staged inboxes per destination plus the outbox accounting.
 	stage := func(targets []int, viaPut bool) (map[int][]Inbound, *Outbox) {
-		ob := newOutbox(nw, topo.N())
+		ob := newOutbox(nw)
 		ob.beginRound(1)
 		ob.begin(sender)
 		if viaPut {
@@ -139,4 +140,108 @@ func inboundMapsEqual(a, b map[int][]Inbound) bool {
 		}
 	}
 	return true
+}
+
+// mixedPathNode charges one edge through every staging path in one round:
+// in round 1 the star center sends to the leaf at row position pos through
+// Put, Broadcast(env.Neighbors), the prefix env.Neighbors[:pos+1] and a
+// caller-built children slice, in an order rotated by rot, so each path in
+// turn carries the copy that decides the edge total. In round 2 the leaf
+// stray (when >= 0) Puts to another leaf, which is not its neighbor.
+type mixedPathNode struct {
+	pos, rot, stray int
+	done            bool
+	tx              RawMessage
+}
+
+func (m *mixedPathNode) Send(env *Env, out *Outbox) {
+	switch {
+	case env.Round == 1 && env.ID == 0:
+		row := env.Neighbors
+		to := row[m.pos]
+		for i := 0; i < 4; i++ {
+			switch (i + m.rot) % 4 {
+			case 0:
+				out.Put(to, &m.tx)
+			case 1:
+				out.Broadcast(row, &m.tx)
+			case 2:
+				out.Broadcast(row[:m.pos+1], &m.tx)
+			case 3:
+				out.Broadcast([]int{to}, &m.tx)
+			}
+		}
+	case env.Round == 2 && env.ID == m.stray:
+		out.Put(m.stray+1, &m.tx)
+	}
+}
+
+func (m *mixedPathNode) Receive(env *Env, inbox []Inbound) { m.done = env.Round >= 2 }
+func (m *mixedPathNode) Done() bool                        { return m.done }
+
+// TestBandwidthLedgerMixedPaths pins the per-edge ledger across its
+// staging paths: one edge charged through Put, the full-row and prefix
+// Broadcast fast paths and the validated children path must total exactly
+// the budget (accepted) or one bit over it (rejected at the copy that
+// crosses it), at the first, a middle and the last ledger slot of a star
+// center — the vertex of maximum degree — and a Put to a non-neighbor must
+// fail the same way. Error texts and MaxEdgeBits match RunReference at
+// every worker count.
+func TestBandwidthLedgerMixedPaths(t *testing.T) {
+	const leaves = 4600 // the center's row spans two 4096-vertex shards
+	topo, err := NewTopology(graph.Star(leaves + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.maxDeg != leaves {
+		t.Fatalf("maxDeg = %d, want %d", topo.maxDeg, leaves)
+	}
+	const width = 11
+	perCopy := KindBits + width
+	budget := 4 * perCopy
+	for _, pos := range []int{0, 4300, leaves - 1} {
+		to := pos + 1 // leaf ids follow the center's row order
+		for _, tc := range []struct {
+			name      string
+			bandwidth int
+			stray     int
+			wantErr   string
+			wantEdge  int
+		}{
+			{"exact", budget, -1, "", budget},
+			{"over", budget - 1, -1,
+				fmt.Sprintf("congest: round 1: edge 0->%d exceeds bandwidth (%d > %d bits)", to, budget, budget-1), 0},
+			{"non-neighbor", budget, 4200,
+				"congest: round 2: node 4200 sent to non-neighbor 4201", budget},
+		} {
+			for rot := 0; rot < 4; rot++ {
+				name := fmt.Sprintf("pos%d/%s/rot%d", pos, tc.name, rot)
+				run := func(k int, reference bool) (string, int) {
+					nw := NewNetworkOn(topo, func(v int) Node {
+						return &mixedPathNode{pos: pos, rot: rot, stray: tc.stray, tx: RawMessage{Width: width}}
+					}, WithBandwidth(tc.bandwidth), WithWorkers(k))
+					run := nw.Run
+					if reference {
+						run = nw.RunReference
+					}
+					msg := ""
+					if err := run(8); err != nil {
+						msg = err.Error()
+					}
+					return msg, nw.Metrics().MaxEdgeBits
+				}
+				refErr, refEdge := run(1, true)
+				if refErr != tc.wantErr || refEdge != tc.wantEdge {
+					t.Fatalf("%s: RunReference = (%q, MaxEdgeBits %d), want (%q, %d)",
+						name, refErr, refEdge, tc.wantErr, tc.wantEdge)
+				}
+				for _, k := range engineWorkerCounts {
+					if gotErr, gotEdge := run(k, false); gotErr != refErr || gotEdge != refEdge {
+						t.Errorf("%s workers %d: Run = (%q, MaxEdgeBits %d), want (%q, %d)",
+							name, k, gotErr, gotEdge, refErr, refEdge)
+					}
+				}
+			}
+		}
+	}
 }

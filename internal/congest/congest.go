@@ -155,17 +155,17 @@ type stagedRec struct {
 	kind  Kind
 }
 
-// destChain heads one receiver's chain of staged records. The stamp makes
-// the chain's liveness O(1) per round: a chain is current iff its stamp
-// equals the outbox's round serial, so beginRound resets every chain by
-// bumping the serial instead of sweeping a touch list.
+// destChain heads one receiver's chain of staged records: head1 is the
+// first record's index plus one, so the zero value is the empty chain and a
+// freshly allocated dest array needs no initialization. beginRound empties
+// last round's chains through the touched list.
 type destChain struct {
-	stamp      uint64
-	head, tail int32
+	head1, tail int32
 }
 
 // edgeCell is one directed edge's bit total for the current sender,
-// stamp-checked against the per-sender serial the same way.
+// stamp-checked against the per-sender serial: a cell is current iff its
+// stamp equals edgeSerial, so the per-sender reset is one increment.
 type edgeCell struct {
 	stamp uint64
 	bits  int32
@@ -187,13 +187,11 @@ type Outbox struct {
 	// SoA delivery queue (DESIGN.md "Wire hot-path anatomy"): q holds one
 	// record per staged copy in staging order; dest[to] heads receiver
 	// `to`'s chain through q; touched lists the receivers first staged
-	// this round, in staging order (the frontier claim pass and the
-	// reference engine iterate it). qSerial is bumped by beginRound, so
-	// recycling the queue and every chain is O(1).
+	// this round, in staging order (the frontier claim pass iterates it,
+	// and beginRound empties exactly those chains).
 	q       []stagedRec
 	dest    []destChain
 	touched []int32
-	qSerial uint64
 
 	// Observer support: the current sender's emissions in order, kept only
 	// when a run observer needs the canonical replay.
@@ -209,33 +207,38 @@ type Outbox struct {
 	err       error
 	errSender int
 
-	// Directed-edge bit ledger for the current sender; edgeSerial is
-	// bumped by begin, making the per-sender reset O(1) (edges are
-	// directed: no other sender contributes to (v, to) totals).
+	// Directed-edge bit ledger for the current sender, indexed by the
+	// destination's position in the sender's neighbor row (so it is sized
+	// to the maximum degree, not to n); edgeSerial is bumped by begin,
+	// making the per-sender reset O(1) (edges are directed: no other
+	// sender contributes to (v, to) totals).
 	edge       []edgeCell
 	edgeSerial uint64
 }
 
-func newOutbox(nw *Network, n int) *Outbox {
+func newOutbox(nw *Network) *Outbox {
 	return &Outbox{
 		nw:        nw,
-		dest:      make([]destChain, n),
+		dest:      make([]destChain, nw.topo.n),
 		keepMsgs:  nw.observer != nil,
-		edge:      make([]edgeCell, n),
+		edge:      make([]edgeCell, nw.topo.maxDeg),
 		errSender: -1,
 	}
 }
 
 // beginRound resets the per-round state: the arena words and the delivery
-// queue are recycled and the chain stamps are invalidated by one serial
-// bump, so steady-state rounds allocate nothing and reset in O(1).
+// queue are recycled and last round's chains are emptied through the
+// touched list, so steady-state rounds allocate nothing and the reset costs
+// O(receivers), which staging already paid.
 func (o *Outbox) beginRound(round int) {
 	o.round = round
 	o.sender = -1
 	o.arena.Reset(o.nw.topo.n)
 	o.q = o.q[:0]
+	for _, to := range o.touched {
+		o.dest[to] = destChain{}
+	}
 	o.touched = o.touched[:0]
-	o.qSerial++
 	o.bitsTotal = 0
 	o.maxEdge = 0
 	o.err = nil
@@ -307,18 +310,20 @@ func (o *Outbox) stageTo(to int, k Kind, bits, start int) {
 	if o.err != nil {
 		return
 	}
-	if !o.nw.topo.HasEdge(o.sender, to) {
+	i := o.nw.topo.neighborIndex(o.sender, to)
+	if i < 0 {
 		o.fail(fmt.Errorf("congest: round %d: node %d sent to non-neighbor %d", o.round, o.sender, to))
 		return
 	}
-	o.stageKnownEdge(to, k, bits, start)
+	o.stageEdge(i, to, k, bits, start)
 }
 
-// stageKnownEdge is stageTo for a destination already known to be a
-// neighbor (the Broadcast-to-neighbor-row fast path); the bandwidth ledger
-// and the delivery staging are identical.
-func (o *Outbox) stageKnownEdge(to int, k Kind, bits, start int) {
-	ec := &o.edge[to]
+// stageEdge is stageTo for a destination already known to be the sender's
+// neighbor at row position i (the Broadcast-to-neighbor-row fast path
+// passes its loop index); the bandwidth ledger and the delivery staging
+// are identical.
+func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
+	ec := &o.edge[i]
 	eb := int32(bits)
 	if ec.stamp == o.edgeSerial {
 		eb += ec.bits
@@ -335,11 +340,10 @@ func (o *Outbox) stageKnownEdge(to int, k Kind, bits, start int) {
 	}
 	rec := int32(len(o.q))
 	dc := &o.dest[to]
-	if dc.stamp == o.qSerial {
+	if dc.head1 != 0 {
 		o.q[dc.tail].next = rec
 	} else {
-		dc.stamp = o.qSerial
-		dc.head = rec
+		dc.head1 = rec + 1
 		o.touched = append(o.touched, int32(to))
 	}
 	dc.tail = rec
@@ -358,11 +362,7 @@ func (o *Outbox) sent() int { return len(o.q) }
 // emission order. The views point into the outbox arena, which is stable
 // until the next beginRound (i.e. across the whole receive half).
 func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
-	dc := &o.dest[to]
-	if dc.stamp != o.qSerial {
-		return buf
-	}
-	for i := dc.head; i >= 0; i = o.q[i].next {
+	for i := o.dest[to].head1 - 1; i >= 0; i = o.q[i].next {
 		r := &o.q[i]
 		buf = append(buf, Inbound{From: int(r.from), Kind: r.kind, Bits: int(r.bits), wire: o.arena.view(r.start, int(r.bits))})
 	}
@@ -379,7 +379,7 @@ func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 func gatherChains(obs []*Outbox, heads []int32, v int, buf []Inbound) []Inbound {
 	contributors, solo := 0, -1
 	for ww, ob := range obs {
-		if ob.dest[v].stamp == ob.qSerial {
+		if ob.dest[v].head1 != 0 {
 			contributors++
 			solo = ww
 		}
@@ -391,11 +391,7 @@ func gatherChains(obs []*Outbox, heads []int32, v int, buf []Inbound) []Inbound 
 		return obs[solo].appendChain(v, buf)
 	}
 	for ww, ob := range obs {
-		if ob.dest[v].stamp == ob.qSerial {
-			heads[ww] = ob.dest[v].head
-		} else {
-			heads[ww] = -1
-		}
+		heads[ww] = ob.dest[v].head1 - 1
 	}
 	for {
 		best := -1
@@ -447,18 +443,19 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 	// Flooding fast path: when targets is the sender's own neighbor row —
 	// the idiomatic Broadcast(env.Neighbors, m) — or a prefix subslice of
 	// it (env.Neighbors[:j] is still all neighbors), every destination is a
-	// neighbor by construction, so the per-copy adjacency probe is skipped.
+	// neighbor by construction and its row position is the loop index, so
+	// the per-copy adjacency probe is skipped.
 	// Identity is by slice identity (same base pointer as the topology row,
 	// length within it), never by content, so no caller-built slice can
 	// take the path. Non-prefix subslices (row[i:] for i > 0) have a
 	// different base pointer and run through the validated path — correct,
 	// just not fast.
 	if row := o.nw.topo.neighbors[o.sender]; len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
-		for _, to := range targets {
+		for i, to := range targets {
 			if o.err != nil {
 				return
 			}
-			o.stageKnownEdge(to, k, bits, start)
+			o.stageEdge(i, to, k, bits, start)
 		}
 		return
 	}
@@ -773,7 +770,7 @@ func newEngine(nw *Network) *engine {
 	e.obs = make([]*Outbox, e.k)
 	e.ws = make([]workerState, e.k)
 	for w := 0; w < e.k; w++ {
-		e.ws[w].outbox = newOutbox(nw, n)
+		e.ws[w].outbox = newOutbox(nw)
 		e.obs[w] = e.ws[w].outbox
 		e.ws[w].heads = make([]int32, e.k)
 		e.ws[w].env = newEnv(n)
@@ -922,7 +919,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 	n := nw.topo.n
 	nbrs := nw.topo.neighbors
 	env := newEnv(n) // one Env, re-bound before every program call
-	ob := newOutbox(nw, n)
+	ob := newOutbox(nw)
 	// Observer replay buffer: emissions of the whole round, replayed at
 	// the round barrier exactly like Run does (in particular, a failing
 	// round is never observed on either engine).

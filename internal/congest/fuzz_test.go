@@ -1,6 +1,7 @@
 package congest
 
-// Native Go fuzz harnesses for the wire layer. Two properties are enforced:
+// Native Go fuzz harnesses for the wire layer and the streamed topology
+// build. Two wire properties are enforced:
 //
 //   - round-trip: any sequence of (width, value) fields packed by Writer is
 //     read back bit-exactly by Reader, and the cursor arithmetic matches the
@@ -9,15 +10,22 @@ package congest
 //     must either succeed or return an error through Reader.Err — it must
 //     NEVER panic, whatever the payload (truncated, oversized, garbage).
 //
-// Seed corpora are checked in under testdata/fuzz (plus the f.Add seeds
-// below). CI runs a short `-fuzz` smoke on both targets; longer local runs:
+// FuzzTopologyFromStream checks that no edge stream, however malformed,
+// makes the CSR build or the topology constructor panic.
 //
-//	go test -run '^$' -fuzz '^FuzzWireRoundTrip$' -fuzztime 60s ./internal/congest
-//	go test -run '^$' -fuzz '^FuzzWireMessage$'   -fuzztime 60s ./internal/congest
+// Seed corpora are checked in under testdata/fuzz (plus the f.Add seeds
+// below). CI runs a short `-fuzz` smoke on every target; longer local runs:
+//
+//	go test -run '^$' -fuzz '^FuzzWireRoundTrip$'      -fuzztime 60s ./internal/congest
+//	go test -run '^$' -fuzz '^FuzzWireMessage$'        -fuzztime 60s ./internal/congest
+//	go test -run '^$' -fuzz '^FuzzTopologyFromStream$' -fuzztime 60s ./internal/congest
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"qcongest/internal/graph"
 )
 
 // wordsFromBytes packs fuzz bytes into the little-endian uint64 words the
@@ -202,6 +210,80 @@ func FuzzWireMessage(f *testing.F) {
 		m2.UnmarshalWire(&r2)
 		if r2.Err() != nil || !reflect.DeepEqual(m, m2) {
 			t.Fatalf("%v: round trip %+v -> %+v (err %v)", k, m, m2, r2.Err())
+		}
+	})
+}
+
+// FuzzTopologyFromStream streams arbitrary edge lists through
+// graph.BuildCSRFromStream into NewTopologyFromCSR. Endpoints range over
+// [-1, n], so out-of-range edges, self-loops and duplicates all occur; a
+// nonzero drift makes the stream's second pass differ from its first (one
+// edge shifted, or dropped when drift's high bit is set); a nonzero corrupt
+// flips the low bit of one CSR offset or target between the two calls.
+// Neither call may panic. Whenever a topology is built, its cached maximum
+// degree must equal its longest row, and neighborIndex must agree with a
+// linear scan of the row for every pair, including out-of-range ones.
+func FuzzTopologyFromStream(f *testing.F) {
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(0), uint16(0))       // path
+	f.Add(uint8(5), []byte{1, 2, 1, 3, 1, 4, 1, 5}, uint8(0), uint16(0)) // star
+	f.Add(uint8(3), []byte{1, 2, 2, 3, 3, 1}, uint8(0), uint16(0))       // triangle
+	f.Add(uint8(4), []byte{2, 1, 4, 3, 3, 1}, uint8(0), uint16(0))       // rows out of order
+	f.Add(uint8(3), []byte{1, 2, 2, 1, 2, 3}, uint8(0), uint16(0))       // duplicate edge
+	f.Add(uint8(3), []byte{1, 1, 2, 3}, uint8(0), uint16(0))             // self-loop
+	f.Add(uint8(3), []byte{0, 2, 2, 4}, uint8(0), uint16(0))             // out of range
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(2), uint16(0))       // second pass shifts
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(0x83), uint16(0))    // second pass drops
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(0), uint16(4))       // offset flipped
+	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(0), uint16(7))       // target flipped
+	f.Add(uint8(1), []byte{}, uint8(0), uint16(0))                       // single vertex
+	f.Fuzz(func(t *testing.T, nRaw uint8, edges []byte, drift uint8, corrupt uint16) {
+		n := int(nRaw % 64)
+		endpoint := func(b byte) int { return int(b)%(n+2) - 1 }
+		passes := 0
+		stream := func(emit func(u, v int)) {
+			passes++
+			for i := 0; i+1 < len(edges); i += 2 {
+				u, v := endpoint(edges[i]), endpoint(edges[i+1])
+				if passes > 1 && drift&0x7f != 0 && i/2 == int(drift&0x7f)-1 {
+					if drift&0x80 != 0 {
+						continue
+					}
+					v++
+				}
+				emit(u, v)
+			}
+		}
+		c, err := graph.BuildCSRFromStream(n, stream)
+		if err != nil {
+			return
+		}
+		if corrupt != 0 {
+			i := int(corrupt >> 1)
+			if corrupt&1 == 0 {
+				c.Offsets[i%len(c.Offsets)] ^= 1
+			} else if len(c.Targets) > 0 {
+				c.Targets[i%len(c.Targets)] ^= 1
+			}
+		}
+		topo, err := NewTopologyFromCSR(c)
+		if err != nil {
+			return
+		}
+		longest := 0
+		for u := 0; u < topo.N(); u++ {
+			row := topo.Neighbors(u)
+			longest = max(longest, len(row))
+			for v := -1; v <= topo.N(); v++ {
+				if got, want := topo.neighborIndex(u, v), slices.Index(row, v); got != want {
+					t.Fatalf("neighborIndex(%d, %d) = %d, linear scan of %v finds %d", u, v, got, row, want)
+				}
+			}
+		}
+		if topo.maxDeg != longest {
+			t.Fatalf("maxDeg = %d, longest row has %d neighbors", topo.maxDeg, longest)
+		}
+		if topo.neighborIndex(-1, 0) != -1 || topo.neighborIndex(topo.N(), 0) != -1 {
+			t.Fatal("neighborIndex accepts an out-of-range sender")
 		}
 	})
 }

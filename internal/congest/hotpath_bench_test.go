@@ -2,7 +2,7 @@ package congest
 
 // Microbenchmarks for the wire hot path (DESIGN.md "Wire hot-path
 // anatomy"): BenchmarkOutbox times the send half — word-packed encode,
-// epoch-stamped ledgers, SoA staging — and BenchmarkRecvShard times the
+// maxDeg-sized edge ledger, SoA staging — and BenchmarkRecvShard times the
 // receive half — chain gathering into a reusable inbox. Both report
 // allocations; TestHotPathSteadyStateAllocs pins the steady state at zero.
 //
@@ -37,7 +37,7 @@ func newHotPathFixture(tb testing.TB, n, outboxes int, opts ...Option) *hotPathF
 	nw := NewNetworkOn(topo, func(v int) Node { return NewWaveNode(false, 0, 1) }, opts...)
 	f := &hotPathFixture{nw: nw, topo: topo, heads: make([]int32, outboxes)}
 	for i := 0; i < outboxes; i++ {
-		f.obs = append(f.obs, newOutbox(nw, n))
+		f.obs = append(f.obs, newOutbox(nw))
 	}
 	return f
 }

@@ -70,13 +70,55 @@ func (f *capFloodNode) NextWake(env *Env, round int) int {
 	return f.deadline // deadline timer: everyone quiesces together
 }
 
+// TestEngineFootprintPerVertex pins the engine's per-vertex bookkeeping:
+// the heap bytes NewNetworkOn plus a one-round Run (the capacity flood cut
+// at round 1) allocate on a 256x256 grid, excluding the node program
+// structs (preallocated here). What remains is the program table, the
+// shared wake and Done arrays and one 8-byte delivery-chain head per
+// vertex per worker; an O(n) array repeated per worker, or an n-long
+// interface table, breaks the 48 B bound at two workers.
+func TestEngineFootprintPerVertex(t *testing.T) {
+	const side = 256
+	c, err := graph.BuildCSRFromStream(side*side, graph.GridEdges(side, side))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := NewTopologyFromCSR(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := topo.N()
+	for _, k := range []int{1, 2} {
+		progs := make([]capFloodNode, n)
+		for v := range progs {
+			progs[v] = capFloodNode{deadline: 1, dist: -1}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		nw := NewNetworkOn(topo, func(v int) Node { return &progs[v] }, WithWorkers(k))
+		if err := nw.Run(4); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if r := nw.Metrics().Rounds; r != 1 {
+			t.Fatalf("workers %d: Rounds = %d, want 1", k, r)
+		}
+		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("workers %d: %.1f B per vertex", k, perVertex)
+		if k == 2 && perVertex > 48 {
+			t.Errorf("workers %d: engine allocates %.1f B per vertex, want <= 48", k, perVertex)
+		}
+	}
+}
+
 // TestCapacity10M is the scale smoke behind ROADMAP item 4: a 10M-vertex
 // grid streams into CSR form, becomes a Topology without ever
 // materializing a *graph.Graph, and runs 50 frontier rounds of a truncated
 // BFS flood whose result is verified against the packed-oracle BFS for
 // every vertex. Build time and peak heap are asserted, so a regression
 // that reintroduces O(n) per-vertex allocation or frontier bookkeeping
-// fails loudly. ~4 GB of memory and tens of seconds, so it is opt-in:
+// fails loudly. ~2 GB of memory and tens of seconds, so it is opt-in:
 //
 //	QCONGEST_CAPACITY_10M=1 go test -run TestCapacity10M -timeout 20m ./internal/congest
 func TestCapacity10M(t *testing.T) {
@@ -146,8 +188,8 @@ func TestCapacity10M(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	t.Logf("heap after run: %.2f GB", float64(ms.HeapAlloc)/(1<<30))
-	if ms.HeapAlloc > 8<<30 {
-		t.Errorf("HeapAlloc = %.2f GB, want <= 8 GB for the 10M capacity envelope",
+	if ms.HeapAlloc > 2<<30 {
+		t.Errorf("HeapAlloc = %.2f GB, want <= 2 GB for the 10M capacity envelope",
 			float64(ms.HeapAlloc)/(1<<30))
 	}
 }

@@ -179,9 +179,6 @@ type frontierState struct {
 	preMax     int  // max initial StateBits over vertices outside frontier(1)
 	preSampled bool // preMax computed (at the first frontier build)
 
-	scheds []Scheduled // scheds[v] non-nil iff nodes[v] implements Scheduled
-	sizers []StateSizer
-
 	addDelta  []int // per-worker count of new nxt members this round
 	doneDelta []int // per-worker notDone deltas
 }
@@ -228,24 +225,20 @@ func newFrontierState(n, k int, nodes []Node) *frontierState {
 		open:      make([]wakeBucket, k),
 		wakeVs:    make([][]int32, k),
 		done:      make([]bool, n),
-		scheds:    make([]Scheduled, n),
-		sizers:    make([]StateSizer, n),
 		addDelta:  make([]int, k),
 		doneDelta: make([]int, k),
 	}
 	for s := range fr.open {
 		fr.open[s].round = noBucket
 	}
-	// The interface assertions are hoisted here, once per engine, off the
-	// per-round and per-execution hot paths.
+	// The always-active set is fixed by the program types, so it is
+	// collected once per engine. The Scheduled and StateSizer assertions
+	// themselves are not tabulated: the hot paths assert them on the node
+	// they have already loaded, about 2 ns per execution each, where two
+	// n-long interface tables would cost 32 B per vertex.
 	for v, nd := range nodes {
-		if sc, ok := nd.(Scheduled); ok {
-			fr.scheds[v] = sc
-		} else {
+		if _, ok := nd.(Scheduled); !ok {
 			fr.alwaysOn = append(fr.alwaysOn, int32(v))
-		}
-		if s, ok := nd.(StateSizer); ok {
-			fr.sizers[v] = s
 		}
 	}
 	return fr
@@ -458,12 +451,14 @@ func (e *engine) buildFrontier(round int) {
 func (e *engine) samplePre() {
 	fr := e.fr
 	max := 0
-	for v, s := range fr.sizers {
-		if s == nil || fr.cur.has(int32(v)) {
+	for v, nd := range e.nw.nodes {
+		if fr.cur.has(int32(v)) {
 			continue
 		}
-		if b := s.StateBits(); b > max {
-			max = b
+		if s, ok := nd.(StateSizer); ok {
+			if b := s.StateBits(); b > max {
+				max = b
+			}
 		}
 	}
 	fr.preMax = max
@@ -574,7 +569,7 @@ func (e *engine) recvShard(w int) {
 				env.bind(v, nbrs[v], round)
 				nd := nw.nodes[v]
 				nd.Receive(env, inbox)
-				if s := fr.sizers[v]; s != nil {
+				if s, ok := nd.(StateSizer); ok {
 					if b := s.StateBits(); b > maxState {
 						maxState = b
 					}
@@ -587,7 +582,7 @@ func (e *engine) recvShard(w int) {
 						delta++
 					}
 				}
-				if sc := fr.scheds[v]; sc != nil {
+				if sc, ok := nd.(Scheduled); ok {
 					if fr.register(w, int32(v), sc.NextWake(env, round), round) {
 						added++
 					}
@@ -651,7 +646,7 @@ func (e *engine) execute(maxRounds int) error {
 		if !d {
 			fr.notDone++
 		}
-		if sc := fr.scheds[v]; sc != nil {
+		if sc, ok := nd.(Scheduled); ok {
 			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(env.bind(v, nbrs[v], 0), 0), 0) {
 				fr.nxtCount++
 			}

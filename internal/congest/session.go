@@ -30,11 +30,11 @@ import (
 // once here. The per-vertex neighbor slices handed to node programs
 // (Env.Neighbors, Topology.Neighbors) are views into the arena: one
 // allocation per topology instead of one per vertex, contiguous in memory,
-// and HasEdge is a binary search on the packed row — no graph call, no
-// lock, which matters because the engine validates every message against
-// it. The arena is int-typed (programs address neighbors as int, the
-// public facade included); graph.CSR is the compact int32 twin for callers
-// that only need an oracle.
+// and the neighbor lookup behind HasEdge is a binary search on the packed
+// row — no graph call, no lock, which matters because the engine validates
+// every message against it. The arena is int-typed (programs address
+// neighbors as int, the public facade included); graph.CSR is the compact
+// int32 twin for callers that only need an oracle.
 type Topology struct {
 	g *graph.Graph
 	n int
@@ -45,6 +45,7 @@ type Topology struct {
 	neighbors [][]int // per-vertex views into arena
 	weights   [][]int // per-vertex views into warena; nil for unweighted graphs
 	maxW      int
+	maxDeg    int // longest row: the size of an Outbox's per-sender edge ledger
 }
 
 // NewTopology validates g (it must be connected, like every algorithm in
@@ -80,6 +81,7 @@ func NewTopology(g *graph.Graph) (*Topology, error) {
 		row := g.Neighbors(v)
 		copy(t.arena[off:], row)
 		t.neighbors[v] = t.arena[off : off+int32(len(row)) : off+int32(len(row))]
+		t.maxDeg = max(t.maxDeg, len(row))
 		if weighted {
 			w := g.NeighborWeights(v)
 			copy(t.warena[off:], w)
@@ -137,6 +139,7 @@ func NewTopologyFromCSR(c *graph.CSR) (*Topology, error) {
 			t.arena[i] = w
 		}
 		t.neighbors[v] = t.arena[lo:hi:hi]
+		t.maxDeg = max(t.maxDeg, int(hi-lo))
 		if c.Weights != nil {
 			for i := lo; i < hi; i++ {
 				wt := int(c.Weights[i])
@@ -177,12 +180,17 @@ func (t *Topology) Neighbors(v int) []int { return t.neighbors[v] }
 // Degree returns the degree of v.
 func (t *Topology) Degree(v int) int { return len(t.neighbors[v]) }
 
-// HasEdge reports whether {u, v} is an edge: a binary search on the packed
-// CSR row of u. This is the engine's per-message destination check, so it
-// must not touch the graph (whose reads synchronize against the lazy sort).
-func (t *Topology) HasEdge(u, v int) bool {
+// HasEdge reports whether {u, v} is an edge (see neighborIndex).
+func (t *Topology) HasEdge(u, v int) bool { return t.neighborIndex(u, v) >= 0 }
+
+// neighborIndex returns v's position in u's neighbor row, or -1 when {u, v}
+// is not an edge: a binary search on the packed CSR row of u. This is the
+// engine's per-message destination check, and the position indexes the
+// sender's bandwidth ledger, so it must not touch the graph (whose reads
+// synchronize against the lazy sort).
+func (t *Topology) neighborIndex(u, v int) int {
 	if u < 0 || u >= t.n {
-		return false
+		return -1
 	}
 	row := t.arena[t.offsets[u]:t.offsets[u+1]]
 	lo, hi := 0, len(row)
@@ -194,7 +202,10 @@ func (t *Topology) HasEdge(u, v int) bool {
 			hi = mid
 		}
 	}
-	return lo < len(row) && row[lo] == v
+	if lo < len(row) && row[lo] == v {
+		return lo
+	}
+	return -1
 }
 
 // Weighted reports whether the underlying graph carries edge weights.

@@ -111,25 +111,15 @@ func (t *TriangleProbeNode) NextWake(env *Env, round int) int {
 // StateBits implements StateSizer: the flag and the round timer.
 func (t *TriangleProbeNode) StateBits() int { return 2 * 64 }
 
-// maxDegreeOf is the fixed probe schedule length: every vertex finishes
-// announcing its list within max-degree rounds (at least 1 so the empty
-// graph still terminates).
-func maxDegreeOf(topo *Topology) int {
-	maxDeg := 1
-	for v := 0; v < topo.N(); v++ {
-		if d := topo.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg
-}
-
 // TriangleFlagsOn runs the adjacency-probe protocol once and returns the
 // per-vertex triangle flags (flags[v] iff v lies on some triangle) with the
 // measured metrics. The probe is input-free, so callers charge its rounds
 // to initialization.
 func TriangleFlagsOn(topo *Topology, opts ...Option) ([]bool, Metrics, error) {
-	duration := maxDegreeOf(topo)
+	// The fixed probe schedule length: every vertex finishes announcing its
+	// list within max-degree rounds (at least 1 so the empty graph still
+	// terminates).
+	duration := max(topo.maxDeg, 1)
 	nw := NewNetworkOn(topo, func(v int) Node {
 		return NewTriangleProbeNode(duration)
 	}, opts...)
