@@ -1,28 +1,59 @@
 package congest
 
-// Tree aggregation programs: convergecast of a maximum toward the root
-// (Figure 2 Step 3: "the transmission is done bottom up on BFS(leader), and
-// at each node only the maximum of received values is transmitted") and
+import "fmt"
+
+// Tree aggregation programs: convergecast of one value per vertex toward
+// the root (Figure 2 Step 3: "the transmission is done bottom up on
+// BFS(leader), and at each node only the maximum of received values is
+// transmitted"; the Figure 3 counting probes do the same with a sum) and
 // broadcast of a value from the root down the tree. Both run on a
 // previously-built BFS tree and finish within height+1 rounds.
 
 type (
-	// msgMax carries a partial maximum (value, witness id) up the tree.
-	// Values are distances and similar counters bounded by 4n (width
-	// BitsForID(4n+1)); the witness is a vertex id (width BitsForID(n)).
-	msgMax struct {
+	// msgAgg carries a partial aggregate up the tree. Its kind selects the
+	// combine and the field list:
+	//   - max: (value, witness); values are distances and similar counters
+	//     bounded by 4n, the witness is a vertex id.
+	//   - wmax: (value, witness) with values in [0, Bound], the weighted
+	//     suite's distance range.
+	//   - sum: one value of 2*BitsForID(n) bits, admitting every value of
+	//     that width: wide enough for the counting convergecasts (sums of n
+	//     indicator values) and for sums up to ~n^2 in general. The int32
+	//     CSR keeps n below 2^31, so the bound 1<<(2*BitsForID(n)) fits an
+	//     int.
+	//   - cutsum: one value in [0, Bound], where Bound is the topology's
+	//     total edge weight.
+	// Bound and kind are configuration known a priori, never transmitted.
+	msgAgg struct {
 		Value   int
 		Witness int
+		Bound   int
+		kind    Kind
 	}
 	// msgBcast carries the root's value down the tree. Broadcast values
 	// (d, thresholds, vertex ids) are bounded by 4n.
 	msgBcast struct{ Value int }
 )
 
-func (m *msgMax) WireKind() Kind          { return KindMax }
-func (m *msgMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgMax) fields(n int) wireFields { return fields2(&m.Value, 4*n+1, &m.Witness, n) }
+func (m *msgAgg) WireKind() Kind          { return m.kind }
+func (m *msgAgg) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgAgg) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+
+// fields lists the payload of m's kind. Any other kind gets a field that
+// admits no value, so the message neither encodes nor decodes.
+func (m *msgAgg) fields(n int) wireFields {
+	switch m.kind {
+	case KindMax:
+		return fields2(&m.Value, 4*n+1, &m.Witness, n)
+	case KindWMax:
+		return fields2(&m.Value, m.Bound+1, &m.Witness, n)
+	case KindSum:
+		return fields1(&m.Value, 1<<(2*BitsForID(n)))
+	case KindCutSum:
+		return fields1(&m.Value, m.Bound+1)
+	}
+	return fields1(&m.Value, 0)
+}
 
 func (m *msgBcast) WireKind() Kind          { return KindBcast }
 func (m *msgBcast) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
@@ -30,58 +61,63 @@ func (m *msgBcast) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgBcast) fields(n int) wireFields { return fields1(&m.Value, 4*n+1) }
 
 func init() {
-	RegisterKind(KindMax, "max", func() WireMessage { return new(msgMax) })
+	RegisterKind(KindMax, "max", func() WireMessage { return &msgAgg{kind: KindMax} })
+	RegisterKind(KindWMax, "wmax", func() WireMessage { return &msgAgg{kind: KindWMax} })
+	RegisterKind(KindSum, "sum", func() WireMessage { return &msgAgg{kind: KindSum} })
+	RegisterKind(KindCutSum, "cutsum", func() WireMessage { return &msgAgg{kind: KindCutSum} })
 	RegisterKind(KindBcast, "bcast", func() WireMessage { return new(msgBcast) })
 }
 
-// ConvergecastMaxNode aggregates the maximum of per-node input values at
-// the root. Each node waits for all of its children, then forwards the max
-// of its own value and theirs; only one O(log n)-bit message crosses each
-// tree edge.
-type ConvergecastMaxNode struct {
-	Parent   int
-	Children []int
-	Value    int
-	Witness  int // id associated with Value (e.g. the vertex achieving it)
+// ConvergecastNode aggregates per-vertex values at the root of a tree. Each
+// node waits for all of its children, then forwards the aggregate of its
+// own value and theirs; only one O(log n)-bit message crosses each tree
+// edge. The wire kind fixes the aggregate: KindMax and KindWMax keep the
+// maximum with the smallest witness id, KindSum and KindCutSum the sum.
+type ConvergecastNode struct {
+	Parent  int
+	Value   int
+	Witness int // id associated with Value (e.g. the vertex achieving it)
 
-	// Outputs (meaningful at the root).
-	Max        int
-	MaxWitness int
+	// Outputs (meaningful at the root): the subtree's aggregate and, for
+	// the max kinds, its witness.
+	Agg        int
+	AggWitness int
 
+	children int
 	received int
 	sent     bool
-	isRoot   bool
-
-	tx, rx msgMax
+	msg      msgAgg // kind and Bound are configuration; one message serves both directions
 }
 
-// NewConvergecastMaxNode builds the program for one node. witness
-// identifies where the value came from (often the node itself).
-func NewConvergecastMaxNode(parent int, children []int, value, witness int) *ConvergecastMaxNode {
-	return &ConvergecastMaxNode{
+// NewConvergecastNode builds the program for one node of a kind
+// convergecast (KindMax, KindWMax, KindSum or KindCutSum). witness
+// identifies where the value came from (often the node itself); bound is
+// the value range [0, bound] of the wmax and cutsum kinds.
+func NewConvergecastNode(kind Kind, parent int, children []int, value, witness, bound int) *ConvergecastNode {
+	return &ConvergecastNode{
 		Parent:     parent,
-		Children:   append([]int(nil), children...),
 		Value:      value,
 		Witness:    witness,
-		Max:        value,
-		MaxWitness: witness,
-		isRoot:     parent < 0,
+		Agg:        value,
+		AggWitness: witness,
+		children:   len(children),
+		msg:        msgAgg{Bound: bound, kind: kind},
 	}
 }
 
-// MaxInputs is the Reset params of a max-convergecast session: the
-// per-vertex input values of the next execution and, optionally, their
-// witnesses (nil: each vertex witnesses itself, like ConvergecastMax).
-type MaxInputs struct {
+// AggInputs is the Reset params of a convergecast session: the per-vertex
+// input values of the next execution and, optionally, their witnesses
+// (nil: each vertex witnesses itself).
+type AggInputs struct {
 	Values    []int
 	Witnesses []int
 }
 
 // ResetNode implements Resettable.
-func (c *ConvergecastMaxNode) ResetNode(v int, params any) {
+func (c *ConvergecastNode) ResetNode(v int, params any) {
 	switch p := params.(type) {
 	case nil:
-	case MaxInputs:
+	case AggInputs:
 		c.Value = p.Values[v]
 		if p.Witnesses != nil {
 			c.Witness = p.Witnesses[v]
@@ -89,59 +125,103 @@ func (c *ConvergecastMaxNode) ResetNode(v int, params any) {
 			c.Witness = v
 		}
 	default:
-		badResetParams("ConvergecastMaxNode", params)
+		badResetParams("ConvergecastNode", params)
 	}
-	c.Max, c.MaxWitness = c.Value, c.Witness
+	c.Agg, c.AggWitness = c.Value, c.Witness
 	c.received = 0
 	c.sent = false
 }
 
 // Send implements Node.
-func (c *ConvergecastMaxNode) Send(env *Env, out *Outbox) {
-	if c.sent || c.received < len(c.Children) {
+func (c *ConvergecastNode) Send(env *Env, out *Outbox) {
+	if c.sent || c.received < c.children {
 		return
 	}
 	c.sent = true
-	if c.isRoot {
+	if c.Parent < 0 {
 		return
 	}
-	c.tx = msgMax{Value: c.Max, Witness: c.MaxWitness}
-	out.Put(c.Parent, &c.tx)
+	c.msg.Value, c.msg.Witness = c.Agg, c.AggWitness
+	out.Put(c.Parent, &c.msg)
 }
 
 // Receive implements Node.
-func (c *ConvergecastMaxNode) Receive(env *Env, inbox []Inbound) {
+func (c *ConvergecastNode) Receive(env *Env, inbox []Inbound) {
+	sums := c.msg.kind == KindSum || c.msg.kind == KindCutSum
 	for i := range inbox {
 		in := &inbox[i]
-		if in.Kind != KindMax || in.Decode(env, &c.rx) != nil {
+		if in.Kind != c.msg.kind || in.Decode(env, &c.msg) != nil {
 			continue
 		}
 		c.received++
-		if c.rx.Value > c.Max || (c.rx.Value == c.Max && c.rx.Witness < c.MaxWitness) {
-			c.Max = c.rx.Value
-			c.MaxWitness = c.rx.Witness
+		switch {
+		case sums:
+			c.Agg += c.msg.Value
+		case c.msg.Value > c.Agg || (c.msg.Value == c.Agg && c.msg.Witness < c.AggWitness):
+			c.Agg, c.AggWitness = c.msg.Value, c.msg.Witness
 		}
 	}
 }
 
 // Done implements Node.
-func (c *ConvergecastMaxNode) Done() bool { return c.sent }
+func (c *ConvergecastNode) Done() bool { return c.sent }
 
 // NextWake implements Scheduled: a node transmits once, as soon as all of
 // its children have reported (leaves in round 1); child reports are
 // messages and schedule the node by themselves.
-func (c *ConvergecastMaxNode) NextWake(env *Env, round int) int {
-	if c.sent {
-		return NeverWake
-	}
-	if c.received >= len(c.Children) {
+func (c *ConvergecastNode) NextWake(env *Env, round int) int {
+	if !c.sent && c.received >= c.children {
 		return round + 1
 	}
 	return NeverWake
 }
 
-// StateBits implements StateSizer.
-func (c *ConvergecastMaxNode) StateBits() int { return 4 * 64 }
+// StateBits implements StateSizer: value and aggregate, plus a witness
+// pair for the max kinds and the bound for cutsum.
+func (c *ConvergecastNode) StateBits() int {
+	switch c.msg.kind {
+	case KindSum:
+		return 2 * 64
+	case KindCutSum:
+		return 3 * 64
+	}
+	return 4 * 64
+}
+
+// treeAgg is a reusable convergecast session rooted at root; what prefixes
+// its run errors.
+type treeAgg struct {
+	s    *Session
+	root int
+	what string
+}
+
+// newTreeAgg builds the convergecast session of the given kind on the tree
+// described by info, rooted at its leader.
+func newTreeAgg(topo *Topology, info *PreInfo, kind Kind, bound int, what string, opts ...Option) treeAgg {
+	return treeAgg{
+		s: NewSession(topo, func(v int) Node {
+			return NewConvergecastNode(kind, info.Parent[v], info.Children[v], 0, v, bound)
+		}, opts...),
+		root: info.Leader,
+		what: what,
+	}
+}
+
+// run aggregates values (each vertex witnessing itself) and returns the
+// aggregate at the root with the run's Metrics.
+func (a treeAgg) run(values []int) (int, Metrics, error) {
+	if err := a.s.Reset(AggInputs{Values: values}); err != nil {
+		return 0, Metrics{}, err
+	}
+	if err := a.s.Run(4*a.s.Topology().N() + 16); err != nil {
+		return 0, a.s.Metrics(), fmt.Errorf("%s: %w", a.what, err)
+	}
+	return a.s.Node(a.root).(*ConvergecastNode).Agg, a.s.Metrics(), nil
+}
+
+// close releases the session's engine.
+func (a treeAgg) close() { a.s.Close() }
 
 // BroadcastNode distributes the root's value down a tree.
 type BroadcastNode struct {

@@ -116,20 +116,16 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	logn := math.Log(float64(n)) + 1
 	prob := math.Min(1, logn/float64(s))
 	limit := int(float64(n)*logn*logn/float64(s)) + 1
-	sumLeader := NewSession(topo, func(v int) Node {
-		return NewConvergecastSumNode(info.Parent[v], info.Children[v], 0)
-	}, opts...)
-	defer sumLeader.Close()
+	sumLeader := newTreeAgg(topo, info, KindSum, 0, "sum convergecast", opts...)
+	defer sumLeader.close()
 	vals := make([]int, n) // reusable per-vertex input buffer for the probes
-	runSum := func(sess *Session, root int) (int, error) {
-		if err := sess.Reset(SumInputs{Values: vals}); err != nil {
+	runSum := func(a treeAgg) (int, error) {
+		sum, m, err := a.run(vals)
+		if err != nil {
 			return 0, err
 		}
-		if err := sess.Run(4*n + 16); err != nil {
-			return 0, fmt.Errorf("sum convergecast: %w", err)
-		}
-		total.Add(sess.Metrics())
-		return sess.Node(root).(*ConvergecastSumNode).Sum, nil
+		total.Add(m)
+		return sum, nil
 	}
 	for attempt := 0; ; attempt++ {
 		if attempt >= 16 {
@@ -147,7 +143,7 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 			}
 		}
 		// The count check is a convergecast sum in the real network.
-		sum, err := runSum(sumLeader, info.Leader)
+		sum, err := runSum(sumLeader)
 		if err != nil {
 			return nil, total, err
 		}
@@ -207,10 +203,8 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	// the boundary layer), each probe one convergecast sum + broadcast —
 	// both on sessions built once for the whole search and Reset per probe.
 	wInfo := &PreInfo{Leader: w, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
-	sumW := NewSession(topo, func(v int) Node {
-		return NewConvergecastSumNode(wInfo.Parent[v], wInfo.Children[v], 0)
-	}, opts...)
-	defer sumW.Close()
+	sumW := newTreeAgg(topo, wInfo, KindSum, 0, "sum convergecast", opts...)
+	defer sumW.close()
 	bcastW := NewSession(topo, func(v int) Node {
 		return NewBroadcastNode(wInfo.Parent[v], wInfo.Children[v], 0)
 	}, opts...)
@@ -232,7 +226,7 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 				vals[v] = 1
 			}
 		}
-		c, err := runSum(sumW, w)
+		c, err := runSum(sumW)
 		if err != nil {
 			return 0, err
 		}
@@ -271,7 +265,7 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 				vals[v] = 1
 			}
 		}
-		c, err := runSum(sumW, w)
+		c, err := runSum(sumW)
 		if err != nil {
 			return 0, err
 		}

@@ -39,11 +39,11 @@ func TestMinFloodMatchesReference(t *testing.T) {
 	}
 }
 
-// runSum runs a ConvergecastSumNode convergecast of values on info's tree
+// runSum runs a sum-kind ConvergecastNode convergecast of values on info's tree
 // and returns the sum at the leader.
 func runSum(g *graph.Graph, info *PreInfo, values []int) (int, error) {
 	nw, err := NewNetwork(g, func(v int) Node {
-		return NewConvergecastSumNode(info.Parent[v], info.Children[v], values[v])
+		return NewConvergecastNode(KindSum, info.Parent[v], info.Children[v], values[v], v, 0)
 	})
 	if err != nil {
 		return 0, err
@@ -51,7 +51,7 @@ func runSum(g *graph.Graph, info *PreInfo, values []int) (int, error) {
 	if err := nw.Run(4*g.N() + 16); err != nil {
 		return 0, err
 	}
-	return nw.Node(info.Leader).(*ConvergecastSumNode).Sum, nil
+	return nw.Node(info.Leader).(*ConvergecastNode).Agg, nil
 }
 
 func TestConvergecastSum(t *testing.T) {

@@ -460,7 +460,7 @@ type SkelEvalSession struct {
 	o     *SkelOracle
 	bf    *Session
 	relay *Session
-	cc    *Session
+	cc    treeAgg
 
 	dist []int
 	vec  *SkelRelayNode // the leader's relay program (holds the global vector)
@@ -480,9 +480,7 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 		relay: NewSession(topo, func(v int) Node {
 			return NewSkelRelayNode(info.Parent[v], info.Children[v], info.Depth[v], info.D, s, o.slotOf[v], o.bound)
 		}, opts...),
-		cc: NewSession(topo, func(v int) Node {
-			return NewWeightedMaxNode(info.Parent[v], info.Children[v], 0, v, o.bound)
-		}, opts...),
+		cc:   newTreeAgg(topo, info, KindWMax, o.bound, "weighted convergecast", opts...),
 		dist: make([]int, n),
 		row:  make([]int, n),
 	}
@@ -519,19 +517,17 @@ func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	if err := o.combineRow(source, es.dist, es.vec.Vec, row); err != nil {
 		return 0, total, err
 	}
-	if err := es.cc.Reset(WeightedMaxInputs{Values: row}); err != nil {
+	ecc, m, err := es.cc.run(row)
+	if err != nil {
 		return 0, total, err
 	}
-	if err := es.cc.Run(4*o.topo.N() + 16); err != nil {
-		return 0, total, fmt.Errorf("weighted convergecast: %w", err)
-	}
-	total.Add(es.cc.Metrics())
-	return es.cc.Node(o.info.Leader).(*WeightedMaxNode).Max, total, nil
+	total.Add(m)
+	return ecc, total, nil
 }
 
 // Close releases the three sessions.
 func (es *SkelEvalSession) Close() {
 	es.bf.Close()
 	es.relay.Close()
-	es.cc.Close()
+	es.cc.close()
 }

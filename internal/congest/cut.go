@@ -9,38 +9,23 @@ package congest
 // final round doubles as the side exchange), a local crossing-weight
 // tally (each vertex charges the edges to differently-sided higher-id
 // neighbors — every crossing edge counted exactly once), and a sum
-// convergecast of the tallies to the leader. All three phases have
+// convergecast of the tallies to the leader (the cutsum kind of
+// ConvergecastNode, aggregate.go). All three phases have
 // input-independent round counts, the property the quantum layer needs.
 
 import "fmt"
 
-type (
-	// msgSide carries one side bit of the mark flood (1 = inside the
-	// subtree of the current evaluation's root, 0 = outside).
-	msgSide struct{ Marked int }
-	// msgCutSum carries a partial crossing-weight sum up the tree. Weighted
-	// cut sums range over [0, Bound] where Bound is the topology's total
-	// edge weight — wider than the unweighted msgSum field — so the width
-	// is Bound-parameterized configuration like msgWDist, never transmitted.
-	msgCutSum struct {
-		Sum   int
-		Bound int
-	}
-)
+// msgSide carries one side bit of the mark flood (1 = inside the subtree of
+// the current evaluation's root, 0 = outside).
+type msgSide struct{ Marked int }
 
 func (m *msgSide) WireKind() Kind          { return KindSide }
 func (m *msgSide) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgSide) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgSide) fields(n int) wireFields { return fields1(&m.Marked, 2) }
 
-func (m *msgCutSum) WireKind() Kind          { return KindCutSum }
-func (m *msgCutSum) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgCutSum) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgCutSum) fields(n int) wireFields { return fields1(&m.Sum, m.Bound+1) }
-
 func init() {
 	RegisterKind(KindSide, "side", func() WireMessage { return new(msgSide) })
-	RegisterKind(KindCutSum, "cutsum", func() WireMessage { return new(msgCutSum) })
 }
 
 // CutMarkNode runs the mark flood: the root starts marked, every vertex
@@ -140,114 +125,6 @@ func (c *CutMarkNode) NextWake(env *Env, round int) int {
 // records and the round timer.
 func (c *CutMarkNode) StateBits() int { return 64 + len(c.NeighborSide) }
 
-// neighborIndex locates id in the ascending neighbor list (binary search).
-func neighborIndex(neighbors []int, id int) int {
-	lo, hi := 0, len(neighbors)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if neighbors[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(neighbors) && neighbors[lo] == id {
-		return lo
-	}
-	return -1
-}
-
-// CutSumNode convergecasts the sum of Bound-ranged values toward the tree
-// root — the weighted counterpart of ConvergecastSumNode, carrying values
-// up to the topology's total edge weight instead of 2*BitsForID(n) bits.
-type CutSumNode struct {
-	Parent   int
-	Children []int
-	Value    int
-	Bound    int
-
-	// Output (meaningful at the root).
-	Sum int
-
-	received int
-	sent     bool
-
-	tx, rx msgCutSum
-}
-
-// NewCutSumNode builds the program for one node.
-func NewCutSumNode(parent int, children []int, value, bound int) *CutSumNode {
-	return &CutSumNode{
-		Parent:   parent,
-		Children: append([]int(nil), children...),
-		Value:    value,
-		Bound:    bound,
-		Sum:      value,
-		rx:       msgCutSum{Bound: bound},
-	}
-}
-
-// CutSumInputs is the Reset params of a cut-sum session: the per-vertex
-// crossing-weight tallies of the next execution.
-type CutSumInputs struct{ Values []int }
-
-// ResetNode implements Resettable.
-func (c *CutSumNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case CutSumInputs:
-		c.Value = p.Values[v]
-	default:
-		badResetParams("CutSumNode", params)
-	}
-	c.Sum = c.Value
-	c.received = 0
-	c.sent = false
-}
-
-// Send implements Node.
-func (c *CutSumNode) Send(env *Env, out *Outbox) {
-	if c.sent || c.received < len(c.Children) {
-		return
-	}
-	c.sent = true
-	if c.Parent < 0 {
-		return
-	}
-	c.tx = msgCutSum{Sum: c.Sum, Bound: c.Bound}
-	out.Put(c.Parent, &c.tx)
-}
-
-// Receive implements Node.
-func (c *CutSumNode) Receive(env *Env, inbox []Inbound) {
-	for i := range inbox {
-		in := &inbox[i]
-		if in.Kind != KindCutSum || in.Decode(env, &c.rx) != nil {
-			continue
-		}
-		c.received++
-		c.Sum += c.rx.Sum
-	}
-}
-
-// Done implements Node.
-func (c *CutSumNode) Done() bool { return c.sent }
-
-// NextWake implements Scheduled: transmit once, as soon as every child has
-// reported (leaves in round 1).
-func (c *CutSumNode) NextWake(env *Env, round int) int {
-	if c.sent {
-		return NeverWake
-	}
-	if c.received >= len(c.Children) {
-		return round + 1
-	}
-	return NeverWake
-}
-
-// StateBits implements StateSizer.
-func (c *CutSumNode) StateBits() int { return 3 * 64 }
-
 // TotalWeight returns the sum of all edge weights (each edge once) — the
 // range bound of cut sums.
 func (t *Topology) TotalWeight() int {
@@ -273,10 +150,9 @@ func (t *Topology) TotalWeight() int {
 // convergecast both run fixed schedules, so the round count never depends
 // on u0.
 type CutSession struct {
-	mark   *Session
-	sum    *Session
-	topo   *Topology
-	leader int
+	mark *Session
+	sum  treeAgg
+	topo *Topology
 
 	duration int
 	vals     []int
@@ -291,11 +167,8 @@ func NewCutSession(topo *Topology, info *PreInfo, opts ...Option) *CutSession {
 		mark: NewSession(topo, func(v int) Node {
 			return NewCutMarkNode(info.Parent[v], topo.Degree(v), duration)
 		}, opts...),
-		sum: NewSession(topo, func(v int) Node {
-			return NewCutSumNode(info.Parent[v], info.Children[v], 0, bound)
-		}, opts...),
+		sum:      newTreeAgg(topo, info, KindCutSum, bound, "cut convergecast", opts...),
 		topo:     topo,
-		leader:   info.Leader,
 		duration: duration,
 		vals:     make([]int, topo.N()),
 	}
@@ -328,18 +201,16 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 		}
 		cs.vals[v] = tally
 	}
-	if err := cs.sum.Reset(CutSumInputs{Values: cs.vals}); err != nil {
+	cut, m, err := cs.sum.run(cs.vals)
+	if err != nil {
 		return 0, total, err
 	}
-	if err := cs.sum.Run(4*len(cs.vals) + 16); err != nil {
-		return 0, total, fmt.Errorf("cut convergecast: %w", err)
-	}
-	total.Add(cs.sum.Metrics())
-	return cs.sum.Node(cs.leader).(*CutSumNode).Sum, total, nil
+	total.Add(m)
+	return cut, total, nil
 }
 
 // Close releases both sessions' engines.
 func (cs *CutSession) Close() {
 	cs.mark.Close()
-	cs.sum.Close()
+	cs.sum.close()
 }

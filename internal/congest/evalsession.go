@@ -70,8 +70,7 @@ func (ws *WalkSession) Close() { ws.s.Close() }
 // procedure quantizes.
 type EccSession struct {
 	wave     *Session
-	cc       *Session
-	leader   int
+	cc       treeAgg
 	duration int
 	dv       []int
 }
@@ -84,10 +83,7 @@ func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Opti
 		wave: NewSession(topo, func(v int) Node {
 			return NewWaveNode(false, -1, waveDuration)
 		}, opts...),
-		cc: NewSession(topo, func(v int) Node {
-			return NewConvergecastMaxNode(info.Parent[v], info.Children[v], 0, v)
-		}, opts...),
-		leader:   info.Leader,
+		cc:       newTreeAgg(topo, info, KindMax, 0, "convergecast", opts...),
 		duration: waveDuration,
 		dv:       make([]int, topo.N()),
 	}
@@ -111,18 +107,16 @@ func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 		es.dv[v] = wn.DV
 	}
 	total.Add(es.wave.Metrics())
-	if err := es.cc.Reset(MaxInputs{Values: es.dv}); err != nil {
+	ecc, m, err := es.cc.run(es.dv)
+	if err != nil {
 		return 0, total, err
 	}
-	if err := es.cc.Run(4*len(es.dv) + 16); err != nil {
-		return 0, total, fmt.Errorf("convergecast: %w", err)
-	}
-	total.Add(es.cc.Metrics())
-	return es.cc.Node(es.leader).(*ConvergecastMaxNode).Max, total, nil
+	total.Add(m)
+	return ecc, total, nil
 }
 
 // Close releases both sessions' engines.
 func (es *EccSession) Close() {
 	es.wave.Close()
-	es.cc.Close()
+	es.cc.close()
 }

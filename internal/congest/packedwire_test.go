@@ -26,9 +26,7 @@ func configureBounds(m WireMessage, n, bound int) {
 	switch wm := m.(type) {
 	case *msgWDist:
 		wm.Bound = bound
-	case *msgWMax:
-		wm.Bound = bound
-	case *msgCutSum:
+	case *msgAgg:
 		wm.Bound = bound
 	case *msgSkelUp:
 		wm.Slots = n
@@ -60,19 +58,19 @@ func packedCases(n int) []WireMessage {
 		&msgToken{Step: 4 * n},
 		&msgWave{Tau: b, Delta: 0},
 		&msgWave{Tau: 0, Delta: b},
-		&msgMax{Value: b, Witness: n - 1},
+		&msgAgg{kind: KindMax, Value: b, Witness: n - 1},
 		&msgBcast{Value: b / 2},
 		&msgNear{Dist: 2*n - 1, Src: 0},
-		&msgSum{Sum: 0},
-		&msgSum{Sum: 1<<uint(2*BitsForID(n)) - 1},
+		&msgAgg{kind: KindSum, Value: 0},
+		&msgAgg{kind: KindSum, Value: 1<<uint(2*BitsForID(n)) - 1},
 		&msgPair{Src: n - 1, Dist: 2*n - 1},
 		&msgSrcMax{Src: 0, Max: 2*n - 1},
 		&msgWDist{Dist: b, Bound: b},
-		&msgWMax{Value: b, Witness: n - 1, Bound: b},
+		&msgAgg{kind: KindWMax, Value: b, Witness: n - 1, Bound: b},
 		&msgAdj{ID: n - 1},
 		&msgSide{Marked: 1},
 		&msgSide{Marked: 0},
-		&msgCutSum{Sum: b, Bound: b},
+		&msgAgg{kind: KindCutSum, Value: b, Bound: b},
 		&msgSkelUp{Slot: n - 1, Val: b + 1, Slots: n, Bound: b},
 		&msgSkelDown{Slot: 0, Val: 0, Slots: n, Bound: b},
 	}

@@ -142,11 +142,11 @@ func ConvergecastMaxOn(topo *Topology, info *PreInfo, values, witnesses []int, o
 		if witnesses != nil {
 			w = witnesses[v]
 		}
-		return NewConvergecastMaxNode(info.Parent[v], info.Children[v], values[v], w)
+		return NewConvergecastNode(KindMax, info.Parent[v], info.Children[v], values[v], w, 0)
 	}, opts...)
 	if err := nw.Run(4*topo.N() + 16); err != nil {
 		return 0, 0, nw.Metrics(), fmt.Errorf("convergecast: %w", err)
 	}
-	root := nw.Node(info.Leader).(*ConvergecastMaxNode)
-	return root.Max, root.MaxWitness, nw.Metrics(), nil
+	root := nw.Node(info.Leader).(*ConvergecastNode)
+	return root.Agg, root.AggWitness, nw.Metrics(), nil
 }

@@ -100,6 +100,7 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := wtopo.DistBound()
+	cutBound := wtopo.TotalWeight()
 	wDuration := n - 1
 
 	cases := []schedCase{
@@ -154,13 +155,13 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 		{
 			name: "cc-max", topo: topo, maxRounds: 4*n + 16,
 			make: func(v int) Node {
-				return NewConvergecastMaxNode(info.Parent[v], info.Children[v], (v*13)%97, v)
+				return NewConvergecastNode(KindMax, info.Parent[v], info.Children[v], (v*13)%97, v, 0)
 			},
 			fingerprint: func(at func(v int) Node, n int) string {
 				var sb strings.Builder
 				for v := 0; v < n; v++ {
-					c := at(v).(*ConvergecastMaxNode)
-					fmt.Fprintf(&sb, "%d/%d;", c.Max, c.MaxWitness)
+					c := at(v).(*ConvergecastNode)
+					fmt.Fprintf(&sb, "%d/%d;", c.Agg, c.AggWitness)
 				}
 				return sb.String()
 			},
@@ -191,12 +192,12 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 		{
 			name: "cc-sum", topo: topo, maxRounds: 4*n + 16,
 			make: func(v int) Node {
-				return NewConvergecastSumNode(info.Parent[v], info.Children[v], v%5)
+				return NewConvergecastNode(KindSum, info.Parent[v], info.Children[v], v%5, v, 0)
 			},
 			fingerprint: func(at func(v int) Node, n int) string {
 				var sb strings.Builder
 				for v := 0; v < n; v++ {
-					fmt.Fprintf(&sb, "%d;", at(v).(*ConvergecastSumNode).Sum)
+					fmt.Fprintf(&sb, "%d;", at(v).(*ConvergecastNode).Agg)
 				}
 				return sb.String()
 			},
@@ -250,13 +251,26 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 		{
 			name: "weighted-max", topo: wtopo, maxRounds: 4*n + 16,
 			make: func(v int) Node {
-				return NewWeightedMaxNode(info.Parent[v], info.Children[v], (v*7)%bound, v, bound)
+				return NewConvergecastNode(KindWMax, info.Parent[v], info.Children[v], (v*7)%bound, v, bound)
 			},
 			fingerprint: func(at func(v int) Node, n int) string {
 				var sb strings.Builder
 				for v := 0; v < n; v++ {
-					c := at(v).(*WeightedMaxNode)
-					fmt.Fprintf(&sb, "%d/%d;", c.Max, c.MaxWitness)
+					c := at(v).(*ConvergecastNode)
+					fmt.Fprintf(&sb, "%d/%d;", c.Agg, c.AggWitness)
+				}
+				return sb.String()
+			},
+		},
+		{
+			name: "cut-sum", topo: wtopo, maxRounds: 4*n + 16,
+			make: func(v int) Node {
+				return NewConvergecastNode(KindCutSum, info.Parent[v], info.Children[v], v%2, v, cutBound)
+			},
+			fingerprint: func(at func(v int) Node, n int) string {
+				var sb strings.Builder
+				for v := 0; v < n; v++ {
+					fmt.Fprintf(&sb, "%d;", at(v).(*ConvergecastNode).Agg)
 				}
 				return sb.String()
 			},

@@ -192,17 +192,22 @@ func (t *Topology) neighborIndex(u, v int) int {
 	if u < 0 || u >= t.n {
 		return -1
 	}
-	row := t.arena[t.offsets[u]:t.offsets[u+1]]
-	lo, hi := 0, len(row)
+	return neighborIndex(t.arena[t.offsets[u]:t.offsets[u+1]], v)
+}
+
+// neighborIndex locates id in the ascending neighbor list (binary search),
+// or returns -1 when it is absent.
+func neighborIndex(neighbors []int, id int) int {
+	lo, hi := 0, len(neighbors)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if row[mid] < v {
+		if neighbors[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(row) && row[lo] == v {
+	if lo < len(neighbors) && neighbors[lo] == id {
 		return lo
 	}
 	return -1

@@ -4,9 +4,10 @@ import "sort"
 
 // Programs used by the 3/2-approximation preparation (Figure 3 of the
 // paper, following Algorithm 1 of [HPRW14]): nearest-member flooding,
-// convergecast sums for distributed counting, pipelined multi-source
-// shortest paths from the set R, and the pipelined per-source maximum
-// convergecast that turns those distances into eccentricities.
+// pipelined multi-source shortest paths from the set R, and the pipelined
+// per-source maximum convergecast that turns those distances into
+// eccentricities. The counting convergecasts are the sum kind of
+// ConvergecastNode (aggregate.go).
 //
 // Message sizes are not declared anywhere in this file: every cost below is
 // the encoded wire length of the typed messages (the pre-wire-format code
@@ -20,12 +21,6 @@ type (
 		Dist int
 		Src  int
 	}
-	// msgSum carries a partial sum up the tree. The field is 2*BitsForID(n)
-	// bits and admits every value of that width: wide enough for the
-	// counting convergecasts used here (sums of n indicator values) and for
-	// sums up to ~n^2 in general. The int32 CSR keeps n below 2^31, so the
-	// bound 1<<(2*BitsForID(n)) fits an int.
-	msgSum struct{ Sum int }
 	// msgPair is one (source rank, distance) pair of the pipelined
 	// multi-source BFS; ranks are < n, distances pre-incremented < 2n.
 	msgPair struct {
@@ -44,11 +39,6 @@ func (m *msgNear) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgNear) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgNear) fields(n int) wireFields { return fields2(&m.Dist, 2*n, &m.Src, n) }
 
-func (m *msgSum) WireKind() Kind          { return KindSum }
-func (m *msgSum) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgSum) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgSum) fields(n int) wireFields { return fields1(&m.Sum, 1<<(2*BitsForID(n))) }
-
 func (m *msgPair) WireKind() Kind          { return KindPair }
 func (m *msgPair) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgPair) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
@@ -61,7 +51,6 @@ func (m *msgSrcMax) fields(n int) wireFields { return fields2(&m.Src, n, &m.Max,
 
 func init() {
 	RegisterKind(KindNear, "near", func() WireMessage { return new(msgNear) })
-	RegisterKind(KindSum, "sum", func() WireMessage { return new(msgSum) })
 	RegisterKind(KindPair, "pair", func() WireMessage { return new(msgPair) })
 	RegisterKind(KindSrcMax, "src-max", func() WireMessage { return new(msgSrcMax) })
 }
@@ -154,88 +143,6 @@ func (m *MinFloodNode) NextWake(env *Env, round int) int {
 
 // StateBits implements StateSizer.
 func (m *MinFloodNode) StateBits() int { return 2 * 64 }
-
-// ConvergecastSumNode aggregates the sum of per-node values at the root;
-// used for distributed counting (|S| in Figure 3 Step 1, rank counts during
-// the selection of R).
-type ConvergecastSumNode struct {
-	Parent   int
-	Children []int
-	Value    int
-
-	Sum int // output at the root
-
-	received int
-	sent     bool
-
-	tx, rx msgSum
-}
-
-// NewConvergecastSumNode builds the program for one node.
-func NewConvergecastSumNode(parent int, children []int, value int) *ConvergecastSumNode {
-	return &ConvergecastSumNode{Parent: parent, Children: append([]int(nil), children...), Value: value, Sum: value}
-}
-
-// SumInputs is the Reset params of a sum-convergecast session: the
-// per-vertex input values of the next execution.
-type SumInputs struct{ Values []int }
-
-// ResetNode implements Resettable.
-func (c *ConvergecastSumNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case SumInputs:
-		c.Value = p.Values[v]
-	default:
-		badResetParams("ConvergecastSumNode", params)
-	}
-	c.Sum = c.Value
-	c.received = 0
-	c.sent = false
-}
-
-// Send implements Node.
-func (c *ConvergecastSumNode) Send(env *Env, out *Outbox) {
-	if c.sent || c.received < len(c.Children) {
-		return
-	}
-	c.sent = true
-	if c.Parent < 0 {
-		return
-	}
-	c.tx.Sum = c.Sum
-	out.Put(c.Parent, &c.tx)
-}
-
-// Receive implements Node.
-func (c *ConvergecastSumNode) Receive(env *Env, inbox []Inbound) {
-	for i := range inbox {
-		in := &inbox[i]
-		if in.Kind != KindSum || in.Decode(env, &c.rx) != nil {
-			continue
-		}
-		c.received++
-		c.Sum += c.rx.Sum
-	}
-}
-
-// Done implements Node.
-func (c *ConvergecastSumNode) Done() bool { return c.sent }
-
-// NextWake implements Scheduled: like ConvergecastMaxNode — transmit once,
-// as soon as every child has reported.
-func (c *ConvergecastSumNode) NextWake(env *Env, round int) int {
-	if c.sent {
-		return NeverWake
-	}
-	if c.received >= len(c.Children) {
-		return round + 1
-	}
-	return NeverWake
-}
-
-// StateBits implements StateSizer.
-func (c *ConvergecastSumNode) StateBits() int { return 2 * 64 }
 
 // SSPNode runs the pipelined multi-source BFS of [HPRW14]/[LP13]: every
 // node learns its distance to each of the k ranked sources. Each node

@@ -10,10 +10,7 @@ package congest
 // searches or counts over the flags with one cheap convergecast Evaluation
 // per input (internal/core.TriangleDetect / TriangleCount).
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // msgAdj carries one adjacency announcement: "x is my neighbor". A vertex
 // past the end of its neighbor list announces itself (a self-loop no
@@ -86,8 +83,7 @@ func (t *TriangleProbeNode) Receive(env *Env, inbox []Inbound) {
 		if x == env.ID || x == in.From {
 			continue
 		}
-		j := sort.SearchInts(env.Neighbors, x)
-		if j < len(env.Neighbors) && env.Neighbors[j] == x {
+		if neighborIndex(env.Neighbors, x) >= 0 {
 			t.OnTriangle = true
 		}
 	}
@@ -139,22 +135,18 @@ func TriangleFlagsOn(topo *Topology, opts ...Option) ([]bool, Metrics, error) {
 // elsewhere). The convergecast duration is tree-determined, so the round
 // count never depends on u0.
 type TriangleSession struct {
-	cc     *Session
-	leader int
-	flags  []bool
-	vals   []int
+	cc    treeAgg
+	flags []bool
+	vals  []int
 }
 
 // NewTriangleSession builds the convergecast session on the tree described
 // by info over the given per-vertex flags.
 func NewTriangleSession(topo *Topology, info *PreInfo, flags []bool, opts ...Option) *TriangleSession {
 	return &TriangleSession{
-		cc: NewSession(topo, func(v int) Node {
-			return NewConvergecastMaxNode(info.Parent[v], info.Children[v], 0, v)
-		}, opts...),
-		leader: info.Leader,
-		flags:  flags,
-		vals:   make([]int, topo.N()),
+		cc:    newTreeAgg(topo, info, KindMax, 0, "triangle convergecast", opts...),
+		flags: flags,
+		vals:  make([]int, topo.N()),
 	}
 }
 
@@ -166,14 +158,8 @@ func (ts *TriangleSession) Eval(u0 int) (int, Metrics, error) {
 	if ts.flags[u0] {
 		ts.vals[u0] = 1
 	}
-	if err := ts.cc.Reset(MaxInputs{Values: ts.vals}); err != nil {
-		return 0, Metrics{}, err
-	}
-	if err := ts.cc.Run(4*len(ts.vals) + 16); err != nil {
-		return 0, ts.cc.Metrics(), fmt.Errorf("triangle convergecast: %w", err)
-	}
-	return ts.cc.Node(ts.leader).(*ConvergecastMaxNode).Max, ts.cc.Metrics(), nil
+	return ts.cc.run(ts.vals)
 }
 
 // Close releases the session's engine.
-func (ts *TriangleSession) Close() { ts.cc.Close() }
+func (ts *TriangleSession) Close() { ts.cc.close() }

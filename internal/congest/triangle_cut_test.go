@@ -222,7 +222,7 @@ func TestNeighborIndex(t *testing.T) {
 }
 
 func TestCutResetParamsPanic(t *testing.T) {
-	for _, node := range []Node{NewCutMarkNode(-1, 2, 3), NewCutSumNode(-1, nil, 0, 9)} {
+	for _, node := range []Node{NewCutMarkNode(-1, 2, 3), NewConvergecastNode(KindCutSum, -1, nil, 0, 0, 9)} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -8,8 +8,9 @@ package congest
 // pre-incremented by the traversed edge's weight — which converges within
 // n-1 rounds and runs for a fixed duration so its round count is
 // input-independent (the property the quantum Evaluation framework needs).
-// A weighted max convergecast turns the per-node distances into the
-// source's weighted eccentricity at the leader.
+// A weighted max convergecast (the wmax kind of ConvergecastNode,
+// aggregate.go) turns the per-node distances into the source's weighted
+// eccentricity at the leader.
 //
 // Wire widths: weighted distances range over [0, (n-1)*maxW], so the
 // distance fields are BitsForID(DistBound+1) bits — a function of the
@@ -24,39 +25,22 @@ import (
 	"qcongest/internal/graph"
 )
 
-type (
-	// msgWDist carries one Bellman–Ford distance estimate, pre-incremented
-	// by the sender with the weight of the traversed edge. Bound is the
-	// receiver/sender-side field-width configuration ([0, Bound]), not part
-	// of the payload.
-	msgWDist struct {
-		Dist  int
-		Bound int
-	}
-	// msgWMax carries a partial weighted maximum (value, witness id) up the
-	// tree; the value field covers [0, Bound], the witness is a vertex id.
-	msgWMax struct {
-		Value   int
-		Witness int
-		Bound   int
-	}
-)
+// msgWDist carries one Bellman–Ford distance estimate, pre-incremented by
+// the sender with the weight of the traversed edge. Bound is the
+// receiver/sender-side field-width configuration ([0, Bound]), not part of
+// the payload.
+type msgWDist struct {
+	Dist  int
+	Bound int
+}
 
 func (m *msgWDist) WireKind() Kind          { return KindWDist }
 func (m *msgWDist) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgWDist) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgWDist) fields(n int) wireFields { return fields1(&m.Dist, m.Bound+1) }
 
-func (m *msgWMax) WireKind() Kind          { return KindWMax }
-func (m *msgWMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgWMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgWMax) fields(n int) wireFields {
-	return fields2(&m.Value, m.Bound+1, &m.Witness, n)
-}
-
 func init() {
 	RegisterKind(KindWDist, "wdist", func() WireMessage { return new(msgWDist) })
-	RegisterKind(KindWMax, "wmax", func() WireMessage { return new(msgWMax) })
 }
 
 // WeightedSSSPNode runs the synchronous Bellman–Ford relaxation at one node:
@@ -181,106 +165,6 @@ func (s *WeightedSSSPNode) NextWake(env *Env, round int) int {
 // StateBits implements StateSizer: one distance estimate and the flags.
 func (s *WeightedSSSPNode) StateBits() int { return 2 * 64 }
 
-// WeightedMaxNode convergecasts the maximum of bound-ranged values (with
-// witnesses) toward the tree root — the weighted counterpart of
-// ConvergecastMaxNode, carrying values up to Bound instead of 4n.
-type WeightedMaxNode struct {
-	Parent   int
-	Children []int
-	Value    int
-	Witness  int
-	Bound    int
-
-	// Outputs (meaningful at the root).
-	Max        int
-	MaxWitness int
-
-	received int
-	sent     bool
-
-	tx, rx msgWMax
-}
-
-// NewWeightedMaxNode builds the program for one node.
-func NewWeightedMaxNode(parent int, children []int, value, witness, bound int) *WeightedMaxNode {
-	return &WeightedMaxNode{
-		Parent:     parent,
-		Children:   append([]int(nil), children...),
-		Value:      value,
-		Witness:    witness,
-		Bound:      bound,
-		Max:        value,
-		MaxWitness: witness,
-		rx:         msgWMax{Bound: bound},
-	}
-}
-
-// WeightedMaxInputs is the Reset params of a weighted max-convergecast
-// session: the per-vertex input values of the next execution (each vertex
-// witnesses itself).
-type WeightedMaxInputs struct{ Values []int }
-
-// ResetNode implements Resettable.
-func (c *WeightedMaxNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case WeightedMaxInputs:
-		c.Value = p.Values[v]
-		c.Witness = v
-	default:
-		badResetParams("WeightedMaxNode", params)
-	}
-	c.Max, c.MaxWitness = c.Value, c.Witness
-	c.received = 0
-	c.sent = false
-}
-
-// Send implements Node.
-func (c *WeightedMaxNode) Send(env *Env, out *Outbox) {
-	if c.sent || c.received < len(c.Children) {
-		return
-	}
-	c.sent = true
-	if c.Parent < 0 {
-		return
-	}
-	c.tx = msgWMax{Value: c.Max, Witness: c.MaxWitness, Bound: c.Bound}
-	out.Put(c.Parent, &c.tx)
-}
-
-// Receive implements Node.
-func (c *WeightedMaxNode) Receive(env *Env, inbox []Inbound) {
-	for i := range inbox {
-		in := &inbox[i]
-		if in.Kind != KindWMax || in.Decode(env, &c.rx) != nil {
-			continue
-		}
-		c.received++
-		if c.rx.Value > c.Max || (c.rx.Value == c.Max && c.rx.Witness < c.MaxWitness) {
-			c.Max = c.rx.Value
-			c.MaxWitness = c.rx.Witness
-		}
-	}
-}
-
-// Done implements Node.
-func (c *WeightedMaxNode) Done() bool { return c.sent }
-
-// NextWake implements Scheduled: transmit once, as soon as every child has
-// reported (leaves in round 1).
-func (c *WeightedMaxNode) NextWake(env *Env, round int) int {
-	if c.sent {
-		return NeverWake
-	}
-	if c.received >= len(c.Children) {
-		return round + 1
-	}
-	return NeverWake
-}
-
-// StateBits implements StateSizer.
-func (c *WeightedMaxNode) StateBits() int { return 4 * 64 }
-
 // ssspDuration is the fixed Bellman–Ford schedule length: n-1 relaxation
 // rounds reach every shortest path (at most n-1 hops).
 func ssspDuration(n int) int {
@@ -296,10 +180,8 @@ func ssspDuration(n int) int {
 // input-independent duration. It is built once per topology and
 // Reset+Run per Evaluation.
 type WeightedEccSession struct {
-	sssp   *Session
-	cc     *Session
-	leader int
-	n      int
+	sssp *Session
+	cc   treeAgg
 
 	duration int
 	dv       []int
@@ -315,11 +197,7 @@ func NewWeightedEccSession(topo *Topology, info *PreInfo, opts ...Option) *Weigh
 		sssp: NewSession(topo, func(v int) Node {
 			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, duration)
 		}, opts...),
-		cc: NewSession(topo, func(v int) Node {
-			return NewWeightedMaxNode(info.Parent[v], info.Children[v], 0, v, bound)
-		}, opts...),
-		leader:   info.Leader,
-		n:        n,
+		cc:       newTreeAgg(topo, info, KindWMax, bound, "weighted convergecast", opts...),
 		duration: duration,
 		dv:       make([]int, n),
 	}
@@ -342,20 +220,18 @@ func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
 		es.dv[v] = d
 	}
 	total.Add(es.sssp.Metrics())
-	if err := es.cc.Reset(WeightedMaxInputs{Values: es.dv}); err != nil {
+	ecc, m, err := es.cc.run(es.dv)
+	if err != nil {
 		return 0, total, err
 	}
-	if err := es.cc.Run(4*es.n + 16); err != nil {
-		return 0, total, fmt.Errorf("weighted convergecast: %w", err)
-	}
-	total.Add(es.cc.Metrics())
-	return es.cc.Node(es.leader).(*WeightedMaxNode).Max, total, nil
+	total.Add(m)
+	return ecc, total, nil
 }
 
 // Close releases both sessions' engines.
 func (es *WeightedEccSession) Close() {
 	es.sssp.Close()
-	es.cc.Close()
+	es.cc.close()
 }
 
 // ClassicalWeightedDiameter computes the exact weighted diameter by running

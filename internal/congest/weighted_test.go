@@ -226,7 +226,7 @@ func TestWeightedWireWidths(t *testing.T) {
 func TestWeightedResetParamsPanic(t *testing.T) {
 	for _, nd := range []Resettable{
 		NewWeightedSSSPNode(false, nil, 10, 4),
-		NewWeightedMaxNode(-1, nil, 0, 0, 10),
+		NewConvergecastNode(KindWMax, -1, nil, 0, 0, 10),
 	} {
 		func() {
 			defer func() {

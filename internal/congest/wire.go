@@ -44,15 +44,15 @@ const (
 	KindMax            // aggregate.go: (value, witness) max convergecast
 	KindBcast          // aggregate.go: root value broadcast
 	KindNear           // ssp.go: (dist, src) nearest-member flood
-	KindSum            // ssp.go: partial sum convergecast
+	KindSum            // aggregate.go: partial sum convergecast
 	KindPair           // ssp.go: (src rank, dist) multi-source BFS pair
 	KindSrcMax         // ssp.go: (src rank, subtree max) pipelined convergecast
 	KindRaw            // wire.go: opaque filler of a declared width (tests, capacity probes)
 	KindWDist          // weighted.go: Bellman–Ford weighted-distance relaxation
-	KindWMax           // weighted.go: weighted max convergecast (value, witness)
+	KindWMax           // aggregate.go: weighted max convergecast (value, witness)
 	KindAdj            // triangle.go: adjacency announcement (one id)
 	KindSide           // cut.go: mark-flood side bit
-	KindCutSum         // cut.go: crossing-weight sum convergecast (Bound-ranged)
+	KindCutSum         // aggregate.go: crossing-weight sum convergecast (Bound-ranged)
 	KindSkelUp         // apsp.go: (slot, value) skeleton-vector gather toward the root
 	KindSkelDown       // apsp.go: (slot, value) skeleton-vector broadcast down the tree
 )

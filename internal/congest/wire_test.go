@@ -145,18 +145,18 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		&msgEccReport{Max: 99},
 		&msgToken{Step: 397},
 		&msgWave{Tau: 313, Delta: 99},
-		&msgMax{Value: 217, Witness: 3},
+		&msgAgg{kind: KindMax, Value: 217, Witness: 3},
 		&msgBcast{Value: 400},
 		&msgNear{Dist: 150, Src: 9},
-		&msgSum{Sum: 4095},
+		&msgAgg{kind: KindSum, Value: 4095},
 		&msgPair{Src: 42, Dist: 150},
 		&msgSrcMax{Src: 42, Max: 150},
 		&RawMessage{Width: 17},
 		&msgWDist{Dist: 300, Bound: 450},
-		&msgWMax{Value: 301, Witness: 42, Bound: 450},
+		&msgAgg{kind: KindWMax, Value: 301, Witness: 42, Bound: 450},
 		&msgAdj{ID: 42},
 		&msgSide{Marked: 1},
-		&msgCutSum{Sum: 512, Bound: 600},
+		&msgAgg{kind: KindCutSum, Value: 512, Bound: 600},
 		&msgSkelUp{Slot: 7, Val: 451, Slots: 20, Bound: 450},
 		&msgSkelDown{Slot: 19, Val: 0, Slots: 20, Bound: 450},
 	}
@@ -199,10 +199,8 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		switch s := m.(type) {
 		case *msgWDist:
 			got.(*msgWDist).Bound = s.Bound
-		case *msgWMax:
-			got.(*msgWMax).Bound = s.Bound
-		case *msgCutSum:
-			got.(*msgCutSum).Bound = s.Bound
+		case *msgAgg:
+			got.(*msgAgg).Bound = s.Bound
 		case *msgSkelUp:
 			got.(*msgSkelUp).Slots = s.Slots
 			got.(*msgSkelUp).Bound = s.Bound

@@ -26,7 +26,7 @@ import (
 // valueOracle is a Session-backed query.Oracle over f(v) = vals[v]: each
 // Evaluation injects vals[u0] at u0 (zero elsewhere) and extracts it at the
 // leader by one max convergecast, so the round count is tree-determined and
-// input-independent. Values must lie in [0, 4n] (the msgMax wire range).
+// input-independent. Values must lie in [0, 4n] (the max-kind wire range).
 type valueOracle struct {
 	topo       *congest.Topology
 	info       *congest.PreInfo
@@ -62,7 +62,7 @@ func (o *valueOracle) SetupRounds() int { return o.info.D + 1 }
 func (o *valueOracle) NewContext() query.Context {
 	return &valueContext{
 		cc: congest.NewSession(o.topo, func(v int) congest.Node {
-			return congest.NewConvergecastMaxNode(o.info.Parent[v], o.info.Children[v], 0, v)
+			return congest.NewConvergecastNode(congest.KindMax, o.info.Parent[v], o.info.Children[v], 0, v, 0)
 		}, o.engine...),
 		leader: o.info.Leader,
 		vals:   o.vals,
@@ -82,13 +82,13 @@ func (c *valueContext) Eval(x int) (int, int, error) {
 		c.buf[v] = 0
 	}
 	c.buf[x] = c.vals[x]
-	if err := c.cc.Reset(congest.MaxInputs{Values: c.buf}); err != nil {
+	if err := c.cc.Reset(congest.AggInputs{Values: c.buf}); err != nil {
 		return 0, 0, err
 	}
 	if err := c.cc.Run(4*len(c.buf) + 16); err != nil {
 		return 0, 0, err
 	}
-	return c.cc.Node(c.leader).(*congest.ConvergecastMaxNode).Max, c.cc.Metrics().Rounds, nil
+	return c.cc.Node(c.leader).(*congest.ConvergecastNode).Agg, c.cc.Metrics().Rounds, nil
 }
 
 func (c *valueContext) Close() { c.cc.Close() }
@@ -181,7 +181,7 @@ func runCase(t *testing.T, pc propertyCase, vals []int, threshold int, cfg query
 	if run.Search, err = query.Search(oracle, marked, opts); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	// The impossible predicate: msgMax values never exceed 4n.
+	// The impossible predicate: max-kind values never exceed 4n.
 	if run.SearchNone, err = query.Search(oracle, func(v int) bool { return v > 4*n }, opts); err != nil {
 		t.Fatalf("Search(impossible): %v", err)
 	}
