@@ -33,6 +33,20 @@ type (
 	// msgBcast carries the root's value down the tree. Broadcast values
 	// (d, thresholds, vertex ids) are bounded by 4n.
 	msgBcast struct{ Value int }
+	// msgSlot carries one (slot, value) pair of a pipelined slot
+	// convergecast. Its kind selects the field list:
+	//   - srcmax: (source rank < n, subtree maximum < 2n).
+	//   - skelup, skeldown: (slot < Slots, value < Bound+2), where Bound+1
+	//     is skelNoVal, "no value within H hops".
+	// Slots, Bound and kind are configuration known a priori (every node
+	// knows |S| and the weight cap, like it knows n), never transmitted.
+	msgSlot struct {
+		Slot  int
+		Val   int
+		Slots int
+		Bound int
+		kind  Kind
+	}
 )
 
 func (m *msgAgg) WireKind() Kind          { return m.kind }
@@ -60,12 +74,31 @@ func (m *msgBcast) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgBcast) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgBcast) fields(n int) wireFields { return fields1(&m.Value, 4*n+1) }
 
+func (m *msgSlot) WireKind() Kind          { return m.kind }
+func (m *msgSlot) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
+func (m *msgSlot) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
+
+// fields lists the payload of m's kind; like msgAgg, any other kind admits
+// no value.
+func (m *msgSlot) fields(n int) wireFields {
+	switch m.kind {
+	case KindSrcMax:
+		return fields2(&m.Slot, n, &m.Val, 2*n)
+	case KindSkelUp, KindSkelDown:
+		return fields2(&m.Slot, m.Slots, &m.Val, m.Bound+2)
+	}
+	return fields1(&m.Slot, 0)
+}
+
 func init() {
 	RegisterKind(KindMax, "max", func() WireMessage { return &msgAgg{kind: KindMax} })
 	RegisterKind(KindWMax, "wmax", func() WireMessage { return &msgAgg{kind: KindWMax} })
 	RegisterKind(KindSum, "sum", func() WireMessage { return &msgAgg{kind: KindSum} })
 	RegisterKind(KindCutSum, "cutsum", func() WireMessage { return &msgAgg{kind: KindCutSum} })
 	RegisterKind(KindBcast, "bcast", func() WireMessage { return new(msgBcast) })
+	RegisterKind(KindSrcMax, "src-max", func() WireMessage { return &msgSlot{kind: KindSrcMax} })
+	RegisterKind(KindSkelUp, "skel-up", func() WireMessage { return &msgSlot{kind: KindSkelUp} })
+	RegisterKind(KindSkelDown, "skel-down", func() WireMessage { return &msgSlot{kind: KindSkelDown} })
 }
 
 // ConvergecastNode aggregates per-vertex values at the root of a tree. Each
@@ -304,3 +337,198 @@ func (b *BroadcastNode) NextWake(env *Env, round int) int {
 
 // StateBits implements StateSizer.
 func (b *BroadcastNode) StateBits() int { return 64 }
+
+// SlotConvergecastNode is the pipelined per-slot convergecast: every node
+// holds a vector of Slots values and the tree combines them slot by slot
+// toward the root, one slot per tree edge per round. A node at depth k
+// sends slot i to its parent in round D - k + i + 1, one round after its
+// children's subtree values for slot i arrived. The up kind fixes the
+// combine: KindSrcMax keeps the maximum (the per-source eccentricity
+// convergecast of Figure 3, following [HPRW14]), KindSkelUp the minimum
+// (the skeleton oracle's gather). Built with the down kind KindSkelDown,
+// the node then broadcasts the root's vector back down: a node at depth k
+// forwards slot i in round gatherEnd + k + i + 1, where gatherEnd = D +
+// Slots + 1 is the round by which the gather has drained into the root.
+// The schedule is fixed and input-independent: D + Slots + 1 rounds, twice
+// that with the down phase.
+type SlotConvergecastNode struct {
+	// Vec is the output: after the gather the root's Vec[i] combines slot
+	// i over the whole tree, and after the down phase every node holds the
+	// root's vector.
+	Vec []int
+
+	parent   int
+	children []int
+	depth, d int
+	in       []int // per-slot inputs (-1: none), or nil
+	slot     int   // the slot a SkelSeed value seeds, or -1
+	up, down Kind  // down is KindSkelDown, or kindInvalid for a gather only
+	finished bool
+	msg      msgSlot // Slots and Bound are configuration; one message serves both phases
+}
+
+// NewSlotConvergecastNode builds the program for vertex v of the tree info
+// describes, with up kind KindSrcMax or KindSkelUp and down kind
+// KindSkelDown or kindInvalid (no down phase). The vertex's inputs are the
+// per-slot values in (-1 for none; nil for none at all) and, at Reset, the
+// SkelSeed value for its own slot (-1 for none); bound is the skel kinds'
+// value range [0, bound].
+func NewSlotConvergecastNode(info *PreInfo, v int, up, down Kind, slots, bound, slot int, in []int) *SlotConvergecastNode {
+	s := &SlotConvergecastNode{
+		Vec:      make([]int, slots),
+		parent:   info.Parent[v],
+		children: info.Children[v],
+		depth:    info.Depth[v],
+		d:        info.D,
+		in:       in,
+		slot:     slot,
+		up:       up,
+		down:     down,
+		msg:      msgSlot{Slots: slots, Bound: bound},
+	}
+	s.seed(-1)
+	return s
+}
+
+// SkelSeed is the Reset params of a skeleton relay session: Value[v] is the
+// value vertex v seeds into its own slot (ignored at vertices without one);
+// -1 means "no value" (the vertex was not reached within the hop budget).
+type SkelSeed struct{ Value []int }
+
+// ResetNode implements Resettable.
+func (s *SlotConvergecastNode) ResetNode(v int, params any) {
+	own := -1
+	switch p := params.(type) {
+	case nil:
+	case SkelSeed:
+		own = p.Value[v]
+	default:
+		badResetParams("SlotConvergecastNode", params)
+	}
+	s.seed(own)
+	s.finished = false
+}
+
+// seed installs the inputs: every slot starts at the combine's identity
+// (0 for max over distances, skelNoVal for min), overwritten by the
+// per-slot inputs and the own-slot value that are present.
+func (s *SlotConvergecastNode) seed(own int) {
+	none := 0
+	if s.up == KindSkelUp {
+		none = skelNoVal(s.msg.Bound)
+	}
+	for i := range s.Vec {
+		s.Vec[i] = none
+		if s.in != nil && s.in[i] >= 0 {
+			s.Vec[i] = s.in[i]
+		}
+	}
+	if s.slot >= 0 && own >= 0 {
+		s.Vec[s.slot] = own
+	}
+}
+
+// gatherEnd is the round by which the gather phase has fully drained into
+// the root; the down schedule is offset past it.
+func (s *SlotConvergecastNode) gatherEnd() int { return s.d + len(s.Vec) + 1 }
+
+// total is the fixed duration of the whole run.
+func (s *SlotConvergecastNode) total() int {
+	if s.down != kindInvalid {
+		return 2 * s.gatherEnd()
+	}
+	return s.gatherEnd()
+}
+
+// Send implements Node: one slot per round in each phase's window.
+func (s *SlotConvergecastNode) Send(env *Env, out *Outbox) {
+	if i := env.Round - (s.d - s.depth) - 1; s.parent >= 0 && i >= 0 && i < len(s.Vec) {
+		s.msg.kind, s.msg.Slot, s.msg.Val = s.up, i, s.Vec[i]
+		out.Put(s.parent, &s.msg)
+	}
+	if i := env.Round - s.gatherEnd() - s.depth - 1; s.down != kindInvalid && i >= 0 && i < len(s.Vec) {
+		s.msg.kind, s.msg.Slot, s.msg.Val = s.down, i, s.Vec[i]
+		out.Broadcast(s.children, &s.msg)
+	}
+}
+
+// Receive implements Node: gathered values combine into their slot (only
+// subtree values ever arrive upward), down values overwrite it with the
+// root's.
+func (s *SlotConvergecastNode) Receive(env *Env, inbox []Inbound) {
+	for i := range inbox {
+		in := &inbox[i]
+		if in.Kind != s.up && in.Kind != s.down {
+			continue
+		}
+		s.msg.kind = in.Kind
+		if in.Decode(env, &s.msg) != nil || s.msg.Slot >= len(s.Vec) {
+			continue
+		}
+		cur := &s.Vec[s.msg.Slot]
+		switch {
+		case in.Kind == s.down:
+			*cur = s.msg.Val
+		case s.up == KindSrcMax && s.msg.Val > *cur, s.up == KindSkelUp && s.msg.Val < *cur:
+			*cur = s.msg.Val
+		}
+	}
+	if env.Round >= s.total() {
+		s.finished = true
+	}
+}
+
+// Done implements Node.
+func (s *SlotConvergecastNode) Done() bool { return s.finished }
+
+// NextWake implements Scheduled: the up window [D-depth+1, D-depth+Slots]
+// (non-root nodes), the down window [gatherEnd+depth+1,
+// gatherEnd+depth+Slots] (non-leaf nodes with a down phase), and the final
+// timer. Message arrivals wake the node regardless.
+func (s *SlotConvergecastNode) NextWake(env *Env, round int) int {
+	if s.finished {
+		return NeverWake
+	}
+	next := s.total()
+	if s.parent >= 0 {
+		if w := windowNext(round, s.d-s.depth+1, len(s.Vec)); w > 0 && w < next {
+			next = w
+		}
+	}
+	if s.down != kindInvalid && len(s.children) > 0 {
+		if w := windowNext(round, s.gatherEnd()+s.depth+1, len(s.Vec)); w > 0 && w < next {
+			next = w
+		}
+	}
+	if next <= round {
+		return round + 1
+	}
+	return next
+}
+
+// windowNext returns the smallest round after `round` inside the window of
+// `width` rounds starting at `first`, or 0 when the window has passed.
+func windowNext(round, first, width int) int {
+	switch {
+	case round+1 < first:
+		return first
+	case round+1 < first+width:
+		return round + 1
+	default:
+		return 0
+	}
+}
+
+// StateBits implements StateSizer: with a down phase, the slot vector plus
+// the schedule constants. The skeleton oracle's per-node memory is
+// Θ(|S| log n) bits — like the multi-source phase of the
+// 3/2-approximation, the part of the follow-up algorithms that needs
+// polynomial classical memory. The gather-only src-max use reports 0,
+// which never raises Metrics.MaxStateBits: its vector is the multi-source
+// BFS output, which SSPNode does not meter either.
+func (s *SlotConvergecastNode) StateBits() int {
+	if s.down == kindInvalid {
+		return 0
+	}
+	return (len(s.Vec) + 4) * 64
+}

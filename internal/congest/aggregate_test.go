@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,5 +65,45 @@ func TestConvergecastOtherKindFails(t *testing.T) {
 	}
 	if err := nw.Run(8); err == nil || !strings.Contains(err.Error(), "out of id range [0,0)") {
 		t.Fatalf("convergecast of kind wave: Run error %v, want the encoding error", err)
+	}
+}
+
+// TestSlotConvergecastKinds hands a src-max node and a skeleton relay node
+// one message of each slot kind, plus a src-max message whose source rank
+// is a valid id but no slot of the node. Each node must combine only its
+// own kinds — max for src-max, min for skel-up, overwrite for skel-down —
+// and ignore the out-of-range slot instead of indexing past its vector.
+func TestSlotConvergecastKinds(t *testing.T) {
+	const n, slots, bound = 8, 2, 20
+	var w Writer
+	w.Reset(n)
+	var inbox []Inbound
+	for _, m := range []msgSlot{
+		{kind: KindSrcMax, Slot: 1, Val: 9},
+		{kind: KindSrcMax, Slot: n - 1, Val: 9},
+		{kind: KindSkelUp, Slot: 0, Val: 3, Slots: slots, Bound: bound},
+		{kind: KindSkelDown, Slot: 1, Val: 4, Slots: slots, Bound: bound},
+	} {
+		off := w.Len()
+		w.WriteUint(uint64(m.kind), KindBits)
+		m.MarshalWire(&w)
+		if w.Err() != nil {
+			t.Fatalf("%v: %v", m.kind, w.Err())
+		}
+		inbox = append(inbox, Inbound{From: 1, Kind: m.kind, Bits: w.Len() - off, wire: w.view(off, w.Len()-off)})
+	}
+	info := &PreInfo{Parent: []int{-1, 0}, Depth: []int{0, 1}, Children: [][]int{{1}, nil}, D: 1}
+	for _, c := range []struct {
+		node *SlotConvergecastNode
+		want []int
+	}{
+		{NewSlotConvergecastNode(info, 0, KindSrcMax, kindInvalid, slots, 0, -1, []int{5, -1}), []int{5, 9}},
+		{NewSlotConvergecastNode(info, 0, KindSkelUp, KindSkelDown, slots, bound, 0, nil), []int{3, 4}},
+	} {
+		env := newEnv(n)
+		c.node.Receive(env.bind(0, []int{1}, 1), inbox)
+		if !slices.Equal(c.node.Vec, c.want) {
+			t.Errorf("%v node: Vec %v, want %v", c.node.up, c.node.Vec, c.want)
+		}
 	}
 }

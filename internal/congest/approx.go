@@ -381,7 +381,7 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 		return res, fmt.Errorf("multi-source BFS: %w", err)
 	}
 	res.Metrics.Add(nw.Metrics())
-	dists := make([]map[int]int, n)
+	dists := make([][]int, n)
 	for v := 0; v < n; v++ {
 		dists[v] = nw.Node(v).(*SSPNode).Dist
 	}
@@ -389,15 +389,15 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 	// Per-source maximum convergecast on BFS(w): ecc of each R member.
 	wInfo := &PreInfo{Leader: prep.W, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
 	nw = NewNetworkOn(topo, func(v int) Node {
-		return NewSourceMaxNode(prep.WParent[v], prep.WNatural[v], prep.WDepth[v], wInfo.D, sources, dists[v])
+		return NewSlotConvergecastNode(wInfo, v, KindSrcMax, kindInvalid, sources, 0, -1, dists[v])
 	}, opts...)
 	if err := nw.Run(wInfo.D + sources + 8); err != nil {
 		return res, fmt.Errorf("source max convergecast: %w", err)
 	}
 	res.Metrics.Add(nw.Metrics())
-	root := nw.Node(prep.W).(*SourceMaxNode)
+	root := nw.Node(prep.W).(*SlotConvergecastNode)
 	best := 0
-	for _, e := range root.Max {
+	for _, e := range root.Vec {
 		if e > best {
 			best = e
 		}

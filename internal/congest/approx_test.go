@@ -273,3 +273,33 @@ func TestClassicalApproxBadParams(t *testing.T) {
 		t.Error("s>n accepted")
 	}
 }
+
+// ClassicalApproxDiameter's complete result is pinned on three small
+// graphs: the estimate and every Metrics field, MaxStateBits included (the
+// per-source max convergecast reports no state, so BFS construction sets
+// the maximum).
+func TestClassicalApproxDiameterPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		s    int
+		seed int64
+		want ExactResult
+	}{
+		{"random60", graph.RandomConnected(60, 0.08, 3), 0, 1, ExactResult{Diameter: 5, Metrics: Metrics{
+			Rounds: 226, Messages: 7953, Bits: 123112, MaxEdgeBits: 19, MaxStateBits: 1037, MaxInboxSize: 26, DroppedRounds: 44}}},
+		{"grid7x7", graph.Grid(7, 7), 0, 2, ExactResult{Diameter: 12, Metrics: Metrics{
+			Rounds: 440, Messages: 4794, Bits: 70290, MaxEdgeBits: 19, MaxStateBits: 387, MaxInboxSize: 6, DroppedRounds: 56}}},
+		{"caterpillar", graph.Caterpillar(12, 2), 5, 3, ExactResult{Diameter: 11, Metrics: Metrics{
+			Rounds: 414, Messages: 2345, Bits: 33697, MaxEdgeBits: 19, MaxStateBits: 452, MaxInboxSize: 8, DroppedRounds: 55}}},
+	}
+	for _, c := range cases {
+		got, err := ClassicalApproxDiameter(c.g, c.s, c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}

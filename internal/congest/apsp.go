@@ -18,8 +18,9 @@ package congest
 // One Evaluation of the oracle from source u is then three fixed-schedule
 // phases — H-round relaxation from u, a pipelined relay of the |S| values
 // d^H(u, s_j) through the BFS tree (gather to the root, broadcast back
-// down; new wire kinds KindSkelUp/KindSkelDown), and a weighted max
-// convergecast — for Θ(H + D + |S|) rounds instead of n-1, with
+// down: the SlotConvergecastNode of aggregate.go with kinds
+// KindSkelUp/KindSkelDown), and a weighted max convergecast — for
+// Θ(H + D + |S|) rounds instead of n-1, with
 // d(u, v) = min( d^H(u, v), min_j d^H(u, s_j) + dsv[j] ) available at every
 // vertex v. Every candidate is the length of a real walk, so the combine
 // never underestimates; exactness needs S to hit every H-hop window of
@@ -30,7 +31,7 @@ package congest
 // and value in [0, Bound+1], where Bound+1 encodes "no value within H hops"
 // — BitsForID(|S|) + BitsForID(Bound+2) payload bits, the same O(log n +
 // log Bound) budget as the weighted relaxation messages, derived from the
-// one field list skelFields declares.
+// one field list msgSlot declares for the skel kinds.
 
 import (
 	"fmt"
@@ -52,221 +53,6 @@ const skelInf = math.MaxInt / 4
 // clamped partial result, and the cap keeps every such sum below skelInf.
 const skelMaxBound = math.MaxInt / 8
 
-type (
-	// msgSkelUp carries one (slot, value) pair of the gather phase toward
-	// the root: the minimum of the slot's value over the sender's subtree.
-	// Slots and Bound are field-width configuration (every node knows |S|
-	// and the weight cap a priori, like it knows n), never transmitted.
-	msgSkelUp struct {
-		Slot  int
-		Val   int
-		Slots int
-		Bound int
-	}
-	// msgSkelDown carries one (slot, value) pair of the broadcast phase
-	// down the tree: the root's (global) value for the slot.
-	msgSkelDown struct {
-		Slot  int
-		Val   int
-		Slots int
-		Bound int
-	}
-)
-
-func (m *msgSkelUp) WireKind() Kind          { return KindSkelUp }
-func (m *msgSkelUp) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgSkelUp) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgSkelUp) fields(n int) wireFields { return skelFields(&m.Slot, &m.Val, m.Slots, m.Bound) }
-
-func (m *msgSkelDown) WireKind() Kind          { return KindSkelDown }
-func (m *msgSkelDown) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgSkelDown) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgSkelDown) fields(n int) wireFields { return skelFields(&m.Slot, &m.Val, m.Slots, m.Bound) }
-
-// skelFields is the (slot, value) layout both relay kinds share: the slot
-// in [0, slots), then the value in [0, bound+2) (skelNoVal included).
-func skelFields(slot, val *int, slots, bound int) wireFields {
-	return fields2(slot, slots, val, bound+2)
-}
-
-func init() {
-	RegisterKind(KindSkelUp, "skel-up", func() WireMessage { return new(msgSkelUp) })
-	RegisterKind(KindSkelDown, "skel-down", func() WireMessage { return new(msgSkelDown) })
-}
-
-// SkelRelayNode relays the per-slot values held at the skeleton vertices to
-// every node, pipelined one slot per round over the BFS tree: a gather
-// phase (min convergecast per slot, exactly one value is finite) followed
-// by a broadcast phase, both on the SourceMaxNode schedule. A node at depth
-// k transmits slot i upward at round (D - k) + i + 1 and downward at round
-// gatherEnd + k + i + 1; the whole relay takes 2(D + Slots + 1) rounds,
-// fixed and input-independent.
-type SkelRelayNode struct {
-	Parent   int
-	Children []int
-	Depth    int
-	D        int // tree height bound used by the pipelined schedule
-	Slots    int
-	Slot     int // this vertex's skeleton slot, or -1
-	Bound    int
-
-	// Vec is the output: Vec[j] = the value seeded at skeleton vertex j
-	// (Bound+1 when that vertex holds no value). After the run it is
-	// identical at every node.
-	Vec []int
-
-	finished bool
-
-	txUp   msgSkelUp
-	txDown msgSkelDown
-	rxUp   msgSkelUp
-	rxDown msgSkelDown
-}
-
-// NewSkelRelayNode builds the program for one node; slot is -1 for
-// non-skeleton vertices.
-func NewSkelRelayNode(parent int, children []int, depth, d, slots, slot, bound int) *SkelRelayNode {
-	s := &SkelRelayNode{
-		Parent:   parent,
-		Children: append([]int(nil), children...),
-		Depth:    depth,
-		D:        d,
-		Slots:    slots,
-		Slot:     slot,
-		Bound:    bound,
-		Vec:      make([]int, slots),
-		rxUp:     msgSkelUp{Slots: slots, Bound: bound},
-		rxDown:   msgSkelDown{Slots: slots, Bound: bound},
-	}
-	for j := range s.Vec {
-		s.Vec[j] = skelNoVal(bound)
-	}
-	return s
-}
-
-// SkelSeed is the Reset params of a relay session: Value[v] is the value
-// vertex v seeds into its own slot (ignored at non-skeleton vertices); -1
-// means "no value" (the vertex was not reached within the hop budget).
-type SkelSeed struct{ Value []int }
-
-// ResetNode implements Resettable.
-func (s *SkelRelayNode) ResetNode(v int, params any) {
-	seed := -1
-	switch p := params.(type) {
-	case nil:
-	case SkelSeed:
-		seed = p.Value[v]
-	default:
-		badResetParams("SkelRelayNode", params)
-	}
-	for j := range s.Vec {
-		s.Vec[j] = skelNoVal(s.Bound)
-	}
-	if s.Slot >= 0 && seed >= 0 {
-		s.Vec[s.Slot] = seed
-	}
-	s.finished = false
-}
-
-// gatherEnd is the round by which the gather phase has fully drained into
-// the root; the broadcast schedule is offset past it.
-func (s *SkelRelayNode) gatherEnd() int { return s.D + s.Slots + 1 }
-
-// total is the fixed duration of the whole relay.
-func (s *SkelRelayNode) total() int { return 2 * (s.D + s.Slots + 1) }
-
-// Send implements Node: one slot per round in each phase's pipelined
-// window. Children's subtree minima for slot i arrive exactly one round
-// before this node's upward transmission of slot i; the parent's global
-// value arrives exactly one round before the downward retransmission.
-func (s *SkelRelayNode) Send(env *Env, out *Outbox) {
-	if s.Parent >= 0 {
-		if i := env.Round - (s.D - s.Depth) - 1; i >= 0 && i < s.Slots {
-			s.txUp = msgSkelUp{Slot: i, Val: s.Vec[i], Slots: s.Slots, Bound: s.Bound}
-			out.Put(s.Parent, &s.txUp)
-		}
-	}
-	if len(s.Children) > 0 {
-		if i := env.Round - s.gatherEnd() - s.Depth - 1; i >= 0 && i < s.Slots {
-			s.txDown = msgSkelDown{Slot: i, Val: s.Vec[i], Slots: s.Slots, Bound: s.Bound}
-			out.Broadcast(s.Children, &s.txDown)
-		}
-	}
-}
-
-// Receive implements Node: gather messages min-combine into the slot (only
-// subtree values ever arrive upward), broadcast messages overwrite it with
-// the root's global value.
-func (s *SkelRelayNode) Receive(env *Env, inbox []Inbound) {
-	for i := range inbox {
-		in := &inbox[i]
-		switch in.Kind {
-		case KindSkelUp:
-			if in.Decode(env, &s.rxUp) != nil {
-				continue
-			}
-			if s.rxUp.Val < s.Vec[s.rxUp.Slot] {
-				s.Vec[s.rxUp.Slot] = s.rxUp.Val
-			}
-		case KindSkelDown:
-			if in.Decode(env, &s.rxDown) != nil {
-				continue
-			}
-			s.Vec[s.rxDown.Slot] = s.rxDown.Val
-		}
-	}
-	if env.Round >= s.total() {
-		s.finished = true
-	}
-}
-
-// Done implements Node.
-func (s *SkelRelayNode) Done() bool { return s.finished }
-
-// NextWake implements Scheduled: the upward window [D-Depth+1, D-Depth+Slots]
-// (non-root nodes), the downward window [gatherEnd+Depth+1,
-// gatherEnd+Depth+Slots] (non-leaf nodes), and the final timer. Message
-// arrivals wake the node regardless.
-func (s *SkelRelayNode) NextWake(env *Env, round int) int {
-	if s.finished {
-		return NeverWake
-	}
-	next := s.total()
-	if s.Parent >= 0 {
-		if w := windowNext(round, s.D-s.Depth+1, s.Slots); w > 0 && w < next {
-			next = w
-		}
-	}
-	if len(s.Children) > 0 {
-		if w := windowNext(round, s.gatherEnd()+s.Depth+1, s.Slots); w > 0 && w < next {
-			next = w
-		}
-	}
-	if next <= round {
-		return round + 1
-	}
-	return next
-}
-
-// windowNext returns the smallest round after `round` inside the window of
-// `width` rounds starting at `first`, or 0 when the window has passed.
-func windowNext(round, first, width int) int {
-	switch {
-	case round+1 < first:
-		return first
-	case round+1 < first+width:
-		return round + 1
-	default:
-		return 0
-	}
-}
-
-// StateBits implements StateSizer: the slot vector plus the schedule
-// constants. The oracle's per-node memory is Θ(|S| log n) bits — like the
-// multi-source phase of the 3/2-approximation, this is the part of the
-// follow-up algorithms that needs polynomial classical memory.
-func (s *SkelRelayNode) StateBits() int { return (s.Slots + 4) * 64 }
-
 // SkelOracle is a preprocessed skeleton distance oracle over one topology:
 // the hop budget H, the skeleton S, and the per-vertex combine tables dsv.
 // Build it once with NewSkelOracle (the init phase, charged to InitRounds)
@@ -286,7 +72,7 @@ type SkelOracle struct {
 	// rounds of the |S| H-hop relaxations plus the charged pipelined
 	// gather/broadcast of the |S|^2 skeleton matrix through the leader
 	// (2*(D + |S|^2 + 1) rounds at one matrix entry per tree edge per
-	// round, the SourceMaxNode schedule with |S|^2 slots).
+	// round, the SlotConvergecastNode schedule with |S|^2 slots).
 	InitRounds int
 }
 
@@ -463,7 +249,7 @@ type SkelEvalSession struct {
 	cc    treeAgg
 
 	dist []int
-	vec  *SkelRelayNode // the leader's relay program (holds the global vector)
+	vec  *SlotConvergecastNode // the leader's relay program (holds the global vector)
 	row  []int
 }
 
@@ -478,13 +264,13 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), o.bound, o.H)
 		}, opts...),
 		relay: NewSession(topo, func(v int) Node {
-			return NewSkelRelayNode(info.Parent[v], info.Children[v], info.Depth[v], info.D, s, o.slotOf[v], o.bound)
+			return NewSlotConvergecastNode(info, v, KindSkelUp, KindSkelDown, s, o.bound, o.slotOf[v], nil)
 		}, opts...),
 		cc:   newTreeAgg(topo, info, KindWMax, o.bound, "weighted convergecast", opts...),
 		dist: make([]int, n),
 		row:  make([]int, n),
 	}
-	es.vec = es.relay.Node(info.Leader).(*SkelRelayNode)
+	es.vec = es.relay.Node(info.Leader).(*SlotConvergecastNode)
 	return es
 }
 

@@ -63,7 +63,8 @@ type BFSNode struct {
 	childNotified  bool
 	childrenFinal  bool
 	reported       bool
-	childReports   map[int]int
+	received       int // child reports in
+	reportMax      int // largest child report (0 before any)
 	done           bool
 
 	tx struct {
@@ -79,7 +80,7 @@ type BFSNode struct {
 
 // NewBFSNode returns the program for one node.
 func NewBFSNode(root int) *BFSNode {
-	return &BFSNode{Root: root, Dist: -1, Parent: -1, childReports: map[int]int{}}
+	return &BFSNode{Root: root, Dist: -1, Parent: -1}
 }
 
 // BFSRoot is the Reset params of a BFS session: the root of the next
@@ -105,7 +106,7 @@ func (b *BFSNode) ResetNode(v int, params any) {
 	b.childNotified = false
 	b.childrenFinal = false
 	b.reported = false
-	clear(b.childReports)
+	b.received, b.reportMax = 0, 0
 	b.done = false
 }
 
@@ -142,18 +143,10 @@ func (b *BFSNode) readyToReport() bool {
 	if !b.childrenFinal || b.reported {
 		return false
 	}
-	return len(b.childReports) == len(b.Children)
+	return b.received == len(b.Children)
 }
 
-func (b *BFSNode) subtreeMax() int {
-	m := b.Dist
-	for _, v := range b.childReports {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (b *BFSNode) subtreeMax() int { return max(b.Dist, b.reportMax) }
 
 // Receive implements Node.
 func (b *BFSNode) Receive(env *Env, inbox []Inbound) {
@@ -175,7 +168,8 @@ func (b *BFSNode) Receive(env *Env, inbox []Inbound) {
 			if in.Decode(env, &b.rx.ecc) != nil {
 				continue
 			}
-			b.childReports[in.From] = b.rx.ecc.Max
+			b.received++
+			b.reportMax = max(b.reportMax, b.rx.ecc.Max)
 		}
 	}
 	// A node activated at the end of round r receives child notifications
@@ -213,7 +207,7 @@ func (b *BFSNode) NextWake(env *Env, round int) int {
 		}
 		return round + 1
 	}
-	if !b.reported && len(b.childReports) == len(b.Children) {
+	if !b.reported && b.received == len(b.Children) {
 		return round + 1 // report in the next Send
 	}
 	return NeverWake // waiting for child reports
@@ -222,7 +216,7 @@ func (b *BFSNode) NextWake(env *Env, round int) int {
 // StateBits reports the O(log n)-bit core state (parent, distance, subtree
 // max) plus one bit per child flag.
 func (b *BFSNode) StateBits() int {
-	return 3*64 + len(b.Children) + len(b.childReports)*64
+	return 3*64 + len(b.Children) + b.received*64
 }
 
 // LeaderElectNode floods the maximum node id. After global quiescence every

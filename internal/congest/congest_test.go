@@ -1,6 +1,11 @@
 package congest
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -408,5 +413,31 @@ func TestWaveMemoryIsLogarithmic(t *testing.T) {
 	// Four machine words: tv, dv, one buffered (tau, delta) pair.
 	if nw.Metrics().MaxStateBits > 4*64 {
 		t.Errorf("wave node state %d bits, want <= 256", nw.Metrics().MaxStateBits)
+	}
+}
+
+// No non-test file of the package declares a map type: per-vertex program
+// state is slices and counters, so a session allocates it once and
+// iterates it in a fixed order.
+func TestNoMapTypesInPackage(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s: map type in non-test code", fset.Position(n.Pos()))
+			}
+			return true
+		})
 	}
 }

@@ -143,6 +143,9 @@ var wireSeeds = []corpusEntry{
 	{"seed-skeldown-ok", uint8(KindSkelDown), 40, []byte{0x00, 0x00}},    // slot 0, value 0: clean
 	{"seed-skeldown-range", uint8(KindSkelDown), 40, []byte{0xfc, 0xff}}, // slot past Slots: id range error
 	{"seed-skeldown-trunc", uint8(KindSkelDown), 1000, []byte{}},         // truncated slot field
+	{"seed-srcmax-ok", uint8(KindSrcMax), 40, []byte{0x83, 0x0c}},        // slot 3, max 50: clean
+	{"seed-srcmax-range", uint8(KindSrcMax), 40, []byte{0xc3, 0x1f}},     // max 127 past 2n: id range error
+	{"seed-srcmax-trunc", uint8(KindSrcMax), 1000, []byte{0x05, 0x00}},   // truncated max field
 }
 
 // fuzzKind maps a FuzzWireMessage input's kind byte and size to the kind

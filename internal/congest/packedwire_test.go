@@ -28,10 +28,7 @@ func configureBounds(m WireMessage, n, bound int) {
 		wm.Bound = bound
 	case *msgAgg:
 		wm.Bound = bound
-	case *msgSkelUp:
-		wm.Slots = n
-		wm.Bound = bound
-	case *msgSkelDown:
+	case *msgSlot:
 		wm.Slots = n
 		wm.Bound = bound
 	}
@@ -64,15 +61,15 @@ func packedCases(n int) []WireMessage {
 		&msgAgg{kind: KindSum, Value: 0},
 		&msgAgg{kind: KindSum, Value: 1<<uint(2*BitsForID(n)) - 1},
 		&msgPair{Src: n - 1, Dist: 2*n - 1},
-		&msgSrcMax{Src: 0, Max: 2*n - 1},
+		&msgSlot{kind: KindSrcMax, Slot: 0, Val: 2*n - 1},
 		&msgWDist{Dist: b, Bound: b},
 		&msgAgg{kind: KindWMax, Value: b, Witness: n - 1, Bound: b},
 		&msgAdj{ID: n - 1},
 		&msgSide{Marked: 1},
 		&msgSide{Marked: 0},
 		&msgAgg{kind: KindCutSum, Value: b, Bound: b},
-		&msgSkelUp{Slot: n - 1, Val: b + 1, Slots: n, Bound: b},
-		&msgSkelDown{Slot: 0, Val: 0, Slots: n, Bound: b},
+		&msgSlot{kind: KindSkelUp, Slot: n - 1, Val: b + 1, Slots: n, Bound: b},
+		&msgSlot{kind: KindSkelDown, Slot: 0, Val: 0, Slots: n, Bound: b},
 	}
 }
 

@@ -89,7 +89,7 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	if err := sspNW.Run(sspDuration + 4); err != nil {
 		t.Fatal(err)
 	}
-	dists := make([]map[int]int, n)
+	dists := make([][]int, n)
 	for v := 0; v < n; v++ {
 		dists[v] = sspNW.Node(v).(*SSPNode).Dist
 	}
@@ -102,6 +102,38 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	bound := wtopo.DistBound()
 	cutBound := wtopo.TotalWeight()
 	wDuration := n - 1
+
+	// The skeleton relay: every fifth vertex is a skeleton vertex and seeds
+	// its own slot with a value in [0, bound], or with none (-1) at every
+	// fourth vertex.
+	var skeleton []int
+	for v := 0; v < n; v += 5 {
+		skeleton = append(skeleton, v)
+	}
+	oracle, err := NewSkelOracle(wtopo, info, skeleton, 8, base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := len(skeleton)
+	skelIn := make([][]int, n)
+	for v := 0; v < n; v++ {
+		if j := oracle.slotOf[v]; j >= 0 {
+			skelIn[v] = make([]int, slots)
+			for i := range skelIn[v] {
+				skelIn[v][i] = -1
+			}
+			if v%4 != 0 {
+				skelIn[v][j] = (v * 11) % (bound + 1)
+			}
+		}
+	}
+	slotVecs := func(at func(v int) Node, n int) string {
+		var sb strings.Builder
+		for v := 0; v < n; v++ {
+			fmt.Fprintf(&sb, "%v;", at(v).(*SlotConvergecastNode).Vec)
+		}
+		return sb.String()
+	}
 
 	cases := []schedCase{
 		{
@@ -208,12 +240,7 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 			fingerprint: func(at func(v int) Node, n int) string {
 				var sb strings.Builder
 				for v := 0; v < n; v++ {
-					s := at(v).(*SSPNode)
-					for r := 0; r < sources; r++ {
-						d, ok := s.Dist[r]
-						fmt.Fprintf(&sb, "%d/%v,", d, ok)
-					}
-					sb.WriteByte(';')
+					fmt.Fprintf(&sb, "%v;", at(v).(*SSPNode).Dist)
 				}
 				return sb.String()
 			},
@@ -221,19 +248,16 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 		{
 			name: "src-max", topo: topo, maxRounds: d + sources + 8,
 			make: func(v int) Node {
-				return NewSourceMaxNode(info.Parent[v], info.Children[v], info.Depth[v], d, sources, dists[v])
+				return NewSlotConvergecastNode(info, v, KindSrcMax, kindInvalid, sources, 0, -1, dists[v])
 			},
-			fingerprint: func(at func(v int) Node, n int) string {
-				var sb strings.Builder
-				for v := 0; v < n; v++ {
-					s := at(v).(*SourceMaxNode)
-					for r := 0; r < sources; r++ {
-						fmt.Fprintf(&sb, "%d,", s.Max[r])
-					}
-					sb.WriteByte(';')
-				}
-				return sb.String()
+			fingerprint: slotVecs,
+		},
+		{
+			name: "skel-relay", topo: wtopo, maxRounds: oracle.relayDuration() + 4,
+			make: func(v int) Node {
+				return NewSlotConvergecastNode(info, v, KindSkelUp, KindSkelDown, slots, bound, oracle.slotOf[v], skelIn[v])
 			},
+			fingerprint: slotVecs,
 		},
 		{
 			name: "weighted-sssp", topo: wtopo, maxRounds: wDuration + 4,

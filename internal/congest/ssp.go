@@ -3,11 +3,11 @@ package congest
 import "sort"
 
 // Programs used by the 3/2-approximation preparation (Figure 3 of the
-// paper, following Algorithm 1 of [HPRW14]): nearest-member flooding,
-// pipelined multi-source shortest paths from the set R, and the pipelined
-// per-source maximum convergecast that turns those distances into
-// eccentricities. The counting convergecasts are the sum kind of
-// ConvergecastNode (aggregate.go).
+// paper, following Algorithm 1 of [HPRW14]): nearest-member flooding and
+// pipelined multi-source shortest paths from the set R. The per-source
+// maximum convergecast that turns those distances into eccentricities is
+// the src-max kind of SlotConvergecastNode, and the counting convergecasts
+// are the sum kind of ConvergecastNode (both in aggregate.go).
 //
 // Message sizes are not declared anywhere in this file: every cost below is
 // the encoded wire length of the typed messages (the pre-wire-format code
@@ -27,11 +27,6 @@ type (
 		Src  int
 		Dist int
 	}
-	// msgSrcMax carries the subtree maximum for one source rank.
-	msgSrcMax struct {
-		Src int
-		Max int
-	}
 )
 
 func (m *msgNear) WireKind() Kind          { return KindNear }
@@ -44,15 +39,9 @@ func (m *msgPair) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
 func (m *msgPair) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
 func (m *msgPair) fields(n int) wireFields { return fields2(&m.Src, n, &m.Dist, 2*n) }
 
-func (m *msgSrcMax) WireKind() Kind          { return KindSrcMax }
-func (m *msgSrcMax) MarshalWire(w *Writer)   { m.fields(w.N).marshal(w) }
-func (m *msgSrcMax) UnmarshalWire(r *Reader) { m.fields(r.N).unmarshal(r) }
-func (m *msgSrcMax) fields(n int) wireFields { return fields2(&m.Src, n, &m.Max, 2*n) }
-
 func init() {
 	RegisterKind(KindNear, "near", func() WireMessage { return new(msgNear) })
 	RegisterKind(KindPair, "pair", func() WireMessage { return new(msgPair) })
-	RegisterKind(KindSrcMax, "src-max", func() WireMessage { return new(msgSrcMax) })
 }
 
 // MinFloodNode computes, at every node, the distance to the nearest member
@@ -78,17 +67,9 @@ func NewMinFloodNode(member bool) *MinFloodNode {
 	return &MinFloodNode{Member: member, Dist: -1, Src: -1}
 }
 
-// FloodMembers is the Reset params of a min-flood session: the membership
-// flags of the next execution.
-type FloodMembers struct{ Members []bool }
-
-// ResetNode implements Resettable.
+// ResetNode implements Resettable; the only params are nil (re-run).
 func (m *MinFloodNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case FloodMembers:
-		m.Member = p.Members[v]
-	default:
+	if params != nil {
 		badResetParams("MinFloodNode", params)
 	}
 	m.Dist, m.Src = -1, -1
@@ -156,7 +137,7 @@ type SSPNode struct {
 	Sources  int // k
 	Duration int
 
-	Dist map[int]int // output: source rank -> distance
+	Dist []int // output: Dist[rank] = distance to that source, -1 if unseen
 
 	queue    []msgPair // pending pairs, kept sorted by (Dist, Src)
 	finished bool
@@ -166,32 +147,30 @@ type SSPNode struct {
 
 // NewSSPNode builds the program for one node; rank is -1 for non-sources.
 func NewSSPNode(rank, sources, duration int) *SSPNode {
-	n := &SSPNode{Rank: rank, Sources: sources, Duration: duration, Dist: map[int]int{}}
-	if rank >= 0 {
-		n.Dist[rank] = 0
-		n.queue = append(n.queue, msgPair{Src: rank, Dist: 0})
-	}
+	n := &SSPNode{Rank: rank, Sources: sources, Duration: duration}
+	n.seed()
 	return n
 }
 
-// SSPRanks is the Reset params of a multi-source BFS session: the
-// per-vertex source rank (-1 for non-sources) of the next execution.
-type SSPRanks struct{ Ranks []int }
-
-// ResetNode implements Resettable. The Dist map is dropped, not cleared:
-// the previous run's output escapes into the SourceMax phase, and a session
-// must never mutate results it already handed out.
+// ResetNode implements Resettable; the only params are nil (re-run).
 func (s *SSPNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case SSPRanks:
-		s.Rank = p.Ranks[v]
-	default:
+	if params != nil {
 		badResetParams("SSPNode", params)
 	}
-	s.Dist = map[int]int{}
 	s.queue = s.queue[:0]
 	s.finished = false
+	s.seed()
+}
+
+// seed installs a fresh Dist and queues the node's own source. Dist is
+// reallocated, not cleared: the previous run's output escapes into the
+// per-source max convergecast, and a session must never mutate results it
+// already handed out.
+func (s *SSPNode) seed() {
+	s.Dist = make([]int, s.Sources)
+	for i := range s.Dist {
+		s.Dist[i] = -1
+	}
 	if s.Rank >= 0 {
 		s.Dist[s.Rank] = 0
 		s.queue = append(s.queue, msgPair{Src: s.Rank, Dist: 0})
@@ -218,7 +197,7 @@ func (s *SSPNode) Receive(env *Env, inbox []Inbound) {
 			continue
 		}
 		p := s.rx
-		if d, seen := s.Dist[p.Src]; !seen || p.Dist < d {
+		if p.Src < len(s.Dist) && (s.Dist[p.Src] < 0 || p.Dist < s.Dist[p.Src]) {
 			s.Dist[p.Src] = p.Dist
 			s.enqueue(p)
 			updated = true
@@ -264,121 +243,6 @@ func (s *SSPNode) NextWake(env *Env, round int) int {
 	}
 	if s.Duration > round {
 		return s.Duration
-	}
-	return round + 1
-}
-
-// SourceMaxNode convergecasts, for each ranked source, the maximum over all
-// vertices of the source's distance — i.e. ecc(source) — to the tree root,
-// pipelined one source per round: a node at depth k transmits source i's
-// subtree maximum at relative round (d - k) + i + 1. Duration d + sources +
-// 2 rounds, one O(log n)-bit message per tree edge per round.
-type SourceMaxNode struct {
-	Parent   int
-	Children []int
-	Depth    int
-	D        int // tree height bound used for the schedule
-	Sources  int
-	Dist     map[int]int // this node's distance to each source
-
-	Max map[int]int // per-source subtree max (output at root)
-
-	finished bool
-
-	tx, rx msgSrcMax
-}
-
-// NewSourceMaxNode builds the program for one node.
-func NewSourceMaxNode(parent int, children []int, depth, d, sources int, dist map[int]int) *SourceMaxNode {
-	m := &SourceMaxNode{
-		Parent:   parent,
-		Children: append([]int(nil), children...),
-		Depth:    depth,
-		D:        d,
-		Sources:  sources,
-		Dist:     dist,
-		Max:      make(map[int]int, sources),
-	}
-	for src, dd := range dist {
-		m.Max[src] = dd
-	}
-	return m
-}
-
-// SourceDists is the Reset params of a per-source max-convergecast session:
-// Dists[v] is vertex v's source-distance map for the next execution.
-type SourceDists struct{ Dists []map[int]int }
-
-// ResetNode implements Resettable. The Max map is rebuilt (the previous
-// run's root output may have escaped to the caller).
-func (s *SourceMaxNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case SourceDists:
-		s.Dist = p.Dists[v]
-	default:
-		badResetParams("SourceMaxNode", params)
-	}
-	s.Max = make(map[int]int, s.Sources)
-	for src, dd := range s.Dist {
-		s.Max[src] = dd
-	}
-	s.finished = false
-}
-
-// Send implements Node.
-func (s *SourceMaxNode) Send(env *Env, out *Outbox) {
-	if s.Parent < 0 {
-		return
-	}
-	// Relative round r transmits source i = r - (D - depth) - 1.
-	i := env.Round - (s.D - s.Depth) - 1
-	if i < 0 || i >= s.Sources {
-		return
-	}
-	s.tx = msgSrcMax{Src: i, Max: s.Max[i]}
-	out.Put(s.Parent, &s.tx)
-}
-
-// Receive implements Node.
-func (s *SourceMaxNode) Receive(env *Env, inbox []Inbound) {
-	for i := range inbox {
-		in := &inbox[i]
-		if in.Kind != KindSrcMax || in.Decode(env, &s.rx) != nil {
-			continue
-		}
-		if s.rx.Max > s.Max[s.rx.Src] {
-			s.Max[s.rx.Src] = s.rx.Max
-		}
-	}
-	if env.Round >= s.D+s.Sources+1 {
-		s.finished = true
-	}
-}
-
-// Done implements Node.
-func (s *SourceMaxNode) Done() bool { return s.finished }
-
-// NextWake implements Scheduled: a non-root node transmits in every round
-// of its pipelined window [D-Depth+1, D-Depth+Sources]; everyone finishes
-// at the D+Sources+1 timer. Subtree maxima arrive as messages.
-func (s *SourceMaxNode) NextWake(env *Env, round int) int {
-	if s.finished {
-		return NeverWake
-	}
-	end := s.D + s.Sources + 1 // the finished timer
-	if s.Parent >= 0 {
-		first := s.D - s.Depth + 1
-		last := s.D - s.Depth + s.Sources
-		if round+1 >= first && round+1 <= last {
-			return round + 1
-		}
-		if round+1 < first && first < end {
-			return first
-		}
-	}
-	if end > round {
-		return end
 	}
 	return round + 1
 }

@@ -46,15 +46,15 @@ const (
 	KindNear           // ssp.go: (dist, src) nearest-member flood
 	KindSum            // aggregate.go: partial sum convergecast
 	KindPair           // ssp.go: (src rank, dist) multi-source BFS pair
-	KindSrcMax         // ssp.go: (src rank, subtree max) pipelined convergecast
+	KindSrcMax         // aggregate.go: (src rank, subtree max) pipelined slot convergecast
 	KindRaw            // wire.go: opaque filler of a declared width (tests, capacity probes)
 	KindWDist          // weighted.go: Bellman–Ford weighted-distance relaxation
 	KindWMax           // aggregate.go: weighted max convergecast (value, witness)
 	KindAdj            // triangle.go: adjacency announcement (one id)
 	KindSide           // cut.go: mark-flood side bit
 	KindCutSum         // aggregate.go: crossing-weight sum convergecast (Bound-ranged)
-	KindSkelUp         // apsp.go: (slot, value) skeleton-vector gather toward the root
-	KindSkelDown       // apsp.go: (slot, value) skeleton-vector broadcast down the tree
+	KindSkelUp         // aggregate.go: (slot, value) skeleton-vector gather toward the root
+	KindSkelDown       // aggregate.go: (slot, value) skeleton-vector broadcast down the tree
 )
 
 // WireMessage is a message that can be encoded to and decoded from the wire

@@ -150,15 +150,15 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		&msgNear{Dist: 150, Src: 9},
 		&msgAgg{kind: KindSum, Value: 4095},
 		&msgPair{Src: 42, Dist: 150},
-		&msgSrcMax{Src: 42, Max: 150},
+		&msgSlot{kind: KindSrcMax, Slot: 42, Val: 150},
 		&RawMessage{Width: 17},
 		&msgWDist{Dist: 300, Bound: 450},
 		&msgAgg{kind: KindWMax, Value: 301, Witness: 42, Bound: 450},
 		&msgAdj{ID: 42},
 		&msgSide{Marked: 1},
 		&msgAgg{kind: KindCutSum, Value: 512, Bound: 600},
-		&msgSkelUp{Slot: 7, Val: 451, Slots: 20, Bound: 450},
-		&msgSkelDown{Slot: 19, Val: 0, Slots: 20, Bound: 450},
+		&msgSlot{kind: KindSkelUp, Slot: 7, Val: 451, Slots: 20, Bound: 450},
+		&msgSlot{kind: KindSkelDown, Slot: 19, Val: 0, Slots: 20, Bound: 450},
 	}
 	covered := map[Kind]bool{}
 	var w Writer
@@ -201,12 +201,9 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			got.(*msgWDist).Bound = s.Bound
 		case *msgAgg:
 			got.(*msgAgg).Bound = s.Bound
-		case *msgSkelUp:
-			got.(*msgSkelUp).Slots = s.Slots
-			got.(*msgSkelUp).Bound = s.Bound
-		case *msgSkelDown:
-			got.(*msgSkelDown).Slots = s.Slots
-			got.(*msgSkelDown).Bound = s.Bound
+		case *msgSlot:
+			got.(*msgSlot).Slots = s.Slots
+			got.(*msgSlot).Bound = s.Bound
 		}
 		var r Reader
 		view.payloadReader(&r, n)
