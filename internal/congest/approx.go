@@ -341,6 +341,9 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 // s = ceil(sqrt(n)) by default.
 func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) (ExactResult, error) {
 	var res ExactResult
+	if g == nil {
+		return res, errNilGraph
+	}
 	n := g.N()
 	if n == 1 {
 		return ExactResult{Diameter: 0}, nil

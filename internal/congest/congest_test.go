@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -30,6 +31,24 @@ func TestNetworkRejectsDisconnected(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	if _, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() }); err == nil {
 		t.Error("disconnected graph accepted")
+	}
+}
+
+// Every graph-taking entry point of the package returns an error on a nil
+// graph instead of dereferencing it.
+func TestNilGraphRejected(t *testing.T) {
+	for name, run := range map[string]func() error{
+		"NewTopology":               func() error { _, err := NewTopology(nil); return err },
+		"NewNetwork":                func() error { _, err := NewNetwork(nil, nil); return err },
+		"Preprocess":                func() error { _, _, err := Preprocess(nil); return err },
+		"ClassicalExactDiameter":    func() error { _, err := ClassicalExactDiameter(nil); return err },
+		"ClassicalApproxDiameter":   func() error { _, err := ClassicalApproxDiameter(nil, 0, 1); return err },
+		"ClassicalEccentricities":   func() error { _, _, err := ClassicalEccentricities(nil); return err },
+		"ClassicalWeightedDiameter": func() error { _, err := ClassicalWeightedDiameter(nil); return err },
+	} {
+		if err := run(); !errors.Is(err, errNilGraph) {
+			t.Errorf("%s(nil): %v, want errNilGraph", name, err)
+		}
 	}
 }
 

@@ -27,6 +27,9 @@ type ExactResult struct {
 // the Metrics bit counts returned here are encoded lengths, not estimates.
 func ClassicalExactDiameter(g *graph.Graph, opts ...Option) (ExactResult, error) {
 	var res ExactResult
+	if g == nil {
+		return res, errNilGraph
+	}
 	n := g.N()
 	if n == 0 {
 		return res, fmt.Errorf("congest: empty graph")
@@ -99,6 +102,9 @@ func classicalEccPhases(topo *Topology, opts ...Option) (*PreInfo, []int, Metric
 // ClassicalExactDiameter run without the final convergecast. It is the
 // classical baseline for the per-vertex quantum Eccentricities suite.
 func ClassicalEccentricities(g *graph.Graph, opts ...Option) ([]int, Metrics, error) {
+	if g == nil {
+		return nil, Metrics{}, errNilGraph
+	}
 	n := g.N()
 	if n == 0 {
 		return nil, Metrics{}, fmt.Errorf("congest: empty graph")

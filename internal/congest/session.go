@@ -10,6 +10,7 @@ package congest
 // sessions") documents the lifecycle contract and the determinism argument.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -48,10 +49,17 @@ type Topology struct {
 	maxDeg    int // longest row: the size of an Outbox's per-sender edge ledger
 }
 
+// errNilGraph is what every graph-taking entry point of this package
+// returns for a nil graph.
+var errNilGraph = errors.New("congest: nil graph")
+
 // NewTopology validates g (it must be connected, like every algorithm in
 // this repository assumes) and packs its adjacency (and, for weighted
 // graphs, the aligned edge-weight tables) into the CSR arenas.
 func NewTopology(g *graph.Graph) (*Topology, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
 	if !g.Connected() {
 		return nil, graph.ErrDisconnected
 	}
@@ -441,7 +449,10 @@ func (p *Pool[C]) Get(i int) C { return p.clones[i] }
 // most one job at a time, so fn may freely mutate its clone; distinct jobs
 // must write their results to distinct caller-owned slots (e.g. results[job]).
 // All jobs are attempted — for every pool size, including one clone — and
-// the returned error is the one reported for the smallest job index.
+// the returned error is the one reported for the smallest job index. The
+// first min(clones, jobs) clones take part: clone 0 on the caller's
+// goroutine, each other one on a goroutine of its own that has returned
+// when Do returns.
 func (p *Pool[C]) Do(jobs int, fn func(job int, clone C) error) error {
 	if len(p.clones) == 0 {
 		return fmt.Errorf("congest: Do on an empty or closed pool")
@@ -449,38 +460,46 @@ func (p *Pool[C]) Do(jobs int, fn func(job int, clone C) error) error {
 	if jobs <= 0 {
 		return nil
 	}
-	if len(p.clones) == 1 {
-		var first error
-		for j := 0; j < jobs; j++ {
-			if err := fn(j, p.clones[0]); err != nil && first == nil {
-				first = err
-			}
+	r := &poolRun[C]{fn: fn, jobs: jobs, failed: jobs}
+	for _, c := range p.clones[1:min(len(p.clones), jobs)] {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.work(c)
+		}()
+	}
+	r.work(p.clones[0])
+	r.wg.Wait()
+	return r.err
+}
+
+// poolRun is the state one Do call shares between its clones: the next job
+// to claim, and the smallest failing job with its error.
+type poolRun[C any] struct {
+	fn     func(job int, clone C) error
+	jobs   int
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	failed int
+	err    error
+}
+
+// work runs jobs on clone c until none is left.
+func (r *poolRun[C]) work(c C) {
+	for {
+		j := int(r.next.Add(1)) - 1
+		if j >= r.jobs {
+			return
 		}
-		return first
-	}
-	errs := make([]error, jobs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := range p.clones {
-		wg.Add(1)
-		go func(c C) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= jobs {
-					return
-				}
-				errs[j] = fn(j, c)
+		if err := r.fn(j, c); err != nil {
+			r.mu.Lock()
+			if j < r.failed {
+				r.failed, r.err = j, err
 			}
-		}(p.clones[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			r.mu.Unlock()
 		}
 	}
-	return nil
 }
 
 // Close applies close to every clone (for Session-backed contexts, their

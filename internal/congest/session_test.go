@@ -238,6 +238,22 @@ func TestPoolDeterministic(t *testing.T) {
 	if err == nil || err.Error() != "job 17 failed" {
 		t.Errorf("error = %v, want job 17's", err)
 	}
+	// Fewer jobs than clones run on the first clones only: Do puts no
+	// goroutine on a clone that has no job to run.
+	for rep := 0; rep < 50; rep++ {
+		used := make([]int, 2)
+		if err := pool.Do(len(used), func(j int, c *ctx) error {
+			used[j] = c.id
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for j, id := range used {
+			if id >= len(used) {
+				t.Fatalf("job %d of %d ran on clone %d", j, len(used), id)
+			}
+		}
+	}
 	// A single-clone pool has the same contract: all jobs attempted, the
 	// smallest-index error reported.
 	solo, err := NewPool(1, func(i int) (*ctx, error) { return &ctx{id: i}, nil })

@@ -239,6 +239,9 @@ func (es *WeightedEccSession) Close() {
 // classical baseline the quantum weighted suite is compared against.
 func ClassicalWeightedDiameter(g *graph.Graph, opts ...Option) (ExactResult, error) {
 	var res ExactResult
+	if g == nil {
+		return res, errNilGraph
+	}
 	n := g.N()
 	if n == 0 {
 		return res, fmt.Errorf("congest: empty graph")

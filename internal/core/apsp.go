@@ -27,8 +27,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
@@ -73,32 +73,19 @@ func planSkeleton(n int, seed int64) (skeleton []int, h int) {
 	return skeleton, h
 }
 
-// buildSkelOracle plans and preprocesses the skeleton oracle for one
-// topology.
-func buildSkelOracle(topo *congest.Topology, info *congest.PreInfo, opts Options) (*congest.SkelOracle, error) {
-	skeleton, h := planSkeleton(topo.N(), opts.Seed)
-	return congest.NewSkelOracle(topo, info, skeleton, h, opts.Engine...)
+// skelOracle plans and preprocesses the skeleton oracle for the
+// instance's topology.
+func (in *instance) skelOracle() (*congest.SkelOracle, error) {
+	skeleton, h := planSkeleton(in.topo.N(), in.opts.Seed)
+	return congest.NewSkelOracle(in.topo, in.info, skeleton, h, in.opts.Engine...)
 }
 
-// skelEccFamily is the oracle-backed weighted eccentricity Evaluation
-// family: f(u0) = weighted ecc(u0) in Õ(sqrt(n) + D) rounds per
-// Evaluation. The oracle itself is read-only after construction, so
-// cloned contexts (Options.Parallel) apply.
-func skelEccFamily(o *congest.SkelOracle, opts Options) evalFamily {
-	return func() *evalContext {
-		es := o.NewEvalSession(opts.Engine...)
-		return &evalContext{
-			eval: func(u0 int) (int, int, error) {
-				value, m, err := es.Eval(u0, nil)
-				if err != nil {
-					return 0, 0, err
-				}
-				return value, m.Rounds, nil
-			},
-			close: es.Close,
-		}
-	}
-}
+// skelEcc is the oracle-backed weighted eccentricity Evaluation: f(u0) =
+// weighted ecc(u0) in Õ(sqrt(n) + D) rounds. The oracle itself is read-only
+// after construction, so cloned contexts (Options.Parallel) apply.
+type skelEcc struct{ *congest.SkelEvalSession }
+
+func (s skelEcc) Eval(u0 int) (int, congest.Metrics, error) { return s.SkelEvalSession.Eval(u0, nil) }
 
 // ApspResult reports an all-pairs shortest-paths sweep together with its
 // measured CONGEST cost. The Θ(n²) distance table itself is streamed to
@@ -126,91 +113,80 @@ type ApspResult struct {
 // the exact weighted distance d(source, v); the slice is reused between
 // calls and only valid during the call (copy to retain). A nil emit skips
 // delivery (round accounting only). Options.Parallel shards the sweep
-// over cloned sessions (0: as many as congest.Contexts grants beside the
-// engine's workers); like everywhere in this package, it changes no
-// emitted value and not the round accounting. An emit error aborts the
-// sweep and is returned verbatim.
+// over cloned sessions on a congest.Pool (0: as many as congest.Contexts
+// grants beside the engine's workers; never more than n); like everywhere
+// in this package, it changes no emitted value and not the round
+// accounting. An emit error aborts the sweep and is returned verbatim; an
+// Evaluation error aborts it at the smallest failing source. Either way
+// every sweep goroutine has returned when APSP does.
 func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) (ApspResult, error) {
-	if err := opts.validate(); err != nil {
+	in, ecc, err := prologue(g, opts, true)
+	if in == nil {
+		// At most two vertices: d(s, v) is ecc[s] for every v != s.
+		for s := 0; emit != nil && s < len(ecc); s++ {
+			row := make([]int, len(ecc))
+			for v := range row {
+				if v != s {
+					row[v] = ecc[s]
+				}
+			}
+			if err := emit(s, row); err != nil {
+				return ApspResult{}, err
+			}
+		}
+		return ApspResult{Sources: len(ecc), Ecc: ecc}, err
+	}
+	oracle, err := in.skelOracle()
+	if err != nil {
 		return ApspResult{}, err
 	}
 	n := g.N()
-	if n <= 2 {
-		return apspTrivial(g, emit)
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return ApspResult{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return ApspResult{}, err
-	}
-	oracle, err := buildSkelOracle(topo, info, opts)
-	if err != nil {
-		return ApspResult{}, err
-	}
-
-	workers := opts.Parallel
+	workers := min(opts.Parallel, n)
 	if workers == 0 {
-		workers = congest.Contexts(topo.EngineWorkers(opts.Engine...), n)
+		workers = congest.Contexts(in.topo.EngineWorkers(opts.Engine...), n)
 	}
+	// One evaluation session per clone, reused across blocks (the factory
+	// cannot fail).
+	pool, _ := congest.NewPool(workers, func(int) (*congest.SkelEvalSession, error) {
+		return oracle.NewEvalSession(opts.Engine...), nil
+	})
+	defer pool.Close((*congest.SkelEvalSession).Close)
 
-	// One evaluation session per worker, reused across blocks.
-	sessions := make([]*congest.SkelEvalSession, workers)
-	for w := range sessions {
-		sessions[w] = oracle.NewEvalSession(opts.Engine...)
-		defer sessions[w].Close()
-	}
-
-	// The sweep: blocks of one source per worker — the workers fill the
-	// block's rows concurrently, then the block is emitted in source order.
-	// Peak extra memory is O(workers·n), never Θ(n²).
+	// The sweep: blocks of one source per clone. The pool fills the block's
+	// rows concurrently, job j into rows[j], then the block is emitted in
+	// source order. Peak extra memory is O(workers·n), never Θ(n²).
 	rows := make([][]int, workers)
 	for i := range rows {
 		rows[i] = make([]int, n)
 	}
 	rounds := make([]int, workers)
-	errs := make([]error, workers)
-	res := ApspResult{Sources: n, Ecc: make([]int, n), InitRounds: pre.Rounds + oracle.InitRounds, EvalRounds: -1}
-	for base := 0; base < n; base += workers {
-		upper := min(n, base+workers)
-		var wg sync.WaitGroup
-		for s := base; s < upper; s++ {
-			wg.Add(1)
-			go func(w, s int) {
-				defer wg.Done()
-				_, m, err := sessions[w].Eval(s, rows[w])
-				if err != nil {
-					err = fmt.Errorf("apsp: source %d: %w", s, err)
-				}
-				rounds[w], errs[w] = m.Rounds, err
-			}(s-base, s)
+	base := 0
+	evalBlock := func(j int, es *congest.SkelEvalSession) error {
+		_, m, err := es.Eval(base+j, rows[j])
+		rounds[j] = m.Rounds
+		if err != nil {
+			return fmt.Errorf("apsp: source %d: %w", base+j, err)
 		}
-		wg.Wait()
-		// Workers hold ascending sources, so the first non-nil error is the
-		// smallest-source failure — deterministic.
-		for _, err := range errs[:upper-base] {
-			if err != nil {
-				return ApspResult{}, err
-			}
+		return nil
+	}
+	res := ApspResult{Sources: n, Ecc: make([]int, n), InitRounds: in.pre + oracle.InitRounds, EvalRounds: -1}
+	for ; base < n; base += workers {
+		block := min(workers, n-base)
+		// Do reports the smallest job's error: the smallest-source failure,
+		// deterministic.
+		if err := pool.Do(block, evalBlock); err != nil {
+			return ApspResult{}, err
 		}
-		for s := base; s < upper; s++ {
-			row := rows[s-base]
-			ecc := 0
-			for _, d := range row {
-				if d > ecc {
-					ecc = d
-				}
-			}
-			res.Ecc[s] = ecc
+		for j, row := range rows[:block] {
+			s := base + j
+			res.Ecc[s] = slices.Max(row)
 			// All phase durations are fixed, so the per-source cost must be
 			// input-independent — the same invariant query.EvalAll asserts.
 			if res.EvalRounds == -1 {
-				res.EvalRounds = rounds[s-base]
-			} else if rounds[s-base] != res.EvalRounds {
+				res.EvalRounds = rounds[j]
+			} else if rounds[j] != res.EvalRounds {
 				return ApspResult{}, fmt.Errorf("apsp: evaluation cost depends on input (source %d: %d rounds, source 0: %d)",
-					s, rounds[s-base], res.EvalRounds)
+					s, rounds[j], res.EvalRounds)
 			}
 			if emit != nil {
 				if err := emit(s, row); err != nil {
@@ -221,33 +197,4 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	}
 	res.Rounds = res.InitRounds + n*res.EvalRounds
 	return res, nil
-}
-
-// apspTrivial handles n <= 2 without any quantum phase, mirroring
-// trivialWeighted.
-func apspTrivial(g *graph.Graph, emit func(int, []int) error) (ApspResult, error) {
-	switch g.N() {
-	case 0:
-		return ApspResult{Ecc: []int{}}, nil
-	case 1:
-		if emit != nil {
-			if err := emit(0, []int{0}); err != nil {
-				return ApspResult{}, err
-			}
-		}
-		return ApspResult{Sources: 1, Ecc: []int{0}}, nil
-	default:
-		w := g.Weight(0, 1)
-		if w == 0 {
-			return ApspResult{}, graph.ErrDisconnected
-		}
-		if emit != nil {
-			for s, row := range [][]int{{0, w}, {w, 0}} {
-				if err := emit(s, row); err != nil {
-					return ApspResult{}, err
-				}
-			}
-		}
-		return ApspResult{Sources: 2, Ecc: []int{w, w}}, nil
-	}
 }

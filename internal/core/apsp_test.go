@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
@@ -254,5 +257,52 @@ func TestApspEmitContract(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("emit called %d times before abort, want 3", seen)
+	}
+}
+
+// TestApspAbortLeaksNoGoroutines aborts the sweep both ways — an emit error
+// and an Evaluation error (a bandwidth the preprocessing fits but the
+// skeleton relay does not) — with one and with three cloned sessions of two
+// engine workers each: once APSP returns, the goroutine count must be back
+// at its baseline (the pool's sweep goroutines and every session's engine
+// workers have exited).
+func TestApspAbortLeaksNoGoroutines(t *testing.T) {
+	g := graph.WithWeights(graph.RandomConnected(12, 0.2, 5), 6, 5)
+	sentinel := errors.New("stop at source 4")
+	stopAt4 := func(source int, _ []int) error {
+		if source == 4 {
+			return sentinel
+		}
+		return nil
+	}
+	for _, parallel := range []int{1, 3} {
+		for _, tc := range []struct {
+			name    string
+			engine  []congest.Option
+			emit    func(int, []int) error
+			wantErr func(error) bool
+		}{
+			{"emit", []congest.Option{congest.WithWorkers(2)}, stopAt4,
+				func(err error) bool { return errors.Is(err, sentinel) }},
+			{"eval", []congest.Option{congest.WithWorkers(2), congest.WithBandwidth(14)}, nil,
+				func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "apsp: source 0: ") }},
+		} {
+			t.Run(fmt.Sprintf("%s/par%d", tc.name, parallel), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				_, err := APSP(g, Options{Seed: 1, Parallel: parallel, Engine: tc.engine}, tc.emit)
+				if !tc.wantErr(err) {
+					t.Fatalf("APSP error %v", err)
+				}
+				// Stopped goroutines finish exiting asynchronously.
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<16)
+						t.Fatalf("%d goroutines after the abort, %d before:\n%s",
+							runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }

@@ -12,23 +12,32 @@
 //     of the s closest vertices to the vertex w found by the [HPRW14]
 //     preparation.
 //
+// Every entry point follows the Theorem 7 recipe on one pipeline. One
+// prologue validates the options, answers graphs of at most two vertices
+// from their eccentricity vector (the one small-graph rule), and otherwise
+// builds the topology and runs the Section 3 preprocessing (leader
+// election and BFS tree). The entry point then picks one Evaluation family
+// and runs one query over it (internal/query); the family's sessions reach
+// the query layer through one adapter, and the query's costs come back
+// through one conversion.
+//
 // Every Evaluation is executed as a real message-passing CONGEST program
 // (internal/congest) whose round count is measured, and the quantum layer
-// charges rounds per Theorem 7 (internal/query). Each algorithm builds
-// its walk/wave sessions once (congest.WalkSession, congest.EccSession) and
-// every Evaluation is a Reset+Run on them — bit-identical to fresh
-// networks, without rebuilding topology tables, programs or arenas per
-// execution. Options.Parallel builds further contexts from the same
-// constructors into a congest.Pool and runs independent Evaluations
-// concurrently — by default as many contexts as the CPU budget leaves
-// beside each context's engine workers; results are identical for any
-// value.
+// charges rounds per Theorem 7. Each context builds its sessions once
+// (congest.WalkSession, congest.EccSession, ...) and every Evaluation is a
+// Reset+Run on them — bit-identical to fresh networks, without rebuilding
+// topology tables, programs or arenas per execution. Options.Parallel
+// builds further contexts from the same constructors into a congest.Pool
+// and runs independent Evaluations concurrently — by default as many
+// contexts as the CPU budget leaves beside each context's engine workers;
+// results are identical for any value.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
@@ -71,9 +80,10 @@ type Options struct {
 	// automatic CPU budget: each context's engine takes its workers
 	// (congest.Topology.EngineWorkers), and congest.Contexts fills the rest
 	// of GOMAXPROCS with contexts; 1 runs one context sequentially, and
-	// k > 1 is an explicit override. Evaluations are deterministic and
-	// their values input-independent, so the computed Result is identical
-	// for every value; the knob only trades wall-clock time, like
+	// k > 1 is an explicit override (never more contexts than Evaluations
+	// to run). Evaluations are deterministic and their values
+	// input-independent, so the computed Result is identical for every
+	// value; the knob only trades wall-clock time, like
 	// congest.WithWorkers. Negative values are rejected by every entry
 	// point (see Options.validate).
 	Parallel int
@@ -102,8 +112,8 @@ func (o Options) delta() float64 {
 // validate rejects option values that cannot mean anything: Parallel 0
 // means automatic and 1 sequential evaluation, but a negative count is a
 // caller bug, and so is a NaN Delta (any other out-of-range Delta selects
-// the default). Every public entry point calls this before building any
-// topology or session.
+// the default). The prologue calls this before building any topology or
+// session.
 func (o Options) validate() error {
 	if o.Parallel < 0 {
 		return fmt.Errorf("core: Options.Parallel %d is negative (0 selects the automatic CPU budget, 1 sequential evaluation)", o.Parallel)
@@ -114,42 +124,105 @@ func (o Options) validate() error {
 	return nil
 }
 
-// ErrTrivial marks graphs handled without any quantum phase (n <= 2).
-var errTrivial = errors.New("core: trivial instance")
+// query is the query-layer view of the options.
+func (o Options) query() query.Options {
+	return query.Options{Delta: o.delta(), Seed: o.Seed, Parallel: o.Parallel}
+}
 
-func trivialDiameter(g *graph.Graph) (Result, error) {
-	switch g.N() {
-	case 0, 1:
-		return Result{Diameter: 0}, nil
-	case 2:
-		// Two isolated vertices are the one disconnected case the
-		// topology validation below never sees.
-		if !g.HasEdge(0, 1) {
-			return Result{}, graph.ErrDisconnected
-		}
-		return Result{Diameter: 1}, nil
+// instance is an entry point's network after the prologue: the validated
+// topology and the Section 3 preprocessing every algorithm starts from.
+type instance struct {
+	g    *graph.Graph
+	opts Options
+	topo *congest.Topology
+	info *congest.PreInfo
+	// pre is the measured round count of the preprocessing.
+	pre int
+}
+
+// prologue is the one entry-point prologue. It rejects bad options and a
+// nil graph, answers a graph of at most two vertices with its eccentricity
+// vector (smallEcc), and otherwise builds the topology and runs the
+// preprocessing. Without an error exactly one of in and ecc is non-nil.
+func prologue(g *graph.Graph, opts Options, weighted bool) (in *instance, ecc []int, err error) {
+	if err := opts.validate(); err != nil {
+		return nil, nil, err
 	}
-	return Result{}, errTrivial
+	if g == nil {
+		return nil, nil, errors.New("core: nil graph")
+	}
+	if ecc, err := smallEcc(g, weighted); ecc != nil || err != nil {
+		return nil, ecc, err
+	}
+	topo, err := congest.NewTopology(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &instance{g: g, opts: opts, topo: topo, info: info, pre: pre.Rounds}, nil, nil
 }
 
-// evalContext is one independent Evaluation context: the sessions backing
-// eval share no mutable state with any other context, so distinct contexts
-// may evaluate concurrently (each one still evaluates serially). Its Eval
-// and Close methods implement query.Context.
-type evalContext struct {
-	eval  func(u0 int) (value, rounds int, err error)
-	close func()
+// smallEcc is the one small-graph rule: the eccentricity vector of a graph
+// of at most two vertices, weighted (the edge's weight; 1 on an unweighted
+// graph) or in hops, with no distributed phase at all. Two isolated
+// vertices are the one disconnected case the topology validation never
+// sees. It returns nil for larger graphs.
+func smallEcc(g *graph.Graph, weighted bool) ([]int, error) {
+	switch g.N() {
+	case 0:
+		return []int{}, nil
+	case 1:
+		return []int{0}, nil
+	case 2:
+		w := g.Weight(0, 1)
+		if w == 0 {
+			return nil, graph.ErrDisconnected
+		}
+		if !weighted {
+			w = 1
+		}
+		return []int{w, w}, nil
+	}
+	return nil, nil
 }
 
-// Eval implements query.Context.
-func (c *evalContext) Eval(x int) (value, rounds int, err error) { return c.eval(x) }
+// extremum is the maximum of ecc, or its minimum when minimize is set (0
+// for an empty vector): a small graph's diameter or radius.
+func extremum(ecc []int, minimize bool) int {
+	switch {
+	case len(ecc) == 0:
+		return 0
+	case minimize:
+		return slices.Min(ecc)
+	}
+	return slices.Max(ecc)
+}
 
-// Close implements query.Context.
-func (c *evalContext) Close() { c.close() }
+// evalSession is one context's Evaluation: the congest session (or
+// composite of sessions) that computes f(x) and measures its cost.
+type evalSession interface {
+	Eval(x int) (int, congest.Metrics, error)
+	Close()
+}
 
-// evalFamily is one Evaluation family: the factory of independent
-// evaluation contexts every query runs on.
-type evalFamily func() *evalContext
+// sessionContext is the one adapter from an Evaluation session to
+// query.Context.
+type sessionContext struct{ s evalSession }
+
+func (c sessionContext) Eval(x int) (value, rounds int, err error) {
+	v, m, err := c.s.Eval(x)
+	return v, m.Rounds, err
+}
+
+func (c sessionContext) Close() { c.s.Close() }
+
+// evalFamily builds one independent Evaluation context: the sessions
+// behind distinct contexts share no mutable state, so they may evaluate
+// concurrently (each one still evaluates serially).
+type evalFamily func() evalSession
 
 // ctxOracle adapts an evalFamily plus the measured framework costs into a
 // query.Oracle — the bridge every entry point in this package crosses into
@@ -169,106 +242,70 @@ func (o ctxOracle) Domain() []int             { return o.domain }
 func (o ctxOracle) EngineWorkers() int        { return o.workers }
 func (o ctxOracle) InitRounds() int           { return o.initRounds }
 func (o ctxOracle) SetupRounds() int          { return o.setupRounds }
-func (o ctxOracle) NewContext() query.Context { return o.family() }
+func (o ctxOracle) NewContext() query.Context { return sessionContext{o.family()} }
+
+// oracle wraps an Evaluation family over the instance's topology. The
+// domain defaults to every vertex and the Setup cost to the broadcast
+// down the BFS tree (D+1 rounds); InitRounds is the preprocessing plus
+// extraInit, the family's own preparatory phases.
+func (in *instance) oracle(fam evalFamily, extraInit int) ctxOracle {
+	domain := make([]int, in.topo.N())
+	for i := range domain {
+		domain[i] = i
+	}
+	return ctxOracle{
+		domain:      domain,
+		initRounds:  in.pre + extraInit,
+		setupRounds: in.info.D + 1,
+		family:      fam,
+		workers:     in.topo.EngineWorkers(in.opts.Engine...),
+	}
+}
+
+// costs is the one conversion from a query's costs to the cost fields
+// every result type of this package carries.
+func costs(qr query.Result) (rounds, initRounds, setupRounds, evalRounds, iterations, leaderQubits, nodeQubits int) {
+	return qr.Rounds, qr.InitRounds, qr.SetupRounds, qr.EvalRounds, qr.Iterations, qr.LeaderQubits, qr.NodeQubits
+}
+
+// optimize runs quantum maximum (or minimum) finding over o, provided the
+// mass of optimizers under the uniform state is at least eps.
+func optimize(o ctxOracle, eps float64, opts Options, minimize bool) (Result, error) {
+	find := query.Maximum
+	if minimize {
+		find = query.Minimum
+	}
+	qr, err := find(o, eps, opts.query())
+	if err != nil {
+		return Result{}, err
+	}
+	r := Result{Diameter: qr.Value}
+	r.Rounds, r.InitRounds, r.SetupRounds, r.EvalRounds, r.Iterations, r.LeaderQubits, r.NodeQubits = costs(qr)
+	return r, nil
+}
 
 // ExactDiameterSimple runs the Section 3.1 algorithm: quantum maximum
 // finding over f(u) = ecc(u) with P_opt >= 1/n, giving Õ(sqrt(n)·D) rounds.
 func ExactDiameterSimple(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if r, err := trivialDiameter(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	n := g.N()
-	d := info.D
-
-	return runOptimization(singleEccContext(topo, info, opts), topo, opts, optimizationParams{
-		domain:      identityDomain(n),
-		eps:         1 / float64(n),
-		initRounds:  pre.Rounds,
-		setupRounds: d + 1,
-	})
+	return eccOptimum(g, opts, hopMetric, false)
 }
 
 // ExactDiameter runs the Theorem 1 algorithm (Section 3.2): quantum maximum
 // finding over f(u0) = max_{v in S(u0)} ecc(v), where S(u0) covers every
 // vertex with probability >= d/2n (Lemma 1), giving Õ(sqrt(n·D)) rounds.
 func ExactDiameter(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
+	in, ecc, err := prologue(g, opts, false)
+	if in == nil {
+		return Result{Diameter: extremum(ecc, false)}, err
 	}
-	if r, err := trivialDiameter(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	n := g.N()
-	d := info.D
-
+	n, d := g.N(), in.info.D
 	// Evaluation for input u0 is exactly Figure 2: a 2d-step DFS walk from
 	// u0 assigning tau', the 6d-round wave process over S(u0), and the
 	// bottom-up max convergecast. All three phases have input-independent
-	// round counts. The walk and wave sessions are built once per context
-	// and every eval(u0) is a Reset+Run.
-	fam := walkEccFamily(topo, info, info.Children, 2*d, 6*d+2, nil, opts)
-
-	eps := float64(d) / (2 * float64(n)) // Lemma 1
-	if eps > 1 {
-		eps = 1
-	}
-	return runOptimization(fam, topo, opts, optimizationParams{
-		domain:      identityDomain(n),
-		eps:         eps,
-		initRounds:  pre.Rounds,
-		setupRounds: d + 1,
-	})
-}
-
-// walkEccFamily builds the Figure 2 Evaluation family shared by
-// ExactDiameter and ApproxDiameter: a steps-bounded token walk assigning
-// tau', then the wave process and max convergecast. check, when non-nil,
-// validates an input before any session runs (ApproxDiameter's R-membership
-// guard).
-func walkEccFamily(topo *congest.Topology, info *congest.PreInfo, children [][]int,
-	steps, waveDuration int, check func(u0 int) error, opts Options) evalFamily {
-	return func() *evalContext {
-		walk := congest.NewWalkSession(topo, info, children, steps, opts.Engine...)
-		ecc := congest.NewEccSession(topo, info, waveDuration, opts.Engine...)
-		return &evalContext{
-			eval: func(u0 int) (int, int, error) {
-				if check != nil {
-					if err := check(u0); err != nil {
-						return 0, 0, err
-					}
-				}
-				tau, mWalk, err := walk.Eval(u0)
-				if err != nil {
-					return 0, 0, err
-				}
-				value, mRest, err := ecc.Eval(tau)
-				if err != nil {
-					return 0, 0, err
-				}
-				return value, mWalk.Rounds + mRest.Rounds, nil
-			},
-			close: func() { walk.Close(); ecc.Close() },
-		}
-	}
+	// round counts.
+	o := in.oracle(in.walkEccFamily(in.info, in.info.Children, 2*d, 6*d+2, nil), 0)
+	eps := min(1, float64(d)/(2*float64(n))) // Lemma 1
+	return optimize(o, eps, opts, false)
 }
 
 // ApproxDiameter runs the Theorem 4 algorithm (Section 4, Figure 3): the
@@ -278,44 +315,26 @@ func walkEccFamily(topo *congest.Topology, info *congest.PreInfo, children [][]i
 // and the output Dhat satisfies floor(2D/3) <= Dhat <= D with high
 // probability.
 func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if r, err := trivialDiameter(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
+	// Choose s = n^{2/3} d^{-1/3} using the free 2-approximation
+	// d = ecc(leader): the prologue's preprocessing is the probe that
+	// supplies d. It is a real distributed phase, so its rounds are charged
+	// to InitRounds below, together with the preparation's.
+	in, ecc, err := prologue(g, opts, false)
+	if in == nil {
+		return Result{Diameter: extremum(ecc, false)}, err
 	}
 	n := g.N()
-
-	// Choose s = n^{2/3} d^{-1/3} using the free 2-approximation
-	// d = ecc(leader); a preliminary Preprocess supplies d. The probe is a
-	// real distributed phase, so its rounds are charged to InitRounds
-	// below, together with the preparation's.
-	infoProbe, probeM, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	dProbe := infoProbe.D
 	s := opts.S
 	if s <= 0 {
-		s = int(math.Ceil(math.Pow(float64(n), 2.0/3.0) / math.Pow(math.Max(1, float64(dProbe)), 1.0/3.0)))
+		s = int(math.Ceil(math.Pow(float64(n), 2.0/3.0) / math.Pow(math.Max(1, float64(in.info.D)), 1.0/3.0)))
 	}
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
-	}
+	s = min(max(s, 1), n)
 
-	prep, preM, err := congest.PrepareApproxOn(topo, s, opts.Seed, opts.Engine...)
+	prep, preM, err := congest.PrepareApproxOn(in.topo, s, opts.Seed, opts.Engine...)
 	if err != nil {
 		return Result{}, err
 	}
-	info := prep.Info
-	d := info.D
+	d := prep.Info.D
 
 	// The window width on the R-subtree tour: Lemma 1's argument needs the
 	// window to exceed the subtree depth by 2d, so that any window ending
@@ -324,9 +343,11 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 	// 2(tStar + d) preserves both the O(D) evaluation cost, since tStar <=
 	// ecc(w) <= 2d, and the coverage bound P_opt >= d/2s.)
 	tStar := 0
+	domain := make([]int, 0, prep.RSize)
 	for v := 0; v < n; v++ {
-		if prep.RMembers[v] && prep.WDepth[v] > tStar {
-			tStar = prep.WDepth[v]
+		if prep.RMembers[v] {
+			tStar = max(tStar, prep.WDepth[v])
+			domain = append(domain, v)
 		}
 	}
 	window := 2 * (tStar + d)
@@ -337,138 +358,83 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 		Children: prep.WNatural,
 		D:        prep.EccW,
 	}
-	waveDuration := 2*window + 2*d + 2
-
-	domain := make([]int, 0, prep.RSize)
-	for v := 0; v < n; v++ {
-		if prep.RMembers[v] {
-			domain = append(domain, v)
-		}
-	}
-
 	inR := func(u0 int) error {
 		if !prep.RMembers[u0] {
 			return fmt.Errorf("core: evaluation input %d outside R", u0)
 		}
 		return nil
 	}
-	fam := walkEccFamily(topo, wInfo, prep.RChild, window, waveDuration, inR, opts)
-
-	eps := float64(d) / (2 * float64(prep.RSize))
-	if eps > 1 {
-		eps = 1
-	}
-	return runOptimization(fam, topo, opts, optimizationParams{
-		domain:      domain,
-		eps:         eps,
-		initRounds:  probeM.Rounds + preM.Rounds,
-		setupRounds: tStar + 1, // broadcast down the R-subtree
-	})
+	o := in.oracle(in.walkEccFamily(wInfo, prep.RChild, window, 2*window+2*d+2, inR), preM.Rounds)
+	o.domain = domain
+	o.setupRounds = tStar + 1 // broadcast down the R-subtree
+	eps := min(1, float64(d)/(2*float64(prep.RSize)))
+	return optimize(o, eps, opts, false)
 }
 
-type optimizationParams struct {
-	domain      []int
-	eps         float64
-	initRounds  int
-	setupRounds int
-	// minimize runs quantum minimum finding instead of maximum finding
-	// (Dürr–Høyer is symmetric: amplify over negated values). Used by the
-	// radius entry points; eps then bounds the mass of minimizers.
-	minimize bool
+// walkEcc is the Figure 2 Evaluation shared by ExactDiameter and
+// ApproxDiameter: a steps-bounded token walk assigning tau', then the wave
+// process and max convergecast. check, when non-nil, validates an input
+// before any session runs (ApproxDiameter's R-membership guard).
+type walkEcc struct {
+	walk  *congest.WalkSession
+	ecc   *congest.EccSession
+	check func(u0 int) error
 }
 
-// singleEccContext is the Section 3.1 Evaluation: a single wave from u0 (a
-// scheduled BFS) followed by a convergecast of max dv to the leader —
-// "build BFS(u0), converge-cast ecc(u0)". The wave and convergecast sessions
-// are built once per context; each eval resets them with the tau assignment
-// where only u0 initiates (tau' = 0). It computes f(u0) = ecc(u0), the
-// objective of ExactDiameterSimple, Radius and Eccentricities.
-func singleEccContext(topo *congest.Topology, info *congest.PreInfo, opts Options) evalFamily {
-	n := topo.N()
-	waveDuration := 2*info.D + 1
-	return func() *evalContext {
-		ecc := congest.NewEccSession(topo, info, waveDuration, opts.Engine...)
-		tau := make([]int, n)
-		for i := range tau {
-			tau[i] = -1
-		}
-		last := -1
-		return &evalContext{
-			eval: func(u0 int) (int, int, error) {
-				if last >= 0 {
-					tau[last] = -1
-				}
-				tau[u0], last = 0, u0
-				value, m, err := ecc.Eval(tau)
-				if err != nil {
-					return 0, 0, err
-				}
-				return value, m.Rounds, nil
-			},
-			close: ecc.Close,
+func (in *instance) walkEccFamily(info *congest.PreInfo, children [][]int,
+	steps, waveDuration int, check func(u0 int) error) evalFamily {
+	return func() evalSession {
+		return &walkEcc{
+			walk:  congest.NewWalkSession(in.topo, info, children, steps, in.opts.Engine...),
+			ecc:   congest.NewEccSession(in.topo, info, waveDuration, in.opts.Engine...),
+			check: check,
 		}
 	}
 }
 
-// weightedEccContext is the weighted Evaluation: one fixed-duration
-// Bellman–Ford relaxation from u0 plus a weighted max convergecast,
-// computing f(u0) = weighted ecc(u0). On an unweighted graph it degenerates
-// to hop eccentricities (all weights 1).
-func weightedEccContext(topo *congest.Topology, info *congest.PreInfo, opts Options) evalFamily {
-	return func() *evalContext {
-		ecc := congest.NewWeightedEccSession(topo, info, opts.Engine...)
-		return &evalContext{
-			eval: func(u0 int) (int, int, error) {
-				value, m, err := ecc.Eval(u0)
-				if err != nil {
-					return 0, 0, err
-				}
-				return value, m.Rounds, nil
-			},
-			close: ecc.Close,
+func (s *walkEcc) Eval(u0 int) (int, congest.Metrics, error) {
+	if s.check != nil {
+		if err := s.check(u0); err != nil {
+			return 0, congest.Metrics{}, err
 		}
 	}
-}
-
-// runOptimization runs quantum maximum (or minimum) finding over the
-// Evaluation family, whose sessions run on topo, through the shared query
-// layer; the golden tests pin this path to the pre-refactor outputs bit
-// for bit.
-func runOptimization(fam evalFamily, topo *congest.Topology, opts Options, p optimizationParams) (Result, error) {
-	oracle := ctxOracle{
-		domain:      p.domain,
-		initRounds:  p.initRounds,
-		setupRounds: p.setupRounds,
-		family:      fam,
-		workers:     topo.EngineWorkers(opts.Engine...),
-	}
-	qopts := query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel}
-	var qr query.Result
-	var err error
-	if p.minimize {
-		qr, err = query.Minimum(oracle, p.eps, qopts)
-	} else {
-		qr, err = query.Maximum(oracle, p.eps, qopts)
-	}
+	tau, m, err := s.walk.Eval(u0)
 	if err != nil {
-		return Result{}, err
+		return 0, m, err
 	}
-	return Result{
-		Diameter:     qr.Value,
-		Rounds:       qr.Rounds,
-		InitRounds:   qr.InitRounds,
-		SetupRounds:  qr.SetupRounds,
-		EvalRounds:   qr.EvalRounds,
-		Iterations:   qr.Iterations,
-		LeaderQubits: qr.LeaderQubits,
-		NodeQubits:   qr.NodeQubits,
-	}, nil
+	value, mRest, err := s.ecc.Eval(tau)
+	m.Add(mRest)
+	return value, m, err
 }
 
-func identityDomain(n int) []int {
-	d := make([]int, n)
-	for i := range d {
-		d[i] = i
-	}
-	return d
+func (s *walkEcc) Close() { s.walk.Close(); s.ecc.Close() }
+
+// singleEcc is the Section 3.1 Evaluation: a single wave from u0 (a
+// scheduled BFS) followed by a convergecast of max dv to the leader —
+// "build BFS(u0), converge-cast ecc(u0)". Each Evaluation resets the
+// session with the tau assignment where only u0 initiates (tau' = 0). It
+// computes f(u0) = hop ecc(u0), the objective of ExactDiameterSimple,
+// Radius and Eccentricities on unweighted graphs.
+type singleEcc struct {
+	ecc  *congest.EccSession
+	tau  []int
+	last int
 }
+
+func newSingleEcc(in *instance) evalSession {
+	tau := make([]int, in.topo.N())
+	for i := range tau {
+		tau[i] = -1
+	}
+	return &singleEcc{ecc: congest.NewEccSession(in.topo, in.info, 2*in.info.D+1, in.opts.Engine...), tau: tau, last: -1}
+}
+
+func (s *singleEcc) Eval(u0 int) (int, congest.Metrics, error) {
+	if s.last >= 0 {
+		s.tau[s.last] = -1
+	}
+	s.tau[u0], s.last = 0, u0
+	return s.ecc.Eval(s.tau)
+}
+
+func (s *singleEcc) Close() { s.ecc.Close() }

@@ -18,52 +18,55 @@ package core
 // graph degenerates to the hop parameter (all weights 1).
 
 import (
-	"errors"
-
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
 	"qcongest/internal/query"
 )
 
-// trivialWeighted handles the n <= 2 cases of the weighted parameters: for
-// two vertices both eccentricities equal the weight of the single edge
-// (weight 0 means the edge is absent — the graph is disconnected).
-func trivialWeighted(g *graph.Graph) (Result, error) {
-	switch g.N() {
-	case 0, 1:
-		return Result{Diameter: 0}, nil
-	case 2:
-		w := g.Weight(0, 1)
-		if w == 0 {
-			return Result{}, graph.ErrDisconnected
-		}
-		return Result{Diameter: w}, nil
-	}
-	return Result{}, errTrivial
-}
+// metric selects the eccentricity an Evaluation family computes.
+type metric int
 
-// eccContextFor picks the Evaluation family the graph's metric (and
-// Options.Sublinear) calls for, returning any extra measured init rounds
+const (
+	// hopMetric: hop distances, whatever the graph's weights.
+	hopMetric metric = iota
+	// graphMetric: the graph's own metric, weighted iff it carries weights.
+	graphMetric
+	// weightedMetric: weighted distances (every weight 1 on an unweighted
+	// graph), always through a weighted Evaluation.
+	weightedMetric
+)
+
+// eccFamily picks the eccentricity Evaluation family the metric (and
+// Options.Sublinear) calls for, returning the extra measured init rounds
 // the family's preprocessing charged (the skeleton oracle's).
-func eccContextFor(g *graph.Graph, topo *congest.Topology, info *congest.PreInfo, opts Options) (evalFamily, int, error) {
-	if g.Weighted() {
-		return weightedFamilyFor(topo, info, opts)
+func (in *instance) eccFamily(m metric) (evalFamily, int, error) {
+	switch {
+	case m == hopMetric || m == graphMetric && !in.g.Weighted():
+		return func() evalSession { return newSingleEcc(in) }, 0, nil
+	case !in.opts.Sublinear:
+		return func() evalSession {
+			return congest.NewWeightedEccSession(in.topo, in.info, in.opts.Engine...)
+		}, 0, nil
 	}
-	return singleEccContext(topo, info, opts), 0, nil
-}
-
-// weightedFamilyFor picks between the classical fixed-duration Bellman–Ford
-// Evaluation (the golden-pinned default) and the skeleton distance oracle
-// (Options.Sublinear), returning the oracle's measured init cost.
-func weightedFamilyFor(topo *congest.Topology, info *congest.PreInfo, opts Options) (evalFamily, int, error) {
-	if !opts.Sublinear {
-		return weightedEccContext(topo, info, opts), 0, nil
-	}
-	oracle, err := buildSkelOracle(topo, info, opts)
+	oracle, err := in.skelOracle()
 	if err != nil {
 		return nil, 0, err
 	}
-	return skelEccFamily(oracle, opts), oracle.InitRounds, nil
+	return func() evalSession { return skelEcc{oracle.NewEvalSession(in.opts.Engine...)} }, oracle.InitRounds, nil
+}
+
+// eccOptimum is the Section 3.1 recipe under metric m: quantum maximum (or
+// minimum) finding over f(u) = ecc(u) with P_opt >= 1/n.
+func eccOptimum(g *graph.Graph, opts Options, m metric, minimize bool) (Result, error) {
+	in, ecc, err := prologue(g, opts, m != hopMetric)
+	if in == nil {
+		return Result{Diameter: extremum(ecc, minimize)}, err
+	}
+	fam, extraInit, err := in.eccFamily(m)
+	if err != nil {
+		return Result{}, err
+	}
+	return optimize(in.oracle(fam, extraInit), 1/float64(g.N()), opts, minimize)
 }
 
 // Radius computes the exact radius min_u ecc(u) by quantum minimum finding
@@ -73,30 +76,7 @@ func weightedFamilyFor(topo *congest.Topology, info *congest.PreInfo, opts Optio
 // fixed-duration Bellman–Ford relaxation and the result is the weighted
 // radius.
 func Radius(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if g.Weighted() {
-		return WeightedRadius(g, opts)
-	}
-	if r, err := trivialDiameter(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	return runOptimization(singleEccContext(topo, info, opts), topo, opts, optimizationParams{
-		domain:      identityDomain(g.N()),
-		eps:         1 / float64(g.N()),
-		initRounds:  pre.Rounds,
-		setupRounds: info.D + 1,
-		minimize:    true,
-	})
+	return eccOptimum(g, opts, graphMetric, true)
 }
 
 // WeightedDiameter computes the exact weighted diameter by quantum maximum
@@ -104,60 +84,13 @@ func Radius(g *graph.Graph, opts Options) (Result, error) {
 // one fixed-duration Bellman–Ford relaxation plus a weighted max
 // convergecast; on an unweighted graph the result equals the hop diameter.
 func WeightedDiameter(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if r, err := trivialWeighted(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	fam, oracleInit, err := weightedFamilyFor(topo, info, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return runOptimization(fam, topo, opts, optimizationParams{
-		domain:      identityDomain(g.N()),
-		eps:         1 / float64(g.N()),
-		initRounds:  pre.Rounds + oracleInit,
-		setupRounds: info.D + 1,
-	})
+	return eccOptimum(g, opts, weightedMetric, false)
 }
 
 // WeightedRadius is WeightedDiameter's minimization twin: quantum minimum
 // finding over the weighted eccentricities.
 func WeightedRadius(g *graph.Graph, opts Options) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if r, err := trivialWeighted(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	topo, err := congest.NewTopology(g)
-	if err != nil {
-		return Result{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return Result{}, err
-	}
-	fam, oracleInit, err := weightedFamilyFor(topo, info, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return runOptimization(fam, topo, opts, optimizationParams{
-		domain:      identityDomain(g.N()),
-		eps:         1 / float64(g.N()),
-		initRounds:  pre.Rounds + oracleInit,
-		setupRounds: info.D + 1,
-		minimize:    true,
-	})
+	return eccOptimum(g, opts, weightedMetric, true)
 }
 
 // EccResult reports the full eccentricity vector together with its measured
@@ -183,53 +116,27 @@ type EccResult struct {
 // run. On weighted graphs each Evaluation is the
 // weighted one and the vector holds weighted eccentricities.
 func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
-	if err := opts.validate(); err != nil {
-		return EccResult{}, err
+	in, ecc, err := prologue(g, opts, true)
+	if in == nil {
+		return EccResult{Ecc: ecc}, err
 	}
-	n := g.N()
-	switch n {
-	case 0:
-		return EccResult{Ecc: []int{}}, nil
-	case 1:
-		return EccResult{Ecc: []int{0}}, nil
-	case 2:
-		w := g.Weight(0, 1)
-		if w == 0 {
-			return EccResult{}, graph.ErrDisconnected
-		}
-		return EccResult{Ecc: []int{w, w}}, nil
-	}
-	topo, err := congest.NewTopology(g)
+	fam, extraInit, err := in.eccFamily(graphMetric)
 	if err != nil {
 		return EccResult{}, err
-	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return EccResult{}, err
-	}
-	fam, oracleInit, err := eccContextFor(g, topo, info, opts)
-	if err != nil {
-		return EccResult{}, err
-	}
-	oracle := ctxOracle{
-		domain:      identityDomain(n),
-		initRounds:  pre.Rounds + oracleInit,
-		setupRounds: info.D + 1,
-		family:      fam,
-		workers:     topo.EngineWorkers(opts.Engine...),
 	}
 	// The straight-line use of the query layer: one Evaluation per vertex,
 	// batched over cloned sessions (Parallel), with the per-vertex cost
 	// uniformity (the property the quantum queries rely on) asserted by
 	// EvalAll.
-	ecc, evalRounds, err := query.EvalAll(oracle, query.Options{Seed: opts.Seed, Parallel: opts.Parallel})
+	o := in.oracle(fam, extraInit)
+	ecc, evalRounds, err := query.EvalAll(o, opts.query())
 	if err != nil {
 		return EccResult{}, err
 	}
 	return EccResult{
 		Ecc:        ecc,
-		Rounds:     pre.Rounds + oracleInit + n*evalRounds,
-		InitRounds: pre.Rounds + oracleInit,
+		Rounds:     o.initRounds + len(ecc)*evalRounds,
+		InitRounds: o.initRounds,
 		EvalRounds: evalRounds,
 	}, nil
 }

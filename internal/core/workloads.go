@@ -10,7 +10,7 @@ package core
 // CONGEST programs with input-independent round counts.
 
 import (
-	"errors"
+	"slices"
 	"sort"
 
 	"qcongest/internal/congest"
@@ -41,75 +41,39 @@ type TriangleResult struct {
 	NodeQubits   int
 }
 
-// triangleOracle prepares the triangle Evaluation family: the adjacency
-// probe computes the per-vertex flags once (charged to InitRounds together
-// with the preprocessing), and each Evaluation extracts one flag at the
-// leader by a convergecast.
-func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, error) {
-	topo, err := congest.NewTopology(g)
+// triangleQuery runs quantum search (or counting) over the triangle
+// Evaluation family: the adjacency probe computes the per-vertex flags once
+// (charged to InitRounds together with the preprocessing), and each
+// Evaluation extracts one flag at the leader by a convergecast. Fewer than
+// three vertices never contain a triangle (the disconnected two-vertex
+// graph stays an error, consistently with the rest of the suite).
+func triangleQuery(g *graph.Graph, opts Options, count bool) (TriangleResult, error) {
+	in, _, err := prologue(g, opts, false)
+	if in == nil {
+		return TriangleResult{}, err
+	}
+	flags, probe, err := congest.TriangleFlagsOn(in.topo, opts.Engine...)
 	if err != nil {
-		return ctxOracle{}, err
+		return TriangleResult{}, err
 	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
+	o := in.oracle(func() evalSession {
+		return congest.NewTriangleSession(in.topo, in.info, flags, opts.Engine...)
+	}, probe.Rounds)
+	run := query.Search
+	if count {
+		run = query.Count
+	}
+	qr, err := run(o, func(v int) bool { return v == 1 }, opts.query())
 	if err != nil {
-		return ctxOracle{}, err
+		return TriangleResult{}, err
 	}
-	flags, probe, err := congest.TriangleFlagsOn(topo, opts.Engine...)
-	if err != nil {
-		return ctxOracle{}, err
-	}
-	return ctxOracle{
-		domain:      identityDomain(g.N()),
-		initRounds:  pre.Rounds + probe.Rounds,
-		setupRounds: info.D + 1,
-		workers:     topo.EngineWorkers(opts.Engine...),
-		family: func() *evalContext {
-			ts := congest.NewTriangleSession(topo, info, flags, opts.Engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					v, m, err := ts.Eval(u0)
-					return v, m.Rounds, err
-				},
-				close: ts.Close,
-			}
-		},
-	}, nil
-}
-
-func triangleFromQuery(qr query.Result) TriangleResult {
-	res := TriangleResult{
-		Found:        qr.Found,
-		Vertex:       qr.X,
-		Count:        qr.Count,
-		Rounds:       qr.Rounds,
-		InitRounds:   qr.InitRounds,
-		SetupRounds:  qr.SetupRounds,
-		EvalRounds:   qr.EvalRounds,
-		Iterations:   qr.Iterations,
-		LeaderQubits: qr.LeaderQubits,
-		NodeQubits:   qr.NodeQubits,
-	}
+	res := TriangleResult{Found: qr.Found, Vertex: qr.X, Count: qr.Count}
+	res.Rounds, res.InitRounds, res.SetupRounds, res.EvalRounds, res.Iterations, res.LeaderQubits, res.NodeQubits = costs(qr)
 	if len(qr.All) > 0 {
 		res.Vertices = append([]int(nil), qr.All...)
 		sort.Ints(res.Vertices)
 	}
-	return res
-}
-
-// trivialTriangle handles the quantum-free cases: fewer than three vertices
-// never contain a triangle (the disconnected two-vertex graph stays an
-// error, consistently with the rest of the suite).
-func trivialTriangle(g *graph.Graph) (TriangleResult, error) {
-	switch g.N() {
-	case 0, 1:
-		return TriangleResult{}, nil
-	case 2:
-		if !g.HasEdge(0, 1) {
-			return TriangleResult{}, graph.ErrDisconnected
-		}
-		return TriangleResult{}, nil
-	}
-	return TriangleResult{}, errTrivial
+	return res, nil
 }
 
 // TriangleDetect decides whether the graph contains a triangle by quantum
@@ -117,44 +81,14 @@ func trivialTriangle(g *graph.Graph) (TriangleResult, error) {
 // triangle. With probability at least 1-Delta the answer is correct in both
 // directions.
 func TriangleDetect(g *graph.Graph, opts Options) (TriangleResult, error) {
-	if err := opts.validate(); err != nil {
-		return TriangleResult{}, err
-	}
-	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	oracle, err := triangleOracle(g, opts)
-	if err != nil {
-		return TriangleResult{}, err
-	}
-	qr, err := query.Search(oracle, func(v int) bool { return v == 1 },
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
-	if err != nil {
-		return TriangleResult{}, err
-	}
-	return triangleFromQuery(qr), nil
+	return triangleQuery(g, opts, false)
 }
 
 // TriangleCount counts the vertices lying on at least one triangle (and
 // lists them) by the quantum search-and-exclude loop over the same
 // predicate.
 func TriangleCount(g *graph.Graph, opts Options) (TriangleResult, error) {
-	if err := opts.validate(); err != nil {
-		return TriangleResult{}, err
-	}
-	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
-		return r, err
-	}
-	oracle, err := triangleOracle(g, opts)
-	if err != nil {
-		return TriangleResult{}, err
-	}
-	qr, err := query.Count(oracle, func(v int) bool { return v == 1 },
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
-	if err != nil {
-		return TriangleResult{}, err
-	}
-	return triangleFromQuery(qr), nil
+	return triangleQuery(g, opts, true)
 }
 
 // CutResult reports a minimum tree cut together with its measured costs.
@@ -182,65 +116,26 @@ type CutResult struct {
 // convergecast; on unweighted graphs every edge weighs 1 and the result is
 // the smallest crossing edge count.
 func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
-	if err := opts.validate(); err != nil {
-		return CutResult{}, err
-	}
-	n := g.N()
-	switch n {
-	case 0, 1:
-		return CutResult{}, graph.ErrDisconnected
-	case 2:
-		w := g.Weight(0, 1)
-		if w == 0 {
-			return CutResult{}, graph.ErrDisconnected
+	in, ecc, err := prologue(g, opts, true)
+	if in == nil {
+		if err == nil && len(ecc) < 2 {
+			err = graph.ErrDisconnected // no tree cut: nothing to separate
+		}
+		if err != nil {
+			return CutResult{}, err
 		}
 		// The single non-leader subtree is {0}; its cut is the one edge.
-		return CutResult{Weight: w, Root: 0}, nil
+		return CutResult{Weight: ecc[0], Root: 0}, nil
 	}
-	topo, err := congest.NewTopology(g)
+	o := in.oracle(func() evalSession {
+		return congest.NewCutSession(in.topo, in.info, opts.Engine...)
+	}, 0)
+	o.domain = slices.DeleteFunc(o.domain, func(v int) bool { return v == in.info.Leader })
+	qr, err := query.Minimum(o, 1/float64(len(o.domain)), opts.query())
 	if err != nil {
 		return CutResult{}, err
 	}
-	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
-	if err != nil {
-		return CutResult{}, err
-	}
-	domain := make([]int, 0, n-1)
-	for v := 0; v < n; v++ {
-		if v != info.Leader {
-			domain = append(domain, v)
-		}
-	}
-	oracle := ctxOracle{
-		domain:      domain,
-		initRounds:  pre.Rounds,
-		setupRounds: info.D + 1,
-		workers:     topo.EngineWorkers(opts.Engine...),
-		family: func() *evalContext {
-			cs := congest.NewCutSession(topo, info, opts.Engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					v, m, err := cs.Eval(u0)
-					return v, m.Rounds, err
-				},
-				close: cs.Close,
-			}
-		},
-	}
-	qr, err := query.Minimum(oracle, 1/float64(len(domain)),
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
-	if err != nil {
-		return CutResult{}, err
-	}
-	return CutResult{
-		Weight:       qr.Value,
-		Root:         qr.X,
-		Rounds:       qr.Rounds,
-		InitRounds:   qr.InitRounds,
-		SetupRounds:  qr.SetupRounds,
-		EvalRounds:   qr.EvalRounds,
-		Iterations:   qr.Iterations,
-		LeaderQubits: qr.LeaderQubits,
-		NodeQubits:   qr.NodeQubits,
-	}, nil
+	res := CutResult{Weight: qr.Value, Root: qr.X}
+	res.Rounds, res.InitRounds, res.SetupRounds, res.EvalRounds, res.Iterations, res.LeaderQubits, res.NodeQubits = costs(qr)
+	return res, nil
 }

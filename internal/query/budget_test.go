@@ -140,3 +140,28 @@ func TestBudgetBatchesOnlyFullDomainQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetCapsExplicitParallel pins the cap on an explicit Parallel: a
+// query never clones more contexts than its domain has labels, since a
+// context without a label to evaluate only costs its sessions. The outcome
+// equals the sequential one.
+func TestBudgetCapsExplicitParallel(t *testing.T) {
+	const n = 3
+	for _, q := range budgetQueries {
+		want, err := q.run(&countingOracle{n: n, seen: map[int]bool{}}, query.Options{Seed: 5, Parallel: 1})
+		if err != nil {
+			t.Fatalf("%s sequential: %v", q.name, err)
+		}
+		counts := &countingOracle{n: n, seen: map[int]bool{}}
+		got, err := q.run(counts, query.Options{Seed: 5, Parallel: 64})
+		if err != nil {
+			t.Fatalf("%s Parallel 64: %v", q.name, err)
+		}
+		if counts.contexts > n {
+			t.Errorf("%s Parallel 64 over %d labels: %d contexts", q.name, n, counts.contexts)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s Parallel 64: outcome %+v, sequential %+v", q.name, got, want)
+		}
+	}
+}

@@ -128,18 +128,21 @@ func (o Options) delta() float64 {
 func (o Options) rng() *rand.Rand { return rand.New(rand.NewSource(o.Seed)) }
 
 // contexts returns how many evaluation contexts a query over oracle o
-// clones. touchesAll reports whether the query evaluates every domain
-// label whatever its measurements: only those queries batch under the
-// automatic budget, since batching the others can waste Evaluations.
+// clones: never more than its domain has labels, since a context without
+// a label to evaluate only costs its sessions. touchesAll reports whether
+// the query evaluates every domain label whatever its measurements: only
+// those queries batch under the automatic budget, since batching the
+// others can waste Evaluations.
 func (opts Options) contexts(o Oracle, touchesAll bool) int {
+	jobs := len(o.Domain())
 	switch {
 	case opts.Parallel > 0:
-		return opts.Parallel
+		return max(1, min(opts.Parallel, jobs))
 	case opts.Parallel < 0 || !touchesAll:
 		return 1
 	}
 	if eb, ok := o.(EngineBound); ok {
-		return congest.Contexts(eb.EngineWorkers(), len(o.Domain()))
+		return congest.Contexts(eb.EngineWorkers(), jobs)
 	}
 	return 1
 }

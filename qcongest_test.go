@@ -383,3 +383,43 @@ func TestPublicDistanceParameterSuite(t *testing.T) {
 		t.Fatalf("quantum weighted radius %d, oracle %d", wrres.Diameter, wantWR)
 	}
 }
+
+// TestNilGraphIsAnError runs every graph-taking entry point of the facade on
+// a nil graph: each must return an error, never panic.
+func TestNilGraphIsAnError(t *testing.T) {
+	opts := QuantumOptions{Seed: 1}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ClassicalExactDiameter", func() error { _, err := ClassicalExactDiameter(nil); return err }},
+		{"ClassicalApproxDiameter", func() error { _, err := ClassicalApproxDiameter(nil, 0, 1); return err }},
+		{"ClassicalEccentricities", func() error { _, _, err := ClassicalEccentricities(nil); return err }},
+		{"ClassicalWeightedDiameter", func() error { _, err := ClassicalWeightedDiameter(nil); return err }},
+		{"QuantumExactDiameter", func() error { _, err := QuantumExactDiameter(nil, opts); return err }},
+		{"QuantumExactDiameterSimple", func() error { _, err := QuantumExactDiameterSimple(nil, opts); return err }},
+		{"QuantumApproxDiameter", func() error { _, err := QuantumApproxDiameter(nil, opts); return err }},
+		{"Radius", func() error { _, err := Radius(nil, opts); return err }},
+		{"WeightedDiameter", func() error { _, err := WeightedDiameter(nil, opts); return err }},
+		{"WeightedRadius", func() error { _, err := WeightedRadius(nil, opts); return err }},
+		{"APSP", func() error { _, err := APSP(nil, opts, nil); return err }},
+		{"Eccentricities", func() error { _, err := Eccentricities(nil, opts); return err }},
+		{"TriangleDetect", func() error { _, err := TriangleDetect(nil, opts); return err }},
+		{"TriangleCount", func() error { _, err := TriangleCount(nil, opts); return err }},
+		{"MinTreeCut", func() error { _, err := MinTreeCut(nil, opts); return err }},
+		{"NewCongestTopology", func() error { _, err := NewCongestTopology(nil); return err }},
+		{"NewCongestNetwork", func() error { _, err := NewCongestNetwork(nil, nil); return err }},
+		{"Lemma1Coverage", func() error { _, _, err := Lemma1Coverage(nil); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("nil graph: no error")
+			}
+		})
+	}
+}
