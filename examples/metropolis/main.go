@@ -49,9 +49,9 @@ func init() {
 }
 
 // floodNode learns its BFS distance from vertex 0 and relays it once: the
-// textbook wave, written frontier-style. Only the source acts
-// spontaneously (round 1); everything else is message-driven, which is
-// exactly what NextWake tells the scheduler.
+// textbook wave, written frontier-style. The source acts in round 1, and
+// every other vertex relays in the round after it is reached; NextWake
+// tells the scheduler exactly these rounds.
 type floodNode struct {
 	dist int // -1 until reached
 	pend bool

@@ -200,8 +200,8 @@ func (c *ConvergecastNode) Receive(env *Env, inbox []Inbound) {
 func (c *ConvergecastNode) Done() bool { return c.sent }
 
 // NextWake implements Scheduled: a node transmits once, as soon as all of
-// its children have reported (leaves in round 1); child reports are
-// messages and schedule the node by themselves.
+// its children have reported (leaves in round 1); NextWake is asked after
+// every report's Receive, so the last report schedules the transmission.
 func (c *ConvergecastNode) NextWake(env *Env, round int) int {
 	if !c.sent && c.received >= c.children {
 		return round + 1
@@ -484,7 +484,8 @@ func (s *SlotConvergecastNode) Done() bool { return s.finished }
 // NextWake implements Scheduled: the up window [D-depth+1, D-depth+Slots]
 // (non-root nodes), the down window [gatherEnd+depth+1,
 // gatherEnd+depth+Slots] (non-leaf nodes with a down phase), and the final
-// timer. Message arrivals wake the node regardless.
+// timer. An arrival outside them runs only the Receive half: the node
+// transmits inside its windows alone.
 func (s *SlotConvergecastNode) NextWake(env *Env, round int) int {
 	if s.finished {
 		return NeverWake

@@ -345,6 +345,9 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 		return res, errNilGraph
 	}
 	n := g.N()
+	if n == 0 {
+		return res, errEmptyGraph
+	}
 	if n == 1 {
 		return ExactResult{Diameter: 0}, nil
 	}

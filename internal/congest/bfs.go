@@ -187,7 +187,7 @@ func (b *BFSNode) Done() bool { return b.done }
 // three situations: the root self-activates (round 1), an activated node
 // broadcasts once, and the child set becomes final by the round-(Dist+2)
 // timer — after which the node reports as soon as the last child report is
-// in (reports arrive as messages, which schedule the node by themselves).
+// in (NextWake, asked after every report's Receive, then answers round+1).
 func (b *BFSNode) NextWake(env *Env, round int) int {
 	if b.done {
 		return NeverWake

@@ -41,9 +41,10 @@
 // including the k=1 serial execution. Encoded messages live in recycled
 // per-worker arenas, so steady-state rounds allocate nothing.
 //
-// Rounds are frontier-scheduled (see scheduler.go): only vertices that
-// received a message last round, self-scheduled a wake (the Scheduled
-// contract), or lack the contract entirely are executed — bit-identical to
+// Rounds are frontier-scheduled (see scheduler.go): only vertices whose
+// program scheduled the round (the Scheduled contract's NextWake, asked
+// after every execution, including the Receive a message triggers) or
+// that lack the contract entirely are executed — bit-identical to
 // RunReference, which executes every vertex every round, but wall-clock
 // scales with the algorithm's total work instead of n·rounds. The
 // adjacency the engine runs on is a packed CSR core built once per

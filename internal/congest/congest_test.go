@@ -52,6 +52,22 @@ func TestNilGraphRejected(t *testing.T) {
 	}
 }
 
+// The four classical entry points answer the graph of no vertices with one
+// error, errEmptyGraph.
+func TestClassicalEmptyGraph(t *testing.T) {
+	empty := graph.New(0)
+	for name, run := range map[string]func() error{
+		"ClassicalExactDiameter":    func() error { _, err := ClassicalExactDiameter(empty); return err },
+		"ClassicalApproxDiameter":   func() error { _, err := ClassicalApproxDiameter(empty, 0, 1); return err },
+		"ClassicalEccentricities":   func() error { _, _, err := ClassicalEccentricities(empty); return err },
+		"ClassicalWeightedDiameter": func() error { _, err := ClassicalWeightedDiameter(empty); return err },
+	} {
+		if err := run(); !errors.Is(err, errEmptyGraph) {
+			t.Errorf("%s(empty): %v, want %v", name, err, errEmptyGraph)
+		}
+	}
+}
+
 // a node that sends to a non-neighbor, to exercise engine validation.
 type rogueNode struct {
 	sent bool

@@ -32,7 +32,7 @@ func ClassicalExactDiameter(g *graph.Graph, opts ...Option) (ExactResult, error)
 	}
 	n := g.N()
 	if n == 0 {
-		return res, fmt.Errorf("congest: empty graph")
+		return res, errEmptyGraph
 	}
 	if n == 1 {
 		return ExactResult{Diameter: 0}, nil
@@ -107,7 +107,7 @@ func ClassicalEccentricities(g *graph.Graph, opts ...Option) ([]int, Metrics, er
 	}
 	n := g.N()
 	if n == 0 {
-		return nil, Metrics{}, fmt.Errorf("congest: empty graph")
+		return nil, Metrics{}, errEmptyGraph
 	}
 	if n == 1 {
 		return []int{0}, Metrics{}, nil

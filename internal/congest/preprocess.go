@@ -38,7 +38,7 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	var total Metrics
 	n := topo.N()
 	if n == 0 {
-		return nil, total, fmt.Errorf("congest: empty graph")
+		return nil, total, errEmptyGraph
 	}
 
 	// Phase 1: leader election by max-id flooding.

@@ -315,6 +315,7 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	}
 
 	for _, c := range cases {
+		auditWakes(t, c)
 		want := runSchedCase(t, c, (*Network).RunReference)
 		for _, m := range schedMatrix {
 			got := runSchedCase(t, c, (*Network).Run, m.opts...)
@@ -354,6 +355,61 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 			}
 			sess.Close()
 		}
+	}
+}
+
+// wakeAudit wraps a Scheduled program to check the contract under
+// RunReference, which executes every vertex every round: it records the
+// program's latest NextWake answer (asked, as the frontier engine does,
+// before round 1 and after every Receive) and logs every round in which the
+// vertex emits although that answer had not called for the round. The
+// frontier engine skips such a Send, so each logged emission is one the
+// engine would lose.
+type wakeAudit struct {
+	Node
+	sc    Scheduled
+	wake  int
+	asked bool
+	bad   *[]string
+}
+
+func (a *wakeAudit) Send(env *Env, out *Outbox) {
+	if !a.asked {
+		e0 := *env
+		e0.Round = 0
+		a.wake, a.asked = a.sc.NextWake(&e0, 0), true
+	}
+	before := out.sent()
+	a.Node.Send(env, out)
+	if out.sent() > before && (a.wake == NeverWake || a.wake > env.Round) {
+		*a.bad = append(*a.bad, fmt.Sprintf("vertex %d emits in round %d, but its last NextWake answered %d",
+			env.ID, env.Round, a.wake))
+	}
+}
+
+func (a *wakeAudit) Receive(env *Env, inbox []Inbound) {
+	a.Node.Receive(env, inbox)
+	a.wake = a.sc.NextWake(env, env.Round)
+}
+
+// auditWakes runs c under RunReference with every Scheduled program wrapped
+// in a wakeAudit and fails, naming the program, the vertex and the round,
+// if any vertex emits in a round its NextWake answers did not schedule.
+func auditWakes(t *testing.T, c schedCase) {
+	t.Helper()
+	var bad []string
+	nw := NewNetworkOn(c.topo, func(v int) Node {
+		nd := c.make(v)
+		if sc, ok := nd.(Scheduled); ok {
+			return &wakeAudit{Node: nd, sc: sc, bad: &bad}
+		}
+		return nd
+	})
+	if err := nw.RunReference(c.maxRounds); err != nil {
+		t.Fatalf("%s: audit run: %v", c.name, err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("%s breaks the NextWake contract (%d emissions unscheduled): %s", c.name, len(bad), bad[0])
 	}
 }
 
@@ -610,6 +666,108 @@ func (f *wakeFloodNode) NextWake(env *Env, round int) int {
 		return round + 1
 	}
 	return NeverWake
+}
+
+// countedFlood is a message-driven BFS flood that counts its Send and
+// Receive executions. A vertex announces its own distance (so the payload
+// stays inside the id range on a path from an endpoint) in the round after
+// it learns it; heard hashes the senders of every delivered message in
+// delivery order.
+type countedFlood struct {
+	dist         int // -1 until reached
+	pend         bool
+	heard        uint64
+	sends, recvs int
+	tx, rx       msgActivate
+}
+
+func (f *countedFlood) Send(env *Env, out *Outbox) {
+	f.sends++
+	if !f.pend {
+		return
+	}
+	f.pend = false
+	f.tx.Dist = f.dist
+	out.Broadcast(env.Neighbors, &f.tx)
+}
+
+func (f *countedFlood) Receive(env *Env, inbox []Inbound) {
+	f.recvs++
+	for i := range inbox {
+		in := &inbox[i]
+		f.heard = f.heard*1000003 + uint64(in.From+1)
+		if in.Decode(env, &f.rx) == nil && f.dist == -1 {
+			f.dist, f.pend = f.rx.Dist+1, true
+		}
+	}
+}
+
+func (f *countedFlood) Done() bool { return f.dist >= 0 && !f.pend }
+
+func (f *countedFlood) NextWake(env *Env, round int) int {
+	if f.pend {
+		return round + 1
+	}
+	return NeverWake
+}
+
+// TestNextWakeIsTheOnlySchedulingRule pins the frontier invariant's
+// execution counts on a flood along Path(64) from vertex 0. A vertex's Send
+// runs only when NextWake calls for it, so each vertex sends exactly once:
+// a reception alone, such as the stale echo every interior vertex gets back
+// from its successor, schedules nothing. The Receive half runs over the
+// frontier and the receivers: 2 executions in round 1, 3 in each of rounds
+// 2..63 (the sender and both of its neighbors), and 2 in round 64.
+// Outputs and Metrics must still equal RunReference.
+func TestNextWakeIsTheOnlySchedulingRule(t *testing.T) {
+	const n = 64
+	topo := mustTopology(t, graph.Path(n))
+	build := func() (*[n]countedFlood, func(v int) Node) {
+		var progs [n]countedFlood
+		return &progs, func(v int) Node {
+			progs[v] = countedFlood{dist: -1}
+			if v == 0 {
+				progs[v].dist, progs[v].pend = 0, true
+			}
+			return &progs[v]
+		}
+	}
+	outputs := func(progs *[n]countedFlood) string {
+		var sb strings.Builder
+		for v := range progs {
+			fmt.Fprintf(&sb, "%d/%x;", progs[v].dist, progs[v].heard)
+		}
+		return sb.String()
+	}
+	refProgs, refMake := build()
+	ref := NewNetworkOn(topo, refMake)
+	if err := ref.RunReference(4 * n); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		progs, mk := build()
+		nw := NewNetworkOn(topo, mk, WithWorkers(k))
+		if err := nw.Run(4 * n); err != nil {
+			t.Fatalf("workers %d: %v", k, err)
+		}
+		if got, want := outputs(progs), outputs(refProgs); got != want {
+			t.Errorf("workers %d: outputs differ from RunReference", k)
+		}
+		if nw.Metrics() != ref.Metrics() {
+			t.Errorf("workers %d: Metrics = %+v, want %+v", k, nw.Metrics(), ref.Metrics())
+		}
+		sends, recvs := 0, 0
+		for v := range progs {
+			if progs[v].sends != 1 {
+				t.Errorf("workers %d: vertex %d ran Send %d times, want 1", k, v, progs[v].sends)
+			}
+			sends += progs[v].sends
+			recvs += progs[v].recvs
+		}
+		if sends != n || recvs != 2+3*(n-2)+2 {
+			t.Errorf("workers %d: %d Send and %d Receive executions, want %d and %d", k, sends, recvs, n, 2+3*(n-2)+2)
+		}
+	}
 }
 
 // TestAlwaysActiveProgramsMatchReference runs programs without the

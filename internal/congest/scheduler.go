@@ -12,24 +12,27 @@ package congest
 //
 // A vertex is executed in round r if and only if at least one of:
 //
-//  1. a message was delivered to it in round r-1 (messages may change its
-//     state, so its next Send may emit);
-//  2. its program self-scheduled round r through the Scheduled contract
-//     (NextWake), which covers spontaneous actions — a wave initiation at
-//     round 2*tau'+1, a fixed-duration timer firing, the next step of a
+//  1. its program scheduled round r through the Scheduled contract
+//     (NextWake, asked after every execution of the vertex) — a pending
+//     re-broadcast or reply after a reception, a wave initiation at round
+//     2*tau'+1, a fixed-duration timer firing, the next step of a
 //     pipelined schedule;
-//  3. its program does not implement the contract at all — the
+//  2. its program does not implement the contract at all — the
 //     conservative always-active default, under which the vertex runs
 //     every round exactly as in RunReference, so custom user programs
 //     written against the facade keep working unchanged.
 //
 // Message delivery is independent of the frontier: a message sent in round
 // r is received in round r by its target whether or not the target was
-// scheduled (the receive half runs over frontier ∪ receivers).
+// scheduled (the receive half runs over frontier ∪ receivers). A reception
+// does not by itself schedule the receiver again: after its Receive the
+// engine asks NextWake, and the answer alone decides its next execution.
 //
 // The contract a Scheduled program must uphold is exactly: whenever the
 // scheduler would skip the vertex, running its Send and Receive (with an
 // empty inbox) in RunReference would emit nothing and change no state.
+// In particular NextWake must answer round+1 whenever the vertex's next
+// Send would emit or change state, including right after a reception.
 // Under that contract the frontier execution is bit-identical to
 // RunReference by construction: skipped work is work that provably does
 // nothing. The scheduler-equivalence tests assert this across the whole
@@ -37,15 +40,18 @@ package congest
 //
 // # Representation: hierarchical bitsets, shard-local everything
 //
-// The frontier and its accumulator are shardedBitsets (bitset.go): a
-// one-bit-per-vertex word layer under a one-bit-per-word summary layer.
+// The frontier, its accumulator and the receive set are shardedBitsets
+// (bitset.go): a one-bit-per-vertex word layer under a one-bit-per-word
+// summary layer.
 // Building, deduplicating and iterating the frontier is O(active/64 +
 // n/4096) — insertion dedupes in O(1), iteration chases set summary bits
 // with bits.TrailingZeros64, and there is no per-round sorting and no
 // steady-state allocation at all. Two bitsets double-buffer the rounds:
 // `cur` is the frontier being executed, `nxt` accumulates next round's
-// (receivers of this round, plus wakes due next round); buildFrontier is a
-// pointer swap plus the heap-due and always-on inserts.
+// (the wakes due next round); buildFrontier is a pointer swap plus the
+// heap-due and always-on inserts. A third, `rcv`, holds the current
+// round's receivers between the claim pass and the receive iteration,
+// which consumes it.
 //
 // Vertices are split into k contiguous shards aligned to 4096 vertices
 // (64 words = one summary word), so every word either layer owns belongs
@@ -59,7 +65,7 @@ package congest
 //     vertex on both the register and the drain side;
 //   - receive-set accumulation is merge-free: every worker scans all
 //     workers' touched-receiver lists but claims only its own vertices,
-//     inserting them into its shard of `nxt` directly;
+//     inserting them into its shard of `rcv` directly;
 //   - wake registrations are epoch-stamped (wake[v] = epoch<<32|round), so
 //     resetting a persistent engine between Session executions is one
 //     epoch increment, not an O(n) wipe.
@@ -109,9 +115,11 @@ const NeverWake = 0
 // even if no message arrives before then: round+1 to run next round, a
 // larger value to sleep until a scheduled action (values <= round are
 // clamped to round+1), or NeverWake when the vertex is purely
-// message-driven until further notice. A delivered message always
-// schedules its receiver for the following round, so NextWake only needs
-// to cover spontaneous actions.
+// message-driven until further notice. A delivered message is received in
+// the round it is sent, but it does not schedule its receiver for the
+// following round: NextWake is asked after that Receive too, so it must
+// answer round+1 whenever the vertex's next Send would emit or change
+// state — a reply or re-broadcast the message made pending included.
 //
 // Contract: if NextWake answers NeverWake (or a round later than r), then
 // executing the vertex at round r with an empty inbox must emit nothing
@@ -162,6 +170,7 @@ type frontierState struct {
 
 	cur *shardedBitset // the frontier executing the current round
 	nxt *shardedBitset // accumulator for the next round's frontier
+	rcv *shardedBitset // this round's receivers; empty outside recvShard
 
 	curCount int // |cur|, folded from the shard add-deltas
 	nxtCount int // |nxt| so far (coordinator's share; workers fold in deltas)
@@ -220,6 +229,7 @@ func newFrontierState(n, k int, nodes []Node) *frontierState {
 		wps:       wordsPerShard((n+63)>>6, k),
 		cur:       newShardedBitset(n),
 		nxt:       newShardedBitset(n),
+		rcv:       newShardedBitset(n),
 		wake:      make([]uint64, n),
 		heaps:     make([][]wakeBucket, k),
 		open:      make([]wakeBucket, k),
@@ -414,7 +424,7 @@ func (fr *frontierState) drainBucket(s int, b wakeBucket, cur *shardedBitset, co
 }
 
 // buildFrontier assembles the frontier for `round`: the accumulated
-// receivers/near-wakes become current by a bitset swap, then the self-wakes
+// near-wakes become current by a bitset swap, then the self-wakes
 // due by `round` and the always-active vertices are inserted (the bitset
 // dedupes, so no sort and no membership arrays).
 func (e *engine) buildFrontier(round int) {
@@ -519,11 +529,11 @@ func (e *engine) sendShard(w int) {
 // state, so the barrier only folds counters.
 //
 // The receive set is never materialized: at entry the worker claims its
-// own vertices from every worker's touched-receiver list into `nxt` (rule
-// 1 of the invariant seeds next round's frontier with this round's
-// receivers), and then iterates the union cur|nxt word by word. Insertions
-// during the iteration are safe snapshots: register only ever adds the
-// vertex currently being executed, whose union bit was already consumed.
+// own vertices from every worker's touched-receiver list into `rcv`, and
+// then iterates the union cur|rcv word by word, clearing each `rcv` word
+// and summary word as it consumes it, so `rcv` is empty again at the
+// barrier. A reception schedules nothing by itself: `nxt` gains only the
+// wakes that register records from NextWake answers.
 func (e *engine) recvShard(w int) {
 	nw := e.nw
 	st := &e.ws[w]
@@ -540,20 +550,22 @@ func (e *engine) recvShard(w int) {
 		vlo, vhi := int32(wlo<<6), int32(whi<<6)
 		for ww := range e.ws {
 			for _, to := range e.ws[ww].outbox.touched {
-				if to >= vlo && to < vhi && fr.nxt.add(to) {
-					added++
+				if to >= vlo && to < vhi {
+					fr.rcv.add(to)
 				}
 			}
 		}
 	}
-	cur, nxt := fr.cur, fr.nxt
+	cur, rcv := fr.cur, fr.rcv
 	env, nbrs, round := &st.env, nw.topo.neighbors, e.round
 	for si := wlo >> 6; si < (whi+63)>>6; si++ {
-		sw := cur.sum[si] | nxt.sum[si]
+		sw := cur.sum[si] | rcv.sum[si]
+		rcv.sum[si] = 0
 		for sw != 0 {
 			wi := si<<6 + bits.TrailingZeros64(sw)
 			sw &= sw - 1
-			word := cur.words[wi] | nxt.words[wi]
+			word := cur.words[wi] | rcv.words[wi]
+			rcv.words[wi] = 0
 			for word != 0 {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1

@@ -53,6 +53,10 @@ type Topology struct {
 // returns for a nil graph.
 var errNilGraph = errors.New("congest: nil graph")
 
+// errEmptyGraph is what the classical entry points and PreprocessOn return
+// for a graph of no vertices.
+var errEmptyGraph = errors.New("congest: empty graph")
+
 // NewTopology validates g (it must be connected, like every algorithm in
 // this repository assumes) and packs its adjacency (and, for weighted
 // graphs, the aligned edge-weight tables) into the CSR arenas.

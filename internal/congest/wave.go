@@ -160,8 +160,8 @@ func (w *WaveNode) Done() bool { return w.finished }
 
 // NextWake implements Scheduled: a wave node acts spontaneously only at
 // its own initiation round 2*tau'+1 (members of S) and at the Duration
-// timer; re-broadcasts are message-driven (pending is set by Receive, and
-// receivers are scheduled for the following round automatically).
+// timer; a re-broadcast is scheduled here too (Receive sets pending, and
+// NextWake, asked right after, answers the following round).
 func (w *WaveNode) NextWake(env *Env, round int) int {
 	if w.finished {
 		return NeverWake

@@ -244,7 +244,7 @@ func ClassicalWeightedDiameter(g *graph.Graph, opts ...Option) (ExactResult, err
 	}
 	n := g.N()
 	if n == 0 {
-		return res, fmt.Errorf("congest: empty graph")
+		return res, errEmptyGraph
 	}
 	if n == 1 {
 		return ExactResult{Diameter: 0}, nil

@@ -10,6 +10,7 @@ package core
 // CONGEST programs with input-independent round counts.
 
 import (
+	"errors"
 	"slices"
 	"sort"
 
@@ -17,6 +18,10 @@ import (
 	"qcongest/internal/graph"
 	"qcongest/internal/query"
 )
+
+// errNoTreeCut is MinTreeCut's answer on the connected graphs of 0 and 1
+// vertices, which have nothing to separate.
+var errNoTreeCut = errors.New("core: no tree cut on fewer than two vertices")
 
 // TriangleResult reports a triangle search or count together with its
 // measured costs.
@@ -114,12 +119,14 @@ type CutResult struct {
 // for u ranging over the non-leader vertices (the leader's subtree is the
 // whole graph). Each Evaluation is a fixed-duration mark flood plus a sum
 // convergecast; on unweighted graphs every edge weighs 1 and the result is
-// the smallest crossing edge count.
+// the smallest crossing edge count. A connected graph of fewer than two
+// vertices has no non-leader subtree and so no tree cut, which is an error
+// of its own, distinct from graph.ErrDisconnected.
 func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 	in, ecc, err := prologue(g, opts, true)
 	if in == nil {
 		if err == nil && len(ecc) < 2 {
-			err = graph.ErrDisconnected // no tree cut: nothing to separate
+			err = errNoTreeCut
 		}
 		if err != nil {
 			return CutResult{}, err

@@ -42,8 +42,8 @@ func TestTriangleTrivialGraphs(t *testing.T) {
 
 func TestMinTreeCutTrivialGraphs(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		if _, err := MinTreeCut(graph.New(n), Options{Seed: 1}); !errors.Is(err, graph.ErrDisconnected) {
-			t.Errorf("n=%d: err %v, want ErrDisconnected", n, err)
+		if _, err := MinTreeCut(graph.New(n), Options{Seed: 1}); !errors.Is(err, errNoTreeCut) {
+			t.Errorf("n=%d: err %v, want errNoTreeCut", n, err)
 		}
 	}
 	if _, err := MinTreeCut(graph.New(2), Options{Seed: 1}); !errors.Is(err, graph.ErrDisconnected) {

@@ -121,10 +121,13 @@ type ClassicalResult = congest.ExactResult
 type EngineOption = congest.Option
 
 // CongestScheduled is the optional activity contract a custom node program
-// implements to benefit from frontier scheduling: NextWake reports the
-// next round the vertex must run without receiving a message (or
-// congest.NeverWake when it is purely message-driven). Programs that do
-// not implement it are executed every round.
+// implements to benefit from frontier scheduling: NextWake, asked after
+// every execution of the vertex (a message's Receive included), reports the
+// next round the vertex must run — round+1 whenever its next Send would
+// emit or change state, such as a relay of what it just received — or
+// congest.NeverWake while nothing is pending. A message is received in the
+// round it is sent whatever the answer; it schedules no later round by
+// itself. Programs that do not implement it are executed every round.
 type CongestScheduled = congest.Scheduled
 
 // Engine options.
