@@ -84,7 +84,7 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkEvalSession is the allocation canary for the session layer: one
 // warm Figure 2 Evaluation per iteration. Run with -benchmem; allocs/op
-// regressing from single digits means a session stopped recycling state.
+// above 0 means a session stopped recycling state.
 func BenchmarkEvalSession(b *testing.B) {
 	g := Path(256)
 	topo, err := NewCongestTopology(g)

@@ -40,9 +40,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		disj, err := qcongest.Disj(x, y)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("x=%s y=%s\n", x, y)
 		fmt.Printf("  DISJ=%d  diameter(Gn(x,y))=%d  two-party: %d messages, %d bits over the cut\n",
-			qcongest.Disj(x, y), diam, sim.Protocol.Messages, sim.CutBits)
+			disj, diam, sim.Protocol.Messages, sim.CutBits)
 	}
 
 	fmt.Println("\nAny diameter algorithm faster than the DISJ communication bound")

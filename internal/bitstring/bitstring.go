@@ -104,27 +104,19 @@ func (b *Bits) String() string {
 	return sb.String()
 }
 
-// Intersects reports whether x and y share a set bit, i.e. DISJ(x, y) == 0
-// in the paper's convention. It panics if lengths differ (programmer error).
-func Intersects(x, y *Bits) bool {
+// Disj computes the disjointness function of the paper: DISJ(x, y) = 0 iff
+// there is an index i with x_i = y_i = 1, and 1 otherwise. Inputs of
+// different lengths are an error.
+func Disj(x, y *Bits) (int, error) {
 	if x.n != y.n {
-		panic(fmt.Sprintf("bitstring: length mismatch %d vs %d", x.n, y.n))
+		return 0, fmt.Errorf("bitstring: length mismatch %d vs %d", x.n, y.n)
 	}
 	for i := range x.words {
 		if x.words[i]&y.words[i] != 0 {
-			return true
+			return 0, nil
 		}
 	}
-	return false
-}
-
-// Disj computes the disjointness function of the paper: DISJ(x, y) = 0 iff
-// there is an index i with x_i = y_i = 1, and 1 otherwise.
-func Disj(x, y *Bits) int {
-	if Intersects(x, y) {
-		return 0
-	}
-	return 1
+	return 1, nil
 }
 
 // RandomDisjointPair returns (x, y) with DISJ(x, y) = 1: each index is

@@ -56,11 +56,11 @@ func TestFromStringAndString(t *testing.T) {
 func TestDisjConvention(t *testing.T) {
 	x, _ := FromString("1010")
 	y, _ := FromString("0101")
-	if Disj(x, y) != 1 {
+	if mustDisj(t, x, y) != 1 {
 		t.Error("disjoint inputs should give DISJ=1")
 	}
 	y2, _ := FromString("0110")
-	if Disj(x, y2) != 0 {
+	if mustDisj(t, x, y2) != 0 {
 		t.Error("intersecting inputs should give DISJ=0")
 	}
 	if FirstCommon(x, y2) != 2 {
@@ -71,24 +71,31 @@ func TestDisjConvention(t *testing.T) {
 	}
 }
 
-func TestIntersectsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Intersects(New(3), New(4))
+func TestDisjRejectsLengthMismatch(t *testing.T) {
+	if _, err := Disj(New(3), New(4)); err == nil {
+		t.Error("length mismatch accepted")
+	}
+}
+
+// mustDisj is Disj on inputs of equal length.
+func mustDisj(t *testing.T, x, y *Bits) int {
+	t.Helper()
+	d, err := Disj(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		x, y := RandomDisjointPair(70, rng)
-		if Disj(x, y) != 1 {
+		if mustDisj(t, x, y) != 1 {
 			t.Fatalf("RandomDisjointPair produced intersecting pair %s %s", x, y)
 		}
 		x, y = RandomIntersectingPair(70, rng)
-		if Disj(x, y) != 0 {
+		if mustDisj(t, x, y) != 0 {
 			t.Fatalf("RandomIntersectingPair produced disjoint pair %s %s", x, y)
 		}
 	}
@@ -110,9 +117,9 @@ func TestDisjProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := Random(90, 0.3, rng)
 		y := Random(90, 0.3, rng)
-		d := Disj(x, y)
+		d, err := Disj(x, y)
 		fc := FirstCommon(x, y)
-		if (d == 0) != (fc >= 0) {
+		if err != nil || (d == 0) != (fc >= 0) {
 			return false
 		}
 		ones := 0

@@ -39,13 +39,13 @@ func (m *Metrics) send(q int) {
 // input, Bob answers with the result. Two messages, k+1 bits — the Theta(k)
 // communication baseline [KS92, Raz92].
 func ClassicalDisj(x, y *bitstring.Bits) (int, Metrics, error) {
-	if x.Len() != y.Len() {
-		return 0, Metrics{}, fmt.Errorf("comm: input lengths %d vs %d", x.Len(), y.Len())
+	result, err := bitstring.Disj(x, y)
+	if err != nil {
+		return 0, Metrics{}, fmt.Errorf("comm: %w", err)
 	}
 	var m Metrics
 	m.send(x.Len()) // Alice -> Bob: x
-	result := bitstring.Disj(x, y)
-	m.send(1) // Bob -> Alice: DISJ(x, y)
+	m.send(1)       // Bob -> Alice: DISJ(x, y)
 	return result, m, nil
 }
 

@@ -138,28 +138,9 @@ func NewConvergecastNode(kind Kind, parent int, children []int, value, witness, 
 	}
 }
 
-// AggInputs is the Reset params of a convergecast session: the per-vertex
-// input values of the next execution and, optionally, their witnesses
-// (nil: each vertex witnesses itself).
-type AggInputs struct {
-	Values    []int
-	Witnesses []int
-}
-
-// ResetNode implements Resettable.
-func (c *ConvergecastNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case AggInputs:
-		c.Value = p.Values[v]
-		if p.Witnesses != nil {
-			c.Witness = p.Witnesses[v]
-		} else {
-			c.Witness = v
-		}
-	default:
-		badResetParams("ConvergecastNode", params)
-	}
+// ResetNode implements Resettable: the aggregate restarts from the inputs
+// Value and Witness.
+func (c *ConvergecastNode) ResetNode() {
 	c.Agg, c.AggWitness = c.Value, c.Witness
 	c.received = 0
 	c.sent = false
@@ -224,16 +205,16 @@ func (c *ConvergecastNode) StateBits() int {
 // treeAgg is a reusable convergecast session rooted at root; what prefixes
 // its run errors.
 type treeAgg struct {
-	s    *Session
+	s    *Session[*ConvergecastNode]
 	root int
 	what string
 }
 
 // newTreeAgg builds the convergecast session of the given kind on the tree
-// described by info, rooted at its leader.
+// described by info, rooted at its leader; each vertex witnesses itself.
 func newTreeAgg(topo *Topology, info *PreInfo, kind Kind, bound int, what string, opts ...Option) treeAgg {
 	return treeAgg{
-		s: NewSession(topo, func(v int) Node {
+		s: NewSession(topo, func(v int) *ConvergecastNode {
 			return NewConvergecastNode(kind, info.Parent[v], info.Children[v], 0, v, bound)
 		}, opts...),
 		root: info.Leader,
@@ -241,16 +222,19 @@ func newTreeAgg(topo *Topology, info *PreInfo, kind Kind, bound int, what string
 	}
 }
 
-// run aggregates values (each vertex witnessing itself) and returns the
-// aggregate at the root with the run's Metrics.
+// run aggregates values and returns the aggregate at the root with the
+// run's Metrics.
 func (a treeAgg) run(values []int) (int, Metrics, error) {
-	if err := a.s.Reset(AggInputs{Values: values}); err != nil {
+	for v, c := range a.s.Nodes() {
+		c.Value = values[v]
+	}
+	if err := a.s.Reset(); err != nil {
 		return 0, Metrics{}, err
 	}
 	if err := a.s.Run(4*a.s.Topology().N() + 16); err != nil {
 		return 0, a.s.Metrics(), fmt.Errorf("%s: %w", a.what, err)
 	}
-	return a.s.Node(a.root).(*ConvergecastNode).Agg, a.s.Metrics(), nil
+	return a.s.Node(a.root).Agg, a.s.Metrics(), nil
 }
 
 // close releases the session's engine.
@@ -280,20 +264,9 @@ func NewBroadcastNode(parent int, children []int, value int) *BroadcastNode {
 	return b
 }
 
-// BcastValue is the Reset params of a broadcast session: the value the root
-// distributes in the next execution.
-type BcastValue struct{ Value int }
-
-// ResetNode implements Resettable. Like the constructor, the value is
-// installed at every vertex but only the root's copy matters.
-func (b *BroadcastNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case BcastValue:
-		b.Value = p.Value
-	default:
-		badResetParams("BroadcastNode", params)
-	}
+// ResetNode implements Resettable. Value is the input as well as the
+// output: the caller writes the next run's value at the root before Reset.
+func (b *BroadcastNode) ResetNode() {
 	b.have = b.Parent < 0
 	b.sent = false
 }
@@ -357,11 +330,15 @@ type SlotConvergecastNode struct {
 	// root's vector.
 	Vec []int
 
+	// Own is the input value of the vertex's own slot (-1: none); ResetNode
+	// seeds it.
+	Own int
+
 	parent   int
 	children []int
 	depth, d int
 	in       []int // per-slot inputs (-1: none), or nil
-	slot     int   // the slot a SkelSeed value seeds, or -1
+	slot     int   // the vertex's own slot, or -1
 	up, down Kind  // down is KindSkelDown, or kindInvalid for a gather only
 	finished bool
 	msg      msgSlot // Slots and Bound are configuration; one message serves both phases
@@ -370,12 +347,13 @@ type SlotConvergecastNode struct {
 // NewSlotConvergecastNode builds the program for vertex v of the tree info
 // describes, with up kind KindSrcMax or KindSkelUp and down kind
 // KindSkelDown or kindInvalid (no down phase). The vertex's inputs are the
-// per-slot values in (-1 for none; nil for none at all) and, at Reset, the
-// SkelSeed value for its own slot (-1 for none); bound is the skel kinds'
-// value range [0, bound].
+// per-slot values in (-1 for none; nil for none at all) and Own, the value
+// of its own slot (-1 for none); bound is the skel kinds' value range
+// [0, bound].
 func NewSlotConvergecastNode(info *PreInfo, v int, up, down Kind, slots, bound, slot int, in []int) *SlotConvergecastNode {
 	s := &SlotConvergecastNode{
 		Vec:      make([]int, slots),
+		Own:      -1,
 		parent:   info.Parent[v],
 		children: info.Children[v],
 		depth:    info.Depth[v],
@@ -386,33 +364,15 @@ func NewSlotConvergecastNode(info *PreInfo, v int, up, down Kind, slots, bound, 
 		down:     down,
 		msg:      msgSlot{Slots: slots, Bound: bound},
 	}
-	s.seed(-1)
+	s.ResetNode()
 	return s
 }
 
-// SkelSeed is the Reset params of a skeleton relay session: Value[v] is the
-// value vertex v seeds into its own slot (ignored at vertices without one);
-// -1 means "no value" (the vertex was not reached within the hop budget).
-type SkelSeed struct{ Value []int }
-
-// ResetNode implements Resettable.
-func (s *SlotConvergecastNode) ResetNode(v int, params any) {
-	own := -1
-	switch p := params.(type) {
-	case nil:
-	case SkelSeed:
-		own = p.Value[v]
-	default:
-		badResetParams("SlotConvergecastNode", params)
-	}
-	s.seed(own)
-	s.finished = false
-}
-
-// seed installs the inputs: every slot starts at the combine's identity
-// (0 for max over distances, skelNoVal for min), overwritten by the
-// per-slot inputs and the own-slot value that are present.
-func (s *SlotConvergecastNode) seed(own int) {
+// ResetNode implements Resettable. It installs the inputs: every slot
+// starts at the combine's identity (0 for max over distances, skelNoVal for
+// min), overwritten by the per-slot inputs and the own-slot value that are
+// present.
+func (s *SlotConvergecastNode) ResetNode() {
 	none := 0
 	if s.up == KindSkelUp {
 		none = skelNoVal(s.msg.Bound)
@@ -423,9 +383,10 @@ func (s *SlotConvergecastNode) seed(own int) {
 			s.Vec[i] = s.in[i]
 		}
 	}
-	if s.slot >= 0 && own >= 0 {
-		s.Vec[s.slot] = own
+	if s.slot >= 0 && s.Own >= 0 {
+		s.Vec[s.slot] = s.Own
 	}
+	s.finished = false
 }
 
 // gatherEnd is the round by which the gather phase has fully drained into

@@ -43,19 +43,8 @@ type notifyNode struct {
 	tx   msgChild
 }
 
-// notifyMarks is the Reset params of a notify session: the per-vertex
-// marked flags of the next execution.
-type notifyMarks struct{ Marked []bool }
-
 // ResetNode implements Resettable.
-func (nn *notifyNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case notifyMarks:
-		nn.Marked = p.Marked[v]
-	default:
-		badResetParams("notifyNode", params)
-	}
+func (nn *notifyNode) ResetNode() {
 	nn.MarkedChildren = nil
 	nn.sent = false
 }
@@ -156,14 +145,14 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	}
 
 	// Step 2: p(v) = closest member of S, then w = argmax d(v, p(v)).
-	nw := NewNetworkOn(topo, func(v int) Node { return NewMinFloodNode(prep.S[v]) }, opts...)
-	if err := nw.Run(4*n + 16); err != nil {
-		return nil, total, fmt.Errorf("min flood: %w", err)
+	flood, m, err := runOnce(topo, func(v int) *MinFloodNode { return NewMinFloodNode(prep.S[v]) }, 4*n+16, "min flood", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
+	total.Add(m)
 	distS := make([]int, n)
-	for v := 0; v < n; v++ {
-		distS[v] = nw.Node(v).(*MinFloodNode).Dist
+	for v, f := range flood {
+		distS[v] = f.Dist
 	}
 	_, w, m, err := ConvergecastMaxOn(topo, info, distS, nil, opts...)
 	if err != nil {
@@ -180,16 +169,15 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	total.Add(bm)
 
 	// Step 3: BFS from w; the s closest vertices join R.
-	nw = NewNetworkOn(topo, func(v int) Node { return NewBFSNode(w) }, opts...)
-	if err := nw.Run(8*n + 16); err != nil {
-		return nil, total, fmt.Errorf("bfs from w: %w", err)
+	bfs, m, err := runOnce(topo, func(v int) *BFSNode { return NewBFSNode(w) }, 8*n+16, "bfs from w", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
+	total.Add(m)
 	prep.WParent = make([]int, n)
 	prep.WDepth = make([]int, n)
 	prep.WNatural = make([][]int, n)
-	for v := 0; v < n; v++ {
-		b := nw.Node(v).(*BFSNode)
+	for v, b := range bfs {
 		prep.WParent[v] = b.Parent
 		prep.WDepth[v] = b.Dist
 		prep.WNatural[v] = b.Children
@@ -205,12 +193,13 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	wInfo := &PreInfo{Leader: w, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
 	sumW := newTreeAgg(topo, wInfo, KindSum, 0, "sum convergecast", opts...)
 	defer sumW.close()
-	bcastW := NewSession(topo, func(v int) Node {
+	bcastW := NewSession(topo, func(v int) *BroadcastNode {
 		return NewBroadcastNode(wInfo.Parent[v], wInfo.Children[v], 0)
 	}, opts...)
 	defer bcastW.Close()
 	runBcast := func(value int) error {
-		if err := bcastW.Reset(BcastValue{Value: value}); err != nil {
+		bcastW.Node(w).Value = value
+		if err := bcastW.Reset(); err != nil {
 			return err
 		}
 		if err := bcastW.Run(4*n + 16); err != nil {
@@ -300,16 +289,16 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	}
 
 	// R members notify their BFS(w) parents, yielding the R-subtree.
-	nw = NewNetworkOn(topo, func(v int) Node {
+	notify, m, err := runOnce(topo, func(v int) *notifyNode {
 		return &notifyNode{Parent: prep.WParent[v], Marked: prep.RMembers[v]}
-	}, opts...)
-	if err := nw.Run(8); err != nil {
-		return nil, total, fmt.Errorf("R notify: %w", err)
+	}, 8, "R notify", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
+	total.Add(m)
 	prep.RChild = make([][]int, n)
-	for v := 0; v < n; v++ {
-		prep.RChild[v] = nw.Node(v).(*notifyNode).MarkedChildren
+	for v, nn := range notify {
+		prep.RChild[v] = nn.MarkedChildren
 	}
 
 	// DFS-number the R-subtree (full tour of 2(|R|-1) steps from w) so the
@@ -376,34 +365,29 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 	}
 	sources := maxRank + 1
 	duration := sources + 2*prep.Info.D + 8
-	nw := NewNetworkOn(topo, func(v int) Node {
+	ssp, m, err := runOnce(topo, func(v int) *SSPNode {
 		rank := -1
 		if prep.RMembers[v] {
 			rank = prep.TauR[v]
 		}
 		return NewSSPNode(rank, sources, duration)
-	}, opts...)
-	if err := nw.Run(duration + 4); err != nil {
-		return res, fmt.Errorf("multi-source BFS: %w", err)
+	}, duration+4, "multi-source BFS", opts...)
+	if err != nil {
+		return res, err
 	}
-	res.Metrics.Add(nw.Metrics())
-	dists := make([][]int, n)
-	for v := 0; v < n; v++ {
-		dists[v] = nw.Node(v).(*SSPNode).Dist
-	}
+	res.Metrics.Add(m)
 
 	// Per-source maximum convergecast on BFS(w): ecc of each R member.
 	wInfo := &PreInfo{Leader: prep.W, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
-	nw = NewNetworkOn(topo, func(v int) Node {
-		return NewSlotConvergecastNode(wInfo, v, KindSrcMax, kindInvalid, sources, 0, -1, dists[v])
-	}, opts...)
-	if err := nw.Run(wInfo.D + sources + 8); err != nil {
-		return res, fmt.Errorf("source max convergecast: %w", err)
+	cc, m, err := runOnce(topo, func(v int) *SlotConvergecastNode {
+		return NewSlotConvergecastNode(wInfo, v, KindSrcMax, kindInvalid, sources, 0, -1, ssp[v].Dist)
+	}, wInfo.D+sources+8, "source max convergecast", opts...)
+	if err != nil {
+		return res, err
 	}
-	res.Metrics.Add(nw.Metrics())
-	root := nw.Node(prep.W).(*SlotConvergecastNode)
+	res.Metrics.Add(m)
 	best := 0
-	for _, e := range root.Vec {
+	for _, e := range cc[prep.W].Vec {
 		if e > best {
 			best = e
 		}
@@ -415,11 +399,8 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 // BroadcastOn broadcasts value down the tree info describes, on an
 // already-built topology.
 func BroadcastOn(topo *Topology, info *PreInfo, value int, opts ...Option) (Metrics, error) {
-	nw := NewNetworkOn(topo, func(v int) Node {
+	_, m, err := runOnce(topo, func(v int) *BroadcastNode {
 		return NewBroadcastNode(info.Parent[v], info.Children[v], value)
-	}, opts...)
-	if err := nw.Run(4*topo.N() + 16); err != nil {
-		return nw.Metrics(), fmt.Errorf("broadcast: %w", err)
-	}
-	return nw.Metrics(), nil
+	}, 4*topo.N()+16, "broadcast", opts...)
+	return m, err
 }

@@ -182,24 +182,27 @@ func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h int, opts ..
 // skeleton vertex i (skelInf for vertices unreached within H hops) and adds
 // the measured rounds of every relaxation to InitRounds.
 func (o *SkelOracle) runInitRelaxations(hmat [][]int, opts ...Option) error {
-	topo, n, h, bound := o.topo, o.topo.N(), o.H, o.bound
-	ses := NewSession(topo, func(v int) Node {
+	topo, h, bound := o.topo, o.H, o.bound
+	ses := NewSession(topo, func(v int) *WeightedSSSPNode {
 		return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, h)
 	}, opts...)
 	defer ses.Close()
 	for i, src := range o.Skeleton {
-		if err := ses.Reset(WeightedSource{Source: src}); err != nil {
+		for v, s := range ses.Nodes() {
+			s.Source = v == src
+		}
+		if err := ses.Reset(); err != nil {
 			return err
 		}
 		if err := ses.Run(h + 4); err != nil {
 			return fmt.Errorf("skeleton relaxation from %d: %w", src, err)
 		}
 		o.InitRounds += ses.Metrics().Rounds
-		for v := 0; v < n; v++ {
-			if d := ses.Node(v).(*WeightedSSSPNode).Dist; d < 0 {
+		for v, s := range ses.Nodes() {
+			if s.Dist < 0 {
 				hmat[i][v] = skelInf
 			} else {
-				hmat[i][v] = d
+				hmat[i][v] = s.Dist
 			}
 		}
 	}
@@ -244,12 +247,11 @@ func (o *SkelOracle) relayDuration() int { return 2 * (o.info.D + len(o.Skeleton
 // Eval per Evaluation.
 type SkelEvalSession struct {
 	o     *SkelOracle
-	bf    *Session
-	relay *Session
+	bf    *Session[*WeightedSSSPNode]
+	relay *Session[*SlotConvergecastNode]
 	cc    treeAgg
 
 	dist []int
-	vec  *SlotConvergecastNode // the leader's relay program (holds the global vector)
 	row  []int
 }
 
@@ -258,20 +260,18 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 	topo, info := o.topo, o.info
 	n := topo.N()
 	s := len(o.Skeleton)
-	es := &SkelEvalSession{
+	return &SkelEvalSession{
 		o: o,
-		bf: NewSession(topo, func(v int) Node {
+		bf: NewSession(topo, func(v int) *WeightedSSSPNode {
 			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), o.bound, o.H)
 		}, opts...),
-		relay: NewSession(topo, func(v int) Node {
+		relay: NewSession(topo, func(v int) *SlotConvergecastNode {
 			return NewSlotConvergecastNode(info, v, KindSkelUp, KindSkelDown, s, o.bound, o.slotOf[v], nil)
 		}, opts...),
 		cc:   newTreeAgg(topo, info, KindWMax, o.bound, "weighted convergecast", opts...),
 		dist: make([]int, n),
 		row:  make([]int, n),
 	}
-	es.vec = es.relay.Node(info.Leader).(*SlotConvergecastNode)
-	return es
 }
 
 // Eval computes the weighted eccentricity of source through the oracle; when
@@ -280,17 +280,22 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	o := es.o
 	var total Metrics
-	if err := es.bf.Reset(WeightedSource{Source: source}); err != nil {
+	for v, s := range es.bf.Nodes() {
+		s.Source = v == source
+	}
+	if err := es.bf.Reset(); err != nil {
 		return 0, total, err
 	}
 	if err := es.bf.Run(o.H + 4); err != nil {
 		return 0, total, fmt.Errorf("skeleton relaxation: %w", err)
 	}
 	total.Add(es.bf.Metrics())
-	for v := range es.dist {
-		es.dist[v] = es.bf.Node(v).(*WeightedSSSPNode).Dist
+	relay := es.relay.Nodes()
+	for v, s := range es.bf.Nodes() {
+		es.dist[v] = s.Dist
+		relay[v].Own = s.Dist
 	}
-	if err := es.relay.Reset(SkelSeed{Value: es.dist}); err != nil {
+	if err := es.relay.Reset(); err != nil {
 		return 0, total, err
 	}
 	if err := es.relay.Run(o.relayDuration() + 4); err != nil {
@@ -300,7 +305,7 @@ func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	if row == nil {
 		row = es.row
 	}
-	if err := o.combineRow(source, es.dist, es.vec.Vec, row); err != nil {
+	if err := o.combineRow(source, es.dist, relay[o.info.Leader].Vec, row); err != nil {
 		return 0, total, err
 	}
 	ecc, m, err := es.cc.run(row)

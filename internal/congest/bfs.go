@@ -83,21 +83,10 @@ func NewBFSNode(root int) *BFSNode {
 	return &BFSNode{Root: root, Dist: -1, Parent: -1}
 }
 
-// BFSRoot is the Reset params of a BFS session: the root of the next
-// construction.
-type BFSRoot struct{ Root int }
-
 // ResetNode implements Resettable. The Children slice is dropped (not
 // truncated): the previous run's output may have escaped into a PreInfo,
 // and a session must never mutate results it already handed out.
-func (b *BFSNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case BFSRoot:
-		b.Root = p.Root
-	default:
-		badResetParams("BFSNode", params)
-	}
+func (b *BFSNode) ResetNode() {
 	b.Dist, b.Parent = -1, -1
 	b.Children = nil
 	b.Ecc = 0
@@ -236,11 +225,8 @@ func NewLeaderElectNode() *LeaderElectNode {
 	return &LeaderElectNode{Leader: -1}
 }
 
-// ResetNode implements Resettable (no params).
-func (l *LeaderElectNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("LeaderElectNode", params)
-	}
+// ResetNode implements Resettable.
+func (l *LeaderElectNode) ResetNode() {
 	l.Leader = -1
 	l.pending = false
 	l.started = false

@@ -55,20 +55,10 @@ func NewCutMarkNode(parent, degree, duration int) *CutMarkNode {
 	}
 }
 
-// CutRoot is the Reset params of a mark-flood session: the subtree root of
-// the next execution.
-type CutRoot struct{ Root int }
-
-// ResetNode implements Resettable.
-func (c *CutMarkNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-		c.Marked = false
-	case CutRoot:
-		c.Marked = v == p.Root
-	default:
-		badResetParams("CutMarkNode", params)
-	}
+// ResetNode implements Resettable. Marked is the input as well as an
+// output: the caller marks the next run's subtree root (and unmarks every
+// other vertex) before Reset.
+func (c *CutMarkNode) ResetNode() {
 	clear(c.NeighborSide)
 	c.finished = false
 }
@@ -150,7 +140,7 @@ func (t *Topology) TotalWeight() int {
 // convergecast both run fixed schedules, so the round count never depends
 // on u0.
 type CutSession struct {
-	mark *Session
+	mark *Session[*CutMarkNode]
 	sum  treeAgg
 	topo *Topology
 
@@ -164,7 +154,7 @@ func NewCutSession(topo *Topology, info *PreInfo, opts ...Option) *CutSession {
 	duration := info.D + 1
 	bound := topo.TotalWeight()
 	return &CutSession{
-		mark: NewSession(topo, func(v int) Node {
+		mark: NewSession(topo, func(v int) *CutMarkNode {
 			return NewCutMarkNode(info.Parent[v], topo.Degree(v), duration)
 		}, opts...),
 		sum:      newTreeAgg(topo, info, KindCutSum, bound, "cut convergecast", opts...),
@@ -177,7 +167,10 @@ func NewCutSession(topo *Topology, info *PreInfo, opts ...Option) *CutSession {
 // Eval computes the crossing weight of the tree cut rooted at u0.
 func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 	var total Metrics
-	if err := cs.mark.Reset(CutRoot{Root: u0}); err != nil {
+	for v, mn := range cs.mark.Nodes() {
+		mn.Marked = v == u0
+	}
+	if err := cs.mark.Reset(); err != nil {
 		return 0, total, err
 	}
 	if err := cs.mark.Run(cs.duration + 4); err != nil {
@@ -186,8 +179,7 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 	total.Add(cs.mark.Metrics())
 	// Local tally: vertex v charges each crossing edge to its smaller-id
 	// endpoint, so every crossing edge contributes exactly once.
-	for v := range cs.vals {
-		mn := cs.mark.Node(v).(*CutMarkNode)
+	for v, mn := range cs.mark.Nodes() {
 		ws := cs.topo.NeighborWeights(v)
 		tally := 0
 		for i, nb := range cs.topo.Neighbors(v) {

@@ -290,10 +290,13 @@ func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	tau[0] = 0 // one wave, flooding from vertex 0
 	const duration = 64
 	before := settledGoroutines()
-	s := NewSession(mustTopology(t, g), func(v int) Node { return NewWaveNode(false, 0, duration) })
+	s := NewSession(mustTopology(t, g), func(v int) *WaveNode { return NewWaveNode(false, 0, duration) })
 	defer s.Close()
 	for run := 0; run < 2; run++ {
-		if err := s.Reset(WaveTau{Tau: tau}); err != nil {
+		for v, w := range s.Nodes() {
+			w.InS, w.TauPrime = tau[v] >= 0, tau[v]
+		}
+		if err := s.Reset(); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Run(duration + 4); err != nil {

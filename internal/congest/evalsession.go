@@ -15,8 +15,7 @@ import "fmt"
 // WalkSession is a reusable TokenWalkOn: the Figure 2 Step 1 walk over a
 // fixed tree, re-runnable from a different start vertex per execution.
 type WalkSession struct {
-	s     *Session
-	tw    []*TokenWalkNode // the programs, pre-asserted for the tau read-out
+	s     *Session[*TokenWalkNode]
 	steps int
 	tau   []int
 }
@@ -25,23 +24,12 @@ type WalkSession struct {
 // described by info with the given per-node child lists. The start vertex
 // is an Eval argument, not fixed here.
 func NewWalkSession(topo *Topology, info *PreInfo, children [][]int, steps int, opts ...Option) *WalkSession {
-	ws := &WalkSession{
-		s: NewSession(topo, func(v int) Node {
+	return &WalkSession{
+		s: NewSession(topo, func(v int) *TokenWalkNode {
 			return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, -1, steps)
 		}, opts...),
 		steps: steps,
 		tau:   make([]int, topo.N()),
-	}
-	ws.cacheNodes()
-	return ws
-}
-
-// cacheNodes pre-asserts the node programs so the per-Eval tau read-out is
-// a pointer chase, not n interface assertions.
-func (ws *WalkSession) cacheNodes() {
-	ws.tw = make([]*TokenWalkNode, len(ws.tau))
-	for v := range ws.tw {
-		ws.tw[v] = ws.s.Node(v).(*TokenWalkNode)
 	}
 }
 
@@ -49,13 +37,16 @@ func (ws *WalkSession) cacheNodes() {
 // vertices). The returned slice is owned by the session and only valid
 // until the next Eval.
 func (ws *WalkSession) Eval(start int) ([]int, Metrics, error) {
-	if err := ws.s.Reset(WalkStart{Start: start}); err != nil {
+	for _, tw := range ws.s.Nodes() {
+		tw.Start = start
+	}
+	if err := ws.s.Reset(); err != nil {
 		return nil, Metrics{}, err
 	}
 	if err := ws.s.Run(ws.steps + 4); err != nil {
 		return nil, ws.s.Metrics(), fmt.Errorf("token walk: %w", err)
 	}
-	for v, tw := range ws.tw {
+	for v, tw := range ws.s.Nodes() {
 		ws.tau[v] = tw.Tau
 	}
 	return ws.tau, ws.s.Metrics(), nil
@@ -69,7 +60,7 @@ func (ws *WalkSession) Close() { ws.s.Close() }
 // assignment per execution: the classical core that the quantum Evaluation
 // procedure quantizes.
 type EccSession struct {
-	wave     *Session
+	wave     *Session[*WaveNode]
 	cc       treeAgg
 	duration int
 	dv       []int
@@ -80,7 +71,7 @@ type EccSession struct {
 // at least 2*max(tau') + 2*ecc bounds, and callers derive it from d.
 func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Option) *EccSession {
 	return &EccSession{
-		wave: NewSession(topo, func(v int) Node {
+		wave: NewSession(topo, func(v int) *WaveNode {
 			return NewWaveNode(false, -1, waveDuration)
 		}, opts...),
 		cc:       newTreeAgg(topo, info, KindMax, 0, "convergecast", opts...),
@@ -93,14 +84,16 @@ func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Opti
 // assignments (tau[v] >= 0 iff v in S).
 func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 	var total Metrics
-	if err := es.wave.Reset(WaveTau{Tau: tau}); err != nil {
+	for v, wn := range es.wave.Nodes() {
+		wn.InS, wn.TauPrime = tau[v] >= 0, tau[v]
+	}
+	if err := es.wave.Reset(); err != nil {
 		return 0, total, err
 	}
 	if err := es.wave.Run(es.duration + 4); err != nil {
 		return 0, total, fmt.Errorf("wave process: %w", err)
 	}
-	for v := range es.dv {
-		wn := es.wave.Node(v).(*WaveNode)
+	for v, wn := range es.wave.Nodes() {
 		if wn.Violation != nil {
 			return 0, total, wn.Violation
 		}

@@ -42,35 +42,33 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	}
 
 	// Phase 1: leader election by max-id flooding.
-	nw := NewNetworkOn(topo, func(v int) Node { return NewLeaderElectNode() }, opts...)
-	if err := nw.Run(4*n + 16); err != nil {
-		return nil, total, fmt.Errorf("leader election: %w", err)
+	elect, m, err := runOnce(topo, func(v int) *LeaderElectNode { return NewLeaderElectNode() }, 4*n+16, "leader election", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
+	total.Add(m)
 	leader := -1
-	for v := 0; v < n; v++ {
-		l := nw.Node(v).(*LeaderElectNode).Leader
+	for v, l := range elect {
 		if leader == -1 {
-			leader = l
-		} else if l != leader {
+			leader = l.Leader
+		} else if l.Leader != leader {
 			return nil, total, fmt.Errorf("congest: leader election disagreement at node %d", v)
 		}
 	}
 
 	// Phase 2: BFS(leader) with child discovery and ecc convergecast.
-	nw = NewNetworkOn(topo, func(v int) Node { return NewBFSNode(leader) }, opts...)
-	if err := nw.Run(8*n + 16); err != nil {
-		return nil, total, fmt.Errorf("bfs construction: %w", err)
+	bfs, m, err := runOnce(topo, func(v int) *BFSNode { return NewBFSNode(leader) }, 8*n+16, "bfs construction", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
+	total.Add(m)
 	info := &PreInfo{
 		Leader:   leader,
 		Parent:   make([]int, n),
 		Depth:    make([]int, n),
 		Children: make([][]int, n),
 	}
-	for v := 0; v < n; v++ {
-		b := nw.Node(v).(*BFSNode)
+	for v, b := range bfs {
 		info.Parent[v] = b.Parent
 		info.Depth[v] = b.Dist
 		info.Children[v] = b.Children
@@ -81,16 +79,16 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 
 	// Phase 3: broadcast d = ecc(leader) down the tree so every node can
 	// schedule the fixed-length phases that follow.
-	nw = NewNetworkOn(topo, func(v int) Node {
+	bcast, m, err := runOnce(topo, func(v int) *BroadcastNode {
 		return NewBroadcastNode(info.Parent[v], info.Children[v], info.D)
-	}, opts...)
-	if err := nw.Run(4*n + 16); err != nil {
-		return nil, total, fmt.Errorf("broadcast d: %w", err)
+	}, 4*n+16, "broadcast d", opts...)
+	if err != nil {
+		return nil, total, err
 	}
-	total.Add(nw.Metrics())
-	for v := 0; v < n; v++ {
-		if got := nw.Node(v).(*BroadcastNode).Value; got != info.D {
-			return nil, total, fmt.Errorf("congest: node %d received d=%d, want %d", v, got, info.D)
+	total.Add(m)
+	for v, b := range bcast {
+		if b.Value != info.D {
+			return nil, total, fmt.Errorf("congest: node %d received d=%d, want %d", v, b.Value, info.D)
 		}
 	}
 	return info, total, nil
@@ -100,53 +98,52 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 // on the tree described by info, with the given per-node child lists) on
 // an already-built topology and returns tau' (-1 for unvisited vertices).
 func TokenWalkOn(topo *Topology, info *PreInfo, children [][]int, start, steps int, opts ...Option) ([]int, Metrics, error) {
-	nw := NewNetworkOn(topo, func(v int) Node {
+	walk, m, err := runOnce(topo, func(v int) *TokenWalkNode {
 		return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, start, steps)
-	}, opts...)
-	if err := nw.Run(steps + 4); err != nil {
-		return nil, nw.Metrics(), fmt.Errorf("token walk: %w", err)
+	}, steps+4, "token walk", opts...)
+	if err != nil {
+		return nil, m, err
 	}
-	tau := make([]int, topo.N())
-	for v := range tau {
-		tau[v] = nw.Node(v).(*TokenWalkNode).Tau
+	tau := make([]int, len(walk))
+	for v, tw := range walk {
+		tau[v] = tw.Tau
 	}
-	return tau, nw.Metrics(), nil
+	return tau, m, nil
 }
 
 // WaveOn executes the Figure 2 Step 2 wave process for the initiators
 // marked in tau (tau[v] >= 0 means v in S with tau'(v) = tau[v]) on an
 // already-built topology and returns each node's dv.
 func WaveOn(topo *Topology, tau []int, duration int, opts ...Option) ([]int, Metrics, error) {
-	nw := NewNetworkOn(topo, func(v int) Node {
+	wave, m, err := runOnce(topo, func(v int) *WaveNode {
 		return NewWaveNode(tau[v] >= 0, tau[v], duration)
-	}, opts...)
-	if err := nw.Run(duration + 4); err != nil {
-		return nil, nw.Metrics(), fmt.Errorf("wave process: %w", err)
+	}, duration+4, "wave process", opts...)
+	if err != nil {
+		return nil, m, err
 	}
-	dv := make([]int, topo.N())
-	for v := 0; v < topo.N(); v++ {
-		wn := nw.Node(v).(*WaveNode)
+	dv := make([]int, len(wave))
+	for v, wn := range wave {
 		if wn.Violation != nil {
-			return nil, nw.Metrics(), wn.Violation
+			return nil, m, wn.Violation
 		}
 		dv[v] = wn.DV
 	}
-	return dv, nw.Metrics(), nil
+	return dv, m, nil
 }
 
 // ConvergecastMaxOn aggregates max(values) at the root of the tree info
 // describes, on an already-built topology, and returns (max, witness).
 func ConvergecastMaxOn(topo *Topology, info *PreInfo, values, witnesses []int, opts ...Option) (int, int, Metrics, error) {
-	nw := NewNetworkOn(topo, func(v int) Node {
+	cc, m, err := runOnce(topo, func(v int) *ConvergecastNode {
 		w := v
 		if witnesses != nil {
 			w = witnesses[v]
 		}
 		return NewConvergecastNode(KindMax, info.Parent[v], info.Children[v], values[v], w, 0)
-	}, opts...)
-	if err := nw.Run(4*topo.N() + 16); err != nil {
-		return 0, 0, nw.Metrics(), fmt.Errorf("convergecast: %w", err)
+	}, 4*topo.N()+16, "convergecast", opts...)
+	if err != nil {
+		return 0, 0, m, err
 	}
-	root := nw.Node(info.Leader).(*ConvergecastNode)
-	return root.Agg, root.AggWitness, nw.Metrics(), nil
+	root := cc[info.Leader]
+	return root.Agg, root.AggWitness, m, nil
 }

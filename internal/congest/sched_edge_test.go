@@ -58,10 +58,7 @@ func (d *dupWakeNode) NextWake(env *Env, round int) int {
 	return round + 1
 }
 
-func (d *dupWakeNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("dupWakeNode", params)
-	}
+func (d *dupWakeNode) ResetNode() {
 	d.seen, d.done = 0, false
 }
 
@@ -113,10 +110,7 @@ func (f *flipWakeNode) NextWake(env *Env, round int) int {
 	return f.far
 }
 
-func (f *flipWakeNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("flipWakeNode", params)
-	}
+func (f *flipWakeNode) ResetNode() {
 	f.seen, f.done = 0, false
 }
 
@@ -238,10 +232,10 @@ func TestSessionWakeArenaSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		sess := NewSession(topo, func(v int) Node { return &dupWakeNode{pulses: 4, target: 24} },
+		sess := NewSession(topo, func(v int) *dupWakeNode { return &dupWakeNode{pulses: 4, target: 24} },
 			WithWorkers(workers))
 		runOnce := func() {
-			if err := sess.Reset(nil); err != nil {
+			if err := sess.Reset(); err != nil {
 				t.Fatal(err)
 			}
 			if err := sess.Run(40); err != nil {

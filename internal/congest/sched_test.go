@@ -35,6 +35,12 @@ type schedCase struct {
 	fingerprint func(at func(v int) Node, n int) string
 }
 
+// session builds c's programs as a Session; every schedCase program is
+// Resettable.
+func (c schedCase) session(opts ...Option) *Session[Resettable] {
+	return NewSession(c.topo, func(v int) Resettable { return c.make(v).(Resettable) }, opts...)
+}
+
 // schedCapture is everything one run produces.
 type schedCapture struct {
 	Out     string
@@ -333,16 +339,16 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 			// Session dimension: build once, Reset+Run twice; both
 			// executions must match the reference bit for bit.
 			var trace []string
-			sess := NewSession(c.topo, c.make, append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
+			sess := c.session(append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
 			for rerun := 0; rerun < 2; rerun++ {
 				trace = trace[:0]
-				if err := sess.Reset(nil); err != nil {
+				if err := sess.Reset(); err != nil {
 					t.Fatalf("%s [%s]: %v", c.name, m.name, err)
 				}
 				if err := sess.Run(c.maxRounds); err != nil {
 					t.Fatalf("%s [%s] rerun %d: %v", c.name, m.name, rerun, err)
 				}
-				if out := c.fingerprint(sess.Node, c.topo.N()); out != want.Out {
+				if out := c.fingerprint(func(v int) Node { return sess.Node(v) }, c.topo.N()); out != want.Out {
 					t.Errorf("%s [%s] session rerun %d: outputs differ from RunReference", c.name, m.name, rerun)
 				}
 				if sess.Metrics() != want.Metrics {
@@ -542,10 +548,7 @@ func (p *pulseNode) NextWake(env *Env, round int) int {
 	return round + 1
 }
 
-func (p *pulseNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("pulseNode", params)
-	}
+func (p *pulseNode) ResetNode() {
 	p.idx, p.seen, p.done = 0, 0, false
 }
 
@@ -647,10 +650,7 @@ func (f *plainFloodNode) Receive(env *Env, inbox []Inbound) {
 func (f *plainFloodNode) Done() bool     { return f.dist >= 0 && !f.pend }
 func (f *plainFloodNode) StateBits() int { return 16 + 2*(f.dist+1) }
 
-func (f *plainFloodNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("plainFloodNode", params)
-	}
+func (f *plainFloodNode) ResetNode() {
 	f.dist, f.pend, f.heard = -1, false, 0
 }
 
@@ -829,16 +829,16 @@ func TestAlwaysActiveProgramsMatchReference(t *testing.T) {
 			}
 
 			var trace []string
-			sess := NewSession(c.topo, c.make, append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
+			sess := c.session(append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
 			for rerun := 0; rerun < 2; rerun++ {
 				trace = trace[:0]
-				if err := sess.Reset(nil); err != nil {
+				if err := sess.Reset(); err != nil {
 					t.Fatalf("%s [%s]: %v", c.name, m.name, err)
 				}
 				if err := sess.Run(c.maxRounds); err != nil {
 					t.Fatalf("%s [%s] rerun %d: %v", c.name, m.name, rerun, err)
 				}
-				if out := c.fingerprint(sess.Node, c.topo.N()); out != want.Out {
+				if out := c.fingerprint(func(v int) Node { return sess.Node(v) }, c.topo.N()); out != want.Out {
 					t.Errorf("%s [%s] session rerun %d: outputs differ from RunReference", c.name, m.name, rerun)
 				}
 				if sess.Metrics() != want.Metrics {

@@ -270,88 +270,82 @@ func validateDistBound(n, maxW int) error {
 }
 
 // Resettable is the lifecycle contract a node program implements to be
-// reusable across executions: ResetNode must restore the program at vertex v
-// to exactly the state its constructor produced, so that a Session run after
-// Reset is bit-for-bit identical to a run on freshly constructed programs.
-// params carries the execution parameters that change between runs (e.g. a
-// new walk start, a new tau' assignment); it is the single value passed to
-// Session.Reset, shared by all vertices, and each program documents the
-// params type it understands. A nil params re-runs the previous
-// configuration; a non-nil params of a type the program does not understand
-// is a programmer error and panics (a silently ignored params would re-run
-// stale inputs and report a wrong result with no failure anywhere).
+// reusable across executions: ResetNode must restore the program to exactly
+// the state its constructor produced, so that a Session run after Reset is
+// bit-for-bit identical to a run on freshly constructed programs. The inputs
+// that change between runs (a new walk start, a new tau' assignment) are
+// exported fields of the program: the caller writes them through
+// Session.Node or Session.Nodes before Reset, and ResetNode rebuilds the
+// rest of the state from them. An input that a run also overwrites as an
+// output (CutMarkNode.Marked, BroadcastNode.Value) is rewritten before
+// every Reset.
 type Resettable interface {
 	Node
-	ResetNode(v int, params any)
+	ResetNode()
 }
 
-// badResetParams reports a Reset params value of an unexpected type — a
-// programmer error (like registering a message kind twice), not a runtime
-// condition.
-func badResetParams(prog string, params any) {
-	panic(fmt.Sprintf("congest: %s.ResetNode: unexpected params type %T", prog, params))
-}
-
-// Session owns one network together with a persistent execution engine.
-// Where NewNetwork + Run build topology tables, node programs, arenas,
-// buffers and a worker pool per execution, a Session builds them once and
-// recycles all of them: Reset restores the node programs (and zeroes the
-// metrics), Run executes on the retained engine. A Reset+Run is bit-for-bit
-// identical — outputs, Metrics, observer wire traces, error strings — to
-// building a fresh network and running it, for every worker count; the
-// session-reuse determinism tests assert exactly that.
+// Session owns one network of T programs together with a persistent
+// execution engine. Where NewNetwork + Run build topology tables, node
+// programs, arenas, buffers and a worker pool per execution, a Session
+// builds them once and recycles all of them: Reset restores the node
+// programs (and zeroes the metrics), Run executes on the retained engine. A
+// Reset+Run is bit-for-bit identical — outputs, Metrics, observer wire
+// traces, error strings — to building a fresh network and running it, for
+// every worker count; the session-reuse determinism tests assert exactly
+// that.
 //
 // A Session is not safe for concurrent use; clone it (see Pool) to run
 // independent executions in parallel. Close releases the engine's worker
 // goroutines; a session that was never Run has nothing to release.
-type Session struct {
+type Session[T Resettable] struct {
 	nw       *Network
-	makeNode func(v int) Node
+	nodes    []T
+	makeNode func(v int) T
 	opts     []Option
 
 	e      *engine
-	rs     []Resettable // the node programs, pre-asserted (filled when vetted)
-	ran    bool         // an execution has run since the last Reset
-	vetted bool         // all node programs are known to implement Resettable
+	ran    bool // an execution has run since the last Reset
 	closed bool
 }
 
 // NewSession builds a session for the program family make over topo. The
 // node programs are constructed once, here; every later execution reuses
 // them via Reset.
-func NewSession(topo *Topology, make func(v int) Node, opts ...Option) *Session {
-	return &Session{
-		nw:       NewNetworkOn(topo, make, opts...),
-		makeNode: make,
-		opts:     opts,
+func NewSession[T Resettable](topo *Topology, make func(v int) T, opts ...Option) *Session[T] {
+	nw, nodes := networkOf(topo, make, opts...)
+	return &Session[T]{nw: nw, nodes: nodes, makeNode: make, opts: opts}
+}
+
+// networkOf builds the network over topo whose vertex v runs mk(v), and
+// returns it with the programs typed.
+func networkOf[T Node](topo *Topology, mk func(v int) T, opts ...Option) (*Network, []T) {
+	nodes := make([]T, topo.n)
+	for v := range nodes {
+		nodes[v] = mk(v)
 	}
+	return NewNetworkOn(topo, func(v int) Node { return nodes[v] }, opts...), nodes
+}
+
+// runOnce builds a one-shot network of the programs mk(v) over topo and
+// runs it for at most maxRounds rounds. It returns the programs, to read
+// their outputs, with the run's Metrics; a run error is prefixed with what.
+func runOnce[T Node](topo *Topology, mk func(v int) T, maxRounds int, what string, opts ...Option) ([]T, Metrics, error) {
+	nw, nodes := networkOf(topo, mk, opts...)
+	if err := nw.Run(maxRounds); err != nil {
+		return nil, nw.Metrics(), fmt.Errorf("%s: %w", what, err)
+	}
+	return nodes, nw.Metrics(), nil
 }
 
 // Reset prepares the session for the next execution: every node program is
-// restored to its constructed state (receiving params, see Resettable) and
-// the metrics are zeroed. It fails if any program does not implement
-// Resettable.
-func (s *Session) Reset(params any) error {
+// restored to its constructed state from its input fields (see Resettable)
+// and the metrics are zeroed.
+func (s *Session[T]) Reset() error {
 	if s.closed {
 		return fmt.Errorf("congest: Reset on a closed session")
 	}
-	if !s.vetted {
-		// The interface assertions run once per session; re-runs iterate
-		// the pre-asserted slice, which at large n saves an O(n) assertion
-		// pass per Evaluation.
-		rs := make([]Resettable, len(s.nw.nodes))
-		for v, nd := range s.nw.nodes {
-			r, ok := nd.(Resettable)
-			if !ok {
-				return fmt.Errorf("congest: session node %d (%T) does not implement Resettable", v, nd)
-			}
-			rs[v] = r
-		}
-		s.rs = rs
-		s.vetted = true
-	}
-	for v, r := range s.rs {
-		r.ResetNode(v, params)
+	for _, nd := range s.nodes {
+		nd.ResetNode()
 	}
 	s.nw.metrics = Metrics{}
 	s.ran = false
@@ -362,7 +356,7 @@ func (s *Session) Reset(params any) error {
 // use). Every execution after the first must be preceded by a Reset: the
 // node programs hold the previous run's final state, and executing them
 // again would not correspond to any fresh network.
-func (s *Session) Run(maxRounds int) error {
+func (s *Session[T]) Run(maxRounds int) error {
 	if s.closed {
 		return fmt.Errorf("congest: Run on a closed session")
 	}
@@ -376,15 +370,19 @@ func (s *Session) Run(maxRounds int) error {
 	return s.e.execute(maxRounds)
 }
 
-// Node returns the program running at vertex v (for Reset-time
-// configuration beyond params, and for extracting outputs after a run).
-func (s *Session) Node(v int) Node { return s.nw.nodes[v] }
+// Node returns the program running at vertex v (for writing the next run's
+// inputs before Reset, and for reading outputs after a run).
+func (s *Session[T]) Node(v int) T { return s.nodes[v] }
+
+// Nodes returns the programs indexed by vertex; the slice must not be
+// modified.
+func (s *Session[T]) Nodes() []T { return s.nodes }
 
 // Metrics returns the metrics of the execution since the last Reset.
-func (s *Session) Metrics() Metrics { return s.nw.metrics }
+func (s *Session[T]) Metrics() Metrics { return s.nw.metrics }
 
 // Topology returns the shared topology the session executes on.
-func (s *Session) Topology() *Topology { return s.nw.topo }
+func (s *Session[T]) Topology() *Topology { return s.nw.topo }
 
 // Clone builds an independent session of the same program family: same
 // topology (shared, never copied), same options, freshly constructed node
@@ -394,7 +392,7 @@ func (s *Session) Topology() *Topology { return s.nw.topo }
 // A session with a WithObserver option refuses to clone: the options are
 // reused as given, so the clones would share one callback and interleave
 // their wire traces nondeterministically. Observe a solo Session.
-func (s *Session) Clone() (*Session, error) {
+func (s *Session[T]) Clone() (*Session[T], error) {
 	if s.nw.observer != nil {
 		return nil, fmt.Errorf("congest: Clone of a session with an observer (traces would interleave; observe a solo Session)")
 	}
@@ -403,7 +401,7 @@ func (s *Session) Clone() (*Session, error) {
 
 // Close stops the engine's worker goroutines. The session cannot run again
 // afterwards. Close is idempotent.
-func (s *Session) Close() {
+func (s *Session[T]) Close() {
 	if s.closed {
 		return
 	}

@@ -67,11 +67,8 @@ func NewMinFloodNode(member bool) *MinFloodNode {
 	return &MinFloodNode{Member: member, Dist: -1, Src: -1}
 }
 
-// ResetNode implements Resettable; the only params are nil (re-run).
-func (m *MinFloodNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("MinFloodNode", params)
-	}
+// ResetNode implements Resettable.
+func (m *MinFloodNode) ResetNode() {
 	m.Dist, m.Src = -1, -1
 	m.pending = false
 	m.started = false
@@ -152,11 +149,8 @@ func NewSSPNode(rank, sources, duration int) *SSPNode {
 	return n
 }
 
-// ResetNode implements Resettable; the only params are nil (re-run).
-func (s *SSPNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("SSPNode", params)
-	}
+// ResetNode implements Resettable.
+func (s *SSPNode) ResetNode() {
 	s.queue = s.queue[:0]
 	s.finished = false
 	s.seed()

@@ -10,8 +10,6 @@ package congest
 // searches or counts over the flags with one cheap convergecast Evaluation
 // per input (internal/core.TriangleDetect / TriangleCount).
 
-import "fmt"
-
 // msgAdj carries one adjacency announcement: "x is my neighbor". A vertex
 // past the end of its neighbor list announces itself (a self-loop no
 // receiver acts on), keeping the per-round traffic uniform.
@@ -47,10 +45,7 @@ func NewTriangleProbeNode(duration int) *TriangleProbeNode {
 }
 
 // ResetNode implements Resettable.
-func (t *TriangleProbeNode) ResetNode(v int, params any) {
-	if params != nil {
-		badResetParams("TriangleProbeNode", params)
-	}
+func (t *TriangleProbeNode) ResetNode() {
 	t.OnTriangle = false
 	t.finished = false
 }
@@ -116,17 +111,17 @@ func TriangleFlagsOn(topo *Topology, opts ...Option) ([]bool, Metrics, error) {
 	// list within max-degree rounds (at least 1 so the empty graph still
 	// terminates).
 	duration := max(topo.maxDeg, 1)
-	nw := NewNetworkOn(topo, func(v int) Node {
+	probe, m, err := runOnce(topo, func(v int) *TriangleProbeNode {
 		return NewTriangleProbeNode(duration)
-	}, opts...)
-	if err := nw.Run(duration + 4); err != nil {
-		return nil, nw.Metrics(), fmt.Errorf("triangle probe: %w", err)
+	}, duration+4, "triangle probe", opts...)
+	if err != nil {
+		return nil, m, err
 	}
-	flags := make([]bool, topo.N())
-	for v := range flags {
-		flags[v] = nw.Node(v).(*TriangleProbeNode).OnTriangle
+	flags := make([]bool, len(probe))
+	for v, p := range probe {
+		flags[v] = p.OnTriangle
 	}
-	return flags, nw.Metrics(), nil
+	return flags, m, nil
 }
 
 // TriangleSession is the reusable Evaluation of the triangle workloads:

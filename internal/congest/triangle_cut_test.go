@@ -221,22 +221,30 @@ func TestNeighborIndex(t *testing.T) {
 	}
 }
 
-func TestCutResetParamsPanic(t *testing.T) {
-	for _, node := range []Node{NewCutMarkNode(-1, 2, 3), NewConvergecastNode(KindCutSum, -1, nil, 0, 0, 9)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%T: bad Reset params did not panic", node)
-				}
-			}()
-			node.(Resettable).ResetNode(0, "bogus")
-		}()
+// TestCutResetFromFields asserts the Resettable contract for the cut and
+// triangle programs: ResetNode discards the run state and restores exactly
+// the constructed state of the inputs the fields hold.
+func TestCutResetFromFields(t *testing.T) {
+	m := NewCutMarkNode(-1, 2, 3)
+	m.NeighborSide[0], m.NeighborSide[1], m.finished = true, true, true
+	m.Marked = true
+	m.ResetNode()
+	want := NewCutMarkNode(-1, 2, 3)
+	want.Marked = true
+	if !reflect.DeepEqual(m, want) {
+		t.Errorf("reset CutMarkNode = %+v, want %+v", m, want)
 	}
-	if recovered := func() (r any) {
-		defer func() { r = recover() }()
-		NewTriangleProbeNode(3).ResetNode(0, 42)
-		return nil
-	}(); recovered == nil {
-		t.Error("TriangleProbeNode: bad Reset params did not panic")
+	c := NewConvergecastNode(KindCutSum, -1, nil, 0, 0, 9)
+	c.Agg, c.received, c.sent = 8, 2, true
+	c.Value = 5
+	c.ResetNode()
+	if want := NewConvergecastNode(KindCutSum, -1, nil, 5, 0, 9); !reflect.DeepEqual(c, want) {
+		t.Errorf("reset ConvergecastNode = %+v, want %+v", c, want)
+	}
+	p := NewTriangleProbeNode(3)
+	p.OnTriangle, p.finished = true, true
+	p.ResetNode()
+	if want := NewTriangleProbeNode(3); !reflect.DeepEqual(p, want) {
+		t.Errorf("reset TriangleProbeNode = %+v, want %+v", p, want)
 	}
 }

@@ -37,7 +37,7 @@ type TokenWalkNode struct {
 	Parent   int   // tree parent, -1 at the root
 	Children []int // tree children in ascending id order; may be filtered
 	Root     int
-	Start    int // u0: the vertex where the walk begins
+	Start    int // u0: the vertex where the walk begins; a session's per-run input
 	Steps    int // L: number of token moves to perform
 
 	// Output.
@@ -64,20 +64,9 @@ func NewTokenWalkNode(parent int, children []int, root, start, steps int) *Token
 	}
 }
 
-// WalkStart is the Reset params of a token-walk session: the vertex the
-// next execution's walk begins at.
-type WalkStart struct{ Start int }
-
 // ResetNode implements Resettable: the program returns to its constructed
-// state, optionally rebasing the walk at params.(WalkStart).Start.
-func (t *TokenWalkNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case WalkStart:
-		t.Start = p.Start
-	default:
-		badResetParams("TokenWalkNode", params)
-	}
+// state, the walk beginning at Start.
+func (t *TokenWalkNode) ResetNode() {
 	t.Tau = -1
 	t.holding = false
 	t.arrived = 0

@@ -44,7 +44,7 @@ func init() {
 
 // WaveNode runs the Figure 2 Step 2 process at one node.
 type WaveNode struct {
-	// Static configuration.
+	// Configuration; InS and TauPrime are a session's per-run inputs.
 	InS      bool // whether this node belongs to S
 	TauPrime int  // tau'(v), meaningful when InS
 	Duration int  // total rounds of the process (6d in Figure 2)
@@ -71,21 +71,9 @@ func NewWaveNode(inS bool, tauPrime, duration int) *WaveNode {
 	return &WaveNode{InS: inS, TauPrime: tauPrime, Duration: duration, TV: -1}
 }
 
-// WaveTau is the Reset params of a wave session: the tau' assignment of the
-// next execution (Tau[v] >= 0 iff v is in S and initiates a wave).
-type WaveTau struct{ Tau []int }
-
 // ResetNode implements Resettable: the program returns to its constructed
-// state, optionally taking its membership and tau' from params.(WaveTau).
-func (w *WaveNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case WaveTau:
-		w.InS = p.Tau[v] >= 0
-		w.TauPrime = p.Tau[v]
-	default:
-		badResetParams("WaveNode", params)
-	}
+// state, with the membership and tau' held in InS and TauPrime.
+func (w *WaveNode) ResetNode() {
 	w.TV = -1
 	w.DV = 0
 	w.Violation = nil

@@ -76,19 +76,8 @@ func NewWeightedSSSPNode(source bool, weights []int, bound, duration int) *Weigh
 	}
 }
 
-// WeightedSource is the Reset params of a weighted SSSP session: the source
-// vertex of the next execution.
-type WeightedSource struct{ Source int }
-
 // ResetNode implements Resettable.
-func (s *WeightedSSSPNode) ResetNode(v int, params any) {
-	switch p := params.(type) {
-	case nil:
-	case WeightedSource:
-		s.Source = v == p.Source
-	default:
-		badResetParams("WeightedSSSPNode", params)
-	}
+func (s *WeightedSSSPNode) ResetNode() {
 	s.Dist = -1
 	s.pending = false
 	s.started = false
@@ -180,7 +169,7 @@ func ssspDuration(n int) int {
 // input-independent duration. It is built once per topology and
 // Reset+Run per Evaluation.
 type WeightedEccSession struct {
-	sssp *Session
+	sssp *Session[*WeightedSSSPNode]
 	cc   treeAgg
 
 	duration int
@@ -194,7 +183,7 @@ func NewWeightedEccSession(topo *Topology, info *PreInfo, opts ...Option) *Weigh
 	duration := ssspDuration(n)
 	bound := topo.DistBound()
 	return &WeightedEccSession{
-		sssp: NewSession(topo, func(v int) Node {
+		sssp: NewSession(topo, func(v int) *WeightedSSSPNode {
 			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, duration)
 		}, opts...),
 		cc:       newTreeAgg(topo, info, KindWMax, bound, "weighted convergecast", opts...),
@@ -206,18 +195,20 @@ func NewWeightedEccSession(topo *Topology, info *PreInfo, opts ...Option) *Weigh
 // Eval computes the weighted eccentricity of source.
 func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
 	var total Metrics
-	if err := es.sssp.Reset(WeightedSource{Source: source}); err != nil {
+	for v, s := range es.sssp.Nodes() {
+		s.Source = v == source
+	}
+	if err := es.sssp.Reset(); err != nil {
 		return 0, total, err
 	}
 	if err := es.sssp.Run(es.duration + 4); err != nil {
 		return 0, total, fmt.Errorf("weighted sssp: %w", err)
 	}
-	for v := range es.dv {
-		d := es.sssp.Node(v).(*WeightedSSSPNode).Dist
-		if d < 0 {
+	for v, s := range es.sssp.Nodes() {
+		if s.Dist < 0 {
 			return 0, total, fmt.Errorf("congest: vertex %d unreached by weighted sssp from %d", v, source)
 		}
-		es.dv[v] = d
+		es.dv[v] = s.Dist
 	}
 	total.Add(es.sssp.Metrics())
 	ecc, m, err := es.cc.run(es.dv)

@@ -221,20 +221,22 @@ func TestWeightedWireWidths(t *testing.T) {
 	}
 }
 
-// TestWeightedResetParamsPanic asserts the Resettable contract: unknown
-// params types are programmer errors and panic.
-func TestWeightedResetParamsPanic(t *testing.T) {
-	for _, nd := range []Resettable{
-		NewWeightedSSSPNode(false, nil, 10, 4),
-		NewConvergecastNode(KindWMax, -1, nil, 0, 0, 10),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%T: no panic on bad reset params", nd)
-				}
-			}()
-			nd.ResetNode(0, struct{ X int }{1})
-		}()
+// TestWeightedResetFromFields asserts the Resettable contract for the
+// weighted programs: ResetNode discards the run state and restores exactly
+// the constructed state of the inputs the fields hold.
+func TestWeightedResetFromFields(t *testing.T) {
+	s := NewWeightedSSSPNode(false, nil, 10, 4)
+	s.Dist, s.pending, s.started, s.finished = 3, true, true, true
+	s.Source = true
+	s.ResetNode()
+	if want := NewWeightedSSSPNode(true, nil, 10, 4); !reflect.DeepEqual(s, want) {
+		t.Errorf("reset WeightedSSSPNode = %+v, want %+v", s, want)
+	}
+	c := NewConvergecastNode(KindWMax, -1, nil, 0, 0, 10)
+	c.Agg, c.AggWitness, c.received, c.sent = 9, 4, 1, true
+	c.Value, c.Witness = 7, 2
+	c.ResetNode()
+	if want := NewConvergecastNode(KindWMax, -1, nil, 7, 2, 10); !reflect.DeepEqual(c, want) {
+		t.Errorf("reset ConvergecastNode = %+v, want %+v", c, want)
 	}
 }

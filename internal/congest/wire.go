@@ -199,6 +199,8 @@ var kindRegistry [numKinds]kindInfo
 // registration must happen before any network runs — in practice from
 // init functions, the convention every kind in this repository follows.
 func RegisterKind(k Kind, name string, factory func() WireMessage) {
+	// Both panics are unreachable from facade data: kinds are registered by
+	// init functions with constant arguments, so a clash fails at start-up.
 	if k == kindInvalid || int(k) >= numKinds {
 		panic(fmt.Sprintf("congest: kind %d out of range", k))
 	}

@@ -40,6 +40,7 @@ func TestGeneratorsDegenerateInputs(t *testing.T) {
 		{"torus/2x2", func() *Graph { return Torus(2, 2) }, 4, 4, 2, 2, true},
 		{"torus/1x4", func() *Graph { return Torus(1, 4) }, 4, 4, 2, 2, true},
 		{"torus/2x3", func() *Graph { return Torus(2, 3) }, 6, 9, 2, 2, true},
+		{"hypercube/-1", func() *Graph { return Hypercube(-1) }, 0, 0, 0, 0, true},
 		{"hypercube/0", func() *Graph { return Hypercube(0) }, 1, 0, 0, 0, true},
 		{"hypercube/1", func() *Graph { return Hypercube(1) }, 2, 1, 1, 1, true},
 		{"cbt/0", func() *Graph { return CompleteBinaryTree(0) }, 0, 0, 0, 0, true},

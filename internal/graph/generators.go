@@ -116,8 +116,12 @@ func Torus(rows, cols int) *Graph {
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim vertices.
-// Diameter dim.
+// Diameter dim. A negative dim yields the empty graph, as New clamps a
+// negative n.
 func Hypercube(dim int) *Graph {
+	if dim < 0 {
+		return New(0)
+	}
 	n := 1 << dim
 	g := New(n)
 	for v := 0; v < n; v++ {

@@ -117,6 +117,8 @@ func (g *Graph) AddEdge(u, v int) error {
 // valid; it panics on error (programmer error, not runtime input).
 func (g *Graph) MustAddEdge(u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
+		// Unreachable from facade data: generators and reduction builders
+		// add only edges that are valid by construction of their clamped sizes.
 		panic(err)
 	}
 }
@@ -145,6 +147,8 @@ func (g *Graph) AddWeightedEdge(u, v, w int) error {
 // MustAddWeightedEdge is AddWeightedEdge panicking on error.
 func (g *Graph) MustAddWeightedEdge(u, v, w int) {
 	if err := g.AddWeightedEdge(u, v, w); err != nil {
+		// Unreachable from facade data: callers pass weights of at least 1
+		// on edges that are valid by construction.
 		panic(err)
 	}
 }

@@ -61,34 +61,34 @@ func (o *valueOracle) SetupRounds() int { return o.info.D + 1 }
 
 func (o *valueOracle) NewContext() query.Context {
 	return &valueContext{
-		cc: congest.NewSession(o.topo, func(v int) congest.Node {
+		cc: congest.NewSession(o.topo, func(v int) *congest.ConvergecastNode {
 			return congest.NewConvergecastNode(congest.KindMax, o.info.Parent[v], o.info.Children[v], 0, v, 0)
 		}, o.engine...),
 		leader: o.info.Leader,
 		vals:   o.vals,
-		buf:    make([]int, o.topo.N()),
+		n:      o.topo.N(),
 	}
 }
 
 type valueContext struct {
-	cc     *congest.Session
+	cc     *congest.Session[*congest.ConvergecastNode]
 	leader int
 	vals   []int
-	buf    []int
+	n      int
 }
 
 func (c *valueContext) Eval(x int) (int, int, error) {
-	for v := range c.buf {
-		c.buf[v] = 0
+	for _, cn := range c.cc.Nodes() {
+		cn.Value = 0
 	}
-	c.buf[x] = c.vals[x]
-	if err := c.cc.Reset(congest.AggInputs{Values: c.buf}); err != nil {
+	c.cc.Node(x).Value = c.vals[x]
+	if err := c.cc.Reset(); err != nil {
 		return 0, 0, err
 	}
-	if err := c.cc.Run(4*len(c.buf) + 16); err != nil {
+	if err := c.cc.Run(4*c.n + 16); err != nil {
 		return 0, 0, err
 	}
-	return c.cc.Node(c.leader).(*congest.ConvergecastNode).Agg, c.cc.Metrics().Rounds, nil
+	return c.cc.Node(c.leader).Agg, c.cc.Metrics().Rounds, nil
 }
 
 func (c *valueContext) Close() { c.cc.Close() }

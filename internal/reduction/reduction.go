@@ -72,7 +72,11 @@ func (r *Reduction) Verify(x, y *bitstring.Bits) error {
 	if err != nil {
 		return fmt.Errorf("reduction %s: %w", r.Name, err)
 	}
-	if bitstring.Disj(x, y) == 1 {
+	disj, err := bitstring.Disj(x, y)
+	if err != nil {
+		return fmt.Errorf("reduction %s: %w", r.Name, err)
+	}
+	if disj == 1 {
 		if diam > r.D1 {
 			return fmt.Errorf("reduction %s: disjoint inputs give diameter %d > d1=%d", r.Name, diam, r.D1)
 		}

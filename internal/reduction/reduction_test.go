@@ -437,7 +437,11 @@ func VerifySubdivided(red *Reduction, x, y *bitstring.Bits, d int) error {
 	if err != nil {
 		return err
 	}
-	if bitstring.Disj(x, y) == 1 {
+	disj, err := bitstring.Disj(x, y)
+	if err != nil {
+		return err
+	}
+	if disj == 1 {
 		if diam > sub.LeftDiameter {
 			return fmt.Errorf("reduction %s/d=%d: disjoint inputs give diameter %d, want <= %d",
 				red.Name, d, diam, sub.LeftDiameter)

@@ -59,6 +59,8 @@ func TwoPartyFromCongest(red *Reduction, x, y *bitstring.Bits, engine ...congest
 			return
 		}
 		if wire.Len() != bits {
+			// Unreachable from facade data: the engine charges every
+			// message exactly its encoded length, whatever the input.
 			panic(fmt.Sprintf("reduction: observer bits %d != wire length %d", bits, wire.Len()))
 		}
 		for i := 0; i < bits; i++ {

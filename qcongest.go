@@ -183,21 +183,30 @@ type (
 
 // Execution sessions: the reusable-harness layer. A CongestTopology caches
 // everything derived from a graph (validated once, shared freely); a
-// CongestSession builds a network and its engine once and re-runs it via
-// Reset — bit-for-bit identical to a fresh network, for every worker count
-// — which is how the quantum algorithms amortize setup over the hundreds
-// of Evaluations an optimization performs; a Pool clones session-backed
-// contexts to run independent executions concurrently with deterministic
-// result ordering. See DESIGN.md, "Execution sessions".
+// CongestSession[T] builds a network of T programs and its engine once and
+// re-runs it via Reset — bit-for-bit identical to a fresh network, for
+// every worker count — which is how the quantum algorithms amortize setup
+// over the hundreds of Evaluations an optimization performs. The inputs of
+// the next run are fields of the programs: write them through Node or
+// Nodes, then Reset and Run. A Pool clones session-backed contexts to run
+// independent executions concurrently with deterministic result ordering.
+// See DESIGN.md, "Execution sessions".
 type (
 	// CongestTopology is the validated, shareable view of a graph.
 	CongestTopology = congest.Topology
-	// CongestSession is a build-once, reset-and-rerun network.
-	CongestSession = congest.Session
 	// CongestResettable is the lifecycle contract reusable node programs
-	// implement (ResetNode must restore the constructed state).
+	// implement: ResetNode() restores the constructed state from the
+	// program's input fields.
 	CongestResettable = congest.Resettable
 )
+
+// CongestSession is a build-once, reset-and-rerun network of T programs.
+type CongestSession[T CongestResettable] = congest.Session[T]
+
+// NewCongestSession builds a reusable session whose vertex v runs make(v).
+func NewCongestSession[T CongestResettable](topo *CongestTopology, make func(v int) T, opts ...EngineOption) *CongestSession[T] {
+	return congest.NewSession(topo, make, opts...)
+}
 
 // Pool runs independent jobs concurrently on cloned execution contexts;
 // results are keyed by job index and the error reported is the one at the
@@ -217,8 +226,6 @@ var (
 	// NewCongestTopologyFromCSR builds a topology straight from a packed
 	// CSR (see BuildCSRFromStream) without materializing a Graph.
 	NewCongestTopologyFromCSR = congest.NewTopologyFromCSR
-	// NewCongestSession builds a reusable session of node programs.
-	NewCongestSession = congest.NewSession
 	// NewCongestNetworkOn builds a one-shot network on a cached topology.
 	NewCongestNetworkOn = congest.NewNetworkOn
 	// ParallelForEach runs jobs on up to `workers` goroutines with the

@@ -72,6 +72,13 @@ func TestPublicLowerBoundAPI(t *testing.T) {
 	if gres.Disj != 0 {
 		t.Errorf("grover DISJ = %d, want 0", gres.Disj)
 	}
+	if d, err := Disj(x, y); err != nil || d != 0 {
+		t.Errorf("Disj = %d, %v, want 0", d, err)
+	}
+	// Inputs of different lengths are an error, never a panic.
+	if _, err := Disj(NewBits(3), NewBits(4)); err == nil {
+		t.Error("Disj accepted inputs of lengths 3 and 4")
+	}
 
 	alg := RelayAlgorithm(3, func(a, b uint64) uint64 { return a ^ b })
 	native, err := alg.RunNative(5, 9)
@@ -200,7 +207,7 @@ func TestPublicWireFormat(t *testing.T) {
 
 // ResetNode makes pingNode reusable: a public-API program opts into
 // sessions by implementing CongestResettable.
-func (p *pingNode) ResetNode(v int, params any) {
+func (p *pingNode) ResetNode() {
 	p.holding = false
 	p.hops = 0
 	p.done = false
@@ -225,10 +232,10 @@ func TestPublicSessionAPI(t *testing.T) {
 	}
 	want := fresh.Metrics()
 
-	s := NewCongestSession(topo, func(v int) CongestNode { return &pingNode{id: v} }, WithWorkers(2))
+	s := NewCongestSession(topo, func(v int) *pingNode { return &pingNode{id: v} }, WithWorkers(2))
 	defer s.Close()
 	for rep := 0; rep < 3; rep++ {
-		if err := s.Reset(nil); err != nil {
+		if err := s.Reset(); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Run(4 * n); err != nil {
@@ -237,21 +244,21 @@ func TestPublicSessionAPI(t *testing.T) {
 		if got := s.Metrics(); got != want {
 			t.Errorf("rep %d: session metrics %+v, want %+v", rep, got, want)
 		}
-		if got := s.Node(n - 1).(*pingNode).hops; got != n-1 {
+		if got := s.Node(n - 1).hops; got != n-1 {
 			t.Errorf("rep %d: hop count %d, want %d", rep, got, n-1)
 		}
 	}
 
-	pool, err := NewPool(3, func(int) (*CongestSession, error) {
+	pool, err := NewPool(3, func(int) (*CongestSession[*pingNode], error) {
 		return s.Clone()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close(func(c *CongestSession) { c.Close() })
+	defer pool.Close(func(c *CongestSession[*pingNode]) { c.Close() })
 	metrics := make([]CongestMetrics, 9)
-	if err := pool.Do(len(metrics), func(j int, c *CongestSession) error {
-		if err := c.Reset(nil); err != nil {
+	if err := pool.Do(len(metrics), func(j int, c *CongestSession[*pingNode]) error {
+		if err := c.Reset(); err != nil {
 			return err
 		}
 		if err := c.Run(4 * n); err != nil {
