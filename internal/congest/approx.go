@@ -330,25 +330,16 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 // s = ceil(sqrt(n)) by default.
 func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) (ExactResult, error) {
 	var res ExactResult
-	if g == nil {
-		return res, errNilGraph
+	topo, err := classicalTopology(g)
+	if topo == nil {
+		return res, err
 	}
-	n := g.N()
-	if n == 0 {
-		return res, errEmptyGraph
-	}
-	if n == 1 {
-		return ExactResult{Diameter: 0}, nil
-	}
+	n := topo.N()
 	if s <= 0 {
 		s = int(math.Ceil(math.Sqrt(float64(n))))
 	}
 	if s > n {
 		s = n
-	}
-	topo, err := NewTopology(g)
-	if err != nil {
-		return res, err
 	}
 	prep, m, err := PrepareApproxOn(topo, s, seed, opts...)
 	if err != nil {

@@ -31,15 +31,21 @@
 // Run executes each half-round on a pool of worker goroutines (see
 // WithWorkers): the vertices are split into k contiguous shards aligned to
 // 4096 vertices, and worker w runs the Send half for its shard, in
-// ascending vertex order, with a private Outbox (arena, edge-bit ledger and
-// metrics shard) and private per-receiver message buffers; after the round
-// barrier it runs the Receive half for its shard on inboxes merged from
-// all workers' buffers in ascending sender order. Because delivery order,
-// the metrics merge, and the selection of the reported validation error
-// are all canonical, a run is bit-for-bit deterministic: outputs, round
-// counts, Metrics and error messages are identical for every worker count,
-// including the k=1 serial execution. Encoded messages live in recycled
-// per-worker arenas, so steady-state rounds allocate nothing.
+// ascending vertex order, with a private Outbox (arena, edge-bit ledger,
+// per-receiver delivery chains and metrics shard); after the round barrier
+// it runs the Receive half for its shard.
+//
+// One rule orders everything: shard w lies wholly below shard w+1, so the
+// outboxes taken in shard order hold the senders in ascending order. An
+// inbox is the concatenation of its receiver's chains in shard order, the
+// observer replays the outboxes' logs in shard order, and the reported
+// validation error is the first failing outbox's (each worker stops at its
+// first offense, so that is the smallest failing sender). All three are
+// therefore exactly what the serial execution produces, and a run is
+// bit-for-bit deterministic: outputs, round counts, Metrics, observer
+// traces and error messages are identical for every worker count,
+// including k=1. Encoded messages live in recycled per-worker arenas, so
+// steady-state rounds allocate nothing.
 //
 // Rounds are frontier-scheduled (see scheduler.go): only vertices whose
 // program scheduled the round (the Scheduled contract's NextWake, asked
@@ -76,7 +82,6 @@ package congest
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -136,12 +141,11 @@ func (in *Inbound) Decode(env *Env, m WireMessage) error {
 // view is only valid for the duration of the Receive call.
 func (in *Inbound) Wire() WireView { return in.wire }
 
-// stagedMsg is one encoded outbound message awaiting delivery.
+// stagedMsg is one staged message copy as the observer sees it.
 type stagedMsg struct {
-	to   int
-	kind Kind
-	bits int
-	wire WireView
+	from, to int
+	bits     int
+	wire     WireView
 }
 
 // stagedRec is one staged message copy in the Outbox's per-round SoA
@@ -194,8 +198,8 @@ type Outbox struct {
 	dest    []destChain
 	touched []int32
 
-	// Observer support: the current sender's emissions in order, kept only
-	// when a run observer needs the canonical replay.
+	// Observer support: the round's staged copies in staging order, kept
+	// only when a run observer needs the canonical replay.
 	keepMsgs bool
 	msgs     []stagedMsg
 
@@ -206,7 +210,6 @@ type Outbox struct {
 	bitsTotal int
 	maxEdge   int
 	err       error
-	errSender int
 
 	// Directed-edge bit ledger for the current sender, indexed by the
 	// destination's position in the sender's neighbor row (so it is sized
@@ -219,11 +222,10 @@ type Outbox struct {
 
 func newOutbox(nw *Network) *Outbox {
 	return &Outbox{
-		nw:        nw,
-		dest:      make([]destChain, nw.topo.n),
-		keepMsgs:  nw.observer != nil,
-		edge:      make([]edgeCell, nw.topo.maxDeg),
-		errSender: -1,
+		nw:       nw,
+		dest:     make([]destChain, nw.topo.n),
+		keepMsgs: nw.observer != nil,
+		edge:     make([]edgeCell, nw.topo.maxDeg),
 	}
 }
 
@@ -240,10 +242,10 @@ func (o *Outbox) beginRound(round int) {
 		o.dest[to] = destChain{}
 	}
 	o.touched = o.touched[:0]
+	o.msgs = o.msgs[:0]
 	o.bitsTotal = 0
 	o.maxEdge = 0
 	o.err = nil
-	o.errSender = -1
 	o.edgeSerial++
 }
 
@@ -251,15 +253,7 @@ func (o *Outbox) beginRound(round int) {
 // ledger reset.
 func (o *Outbox) begin(v int) {
 	o.sender = v
-	if o.keepMsgs {
-		o.msgs = o.msgs[:0]
-	}
 	o.edgeSerial++
-}
-
-func (o *Outbox) fail(err error) {
-	o.err = err
-	o.errSender = o.sender
 }
 
 // encode marshals m (kind tag + payload) into the arena and returns its
@@ -273,8 +267,8 @@ func (o *Outbox) fail(err error) {
 func (o *Outbox) encode(m WireMessage) (start, bits int, k Kind, ok bool) {
 	k = m.WireKind()
 	if !Registered(k) {
-		o.fail(fmt.Errorf("congest: round %d: node %d sent a message of unregistered kind %d",
-			o.round, o.sender, uint8(k)))
+		o.err = fmt.Errorf("congest: round %d: node %d sent a message of unregistered kind %d",
+			o.round, o.sender, uint8(k))
 		return 0, 0, k, false
 	}
 	start = o.arena.Len()
@@ -288,16 +282,16 @@ func (o *Outbox) encode(m WireMessage) (start, bits int, k Kind, ok bool) {
 	o.arena.WriteUint(uint64(k), KindBits)
 	m.MarshalWire(&o.arena)
 	if err := o.arena.Err(); err != nil {
-		o.fail(fmt.Errorf("congest: round %d: node %d: encoding %v message: %w",
-			o.round, o.sender, k, err))
+		o.err = fmt.Errorf("congest: round %d: node %d: encoding %v message: %w",
+			o.round, o.sender, k, err)
 		return 0, 0, k, false
 	}
 	bits = o.arena.Len() - start
 	if o.nw.strict {
 		if d, isDecl := m.(BitsDeclarer); isDecl {
 			if want := d.DeclaredBits(o.arena.N); want != bits {
-				o.fail(fmt.Errorf("congest: round %d: node %d: %v message declares %d bits but encodes to %d",
-					o.round, o.sender, k, want, bits))
+				o.err = fmt.Errorf("congest: round %d: node %d: %v message declares %d bits but encodes to %d",
+					o.round, o.sender, k, want, bits)
 				return 0, 0, k, false
 			}
 		}
@@ -313,7 +307,7 @@ func (o *Outbox) stageTo(to int, k Kind, bits, start int) {
 	}
 	i := o.nw.topo.neighborIndex(o.sender, to)
 	if i < 0 {
-		o.fail(fmt.Errorf("congest: round %d: node %d sent to non-neighbor %d", o.round, o.sender, to))
+		o.err = fmt.Errorf("congest: round %d: node %d sent to non-neighbor %d", o.round, o.sender, to)
 		return
 	}
 	o.stageEdge(i, to, k, bits, start)
@@ -333,8 +327,8 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 	}
 	ec.bits = eb
 	if int(eb) > o.nw.bandwidth {
-		o.fail(fmt.Errorf("congest: round %d: edge %d->%d exceeds bandwidth (%d > %d bits)",
-			o.round, o.sender, to, eb, o.nw.bandwidth))
+		o.err = fmt.Errorf("congest: round %d: edge %d->%d exceeds bandwidth (%d > %d bits)",
+			o.round, o.sender, to, eb, o.nw.bandwidth)
 		return
 	} else if int(eb) > o.maxEdge {
 		o.maxEdge = int(eb)
@@ -350,9 +344,17 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 	dc.tail = rec
 	o.q = append(o.q, stagedRec{start: start, from: int32(o.sender), next: -1, bits: int32(bits), kind: k})
 	if o.keepMsgs {
-		o.msgs = append(o.msgs, stagedMsg{to: to, kind: k, bits: bits, wire: o.arena.view(start, bits)})
+		o.msgs = append(o.msgs, stagedMsg{from: o.sender, to: to, bits: bits, wire: o.arena.view(start, bits)})
 	}
 	o.bitsTotal += bits
+}
+
+// replay hands the round's staged copies to the observer in staging order.
+func (o *Outbox) replay(obs Observer) {
+	for i := range o.msgs {
+		r := &o.msgs[i]
+		obs(o.round, r.from, r.to, r.bits, r.wire)
+	}
 }
 
 // sent returns the number of copies staged this round (derived from the
@@ -372,46 +374,17 @@ func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 
 // gatherChains materializes receiver v's canonical inbox — ascending
 // sender, emission order within a sender — from the staged chains of obs
-// (one Outbox per worker), appending onto buf. heads is len(obs)-long merge
-// scratch. Every chain is ascending-sender by construction (senders run in
-// ascending order within a worker) and a sender lives in exactly one
-// outbox, so a k-way merge by sender id (ties impossible) reproduces the
-// serial delivery order.
-func gatherChains(obs []*Outbox, heads []int32, v int, buf []Inbound) []Inbound {
-	contributors, solo := 0, -1
-	for ww, ob := range obs {
+// (the workers' outboxes in shard order), appending onto buf. Each chain is
+// ascending-sender (a worker runs its senders in ascending order) and every
+// sender of obs[w] is below every sender of obs[w+1], so the concatenation
+// is the serial delivery order.
+func gatherChains(obs []*Outbox, v int, buf []Inbound) []Inbound {
+	for _, ob := range obs {
 		if ob.dest[v].head1 != 0 {
-			contributors++
-			solo = ww
+			buf = ob.appendChain(v, buf)
 		}
 	}
-	switch contributors {
-	case 0:
-		return buf
-	case 1:
-		return obs[solo].appendChain(v, buf)
-	}
-	for ww, ob := range obs {
-		heads[ww] = ob.dest[v].head1 - 1
-	}
-	for {
-		best := -1
-		var bestFrom int32
-		for ww := range obs {
-			if h := heads[ww]; h >= 0 {
-				if from := obs[ww].q[h].from; best < 0 || from < bestFrom {
-					best, bestFrom = ww, from
-				}
-			}
-		}
-		if best < 0 {
-			return buf
-		}
-		ob := obs[best]
-		r := &ob.q[heads[best]]
-		buf = append(buf, Inbound{From: int(r.from), Kind: r.kind, Bits: int(r.bits), wire: ob.arena.view(r.start, int(r.bits))})
-		heads[best] = r.next
-	}
+	return buf
 }
 
 // Put encodes and stages one message to neighbor `to`. The cost charged
@@ -630,7 +603,8 @@ func WithStrictAccounting() Option {
 // crossing a vertex-partition cut (Theorem 10's simulation argument). The
 // callback is always invoked on the caller's goroutine at the round
 // barrier, in canonical order (ascending sender id, then the sender's
-// emission order), regardless of the worker count.
+// emission order), regardless of the worker count. A failing round is
+// never observed.
 func WithObserver(fn Observer) Option {
 	return func(nw *Network) { nw.observer = fn }
 }
@@ -729,18 +703,15 @@ const (
 	phaseRecv
 )
 
-// workerState is one worker's private slice of the engine state. Round
-// totals are merged into Network.metrics at the barrier; the Outbox arena
-// and all scratch buffers persist across rounds, so steady-state rounds
-// allocate nothing.
+// workerState is one worker's private receive-half state (its send-half
+// state is its Outbox, engine.obs[w]). Round totals are merged into
+// Network.metrics at the barrier; all scratch buffers persist across
+// rounds, so steady-state rounds allocate nothing.
 type workerState struct {
-	outbox *Outbox
-
 	// Receive-half accumulators.
 	maxStateBits int
 	maxInboxSize int
 
-	heads []int32   // chain-merge cursors, one per worker
 	inbox []Inbound // reusable materialized inbox (one vertex at a time)
 
 	// env is the worker's one Env, re-pointed at each vertex before every
@@ -755,9 +726,8 @@ type engine struct {
 	round int
 	empty bool // the current round's send half produced no messages
 
-	obs  []*Outbox     // the workers' outboxes (delivery reads their chains)
-	outs [][]stagedMsg // per-sender emissions, kept only for the observer
-	ws   []workerState
+	obs []*Outbox // the workers' outboxes in shard order
+	ws  []workerState
 
 	fr *frontierState
 
@@ -771,13 +741,8 @@ func newEngine(nw *Network) *engine {
 	e.obs = make([]*Outbox, e.k)
 	e.ws = make([]workerState, e.k)
 	for w := 0; w < e.k; w++ {
-		e.ws[w].outbox = newOutbox(nw)
-		e.obs[w] = e.ws[w].outbox
-		e.ws[w].heads = make([]int32, e.k)
+		e.obs[w] = newOutbox(nw)
 		e.ws[w].env = newEnv(n)
-	}
-	if nw.observer != nil {
-		e.outs = make([][]stagedMsg, n)
 	}
 	e.fr = newFrontierState(n, e.k, nw.nodes)
 	if e.k > 1 {
@@ -834,29 +799,22 @@ func (e *engine) stop() {
 	}
 }
 
-// finishSend merges the send half at the round barrier: it picks the
-// canonical error (the one at the smallest sender id — what a serial
-// execution hits first), folds the worker metric shards into the run
-// metrics, and replays the observer in canonical order. The replay iterates
-// the frontier bitset, ascending — only those vertices ran the send half
-// (their e.outs entries are current; everything else is stale from earlier
-// rounds).
+// finishSend merges the send half at the round barrier: it reports the
+// first failing outbox's error (in shard order that is the smallest failing
+// sender, the one a serial execution hits first), folds the worker metric
+// shards into the run metrics, and replays the outboxes' logs to the
+// observer in shard order, which is ascending sender order.
 func (e *engine) finishSend() error {
-	errW := -1
 	var sent, bitsTotal, maxEdge int
-	for w := range e.ws {
-		ob := e.ws[w].outbox
-		if ob.err != nil && (errW < 0 || ob.errSender < e.ws[errW].outbox.errSender) {
-			errW = w
+	for _, ob := range e.obs {
+		if ob.err != nil {
+			return ob.err
 		}
 		sent += ob.sent()
 		bitsTotal += ob.bitsTotal
 		if ob.maxEdge > maxEdge {
 			maxEdge = ob.maxEdge
 		}
-	}
-	if errW >= 0 {
-		return e.ws[errW].outbox.err
 	}
 	m := &e.nw.metrics
 	m.Messages += sent
@@ -869,22 +827,8 @@ func (e *engine) finishSend() error {
 		m.DroppedRounds++
 	}
 	if obs := e.nw.observer; obs != nil {
-		cur := e.fr.cur
-		for si := range cur.sum {
-			sw := cur.sum[si]
-			for sw != 0 {
-				wi := si<<6 + bits.TrailingZeros64(sw)
-				sw &= sw - 1
-				word := cur.words[wi]
-				for word != 0 {
-					v := wi<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					for i := range e.outs[v] {
-						r := &e.outs[v][i]
-						obs(e.round, v, r.to, r.bits, r.wire)
-					}
-				}
-			}
+		for _, ob := range e.obs {
+			ob.replay(obs)
 		}
 	}
 	return nil
@@ -921,14 +865,6 @@ func (nw *Network) RunReference(maxRounds int) error {
 	nbrs := nw.topo.neighbors
 	env := newEnv(n) // one Env, re-bound before every program call
 	ob := newOutbox(nw)
-	// Observer replay buffer: emissions of the whole round, replayed at
-	// the round barrier exactly like Run does (in particular, a failing
-	// round is never observed on either engine).
-	type obsEvent struct {
-		from int
-		m    stagedMsg
-	}
-	var pending []obsEvent
 	var inbox []Inbound // materialized-inbox scratch, reused per vertex
 	if nw.observer != nil {
 		nw.observer(0, -1, -1, 0, WireView{}) // run boundary
@@ -953,22 +889,17 @@ func (nw *Network) RunReference(maxRounds int) error {
 		// Send half. Iterating senders in ascending order makes every
 		// delivery buffer canonically ordered by construction.
 		ob.beginRound(round)
-		pending = pending[:0]
 		for v, nd := range nw.nodes {
 			ob.begin(v)
 			nd.Send(env.bind(v, nbrs[v], round), ob)
 			if ob.err != nil {
 				return ob.err
 			}
-			if nw.observer != nil {
-				for i := range ob.msgs {
-					pending = append(pending, obsEvent{from: v, m: ob.msgs[i]})
-				}
-			}
 		}
-		for i := range pending {
-			e := &pending[i]
-			nw.observer(round, e.from, e.m.to, e.m.bits, e.m.wire)
+		// Replayed at the round barrier exactly like Run does: a failing
+		// round is never observed on either engine.
+		if nw.observer != nil {
+			ob.replay(nw.observer)
 		}
 		nw.metrics.Messages += ob.sent()
 		nw.metrics.Bits += ob.bitsTotal

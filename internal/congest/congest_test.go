@@ -341,13 +341,17 @@ func TestTokenWalkWindowMatchesSetS(t *testing.T) {
 }
 
 func TestClassicalExactDiameter(t *testing.T) {
+	hypercube4, err := graph.Hypercube(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := []*graph.Graph{
 		graph.Path(14),
 		graph.Cycle(15),
 		graph.Star(10),
 		graph.Grid(4, 7),
 		graph.CompleteBinaryTree(31),
-		graph.Hypercube(4),
+		hypercube4,
 		graph.Barbell(5, 4),
 		graph.RandomConnected(35, 0.06, 1),
 		graph.RandomConnected(35, 0.15, 2),

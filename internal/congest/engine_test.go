@@ -13,10 +13,17 @@ import (
 // The engine's central contract: for any fixed input, Run produces
 // bit-for-bit identical outputs, round counts and Metrics for every worker
 // count, and all of them match the retained reference engine. These tests
-// exercise the real multi-worker code paths explicitly (the automatic rule
-// would pick one worker on small machines and networks).
+// set the worker count explicitly (the automatic rule would pick one worker
+// on small machines and networks). Shards are aligned to 4096 vertices, so
+// only a network above 4096 vertices is actually split: each test below
+// that checks an ordering rule (inbox concatenation, error pick, observer
+// replay) runs one such network, on which every k > 1 runs two shards.
 
 var engineWorkerCounts = []int{1, 2, 3, 8}
+
+// splitGraph returns a connected random graph above the 4096-vertex shard
+// grain, so that every worker count above one splits its vertices.
+func splitGraph(seed int64) *graph.Graph { return graph.RandomConnected(5000, 0.002, seed) }
 
 // bfsSnapshot captures every output of one BFS program.
 type bfsSnapshot struct {
@@ -43,16 +50,20 @@ func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) erro
 }
 
 func TestEngineDeterministicBFS(t *testing.T) {
+	var graphs []*graph.Graph
 	for seed := int64(1); seed <= 4; seed++ {
-		g := graph.RandomConnected(300, 0.02, seed)
+		graphs = append(graphs, graph.RandomConnected(300, 0.02, seed))
+	}
+	graphs = append(graphs, splitGraph(5))
+	for gi, g := range graphs {
 		wantOut, wantM := runBFS(t, g, 0, (*Network).RunReference)
 		for _, k := range engineWorkerCounts {
 			gotOut, gotM := runBFS(t, g, 0, (*Network).Run, WithWorkers(k))
 			if !reflect.DeepEqual(gotOut, wantOut) {
-				t.Errorf("seed %d workers %d: BFS outputs differ from reference", seed, k)
+				t.Errorf("graph %d (n=%d) workers %d: BFS outputs differ from reference", gi, g.N(), k)
 			}
 			if gotM != wantM {
-				t.Errorf("seed %d workers %d: Metrics = %+v, want %+v", seed, k, gotM, wantM)
+				t.Errorf("graph %d (n=%d) workers %d: Metrics = %+v, want %+v", gi, g.N(), k, gotM, wantM)
 			}
 		}
 	}
@@ -154,30 +165,31 @@ func (h *duelingHogNode) Receive(env *Env, inbox []Inbound) {}
 func (h *duelingHogNode) Done() bool                        { return false }
 
 func TestEngineDeterministicErrors(t *testing.T) {
-	g := graph.RandomConnected(64, 0.1, 3)
-	run := func(k int) string {
-		t.Helper()
-		nw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} }, WithWorkers(k))
+	for _, g := range []*graph.Graph{graph.RandomConnected(64, 0.1, 3), splitGraph(3)} {
+		run := func(k int) string {
+			t.Helper()
+			nw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} }, WithWorkers(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = nw.Run(10)
+			if err == nil {
+				t.Fatal("bandwidth violation not detected")
+			}
+			return err.Error()
+		}
+		refNw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} })
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = nw.Run(10)
-		if err == nil {
-			t.Fatal("bandwidth violation not detected")
+		refErr := refNw.RunReference(10)
+		if refErr == nil {
+			t.Fatal("reference engine missed the violation")
 		}
-		return err.Error()
-	}
-	refNw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	refErr := refNw.RunReference(10)
-	if refErr == nil {
-		t.Fatal("reference engine missed the violation")
-	}
-	for _, k := range engineWorkerCounts {
-		if got := run(k); got != refErr.Error() {
-			t.Errorf("workers %d: error %q, want %q", k, got, refErr.Error())
+		for _, k := range engineWorkerCounts {
+			if got := run(k); got != refErr.Error() {
+				t.Errorf("n=%d workers %d: error %q, want %q", g.N(), k, got, refErr.Error())
+			}
 		}
 	}
 }
@@ -185,7 +197,13 @@ func TestEngineDeterministicErrors(t *testing.T) {
 // The observer must see every delivered message in canonical order
 // (ascending sender, emission order within a sender) for every worker count.
 func TestEngineObserverOrderDeterministic(t *testing.T) {
-	g := graph.RandomConnected(150, 0.04, 7)
+	for _, g := range []*graph.Graph{graph.RandomConnected(150, 0.04, 7), splitGraph(7)} {
+		checkObserverOrder(t, g)
+	}
+}
+
+func checkObserverOrder(t *testing.T, g *graph.Graph) {
+	t.Helper()
 	trace := func(k int, run func(*Network, int) error) []string {
 		t.Helper()
 		var events []string
@@ -217,7 +235,7 @@ func TestEngineObserverOrderDeterministic(t *testing.T) {
 	for _, k := range engineWorkerCounts {
 		got := trace(k, (*Network).Run)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers %d: observer trace differs from reference (%d vs %d events)", k, len(got), len(want))
+			t.Errorf("n=%d workers %d: observer trace differs from reference (%d vs %d events)", g.N(), k, len(got), len(want))
 		}
 	}
 }

@@ -27,19 +27,8 @@ type ExactResult struct {
 // the Metrics bit counts returned here are encoded lengths, not estimates.
 func ClassicalExactDiameter(g *graph.Graph, opts ...Option) (ExactResult, error) {
 	var res ExactResult
-	if g == nil {
-		return res, errNilGraph
-	}
-	n := g.N()
-	if n == 0 {
-		return res, errEmptyGraph
-	}
-	if n == 1 {
-		return ExactResult{Diameter: 0}, nil
-	}
-
-	topo, err := NewTopology(g)
-	if err != nil {
+	topo, err := classicalTopology(g)
+	if topo == nil {
 		return res, err
 	}
 	info, dv, m, err := classicalEccPhases(topo, opts...)
@@ -56,6 +45,22 @@ func ClassicalExactDiameter(g *graph.Graph, opts ...Option) (ExactResult, error)
 	res.Metrics.Add(m)
 	res.Diameter = diam
 	return res, nil
+}
+
+// classicalTopology is the one prologue of the classical entry points: it
+// rejects a nil or empty graph and builds the topology. A one-vertex graph
+// needs no round at all (its diameter and eccentricity are 0), so it gets
+// a nil topology and a nil error.
+func classicalTopology(g *graph.Graph) (*Topology, error) {
+	switch {
+	case g == nil:
+		return nil, errNilGraph
+	case g.N() == 0:
+		return nil, errEmptyGraph
+	case g.N() == 1:
+		return nil, nil
+	}
+	return NewTopology(g)
 }
 
 // classicalEccPhases runs the [PRT12] pipeline up to (and including) the
@@ -102,19 +107,12 @@ func classicalEccPhases(topo *Topology, opts ...Option) (*PreInfo, []int, Metric
 // ClassicalExactDiameter run without the final convergecast. It is the
 // classical baseline for the per-vertex quantum Eccentricities suite.
 func ClassicalEccentricities(g *graph.Graph, opts ...Option) ([]int, Metrics, error) {
-	if g == nil {
-		return nil, Metrics{}, errNilGraph
-	}
-	n := g.N()
-	if n == 0 {
-		return nil, Metrics{}, errEmptyGraph
-	}
-	if n == 1 {
-		return []int{0}, Metrics{}, nil
-	}
-	topo, err := NewTopology(g)
+	topo, err := classicalTopology(g)
 	if err != nil {
 		return nil, Metrics{}, err
+	}
+	if topo == nil {
+		return []int{0}, Metrics{}, nil
 	}
 	_, dv, m, err := classicalEccPhases(topo, opts...)
 	return dv, m, err

@@ -16,13 +16,12 @@ import (
 )
 
 // hotPathFixture is a network plus the staging state the engines feed the
-// hot path with: one Outbox (or two, for the merge path) and the scratch
-// the receive half reuses.
+// hot path with: one Outbox per worker shard and the scratch the receive
+// half reuses.
 type hotPathFixture struct {
 	nw    *Network
 	topo  *Topology
 	obs   []*Outbox
-	heads []int32
 	inbox []Inbound
 	round int
 }
@@ -35,7 +34,7 @@ func newHotPathFixture(tb testing.TB, n, outboxes int, opts ...Option) *hotPathF
 		tb.Fatal(err)
 	}
 	nw := NewNetworkOn(topo, func(v int) Node { return NewWaveNode(false, 0, 1) }, opts...)
-	f := &hotPathFixture{nw: nw, topo: topo, heads: make([]int32, outboxes)}
+	f := &hotPathFixture{nw: nw, topo: topo}
 	for i := 0; i < outboxes; i++ {
 		f.obs = append(f.obs, newOutbox(nw))
 	}
@@ -43,15 +42,17 @@ func newHotPathFixture(tb testing.TB, n, outboxes int, opts ...Option) *hotPathF
 }
 
 // stageRound runs one send half: every vertex broadcasts one packed wave
-// message to its full neighbor row. With two outboxes the senders are
-// split even/odd, forcing the k-way merge in gatherChains.
+// message to its full neighbor row. With several outboxes the senders are
+// split into contiguous ranges, as the engine's shards split them, so
+// gatherChains concatenates chains from more than one outbox.
 func (f *hotPathFixture) stageRound(tx *msgWave) {
 	f.round++
 	for _, ob := range f.obs {
 		ob.beginRound(f.round)
 	}
-	for v := 0; v < f.topo.N(); v++ {
-		ob := f.obs[v%len(f.obs)]
+	n := f.topo.N()
+	for v := 0; v < n; v++ {
+		ob := f.obs[v*len(f.obs)/n]
 		ob.begin(v)
 		ob.Broadcast(f.topo.Neighbors(v), tx)
 	}
@@ -62,7 +63,7 @@ func (f *hotPathFixture) stageRound(tx *msgWave) {
 func (f *hotPathFixture) gatherAll() int {
 	total := 0
 	for v := 0; v < f.topo.N(); v++ {
-		f.inbox = gatherChains(f.obs, f.heads, v, f.inbox[:0])
+		f.inbox = gatherChains(f.obs, v, f.inbox[:0])
 		total += len(f.inbox)
 	}
 	return total
@@ -125,8 +126,9 @@ func BenchmarkRecvShard(b *testing.B) {
 	}
 	// solo: every receiver's messages live in one outbox (chain walk).
 	b.Run("solo", func(b *testing.B) { run(b, 1) })
-	// merge: senders split across two outboxes (k-way merge by sender id).
-	b.Run("merge2", func(b *testing.B) { run(b, 2) })
+	// split2: senders split into two contiguous halves, one outbox each
+	// (chains concatenated in shard order).
+	b.Run("split2", func(b *testing.B) { run(b, 2) })
 }
 
 // TestHotPathSteadyStateAllocs pins the hot path at zero steady-state
@@ -137,7 +139,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		outboxes int
-	}{{"solo", 1}, {"merge2", 2}} {
+	}{{"solo", 1}, {"split2", 2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newHotPathFixture(t, 256, tc.outboxes, WithStrictAccounting())
 			tx := &msgWave{Tau: 3, Delta: 5}

@@ -74,12 +74,14 @@ package congest
 //
 // The frontier is a deterministic function of the run history: receivers
 // are determined by the (deterministic) sends, self-wakes by program state,
-// and the always-active set by the program types. Worker w executes its
-// contiguous vertex shard in ascending order, so per-worker delivery
-// buffers stay ordered by ascending sender, and the round barrier's k-way
-// inbox merge, metrics fold and canonical error selection reproduce the
-// serial order of RunReference — outputs are bit-identical for every
-// worker count and shard geometry.
+// and the always-active set by the program types. The ordering rule is the
+// shard-order rule of the package comment: worker w executes its contiguous
+// vertex shard in ascending order and shard w lies wholly below shard w+1,
+// so the outboxes in shard order hold the senders in ascending order.
+// Inboxes concatenate chains, the observer replays logs and the error is
+// picked by walking the outboxes in that order, which reproduces the serial
+// order of RunReference; the metrics fold is order-independent. Outputs are
+// bit-identical for every worker count and shard geometry.
 //
 // # Quiescence and idle-round accounting
 //
@@ -477,15 +479,15 @@ func (e *engine) samplePre() {
 
 // sendShard runs the Send half for worker w's vertex shard, iterating its
 // slice of the frontier bitset through the summary layer (ascending, so
-// the delivery buffers stay canonically ordered). All writes go to
-// worker-private state: the worker's Outbox (arena, ledger, delivery
-// chains, metrics shard). Validation stops at the shard's first offending
-// message; since an offense depends only on its own sender's emissions,
-// the shard-first error at the smallest sender id is exactly the error a
-// serial execution reports.
+// the delivery chains and the observer log stay in sender order). All
+// writes go to worker-private state: the worker's Outbox (arena, ledger,
+// delivery chains, metrics shard). Validation stops at the shard's first
+// offending message; since an offense depends only on its own sender's
+// emissions, the first failing shard's error is exactly the error a serial
+// execution reports.
 func (e *engine) sendShard(w int) {
 	nw := e.nw
-	ob := e.ws[w].outbox
+	ob := e.obs[w]
 	// beginRound recycles the previous round's delivery chains (the
 	// barrier guarantees every reader is done with them) and the arena.
 	ob.beginRound(e.round)
@@ -507,9 +509,6 @@ func (e *engine) sendShard(w int) {
 				word &= word - 1
 				ob.begin(v)
 				nw.nodes[v].Send(env.bind(v, nbrs[v], round), ob)
-				if e.outs != nil {
-					e.outs[v] = append(e.outs[v][:0], ob.msgs...)
-				}
 				if ob.err != nil {
 					return
 				}
@@ -520,13 +519,13 @@ func (e *engine) sendShard(w int) {
 
 // recvShard runs the Receive half for worker w's shard of the receive set
 // (frontier ∪ this round's receivers). Each inbox is materialized from the
-// workers' staged chains into the worker's scratch by gatherChains, which
-// reproduces the canonical delivery order — ascending sender, emission
-// order within a sender — for every worker count; vertices execute one at
-// a time per worker and Receive must not retain the inbox, so one reusable
-// scratch per worker suffices. The worker also maintains the incremental
-// Done count and registers the programs' next wakes — all into shard-local
-// state, so the barrier only folds counters.
+// workers' staged chains into the worker's scratch by gatherChains, whose
+// shard-order concatenation is the canonical delivery order — ascending
+// sender, emission order within a sender — for every worker count.
+// Vertices execute one at a time per worker and Receive must not retain the
+// inbox, so one reusable scratch per worker suffices. The worker also
+// maintains the incremental Done count and registers the programs' next
+// wakes — all into shard-local state, so the barrier only folds counters.
 //
 // The receive set is never materialized: at entry the worker claims its
 // own vertices from every worker's touched-receiver list into `rcv`, and
@@ -548,8 +547,8 @@ func (e *engine) recvShard(w int) {
 	}
 	if !e.empty {
 		vlo, vhi := int32(wlo<<6), int32(whi<<6)
-		for ww := range e.ws {
-			for _, to := range e.ws[ww].outbox.touched {
+		for _, ob := range e.obs {
+			for _, to := range ob.touched {
 				if to >= vlo && to < vhi {
 					fr.rcv.add(to)
 				}
@@ -571,7 +570,7 @@ func (e *engine) recvShard(w int) {
 				word &= word - 1
 				var inbox []Inbound
 				if !e.empty {
-					inbox = gatherChains(e.obs, st.heads, v, st.inbox[:0])
+					inbox = gatherChains(e.obs, v, st.inbox[:0])
 					st.inbox = inbox
 				}
 				if len(inbox) > maxInbox {
@@ -714,8 +713,8 @@ func (e *engine) execute(maxRounds int) error {
 		// touched totals overestimates it (overlap, cross-worker
 		// duplicates), but it is only the inline-dispatch heuristic.
 		recvSize := fr.curCount
-		for w := range e.ws {
-			recvSize += len(e.ws[w].outbox.touched)
+		for _, ob := range e.obs {
+			recvSize += len(ob.touched)
 		}
 		e.runPhase(phaseRecv, recvSize)
 		e.finishRecv()

@@ -230,18 +230,8 @@ func (es *WeightedEccSession) Close() {
 // classical baseline the quantum weighted suite is compared against.
 func ClassicalWeightedDiameter(g *graph.Graph, opts ...Option) (ExactResult, error) {
 	var res ExactResult
-	if g == nil {
-		return res, errNilGraph
-	}
-	n := g.N()
-	if n == 0 {
-		return res, errEmptyGraph
-	}
-	if n == 1 {
-		return ExactResult{Diameter: 0}, nil
-	}
-	topo, err := NewTopology(g)
-	if err != nil {
+	topo, err := classicalTopology(g)
+	if topo == nil {
 		return res, err
 	}
 	info, m, err := PreprocessOn(topo, opts...)
@@ -251,7 +241,7 @@ func ClassicalWeightedDiameter(g *graph.Graph, opts ...Option) (ExactResult, err
 	res.Metrics.Add(m)
 	es := NewWeightedEccSession(topo, info, opts...)
 	defer es.Close()
-	for v := 0; v < n; v++ {
+	for v := 0; v < topo.N(); v++ {
 		ecc, m, err := es.Eval(v)
 		if err != nil {
 			return res, err

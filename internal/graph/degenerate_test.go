@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestGeneratorsDegenerateInputs drives every generator through the
 // degenerate corners (n = 0, n = 1, a single edge, below-minimum dims) and
@@ -40,9 +43,8 @@ func TestGeneratorsDegenerateInputs(t *testing.T) {
 		{"torus/2x2", func() *Graph { return Torus(2, 2) }, 4, 4, 2, 2, true},
 		{"torus/1x4", func() *Graph { return Torus(1, 4) }, 4, 4, 2, 2, true},
 		{"torus/2x3", func() *Graph { return Torus(2, 3) }, 6, 9, 2, 2, true},
-		{"hypercube/-1", func() *Graph { return Hypercube(-1) }, 0, 0, 0, 0, true},
-		{"hypercube/0", func() *Graph { return Hypercube(0) }, 1, 0, 0, 0, true},
-		{"hypercube/1", func() *Graph { return Hypercube(1) }, 2, 1, 1, 1, true},
+		{"hypercube/0", func() *Graph { return mustGraph(Hypercube(0)) }, 1, 0, 0, 0, true},
+		{"hypercube/1", func() *Graph { return mustGraph(Hypercube(1)) }, 2, 1, 1, 1, true},
 		{"cbt/0", func() *Graph { return CompleteBinaryTree(0) }, 0, 0, 0, 0, true},
 		{"cbt/1", func() *Graph { return CompleteBinaryTree(1) }, 1, 0, 0, 0, true},
 		{"cbt/2", func() *Graph { return CompleteBinaryTree(2) }, 2, 1, 1, 1, true},
@@ -92,6 +94,46 @@ func TestGeneratorsDegenerateInputs(t *testing.T) {
 				t.Fatalf("AllEccentricities() = %v, %v, want %d entries", eccs, err, tc.wantN)
 			}
 		})
+	}
+	// A negative dimension has no hypercube: an error, not a graph.
+	t.Run("hypercube/-1", func(t *testing.T) {
+		if g, err := Hypercube(-1); err == nil {
+			t.Fatalf("Hypercube(-1) = %d vertices, want an error", g.N())
+		}
+	})
+}
+
+// mustGraph unwraps a generator result that the test knows is valid.
+func mustGraph(g *Graph, err error) *Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestHypercubeDimensionBounds pins Hypercube's domain: dimensions 0..26,
+// the largest whose 2^dim·dim directed edges fit the int32 CSR. Outside it
+// the generator errors without building anything — 62 used to panic in
+// make, and 63 and 64 overflowed 1 << dim into the empty graph.
+func TestHypercubeDimensionBounds(t *testing.T) {
+	if maxHypercubeDim*(1<<maxHypercubeDim) > 1<<31-1 || (maxHypercubeDim+1)*(1<<(maxHypercubeDim+1)) <= 1<<31-1 {
+		t.Fatalf("maxHypercubeDim = %d is not the largest dimension whose edges fit int32", maxHypercubeDim)
+	}
+	for _, dim := range []int{-1, 27, 62, 63, 64} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := Hypercube(dim)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Hypercube(%d) = %d vertices, want an error", dim, g.N())
+		}
+		if g != nil {
+			t.Errorf("Hypercube(%d) returned a graph beside its error", dim)
+		}
+		// The error value is all that may be allocated.
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1024 {
+			t.Errorf("Hypercube(%d) allocated %d bytes before failing", dim, d)
+		}
 	}
 }
 

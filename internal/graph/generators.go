@@ -115,12 +115,16 @@ func Torus(rows, cols int) *Graph {
 	return g
 }
 
+// maxHypercubeDim is the largest hypercube dimension whose 2^dim·dim
+// directed edges fit the int32 CSR behind every Topology (26·2^26 < 2^31).
+const maxHypercubeDim = 26
+
 // Hypercube returns the dim-dimensional hypercube on 2^dim vertices.
-// Diameter dim. A negative dim yields the empty graph, as New clamps a
-// negative n.
-func Hypercube(dim int) *Graph {
-	if dim < 0 {
-		return New(0)
+// Diameter dim. It errors, without building anything, for a negative dim
+// and for dim > 26, whose edges would not fit the int32 CSR.
+func Hypercube(dim int) (*Graph, error) {
+	if dim < 0 || dim > maxHypercubeDim {
+		return nil, fmt.Errorf("graph: hypercube dimension %d outside [0, %d]", dim, maxHypercubeDim)
 	}
 	n := 1 << dim
 	g := New(n)
@@ -132,7 +136,7 @@ func Hypercube(dim int) *Graph {
 			}
 		}
 	}
-	return g
+	return g, nil
 }
 
 // CompleteBinaryTree returns a complete binary tree with n vertices

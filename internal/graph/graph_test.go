@@ -110,7 +110,7 @@ func TestDiameterKnownFamilies(t *testing.T) {
 		{"complete7", Complete(7), 1},
 		{"grid4x5", Grid(4, 5), 7},
 		{"torus5x5", Torus(5, 5), 4},
-		{"hypercube4", Hypercube(4), 4},
+		{"hypercube4", mustGraph(Hypercube(4)), 4},
 		{"binarytree15", CompleteBinaryTree(15), 6},
 		{"barbell", Barbell(4, 3), 6},
 		{"caterpillar", Caterpillar(5, 3), 6},

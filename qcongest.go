@@ -64,7 +64,9 @@ var (
 	// NewGraph returns an empty graph with n vertices.
 	NewGraph = graph.New
 	// Path, Cycle, Star, Complete, Grid, Torus, Hypercube and
-	// CompleteBinaryTree build the standard families.
+	// CompleteBinaryTree build the standard families. Hypercube errors on a
+	// dimension outside [0, 26], the range whose edges fit the engine's
+	// int32 adjacency arrays.
 	Path               = graph.Path
 	Cycle              = graph.Cycle
 	Star               = graph.Star
