@@ -7,7 +7,6 @@ package qcongest
 // cmd/figures commands; timed end-to-end runs are the bench/ module.
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -38,9 +37,8 @@ func engineBenchGraph(kind string, n int) *Graph {
 
 // runEngineWorkload executes one leader election and returns the executed
 // rounds. run selects the engine: (*Network).RunReference or (*Network).Run.
-func runEngineWorkload(g *Graph, workers int, run func(*congest.Network, int) error) (int, error) {
-	nw, err := congest.NewNetwork(g, func(v int) congest.Node { return congest.NewLeaderElectNode() },
-		congest.WithWorkers(workers))
+func runEngineWorkload(g *Graph, run func(*congest.Network, int) error) (int, error) {
+	nw, err := congest.NewNetwork(g, func(v int) congest.Node { return congest.NewLeaderElectNode() })
 	if err != nil {
 		return 0, err
 	}
@@ -58,7 +56,7 @@ func BenchmarkEngine(b *testing.B) {
 				b.ReportAllocs()
 				totalRounds := 0
 				for i := 0; i < b.N; i++ {
-					r, err := runEngineWorkload(g, 1, (*congest.Network).RunReference)
+					r, err := runEngineWorkload(g, (*congest.Network).RunReference)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -70,7 +68,7 @@ func BenchmarkEngine(b *testing.B) {
 				b.ReportAllocs()
 				totalRounds := 0
 				for i := 0; i < b.N; i++ {
-					r, err := runEngineWorkload(g, runtime.NumCPU(), (*congest.Network).Run)
+					r, err := runEngineWorkload(g, (*congest.Network).Run)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -91,13 +89,13 @@ func BenchmarkEvalSession(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	info, _, err := congest.PreprocessOn(topo, WithWorkers(1))
+	info, _, err := congest.PreprocessOn(topo)
 	if err != nil {
 		b.Fatal(err)
 	}
-	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(1))
+	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D)
 	defer walk.Close()
-	ecc := congest.NewEccSession(topo, info, 6*info.D+2, WithWorkers(1))
+	ecc := congest.NewEccSession(topo, info, 6*info.D+2)
 	defer ecc.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -123,7 +121,7 @@ func BenchmarkEccSuite(b *testing.B) {
 	g := Path(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Eccentricities(g, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}})
+		res, err := Eccentricities(g, QuantumOptions{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

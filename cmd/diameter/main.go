@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		weighted   = fs.Bool("weighted", false, "assign uniform random edge weights in [1, maxw] and compute the weighted parameter")
 		maxw       = fs.Int("maxw", 8, "largest edge weight used by -weighted")
 		seed       = fs.Int64("seed", 1, "random seed")
-		workers    = fs.Int("workers", 0, "engine workers per round (0 = auto, 1 = serial; output is identical for any value)")
 		parallel   = fs.Int("parallel", 0, "evaluation sessions run concurrently by the quantum algorithms (0 = auto from the CPU budget, 1 = sequential; output is identical for any value)")
 		sublinear  = fs.Bool("sublinear", false, "route the weighted parameters through the skeleton distance oracle (sublinear per-Evaluation rounds; -param apsp always does)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -77,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 	}
-	engine := []qcongest.EngineOption{qcongest.WithWorkers(*workers)}
-
 	g, err := buildGraph(*kind, *n, *d, *p, *seed)
 	if err != nil {
 		return err
@@ -99,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "graph=%s n=%d m=%d weighted=false true-diameter=%d\n", *kind, g.N(), g.M(), truth)
 	}
 
-	qopts := qcongest.QuantumOptions{Seed: *seed, Parallel: *parallel, Sublinear: *sublinear, Engine: engine}
+	qopts := qcongest.QuantumOptions{Seed: *seed, Parallel: *parallel, Sublinear: *sublinear}
 	if *param != "diameter" {
 		return runParam(stdout, g, *param, *weighted, qopts)
 	}
@@ -108,14 +105,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	switch *algo {
 	case "classical-exact":
-		res, err := qcongest.ClassicalExactDiameter(g, engine...)
+		res, err := qcongest.ClassicalExactDiameter(g)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "classical exact: diameter=%d rounds=%d messages=%d\n",
 			res.Diameter, res.Metrics.Rounds, res.Metrics.Messages)
 	case "classical-approx":
-		res, err := qcongest.ClassicalApproxDiameter(g, 0, *seed, engine...)
+		res, err := qcongest.ClassicalApproxDiameter(g, 0, *seed)
 		if err != nil {
 			return err
 		}

@@ -27,18 +27,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed    = fs.Int64("seed", 1, "random seed")
-		workers = fs.Int("workers", 0, "engine workers per round (0 = auto; measurements are identical for any value)")
+		seed = fs.Int64("seed", 1, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine := []congest.Option{congest.WithWorkers(*workers)}
 
 	fmt.Fprintln(stdout, "=== Figure 1: BFS(leader) construction in O(D) rounds ===")
 	for _, n := range []int{30, 60, 120} {
 		g := qcongest.RandomConnected(n, 0.08, *seed)
-		info, m, err := congest.Preprocess(g, engine...)
+		info, m, err := congest.Preprocess(g)
 		if err != nil {
 			return err
 		}
@@ -52,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	info, _, err := congest.PreprocessOn(topo, engine...)
+	info, _, err := congest.PreprocessOn(topo)
 	if err != nil {
 		return err
 	}
@@ -66,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// The Evaluation sessions are built once; each u0 is a Reset+Run — the
 	// same execution shape the quantum algorithms use per Grover iteration.
-	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D, engine...)
+	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D)
 	defer walk.Close()
-	ecc := congest.NewEccSession(topo, info, 6*info.D+2, engine...)
+	ecc := congest.NewEccSession(topo, info, 6*info.D+2)
 	defer ecc.Close()
 	for _, u0 := range []int{0, 13, 27} {
 		tau, mw, err := walk.Eval(u0)
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		{"random48", qcongest.RandomConnected(48, 0.07, *seed)},
 		{"tree31", qcongest.CompleteBinaryTree(31)},
 	} {
-		minProb, bound, err := qcongest.Lemma1Coverage(tc.g, engine...)
+		minProb, bound, err := qcongest.Lemma1Coverage(tc.g)
 		if err != nil {
 			return err
 		}

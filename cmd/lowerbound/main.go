@@ -26,12 +26,10 @@ func main() {
 
 func run() error {
 	var (
-		seed    = flag.Int64("seed", 1, "random seed")
-		trials  = flag.Int("trials", 5, "random input pairs per experiment")
-		workers = flag.Int("workers", 0, "engine workers per round (0 = auto; results are identical for any value)")
+		seed   = flag.Int64("seed", 1, "random seed")
+		trials = flag.Int("trials", 5, "random input pairs per experiment")
 	)
 	flag.Parse()
-	engine := qcongest.WithWorkers(*workers)
 	rng := rand.New(rand.NewSource(*seed))
 
 	fmt.Println("=== Theorem 8 (Figure 4): HW12 reduction, diameter 2 vs 3 ===")
@@ -56,7 +54,7 @@ func run() error {
 
 	fmt.Println("\n=== Theorem 10: CONGEST run as a two-party protocol ===")
 	x, y := qcongest.RandomIntersectingPair(hw.K, rng)
-	sim, err := qcongest.TwoPartyFromCongest(hw, x, y, engine)
+	sim, err := qcongest.TwoPartyFromCongest(hw, x, y)
 	if err != nil {
 		return err
 	}

@@ -27,13 +27,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "base seed")
 		diam     = fs.Int("d", 4, "fixed diameter for the n sweep")
 		long     = fs.Bool("long", false, "use larger sweeps")
-		workers  = fs.Int("workers", 0, "engine workers per round (0 = auto; measured rounds are identical for any value)")
 		parallel = fs.Int("parallel", 0, "quantum trials run concurrently per sweep point (0 = auto: one trial at a time, each batching its evaluations over the CPU budget; results are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine := []qcongest.EngineOption{qcongest.WithWorkers(*workers)}
 
 	sizes := []int{30, 60, 120}
 	if *long {
@@ -41,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "=== Table 1, row 'Exact computation' ===")
-	classical, quantum, err := qcongest.ExactComparison(sizes, *diam, *trials, *seed, *parallel, engine...)
+	classical, quantum, err := qcongest.ExactComparison(sizes, *diam, *trials, *seed, *parallel)
 	if err != nil {
 		return err
 	}
@@ -57,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "=== Theorem 1: quantum rounds vs D (n fixed) ===")
-	sweep, err := qcongest.DiameterSweep(sizes[len(sizes)-1]/2, []int{3, 6, 12}, *trials, *seed, *parallel, engine...)
+	sweep, err := qcongest.DiameterSweep(sizes[len(sizes)-1]/2, []int{3, 6, 12}, *trials, *seed, *parallel)
 	if err != nil {
 		return err
 	}
@@ -66,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sweep.Slope(func(p qcongest.Point) float64 { return float64(p.D) }))
 
 	fmt.Fprintln(stdout, "=== Table 1, row '3/2-approximation' ===")
-	ca, qa, err := qcongest.ApproxComparison(sizes, *diam, *trials, *seed, *parallel, engine...)
+	ca, qa, err := qcongest.ApproxComparison(sizes, *diam, *trials, *seed, *parallel)
 	if err != nil {
 		return err
 	}

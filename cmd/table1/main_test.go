@@ -19,8 +19,9 @@ func TestCLISmoke(t *testing.T) {
 			[]string{"=== Table 1, row 'Exact computation' ===", "quantum exact (Theorem 1)", "classical slope vs n:"},
 		},
 		{
+			// -parallel runs the trials on two workers (congest.ForEach).
 			"workers parallel",
-			[]string{"-trials", "1", "-workers", "2", "-parallel", "2"},
+			[]string{"-trials", "1", "-parallel", "2"},
 			[]string{"quantum exact (Theorem 1)", "=== Table 1, row '3/2-approximation' ==="},
 		},
 	} {
@@ -41,15 +42,13 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLIDeterministic asserts the -parallel and -workers knobs never
-// change the measured tables: concurrency is a wall-clock lever, not
-// semantics.
+// TestCLIDeterministic asserts the -parallel knob never changes the
+// measured tables: concurrency is a wall-clock lever, not semantics.
 func TestCLIDeterministic(t *testing.T) {
-	outputs := make([]string, 0, 3)
+	outputs := make([]string, 0, 2)
 	for _, args := range [][]string{
 		{"-trials", "1"},
 		{"-trials", "1", "-parallel", "2"},
-		{"-trials", "1", "-workers", "2"},
 	} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {

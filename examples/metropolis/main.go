@@ -102,7 +102,6 @@ func main() {
 	var (
 		side       = flag.Int("side", 1000, "grid side (side*side vertices)")
 		nFlag      = flag.Int("n", 0, "target vertex count (overrides -side with floor(sqrt(n)))")
-		workers    = flag.Int("workers", 0, "engine workers (0 = auto)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	)
@@ -167,8 +166,7 @@ func main() {
 	fmt.Printf("topology built in %v (total build %v)\n", time.Since(start), buildT+time.Since(start))
 
 	// 4. Run the distributed flood.
-	nw := qcongest.NewCongestNetworkOn(topo, func(v int) qcongest.CongestNode { return &floodNode{dist: -1} },
-		qcongest.WithWorkers(*workers))
+	nw := qcongest.NewCongestNetworkOn(topo, func(v int) qcongest.CongestNode { return &floodNode{dist: -1} })
 	start = time.Now()
 	if err := nw.Run(4*(*side) + 16); err != nil {
 		log.Fatal(err)

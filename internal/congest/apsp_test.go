@@ -33,45 +33,43 @@ func skelFixture(t *testing.T, g *graph.Graph, h int) (*Topology, *PreInfo, *Ske
 
 // TestSkelOracleMatchesDijkstra checks distance rows and eccentricities of
 // the skeleton oracle against the sequential Dijkstra oracle for every
-// source, across hop budgets and worker counts, and that the per-Evaluation
+// source, across hop budgets, and that the per-Evaluation
 // round count is fixed across sources (input-independence — the property
 // the query framework asserts).
 func TestSkelOracleMatchesDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := weightedTestGraph(t, 22, seed)
 		for _, h := range []int{1, 3, g.N()} {
-			for _, workers := range []int{1, 8} {
-				_, _, o := skelFixture(t, g, h)
-				es := o.NewEvalSession(WithWorkers(workers), WithStrictAccounting())
-				row := make([]int, g.N())
-				fixedRounds := -1
-				for src := 0; src < g.N(); src += 3 {
-					want := g.Dijkstra(src)
-					ecc, m, err := es.Eval(src, row)
-					if err != nil {
-						t.Fatalf("seed %d h %d workers %d src %d: %v", seed, h, workers, src, err)
+			_, _, o := skelFixture(t, g, h)
+			es := o.NewEvalSession(WithStrictAccounting())
+			row := make([]int, g.N())
+			fixedRounds := -1
+			for src := 0; src < g.N(); src += 3 {
+				want := g.Dijkstra(src)
+				ecc, m, err := es.Eval(src, row)
+				if err != nil {
+					t.Fatalf("seed %d h %d src %d: %v", seed, h, src, err)
+				}
+				wantEcc := 0
+				for v, d := range want {
+					if d != row[v] {
+						t.Fatalf("seed %d h %d src %d: row[%d] = %d, want %d", seed, h, src, v, row[v], d)
 					}
-					wantEcc := 0
-					for v, d := range want {
-						if d != row[v] {
-							t.Fatalf("seed %d h %d src %d: row[%d] = %d, want %d", seed, h, src, v, row[v], d)
-						}
-						if d > wantEcc {
-							wantEcc = d
-						}
-					}
-					if ecc != wantEcc {
-						t.Fatalf("seed %d h %d src %d: ecc %d, want %d", seed, h, src, ecc, wantEcc)
-					}
-					if fixedRounds == -1 {
-						fixedRounds = m.Rounds
-					} else if m.Rounds != fixedRounds {
-						t.Fatalf("seed %d h %d src %d: %d rounds, want fixed %d (input-independence)",
-							seed, h, src, m.Rounds, fixedRounds)
+					if d > wantEcc {
+						wantEcc = d
 					}
 				}
-				es.Close()
+				if ecc != wantEcc {
+					t.Fatalf("seed %d h %d src %d: ecc %d, want %d", seed, h, src, ecc, wantEcc)
+				}
+				if fixedRounds == -1 {
+					fixedRounds = m.Rounds
+				} else if m.Rounds != fixedRounds {
+					t.Fatalf("seed %d h %d src %d: %d rounds, want fixed %d (input-independence)",
+						seed, h, src, m.Rounds, fixedRounds)
+				}
 			}
+			es.Close()
 		}
 	}
 }

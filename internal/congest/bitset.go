@@ -1,36 +1,30 @@
 package congest
 
-// shardedBitset is the compressed vertex-set representation behind the
-// frontier scheduler: a word layer with one bit per vertex, plus a summary
-// layer with one bit per word-layer word (set iff that word is non-zero).
+// bitset is the compressed vertex-set representation behind the frontier
+// scheduler: a word layer with one bit per vertex, plus a summary layer
+// with one bit per word-layer word (set iff that word is non-zero).
 // Membership tests and inserts are O(1); iteration and clearing walk only
 // the summary bits that are set, so both cost O(set/64 + n/4096) instead of
 // O(n) — at ten million vertices an empty-ish frontier costs a scan of
 // ~2400 summary words, not ten million booleans.
-//
-// The layout is also what makes lock-free worker sharding possible: when
-// vertex shards are aligned to 4096 vertices (64 words, one full summary
-// word), no two workers ever write the same word-layer or summary-layer
-// word, so concurrent shard-local inserts need no synchronization beyond
-// the existing round barriers. frontierState enforces that alignment.
 
 import "math/bits"
 
-type shardedBitset struct {
+type bitset struct {
 	words []uint64 // bit v&63 of words[v>>6]: vertex v is in the set
 	sum   []uint64 // bit w&63 of sum[w>>6]: words[w] is non-zero
 }
 
-func newShardedBitset(n int) *shardedBitset {
+func newBitset(n int) *bitset {
 	nw := (n + 63) >> 6
-	return &shardedBitset{
+	return &bitset{
 		words: make([]uint64, nw),
 		sum:   make([]uint64, (nw+63)>>6),
 	}
 }
 
 // add inserts v and reports whether it was absent.
-func (b *shardedBitset) add(v int32) bool {
+func (b *bitset) add(v int32) bool {
 	w := uint32(v) >> 6
 	mask := uint64(1) << (uint32(v) & 63)
 	if b.words[w]&mask != 0 {
@@ -42,12 +36,12 @@ func (b *shardedBitset) add(v int32) bool {
 }
 
 // has reports membership.
-func (b *shardedBitset) has(v int32) bool {
+func (b *bitset) has(v int32) bool {
 	return b.words[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
 }
 
 // clear empties the set, touching only the words the summary layer names.
-func (b *shardedBitset) clear() {
+func (b *bitset) clear() {
 	for si, sw := range b.sum {
 		if sw == 0 {
 			continue

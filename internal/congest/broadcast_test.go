@@ -185,10 +185,9 @@ func (m *mixedPathNode) Done() bool                        { return m.done }
 // the budget (accepted) or one bit over it (rejected at the copy that
 // crosses it), at the first, a middle and the last ledger slot of a star
 // center — the vertex of maximum degree — and a Put to a non-neighbor must
-// fail the same way. Error texts and MaxEdgeBits match RunReference at
-// every worker count.
+// fail the same way. Error texts and MaxEdgeBits match RunReference.
 func TestBandwidthLedgerMixedPaths(t *testing.T) {
-	const leaves = 4600 // the center's row spans two 4096-vertex shards
+	const leaves = 4600
 	topo, err := NewTopology(graph.Star(leaves + 1))
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +215,10 @@ func TestBandwidthLedgerMixedPaths(t *testing.T) {
 		} {
 			for rot := 0; rot < 4; rot++ {
 				name := fmt.Sprintf("pos%d/%s/rot%d", pos, tc.name, rot)
-				run := func(k int, reference bool) (string, int) {
+				run := func(reference bool) (string, int) {
 					nw := NewNetworkOn(topo, func(v int) Node {
 						return &mixedPathNode{pos: pos, rot: rot, stray: tc.stray, tx: RawMessage{Width: width}}
-					}, WithBandwidth(tc.bandwidth), WithWorkers(k))
+					}, WithBandwidth(tc.bandwidth))
 					run := nw.Run
 					if reference {
 						run = nw.RunReference
@@ -230,16 +229,14 @@ func TestBandwidthLedgerMixedPaths(t *testing.T) {
 					}
 					return msg, nw.Metrics().MaxEdgeBits
 				}
-				refErr, refEdge := run(1, true)
+				refErr, refEdge := run(true)
 				if refErr != tc.wantErr || refEdge != tc.wantEdge {
 					t.Fatalf("%s: RunReference = (%q, MaxEdgeBits %d), want (%q, %d)",
 						name, refErr, refEdge, tc.wantErr, tc.wantEdge)
 				}
-				for _, k := range engineWorkerCounts {
-					if gotErr, gotEdge := run(k, false); gotErr != refErr || gotEdge != refEdge {
-						t.Errorf("%s workers %d: Run = (%q, MaxEdgeBits %d), want (%q, %d)",
-							name, k, gotErr, gotEdge, refErr, refEdge)
-					}
+				if gotErr, gotEdge := run(false); gotErr != refErr || gotEdge != refEdge {
+					t.Errorf("%s: Run = (%q, MaxEdgeBits %d), want (%q, %d)",
+						name, gotErr, gotEdge, refErr, refEdge)
 				}
 			}
 		}

@@ -28,24 +28,18 @@
 //
 // # Execution engine
 //
-// Run executes each half-round on a pool of worker goroutines (see
-// WithWorkers): the vertices are split into k contiguous shards aligned to
-// 4096 vertices, and worker w runs the Send half for its shard, in
-// ascending vertex order, with a private Outbox (arena, edge-bit ledger,
-// per-receiver delivery chains and metrics shard); after the round barrier
-// it runs the Receive half for its shard.
-//
-// One rule orders everything: shard w lies wholly below shard w+1, so the
-// outboxes taken in shard order hold the senders in ascending order. An
-// inbox is the concatenation of its receiver's chains in shard order, the
-// observer replays the outboxes' logs in shard order, and the reported
-// validation error is the first failing outbox's (each worker stops at its
-// first offense, so that is the smallest failing sender). All three are
-// therefore exactly what the serial execution produces, and a run is
+// Run executes one network on one goroutine, the caller's: each round it
+// runs the Send half for the frontier's vertices in ascending order into
+// one Outbox (arena, edge-bit ledger, per-receiver delivery chains), then
+// the Receive half. Ascending senders make each receiver's chain the
+// canonical inbox (ascending sender, emission order within a sender), the
+// observer's replay order and the reported validation error (the smallest
+// failing sender's) exactly what RunReference produces, so a run is
 // bit-for-bit deterministic: outputs, round counts, Metrics, observer
-// traces and error messages are identical for every worker count,
-// including k=1. Encoded messages live in recycled per-worker arenas, so
-// steady-state rounds allocate nothing.
+// traces and error messages. Encoded messages live in a recycled arena, so
+// steady-state rounds allocate nothing. Parallelism lives above the engine:
+// independent executions run on cloned sessions (Pool), as many as
+// Contexts grants from GOMAXPROCS.
 //
 // Rounds are frontier-scheduled (see scheduler.go): only vertices whose
 // program scheduled the round (the Scheduled contract's NextWake, asked
@@ -71,19 +65,17 @@
 // deterministic results. See session.go, evalsession.go and DESIGN.md
 // ("Execution sessions").
 //
-// Node programs may be executed concurrently, at most one goroutine per
-// vertex at a time: Send(u) and Send(v) can run in parallel for u != v, and
-// likewise Receive. Programs therefore must not share mutable state across
-// vertices (all programs in this repository are pure per-vertex state
-// machines). The inbox slice passed to Receive, and the *Env passed to
-// every program call, are only valid for the duration of the call and must
-// not be retained.
+// The programs of one network run one call at a time, on the goroutine
+// that runs it; the programs of cloned sessions run concurrently with each
+// other, so a program family must not share mutable state across the
+// networks it is built for (all programs in this repository are pure
+// per-vertex state machines). The inbox slice passed to Receive, and the
+// *Env passed to every program call, are only valid for the duration of
+// the call and must not be retained.
 package congest
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"qcongest/internal/graph"
 )
@@ -101,7 +93,7 @@ type Inbound struct {
 
 // Decode unpacks the message payload into m, whose WireKind must equal the
 // inbound kind. The env must be the one the engine passed to Receive (it
-// holds the worker's decode scratch, which is what keeps the receive path
+// holds the engine's decode scratch, which is what keeps the receive path
 // allocation-free); decode into a reusable struct for the same
 // reason.
 func (in *Inbound) Decode(env *Env, m WireMessage) error {
@@ -177,11 +169,11 @@ type edgeCell struct {
 }
 
 // Outbox collects the messages a node sends in one round. Put marshals the
-// message into the worker's bit arena immediately — the encoded length is
+// message into the engine's bit arena immediately — the encoded length is
 // the message's cost — validates the destination, the encoding, and the
-// per-edge bandwidth budget, and stages a compact record into the worker's
-// delivery queue. After the first violation the Outbox goes inert and the
-// run aborts with that error at the round barrier.
+// per-edge bandwidth budget, and stages a compact record into the delivery
+// queue. After the first violation the Outbox goes inert and the run aborts
+// with that error.
 type Outbox struct {
 	nw     *Network
 	round  int
@@ -203,10 +195,10 @@ type Outbox struct {
 	keepMsgs bool
 	msgs     []stagedMsg
 
-	// Per-round accounting (the worker's metrics shard). The message count
-	// is derived at the barrier (len(q)); only the bit total and the edge
-	// maximum are tracked inline — the edge ledger is transient per sender,
-	// so its maximum cannot be recovered later.
+	// Per-round accounting. The message count is derived at the end of the
+	// send half (len(q)); only the bit total and the edge maximum are
+	// tracked inline — the edge ledger is transient per sender, so its
+	// maximum cannot be recovered later.
 	bitsTotal int
 	maxEdge   int
 	err       error
@@ -358,7 +350,8 @@ func (o *Outbox) replay(obs Observer) {
 }
 
 // sent returns the number of copies staged this round (derived from the
-// queue at the barrier — the metrics-coalescing side of the SoA layout).
+// queue at the end of the send half — the metrics-coalescing side of the
+// SoA layout).
 func (o *Outbox) sent() int { return len(o.q) }
 
 // appendChain materializes receiver to's staged messages onto buf, in
@@ -368,21 +361,6 @@ func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 	for i := o.dest[to].head1 - 1; i >= 0; i = o.q[i].next {
 		r := &o.q[i]
 		buf = append(buf, Inbound{From: int(r.from), Kind: r.kind, Bits: int(r.bits), wire: o.arena.view(r.start, int(r.bits))})
-	}
-	return buf
-}
-
-// gatherChains materializes receiver v's canonical inbox — ascending
-// sender, emission order within a sender — from the staged chains of obs
-// (the workers' outboxes in shard order), appending onto buf. Each chain is
-// ascending-sender (a worker runs its senders in ascending order) and every
-// sender of obs[w] is below every sender of obs[w+1], so the concatenation
-// is the serial delivery order.
-func gatherChains(obs []*Outbox, v int, buf []Inbound) []Inbound {
-	for _, ob := range obs {
-		if ob.dest[v].head1 != 0 {
-			buf = ob.appendChain(v, buf)
-		}
 	}
 	return buf
 }
@@ -443,8 +421,8 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 // (its id, n, its incident edges) plus the current round number.
 //
 // The *Env a program receives is valid only for the duration of the call:
-// the engine keeps one Env per worker, not one per vertex, and re-points
-// it at the next vertex it executes. Programs read what they need from it
+// the engine keeps one Env, not one per vertex, and re-points it at the
+// next vertex it executes. Programs read what they need from it
 // during Send, Receive or NextWake and never retain the pointer.
 type Env struct {
 	ID        int
@@ -474,11 +452,11 @@ func (env *Env) bind(v int, nbrs []int, round int) *Env {
 // slice is owned by the engine and must not be retained after the call
 // returns. Likewise the *Env passed to Send, Receive (and NextWake, see
 // Scheduled) is valid only for the duration of the call: the engine
-// re-binds one Env per worker to each vertex it executes. Done reports
+// re-binds its one Env to each vertex it executes. Done reports
 // whether the node has fixed its output and has nothing further to send;
 // once every node is Done at a round boundary the run stops.
 //
-// Programs at distinct vertices may run concurrently (see the package
+// Cloned sessions run their programs concurrently (see the package
 // comment), so a program must only touch its own per-vertex state and data
 // that stays read-only for the whole run.
 type Node interface {
@@ -496,11 +474,6 @@ type StateSizer interface {
 
 // Metrics aggregates the cost of a run. All bit counts are encoded wire
 // lengths (kind tags included), never declared values.
-//
-// During a parallel run every worker accumulates a private Metrics shard;
-// the shards are merged at each round barrier (counters add, maxima take
-// the max), which is order-independent, so the merged Metrics are byte-
-// identical for every worker count.
 type Metrics struct {
 	Rounds       int // executed rounds
 	Messages     int // total messages delivered
@@ -535,8 +508,8 @@ func (m *Metrics) Add(other Metrics) {
 	m.DroppedRounds += other.DroppedRounds
 }
 
-// Observer receives every delivered message at the round barrier, in
-// canonical order, together with a view of its encoded bits. The view is
+// Observer receives every delivered message at the end of its round's send
+// half, in canonical order, together with a view of its encoded bits. The view is
 // only valid for the duration of the callback.
 //
 // At the start of every run (Run or RunReference) the engine additionally
@@ -552,7 +525,6 @@ type Network struct {
 	topo      *Topology
 	nodes     []Node
 	bandwidth int
-	workers   int // configured worker count; <= 0 selects the automatic rule
 	strict    bool
 	metrics   Metrics
 	observer  Observer
@@ -575,16 +547,14 @@ func WithBandwidth(bw int) Option {
 	return func(nw *Network) { nw.bandwidth = bw }
 }
 
-// WithWorkers sets the number of engine workers used by Run. k = 1 executes
-// every half-round serially; k > 1 shards the vertices over k goroutines.
-// k <= 0 (the default) selects runtime.GOMAXPROCS(0), capped so that every
-// worker owns at least minVerticesPerWorker vertices and further capped to
-// the number of 4096-vertex-aligned shards that own a vertex, so networks
-// of at most 4096 vertices run serially. Any worker count produces bit-for-bit
-// identical outputs, round counts and Metrics; the knob only trades
-// wall-clock time.
-func WithWorkers(k int) Option {
-	return func(nw *Network) { nw.workers = k }
+// WithWorkers is a no-op. The engine runs every network on one goroutine;
+// parallelism comes from cloned contexts (Contexts, Pool). Its one caller
+// is the benchmark's apsp-er256 workload (bench/workloads.go), which pins
+// WithWorkers(1), already one worker on its 256-vertex graphs. It is
+// deleted together with that pin, by ROADMAP item 3, which edits the
+// benchmark.
+func WithWorkers(int) Option {
+	return func(*Network) {}
 }
 
 // WithStrictAccounting makes the engine cross-check, for every message
@@ -601,10 +571,9 @@ func WithStrictAccounting() Option {
 // WithObserver installs a callback invoked for every delivered message;
 // used by the lower-bound experiments to capture the encoded traffic
 // crossing a vertex-partition cut (Theorem 10's simulation argument). The
-// callback is always invoked on the caller's goroutine at the round
-// barrier, in canonical order (ascending sender id, then the sender's
-// emission order), regardless of the worker count. A failing round is
-// never observed.
+// callback is invoked on the goroutine running the network at the end of
+// each send half, in canonical order (ascending sender id, then the
+// sender's emission order). A failing round is never observed.
 func WithObserver(fn Observer) Option {
 	return func(nw *Network) { nw.observer = fn }
 }
@@ -654,203 +623,44 @@ func (nw *Network) Metrics() Metrics { return nw.metrics }
 // Bandwidth returns the per-edge per-round bit budget in force.
 func (nw *Network) Bandwidth() int { return nw.bandwidth }
 
-// minVerticesPerWorker is the smallest shard the automatic worker rule will
-// create: below that, the per-round barrier costs more than the shard's
-// compute, so small networks run serially.
-const minVerticesPerWorker = 64
-
-// EffectiveWorkers reports the worker count Run will use: the configured
-// value clamped to [1, n], or the automatic rule when none was configured.
-func (nw *Network) EffectiveWorkers() int {
-	n := nw.topo.n
-	k := nw.workers
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-		if cap := n / minVerticesPerWorker; k > cap {
-			k = cap
-		}
-		// Shards are aligned to shardWordAlign words, so a k-way split of a
-		// smaller vertex set leaves trailing workers with empty shards;
-		// start only the workers that own a vertex.
-		if k > 1 {
-			k = shardWorkers(n, k)
-		}
-	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// EngineWorkers reports the worker count Run uses on a network over t
-// configured by opts (see EffectiveWorkers), without building one. Callers
-// that clone session contexts pass it to Contexts.
-func (t *Topology) EngineWorkers(opts ...Option) int {
-	nw := Network{topo: t}
-	for _, o := range opts {
-		o(&nw)
-	}
-	return nw.EffectiveWorkers()
-}
-
-// phase identifiers for the worker loop (the half-rounds, see
-// scheduler.go).
-const (
-	phaseSend = iota
-	phaseRecv
-)
-
-// workerState is one worker's private receive-half state (its send-half
-// state is its Outbox, engine.obs[w]). Round totals are merged into
-// Network.metrics at the barrier; all scratch buffers persist across
-// rounds, so steady-state rounds allocate nothing.
-type workerState struct {
-	// Receive-half accumulators.
-	maxStateBits int
-	maxInboxSize int
-
-	inbox []Inbound // reusable materialized inbox (one vertex at a time)
-
-	// env is the worker's one Env, re-pointed at each vertex before every
-	// Send, Receive and NextWake call it makes (see Env.bind).
-	env Env
-}
-
-// engine holds the per-run execution state of Run.
+// engine holds the per-run execution state of Run: the frontier, one
+// Outbox, one Env re-bound to each vertex it executes and one inbox
+// scratch. All of it persists across rounds, so steady-state rounds
+// allocate nothing.
 type engine struct {
 	nw    *Network
-	k     int
 	round int
-	empty bool // the current round's send half produced no messages
 
-	obs []*Outbox // the workers' outboxes in shard order
-	ws  []workerState
+	ob    *Outbox
+	env   Env
+	inbox []Inbound // reusable materialized inbox (one vertex at a time)
 
 	fr *frontierState
-
-	phase []chan int // per-worker phase mailbox (k > 1 only)
-	wg    sync.WaitGroup
 }
 
 func newEngine(nw *Network) *engine {
-	n := nw.topo.n
-	e := &engine{nw: nw, k: nw.EffectiveWorkers()}
-	e.obs = make([]*Outbox, e.k)
-	e.ws = make([]workerState, e.k)
-	for w := 0; w < e.k; w++ {
-		e.obs[w] = newOutbox(nw)
-		e.ws[w].env = newEnv(n)
+	return &engine{
+		nw:  nw,
+		ob:  newOutbox(nw),
+		env: newEnv(nw.topo.n),
+		fr:  newFrontierState(nw.topo.n, nw.nodes),
 	}
-	e.fr = newFrontierState(n, e.k, nw.nodes)
-	if e.k > 1 {
-		e.phase = make([]chan int, e.k)
-		for w := 0; w < e.k; w++ {
-			e.phase[w] = make(chan int, 1)
-			go e.worker(w)
-		}
-	}
-	return e
-}
-
-func (e *engine) dispatch(w, ph int) {
-	switch ph {
-	case phaseSend:
-		e.sendShard(w)
-	case phaseRecv:
-		e.recvShard(w)
-	}
-}
-
-func (e *engine) worker(w int) {
-	for ph := range e.phase[w] {
-		e.dispatch(w, ph)
-		e.wg.Done()
-	}
-}
-
-// runPhase executes one half-round on every worker and waits for the
-// barrier. The channel send/Wait pair orders each worker's reads of the
-// fields the coordinator wrote (round, empty) and of the other workers'
-// buffers from the previous phase. Half-rounds touching fewer than
-// minVerticesPerWorker vertices (size) run inline on the coordinator —
-// dispatching k workers for a handful of vertices costs more in barrier
-// traffic than the work itself; the shard assignment is identical either
-// way, so the choice is invisible in the results.
-func (e *engine) runPhase(ph, size int) {
-	if e.k == 1 || size < minVerticesPerWorker {
-		for w := 0; w < e.k; w++ {
-			e.dispatch(w, ph)
-		}
-		return
-	}
-	e.wg.Add(e.k)
-	for _, ch := range e.phase {
-		ch <- ph
-	}
-	e.wg.Wait()
-}
-
-func (e *engine) stop() {
-	for _, ch := range e.phase {
-		close(ch)
-	}
-}
-
-// finishSend merges the send half at the round barrier: it reports the
-// first failing outbox's error (in shard order that is the smallest failing
-// sender, the one a serial execution hits first), folds the worker metric
-// shards into the run metrics, and replays the outboxes' logs to the
-// observer in shard order, which is ascending sender order.
-func (e *engine) finishSend() error {
-	var sent, bitsTotal, maxEdge int
-	for _, ob := range e.obs {
-		if ob.err != nil {
-			return ob.err
-		}
-		sent += ob.sent()
-		bitsTotal += ob.bitsTotal
-		if ob.maxEdge > maxEdge {
-			maxEdge = ob.maxEdge
-		}
-	}
-	m := &e.nw.metrics
-	m.Messages += sent
-	m.Bits += bitsTotal
-	if maxEdge > m.MaxEdgeBits {
-		m.MaxEdgeBits = maxEdge
-	}
-	e.empty = sent == 0
-	if e.empty {
-		m.DroppedRounds++
-	}
-	if obs := e.nw.observer; obs != nil {
-		for _, ob := range e.obs {
-			ob.replay(obs)
-		}
-	}
-	return nil
 }
 
 // Run executes rounds until every node is Done, or fails after maxRounds.
 //
-// The execution is sharded over EffectiveWorkers() goroutines and is
-// deterministic for every worker count (see the package comment). On a
-// validation error the run aborts with the same error a serial execution
-// reports; programs at other vertices may then have advanced within the
-// failing round, Metrics.Rounds names the failing round, and the failing
-// round's partial traffic is not folded into the other Metrics fields.
+// The execution runs on the calling goroutine and is deterministic (see the
+// package comment). On a validation error the run aborts with the error
+// RunReference reports; Metrics.Rounds names the failing round, and the
+// failing round's partial traffic is not folded into the other Metrics
+// fields.
 //
-// Run builds the execution engine (worker pool, arenas, buffers) from
-// scratch and tears it down when the run finishes. Callers that execute the
-// same program family many times should use a Session, which keeps the
-// engine alive and recycles all of it across executions.
+// Run builds the execution engine (frontier, arena, buffers) from scratch.
+// Callers that execute the same program family many times should use a
+// Session, which keeps the engine alive and recycles all of it across
+// executions.
 func (nw *Network) Run(maxRounds int) error {
-	e := newEngine(nw)
-	defer e.stop()
-	return e.execute(maxRounds)
+	return newEngine(nw).execute(maxRounds)
 }
 
 // RunReference is the original single-threaded engine, retained as the
@@ -859,7 +669,7 @@ func (nw *Network) Run(maxRounds int) error {
 // outputs, Metrics, observer traces and errors. It shares the Outbox
 // encoder with Run, so message encodings, derived bit accounting and
 // validation errors are identical by construction; only the execution
-// strategy differs (no frontier, no workers). New code should call Run.
+// strategy differs (no frontier). New code should call Run.
 func (nw *Network) RunReference(maxRounds int) error {
 	n := nw.topo.n
 	nbrs := nw.topo.neighbors
@@ -896,7 +706,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 				return ob.err
 			}
 		}
-		// Replayed at the round barrier exactly like Run does: a failing
+		// Replayed after the send half exactly like Run does: a failing
 		// round is never observed on either engine.
 		if nw.observer != nil {
 			ob.replay(nw.observer)

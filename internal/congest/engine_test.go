@@ -11,19 +11,8 @@ import (
 )
 
 // The engine's central contract: for any fixed input, Run produces
-// bit-for-bit identical outputs, round counts and Metrics for every worker
-// count, and all of them match the retained reference engine. These tests
-// set the worker count explicitly (the automatic rule would pick one worker
-// on small machines and networks). Shards are aligned to 4096 vertices, so
-// only a network above 4096 vertices is actually split: each test below
-// that checks an ordering rule (inbox concatenation, error pick, observer
-// replay) runs one such network, on which every k > 1 runs two shards.
-
-var engineWorkerCounts = []int{1, 2, 3, 8}
-
-// splitGraph returns a connected random graph above the 4096-vertex shard
-// grain, so that every worker count above one splits its vertices.
-func splitGraph(seed int64) *graph.Graph { return graph.RandomConnected(5000, 0.002, seed) }
+// bit-for-bit identical outputs, round counts and Metrics, and all of them
+// match the retained reference engine.
 
 // bfsSnapshot captures every output of one BFS program.
 type bfsSnapshot struct {
@@ -32,9 +21,9 @@ type bfsSnapshot struct {
 	Ecc          int
 }
 
-func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) error, opts ...Option) ([]bfsSnapshot, Metrics) {
+func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) error) ([]bfsSnapshot, Metrics) {
 	t.Helper()
-	nw, err := NewNetwork(g, func(v int) Node { return NewBFSNode(root) }, opts...)
+	nw, err := NewNetwork(g, func(v int) Node { return NewBFSNode(root) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +43,20 @@ func TestEngineDeterministicBFS(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		graphs = append(graphs, graph.RandomConnected(300, 0.02, seed))
 	}
-	graphs = append(graphs, splitGraph(5))
 	for gi, g := range graphs {
 		wantOut, wantM := runBFS(t, g, 0, (*Network).RunReference)
-		for _, k := range engineWorkerCounts {
-			gotOut, gotM := runBFS(t, g, 0, (*Network).Run, WithWorkers(k))
-			if !reflect.DeepEqual(gotOut, wantOut) {
-				t.Errorf("graph %d (n=%d) workers %d: BFS outputs differ from reference", gi, g.N(), k)
-			}
-			if gotM != wantM {
-				t.Errorf("graph %d (n=%d) workers %d: Metrics = %+v, want %+v", gi, g.N(), k, gotM, wantM)
-			}
+		gotOut, gotM := runBFS(t, g, 0, (*Network).Run)
+		if !reflect.DeepEqual(gotOut, wantOut) {
+			t.Errorf("graph %d (n=%d): BFS outputs differ from reference", gi, g.N())
+		}
+		if gotM != wantM {
+			t.Errorf("graph %d (n=%d): Metrics = %+v, want %+v", gi, g.N(), gotM, wantM)
 		}
 	}
 }
 
 func TestEngineDeterministicLeaderElection(t *testing.T) {
-	g := graph.RandomConnected(257, 0.03, 9) // odd n: uneven shards
+	g := graph.RandomConnected(257, 0.03, 9)
 	ref, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() })
 	if err != nil {
 		t.Fatal(err)
@@ -78,28 +64,26 @@ func TestEngineDeterministicLeaderElection(t *testing.T) {
 	if err := ref.RunReference(4 * g.N()); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range engineWorkerCounts {
-		nw, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() }, WithWorkers(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Run(4 * g.N()); err != nil {
-			t.Fatal(err)
-		}
-		if nw.Metrics() != ref.Metrics() {
-			t.Errorf("workers %d: Metrics = %+v, want %+v", k, nw.Metrics(), ref.Metrics())
-		}
-		for v := 0; v < g.N(); v++ {
-			if nw.Node(v).(*LeaderElectNode).Leader != ref.Node(v).(*LeaderElectNode).Leader {
-				t.Fatalf("workers %d: node %d elected a different leader", k, v)
-			}
+	nw, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Run(4 * g.N()); err != nil {
+		t.Fatal(err)
+	}
+	if nw.Metrics() != ref.Metrics() {
+		t.Errorf("Metrics = %+v, want %+v", nw.Metrics(), ref.Metrics())
+	}
+	for v := 0; v < g.N(); v++ {
+		if nw.Node(v).(*LeaderElectNode).Leader != ref.Node(v).(*LeaderElectNode).Leader {
+			t.Fatalf("node %d elected a different leader", v)
 		}
 	}
 }
 
 func TestEngineDeterministicClassicalExact(t *testing.T) {
 	g := graph.RandomConnected(200, 0.025, 5)
-	want, err := ClassicalExactDiameter(g, WithWorkers(1))
+	want, err := ClassicalExactDiameter(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,38 +94,34 @@ func TestEngineDeterministicClassicalExact(t *testing.T) {
 	if want.Diameter != truth {
 		t.Fatalf("diameter = %d, want %d", want.Diameter, truth)
 	}
-	for _, k := range engineWorkerCounts[1:] {
-		got, err := ClassicalExactDiameter(g, WithWorkers(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers %d: result %+v, want %+v", k, got, want)
-		}
+	got, err := ClassicalExactDiameter(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("second run: result %+v, want %+v", got, want)
 	}
 }
 
 func TestEngineDeterministicClassicalApprox(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := graph.RandomConnected(160, 0.04, seed)
-		want, err := ClassicalApproxDiameter(g, 0, seed, WithWorkers(1))
+		want, err := ClassicalApproxDiameter(g, 0, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range engineWorkerCounts[1:] {
-			got, err := ClassicalApproxDiameter(g, 0, seed, WithWorkers(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("seed %d workers %d: result %+v, want %+v", seed, k, got, want)
-			}
+		got, err := ClassicalApproxDiameter(g, 0, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("seed %d second run: result %+v, want %+v", seed, got, want)
 		}
 	}
 }
 
-// Validation errors must name the same round and edge for every worker
-// count: the canonical error is the one at the smallest offending sender.
+// Validation errors must name the same round and edge as RunReference: the
+// canonical error is the one at the smallest offending sender.
 type duelingHogNode struct {
 	threshold int
 	tx        RawMessage
@@ -165,46 +145,29 @@ func (h *duelingHogNode) Receive(env *Env, inbox []Inbound) {}
 func (h *duelingHogNode) Done() bool                        { return false }
 
 func TestEngineDeterministicErrors(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.RandomConnected(64, 0.1, 3), splitGraph(3)} {
-		run := func(k int) string {
-			t.Helper()
-			nw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} }, WithWorkers(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = nw.Run(10)
-			if err == nil {
-				t.Fatal("bandwidth violation not detected")
-			}
-			return err.Error()
-		}
-		refNw, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 3} })
+	g := graph.RandomConnected(64, 0.1, 3)
+	mk := func(v int) Node { return &duelingHogNode{threshold: 3} }
+	var errs [2]error
+	for i, run := range []func(*Network, int) error{(*Network).RunReference, (*Network).Run} {
+		nw, err := NewNetwork(g, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refErr := refNw.RunReference(10)
-		if refErr == nil {
-			t.Fatal("reference engine missed the violation")
+		if errs[i] = run(nw, 10); errs[i] == nil {
+			t.Fatal("bandwidth violation not detected")
 		}
-		for _, k := range engineWorkerCounts {
-			if got := run(k); got != refErr.Error() {
-				t.Errorf("n=%d workers %d: error %q, want %q", g.N(), k, got, refErr.Error())
-			}
-		}
+	}
+	if errs[1].Error() != errs[0].Error() {
+		t.Errorf("Run error %q, want RunReference's %q", errs[1], errs[0])
 	}
 }
 
 // The observer must see every delivered message in canonical order
-// (ascending sender, emission order within a sender) for every worker count.
+// (ascending sender, emission order within a sender), as RunReference
+// replays it.
 func TestEngineObserverOrderDeterministic(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.RandomConnected(150, 0.04, 7), splitGraph(7)} {
-		checkObserverOrder(t, g)
-	}
-}
-
-func checkObserverOrder(t *testing.T, g *graph.Graph) {
-	t.Helper()
-	trace := func(k int, run func(*Network, int) error) []string {
+	g := graph.RandomConnected(150, 0.04, 7)
+	trace := func(run func(*Network, int) error) []string {
 		t.Helper()
 		var events []string
 		obs := func(round, from, to, bits int, wire WireView) {
@@ -222,7 +185,7 @@ func checkObserverOrder(t *testing.T, g *graph.Graph) {
 			}
 			events = append(events, fmt.Sprintf("%d:%d->%d:%d:%s", round, from, to, bits, enc))
 		}
-		nw, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() }, WithWorkers(k), WithObserver(obs))
+		nw, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() }, WithObserver(obs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,56 +194,9 @@ func checkObserverOrder(t *testing.T, g *graph.Graph) {
 		}
 		return events
 	}
-	want := trace(1, (*Network).RunReference)
-	for _, k := range engineWorkerCounts {
-		got := trace(k, (*Network).Run)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d workers %d: observer trace differs from reference (%d vs %d events)", g.N(), k, len(got), len(want))
-		}
-	}
-}
-
-func TestEffectiveWorkersClamps(t *testing.T) {
-	g := graph.Path(8)
-	nw, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() }, WithWorkers(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.EffectiveWorkers(); got != 8 {
-		t.Errorf("EffectiveWorkers = %d, want clamp to n = 8", got)
-	}
-	nw, err = NewNetwork(g, func(v int) Node { return NewLeaderElectNode() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.EffectiveWorkers(); got != 1 {
-		t.Errorf("EffectiveWorkers = %d, want 1 under the automatic rule on a tiny graph", got)
-	}
-
-	// The automatic rule reads GOMAXPROCS and starts one worker per
-	// 4096-vertex-aligned shard that owns a vertex, whether or not the
-	// programs implement the Scheduled contract; an explicit count is
-	// honoured.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	wave := func(v int) Node { return NewWaveNode(false, 0, 1) }
-	small := NewNetworkOn(mustTopology(t, graph.Path(256)), wave)
-	large := NewNetworkOn(mustTopology(t, graph.Path(5000)), wave)
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		if got := small.EffectiveWorkers(); got != 1 {
-			t.Errorf("GOMAXPROCS %d: frontier n=256 EffectiveWorkers = %d, want 1", procs, got)
-		}
-		if got, want := large.EffectiveWorkers(), min(procs, 2); got != want {
-			t.Errorf("GOMAXPROCS %d: frontier n=5000 EffectiveWorkers = %d, want %d", procs, got, want)
-		}
-		explicit := NewNetworkOn(small.topo, wave, WithWorkers(4))
-		if got := explicit.EffectiveWorkers(); got != 4 {
-			t.Errorf("GOMAXPROCS %d: frontier WithWorkers(4) EffectiveWorkers = %d, want 4", procs, got)
-		}
-		plain := NewNetworkOn(small.topo, func(v int) Node { return &duelingHogNode{threshold: 1 << 30} })
-		if got := plain.EffectiveWorkers(); got != 1 {
-			t.Errorf("GOMAXPROCS %d: contract-less n=256 EffectiveWorkers = %d, want 1", procs, got)
-		}
+	want := trace((*Network).RunReference)
+	if got := trace((*Network).Run); !reflect.DeepEqual(got, want) {
+		t.Errorf("n=%d: observer trace differs from reference (%d vs %d events)", g.N(), len(got), len(want))
 	}
 }
 
@@ -293,8 +209,8 @@ func mustTopology(t *testing.T, g *graph.Graph) *Topology {
 	return topo
 }
 
-// A Session over a network below the shard grain runs serially: it starts
-// no worker goroutines, even where the n/64 cap alone would allow several.
+// A Session runs on the goroutine that calls Run: it starts no goroutines,
+// whatever GOMAXPROCS is.
 func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g, err := graph.RandomRegular(256, 4, 3)
@@ -329,8 +245,8 @@ func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	}
 }
 
-// settledGoroutines returns the goroutine count once the workers of
-// engines stopped by earlier tests have finished exiting.
+// settledGoroutines returns the goroutine count once the goroutines of
+// pools that earlier tests ran have finished exiting.
 func settledGoroutines() int {
 	n, stable := runtime.NumGoroutine(), 0
 	for stable < 5 {

@@ -2,7 +2,7 @@ package congest
 
 // Microbenchmarks for the wire hot path (DESIGN.md "Wire hot-path
 // anatomy"): BenchmarkOutbox times the send half — word-packed encode,
-// maxDeg-sized edge ledger, SoA staging — and BenchmarkRecvShard times the
+// maxDeg-sized edge ledger, SoA staging — and BenchmarkRecv times the
 // receive half — chain gathering into a reusable inbox. Both report
 // allocations; TestHotPathSteadyStateAllocs pins the steady state at zero.
 //
@@ -16,17 +16,16 @@ import (
 )
 
 // hotPathFixture is a network plus the staging state the engines feed the
-// hot path with: one Outbox per worker shard and the scratch the receive
-// half reuses.
+// hot path with: the Outbox and the scratch the receive half reuses.
 type hotPathFixture struct {
 	nw    *Network
 	topo  *Topology
-	obs   []*Outbox
+	ob    *Outbox
 	inbox []Inbound
 	round int
 }
 
-func newHotPathFixture(tb testing.TB, n, outboxes int, opts ...Option) *hotPathFixture {
+func newHotPathFixture(tb testing.TB, n int, opts ...Option) *hotPathFixture {
 	tb.Helper()
 	g := graph.RandomConnected(n, 8.0/float64(n), 7)
 	topo, err := NewTopology(g)
@@ -34,36 +33,26 @@ func newHotPathFixture(tb testing.TB, n, outboxes int, opts ...Option) *hotPathF
 		tb.Fatal(err)
 	}
 	nw := NewNetworkOn(topo, func(v int) Node { return NewWaveNode(false, 0, 1) }, opts...)
-	f := &hotPathFixture{nw: nw, topo: topo}
-	for i := 0; i < outboxes; i++ {
-		f.obs = append(f.obs, newOutbox(nw))
-	}
-	return f
+	return &hotPathFixture{nw: nw, topo: topo, ob: newOutbox(nw)}
 }
 
 // stageRound runs one send half: every vertex broadcasts one packed wave
-// message to its full neighbor row. With several outboxes the senders are
-// split into contiguous ranges, as the engine's shards split them, so
-// gatherChains concatenates chains from more than one outbox.
+// message to its full neighbor row.
 func (f *hotPathFixture) stageRound(tx *msgWave) {
 	f.round++
-	for _, ob := range f.obs {
-		ob.beginRound(f.round)
-	}
-	n := f.topo.N()
-	for v := 0; v < n; v++ {
-		ob := f.obs[v*len(f.obs)/n]
-		ob.begin(v)
-		ob.Broadcast(f.topo.Neighbors(v), tx)
+	f.ob.beginRound(f.round)
+	for v := 0; v < f.topo.N(); v++ {
+		f.ob.begin(v)
+		f.ob.Broadcast(f.topo.Neighbors(v), tx)
 	}
 }
 
 // gatherAll runs one receive half: materialize every vertex's inbox from
-// the staged chains, reusing the fixture scratch like the engine shards do.
+// the staged chains, reusing the fixture scratch like the engine does.
 func (f *hotPathFixture) gatherAll() int {
 	total := 0
 	for v := 0; v < f.topo.N(); v++ {
-		f.inbox = gatherChains(f.obs, v, f.inbox[:0])
+		f.inbox = f.ob.appendChain(v, f.inbox[:0])
 		total += len(f.inbox)
 	}
 	return total
@@ -72,14 +61,14 @@ func (f *hotPathFixture) gatherAll() int {
 func BenchmarkOutbox(b *testing.B) {
 	const n = 1024
 	run := func(b *testing.B, stage func(f *hotPathFixture)) {
-		f := newHotPathFixture(b, n, 1, WithStrictAccounting())
+		f := newHotPathFixture(b, n, WithStrictAccounting())
 		stage(f) // warm the arena and queue to steady-state capacity
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			stage(f)
 		}
-		if err := f.obs[0].err; err != nil {
+		if err := f.ob.err; err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,39 +85,30 @@ func BenchmarkOutbox(b *testing.B) {
 		tx := &RawMessage{Width: 20}
 		run(b, func(f *hotPathFixture) {
 			f.round++
-			f.obs[0].beginRound(f.round)
+			f.ob.beginRound(f.round)
 			for v := 0; v < f.topo.N(); v++ {
-				f.obs[0].begin(v)
-				f.obs[0].Broadcast(f.topo.Neighbors(v), tx)
+				f.ob.begin(v)
+				f.ob.Broadcast(f.topo.Neighbors(v), tx)
 			}
 		})
 	})
 }
 
-func BenchmarkRecvShard(b *testing.B) {
-	const n = 1024
-	tx := &msgWave{Tau: 3, Delta: 5}
-	run := func(b *testing.B, outboxes int) {
-		f := newHotPathFixture(b, n, outboxes, WithStrictAccounting())
-		f.stageRound(tx)
-		if f.gatherAll() == 0 {
-			b.Fatal("no messages staged")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += f.gatherAll()
-		}
-		if total == 0 {
-			b.Fatal("no messages delivered")
-		}
+func BenchmarkRecv(b *testing.B) {
+	f := newHotPathFixture(b, 1024, WithStrictAccounting())
+	f.stageRound(&msgWave{Tau: 3, Delta: 5})
+	if f.gatherAll() == 0 {
+		b.Fatal("no messages staged")
 	}
-	// solo: every receiver's messages live in one outbox (chain walk).
-	b.Run("solo", func(b *testing.B) { run(b, 1) })
-	// split2: senders split into two contiguous halves, one outbox each
-	// (chains concatenated in shard order).
-	b.Run("split2", func(b *testing.B) { run(b, 2) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += f.gatherAll()
+	}
+	if total == 0 {
+		b.Fatal("no messages delivered")
+	}
 }
 
 // TestHotPathSteadyStateAllocs pins the hot path at zero steady-state
@@ -136,28 +116,21 @@ func BenchmarkRecvShard(b *testing.B) {
 // broadcasts and gathering every inbox must not allocate — the regression
 // guard for the epoch-stamped ledgers and the reusable receive scratch.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		outboxes int
-	}{{"solo", 1}, {"split2", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newHotPathFixture(t, 256, tc.outboxes, WithStrictAccounting())
-			tx := &msgWave{Tau: 3, Delta: 5}
+	t.Run("solo", func(t *testing.T) {
+		f := newHotPathFixture(t, 256, WithStrictAccounting())
+		tx := &msgWave{Tau: 3, Delta: 5}
+		f.stageRound(tx)
+		f.gatherAll()
+		if allocs := testing.AllocsPerRun(10, func() {
 			f.stageRound(tx)
-			f.gatherAll()
-			if allocs := testing.AllocsPerRun(10, func() {
-				f.stageRound(tx)
-				if f.gatherAll() == 0 {
-					t.Fatal("no messages delivered")
-				}
-			}); allocs != 0 {
-				t.Errorf("steady-state round: %v allocs per run, want 0", allocs)
+			if f.gatherAll() == 0 {
+				t.Fatal("no messages delivered")
 			}
-			for _, ob := range f.obs {
-				if ob.err != nil {
-					t.Fatal(ob.err)
-				}
-			}
-		})
-	}
+		}); allocs != 0 {
+			t.Errorf("steady-state round: %v allocs per run, want 0", allocs)
+		}
+		if f.ob.err != nil {
+			t.Fatal(f.ob.err)
+		}
+	})
 }

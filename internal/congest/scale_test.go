@@ -74,9 +74,10 @@ func (f *capFloodNode) NextWake(env *Env, round int) int {
 // the heap bytes NewNetworkOn plus a one-round Run (the capacity flood cut
 // at round 1) allocate on a 256x256 grid, excluding the node program
 // structs (preallocated here). What remains is the program table, the
-// shared wake and Done arrays and one 8-byte delivery-chain head per
-// vertex per worker; an O(n) array repeated per worker, or an n-long
-// interface table, breaks the 48 B bound at two workers.
+// wake and Done arrays, the frontier bitsets and one 8-byte delivery-chain
+// head per vertex (33.4 B in all when the bound was set); one more O(n)
+// array of 8-byte words, or an n-long interface table, breaks the 36 B
+// bound.
 func TestEngineFootprintPerVertex(t *testing.T) {
 	const side = 256
 	c, err := graph.BuildCSRFromStream(side*side, graph.GridEdges(side, side))
@@ -88,27 +89,25 @@ func TestEngineFootprintPerVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := topo.N()
-	for _, k := range []int{1, 2} {
-		progs := make([]capFloodNode, n)
-		for v := range progs {
-			progs[v] = capFloodNode{deadline: 1, dist: -1}
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		nw := NewNetworkOn(topo, func(v int) Node { return &progs[v] }, WithWorkers(k))
-		if err := nw.Run(4); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if r := nw.Metrics().Rounds; r != 1 {
-			t.Fatalf("workers %d: Rounds = %d, want 1", k, r)
-		}
-		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-		t.Logf("workers %d: %.1f B per vertex", k, perVertex)
-		if k == 2 && perVertex > 48 {
-			t.Errorf("workers %d: engine allocates %.1f B per vertex, want <= 48", k, perVertex)
-		}
+	progs := make([]capFloodNode, n)
+	for v := range progs {
+		progs[v] = capFloodNode{deadline: 1, dist: -1}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	nw := NewNetworkOn(topo, func(v int) Node { return &progs[v] })
+	if err := nw.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if r := nw.Metrics().Rounds; r != 1 {
+		t.Fatalf("Rounds = %d, want 1", r)
+	}
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.1f B per vertex", perVertex)
+	if perVertex > 36 {
+		t.Errorf("engine allocates %.1f B per vertex, want <= 36", perVertex)
 	}
 }
 
@@ -152,10 +151,7 @@ func TestCapacity10M(t *testing.T) {
 		t.Fatalf("oracle BFS reached %d of %d vertices", reached, n)
 	}
 
-	// Two workers regardless of GOMAXPROCS: exercises the sharded frontier
-	// paths while staying within CI-runner memory.
-	nw := NewNetworkOn(topo, func(v int) Node { return &capFloodNode{deadline: deadline, dist: -1} },
-		WithWorkers(2))
+	nw := NewNetworkOn(topo, func(v int) Node { return &capFloodNode{deadline: deadline, dist: -1} })
 	start = time.Now()
 	if err := nw.Run(deadline + 8); err != nil {
 		t.Fatal(err)

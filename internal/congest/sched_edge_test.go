@@ -14,8 +14,7 @@ import (
 // bucket entries and possibly a phantom wake round the frontier must skip
 // like any idle round), wakes scheduled past the run's round budget, and
 // the all-quiescent network that goes straight to timeout. Every case is
-// checked bit-identical between RunReference and Run across workers
-// {1,2,8}.
+// checked bit-identical between RunReference and Run.
 
 // dupWakeNode re-registers the same target round on every execution:
 // vertex 0 pulses its neighbors for a few rounds, and every receive (plus
@@ -141,7 +140,7 @@ func wakeEdgeFingerprint(nw *Network, n int) string {
 }
 
 // TestSchedulerWakeEdgeCases runs each edge-case program on RunReference
-// and on Run (workers 1, 2, 8) and requires identical outputs, Metrics and
+// and on Run and requires identical outputs, Metrics and
 // errors — including the timeout rows, where the error string must match
 // byte for byte.
 func TestSchedulerWakeEdgeCases(t *testing.T) {
@@ -193,8 +192,8 @@ func TestSchedulerWakeEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := tc.g.N()
-		run := func(run func(*Network, int) error, opts ...Option) (string, Metrics, error) {
-			nw, err := NewNetwork(tc.g, tc.make, opts...)
+		run := func(run func(*Network, int) error) (string, Metrics, error) {
+			nw, err := NewNetwork(tc.g, tc.make)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,18 +204,16 @@ func TestSchedulerWakeEdgeCases(t *testing.T) {
 		if (wantErr != nil) != tc.wantErr {
 			t.Fatalf("%s: reference err = %v, want error %v", tc.name, wantErr, tc.wantErr)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			gotOut, gotM, gotErr := run((*Network).Run, WithWorkers(workers))
-			if gotOut != wantOut {
-				t.Errorf("%s workers %d: Run outputs differ from RunReference", tc.name, workers)
-			}
-			if gotM != wantM {
-				t.Errorf("%s workers %d: Run Metrics = %+v, reference %+v", tc.name, workers, gotM, wantM)
-			}
-			if (gotErr == nil) != (wantErr == nil) ||
-				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Errorf("%s workers %d: Run err %v, reference err %v", tc.name, workers, gotErr, wantErr)
-			}
+		gotOut, gotM, gotErr := run((*Network).Run)
+		if gotOut != wantOut {
+			t.Errorf("%s: Run outputs differ from RunReference", tc.name)
+		}
+		if gotM != wantM {
+			t.Errorf("%s: Run Metrics = %+v, reference %+v", tc.name, gotM, wantM)
+		}
+		if (gotErr == nil) != (wantErr == nil) ||
+			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("%s: Run err %v, reference err %v", tc.name, gotErr, wantErr)
 		}
 	}
 }
@@ -231,22 +228,23 @@ func TestSessionWakeArenaSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		sess := NewSession(topo, func(v int) *dupWakeNode { return &dupWakeNode{pulses: 4, target: 24} },
-			WithWorkers(workers))
-		runOnce := func() {
-			if err := sess.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Run(40); err != nil {
-				t.Fatal(err)
-			}
+	sess := NewSession(topo, func(v int) *dupWakeNode { return &dupWakeNode{pulses: 4, target: 24} })
+	defer sess.Close()
+	runOnce := func() {
+		if err := sess.Reset(); err != nil {
+			t.Fatal(err)
 		}
-		runOnce() // warm: first run grows arenas to their high-water marks
+		if err := sess.Run(40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up as TestEvalSteadyStateAllocs does: the first runs grow the
+	// arenas to their high-water marks, and the runtime fills its
+	// type-assertion caches at random moments early in a process.
+	for i := 0; i < 5; i++ {
 		runOnce()
-		if allocs := testing.AllocsPerRun(5, runOnce); allocs > 0 {
-			t.Errorf("workers %d: %.1f allocs per session re-run, want 0 (wake arenas must be reused)", workers, allocs)
-		}
-		sess.Close()
+	}
+	if allocs := testing.AllocsPerRun(10, runOnce); allocs > 0 {
+		t.Errorf("%.1f allocs per session re-run, want 0 (wake arenas must be reused)", allocs)
 	}
 }

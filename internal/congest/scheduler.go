@@ -36,11 +36,11 @@ package congest
 // Under that contract the frontier execution is bit-identical to
 // RunReference by construction: skipped work is work that provably does
 // nothing. The scheduler-equivalence tests assert this across the whole
-// program suite, worker counts and session reuse.
+// program suite and session reuse.
 //
-// # Representation: hierarchical bitsets, shard-local everything
+// # Representation: hierarchical bitsets and one wake heap
 //
-// The frontier, its accumulator and the receive set are shardedBitsets
+// The frontier, its accumulator and the receive set are bitsets
 // (bitset.go): a one-bit-per-vertex word layer under a one-bit-per-word
 // summary layer.
 // Building, deduplicating and iterating the frontier is O(active/64 +
@@ -53,35 +53,24 @@ package congest
 // round's receivers between the claim pass and the receive iteration,
 // which consumes it.
 //
-// Vertices are split into k contiguous shards aligned to 4096 vertices
-// (64 words = one summary word), so every word either layer owns belongs
-// to exactly one worker. That makes all frontier bookkeeping shard-local:
-//
-//   - each worker has its own wake queue — a min-heap of round-keyed
-//     vertex buckets (wakeBucket) holding only its vertices — so NextWake
-//     registrations during the receive half write worker-private state and
-//     there is no barrier-time merge; bucketing makes the common bulk
-//     pattern (every vertex registers the same timer round) O(1) per
-//     vertex on both the register and the drain side;
-//   - receive-set accumulation is merge-free: every worker scans all
-//     workers' touched-receiver lists but claims only its own vertices,
-//     inserting them into its shard of `rcv` directly;
-//   - wake registrations are epoch-stamped (wake[v] = epoch<<32|round), so
-//     resetting a persistent engine between Session executions is one
-//     epoch increment, not an O(n) wipe.
+// Later wakes wait in one wake queue: a min-heap of round-keyed vertex
+// buckets (wakeBucket). Bucketing makes the common bulk pattern (every
+// vertex registers the same timer round) O(1) per vertex on both the
+// register and the drain side. Wake registrations are epoch-stamped
+// (wake[v] = epoch<<32|round), so resetting a persistent engine between
+// Session executions is one epoch increment, not an O(n) wipe.
 //
 // # Determinism
 //
 // The frontier is a deterministic function of the run history: receivers
 // are determined by the (deterministic) sends, self-wakes by program state,
-// and the always-active set by the program types. The ordering rule is the
-// shard-order rule of the package comment: worker w executes its contiguous
-// vertex shard in ascending order and shard w lies wholly below shard w+1,
-// so the outboxes in shard order hold the senders in ascending order.
-// Inboxes concatenate chains, the observer replays logs and the error is
-// picked by walking the outboxes in that order, which reproduces the serial
-// order of RunReference; the metrics fold is order-independent. Outputs are
-// bit-identical for every worker count and shard geometry.
+// and the always-active set by the program types. The engine runs the
+// frontier's senders in ascending order into one Outbox, so each
+// receiver's chain is already in the canonical order RunReference
+// delivers — ascending sender, emission order within a sender — the
+// observer replays the one log in that order, and the reported error is
+// the smallest failing sender's. Outputs are bit-identical to
+// RunReference.
 //
 // # Quiescence and idle-round accounting
 //
@@ -100,7 +89,6 @@ package congest
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 )
 
 // NeverWake is the NextWake return value meaning "message-driven": the
@@ -132,20 +120,20 @@ type Scheduled interface {
 	NextWake(env *Env, round int) int
 }
 
-// wakeBucket groups one shard's pending self-wakes that share a target
-// round: the registrations wakeVs[off:end] of the owning shard's arena.
-// Programs overwhelmingly register wakes in runs of the same round (a
+// wakeBucket groups pending self-wakes that share a target round: the
+// registrations wakeVs[off:end] of the engine's arena. Programs
+// overwhelmingly register wakes in runs of the same round (a
 // fixed-duration timer registers the deadline for every vertex, a
 // pipelined schedule the next stage), so bucketing makes both sides cheap:
-// registration appends to the shard's open bucket in O(1), and draining a
-// due bucket is O(1) per vertex — no per-entry heap sift-downs, which at
+// registration appends to the open bucket in O(1), and draining a due
+// bucket is O(1) per vertex — no per-entry heap sift-downs, which at
 // n=256k used to cost an O(n log n) storm in the round every timer fires.
 //
-// Bucket storage is a per-shard append-only arena: only the newest (open)
-// bucket grows and it is always the arena tail, so closing a bucket just
-// freezes its end offset. Nothing is freed mid-run — a reset truncates the
-// arena — so steady-state executions allocate nothing and there is no
-// arena-size churn.
+// Bucket storage is an append-only arena: only the newest (open) bucket
+// grows and it is always the arena tail, so closing a bucket just freezes
+// its end offset. Nothing is freed mid-run — a reset truncates the arena —
+// so steady-state executions allocate nothing and there is no arena-size
+// churn.
 type wakeBucket struct {
 	round    int32
 	off, end int32 // wakeVs[off:end]; the open bucket's end is the arena tail
@@ -154,94 +142,44 @@ type wakeBucket struct {
 // noBucket marks an empty open-bucket slot.
 const noBucket = int32(-1)
 
-// shardWordAlign is the word-granularity a shard boundary must be aligned
-// to: 64 words = one summary word = 4096 vertices, so a shard owns whole
-// summary words and workers never write a shared bitset word.
-const shardWordAlign = 64
-
 // frontierState is the engine's per-run frontier bookkeeping. Everything
 // is allocated once (newFrontierState) and recycled across rounds and —
 // via reset — across the executions of a persistent Session engine, so
 // steady-state rounds and re-run Evaluations allocate nothing: the bitsets
-// are fixed arrays, the shard heap arenas are kept at capacity, and the
-// epoch stamps make the wake array reusable without wiping it.
+// are fixed arrays, the heap and arena are kept at capacity, and the epoch
+// stamps make the wake array reusable without wiping it.
 type frontierState struct {
-	wps int // words per shard; multiple of shardWordAlign
-
 	alwaysOn []int32 // vertices without the Scheduled contract, ascending
 
-	cur *shardedBitset // the frontier executing the current round
-	nxt *shardedBitset // accumulator for the next round's frontier
-	rcv *shardedBitset // this round's receivers; empty outside recvShard
+	cur *bitset // the frontier executing the current round
+	nxt *bitset // accumulator for the next round's frontier
+	rcv *bitset // this round's receivers; empty outside receive
 
-	curCount int // |cur|, folded from the shard add-deltas
-	nxtCount int // |nxt| so far (coordinator's share; workers fold in deltas)
+	curCount int // |cur|
+	nxtCount int // |nxt|
 
 	epoch uint64   // current execution's stamp epoch (see wake)
 	wake  []uint64 // wake[v] = epoch<<32|round of v's live registration
 
-	heaps  [][]wakeBucket // per-shard min-heaps of closed buckets, by round
-	open   []wakeBucket   // per-shard bucket currently receiving appends
-	wakeVs [][]int32      // per-shard append-only registration arenas
+	heap   []wakeBucket // min-heap of closed buckets, by round
+	open   wakeBucket   // the bucket currently receiving appends
+	wakeVs []int32      // append-only registration arena
 
 	done    []bool // last observed Done() per vertex
 	notDone int
 
 	preMax     int  // max initial StateBits over vertices outside frontier(1)
 	preSampled bool // preMax computed (at the first frontier build)
-
-	addDelta  []int // per-worker count of new nxt members this round
-	doneDelta []int // per-worker notDone deltas
 }
 
-// wordsPerShard returns the shard width, in bitset words, of a k-way split
-// of nwords words: ceil(nwords/k) rounded up to shardWordAlign.
-func wordsPerShard(nwords, k int) int {
-	wps := (nwords + k - 1) / k
-	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
-}
-
-// shardWorkers returns how many shards of a k-way split of n vertices own
-// at least one vertex: shards are aligned to shardWordAlign words, so on a
-// small vertex set the trailing ones are empty. EffectiveWorkers caps the
-// automatic worker count with it.
-func shardWorkers(n, k int) int {
-	nwords := (n + 63) >> 6
-	wps := wordsPerShard(nwords, k)
-	return (nwords + wps - 1) / wps
-}
-
-// Contexts is the second half of the one CPU budget, the half above the
-// engine: the number of cloned evaluation contexts to run concurrently
-// when each context's engine runs `workers` workers. The engine claims its
-// workers first (EffectiveWorkers: under the automatic rule,
-// min(GOMAXPROCS, occupied shards)), and contexts take what is left,
-// max(1, GOMAXPROCS/workers) capped at jobs, so contexts × workers ≤
-// GOMAXPROCS whenever the workers fit the budget. A network of at most
-// 4096 vertices thus gets GOMAXPROCS contexts of one worker each, and a
-// network with GOMAXPROCS occupied shards one context with every CPU —
-// its session state is never cloned.
-func Contexts(workers, jobs int) int {
-	c := runtime.GOMAXPROCS(0) / max(workers, 1)
-	return max(1, min(c, jobs))
-}
-
-func newFrontierState(n, k int, nodes []Node) *frontierState {
+func newFrontierState(n int, nodes []Node) *frontierState {
 	fr := &frontierState{
-		wps:       wordsPerShard((n+63)>>6, k),
-		cur:       newShardedBitset(n),
-		nxt:       newShardedBitset(n),
-		rcv:       newShardedBitset(n),
-		wake:      make([]uint64, n),
-		heaps:     make([][]wakeBucket, k),
-		open:      make([]wakeBucket, k),
-		wakeVs:    make([][]int32, k),
-		done:      make([]bool, n),
-		addDelta:  make([]int, k),
-		doneDelta: make([]int, k),
-	}
-	for s := range fr.open {
-		fr.open[s].round = noBucket
+		cur:  newBitset(n),
+		nxt:  newBitset(n),
+		rcv:  newBitset(n),
+		wake: make([]uint64, n),
+		open: wakeBucket{round: noBucket},
+		done: make([]bool, n),
 	}
 	// The always-active set is fixed by the program types, so it is
 	// collected once per engine. The Scheduled and StateSizer assertions
@@ -256,24 +194,6 @@ func newFrontierState(n, k int, nodes []Node) *frontierState {
 	return fr
 }
 
-// shardOf returns the worker that owns vertex v.
-func (fr *frontierState) shardOf(v int32) int { return int(uint32(v)>>6) / fr.wps }
-
-// shardWords returns worker w's word range [wlo, whi) over the bitset word
-// layer (empty for trailing shards past the end of a small vertex set).
-func (fr *frontierState) shardWords(w int) (wlo, whi int) {
-	nw := len(fr.cur.words)
-	wlo = w * fr.wps
-	if wlo > nw {
-		wlo = nw
-	}
-	whi = wlo + fr.wps
-	if whi > nw {
-		whi = nw
-	}
-	return wlo, whi
-}
-
 // stamp is the wake-array encoding of a live registration for round wk in
 // the current epoch; stampNone marks "no live registration" this epoch.
 // Entries from earlier epochs never match either, which is what makes
@@ -282,9 +202,9 @@ func (fr *frontierState) stamp(wk int) uint64 { return fr.epoch<<32 | uint64(uin
 func (fr *frontierState) stampNone() uint64   { return fr.epoch << 32 }
 
 // reset prepares the state for a fresh execution on a persistent engine:
-// an epoch bump invalidates every wake stamp, the bucket arenas return to
-// their shard free lists, and the bitsets clear through their summary
-// layers — nothing is O(n).
+// an epoch bump invalidates every wake stamp, the heap and arena are
+// truncated, and the bitsets clear through their summary layers — nothing
+// is O(n).
 func (fr *frontierState) reset() {
 	fr.epoch++
 	if fr.epoch == 1<<32 {
@@ -293,11 +213,9 @@ func (fr *frontierState) reset() {
 		fr.epoch = 1
 		clear(fr.wake)
 	}
-	for s := range fr.heaps {
-		fr.heaps[s] = fr.heaps[s][:0]
-		fr.wakeVs[s] = fr.wakeVs[s][:0]
-		fr.open[s].round = noBucket
-	}
+	fr.heap = fr.heap[:0]
+	fr.wakeVs = fr.wakeVs[:0]
+	fr.open.round = noBucket
 	fr.cur.clear()
 	fr.nxt.clear()
 	fr.curCount, fr.nxtCount = 0, 0
@@ -306,13 +224,13 @@ func (fr *frontierState) reset() {
 	fr.preSampled = false
 }
 
-// heapPush inserts a closed bucket into shard s's min-heap by round.
-// Several buckets may carry the same round (registration runs that were
+// heapPush inserts a closed bucket into the min-heap by round. Several
+// buckets may carry the same round (registration runs that were
 // interleaved with other rounds); draining handles duplicates naturally,
 // and vertex-level dedup is the wake stamps' job, so no tie-break order is
 // needed.
-func (fr *frontierState) heapPush(s int, b wakeBucket) {
-	h := append(fr.heaps[s], b)
+func (fr *frontierState) heapPush(b wakeBucket) {
+	h := append(fr.heap, b)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -322,12 +240,12 @@ func (fr *frontierState) heapPush(s int, b wakeBucket) {
 		h[p], h[i] = h[i], h[p]
 		i = p
 	}
-	fr.heaps[s] = h
+	fr.heap = h
 }
 
-// heapPop removes and returns shard s's earliest-round bucket.
-func (fr *frontierState) heapPop(s int) wakeBucket {
-	h := fr.heaps[s]
+// heapPop removes and returns the earliest-round bucket.
+func (fr *frontierState) heapPop() wakeBucket {
+	h := fr.heap
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -348,79 +266,73 @@ func (fr *frontierState) heapPop(s int) wakeBucket {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	fr.heaps[s] = h
+	fr.heap = h
 	return top
 }
 
-// nextWakeRound returns the earliest pending wake round across the shard
-// bucket heaps; 0 when none are pending. A bucket whose registrations were
-// all superseded still reports its round — the run loop then skips to it,
-// drains nothing, and re-asks; the idle-gap accounting telescopes to the
-// same totals, so phantom rounds are invisible in the results (the
-// scheduler-equivalence suite covers the re-registration cases).
+// nextWakeRound returns the earliest pending wake round across the heap
+// and the open bucket; 0 when none is pending. A bucket whose
+// registrations were all superseded still reports its round — the run
+// loop then skips to it, drains nothing, and re-asks; the idle-gap
+// accounting telescopes to the same totals, so phantom rounds are
+// invisible in the results (the scheduler-equivalence suite covers the
+// re-registration cases).
 func (fr *frontierState) nextWakeRound() int {
 	min := 0
-	for s := range fr.heaps {
-		if len(fr.heaps[s]) > 0 {
-			if r := int(fr.heaps[s][0].round); min == 0 || r < min {
-				min = r
-			}
-		}
-		if ob := &fr.open[s]; ob.round != noBucket {
-			if r := int(ob.round); min == 0 || r < min {
-				min = r
-			}
-		}
+	if len(fr.heap) > 0 {
+		min = int(fr.heap[0].round)
+	}
+	if ob := fr.open.round; ob != noBucket && (min == 0 || int(ob) < min) {
+		min = int(ob)
 	}
 	return min
 }
 
-// register records a program's NextWake answer given after round cur, into
-// shard s's structures — the caller must own shard s (s == fr.shardOf(v)),
-// which is what lets the receive half register wakes without a barrier
-// merge. Wakes due next round go straight into the next-frontier bitset;
-// later wakes append to the shard's open bucket (same round) or close it
-// and open a new one. The latest answer wins: re-registering replaces the
-// previous wake (entries with stale stamps are skipped at drain time).
-// Reports whether nxt gained a member.
-func (fr *frontierState) register(s int, v int32, wk, cur int) bool {
+// register records a program's NextWake answer given after round cur.
+// Wakes due next round go straight into the next-frontier bitset; later
+// wakes append to the open bucket (same round) or close it and open a new
+// one. The latest answer wins: re-registering replaces the previous wake
+// (entries with stale stamps are skipped at drain time).
+func (fr *frontierState) register(v int32, wk, cur int) {
 	if wk == NeverWake {
 		fr.wake[v] = fr.stampNone()
-		return false
+		return
 	}
 	if wk <= cur+1 {
 		fr.wake[v] = fr.stampNone()
-		return fr.nxt.add(v)
+		if fr.nxt.add(v) {
+			fr.nxtCount++
+		}
+		return
 	}
 	st := fr.stamp(wk)
 	if fr.wake[v] == st {
-		return false // duplicate registration for the same round
+		return // duplicate registration for the same round
 	}
 	fr.wake[v] = st
-	ob := &fr.open[s]
+	ob := &fr.open
 	if ob.round != int32(wk) {
 		if ob.round != noBucket {
-			ob.end = int32(len(fr.wakeVs[s]))
-			fr.heapPush(s, *ob)
+			ob.end = int32(len(fr.wakeVs))
+			fr.heapPush(*ob)
 		}
 		ob.round = int32(wk)
-		ob.off = int32(len(fr.wakeVs[s]))
+		ob.off = int32(len(fr.wakeVs))
 	}
-	fr.wakeVs[s] = append(fr.wakeVs[s], v)
-	return false
+	fr.wakeVs = append(fr.wakeVs, v)
 }
 
 // drainBucket moves a due bucket's still-live registrations into the
 // frontier: O(1) per vertex (a stamp check and a bitset insert).
-func (fr *frontierState) drainBucket(s int, b wakeBucket, cur *shardedBitset, count *int) {
+func (fr *frontierState) drainBucket(b wakeBucket) {
 	st := fr.stamp(int(b.round))
-	for _, v := range fr.wakeVs[s][b.off:b.end] {
+	for _, v := range fr.wakeVs[b.off:b.end] {
 		if fr.wake[v] != st {
 			continue // superseded registration
 		}
 		fr.wake[v] = fr.stampNone()
-		if cur.add(v) {
-			*count++
+		if fr.cur.add(v) {
+			fr.curCount++
 		}
 	}
 }
@@ -433,32 +345,27 @@ func (e *engine) buildFrontier(round int) {
 	fr := e.fr
 	fr.cur, fr.nxt = fr.nxt, fr.cur
 	fr.nxt.clear()
-	count := fr.nxtCount
-	fr.nxtCount = 0
-	cur := fr.cur
-	for s := range fr.heaps {
-		for len(fr.heaps[s]) > 0 && int(fr.heaps[s][0].round) <= round {
-			fr.drainBucket(s, fr.heapPop(s), cur, &count)
-		}
-		if ob := &fr.open[s]; ob.round != noBucket && int(ob.round) <= round {
-			ob.end = int32(len(fr.wakeVs[s]))
-			fr.drainBucket(s, *ob, cur, &count)
-			ob.round = noBucket
-		}
+	fr.curCount, fr.nxtCount = fr.nxtCount, 0
+	for len(fr.heap) > 0 && int(fr.heap[0].round) <= round {
+		fr.drainBucket(fr.heapPop())
+	}
+	if ob := &fr.open; ob.round != noBucket && int(ob.round) <= round {
+		ob.end = int32(len(fr.wakeVs))
+		fr.drainBucket(*ob)
+		ob.round = noBucket
 	}
 	for _, v := range fr.alwaysOn {
-		if cur.add(v) {
-			count++
+		if fr.cur.add(v) {
+			fr.curCount++
 		}
 	}
-	fr.curCount = count
 }
 
 // samplePre records the initial StateBits of every vertex outside the
 // first frontier. RunReference samples every vertex every round, so the
 // states of vertices that are skipped before their first execution are
-// exactly their initial states; folding this maximum (at the first round
-// barrier, like RunReference's first samples) makes Metrics.MaxStateBits
+// exactly their initial states; folding this maximum (at the end of the
+// first round, like RunReference's first samples) makes Metrics.MaxStateBits
 // match it.
 func (e *engine) samplePre() {
 	fr := e.fr
@@ -477,29 +384,19 @@ func (e *engine) samplePre() {
 	fr.preSampled = true
 }
 
-// sendShard runs the Send half for worker w's vertex shard, iterating its
-// slice of the frontier bitset through the summary layer (ascending, so
-// the delivery chains and the observer log stay in sender order). All
-// writes go to worker-private state: the worker's Outbox (arena, ledger,
-// delivery chains, metrics shard). Validation stops at the shard's first
-// offending message; since an offense depends only on its own sender's
-// emissions, the first failing shard's error is exactly the error a serial
-// execution reports.
-func (e *engine) sendShard(w int) {
-	nw := e.nw
-	ob := e.obs[w]
+// send runs the Send half over the frontier, iterating the bitset through
+// its summary layer in ascending vertex order, so the delivery chains and
+// the observer log stay in sender order. It stops at the first offending
+// message — the smallest failing sender's, the error RunReference reports
+// — and otherwise folds the round's traffic into the metrics and replays
+// it to the observer.
+func (e *engine) send() error {
+	nw, ob, cur := e.nw, e.ob, e.fr.cur
 	// beginRound recycles the previous round's delivery chains (the
-	// barrier guarantees every reader is done with them) and the arena.
+	// receive half is done with them) and the arena.
 	ob.beginRound(e.round)
-	fr := e.fr
-	wlo, whi := fr.shardWords(w)
-	if wlo >= whi {
-		return
-	}
-	cur := fr.cur
-	env, nbrs, round := &e.ws[w].env, nw.topo.neighbors, e.round
-	for si := wlo >> 6; si < (whi+63)>>6; si++ {
-		sw := cur.sum[si]
+	env, nbrs, round := &e.env, nw.topo.neighbors, e.round
+	for si, sw := range cur.sum {
 		for sw != 0 {
 			wi := si<<6 + bits.TrailingZeros64(sw)
 			sw &= sw - 1
@@ -510,54 +407,49 @@ func (e *engine) sendShard(w int) {
 				ob.begin(v)
 				nw.nodes[v].Send(env.bind(v, nbrs[v], round), ob)
 				if ob.err != nil {
-					return
+					return ob.err
 				}
 			}
 		}
 	}
+	m := &nw.metrics
+	m.Messages += ob.sent()
+	m.Bits += ob.bitsTotal
+	if ob.maxEdge > m.MaxEdgeBits {
+		m.MaxEdgeBits = ob.maxEdge
+	}
+	if ob.sent() == 0 {
+		m.DroppedRounds++
+	}
+	if nw.observer != nil {
+		ob.replay(nw.observer)
+	}
+	return nil
 }
 
-// recvShard runs the Receive half for worker w's shard of the receive set
-// (frontier ∪ this round's receivers). Each inbox is materialized from the
-// workers' staged chains into the worker's scratch by gatherChains, whose
-// shard-order concatenation is the canonical delivery order — ascending
-// sender, emission order within a sender — for every worker count.
-// Vertices execute one at a time per worker and Receive must not retain the
-// inbox, so one reusable scratch per worker suffices. The worker also
-// maintains the incremental Done count and registers the programs' next
-// wakes — all into shard-local state, so the barrier only folds counters.
+// receive runs the Receive half over the receive set (frontier ∪ this
+// round's receivers). Each inbox is the receiver's chain in the one
+// Outbox, materialized into the engine's scratch; the chain is already in
+// the canonical delivery order, ascending sender and emission order within
+// a sender. Vertices execute one at a time and Receive must not retain the
+// inbox, so one reusable scratch suffices. The half also maintains the
+// incremental Done count and registers the programs' next wakes.
 //
-// The receive set is never materialized: at entry the worker claims its
-// own vertices from every worker's touched-receiver list into `rcv`, and
-// then iterates the union cur|rcv word by word, clearing each `rcv` word
-// and summary word as it consumes it, so `rcv` is empty again at the
-// barrier. A reception schedules nothing by itself: `nxt` gains only the
-// wakes that register records from NextWake answers.
-func (e *engine) recvShard(w int) {
-	nw := e.nw
-	st := &e.ws[w]
-	fr := e.fr
+// The receive set is never materialized: the claim pass inserts the
+// Outbox's touched receivers into `rcv`, and the iteration walks the union
+// cur|rcv word by word, clearing each `rcv` word and summary word as it
+// consumes it, so `rcv` is empty again when the half ends. A reception
+// schedules nothing by itself: `nxt` gains only the wakes that register
+// records from NextWake answers.
+func (e *engine) receive() {
+	nw, fr, ob := e.nw, e.fr, e.ob
+	for _, to := range ob.touched {
+		fr.rcv.add(to)
+	}
 	var maxState, maxInbox int
-	delta, added := 0, 0
-	wlo, whi := fr.shardWords(w)
-	if wlo >= whi {
-		fr.addDelta[w], fr.doneDelta[w] = 0, 0
-		st.maxStateBits, st.maxInboxSize = 0, 0
-		return
-	}
-	if !e.empty {
-		vlo, vhi := int32(wlo<<6), int32(whi<<6)
-		for _, ob := range e.obs {
-			for _, to := range ob.touched {
-				if to >= vlo && to < vhi {
-					fr.rcv.add(to)
-				}
-			}
-		}
-	}
 	cur, rcv := fr.cur, fr.rcv
-	env, nbrs, round := &st.env, nw.topo.neighbors, e.round
-	for si := wlo >> 6; si < (whi+63)>>6; si++ {
+	env, nbrs, round := &e.env, nw.topo.neighbors, e.round
+	for si := range cur.sum {
 		sw := cur.sum[si] | rcv.sum[si]
 		rcv.sum[si] = 0
 		for sw != 0 {
@@ -568,11 +460,8 @@ func (e *engine) recvShard(w int) {
 			for word != 0 {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				var inbox []Inbound
-				if !e.empty {
-					inbox = gatherChains(e.obs, v, st.inbox[:0])
-					st.inbox = inbox
-				}
+				inbox := ob.appendChain(v, e.inbox[:0])
+				e.inbox = inbox
 				if len(inbox) > maxInbox {
 					maxInbox = len(inbox)
 				}
@@ -588,54 +477,29 @@ func (e *engine) recvShard(w int) {
 				if d := nd.Done(); d != fr.done[v] {
 					fr.done[v] = d
 					if d {
-						delta--
+						fr.notDone--
 					} else {
-						delta++
+						fr.notDone++
 					}
 				}
 				if sc, ok := nd.(Scheduled); ok {
-					if fr.register(w, int32(v), sc.NextWake(env, round), round) {
-						added++
-					}
+					fr.register(int32(v), sc.NextWake(env, round), round)
 				}
 			}
 		}
 	}
-	fr.addDelta[w] = added
-	fr.doneDelta[w] = delta
-	st.maxStateBits = maxState
-	st.maxInboxSize = maxInbox
-}
-
-// finishRecv folds the receive half at the round barrier: metric shards,
-// the pre-sampled state maximum (folded from the first barrier on, when
-// RunReference folds its first samples), and the shard-local Done and
-// frontier-size deltas. There is no wake merge here — registrations
-// already landed in shard-local heaps.
-func (e *engine) finishRecv() {
-	m := &e.nw.metrics
-	fr := e.fr
-	for w := range e.ws {
-		st := &e.ws[w]
-		if st.maxStateBits > m.MaxStateBits {
-			m.MaxStateBits = st.maxStateBits
-		}
-		if st.maxInboxSize > m.MaxInboxSize {
-			m.MaxInboxSize = st.maxInboxSize
-		}
-		fr.notDone += fr.doneDelta[w]
-		fr.nxtCount += fr.addDelta[w]
-	}
-	if fr.preMax > m.MaxStateBits {
-		m.MaxStateBits = fr.preMax
-	}
+	// The pre-sampled state maximum is folded from the first round on,
+	// when RunReference folds its first samples.
+	m := &nw.metrics
+	m.MaxStateBits = max(m.MaxStateBits, maxState, fr.preMax)
+	m.MaxInboxSize = max(m.MaxInboxSize, maxInbox)
 }
 
 // execute runs one full execution on the engine: rounds until every node
 // is Done, or an error after maxRounds; see the file comment for the
 // frontier invariant and the accounting argument. It touches only state
-// that beginRound, the round barriers and frontierState.reset recycle, so
-// a persistent engine (Session) can call it repeatedly — after the node
+// that beginRound, the receive half and frontierState.reset recycle, so a
+// persistent engine (Session) can call it repeatedly — after the node
 // programs are Reset — with zero steady-state allocations, and every
 // execution is bit-for-bit identical to a run on a freshly built engine.
 func (e *engine) execute(maxRounds int) error {
@@ -648,9 +512,8 @@ func (e *engine) execute(maxRounds int) error {
 	// Initial scan, one pass over the programs: RunReference's pre-run
 	// allDone probe plus the initial self-wake collection (NextWake after
 	// construction/reset). Both are pure queries, so fusing the passes
-	// only improves locality. It runs on the coordinator while the workers
-	// are parked, so it borrows worker 0's env.
-	env, nbrs := &e.ws[0].env, nw.topo.neighbors
+	// only improves locality.
+	env, nbrs := &e.env, nw.topo.neighbors
 	for v, nd := range nw.nodes {
 		d := nd.Done()
 		fr.done[v] = d
@@ -658,9 +521,7 @@ func (e *engine) execute(maxRounds int) error {
 			fr.notDone++
 		}
 		if sc, ok := nd.(Scheduled); ok {
-			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(env.bind(v, nbrs[v], 0), 0), 0) {
-				fr.nxtCount++
-			}
+			fr.register(int32(v), sc.NextWake(env.bind(v, nbrs[v], 0), 0), 0)
 		}
 	}
 
@@ -704,20 +565,10 @@ func (e *engine) execute(maxRounds int) error {
 		}
 		nw.metrics.Rounds = round
 		e.round = round
-
-		e.runPhase(phaseSend, fr.curCount)
-		if err := e.finishSend(); err != nil {
+		if err := e.send(); err != nil {
 			return err
 		}
-		// The receive set is frontier ∪ receivers; curCount plus the
-		// touched totals overestimates it (overlap, cross-worker
-		// duplicates), but it is only the inline-dispatch heuristic.
-		recvSize := fr.curCount
-		for _, ob := range e.obs {
-			recvSize += len(ob.touched)
-		}
-		e.runPhase(phaseRecv, recvSize)
-		e.finishRecv()
+		e.receive()
 		round++
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -286,17 +287,15 @@ type Resettable interface {
 
 // Session owns one network of T programs together with a persistent
 // execution engine. Where NewNetwork + Run build topology tables, node
-// programs, arenas, buffers and a worker pool per execution, a Session
-// builds them once and recycles all of them: Reset restores the node
-// programs (and zeroes the metrics), Run executes on the retained engine. A
-// Reset+Run is bit-for-bit identical — outputs, Metrics, observer wire
-// traces, error strings — to building a fresh network and running it, for
-// every worker count; the session-reuse determinism tests assert exactly
-// that.
+// programs, arenas and buffers per execution, a Session builds them once
+// and recycles all of them: Reset restores the node programs (and zeroes
+// the metrics), Run executes on the retained engine. A Reset+Run is
+// bit-for-bit identical — outputs, Metrics, observer wire traces, error
+// strings — to building a fresh network and running it; the session-reuse
+// determinism tests assert exactly that.
 //
 // A Session is not safe for concurrent use; clone it (see Pool) to run
-// independent executions in parallel. Close releases the engine's worker
-// goroutines; a session that was never Run has nothing to release.
+// independent executions in parallel. Close marks it closed.
 type Session[T Resettable] struct {
 	nw       *Network
 	nodes    []T
@@ -399,18 +398,9 @@ func (s *Session[T]) Clone() (*Session[T], error) {
 	return NewSession(s.nw.topo, s.makeNode, s.opts...), nil
 }
 
-// Close stops the engine's worker goroutines. The session cannot run again
+// Close marks the session closed: it cannot be Reset or Run again
 // afterwards. Close is idempotent.
-func (s *Session[T]) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.e != nil {
-		s.e.stop()
-		s.e = nil
-	}
-}
+func (s *Session[T]) Close() { s.closed = true }
 
 // Pool runs independent executions concurrently on a fixed set of cloned
 // execution contexts (typically Session-backed evaluators). Jobs are
@@ -511,6 +501,14 @@ func (p *Pool[C]) Close(close func(C)) {
 		close(c)
 	}
 	p.clones = nil
+}
+
+// Contexts is the one CPU budget: the number of cloned contexts to run
+// `jobs` independent executions on, min(GOMAXPROCS, jobs) and at least 1.
+// Each context's engine runs on one goroutine, so the contexts use every
+// CPU the jobs can fill and never more.
+func Contexts(jobs int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), jobs))
 }
 
 // ForEach runs fn(job) for every job in [0, jobs) on up to `workers`

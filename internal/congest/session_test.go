@@ -59,11 +59,11 @@ func freshFigure2(t *testing.T, g *graph.Graph, info *PreInfo, u0 int, opts ...O
 
 // The tentpole contract: a session Reset+Run is bit-for-bit identical to a
 // freshly built network — values, Metrics and encoded observer traces —
-// for every worker count, on the first execution and on every re-run.
+// on the first execution and on every re-run.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
 		g := graph.RandomConnected(130, 0.045, seed)
-		info, _, err := Preprocess(g, WithWorkers(1))
+		info, _, err := Preprocess(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,59 +74,54 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		// Includes a repeated input: re-evaluating an input already seen
 		// must also be identical.
 		u0s := []int{0, 7, 63, 129, 7}
-		for _, k := range []int{1, 2, 3, 8} {
-			var trace []string
-			o := []Option{WithObserver(recordObs(&trace)), WithWorkers(k), WithStrictAccounting()}
-			walk := NewWalkSession(topo, info, info.Children, 2*info.D, o...)
-			ecc := NewEccSession(topo, info, 6*info.D+2, o...)
-			for pass := 0; pass < 2; pass++ { // pass 1 re-runs warm sessions
-				for _, u0 := range u0s {
-					want := freshFigure2(t, g, info, u0, WithWorkers(k), WithStrictAccounting())
-					trace = trace[:0]
-					tau, mW, err := walk.Eval(u0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					val, mR, err := ecc.Eval(tau)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if val != want.Value || mW != want.Walk || mR != want.Rest {
-						t.Fatalf("seed %d workers %d pass %d u0 %d: session (%d, %+v, %+v) != fresh (%d, %+v, %+v)",
-							seed, k, pass, u0, val, mW, mR, want.Value, want.Walk, want.Rest)
-					}
-					if !reflect.DeepEqual(trace, want.Trace) {
-						t.Fatalf("seed %d workers %d pass %d u0 %d: observer wire trace differs (%d vs %d events)",
-							seed, k, pass, u0, len(trace), len(want.Trace))
-					}
+		var trace []string
+		o := []Option{WithObserver(recordObs(&trace)), WithStrictAccounting()}
+		walk := NewWalkSession(topo, info, info.Children, 2*info.D, o...)
+		ecc := NewEccSession(topo, info, 6*info.D+2, o...)
+		for pass := 0; pass < 2; pass++ { // pass 1 re-runs warm sessions
+			for _, u0 := range u0s {
+				want := freshFigure2(t, g, info, u0, WithStrictAccounting())
+				trace = trace[:0]
+				tau, mW, err := walk.Eval(u0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				val, mR, err := ecc.Eval(tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if val != want.Value || mW != want.Walk || mR != want.Rest {
+					t.Fatalf("seed %d pass %d u0 %d: session (%d, %+v, %+v) != fresh (%d, %+v, %+v)",
+						seed, pass, u0, val, mW, mR, want.Value, want.Walk, want.Rest)
+				}
+				if !reflect.DeepEqual(trace, want.Trace) {
+					t.Fatalf("seed %d pass %d u0 %d: observer wire trace differs (%d vs %d events)",
+						seed, pass, u0, len(trace), len(want.Trace))
 				}
 			}
-			walk.Close()
-			ecc.Close()
 		}
+		walk.Close()
+		ecc.Close()
 	}
 }
 
 // PrepareApproxOn runs its counting probes on reused sessions; its output
-// and metrics must be unchanged across worker counts and identical to the
-// serial execution.
+// and metrics must be identical from one call to the next.
 func TestPrepareApproxSessionDeterministic(t *testing.T) {
 	topo := mustTopology(t, graph.RandomConnected(90, 0.06, 5))
-	wantPrep, wantM, err := PrepareApproxOn(topo, 9, 11, WithWorkers(1))
+	wantPrep, wantM, err := PrepareApproxOn(topo, 9, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{2, 3, 8} {
-		prep, m, err := PrepareApproxOn(topo, 9, 11, WithWorkers(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m != wantM {
-			t.Errorf("workers %d: metrics %+v, want %+v", k, m, wantM)
-		}
-		if !reflect.DeepEqual(prep, wantPrep) {
-			t.Errorf("workers %d: preparation outputs differ", k)
-		}
+	prep, m, err := PrepareApproxOn(topo, 9, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != wantM {
+		t.Errorf("metrics %+v, want %+v", m, wantM)
+	}
+	if !reflect.DeepEqual(prep, wantPrep) {
+		t.Errorf("preparation outputs differ")
 	}
 }
 
@@ -161,6 +156,71 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 }
 
+// Every Evaluation session reports its failures as errors: a run that
+// breaks the bandwidth fails its Eval, and after Close every Eval is
+// refused, since Close fences the session whatever engine state it holds.
+func TestEvalSessionErrors(t *testing.T) {
+	g := graph.RandomConnected(40, 0.1, 3)
+	info, _, err := Preprocess(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := mustTopology(t, g)
+	flags, _, err := TriangleFlagsOn(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewSkelOracle(topo, info, []int{0, 9, 18, 27}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := NewWalkSession(topo, info, info.Children, 2*info.D)
+	tau, _, err := walk.Eval(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau = append([]int(nil), tau...)
+	walk.Close()
+	type evalSession struct {
+		name  string
+		eval  func() error
+		close func()
+	}
+	build := func(opts ...Option) []evalSession {
+		walk := NewWalkSession(topo, info, info.Children, 2*info.D, opts...)
+		ecc := NewEccSession(topo, info, 6*info.D+2, opts...)
+		wecc := NewWeightedEccSession(topo, info, opts...)
+		cut := NewCutSession(topo, info, opts...)
+		tri := NewTriangleSession(topo, info, flags, opts...)
+		skel := oracle.NewEvalSession(opts...)
+		row := make([]int, g.N())
+		return []evalSession{
+			{"walk", func() error { _, _, err := walk.Eval(0); return err }, walk.Close},
+			{"ecc", func() error { _, _, err := ecc.Eval(tau); return err }, ecc.Close},
+			{"weighted ecc", func() error { _, _, err := wecc.Eval(0); return err }, wecc.Close},
+			{"cut", func() error { _, _, err := cut.Eval(0); return err }, cut.Close},
+			{"triangle", func() error { _, _, err := tri.Eval(0); return err }, tri.Close},
+			{"skeleton", func() error { _, _, err := skel.Eval(0, row); return err }, skel.Close},
+		}
+	}
+	for _, e := range build(WithBandwidth(1)) {
+		if err := e.eval(); err == nil || !strings.Contains(err.Error(), "exceeds bandwidth") {
+			t.Errorf("%s at 1 bit of bandwidth: err = %v, want a bandwidth error", e.name, err)
+		}
+		e.close()
+	}
+	for _, e := range build() {
+		if err := e.eval(); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		e.close()
+		e.close() // Close is idempotent
+		if err := e.eval(); err == nil || !strings.Contains(err.Error(), "closed session") {
+			t.Errorf("%s after Close: err = %v, want the closed-session error", e.name, err)
+		}
+	}
+}
+
 // Re-running a warm session must be allocation-free: the whole point of
 // the session layer is that an Evaluation re-run touches only recycled
 // state, and the next run's inputs are written straight into the typed
@@ -172,12 +232,12 @@ func TestEvalSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []*graph.Graph{rr, graph.Path(256)} {
-		info, _, err := Preprocess(g, WithWorkers(1))
+		info, _, err := Preprocess(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		topo := mustTopology(t, g)
-		flags, _, err := TriangleFlagsOn(topo, WithWorkers(1))
+		flags, _, err := TriangleFlagsOn(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,64 +245,62 @@ func TestEvalSteadyStateAllocs(t *testing.T) {
 		for v := 0; v < g.N(); v += 8 {
 			skeleton = append(skeleton, v)
 		}
-		oracle, err := NewSkelOracle(topo, info, skeleton, 16, WithWorkers(1))
+		oracle, err := NewSkelOracle(topo, info, skeleton, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 2} {
-			walk := NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(k))
-			ecc := NewEccSession(topo, info, 6*info.D+2, WithWorkers(k))
-			wecc := NewWeightedEccSession(topo, info, WithWorkers(k))
-			cut := NewCutSession(topo, info, WithWorkers(k))
-			tri := NewTriangleSession(topo, info, flags, WithWorkers(k))
-			skel := oracle.NewEvalSession(WithWorkers(k))
-			evals := []struct {
-				name string
-				eval func(u0 int) error
-			}{
-				{"walk+ecc", func(u0 int) error {
-					tau, _, err := walk.Eval(u0)
-					if err == nil {
-						_, _, err = ecc.Eval(tau)
-					}
-					return err
-				}},
-				{"weighted ecc", func(u0 int) error { _, _, err := wecc.Eval(u0); return err }},
-				{"cut", func(u0 int) error { _, _, err := cut.Eval(u0); return err }},
-				{"triangle", func(u0 int) error { _, _, err := tri.Eval(u0); return err }},
-				{"skeleton", func(u0 int) error { _, _, err := skel.Eval(u0, nil); return err }},
-			}
-			if g != rr {
-				evals = evals[:1]
-			}
-			for _, e := range evals {
-				// Warm up: engines built, buffers grown. The runtime also
-				// fills its per-call-site type-assertion caches at random
-				// moments early in a process; the random-regular runs come
-				// first and warm them, and AllocsPerRun rounds the average
-				// down, so those one-off allocations never read as a
-				// per-Evaluation cost.
-				for u0 := 0; u0 < 5; u0++ {
-					if err := e.eval(u0); err != nil {
-						t.Fatalf("%s: %v", e.name, err)
-					}
+		walk := NewWalkSession(topo, info, info.Children, 2*info.D)
+		ecc := NewEccSession(topo, info, 6*info.D+2)
+		wecc := NewWeightedEccSession(topo, info)
+		cut := NewCutSession(topo, info)
+		tri := NewTriangleSession(topo, info, flags)
+		skel := oracle.NewEvalSession()
+		evals := []struct {
+			name string
+			eval func(u0 int) error
+		}{
+			{"walk+ecc", func(u0 int) error {
+				tau, _, err := walk.Eval(u0)
+				if err == nil {
+					_, _, err = ecc.Eval(tau)
 				}
-				var err error
-				perEval := testing.AllocsPerRun(10, func() { err = e.eval(200) })
-				if err != nil {
+				return err
+			}},
+			{"weighted ecc", func(u0 int) error { _, _, err := wecc.Eval(u0); return err }},
+			{"cut", func(u0 int) error { _, _, err := cut.Eval(u0); return err }},
+			{"triangle", func(u0 int) error { _, _, err := tri.Eval(u0); return err }},
+			{"skeleton", func(u0 int) error { _, _, err := skel.Eval(u0, nil); return err }},
+		}
+		if g != rr {
+			evals = evals[:1]
+		}
+		for _, e := range evals {
+			// Warm up: engines built, buffers grown. The runtime also
+			// fills its per-call-site type-assertion caches at random
+			// moments early in a process; the random-regular runs come
+			// first and warm them, and AllocsPerRun rounds the average
+			// down, so those one-off allocations never read as a
+			// per-Evaluation cost.
+			for u0 := 0; u0 < 5; u0++ {
+				if err := e.eval(u0); err != nil {
 					t.Fatalf("%s: %v", e.name, err)
 				}
-				if perEval != 0 {
-					t.Errorf("n=%d workers %d %s: %.1f allocs per re-run Evaluation, want 0", g.N(), k, e.name, perEval)
-				}
 			}
-			walk.Close()
-			ecc.Close()
-			wecc.Close()
-			cut.Close()
-			tri.Close()
-			skel.Close()
+			var err error
+			perEval := testing.AllocsPerRun(10, func() { err = e.eval(200) })
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			if perEval != 0 {
+				t.Errorf("n=%d %s: %.1f allocs per re-run Evaluation, want 0", g.N(), e.name, perEval)
+			}
 		}
+		walk.Close()
+		ecc.Close()
+		wecc.Close()
+		cut.Close()
+		tri.Close()
+		skel.Close()
 	}
 }
 
@@ -350,12 +408,42 @@ func TestForEach(t *testing.T) {
 	}
 }
 
+// A Pool has at least one clone, returns a factory error with the clones
+// built so far, hands out its clones by index and refuses to run once
+// closed.
+func TestPoolLifecycle(t *testing.T) {
+	pool, err := NewPool(0, func(i int) (int, error) { return 10 + i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.Size() != 1 || pool.Get(0) != 10 {
+		t.Errorf("NewPool(0): %d clones, clone 0 = %d; want one clone, 10", pool.Size(), pool.Get(0))
+	}
+	closed := 0
+	pool.Close(func(int) { closed++ })
+	if closed != 1 {
+		t.Errorf("Close closed %d clones, want 1", closed)
+	}
+	if err := pool.Do(3, func(int, int) error { return nil }); err == nil {
+		t.Error("Do on a closed pool accepted")
+	}
+	partial, err := NewPool(3, func(i int) (int, error) {
+		if i == 2 {
+			return 0, fmt.Errorf("clone %d failed", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "clone 2 failed" || partial.Size() != 2 {
+		t.Errorf("failing factory: err = %v with %d clones, want clone 2's error with 2", err, partial.Size())
+	}
+}
+
 // Evaluation contexts built by their constructors share the topology but
 // nothing mutable: concurrent evaluations on a pool of them must agree with
 // the serial sessions. Run with -race this also proves the isolation.
 func TestSessionCloneConcurrent(t *testing.T) {
 	g := graph.RandomConnected(96, 0.06, 7)
-	info, _, err := Preprocess(g, WithWorkers(1))
+	info, _, err := Preprocess(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +451,9 @@ func TestSessionCloneConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walk := NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(1))
+	walk := NewWalkSession(topo, info, info.Children, 2*info.D)
 	defer walk.Close()
-	ecc := NewEccSession(topo, info, 6*info.D+2, WithWorkers(1))
+	ecc := NewEccSession(topo, info, 6*info.D+2)
 	defer ecc.Close()
 	n := g.N()
 	want := make([]int, n)
@@ -385,8 +473,8 @@ func TestSessionCloneConcurrent(t *testing.T) {
 	}
 	pool, err := NewPool(4, func(int) (*evalCtx, error) {
 		return &evalCtx{
-			w: NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(1)),
-			e: NewEccSession(topo, info, 6*info.D+2, WithWorkers(1)),
+			w: NewWalkSession(topo, info, info.Children, 2*info.D),
+			e: NewEccSession(topo, info, 6*info.D+2),
 		}, nil
 	})
 	if err != nil {
@@ -417,29 +505,29 @@ func TestTopologySharedAcrossNetworks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ClassicalExactDiameter(g, WithWorkers(2))
+	want, err := ClassicalExactDiameter(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two more full runs over the same cached topology: results identical.
 	for rep := 0; rep < 2; rep++ {
-		info, m, err := PreprocessOn(topo, WithWorkers(2))
+		info, m, err := PreprocessOn(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := ExactResult{}
 		got.Metrics.Add(m)
-		tau, m2, err := TokenWalkOn(topo, info, info.Children, info.Leader, 2*(g.N()-1), WithWorkers(2))
+		tau, m2, err := TokenWalkOn(topo, info, info.Children, info.Leader, 2*(g.N()-1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.Metrics.Add(m2)
-		dv, m3, err := WaveOn(topo, tau, 4*(g.N()-1)+2*info.D+2, WithWorkers(2))
+		dv, m3, err := WaveOn(topo, tau, 4*(g.N()-1)+2*info.D+2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.Metrics.Add(m3)
-		diam, _, m4, err := ConvergecastMaxOn(topo, info, dv, nil, WithWorkers(2))
+		diam, _, m4, err := ConvergecastMaxOn(topo, info, dv, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

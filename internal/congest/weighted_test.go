@@ -33,7 +33,7 @@ func weightedSSSP(topo *Topology, source int, opts ...Option) ([]int, Metrics, e
 
 // TestWeightedSSSPMatchesDijkstra checks the distributed Bellman–Ford
 // program against the sequential Dijkstra oracle, on weighted and unweighted
-// graphs, for several worker counts.
+// graphs.
 func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, g := range []*graph.Graph{
@@ -46,18 +46,16 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 			}
 			for src := 0; src < g.N(); src += 5 {
 				want := g.Dijkstra(src)
-				for _, workers := range []int{1, 2, 8} {
-					dist, m, err := weightedSSSP(topo, src, WithWorkers(workers), WithStrictAccounting())
-					if err != nil {
-						t.Fatalf("seed %d src %d workers %d: %v", seed, src, workers, err)
-					}
-					if !reflect.DeepEqual(dist, want) {
-						t.Fatalf("seed %d src %d workers %d: dist %v, want %v", seed, src, workers, dist, want)
-					}
-					if m.Rounds != ssspDuration(g.N()) {
-						t.Fatalf("seed %d src %d: %d rounds, want fixed duration %d (input-independence)",
-							seed, src, m.Rounds, ssspDuration(g.N()))
-					}
+				dist, m, err := weightedSSSP(topo, src, WithStrictAccounting())
+				if err != nil {
+					t.Fatalf("seed %d src %d: %v", seed, src, err)
+				}
+				if !reflect.DeepEqual(dist, want) {
+					t.Fatalf("seed %d src %d: dist %v, want %v", seed, src, dist, want)
+				}
+				if m.Rounds != ssspDuration(g.N()) {
+					t.Fatalf("seed %d src %d: %d rounds, want fixed duration %d (input-independence)",
+						seed, src, m.Rounds, ssspDuration(g.N()))
 				}
 			}
 		}

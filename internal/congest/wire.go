@@ -195,7 +195,7 @@ var kindRegistry [numKinds]kindInfo
 // registered kind panics (programmer error). The engine refuses to transmit
 // unregistered kinds.
 //
-// The registry is read without synchronization by engine workers, so all
+// The registry is read without synchronization by concurrent engines, so all
 // registration must happen before any network runs — in practice from
 // init functions, the convention every kind in this repository follows.
 func RegisterKind(k Kind, name string, factory func() WireMessage) {
@@ -224,10 +224,9 @@ func (k Kind) String() string {
 }
 
 // Writer packs values into a little-endian bit stream over uint64 words.
-// The zero value is ready after Reset. The engine keeps one Writer per
-// worker as the round arena: encoded messages accumulate back to back and
-// the words are recycled every round, so steady-state encoding allocates
-// nothing.
+// The zero value is ready after Reset. The engine keeps one Writer as the
+// round arena: encoded messages accumulate back to back and the words are
+// recycled every round, so steady-state encoding allocates nothing.
 type Writer struct {
 	// N is the network size; codecs derive their field widths from it.
 	N int

@@ -113,10 +113,9 @@ type ApspResult struct {
 // the exact weighted distance d(source, v); the slice is reused between
 // calls and only valid during the call (copy to retain). A nil emit skips
 // delivery (round accounting only). Options.Parallel shards the sweep
-// over cloned sessions on a congest.Pool (0: as many as congest.Contexts
-// grants beside the engine's workers; never more than n); like everywhere
-// in this package, it changes no emitted value and not the round
-// accounting. An emit error aborts the sweep and is returned verbatim; an
+// over cloned sessions on a congest.Pool (0: congest.Contexts(n), one per
+// CPU; never more than n); like everywhere in this package, it changes no
+// emitted value and not the round accounting. An emit error aborts the sweep and is returned verbatim; an
 // Evaluation error aborts it at the smallest failing source. Either way
 // every sweep goroutine has returned when APSP does.
 func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) (ApspResult, error) {
@@ -143,7 +142,7 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	n := g.N()
 	workers := min(opts.Parallel, n)
 	if workers == 0 {
-		workers = congest.Contexts(in.topo.EngineWorkers(opts.Engine...), n)
+		workers = congest.Contexts(n)
 	}
 	// One evaluation session per clone, reused across blocks (the factory
 	// cannot fail).

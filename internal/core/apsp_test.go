@@ -40,28 +40,18 @@ func apspRun(t *testing.T, g *graph.Graph, opts Options) ([][]int, ApspResult) {
 
 // TestApspMatchesOracles cross-checks the quantum APSP sweep against the
 // Floyd–Warshall and Dijkstra oracles on the ~50-graph randomized suite,
-// and checks that the full engine configuration matrix — workers ×
-// parallel — reproduces the baseline bit for bit (rows, eccentricities and
-// every measured field).
+// and checks that four cloned sessions (Parallel 4) reproduce the
+// sequential baseline bit for bit (rows, eccentricities and every measured
+// field).
 func TestApspMatchesOracles(t *testing.T) {
-	configs := []struct {
-		name     string
-		workers  int
-		parallel int
-	}{
-		{"w2", 2, 1},
-		{"w8", 8, 1},
-		{"par4", 1, 4},
-		{"w8/par4", 8, 4},
-	}
+	strict := []congest.Option{congest.WithStrictAccounting()}
 	for _, c := range oracleSuite(t) {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := c.g.FloydWarshall()
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := Options{Seed: 42, Engine: []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}}
-			rows, res := apspRun(t, c.g, base)
+			rows, res := apspRun(t, c.g, Options{Seed: 42, Parallel: 1, Engine: strict})
 			for s := range rows {
 				if !reflect.DeepEqual(rows[s], want[s]) {
 					t.Fatalf("row %d: %v, want Floyd–Warshall %v", s, rows[s], want[s])
@@ -70,21 +60,12 @@ func TestApspMatchesOracles(t *testing.T) {
 					t.Fatalf("row %d: %v, want Dijkstra %v", s, rows[s], dij)
 				}
 			}
-			for _, cfg := range configs {
-				opts := Options{
-					Seed: 42, Parallel: cfg.parallel,
-					Engine: []congest.Option{
-						congest.WithWorkers(cfg.workers),
-						congest.WithStrictAccounting(),
-					},
-				}
-				gotRows, got := apspRun(t, c.g, opts)
-				if !reflect.DeepEqual(got, res) {
-					t.Fatalf("%s: result %+v, want baseline %+v", cfg.name, got, res)
-				}
-				if !reflect.DeepEqual(gotRows, rows) {
-					t.Fatalf("%s: emitted rows differ from baseline", cfg.name)
-				}
+			gotRows, got := apspRun(t, c.g, Options{Seed: 42, Parallel: 4, Engine: strict})
+			if !reflect.DeepEqual(got, res) {
+				t.Fatalf("par4: result %+v, want baseline %+v", got, res)
+			}
+			if !reflect.DeepEqual(gotRows, rows) {
+				t.Fatal("par4: emitted rows differ from baseline")
 			}
 		})
 	}
@@ -93,8 +74,8 @@ func TestApspMatchesOracles(t *testing.T) {
 // TestSublinearWeightedMatchesClassical checks the Options.Sublinear
 // routing: the skeleton-oracle WeightedDiameter / WeightedRadius /
 // Eccentricities values must equal both the classical Bellman–Ford path
-// and the sequential graph oracles on every weighted suite graph, across
-// the same engine matrix.
+// and the sequential graph oracles on every weighted suite graph,
+// sequentially and on four cloned sessions.
 func TestSublinearWeightedMatchesClassical(t *testing.T) {
 	for _, c := range oracleSuite(t) {
 		if !c.g.Weighted() {
@@ -114,14 +95,14 @@ func TestSublinearWeightedMatchesClassical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range []struct {
-				name         string
-				workers, par int
+				name string
+				par  int
 			}{
-				{"w1", 1, 1}, {"w2", 2, 1}, {"w8", 8, 1}, {"par4", 1, 4},
+				{"seq", 1}, {"par4", 4},
 			} {
 				opts := Options{
 					Seed: 42, Sublinear: true, Parallel: cfg.par,
-					Engine: []congest.Option{congest.WithWorkers(cfg.workers), congest.WithStrictAccounting()},
+					Engine: []congest.Option{congest.WithStrictAccounting()},
 				}
 				diam, err := WeightedDiameter(c.g, opts)
 				if err != nil {
@@ -262,10 +243,9 @@ func TestApspEmitContract(t *testing.T) {
 
 // TestApspAbortLeaksNoGoroutines aborts the sweep both ways — an emit error
 // and an Evaluation error (a bandwidth the preprocessing fits but the
-// skeleton relay does not) — with one and with three cloned sessions of two
-// engine workers each: once APSP returns, the goroutine count must be back
-// at its baseline (the pool's sweep goroutines and every session's engine
-// workers have exited).
+// skeleton relay does not) — with one and with three cloned sessions: once
+// APSP returns, the goroutine count must be back at its baseline (the
+// pool's sweep goroutines have exited).
 func TestApspAbortLeaksNoGoroutines(t *testing.T) {
 	g := graph.WithWeights(graph.RandomConnected(12, 0.2, 5), 6, 5)
 	sentinel := errors.New("stop at source 4")
@@ -282,9 +262,9 @@ func TestApspAbortLeaksNoGoroutines(t *testing.T) {
 			emit    func(int, []int) error
 			wantErr func(error) bool
 		}{
-			{"emit", []congest.Option{congest.WithWorkers(2)}, stopAt4,
+			{"emit", nil, stopAt4,
 				func(err error) bool { return errors.Is(err, sentinel) }},
-			{"eval", []congest.Option{congest.WithWorkers(2), congest.WithBandwidth(14)}, nil,
+			{"eval", []congest.Option{congest.WithBandwidth(14)}, nil,
 				func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "apsp: source 0: ") }},
 		} {
 			t.Run(fmt.Sprintf("%s/par%d", tc.name, parallel), func(t *testing.T) {

@@ -28,9 +28,9 @@
 // Reset+Run on them — bit-identical to fresh networks, without rebuilding
 // topology tables, programs or arenas per execution. Options.Parallel
 // builds further contexts from the same constructors into a congest.Pool
-// and runs independent Evaluations concurrently — by default as many
-// contexts as the CPU budget leaves beside each context's engine workers;
-// results are identical for any value.
+// and runs independent Evaluations concurrently — by default one per CPU
+// (congest.Contexts), each running its engine on one goroutine; results are
+// identical for any value.
 package core
 
 import (
@@ -77,15 +77,14 @@ type Options struct {
 	S int
 	// Parallel is the number of cloned evaluation contexts used to run
 	// independent Evaluations concurrently. 0 (the default) selects the
-	// automatic CPU budget: each context's engine takes its workers
-	// (congest.Topology.EngineWorkers), and congest.Contexts fills the rest
-	// of GOMAXPROCS with contexts; 1 runs one context sequentially, and
-	// k > 1 is an explicit override (never more contexts than Evaluations
-	// to run). Evaluations are deterministic and their values
-	// input-independent, so the computed Result is identical for every
-	// value; the knob only trades wall-clock time, like
-	// congest.WithWorkers. Negative values are rejected by every entry
-	// point (see Options.validate).
+	// automatic CPU budget, congest.Contexts: min(GOMAXPROCS, Evaluations
+	// to run) contexts, each running its engine on one goroutine; 1 runs
+	// one context sequentially, and k > 1 is an explicit override (never
+	// more contexts than Evaluations to run). Evaluations are deterministic
+	// and their values input-independent, so the computed Result is
+	// identical for every value; the knob only trades wall-clock time.
+	// Negative values are rejected by every entry point (see
+	// Options.validate).
 	Parallel int
 	// Sublinear selects the skeleton distance-oracle Evaluation for the
 	// weighted parameters (WeightedDiameter, WeightedRadius and weighted
@@ -96,9 +95,7 @@ type Options struct {
 	// uses the oracle. See DESIGN.md "Quantum APSP".
 	Sublinear bool
 	// Engine configures every CONGEST execution the algorithm performs
-	// (e.g. congest.WithWorkers). Results are engine-independent: the
-	// parallel engine is deterministic, so Engine only affects wall-clock
-	// time.
+	// (e.g. congest.WithStrictAccounting).
 	Engine []congest.Option
 }
 
@@ -232,14 +229,13 @@ type ctxOracle struct {
 	initRounds  int
 	setupRounds int
 	family      evalFamily
-	// workers is the engine worker count of one context's sessions
-	// (Topology.EngineWorkers under Options.Engine); the query layer's
-	// automatic budget clones contexts around it.
-	workers int
 }
 
+// ConcurrentContexts opts in to the query layer's automatic budget: every
+// context holds its own sessions, so contexts evaluate concurrently.
+func (ctxOracle) ConcurrentContexts() {}
+
 func (o ctxOracle) Domain() []int             { return o.domain }
-func (o ctxOracle) EngineWorkers() int        { return o.workers }
 func (o ctxOracle) InitRounds() int           { return o.initRounds }
 func (o ctxOracle) SetupRounds() int          { return o.setupRounds }
 func (o ctxOracle) NewContext() query.Context { return sessionContext{o.family()} }
@@ -258,7 +254,6 @@ func (in *instance) oracle(fam evalFamily, extraInit int) ctxOracle {
 		initRounds:  in.pre + extraInit,
 		setupRounds: in.info.D + 1,
 		family:      fam,
-		workers:     in.topo.EngineWorkers(in.opts.Engine...),
 	}
 }
 

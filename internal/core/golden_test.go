@@ -5,9 +5,8 @@ package core
 // implementation produced on a fixed graph/seed matrix (captured at the PR-6
 // boundary, before runOptimization moved onto internal/query). Every field —
 // value, Rounds, InitRounds, SetupRounds, EvalRounds, Iterations, qubit
-// counts — must match bit for bit, across worker counts {1, 2, 8} and
-// sequential vs Parallel sessions, so the port is provably
-// behavior-preserving.
+// counts — must match bit for bit, on sequential and Parallel sessions, so
+// the port is provably behavior-preserving.
 
 import (
 	"reflect"
@@ -53,21 +52,21 @@ type goldenEccCase struct {
 }
 
 // TestGoldenSuiteCompatibility replays the matrix through the refactored
-// entry points under every engine configuration and compares full Result
-// structs to the pre-refactor captures.
+// entry points, sequentially and on four evaluation contexts, and compares
+// full Result structs to the pre-refactor captures.
 func TestGoldenSuiteCompatibility(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for _, gc := range goldenGraphs() {
 		graphs[gc.name] = gc.g
 	}
+	// w1 names the one engine worker every network runs on; seq and par4
+	// are one and four evaluation contexts.
 	configs := []struct {
-		name         string
-		workers, par int
+		name string
+		par  int
 	}{
-		{"w1-seq", 1, 1},
-		{"w2-seq", 2, 1},
-		{"w8-par4", 8, 4},
-		{"w1-par4", 1, 4},
+		{"w1-seq", 1},
+		{"w1-par4", 4},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -75,14 +74,7 @@ func TestGoldenSuiteCompatibility(t *testing.T) {
 			t.Parallel()
 			for _, tc := range goldenCases {
 				g := graphs[tc.graph]
-				opts := Options{
-					Seed:     tc.seed,
-					Parallel: cfg.par,
-					Engine: []congest.Option{
-						congest.WithWorkers(cfg.workers),
-						congest.WithStrictAccounting(),
-					},
-				}
+				opts := Options{Seed: tc.seed, Parallel: cfg.par, Engine: []congest.Option{congest.WithStrictAccounting()}}
 				var got Result
 				var err error
 				switch tc.entry {
@@ -111,14 +103,7 @@ func TestGoldenSuiteCompatibility(t *testing.T) {
 			}
 			for _, tc := range goldenEccCases {
 				g := graphs[tc.graph]
-				opts := Options{
-					Seed:     tc.seed,
-					Parallel: cfg.par,
-					Engine: []congest.Option{
-						congest.WithWorkers(cfg.workers),
-						congest.WithStrictAccounting(),
-					},
-				}
+				opts := Options{Seed: tc.seed, Parallel: cfg.par, Engine: []congest.Option{congest.WithStrictAccounting()}}
 				got, err := Eccentricities(g, opts)
 				if err != nil {
 					t.Fatalf("%s/ecc/seed=%d: %v", tc.graph, tc.seed, err)

@@ -78,12 +78,12 @@ type suiteRun struct {
 	Exact Result // Theorem 1 windowed algorithm; unweighted graphs only
 }
 
-func runSuite(t *testing.T, c oracleCase, workers, parallel int) suiteRun {
+func runSuite(t *testing.T, c oracleCase, parallel int) suiteRun {
 	t.Helper()
 	opts := Options{
 		Seed:     42,
 		Parallel: parallel,
-		Engine:   []congest.Option{congest.WithWorkers(workers), congest.WithStrictAccounting()},
+		Engine:   []congest.Option{congest.WithStrictAccounting()},
 	}
 	var out suiteRun
 	var err error
@@ -228,8 +228,8 @@ func TestQuantumSuiteMatchesClassicalOracle(t *testing.T) {
 				}
 			}
 
-			// Baseline configuration: workers=1, sequential sessions.
-			base := runSuite(t, c, 1, 1)
+			// Baseline configuration: sequential sessions.
+			base := runSuite(t, c, 1)
 			if base.Diam.Diameter != wantDiam {
 				t.Fatalf("quantum diameter %d, oracle %d", base.Diam.Diameter, wantDiam)
 			}
@@ -243,17 +243,10 @@ func TestQuantumSuiteMatchesClassicalOracle(t *testing.T) {
 				t.Fatalf("Theorem 1 diameter %d, oracle %d", base.Exact.Diameter, wantDiam)
 			}
 
-			// Every other engine configuration must reproduce the baseline
-			// bit for bit: worker counts {2, 8}, and Parallel (batched
-			// sessions) on both.
-			for _, cfg := range []struct{ workers, parallel int }{
-				{2, 1}, {8, 1}, {1, 4}, {8, 4},
-			} {
-				got := runSuite(t, c, cfg.workers, cfg.parallel)
-				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("workers=%d parallel=%d diverges from baseline:\n got %+v\nwant %+v",
-						cfg.workers, cfg.parallel, got, base)
-				}
+			// Parallel (batched sessions) must reproduce the baseline bit
+			// for bit.
+			if got := runSuite(t, c, 4); !reflect.DeepEqual(got, base) {
+				t.Fatalf("parallel=4 diverges from baseline:\n got %+v\nwant %+v", got, base)
 			}
 		})
 	}

@@ -183,18 +183,15 @@ func TestMinTreeCutAgainstBruteForce(t *testing.T) {
 }
 
 // TestWorkloadConfigIdentity replays both workloads under the golden-test
-// configuration matrix (workers x sequential/batched, strict accounting)
-// and requires bit-identical Results.
+// configurations (sequential and batched, strict accounting) and requires
+// bit-identical Results.
 func TestWorkloadConfigIdentity(t *testing.T) {
 	configs := []struct {
 		name     string
 		parallel int
-		engine   []congest.Option
 	}{
-		{"w1-seq", 1, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
-		{"w2-seq", 1, []congest.Option{congest.WithWorkers(2), congest.WithStrictAccounting()}},
-		{"w8-par4", 4, []congest.Option{congest.WithWorkers(8), congest.WithStrictAccounting()}},
-		{"w1-par4", 4, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
+		{"seq", 1},
+		{"par4", 4},
 	}
 	graphs := []struct {
 		name string
@@ -211,7 +208,7 @@ func TestWorkloadConfigIdentity(t *testing.T) {
 			var baseTri, baseCnt TriangleResult
 			var baseCut CutResult
 			for i, cfg := range configs {
-				opts := Options{Seed: 21, Delta: workloadDelta, Parallel: cfg.parallel, Engine: cfg.engine}
+				opts := Options{Seed: 21, Delta: workloadDelta, Parallel: cfg.parallel, Engine: []congest.Option{congest.WithStrictAccounting()}}
 				tri, err := TriangleDetect(gc.g, opts)
 				if err != nil {
 					t.Fatalf("%s: TriangleDetect: %v", cfg.name, err)

@@ -6,16 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"qcongest/internal/congest"
+	"qcongest/internal/graph"
 	"qcongest/internal/query"
 )
 
 // countingOracle is an in-memory Oracle, f(x) = (x*37) mod 101 in a fixed
 // 7 rounds, that records how many contexts a query clones and which labels
-// it evaluates. workers > 0 makes it an EngineBound oracle whose contexts
-// each claim that many engine workers.
+// it evaluates. It does not opt in to concurrent contexts; concurrent
+// does.
 type countingOracle struct {
-	n       int
-	workers int
+	n int
 
 	mu       sync.Mutex
 	contexts int
@@ -51,10 +52,10 @@ func (c countingContext) Eval(x int) (int, int, error) {
 
 func (c countingContext) Close() {}
 
-// engineBound adds the EngineBound method to a countingOracle.
-type engineBound struct{ *countingOracle }
+// concurrent opts a countingOracle in to concurrent contexts.
+type concurrent struct{ *countingOracle }
 
-func (o engineBound) EngineWorkers() int { return o.workers }
+func (concurrent) ConcurrentContexts() {}
 
 // budgetQueries are the five query kinds, each returning its full outcome
 // for comparison across Parallel values.
@@ -81,11 +82,10 @@ var budgetQueries = []struct {
 // TestBudgetBatchesOnlyFullDomainQueries pins which queries batch under
 // Parallel 0. Maximum, Minimum, Count and EvalAll evaluate every label even
 // on the lazy path, so batching them wastes nothing and they clone
-// congest.Contexts(EngineWorkers, |domain|) contexts. A Search whose first
-// measurement hits evaluates only a few labels lazily, so it keeps one
-// context. Oracles that do not report EngineWorkers, and oracles whose
-// engine already takes the budget, run on one context. The outcome equals
-// the sequential one throughout.
+// congest.Contexts(|domain|) contexts. A Search whose first measurement
+// hits evaluates only a few labels lazily, so it keeps one context. Oracles
+// that do not opt in to concurrent contexts run on one context. The outcome
+// equals the sequential one throughout.
 func TestBudgetBatchesOnlyFullDomainQueries(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 64
@@ -105,17 +105,16 @@ func TestBudgetBatchesOnlyFullDomainQueries(t *testing.T) {
 			}
 			for _, tc := range []struct {
 				name         string
-				workers      int // 0: the oracle is not EngineBound
+				concurrent   bool
 				wantContexts int // when the query batches
 			}{
-				{"engine-bound/1-worker", 1, 4},
-				{"engine-bound/4-workers", 4, 1},
-				{"unbounded", 0, 1},
+				{"concurrent", true, 4},
+				{"not-concurrent", false, 1},
 			} {
-				counts := &countingOracle{n: n, workers: tc.workers, seen: map[int]bool{}}
+				counts := &countingOracle{n: n, seen: map[int]bool{}}
 				var oracle query.Oracle = counts
-				if tc.workers > 0 {
-					oracle = engineBound{counts}
+				if tc.concurrent {
+					oracle = concurrent{counts}
 				}
 				if !q.touchesAll {
 					tc.wantContexts = 1
@@ -162,6 +161,89 @@ func TestBudgetCapsExplicitParallel(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s Parallel 64: outcome %+v, sequential %+v", q.name, got, want)
+		}
+	}
+}
+
+// TestBudgetContextsPerCPU pins the one CPU budget: a full-domain Parallel
+// 0 query over an oracle that opts in to concurrent contexts, with more
+// labels than GOMAXPROCS, clones exactly GOMAXPROCS contexts, however large
+// its domain (a topology of n vertices has n labels); an oracle that does
+// not opt in gets one.
+func TestBudgetContextsPerCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{64, 5000} {
+			counts := &countingOracle{n: n, seen: map[int]bool{}}
+			if _, err := query.Maximum(concurrent{counts}, 1.0/64, query.Options{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if counts.contexts != procs {
+				t.Errorf("GOMAXPROCS %d, %d labels: %d contexts, want %d", procs, n, counts.contexts, procs)
+			}
+			plain := &countingOracle{n: n, seen: map[int]bool{}}
+			if _, err := query.Maximum(plain, 1.0/64, query.Options{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if plain.contexts != 1 {
+				t.Errorf("GOMAXPROCS %d, %d labels, not opted in: %d contexts, want 1", procs, n, plain.contexts)
+			}
+		}
+	}
+}
+
+// goroutineProbe records runtime.NumGoroutine() from Send: its one vertex
+// runs every round until the deadline, and the others never act.
+type goroutineProbe struct {
+	deadline int
+	seen     *[]int
+	done     bool
+}
+
+func (p *goroutineProbe) Send(env *congest.Env, out *congest.Outbox) {
+	if env.ID == 0 {
+		*p.seen = append(*p.seen, runtime.NumGoroutine())
+	}
+}
+
+func (p *goroutineProbe) Receive(env *congest.Env, inbox []congest.Inbound) {
+	p.done = env.Round >= p.deadline
+}
+
+func (p *goroutineProbe) Done() bool { return p.done }
+
+func (p *goroutineProbe) NextWake(env *congest.Env, round int) int {
+	if env.ID != 0 || p.done {
+		return congest.NeverWake
+	}
+	return round + 1
+}
+
+// TestRunStartsNoGoroutines pins the other half of the budget: the engine
+// runs a network on the goroutine that calls Run, so a context costs one
+// CPU. A network of more than 4096 vertices at GOMAXPROCS 4 leaves the
+// goroutine count unchanged while it runs.
+func TestRunStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, deadline = 5000, 8
+	var seen []int
+	nw, err := congest.NewNetwork(graph.Path(n), func(v int) congest.Node {
+		return &goroutineProbe{deadline: deadline, seen: &seen, done: v != 0}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if err := nw.Run(2 * deadline); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != deadline {
+		t.Fatalf("probe ran %d rounds, want %d", len(seen), deadline)
+	}
+	for r, g := range seen {
+		if g != before {
+			t.Errorf("round %d: %d goroutines while Run runs, %d before", r+1, g, before)
 		}
 	}
 }

@@ -38,7 +38,7 @@
 // context computes each value — the values themselves are deterministic and
 // the amplification consumes the memo table, so results, round counts and
 // qubit counts are identical for every Parallel value and every engine
-// configuration the oracle's sessions were built with.
+// option the oracle's sessions were built with.
 //
 // # Batching
 //
@@ -93,15 +93,14 @@ type Oracle interface {
 	NewContext() Context
 }
 
-// EngineBound is optionally implemented by an Oracle whose contexts run
-// CONGEST engines. EngineWorkers is the engine worker count of one context
-// (congest.Topology.EngineWorkers): the share of the CPU budget each clone
-// claims. Under Parallel 0 a query clones congest.Contexts(EngineWorkers(),
-// |domain|) contexts of such an oracle; an oracle without the method runs
-// on one context, since the query cannot tell what its contexts cost or
-// whether they are safe to run concurrently.
-type EngineBound interface {
-	EngineWorkers() int
+// Concurrent is optionally implemented by an Oracle whose contexts are
+// independent CONGEST sessions, safe to evaluate concurrently; each runs
+// its engine on one goroutine. Under Parallel 0 a query clones
+// congest.Contexts(|domain|) = min(GOMAXPROCS, |domain|) contexts of such
+// an oracle; an oracle without the method runs on one context, since the
+// query cannot tell whether its contexts are safe to run concurrently.
+type Concurrent interface {
+	ConcurrentContexts()
 }
 
 // Options configures one query.
@@ -112,7 +111,7 @@ type Options struct {
 	Seed int64
 	// Parallel is the number of cloned evaluation contexts used to run
 	// independent Evaluations concurrently. 0 selects the automatic CPU
-	// budget (see EngineBound and the package doc's "Batching"), 1 runs
+	// budget (see Concurrent and the package doc's "Batching"), 1 runs
 	// one context sequentially, and negative values act as 1. The computed
 	// Result is identical for every value.
 	Parallel int
@@ -141,8 +140,8 @@ func (opts Options) contexts(o Oracle, touchesAll bool) int {
 	case opts.Parallel < 0 || !touchesAll:
 		return 1
 	}
-	if eb, ok := o.(EngineBound); ok {
-		return congest.Contexts(eb.EngineWorkers(), jobs)
+	if _, ok := o.(Concurrent); ok {
+		return congest.Contexts(jobs)
 	}
 	return 1
 }

@@ -137,21 +137,16 @@ func propertySuite(t *testing.T) []propertyCase {
 	return cases
 }
 
-// queryConfig is one engine/evaluation configuration the Results must be
-// bit-identical across.
+// queryConfig is one evaluation configuration the Results must be
+// bit-identical across. Every configuration runs under strict wire
+// accounting.
 type queryConfig struct {
 	name     string
 	parallel int
-	engine   []congest.Option
 }
 
 func queryConfigs() []queryConfig {
-	return []queryConfig{
-		{"w1-seq", 1, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
-		{"w2-seq", 1, []congest.Option{congest.WithWorkers(2), congest.WithStrictAccounting()}},
-		{"w8-par4", 4, []congest.Option{congest.WithWorkers(8), congest.WithStrictAccounting()}},
-		{"w1-par4", 4, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
-	}
+	return []queryConfig{{"seq", 1}, {"par4", 4}}
 }
 
 // propertyDelta keeps the per-query failure probability far below the suite
@@ -166,7 +161,7 @@ type caseRun struct {
 
 func runCase(t *testing.T, pc propertyCase, vals []int, threshold int, cfg queryConfig) caseRun {
 	t.Helper()
-	oracle := newValueOracle(t, pc.g, vals, cfg.engine...)
+	oracle := newValueOracle(t, pc.g, vals, congest.WithStrictAccounting())
 	n := len(vals)
 	opts := query.Options{Delta: propertyDelta, Seed: pc.seed, Parallel: cfg.parallel}
 	marked := func(v int) bool { return v >= threshold }
@@ -236,8 +231,7 @@ func checkCase(t *testing.T, vals []int, threshold int, run caseRun) {
 
 // TestQueryProperties cross-checks Search/Minimum/Maximum/Count against
 // brute force on every suite graph and asserts the full Results are
-// bit-identical across workers {1,2,8} x sequential/batched, under strict
-// wire accounting.
+// bit-identical sequential and batched, under strict wire accounting.
 func TestQueryProperties(t *testing.T) {
 	configs := queryConfigs()
 	for _, pc := range propertySuite(t) {
@@ -279,7 +273,7 @@ func TestQueryEvalAll(t *testing.T) {
 	}
 	var baseRounds int
 	for i, cfg := range queryConfigs() {
-		oracle := newValueOracle(t, g, vals, cfg.engine...)
+		oracle := newValueOracle(t, g, vals, congest.WithStrictAccounting())
 		got, evalRounds, err := query.EvalAll(oracle, query.Options{Seed: 5, Parallel: cfg.parallel})
 		if err != nil {
 			t.Fatalf("%s: EvalAll: %v", cfg.name, err)

@@ -334,26 +334,20 @@ func TestTwoPartyTranscriptMatchesCutBits(t *testing.T) {
 	if sum != res.Transcript.Len() {
 		t.Errorf("independent tally %d bits, transcript %d", sum, res.Transcript.Len())
 	}
-	// Determinism: a second capture yields the identical bit string —
-	// across worker counts. The frontier scheduler's observer replay
-	// (ascending frontier order) must reproduce the canonical delivery
-	// order bit for bit, so the Theorem 10 transcript is independent of
-	// the engine configuration.
-	for _, opts := range [][]congest.Option{
-		{congest.WithWorkers(1)},
-		{congest.WithWorkers(2)},
-		{congest.WithWorkers(3)},
-		{congest.WithWorkers(8)},
-	} {
-		again, err := TwoPartyFromCongest(red, x, y, opts...)
+	// Determinism: further captures yield the identical bit string. The
+	// frontier scheduler's observer replay (ascending sender order) must
+	// reproduce the canonical delivery order bit for bit, so the Theorem
+	// 10 transcript is a function of the inputs alone.
+	for rep := 0; rep < 2; rep++ {
+		again, err := TwoPartyFromCongest(red, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Transcript.String() != res.Transcript.String() {
-			t.Errorf("%v: transcript differs between runs / worker counts", opts)
+			t.Errorf("rep %d: transcript differs between runs", rep)
 		}
 		if again.Protocol != res.Protocol || again.CutBits != res.CutBits || again.Rounds != res.Rounds {
-			t.Errorf("%v: protocol accounting differs across engine configurations", opts)
+			t.Errorf("rep %d: protocol accounting differs between runs", rep)
 		}
 	}
 }

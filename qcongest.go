@@ -21,14 +21,13 @@
 // (internal/congest): a frontier scheduler over a packed CSR topology that
 // executes, each round, only the vertices that can act (message receivers,
 // self-scheduled programs, and — conservatively — programs without the
-// activity contract), sharded over a pool of workers. The execution is
-// bit-for-bit deterministic for any worker count, so WithWorkers only
-// trades wall-clock time. Every message is a typed wire message encoded to
-// real bits, and all bandwidth accounting is derived from the encoded
-// lengths (see the CONGEST programming layer below: CongestNode, Outbox,
-// WireMessage, RegisterMessageKind). Engine options (WithWorkers,
-// WithBandwidth, WithStrictAccounting) are accepted by every classical
-// entry point and by the Engine field of QuantumOptions.
+// activity contract), on the goroutine that runs the network. The execution
+// is bit-for-bit deterministic. Every message is a typed wire message
+// encoded to real bits, and all bandwidth accounting is derived from the
+// encoded lengths (see the CONGEST programming layer below: CongestNode,
+// Outbox, WireMessage, RegisterMessageKind). Engine options (WithBandwidth,
+// WithStrictAccounting) are accepted by every classical entry point and by
+// the Engine field of QuantumOptions.
 //
 // Repeated executions run on sessions (CongestTopology, CongestSession,
 // Pool): the network is built once and every further run is a
@@ -36,8 +35,8 @@
 // The quantum algorithms amortize all per-Evaluation setup this way;
 // QuantumOptions.Parallel is the one batching mechanism: it runs
 // independent Evaluations concurrently on cloned sessions (Pool),
-// deterministically, like every other knob, and by default sizes the pool
-// from one GOMAXPROCS budget shared with the engine workers.
+// deterministically, like every other knob, and by default runs one
+// context per CPU.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results versus the paper's claims.
@@ -115,8 +114,8 @@ var (
 // ClassicalResult is the outcome of a classical CONGEST algorithm run.
 type ClassicalResult = congest.ExactResult
 
-// EngineOption configures the CONGEST round engine (worker count,
-// bandwidth, observers, strict accounting). Every option is deterministic:
+// EngineOption configures the CONGEST round engine (bandwidth, observers,
+// strict accounting). Every option is deterministic:
 // for a fixed seed the computed outputs, round counts and Metrics are
 // identical whatever the engine configuration, with the sole exception of
 // WithBandwidth, which changes the model itself.
@@ -134,9 +133,6 @@ type CongestScheduled = congest.Scheduled
 
 // Engine options.
 var (
-	// WithWorkers shards round execution over k goroutines (k <= 0 selects
-	// the automatic rule; 1 runs serially). Output is identical for all k.
-	WithWorkers = congest.WithWorkers
 	// WithBandwidth overrides the per-edge per-round bit budget.
 	WithBandwidth = congest.WithBandwidth
 	// WithStrictAccounting cross-checks the declared size formulas of
@@ -186,11 +182,11 @@ type (
 // Execution sessions: the reusable-harness layer. A CongestTopology caches
 // everything derived from a graph (validated once, shared freely); a
 // CongestSession[T] builds a network of T programs and its engine once and
-// re-runs it via Reset — bit-for-bit identical to a fresh network, for
-// every worker count — which is how the quantum algorithms amortize setup
-// over the hundreds of Evaluations an optimization performs. The inputs of
-// the next run are fields of the programs: write them through Node or
-// Nodes, then Reset and Run. A Pool clones session-backed contexts to run
+// re-runs it via Reset — bit-for-bit identical to a fresh network — which
+// is how the quantum algorithms amortize setup over the hundreds of
+// Evaluations an optimization performs. The inputs of the next run are
+// fields of the programs: write them through Node or Nodes, then Reset and
+// Run. A Pool clones session-backed contexts to run
 // independent executions concurrently with deterministic result ordering.
 // See DESIGN.md, "Execution sessions".
 type (
@@ -266,10 +262,9 @@ func ClassicalApproxDiameter(g *Graph, s int, seed int64, opts ...EngineOption) 
 type QuantumResult = core.Result
 
 // QuantumOptions configures the quantum algorithms. Its Parallel field is
-// the number of cloned evaluation contexts: 0 (the default) splits
-// GOMAXPROCS between each context's engine workers and as many contexts as
-// fit beside them, 1 evaluates sequentially, and k > 1 runs k contexts.
-// The Result is identical for every value.
+// the number of cloned evaluation contexts: 0 (the default) runs
+// min(GOMAXPROCS, Evaluations to run) contexts, 1 evaluates sequentially,
+// and k > 1 runs k contexts. The Result is identical for every value.
 type QuantumOptions = core.Options
 
 // QuantumExactDiameter runs the paper's main algorithm (Theorem 1):

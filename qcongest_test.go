@@ -182,7 +182,7 @@ func TestPublicWireFormat(t *testing.T) {
 		}
 	}
 	nw, err := NewCongestNetwork(g, func(v int) CongestNode { return &pingNode{id: v} },
-		WithStrictAccounting(), WithCongestObserver(obs), WithWorkers(2))
+		WithStrictAccounting(), WithCongestObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPublicSessionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewCongestNetwork(g, func(v int) CongestNode { return &pingNode{id: v} }, WithWorkers(2))
+	fresh, err := NewCongestNetwork(g, func(v int) CongestNode { return &pingNode{id: v} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPublicSessionAPI(t *testing.T) {
 	}
 	want := fresh.Metrics()
 
-	s := NewCongestSession(topo, func(v int) *pingNode { return &pingNode{id: v} }, WithWorkers(2))
+	s := NewCongestSession(topo, func(v int) *pingNode { return &pingNode{id: v} })
 	defer s.Close()
 	for rep := 0; rep < 3; rep++ {
 		if err := s.Reset(); err != nil {
@@ -280,10 +280,10 @@ func TestPublicSessionAPI(t *testing.T) {
 }
 
 // The Theorem 10 transcript — the encoded bits crossing the cut, captured
-// through the observer — must be bit-identical across worker counts and
-// across repeated runs: the session refactor must not perturb the
-// lower-bound machinery's canonical traces.
-func TestTheorem10TranscriptStableAcrossWorkersAndRuns(t *testing.T) {
+// through the observer — must be bit-identical across repeated runs: the
+// session refactor must not perturb the lower-bound machinery's canonical
+// traces.
+func TestTheorem10TranscriptStableAcrossRuns(t *testing.T) {
 	red, err := NewHW12Reduction(3)
 	if err != nil {
 		t.Fatal(err)
@@ -297,19 +297,17 @@ func TestTheorem10TranscriptStableAcrossWorkersAndRuns(t *testing.T) {
 	if ref.CutBits == 0 {
 		t.Fatal("reference transcript is empty")
 	}
-	for _, k := range []int{1, 2, 8} {
-		for rep := 0; rep < 2; rep++ {
-			got, err := TwoPartyFromCongest(red, x, y, WithWorkers(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Disj != ref.Disj || got.Rounds != ref.Rounds || got.CutBits != ref.CutBits {
-				t.Fatalf("workers %d rep %d: (disj %d, rounds %d, bits %d), want (%d, %d, %d)",
-					k, rep, got.Disj, got.Rounds, got.CutBits, ref.Disj, ref.Rounds, ref.CutBits)
-			}
-			if got.Transcript.String() != ref.Transcript.String() {
-				t.Fatalf("workers %d rep %d: transcript bits differ", k, rep)
-			}
+	for rep := 0; rep < 2; rep++ {
+		got, err := TwoPartyFromCongest(red, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Disj != ref.Disj || got.Rounds != ref.Rounds || got.CutBits != ref.CutBits {
+			t.Fatalf("rep %d: (disj %d, rounds %d, bits %d), want (%d, %d, %d)",
+				rep, got.Disj, got.Rounds, got.CutBits, ref.Disj, ref.Rounds, ref.CutBits)
+		}
+		if got.Transcript.String() != ref.Transcript.String() {
+			t.Fatalf("rep %d: transcript bits differ", rep)
 		}
 	}
 }
@@ -323,7 +321,7 @@ func TestPublicDistanceParameterSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Radius(g, QuantumOptions{Seed: 5, Engine: []EngineOption{WithWorkers(2)}})
+	res, err := Radius(g, QuantumOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
