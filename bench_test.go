@@ -94,9 +94,7 @@ func BenchmarkEvalSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D)
-	defer walk.Close()
 	ecc := congest.NewEccSession(topo, info, 6*info.D+2)
-	defer ecc.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

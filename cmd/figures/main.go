@@ -62,12 +62,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The Evaluation sessions are built once; each u0 is a Reset+Run — the
-	// same execution shape the quantum algorithms use per Grover iteration.
+	// The Evaluation sessions are built once; each u0 is one Run on each —
+	// the same execution shape the quantum algorithms use per Grover iteration.
 	walk := congest.NewWalkSession(topo, info, info.Children, 2*info.D)
-	defer walk.Close()
 	ecc := congest.NewEccSession(topo, info, 6*info.D+2)
-	defer ecc.Close()
 	for _, u0 := range []int{0, 13, 27} {
 		tau, mw, err := walk.Eval(u0)
 		if err != nil {

@@ -228,17 +228,11 @@ func (a treeAgg) run(values []int) (int, Metrics, error) {
 	for v, c := range a.s.Nodes() {
 		c.Value = values[v]
 	}
-	if err := a.s.Reset(); err != nil {
-		return 0, Metrics{}, err
-	}
 	if err := a.s.Run(4*a.s.Topology().N() + 16); err != nil {
 		return 0, a.s.Metrics(), fmt.Errorf("%s: %w", a.what, err)
 	}
 	return a.s.Node(a.root).Agg, a.s.Metrics(), nil
 }
-
-// close releases the session's engine.
-func (a treeAgg) close() { a.s.Close() }
 
 // BroadcastNode distributes the root's value down a tree.
 type BroadcastNode struct {
@@ -265,7 +259,7 @@ func NewBroadcastNode(parent int, children []int, value int) *BroadcastNode {
 }
 
 // ResetNode implements Resettable. Value is the input as well as the
-// output: the caller writes the next run's value at the root before Reset.
+// output: the caller writes the next run's value at the root before Run.
 func (b *BroadcastNode) ResetNode() {
 	b.have = b.Parent < 0
 	b.sent = false

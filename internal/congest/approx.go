@@ -83,7 +83,7 @@ func (nn *notifyNode) NextWake(env *Env, round int) int {
 // sampling (with derived seeds) when Step 1's abort condition triggers or
 // the sample is empty. The repeated counting probes of the R-selection
 // binary searches (one convergecast sum plus one broadcast each, O(log n)
-// of them) run on two sessions built once and Reset per probe instead of
+// of them) run on two sessions built once and re-run per probe instead of
 // fresh networks.
 func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*ApproxPrep, Metrics, error) {
 	var total Metrics
@@ -106,7 +106,6 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	prob := math.Min(1, logn/float64(s))
 	limit := int(float64(n)*logn*logn/float64(s)) + 1
 	sumLeader := newTreeAgg(topo, info, KindSum, 0, "sum convergecast", opts...)
-	defer sumLeader.close()
 	vals := make([]int, n) // reusable per-vertex input buffer for the probes
 	runSum := func(a treeAgg) (int, error) {
 		sum, m, err := a.run(vals)
@@ -189,19 +188,14 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	// Select R: the s closest vertices to w, ties broken by id. Two
 	// distributed binary searches (threshold on depth, then on id within
 	// the boundary layer), each probe one convergecast sum + broadcast —
-	// both on sessions built once for the whole search and Reset per probe.
+	// both on sessions built once for the whole search and re-run per probe.
 	wInfo := &PreInfo{Leader: w, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
 	sumW := newTreeAgg(topo, wInfo, KindSum, 0, "sum convergecast", opts...)
-	defer sumW.close()
 	bcastW := NewSession(topo, func(v int) *BroadcastNode {
 		return NewBroadcastNode(wInfo.Parent[v], wInfo.Children[v], 0)
 	}, opts...)
-	defer bcastW.Close()
 	runBcast := func(value int) error {
 		bcastW.Node(w).Value = value
-		if err := bcastW.Reset(); err != nil {
-			return err
-		}
 		if err := bcastW.Run(4*n + 16); err != nil {
 			return fmt.Errorf("broadcast: %w", err)
 		}

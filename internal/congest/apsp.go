@@ -186,13 +186,9 @@ func (o *SkelOracle) runInitRelaxations(hmat [][]int, opts ...Option) error {
 	ses := NewSession(topo, func(v int) *WeightedSSSPNode {
 		return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, h)
 	}, opts...)
-	defer ses.Close()
 	for i, src := range o.Skeleton {
 		for v, s := range ses.Nodes() {
 			s.Source = v == src
-		}
-		if err := ses.Reset(); err != nil {
-			return err
 		}
 		if err := ses.Run(h + 4); err != nil {
 			return fmt.Errorf("skeleton relaxation from %d: %w", src, err)
@@ -283,9 +279,6 @@ func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	for v, s := range es.bf.Nodes() {
 		s.Source = v == source
 	}
-	if err := es.bf.Reset(); err != nil {
-		return 0, total, err
-	}
 	if err := es.bf.Run(o.H + 4); err != nil {
 		return 0, total, fmt.Errorf("skeleton relaxation: %w", err)
 	}
@@ -294,9 +287,6 @@ func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	for v, s := range es.bf.Nodes() {
 		es.dist[v] = s.Dist
 		relay[v].Own = s.Dist
-	}
-	if err := es.relay.Reset(); err != nil {
-		return 0, total, err
 	}
 	if err := es.relay.Run(o.relayDuration() + 4); err != nil {
 		return 0, total, fmt.Errorf("skeleton relay: %w", err)
@@ -314,11 +304,4 @@ func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	}
 	total.Add(m)
 	return ecc, total, nil
-}
-
-// Close releases the three sessions.
-func (es *SkelEvalSession) Close() {
-	es.bf.Close()
-	es.relay.Close()
-	es.cc.close()
 }

@@ -69,7 +69,6 @@ func TestSkelOracleMatchesDijkstra(t *testing.T) {
 						seed, h, src, m.Rounds, fixedRounds)
 				}
 			}
-			es.Close()
 		}
 	}
 }
@@ -98,7 +97,6 @@ func TestSkelOracleSparseSkeletonError(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := o.NewEvalSession()
-	defer es.Close()
 	if _, _, err := es.Eval(5, nil); err == nil || !strings.Contains(err.Error(), "sample too sparse") {
 		t.Fatalf("sparse skeleton: err %v, want unreached-vertex error", err)
 	}
@@ -138,7 +136,6 @@ func TestSkelOracleSingleVertex(t *testing.T) {
 	g := graph.New(1)
 	_, _, o := skelFixture(t, g, 1)
 	es := o.NewEvalSession(WithStrictAccounting())
-	defer es.Close()
 	row := make([]int, 1)
 	ecc, _, err := es.Eval(0, row)
 	if err != nil {

@@ -59,10 +59,10 @@
 // Callers that execute the same program family many times (the quantum
 // algorithms run one Evaluation per Grover iteration) should not rebuild
 // the network each time: a Topology caches everything derived from the
-// graph, a Session owns the network plus a persistent engine and re-runs
-// it via Reset — bit-identical to a fresh build — and a Pool clones
-// session-backed contexts for concurrent independent executions with
-// deterministic results. See session.go, evalsession.go and DESIGN.md
+// graph, a Session owns the network plus a persistent engine and every
+// Run restarts its programs — bit-identical to a fresh build — and a Pool
+// clones session-backed contexts for concurrent independent executions
+// with deterministic results. See session.go, evalsession.go and DESIGN.md
 // ("Execution sessions").
 //
 // The programs of one network run one call at a time, on the goroutine

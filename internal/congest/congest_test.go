@@ -409,7 +409,6 @@ func TestWindowedWaveComputesMaxEccOverS(t *testing.T) {
 	d := info.D
 	topo := mustTopology(t, g)
 	ecc := NewEccSession(topo, info, 6*d+2)
-	defer ecc.Close()
 	for u0 := 0; u0 < g.N(); u0 += 3 {
 		tau, _, err := TokenWalkOn(topo, info, info.Children, u0, 2*d)
 		if err != nil {

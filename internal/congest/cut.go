@@ -57,7 +57,7 @@ func NewCutMarkNode(parent, degree, duration int) *CutMarkNode {
 
 // ResetNode implements Resettable. Marked is the input as well as an
 // output: the caller marks the next run's subtree root (and unmarks every
-// other vertex) before Reset.
+// other vertex) before Run.
 func (c *CutMarkNode) ResetNode() {
 	clear(c.NeighborSide)
 	c.finished = false
@@ -170,9 +170,6 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 	for v, mn := range cs.mark.Nodes() {
 		mn.Marked = v == u0
 	}
-	if err := cs.mark.Reset(); err != nil {
-		return 0, total, err
-	}
 	if err := cs.mark.Run(cs.duration + 4); err != nil {
 		return 0, total, fmt.Errorf("cut mark flood: %w", err)
 	}
@@ -199,10 +196,4 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 	}
 	total.Add(m)
 	return cut, total, nil
-}
-
-// Close releases both sessions' engines.
-func (cs *CutSession) Close() {
-	cs.mark.Close()
-	cs.sum.close()
 }

@@ -225,13 +225,9 @@ func TestSmallFrontierSessionStartsNoGoroutines(t *testing.T) {
 	const duration = 64
 	before := settledGoroutines()
 	s := NewSession(mustTopology(t, g), func(v int) *WaveNode { return NewWaveNode(false, 0, duration) })
-	defer s.Close()
 	for run := 0; run < 2; run++ {
 		for v, w := range s.Nodes() {
 			w.InS, w.TauPrime = tau[v] >= 0, tau[v]
-		}
-		if err := s.Reset(); err != nil {
-			t.Fatal(err)
 		}
 		if err := s.Run(duration + 4); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@ package congest
 // Evaluation, hundreds of times per optimization. WalkSession and
 // EccSession are the reusable counterparts of the one-shot TokenWalkOn and
 // WaveOn + ConvergecastMaxOn runs: built once per (topology, tree,
-// schedule), then Reset+Run per Evaluation. Each Eval is bit-for-bit
+// schedule), then one Run per Evaluation. Each Eval is bit-for-bit
 // identical — values, Metrics, observer traces, error strings — to those
 // fresh-network runs; the session determinism tests assert that
 // equivalence.
@@ -40,9 +40,6 @@ func (ws *WalkSession) Eval(start int) ([]int, Metrics, error) {
 	for _, tw := range ws.s.Nodes() {
 		tw.Start = start
 	}
-	if err := ws.s.Reset(); err != nil {
-		return nil, Metrics{}, err
-	}
 	if err := ws.s.Run(ws.steps + 4); err != nil {
 		return nil, ws.s.Metrics(), fmt.Errorf("token walk: %w", err)
 	}
@@ -52,8 +49,11 @@ func (ws *WalkSession) Eval(start int) ([]int, Metrics, error) {
 	return ws.tau, ws.s.Metrics(), nil
 }
 
-// Close releases the session's engine.
-func (ws *WalkSession) Close() { ws.s.Close() }
+// Close is a no-op: a session holds nothing to release. Its one caller is
+// the benchmark's diameter workload (bench/workloads.go line 184). It is
+// deleted together with that call, by ROADMAP item 3, which edits the
+// benchmark.
+func (ws *WalkSession) Close() {}
 
 // EccSession is the Figure 2 Step 2 wave process followed by the Step 3
 // max convergecast on BFS(leader), re-runnable with a different tau'
@@ -87,9 +87,6 @@ func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 	for v, wn := range es.wave.Nodes() {
 		wn.InS, wn.TauPrime = tau[v] >= 0, tau[v]
 	}
-	if err := es.wave.Reset(); err != nil {
-		return 0, total, err
-	}
 	if err := es.wave.Run(es.duration + 4); err != nil {
 		return 0, total, fmt.Errorf("wave process: %w", err)
 	}
@@ -108,8 +105,8 @@ func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
 	return ecc, total, nil
 }
 
-// Close releases both sessions' engines.
-func (es *EccSession) Close() {
-	es.wave.Close()
-	es.cc.close()
-}
+// Close is a no-op: a session holds nothing to release. Its only callers
+// are the benchmark's diameter and eccentricity workloads
+// (bench/workloads.go lines 184 and 385). It is deleted together with those
+// calls, by ROADMAP item 3, which edits the benchmark.
+func (es *EccSession) Close() {}

@@ -220,7 +220,7 @@ func TestSchedulerWakeEdgeCases(t *testing.T) {
 
 // TestSessionWakeArenaSteadyState is the wake-structure growth regression
 // test: a persistent Session at non-trivial n, run repeatedly, must reach
-// a steady state where Reset+Run allocates nothing — the registration
+// a steady state where Run allocates nothing — the registration
 // arenas, bucket heaps and bitsets are all reused across re-runs rather
 // than regrown.
 func TestSessionWakeArenaSteadyState(t *testing.T) {
@@ -229,11 +229,7 @@ func TestSessionWakeArenaSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := NewSession(topo, func(v int) *dupWakeNode { return &dupWakeNode{pulses: 4, target: 24} })
-	defer sess.Close()
 	runOnce := func() {
-		if err := sess.Reset(); err != nil {
-			t.Fatal(err)
-		}
 		if err := sess.Run(40); err != nil {
 			t.Fatal(err)
 		}

@@ -323,15 +323,12 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 				c.name, len(got.Trace), len(want.Trace))
 		}
 
-		// Session dimension: build once, Reset+Run twice; both
+		// Session dimension: build once, Run twice; both
 		// executions must match the reference bit for bit.
 		var trace []string
 		sess := c.session(WithObserver(recordObs(&trace)))
 		for rerun := 0; rerun < 2; rerun++ {
 			trace = trace[:0]
-			if err := sess.Reset(); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
 			if err := sess.Run(c.maxRounds); err != nil {
 				t.Fatalf("%s rerun %d: %v", c.name, rerun, err)
 			}
@@ -346,7 +343,6 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 				t.Errorf("%s session rerun %d: observer trace differs", c.name, rerun)
 			}
 		}
-		sess.Close()
 	}
 }
 
@@ -811,9 +807,6 @@ func TestAlwaysActiveProgramsMatchReference(t *testing.T) {
 		sess := c.session(WithObserver(recordObs(&trace)))
 		for rerun := 0; rerun < 2; rerun++ {
 			trace = trace[:0]
-			if err := sess.Reset(); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
 			if err := sess.Run(c.maxRounds); err != nil {
 				t.Fatalf("%s rerun %d: %v", c.name, rerun, err)
 			}
@@ -828,7 +821,6 @@ func TestAlwaysActiveProgramsMatchReference(t *testing.T) {
 				t.Errorf("%s session rerun %d: observer trace differs", c.name, rerun)
 			}
 		}
-		sess.Close()
 	}
 
 	// A contract-less bandwidth violation fails with the reference's error.

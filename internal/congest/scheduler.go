@@ -499,8 +499,8 @@ func (e *engine) receive() {
 // is Done, or an error after maxRounds; see the file comment for the
 // frontier invariant and the accounting argument. It touches only state
 // that beginRound, the receive half and frontierState.reset recycle, so a
-// persistent engine (Session) can call it repeatedly — after the node
-// programs are Reset — with zero steady-state allocations, and every
+// persistent engine (Session) can call it repeatedly — Session.Run resets
+// the node programs first — with zero steady-state allocations, and every
 // execution is bit-for-bit identical to a run on a freshly built engine.
 func (e *engine) execute(maxRounds int) error {
 	nw := e.nw

@@ -4,10 +4,11 @@ package congest
 // quantum algorithms run the same CONGEST program family hundreds of times
 // (one Evaluation per Grover iteration, Theorem 7) without rebuilding the
 // network each time. A Topology caches everything derived from the graph; a
-// Session owns a network plus a persistent engine and exposes Reset + Run;
-// a Pool clones session-backed contexts to run independent executions
-// concurrently with deterministic result ordering. DESIGN.md ("Execution
-// sessions") documents the lifecycle contract and the determinism argument.
+// Session owns a network plus a persistent engine, and each Run restarts its
+// programs; a Pool clones session-backed contexts to run independent
+// executions concurrently with deterministic result ordering. DESIGN.md
+// ("Execution sessions") documents the lifecycle contract and the
+// determinism argument.
 
 import (
 	"errors"
@@ -272,14 +273,14 @@ func validateDistBound(n, maxW int) error {
 
 // Resettable is the lifecycle contract a node program implements to be
 // reusable across executions: ResetNode must restore the program to exactly
-// the state its constructor produced, so that a Session run after Reset is
-// bit-for-bit identical to a run on freshly constructed programs. The inputs
-// that change between runs (a new walk start, a new tau' assignment) are
-// exported fields of the program: the caller writes them through
-// Session.Node or Session.Nodes before Reset, and ResetNode rebuilds the
-// rest of the state from them. An input that a run also overwrites as an
-// output (CutMarkNode.Marked, BroadcastNode.Value) is rewritten before
-// every Reset.
+// the state its constructor produced, so that every Session.Run (which calls
+// it first) is bit-for-bit identical to a run on freshly constructed
+// programs. The inputs that change between runs (a new walk start, a new
+// tau' assignment) are exported fields of the program: the caller writes
+// them through Session.Node or Session.Nodes before Run, and ResetNode
+// rebuilds the rest of the state from them. An input that a run also
+// overwrites as an output (CutMarkNode.Marked, BroadcastNode.Value) is
+// rewritten before every Run.
 type Resettable interface {
 	Node
 	ResetNode()
@@ -288,28 +289,24 @@ type Resettable interface {
 // Session owns one network of T programs together with a persistent
 // execution engine. Where NewNetwork + Run build topology tables, node
 // programs, arenas and buffers per execution, a Session builds them once
-// and recycles all of them: Reset restores the node programs (and zeroes
-// the metrics), Run executes on the retained engine. A Reset+Run is
-// bit-for-bit identical — outputs, Metrics, observer wire traces, error
-// strings — to building a fresh network and running it; the session-reuse
-// determinism tests assert exactly that.
+// and recycles all of them: each Run restores the node programs, zeroes the
+// metrics and executes on the retained engine. Every Run is bit-for-bit
+// identical — outputs, Metrics, observer wire traces, error strings — to
+// building a fresh network and running it; the session-reuse determinism
+// tests assert exactly that.
 //
 // A Session is not safe for concurrent use; clone it (see Pool) to run
-// independent executions in parallel. Close marks it closed.
+// independent executions in parallel.
 type Session[T Resettable] struct {
 	nw       *Network
 	nodes    []T
 	makeNode func(v int) T
 	opts     []Option
-
-	e      *engine
-	ran    bool // an execution has run since the last Reset
-	closed bool
+	e        *engine
 }
 
 // NewSession builds a session for the program family make over topo. The
-// node programs are constructed once, here; every later execution reuses
-// them via Reset.
+// node programs are constructed once, here; every Run restarts them.
 func NewSession[T Resettable](topo *Topology, make func(v int) T, opts ...Option) *Session[T] {
 	nw, nodes := networkOf(topo, make, opts...)
 	return &Session[T]{nw: nw, nodes: nodes, makeNode: make, opts: opts}
@@ -336,33 +333,15 @@ func runOnce[T Node](topo *Topology, mk func(v int) T, maxRounds int, what strin
 	return nodes, nw.Metrics(), nil
 }
 
-// Reset prepares the session for the next execution: every node program is
-// restored to its constructed state from its input fields (see Resettable)
-// and the metrics are zeroed.
-func (s *Session[T]) Reset() error {
-	if s.closed {
-		return fmt.Errorf("congest: Reset on a closed session")
-	}
+// Run executes one full run: every node program is restored to its
+// constructed state from its input fields (see Resettable), the metrics are
+// zeroed, and the run executes on the persistent engine (created on first
+// use).
+func (s *Session[T]) Run(maxRounds int) error {
 	for _, nd := range s.nodes {
 		nd.ResetNode()
 	}
 	s.nw.metrics = Metrics{}
-	s.ran = false
-	return nil
-}
-
-// Run executes one full run on the persistent engine (creating it on first
-// use). Every execution after the first must be preceded by a Reset: the
-// node programs hold the previous run's final state, and executing them
-// again would not correspond to any fresh network.
-func (s *Session[T]) Run(maxRounds int) error {
-	if s.closed {
-		return fmt.Errorf("congest: Run on a closed session")
-	}
-	if s.ran {
-		return fmt.Errorf("congest: session re-run without Reset")
-	}
-	s.ran = true
 	if s.e == nil {
 		s.e = newEngine(s.nw)
 	}
@@ -370,14 +349,14 @@ func (s *Session[T]) Run(maxRounds int) error {
 }
 
 // Node returns the program running at vertex v (for writing the next run's
-// inputs before Reset, and for reading outputs after a run).
+// inputs before Run, and for reading outputs after a run).
 func (s *Session[T]) Node(v int) T { return s.nodes[v] }
 
 // Nodes returns the programs indexed by vertex; the slice must not be
 // modified.
 func (s *Session[T]) Nodes() []T { return s.nodes }
 
-// Metrics returns the metrics of the execution since the last Reset.
+// Metrics returns the metrics of the last Run.
 func (s *Session[T]) Metrics() Metrics { return s.nw.metrics }
 
 // Topology returns the shared topology the session executes on.
@@ -398,10 +377,6 @@ func (s *Session[T]) Clone() (*Session[T], error) {
 	return NewSession(s.nw.topo, s.makeNode, s.opts...), nil
 }
 
-// Close marks the session closed: it cannot be Reset or Run again
-// afterwards. Close is idempotent.
-func (s *Session[T]) Close() { s.closed = true }
-
 // Pool runs independent executions concurrently on a fixed set of cloned
 // execution contexts (typically Session-backed evaluators). Jobs are
 // distributed dynamically over the clones, but results are keyed by job
@@ -413,8 +388,8 @@ type Pool[C any] struct {
 }
 
 // NewPool builds a pool of `workers` contexts, each produced by factory
-// (factory receives the clone index). On a factory error the contexts
-// already built are NOT closed — the caller owns cleanup via Close.
+// (factory receives the clone index). On a factory error it returns the
+// pool of the contexts built so far with the error.
 func NewPool[C any](workers int, factory func(i int) (C, error)) (*Pool[C], error) {
 	if workers < 1 {
 		workers = 1
@@ -447,7 +422,7 @@ func (p *Pool[C]) Get(i int) C { return p.clones[i] }
 // when Do returns.
 func (p *Pool[C]) Do(jobs int, fn func(job int, clone C) error) error {
 	if len(p.clones) == 0 {
-		return fmt.Errorf("congest: Do on an empty or closed pool")
+		return fmt.Errorf("congest: Do on an empty pool")
 	}
 	if jobs <= 0 {
 		return nil
@@ -492,15 +467,6 @@ func (r *poolRun[C]) work(c C) {
 			r.mu.Unlock()
 		}
 	}
-}
-
-// Close applies close to every clone (for Session-backed contexts, their
-// Close methods). The pool cannot be used afterwards.
-func (p *Pool[C]) Close(close func(C)) {
-	for _, c := range p.clones {
-		close(c)
-	}
-	p.clones = nil
 }
 
 // Contexts is the one CPU budget: the number of cloned contexts to run

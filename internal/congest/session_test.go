@@ -57,7 +57,7 @@ func freshFigure2(t *testing.T, g *graph.Graph, info *PreInfo, u0 int, opts ...O
 	return r
 }
 
-// The tentpole contract: a session Reset+Run is bit-for-bit identical to a
+// The tentpole contract: a session Run is bit-for-bit identical to a
 // freshly built network — values, Metrics and encoded observer traces —
 // on the first execution and on every re-run.
 func TestSessionReuseBitIdentical(t *testing.T) {
@@ -100,8 +100,6 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		walk.Close()
-		ecc.Close()
 	}
 }
 
@@ -125,40 +123,8 @@ func TestPrepareApproxSessionDeterministic(t *testing.T) {
 	}
 }
 
-// A session must refuse to run twice without a Reset, and must refuse to
-// run or Reset once closed.
-func TestSessionLifecycleErrors(t *testing.T) {
-	g := graph.Path(16)
-	topo, err := NewTopology(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(topo, func(v int) *LeaderElectNode { return NewLeaderElectNode() })
-	defer s.Close()
-	if err := s.Run(64); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(64); err == nil {
-		t.Error("re-run without Reset accepted")
-	}
-	if err := s.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(64); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := s.Run(64); err == nil {
-		t.Error("Run on a closed session accepted")
-	}
-	if err := s.Reset(); err == nil {
-		t.Error("Reset on a closed session accepted")
-	}
-}
-
 // Every Evaluation session reports its failures as errors: a run that
-// breaks the bandwidth fails its Eval, and after Close every Eval is
-// refused, since Close fences the session whatever engine state it holds.
+// breaks the bandwidth fails its Eval.
 func TestEvalSessionErrors(t *testing.T) {
 	g := graph.RandomConnected(40, 0.1, 3)
 	info, _, err := Preprocess(g)
@@ -179,44 +145,27 @@ func TestEvalSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau = append([]int(nil), tau...)
-	walk.Close()
-	type evalSession struct {
-		name  string
-		eval  func() error
-		close func()
-	}
-	build := func(opts ...Option) []evalSession {
-		walk := NewWalkSession(topo, info, info.Children, 2*info.D, opts...)
-		ecc := NewEccSession(topo, info, 6*info.D+2, opts...)
-		wecc := NewWeightedEccSession(topo, info, opts...)
-		cut := NewCutSession(topo, info, opts...)
-		tri := NewTriangleSession(topo, info, flags, opts...)
-		skel := oracle.NewEvalSession(opts...)
-		row := make([]int, g.N())
-		return []evalSession{
-			{"walk", func() error { _, _, err := walk.Eval(0); return err }, walk.Close},
-			{"ecc", func() error { _, _, err := ecc.Eval(tau); return err }, ecc.Close},
-			{"weighted ecc", func() error { _, _, err := wecc.Eval(0); return err }, wecc.Close},
-			{"cut", func() error { _, _, err := cut.Eval(0); return err }, cut.Close},
-			{"triangle", func() error { _, _, err := tri.Eval(0); return err }, tri.Close},
-			{"skeleton", func() error { _, _, err := skel.Eval(0, row); return err }, skel.Close},
-		}
-	}
-	for _, e := range build(WithBandwidth(1)) {
+	starved := WithBandwidth(1)
+	walk = NewWalkSession(topo, info, info.Children, 2*info.D, starved)
+	ecc := NewEccSession(topo, info, 6*info.D+2, starved)
+	wecc := NewWeightedEccSession(topo, info, starved)
+	cut := NewCutSession(topo, info, starved)
+	tri := NewTriangleSession(topo, info, flags, starved)
+	skel := oracle.NewEvalSession(starved)
+	row := make([]int, g.N())
+	for _, e := range []struct {
+		name string
+		eval func() error
+	}{
+		{"walk", func() error { _, _, err := walk.Eval(0); return err }},
+		{"ecc", func() error { _, _, err := ecc.Eval(tau); return err }},
+		{"weighted ecc", func() error { _, _, err := wecc.Eval(0); return err }},
+		{"cut", func() error { _, _, err := cut.Eval(0); return err }},
+		{"triangle", func() error { _, _, err := tri.Eval(0); return err }},
+		{"skeleton", func() error { _, _, err := skel.Eval(0, row); return err }},
+	} {
 		if err := e.eval(); err == nil || !strings.Contains(err.Error(), "exceeds bandwidth") {
 			t.Errorf("%s at 1 bit of bandwidth: err = %v, want a bandwidth error", e.name, err)
-		}
-		e.close()
-	}
-	for _, e := range build() {
-		if err := e.eval(); err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		e.close()
-		e.close() // Close is idempotent
-		if err := e.eval(); err == nil || !strings.Contains(err.Error(), "closed session") {
-			t.Errorf("%s after Close: err = %v, want the closed-session error", e.name, err)
 		}
 	}
 }
@@ -295,12 +244,6 @@ func TestEvalSteadyStateAllocs(t *testing.T) {
 				t.Errorf("n=%d %s: %.1f allocs per re-run Evaluation, want 0", g.N(), e.name, perEval)
 			}
 		}
-		walk.Close()
-		ecc.Close()
-		wecc.Close()
-		cut.Close()
-		tri.Close()
-		skel.Close()
 	}
 }
 
@@ -312,7 +255,6 @@ func TestPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close(func(*ctx) {})
 	if pool.Size() != 4 {
 		t.Fatalf("Size = %d", pool.Size())
 	}
@@ -361,7 +303,6 @@ func TestPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer solo.Close(func(*ctx) {})
 	attempted := make([]bool, 10)
 	err = solo.Do(10, func(j int, c *ctx) error {
 		attempted[j] = true
@@ -377,12 +318,6 @@ func TestPoolDeterministic(t *testing.T) {
 		if !a {
 			t.Errorf("solo pool skipped job %d after an error", j)
 		}
-	}
-	// A closed (or empty) pool must refuse work loudly, not silently run
-	// zero jobs.
-	solo.Close(func(*ctx) {})
-	if err := solo.Do(5, func(int, *ctx) error { return nil }); err == nil {
-		t.Error("Do on a closed pool accepted")
 	}
 }
 
@@ -409,8 +344,8 @@ func TestForEach(t *testing.T) {
 }
 
 // A Pool has at least one clone, returns a factory error with the clones
-// built so far, hands out its clones by index and refuses to run once
-// closed.
+// built so far, hands out its clones by index, and refuses to run when a
+// failing factory left it without clones.
 func TestPoolLifecycle(t *testing.T) {
 	pool, err := NewPool(0, func(i int) (int, error) { return 10 + i, nil })
 	if err != nil {
@@ -418,14 +353,6 @@ func TestPoolLifecycle(t *testing.T) {
 	}
 	if pool.Size() != 1 || pool.Get(0) != 10 {
 		t.Errorf("NewPool(0): %d clones, clone 0 = %d; want one clone, 10", pool.Size(), pool.Get(0))
-	}
-	closed := 0
-	pool.Close(func(int) { closed++ })
-	if closed != 1 {
-		t.Errorf("Close closed %d clones, want 1", closed)
-	}
-	if err := pool.Do(3, func(int, int) error { return nil }); err == nil {
-		t.Error("Do on a closed pool accepted")
 	}
 	partial, err := NewPool(3, func(i int) (int, error) {
 		if i == 2 {
@@ -435,6 +362,13 @@ func TestPoolLifecycle(t *testing.T) {
 	})
 	if err == nil || err.Error() != "clone 2 failed" || partial.Size() != 2 {
 		t.Errorf("failing factory: err = %v with %d clones, want clone 2's error with 2", err, partial.Size())
+	}
+	empty, err := NewPool(3, func(i int) (int, error) { return 0, fmt.Errorf("clone %d failed", i) })
+	if err == nil || empty.Size() != 0 {
+		t.Fatalf("factory failing at clone 0: err = %v with %d clones, want an error with none", err, empty.Size())
+	}
+	if err := empty.Do(3, func(int, int) error { return nil }); err == nil || err.Error() != "congest: Do on an empty pool" {
+		t.Errorf("Do on an empty pool: err = %v, want the empty-pool error", err)
 	}
 }
 
@@ -452,9 +386,7 @@ func TestSessionCloneConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	walk := NewWalkSession(topo, info, info.Children, 2*info.D)
-	defer walk.Close()
 	ecc := NewEccSession(topo, info, 6*info.D+2)
-	defer ecc.Close()
 	n := g.N()
 	want := make([]int, n)
 	for u0 := 0; u0 < n; u0++ {
@@ -480,7 +412,6 @@ func TestSessionCloneConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close(func(c *evalCtx) { c.w.Close(); c.e.Close() })
 	got := make([]int, n)
 	if err := pool.Do(n, func(j int, c *evalCtx) error {
 		tau, _, err := c.w.Eval(j)
@@ -550,15 +481,11 @@ func TestCloneObserverRefused(t *testing.T) {
 	var trace []string
 	observed := NewSession(topo, func(v int) *LeaderElectNode { return NewLeaderElectNode() },
 		WithObserver(recordObs(&trace)))
-	defer observed.Close()
 	if _, err := observed.Clone(); err == nil {
 		t.Error("Clone of an observed session: no error")
 	}
 	plain := NewSession(topo, func(v int) *LeaderElectNode { return NewLeaderElectNode() })
-	defer plain.Close()
-	c, err := plain.Clone()
-	if err != nil {
+	if _, err := plain.Clone(); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
 }

@@ -155,6 +155,3 @@ func (ts *TriangleSession) Eval(u0 int) (int, Metrics, error) {
 	}
 	return ts.cc.run(ts.vals)
 }
-
-// Close releases the session's engine.
-func (ts *TriangleSession) Close() { ts.cc.close() }

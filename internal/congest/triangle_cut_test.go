@@ -84,9 +84,7 @@ func TestTriangleSessionEvalAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := NewTriangleSession(topo, info, flags, WithStrictAccounting())
-	defer ts.Close()
 	second := NewTriangleSession(topo, info, flags, WithStrictAccounting())
-	defer second.Close()
 	var baseRounds int
 	for u := 0; u < g.N(); u++ {
 		v, m, err := ts.Eval(u)
@@ -153,9 +151,7 @@ func TestCutSessionEvalAndClone(t *testing.T) {
 				t.Fatal(err)
 			}
 			cs := NewCutSession(topo, info, WithStrictAccounting())
-			defer cs.Close()
 			second := NewCutSession(topo, info, WithStrictAccounting())
-			defer second.Close()
 			var baseRounds int
 			first := true
 			for u := 0; u < g.N(); u++ {

@@ -166,8 +166,8 @@ func ssspDuration(n int) int {
 // WeightedEccSession is the Evaluation of the weighted suite, the weighted
 // counterpart of EccSession: one Bellman–Ford relaxation (n-1 rounds) plus
 // one weighted max convergecast on BFS(leader), both of fixed,
-// input-independent duration. It is built once per topology and
-// Reset+Run per Evaluation.
+// input-independent duration. It is built once per topology and run once
+// per Evaluation.
 type WeightedEccSession struct {
 	sssp *Session[*WeightedSSSPNode]
 	cc   treeAgg
@@ -198,9 +198,6 @@ func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
 	for v, s := range es.sssp.Nodes() {
 		s.Source = v == source
 	}
-	if err := es.sssp.Reset(); err != nil {
-		return 0, total, err
-	}
 	if err := es.sssp.Run(es.duration + 4); err != nil {
 		return 0, total, fmt.Errorf("weighted sssp: %w", err)
 	}
@@ -219,12 +216,6 @@ func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
 	return ecc, total, nil
 }
 
-// Close releases both sessions' engines.
-func (es *WeightedEccSession) Close() {
-	es.sssp.Close()
-	es.cc.close()
-}
-
 // ClassicalWeightedDiameter computes the exact weighted diameter by running
 // one weighted Evaluation per vertex on a reused session — the Theta(n^2)
 // classical baseline the quantum weighted suite is compared against.
@@ -240,7 +231,6 @@ func ClassicalWeightedDiameter(g *graph.Graph, opts ...Option) (ExactResult, err
 	}
 	res.Metrics.Add(m)
 	es := NewWeightedEccSession(topo, info, opts...)
-	defer es.Close()
 	for v := 0; v < topo.N(); v++ {
 		ecc, m, err := es.Eval(v)
 		if err != nil {

@@ -77,7 +77,6 @@ func TestWeightedEccentricitySession(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := NewWeightedEccSession(topo, info, WithStrictAccounting())
-	defer es.Close()
 	for src := 0; src < g.N(); src++ {
 		want, err := g.WeightedEccentricity(src)
 		if err != nil {
@@ -92,7 +91,6 @@ func TestWeightedEccentricitySession(t *testing.T) {
 		}
 		once := NewWeightedEccSession(topo, info, WithStrictAccounting())
 		fresh, fm, err := once.Eval(src)
-		once.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +99,6 @@ func TestWeightedEccentricitySession(t *testing.T) {
 		}
 	}
 	c := NewWeightedEccSession(topo, info, WithStrictAccounting())
-	defer c.Close()
 	for _, src := range []int{0, 7, 13} {
 		a, ma, err := es.Eval(src)
 		if err != nil {

@@ -149,7 +149,6 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	pool, _ := congest.NewPool(workers, func(int) (*congest.SkelEvalSession, error) {
 		return oracle.NewEvalSession(opts.Engine...), nil
 	})
-	defer pool.Close((*congest.SkelEvalSession).Close)
 
 	// The sweep: blocks of one source per clone. The pool fills the block's
 	// rows concurrently, job j into rows[j], then the block is emitted in

@@ -25,7 +25,7 @@
 // (internal/congest) whose round count is measured, and the quantum layer
 // charges rounds per Theorem 7. Each context builds its sessions once
 // (congest.WalkSession, congest.EccSession, ...) and every Evaluation is a
-// Reset+Run on them — bit-identical to fresh networks, without rebuilding
+// Run on them — bit-identical to fresh networks, without rebuilding
 // topology tables, programs or arenas per execution. Options.Parallel
 // builds further contexts from the same constructors into a congest.Pool
 // and runs independent Evaluations concurrently — by default one per CPU
@@ -202,7 +202,6 @@ func extremum(ecc []int, minimize bool) int {
 // composite of sessions) that computes f(x) and measures its cost.
 type evalSession interface {
 	Eval(x int) (int, congest.Metrics, error)
-	Close()
 }
 
 // sessionContext is the one adapter from an Evaluation session to
@@ -213,8 +212,6 @@ func (c sessionContext) Eval(x int) (value, rounds int, err error) {
 	v, m, err := c.s.Eval(x)
 	return v, m.Rounds, err
 }
-
-func (c sessionContext) Close() { c.s.Close() }
 
 // evalFamily builds one independent Evaluation context: the sessions
 // behind distinct contexts share no mutable state, so they may evaluate
@@ -402,12 +399,10 @@ func (s *walkEcc) Eval(u0 int) (int, congest.Metrics, error) {
 	return value, m, err
 }
 
-func (s *walkEcc) Close() { s.walk.Close(); s.ecc.Close() }
-
 // singleEcc is the Section 3.1 Evaluation: a single wave from u0 (a
 // scheduled BFS) followed by a convergecast of max dv to the leader —
-// "build BFS(u0), converge-cast ecc(u0)". Each Evaluation resets the
-// session with the tau assignment where only u0 initiates (tau' = 0). It
+// "build BFS(u0), converge-cast ecc(u0)". Each Evaluation runs the session
+// with the tau assignment where only u0 initiates (tau' = 0). It
 // computes f(u0) = hop ecc(u0), the objective of ExactDiameterSimple,
 // Radius and Eccentricities on unweighted graphs.
 type singleEcc struct {
@@ -431,5 +426,3 @@ func (s *singleEcc) Eval(u0 int) (int, congest.Metrics, error) {
 	s.tau[u0], s.last = 0, u0
 	return s.ecc.Eval(s.tau)
 }
-
-func (s *singleEcc) Close() { s.ecc.Close() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -301,28 +302,42 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	}
 }
 
-// TestEntryPointsReturnEngineErrors runs every entry point on an engine
-// whose bandwidth no message fits: the first CONGEST execution fails, and
-// the failure must come back as an error, never as a panic or a result.
+// TestEntryPointsReturnEngineErrors runs every entry point on two starved
+// engines. At 1 bit no message fits, so the first CONGEST execution, the
+// leader election, fails. At 14 bits the preprocessing (leader election
+// and BFS tree) of the 12-vertex graph fits but the phase after it does
+// not: the preparation, the oracle build or an Evaluation, whose error a
+// query puts behind "evaluate <x>: ". Weights up to 1000 widen the weighted
+// wire fields past 14 bits. Either failure must come back as that phase's
+// error, never as a panic or a result.
 func TestEntryPointsReturnEngineErrors(t *testing.T) {
 	g := graph.RandomConnected(12, 0.2, 1)
-	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)
-	opts := Options{Seed: 1, Engine: []congest.Option{congest.WithBandwidth(1)}}
+	wg := graph.WithWeights(g, 1000, 2)
 	for _, tc := range []struct {
-		name string
-		run  func() error
+		name, late string
+		run        func(o Options) error
 	}{
-		{"ExactDiameter", func() error { _, err := ExactDiameter(g, opts); return err }},
-		{"ExactDiameterSimple", func() error { _, err := ExactDiameterSimple(g, opts); return err }},
-		{"ApproxDiameter", func() error { _, err := ApproxDiameter(g, opts); return err }},
-		{"Radius", func() error { _, err := Radius(g, opts); return err }},
-		{"Eccentricities", func() error { _, err := Eccentricities(g, opts); return err }},
-		{"WeightedDiameter", func() error { _, err := WeightedDiameter(wg, opts); return err }},
-		{"WeightedRadius", func() error { _, err := WeightedRadius(wg, opts); return err }},
-		{"TriangleDetect", func() error { _, err := TriangleDetect(g, opts); return err }},
-		{"TriangleCount", func() error { _, err := TriangleCount(g, opts); return err }},
-		{"MinTreeCut", func() error { _, err := MinTreeCut(wg, opts); return err }},
-		{"APSP", func() error { _, err := APSP(wg, opts, nil); return err }},
+		{"ExactDiameter", "wave process", func(o Options) error { _, err := ExactDiameter(g, o); return err }},
+		{"ExactDiameterSimple", "wave process", func(o Options) error { _, err := ExactDiameterSimple(g, o); return err }},
+		{"ApproxDiameter", "convergecast", func(o Options) error { _, err := ApproxDiameter(g, o); return err }},
+		{"Radius", "wave process", func(o Options) error { _, err := Radius(g, o); return err }},
+		{"Eccentricities", "wave process", func(o Options) error { _, err := Eccentricities(g, o); return err }},
+		{"SublinearEccentricities", "skeleton relaxation from 0", func(o Options) error {
+			o.Sublinear = true
+			_, err := Eccentricities(wg, o)
+			return err
+		}},
+		{"WeightedDiameter", "weighted sssp", func(o Options) error { _, err := WeightedDiameter(wg, o); return err }},
+		{"SublinearWeightedDiameter", "skeleton relaxation from 0", func(o Options) error {
+			o.Sublinear = true
+			_, err := WeightedDiameter(wg, o)
+			return err
+		}},
+		{"WeightedRadius", "weighted sssp", func(o Options) error { _, err := WeightedRadius(wg, o); return err }},
+		{"TriangleDetect", "triangle convergecast", func(o Options) error { _, err := TriangleDetect(g, o); return err }},
+		{"TriangleCount", "triangle convergecast", func(o Options) error { _, err := TriangleCount(g, o); return err }},
+		{"MinTreeCut", "cut convergecast", func(o Options) error { _, err := MinTreeCut(wg, o); return err }},
+		{"APSP", "skeleton relaxation from 0", func(o Options) error { _, err := APSP(wg, o, nil); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -330,9 +345,40 @@ func TestEntryPointsReturnEngineErrors(t *testing.T) {
 					t.Fatalf("panic: %v", r)
 				}
 			}()
-			if err := tc.run(); err == nil {
-				t.Fatal("bandwidth-1 engine: no error")
+			for _, c := range []struct {
+				bandwidth int
+				phase     string
+			}{{1, "leader election"}, {14, tc.late}} {
+				err := tc.run(Options{Seed: 1, Engine: []congest.Option{congest.WithBandwidth(c.bandwidth)}})
+				if err == nil || !strings.Contains(err.Error(), c.phase+": ") {
+					t.Errorf("bandwidth %d: err = %v, want a %q error", c.bandwidth, err, c.phase)
+				}
 			}
 		})
+	}
+}
+
+// A Figure 2 Evaluation fails before its walk when its input check
+// rejects the input, and with the walk's error when the walk breaks the
+// bandwidth.
+func TestWalkEccEvalErrors(t *testing.T) {
+	in, _, err := prologue(graph.RandomConnected(12, 0.2, 1), Options{Seed: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := errors.New("outside")
+	family := in.walkEccFamily(in.info, in.info.Children, 2*in.info.D, 6*in.info.D+2,
+		func(u0 int) error {
+			if u0 == 3 {
+				return outside
+			}
+			return nil
+		})
+	if _, _, err := family().Eval(3); err != outside {
+		t.Errorf("rejected input: err = %v, want the check's error", err)
+	}
+	in.opts.Engine = []congest.Option{congest.WithBandwidth(1)}
+	if _, _, err := family().Eval(0); err == nil || !strings.HasPrefix(err.Error(), "token walk: ") {
+		t.Errorf("starved walk: err = %v, want a token walk error", err)
 	}
 }

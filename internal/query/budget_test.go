@@ -50,8 +50,6 @@ func (c countingContext) Eval(x int) (int, int, error) {
 	return (x * 37) % 101, 7, nil
 }
 
-func (c countingContext) Close() {}
-
 // concurrent opts a countingOracle in to concurrent contexts.
 type concurrent struct{ *countingOracle }
 

@@ -35,8 +35,6 @@ func (c pointContext) Eval(x int) (int, int, error) {
 	return 0, 5, nil
 }
 
-func (c pointContext) Close() {}
-
 // binomialTail is P(X >= k) for X ~ Binomial(n, p).
 func binomialTail(k, n int, p float64) float64 {
 	lgN, _ := math.Lgamma(float64(n + 1))

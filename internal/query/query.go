@@ -73,7 +73,6 @@ import (
 // still evaluates serially).
 type Context interface {
 	Eval(x int) (value, rounds int, err error)
-	Close()
 }
 
 // Oracle describes one distributed Evaluation family to run queries over.
@@ -87,9 +86,8 @@ type Oracle interface {
 	// SetupRounds is the measured cost of one Setup application (broadcast
 	// of the leader's register along the BFS tree).
 	SetupRounds() int
-	// NewContext builds one independent evaluation context. Each context is
-	// backed by its own reusable sessions (congest.Session): the caller
-	// closes it when the query completes.
+	// NewContext builds one independent evaluation context, backed by its
+	// own reusable sessions (congest.Session).
 	NewContext() Context
 }
 
@@ -199,8 +197,6 @@ func newEvaluator(o Oracle, contexts int, negate bool) *evaluator {
 	return &evaluator{oracle: o, domain: o.Domain(), pool: pool, negate: negate, rounds: -1}
 }
 
-func (e *evaluator) close() { e.pool.Close(func(c Context) { c.Close() }) }
-
 func (e *evaluator) eval(c Context, x int) (int, int, error) {
 	v, r, err := c.Eval(x)
 	if e.negate {
@@ -303,7 +299,6 @@ func (e *evaluator) charge(res Result, c amplify.Counters, phases int) (Result, 
 // climb is symmetric).
 func optimize(o Oracle, eps float64, opts Options, minimize bool) (Result, error) {
 	e := newEvaluator(o, opts.contexts(o, true), minimize)
-	defer e.close()
 	phi, err := e.prepare()
 	if err != nil {
 		return Result{}, err
@@ -338,7 +333,6 @@ func search(o Oracle, marked func(value int) bool, opts Options, count bool) (Re
 	// Count ends with a fruitless pass that evaluates every label; one
 	// Search can stop at its first measurement.
 	e := newEvaluator(o, opts.contexts(o, count), false)
-	defer e.close()
 	phi, err := e.prepare()
 	if err != nil {
 		return Result{}, err
@@ -393,7 +387,6 @@ func Count(o Oracle, marked func(value int) bool, opts Options) (Result, error) 
 // is returned as the oracle reported it.
 func EvalAll(o Oracle, opts Options) (values []int, evalRounds int, err error) {
 	e := newEvaluator(o, opts.contexts(o, true), false)
-	defer e.close()
 	if values, err = e.batch(false); err != nil {
 		return nil, 0, err
 	}

@@ -82,16 +82,11 @@ func (c *valueContext) Eval(x int) (int, int, error) {
 		cn.Value = 0
 	}
 	c.cc.Node(x).Value = c.vals[x]
-	if err := c.cc.Reset(); err != nil {
-		return 0, 0, err
-	}
 	if err := c.cc.Run(4*c.n + 16); err != nil {
 		return 0, 0, err
 	}
 	return c.cc.Node(c.leader).Agg, c.cc.Metrics().Rounds, nil
 }
-
-func (c *valueContext) Close() { c.cc.Close() }
 
 // propertyCase is one randomized graph of the suite.
 type propertyCase struct {
@@ -325,8 +320,6 @@ func (c fakeContext) Eval(x int) (int, int, error) {
 	}
 	return (x * 37) % 101, r, nil
 }
-
-func (c fakeContext) Close() {}
 
 // TestQueryErrorContract pins the error rules: a pooled query wraps the
 // smallest failing element as "evaluate <x>", EvalAll returns the bare

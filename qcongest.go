@@ -30,8 +30,8 @@
 // the Engine field of QuantumOptions.
 //
 // Repeated executions run on sessions (CongestTopology, CongestSession,
-// Pool): the network is built once and every further run is a
-// Reset-and-rerun on recycled state, bit-identical to a fresh build.
+// Pool): the network is built once and every Run restarts its programs on
+// recycled state, bit-identical to a fresh build.
 // The quantum algorithms amortize all per-Evaluation setup this way;
 // QuantumOptions.Parallel is the one batching mechanism: it runs
 // independent Evaluations concurrently on cloned sessions (Pool),
@@ -181,11 +181,11 @@ type (
 
 // Execution sessions: the reusable-harness layer. A CongestTopology caches
 // everything derived from a graph (validated once, shared freely); a
-// CongestSession[T] builds a network of T programs and its engine once and
-// re-runs it via Reset — bit-for-bit identical to a fresh network — which
-// is how the quantum algorithms amortize setup over the hundreds of
-// Evaluations an optimization performs. The inputs of the next run are
-// fields of the programs: write them through Node or Nodes, then Reset and
+// CongestSession[T] builds a network of T programs and its engine once, and
+// every Run restarts the programs — bit-for-bit identical to a fresh
+// network — which is how the quantum algorithms amortize setup over the
+// hundreds of Evaluations an optimization performs. The inputs of the next
+// run are fields of the programs: write them through Node or Nodes, then
 // Run. A Pool clones session-backed contexts to run
 // independent executions concurrently with deterministic result ordering.
 // See DESIGN.md, "Execution sessions".
@@ -198,7 +198,8 @@ type (
 	CongestResettable = congest.Resettable
 )
 
-// CongestSession is a build-once, reset-and-rerun network of T programs.
+// CongestSession is a build-once network of T programs that every Run
+// restarts.
 type CongestSession[T CongestResettable] = congest.Session[T]
 
 // NewCongestSession builds a reusable session whose vertex v runs make(v).

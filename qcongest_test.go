@@ -214,7 +214,7 @@ func (p *pingNode) ResetNode() {
 }
 
 // Execution sessions work end to end through the public facade: build the
-// topology and session once, Reset+Run repeatedly with identical results,
+// topology and session once, Run repeatedly with identical results,
 // and fan independent executions out over a Pool.
 func TestPublicSessionAPI(t *testing.T) {
 	const n = 8
@@ -233,11 +233,7 @@ func TestPublicSessionAPI(t *testing.T) {
 	want := fresh.Metrics()
 
 	s := NewCongestSession(topo, func(v int) *pingNode { return &pingNode{id: v} })
-	defer s.Close()
 	for rep := 0; rep < 3; rep++ {
-		if err := s.Reset(); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.Run(4 * n); err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +251,8 @@ func TestPublicSessionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close(func(c *CongestSession[*pingNode]) { c.Close() })
 	metrics := make([]CongestMetrics, 9)
 	if err := pool.Do(len(metrics), func(j int, c *CongestSession[*pingNode]) error {
-		if err := c.Reset(); err != nil {
-			return err
-		}
 		if err := c.Run(4 * n); err != nil {
 			return err
 		}
