@@ -2,7 +2,8 @@ package qcongest
 
 // Allocation and throughput canaries for the library's hot paths, run once
 // each by CI's bench smoke: the round engine, a warm Figure 2 Evaluation,
-// the quantum Eccentricities suite and the APSP sweep. The paper's
+// the quantum Eccentricities suite, the classical [PRT12] baseline and the
+// APSP sweep. The paper's
 // per-artifact measurements (Table 1, the figures) are the cmd/table1 and
 // cmd/figures commands; timed end-to-end runs are the bench/ module.
 
@@ -126,6 +127,40 @@ func BenchmarkEccSuite(b *testing.B) {
 		if len(res.Ecc) != g.N() {
 			b.Fatalf("ecc vector length %d", len(res.Ecc))
 		}
+	}
+}
+
+// --- Classical baseline: the [PRT12] all-initiator wave. ---
+
+// BenchmarkClassicalExact is the CI canary for the classical exact
+// diameter: Theta(n) rounds in which every vertex starts a wave and relays
+// every wave it hears. The engine's wake queue holds one entry per distinct
+// far wake, O(n) per run; B/op growing quadratically in n (36.5 MB at
+// n=1024, against 1.8 MB) means registrations are piling up again with
+// every reception.
+func BenchmarkClassicalExact(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		g, err := RandomRegular(n, 4, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want, err := g.Diameter()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("rr4/"+sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
+			var res ClassicalResult
+			for i := 0; i < b.N; i++ {
+				if res, err = ClassicalExactDiameter(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if res.Diameter != want {
+				b.Fatalf("diameter %d, want %d", res.Diameter, want)
+			}
+			b.ReportMetric(float64(res.Metrics.Rounds), "rounds")
+		})
 	}
 }
 

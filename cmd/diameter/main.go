@@ -260,6 +260,9 @@ func runWeightedDiameter(stdout io.Writer, g *qcongest.Graph, qopts qcongest.Qua
 }
 
 func buildGraph(kind string, n, d int, p float64, seed int64) (*qcongest.Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("-n %d: the vertex count must not be negative", n)
+	}
 	switch kind {
 	case "random":
 		return qcongest.RandomConnected(n, p, seed), nil
@@ -278,6 +281,9 @@ func buildGraph(kind string, n, d int, p float64, seed int64) (*qcongest.Graph, 
 	case "smallworld":
 		return qcongest.SmallWorld(n, 2, 0.2, seed), nil
 	case "caterpillar":
+		if d < 0 {
+			return nil, fmt.Errorf("-d %d: a caterpillar's leg count must not be negative", d)
+		}
 		return qcongest.Caterpillar(n/(d+1), d), nil
 	default:
 		return nil, fmt.Errorf("unknown graph family %q", kind)

@@ -50,3 +50,26 @@ func TestCLISmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestCLIRejectsNegativeSizes checks that a negative vertex count (and a
+// negative caterpillar leg count, which used to divide by zero) is a
+// usage error, not a panic or a silently empty graph.
+func TestCLIRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "random", "-n", "-3"}, "-n -3"},
+		{[]string{"-graph", "path", "-n", "-1", "-algo", "classical-exact"}, "-n -1"},
+		{[]string{"-graph", "caterpillar", "-n", "12", "-d", "-1"}, "-d -1"},
+	} {
+		var stdout, stderr strings.Builder
+		err := run(tc.args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) err = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed %q before rejecting its input", tc.args, stdout.String())
+		}
+	}
+}

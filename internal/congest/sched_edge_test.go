@@ -244,3 +244,226 @@ func TestSessionWakeArenaSteadyState(t *testing.T) {
 		t.Errorf("%.1f allocs per session re-run, want 0 (wake arenas must be reused)", allocs)
 	}
 }
+
+// holdAfter is what a reception does to a holdWakeNode's pending timer.
+type holdAfter int
+
+const (
+	holdKeep   holdAfter = iota // keep the timer: answer the same far round again
+	holdMove                    // move the timer to a different far round
+	holdCancel                  // cancel the timer: answer NeverWake
+)
+
+// holdWakeNode holds a far timer wake X until a reception makes it answer
+// round+1: vertex 0 pulses its neighbors in rounds [from, from+pulses), and
+// every reception makes the receiver relay once, next round, to its
+// higher-numbered neighbors. After the relay the vertex answers per after:
+// X again, the moved round, or NeverWake. These are the answers the
+// frontier's liveness rule has to get right: a next-round wake leaves the
+// far registration live, so the repeated X must not be lost, and the
+// moved or cancelled one must not fire.
+type holdWakeNode struct {
+	from, pulses int
+	x, moved     int // the initial timer and holdMove's new one
+	after        holdAfter
+
+	timer        int // the pending timer round; 0 once fired or cancelled
+	seen, relays int
+	firedAt      int
+	pending      bool
+	tx           msgChild
+}
+
+func newHoldWakeNode(from, pulses, x, moved int, after holdAfter) *holdWakeNode {
+	h := &holdWakeNode{from: from, pulses: pulses, x: x, moved: moved, after: after}
+	h.ResetNode()
+	return h
+}
+
+func (h *holdWakeNode) pulsing(round int) bool {
+	return round >= h.from && round < h.from+h.pulses
+}
+
+func (h *holdWakeNode) Send(env *Env, out *Outbox) {
+	if env.ID == 0 && h.pulsing(env.Round) {
+		out.Broadcast(env.Neighbors, &h.tx)
+	}
+	if h.pending {
+		h.pending = false
+		h.relays++
+		for _, u := range env.Neighbors {
+			if u > env.ID {
+				out.Put(u, &h.tx)
+			}
+		}
+	}
+}
+
+func (h *holdWakeNode) Receive(env *Env, inbox []Inbound) {
+	if len(inbox) > 0 {
+		h.seen += len(inbox)
+		h.pending = true
+		if h.timer != 0 {
+			switch h.after {
+			case holdMove:
+				h.timer = h.moved
+			case holdCancel:
+				h.timer = 0
+			}
+		}
+	}
+	if h.timer == env.Round {
+		h.firedAt, h.timer = env.Round, 0
+	}
+}
+
+func (h *holdWakeNode) Done() bool { return h.timer == 0 && !h.pending }
+
+func (h *holdWakeNode) StateBits() int {
+	b := 64 + h.seen
+	if h.pending {
+		b += 8
+	}
+	return b
+}
+
+func (h *holdWakeNode) NextWake(env *Env, round int) int {
+	if h.pending {
+		return round + 1
+	}
+	if env.ID == 0 && round+1 < h.from+h.pulses {
+		return max(h.from, round+1) // the next pulse
+	}
+	if h.timer > round {
+		return h.timer
+	}
+	return NeverWake
+}
+
+func (h *holdWakeNode) ResetNode() {
+	h.timer, h.seen, h.relays, h.firedAt, h.pending = h.x, 0, 0, 0, false
+}
+
+// TestNearWakeKeepsFarRegistration pins the wake queue's liveness rule
+// against RunReference: a vertex holding a far wake X is made to answer
+// round+1 by a reception, and then answers X again, a different far round
+// or NeverWake — or answers X as a near wake from round X-1, so bucket X
+// drains a vertex that is already in the frontier. Each case must match
+// the reference on a fresh Run and on two Session re-runs: outputs,
+// Metrics (DroppedRounds and MaxStateBits included) and the observer trace.
+func TestNearWakeKeepsFarRegistration(t *testing.T) {
+	rnd, err := NewTopology(graph.RandomConnected(40, 0.08, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := func(n int) *Topology {
+		topo, err := NewTopology(graph.Path(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	fingerprint := func(at func(v int) Node, n int) string {
+		var sb strings.Builder
+		for v := 0; v < n; v++ {
+			h := at(v).(*holdWakeNode)
+			fmt.Fprintf(&sb, "%d/%d/%d/%d;", h.seen, h.relays, h.firedAt, h.timer)
+		}
+		return sb.String()
+	}
+	for _, c := range []struct {
+		name         string
+		topo         *Topology
+		from, pulses int
+		x, moved     int
+		after        holdAfter
+	}{
+		// The relays end long before X: every receiver answers X again
+		// after its relay, and the idle gap up to X is skipped.
+		{name: "same-far-round", topo: path(12), from: 1, pulses: 3, x: 20, after: holdKeep},
+		{name: "same-far-round/random", topo: rnd, from: 2, pulses: 2, x: 30, after: holdKeep},
+		// Receivers move their timer to 26: bucket 20 keeps their stale
+		// entries beside vertex 0's live one.
+		{name: "different-far-round", topo: path(12), from: 1, pulses: 3, x: 20, moved: 26, after: holdMove},
+		{name: "different-far-round/random", topo: rnd, from: 2, pulses: 2, x: 30, moved: 24, after: holdMove},
+		// Receivers cancel: only vertex 0's timer fires.
+		{name: "never-wake", topo: path(12), from: 1, pulses: 3, x: 20, after: holdCancel},
+		{name: "never-wake/random", topo: rnd, from: 2, pulses: 2, x: 30, after: holdCancel},
+		// The relay front crosses X = 10 on a 40-vertex path: vertices 8
+		// and 9 answer round 10 as a near wake while their far
+		// registration for 10 is live, and the vertices past 10 fire
+		// before the front reaches them.
+		{name: "near-answer-at-x-minus-1", topo: path(40), from: 1, pulses: 3, x: 10, after: holdKeep},
+	} {
+		sc := schedCase{
+			name: c.name, topo: c.topo, maxRounds: 80, fingerprint: fingerprint,
+			make: func(v int) Node { return newHoldWakeNode(c.from, c.pulses, c.x, c.moved, c.after) },
+		}
+		auditWakes(t, sc)
+		checkSchedCase(t, sc)
+	}
+}
+
+// TestWaveWakeArenaBound is the wake queue's growth regression test, by
+// counts rather than timing. In the all-initiator wave of
+// ClassicalExactDiameter every vertex holds a far wake (its initiation
+// round, later the Duration timer) while relaying every wave it receives.
+// A relay's next-round wake must leave that far registration live, so the
+// arena holds one entry per distinct far answer: at most 2n entries in at
+// most n buckets. Re-registering after every relay made the arena grow
+// with every reception: 52,445 entries in up to 18,191 pending buckets on
+// this graph. An EccSession Evaluation's wave, with the sparse tau' of a
+// Figure 2 walk, is bounded the same way (1,510-1,949 entries before).
+func TestWaveWakeArenaBound(t *testing.T) {
+	g, err := graph.RandomRegular(256, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	topo := mustTopology(t, g)
+	info, _, err := PreprocessOn(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tourLen := 2 * (n - 1)
+	tau, _, err := TokenWalkOn(topo, info, info.Children, info.Leader, tourLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The classical wave, as classicalEccPhases runs it. The observer
+	// samples the bucket heap once per message, after the round's drain
+	// (Run builds the engine before the first observer call).
+	duration := 2*tourLen + 2*info.D + 2
+	var wave *Session[*WaveNode]
+	peak := 0
+	wave = NewSession(topo, func(v int) *WaveNode {
+		return NewWaveNode(true, tau[v], duration)
+	}, WithObserver(func(round, from, to, bits int, wire WireView) {
+		peak = max(peak, len(wave.e.fr.heap))
+	}))
+	if err := wave.Run(duration + 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(wave.e.fr.wakeVs); got > 2*n {
+		t.Errorf("all-initiator wave: %d wake arena entries, want at most 2n = %d", got, 2*n)
+	}
+	if peak == 0 || peak > n {
+		t.Errorf("all-initiator wave: bucket heap peaked at %d buckets, want 1..n = %d", peak, n)
+	}
+
+	ecc := NewEccSession(topo, info, 6*info.D+2)
+	walk := NewWalkSession(topo, info, info.Children, 2*info.D)
+	for _, u0 := range []int{0, n / 2, n - 1} {
+		tau, _, err := walk.Eval(u0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ecc.Eval(tau); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(ecc.wave.e.fr.wakeVs); got > 2*n {
+			t.Errorf("EccSession Evaluation (u0 %d): %d wave arena entries, want at most 2n = %d", u0, got, 2*n)
+		}
+	}
+}

@@ -310,49 +310,60 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 
 	for _, c := range cases {
 		auditWakes(t, c)
-		want := runSchedCase(t, c, (*Network).RunReference)
-		got := runSchedCase(t, c, (*Network).Run)
-		if got.Out != want.Out {
-			t.Errorf("%s: outputs differ from RunReference", c.name)
-		}
-		if got.Metrics != want.Metrics {
-			t.Errorf("%s: Metrics = %+v, want %+v", c.name, got.Metrics, want.Metrics)
-		}
-		if !reflect.DeepEqual(got.Trace, want.Trace) {
-			t.Errorf("%s: observer trace differs from RunReference (%d vs %d events)",
-				c.name, len(got.Trace), len(want.Trace))
-		}
+		checkSchedCase(t, c)
+	}
+}
 
-		// Session dimension: build once, Run twice; both
-		// executions must match the reference bit for bit.
-		var trace []string
-		sess := c.session(WithObserver(recordObs(&trace)))
-		for rerun := 0; rerun < 2; rerun++ {
-			trace = trace[:0]
-			if err := sess.Run(c.maxRounds); err != nil {
-				t.Fatalf("%s rerun %d: %v", c.name, rerun, err)
-			}
-			if out := c.fingerprint(func(v int) Node { return sess.Node(v) }, c.topo.N()); out != want.Out {
-				t.Errorf("%s session rerun %d: outputs differ from RunReference", c.name, rerun)
-			}
-			if sess.Metrics() != want.Metrics {
-				t.Errorf("%s session rerun %d: Metrics = %+v, want %+v",
-					c.name, rerun, sess.Metrics(), want.Metrics)
-			}
-			if !reflect.DeepEqual(trace, want.Trace) {
-				t.Errorf("%s session rerun %d: observer trace differs", c.name, rerun)
-			}
+// checkSchedCase runs c fresh on Run and twice on one Session and requires
+// every execution to match a RunReference baseline bit for bit: outputs,
+// Metrics and the observer wire trace.
+func checkSchedCase(t *testing.T, c schedCase) {
+	t.Helper()
+	want := runSchedCase(t, c, (*Network).RunReference)
+	got := runSchedCase(t, c, (*Network).Run)
+	if got.Out != want.Out {
+		t.Errorf("%s: outputs differ from RunReference", c.name)
+	}
+	if got.Metrics != want.Metrics {
+		t.Errorf("%s: Metrics = %+v, want %+v", c.name, got.Metrics, want.Metrics)
+	}
+	if !reflect.DeepEqual(got.Trace, want.Trace) {
+		t.Errorf("%s: observer trace differs from RunReference (%d vs %d events)",
+			c.name, len(got.Trace), len(want.Trace))
+	}
+
+	// Session dimension: build once, Run twice; both executions must
+	// match the reference bit for bit.
+	var trace []string
+	sess := c.session(WithObserver(recordObs(&trace)))
+	for rerun := 0; rerun < 2; rerun++ {
+		trace = trace[:0]
+		if err := sess.Run(c.maxRounds); err != nil {
+			t.Fatalf("%s rerun %d: %v", c.name, rerun, err)
+		}
+		if out := c.fingerprint(func(v int) Node { return sess.Node(v) }, c.topo.N()); out != want.Out {
+			t.Errorf("%s session rerun %d: outputs differ from RunReference", c.name, rerun)
+		}
+		if sess.Metrics() != want.Metrics {
+			t.Errorf("%s session rerun %d: Metrics = %+v, want %+v",
+				c.name, rerun, sess.Metrics(), want.Metrics)
+		}
+		if !reflect.DeepEqual(trace, want.Trace) {
+			t.Errorf("%s session rerun %d: observer trace differs", c.name, rerun)
 		}
 	}
 }
 
 // wakeAudit wraps a Scheduled program to check the contract under
 // RunReference, which executes every vertex every round: it records the
-// program's latest NextWake answer (asked, as the frontier engine does,
-// before round 1 and after every Receive) and logs every round in which the
+// program's latest NextWake answer and logs every round in which the
 // vertex emits although that answer had not called for the round. The
 // frontier engine skips such a Send, so each logged emission is one the
-// engine would lose.
+// engine would lose. The answer is asked when the frontier engine asks it:
+// before round 1, and after a round that the engine would execute the
+// vertex in — one its last answer called for, or one that delivers it a
+// message. Asking after every round would let an answer given in a round
+// the engine skips cover for the answer the engine acted on.
 type wakeAudit struct {
 	Node
 	sc    Scheduled
@@ -377,7 +388,9 @@ func (a *wakeAudit) Send(env *Env, out *Outbox) {
 
 func (a *wakeAudit) Receive(env *Env, inbox []Inbound) {
 	a.Node.Receive(env, inbox)
-	a.wake = a.sc.NextWake(env, env.Round)
+	if len(inbox) > 0 || (a.wake != NeverWake && a.wake <= env.Round) {
+		a.wake = a.sc.NextWake(env, env.Round)
+	}
 }
 
 // auditWakes runs c under RunReference with every Scheduled program wrapped

@@ -58,7 +58,13 @@ package congest
 // vertex registers the same timer round) O(1) per vertex on both the
 // register and the drain side. Wake registrations are epoch-stamped
 // (wake[v] = epoch<<32|round), so resetting a persistent engine between
-// Session executions is one epoch increment, not an O(n) wipe.
+// Session executions is one epoch increment, not an O(n) wipe. A
+// next-round wake leaves a vertex's far registration live (see register),
+// so an execution appends one arena entry per distinct far answer, not
+// one per reception: the all-initiator wave of ClassicalExactDiameter,
+// where every vertex relays Θ(n) waves while holding its initiation round
+// and then its Duration timer, ends with at most 2n entries in at most n
+// buckets.
 //
 // # Determinism
 //
@@ -291,15 +297,21 @@ func (fr *frontierState) nextWakeRound() int {
 // register records a program's NextWake answer given after round cur.
 // Wakes due next round go straight into the next-frontier bitset; later
 // wakes append to the open bucket (same round) or close it and open a new
-// one. The latest answer wins: re-registering replaces the previous wake
-// (entries with stale stamps are skipped at drain time).
+// one. The latest far answer wins: re-registering replaces the previous
+// wake (entries with stale stamps are skipped at drain time).
+//
+// A next-round wake leaves the live far registration in place. The vertex
+// runs next round and answers again: repeating the far round is then
+// deduplicated by the stamp instead of appending a fresh entry, a different
+// round or NeverWake supersedes it, and a bucket that falls due while the
+// vertex is already in the frontier drains it as a no-op. So the arena
+// holds one entry per distinct far answer, not one per reception.
 func (fr *frontierState) register(v int32, wk, cur int) {
 	if wk == NeverWake {
 		fr.wake[v] = fr.stampNone()
 		return
 	}
 	if wk <= cur+1 {
-		fr.wake[v] = fr.stampNone()
 		if fr.nxt.add(v) {
 			fr.nxtCount++
 		}

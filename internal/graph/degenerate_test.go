@@ -61,6 +61,18 @@ func TestGeneratorsDegenerateInputs(t *testing.T) {
 		{"randomtree/2", func() *Graph { return RandomTree(2, 7) }, 2, 1, 1, 1, true},
 		{"smallworld/1", func() *Graph { return SmallWorld(1, 2, 0.5, 3) }, 1, 0, 0, 0, true},
 		{"smallworld/2", func() *Graph { return SmallWorld(2, 2, 0.5, 3) }, 2, 1, 1, 1, true},
+		// Negative sizes clamp to 0, as New does, instead of panicking
+		// (rand.Perm, an out-of-range chain edge) or multiplying two
+		// negative dimensions into a positive vertex count.
+		{"path/-3", func() *Graph { return Path(-3) }, 0, 0, 0, 0, true},
+		{"grid/-1x-5", func() *Graph { return Grid(-1, -5) }, 0, 0, 0, 0, true},
+		{"torus/-1x-5", func() *Graph { return Torus(-1, -5) }, 0, 0, 0, 0, true},
+		{"barbell/3x-2", func() *Graph { return Barbell(3, -2) }, 6, 7, 3, 2, true},
+		{"barbell/-1x-1", func() *Graph { return Barbell(-1, -1) }, 2, 1, 1, 1, true},
+		{"caterpillar/2x-1", func() *Graph { return Caterpillar(2, -1) }, 2, 1, 1, 1, true},
+		{"caterpillar/-2x-2", func() *Graph { return Caterpillar(-2, -2) }, 0, 0, 0, 0, true},
+		{"randomconnected/-3", func() *Graph { return RandomConnected(-3, 0.5, 7) }, 0, 0, 0, 0, true},
+		{"randomtree/-3", func() *Graph { return RandomTree(-3, 7) }, 0, 0, 0, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

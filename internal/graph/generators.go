@@ -61,8 +61,10 @@ func Complete(n int) *Graph {
 	return g
 }
 
-// Grid returns the rows x cols grid graph. Diameter rows+cols-2.
+// Grid returns the rows x cols grid graph. Diameter rows+cols-2. Negative
+// dimensions are clamped to 0.
 func Grid(rows, cols int) *Graph {
+	rows, cols = max(rows, 0), max(cols, 0)
 	g := New(rows * cols)
 	if rows > 0 && cols > 0 {
 		horiz := rows * (cols - 1)
@@ -93,8 +95,9 @@ func Grid(rows, cols int) *Graph {
 // below 3 the wraparound edge coincides with an existing edge (or is a
 // self-loop); those degenerate edges are skipped, so e.g. Torus(2, k) equals
 // the 2 x k cylinder and Torus(1, k) the cycle C_k — the generator never
-// panics on small inputs.
+// panics on small inputs. Negative dimensions are clamped to 0.
 func Torus(rows, cols int) *Graph {
+	rows, cols = max(rows, 0), max(cols, 0)
 	g := New(rows * cols)
 	// Every torus vertex has degree 4; degenerate dimensions (< 3) skip
 	// coinciding wraparound edges, leaving some declared capacity unused —
@@ -168,11 +171,10 @@ func CompleteBinaryTree(n int) *Graph {
 // Barbell returns two cliques of size cliqueSize joined by a path with
 // pathLen internal vertices. Diameter pathLen + 3 (for cliqueSize >= 2).
 // Useful as a small-n, large-D workload. cliqueSize below 1 is clamped to 1
-// (the two "cliques" degenerate to the path endpoints).
+// (the two "cliques" degenerate to the path endpoints), and a negative
+// pathLen to 0 (the cliques joined by one edge).
 func Barbell(cliqueSize, pathLen int) *Graph {
-	if cliqueSize < 1 {
-		cliqueSize = 1
-	}
+	cliqueSize, pathLen = max(cliqueSize, 1), max(pathLen, 0)
 	n := 2*cliqueSize + pathLen
 	g := New(n)
 	// Clique members have degree cliqueSize-1, path vertices degree 2, and
@@ -213,8 +215,9 @@ func Barbell(cliqueSize, pathLen int) *Graph {
 // carries legsPerSpine pendant leaves. n = spineLen*(1+legsPerSpine),
 // diameter spineLen+1 (for legsPerSpine >= 1, spineLen >= 2). This family
 // lets experiments scale n while holding D fixed, or scale D while holding
-// n fixed.
+// n fixed. Negative arguments are clamped to 0.
 func Caterpillar(spineLen, legsPerSpine int) *Graph {
+	spineLen, legsPerSpine = max(spineLen, 0), max(legsPerSpine, 0)
 	n := spineLen * (1 + legsPerSpine)
 	g := New(n)
 	for i := 0; i+1 < spineLen; i++ {
@@ -232,8 +235,10 @@ func Caterpillar(spineLen, legsPerSpine int) *Graph {
 
 // RandomConnected returns a connected graph on n vertices: a random spanning
 // tree (random parent attachment) plus each remaining pair independently
-// with probability p. Deterministic for a given seed.
+// with probability p. Deterministic for a given seed. A negative n is
+// clamped to 0, as New clamps it.
 func RandomConnected(n int, p float64, seed int64) *Graph {
+	n = max(n, 0)
 	rng := rand.New(rand.NewSource(seed))
 	g := New(n)
 	perm := rng.Perm(n)
@@ -254,7 +259,8 @@ func RandomConnected(n int, p float64, seed int64) *Graph {
 	return g
 }
 
-// RandomTree returns a uniform random attachment tree on n vertices.
+// RandomTree returns a uniform random attachment tree on n vertices (a
+// negative n is clamped to 0).
 func RandomTree(n int, seed int64) *Graph {
 	return RandomConnected(n, 0, seed)
 }
