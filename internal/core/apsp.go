@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
@@ -109,15 +110,21 @@ type ApspResult struct {
 
 // APSP computes all-pairs shortest-path distances through the skeleton
 // oracle: one oracle Evaluation per source, each Õ(sqrt(n) + D) rounds.
-// Rows are delivered in source order through emit(source, row) — row[v] is
-// the exact weighted distance d(source, v); the slice is reused between
-// calls and only valid during the call (copy to retain). A nil emit skips
-// delivery (round accounting only). Options.Parallel shards the sweep
-// over cloned sessions on a congest.Pool (0: congest.Contexts(n), one per
-// CPU; never more than n); like everywhere in this package, it changes no
-// emitted value and not the round accounting. An emit error aborts the sweep and is returned verbatim; an
-// Evaluation error aborts it at the smallest failing source. Either way
-// every sweep goroutine has returned when APSP does.
+// Rows are delivered through emit(source, row) in source order and never
+// concurrently, but not necessarily on the caller's goroutine: whichever
+// sweep goroutine completes the next source in order emits. row[v] is the
+// exact weighted distance d(source, v); the slice is reused between calls
+// and only valid during the call (copy to retain). A nil emit skips
+// delivery (round accounting only). Options.Parallel shards the sweep over
+// cloned sessions on a congest.Pool (0: congest.Contexts(n), one per CPU;
+// never more than n); like everywhere in this package, it changes no
+// emitted value and not the round accounting.
+//
+// The sweep fails at the smallest source s whose Evaluation, cost check or
+// emit fails, and APSP returns that error (an emit error verbatim): emit
+// has then seen exactly the sources below s, plus s itself when its emit
+// failed, whatever Options.Parallel is. Sources above a failure are not
+// started, and every sweep goroutine has returned when APSP does.
 func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) (ApspResult, error) {
 	in, ecc, err := prologue(g, opts, true)
 	if in == nil {
@@ -144,55 +151,128 @@ func APSP(g *graph.Graph, opts Options, emit func(source int, row []int) error) 
 	if workers == 0 {
 		workers = congest.Contexts(n)
 	}
-	// One evaluation session per clone, reused across blocks (the factory
+	// One evaluation session per clone, reused across sources (the factory
 	// cannot fail).
 	pool, _ := congest.NewPool(workers, func(int) (*congest.SkelEvalSession, error) {
 		return oracle.NewEvalSession(opts.Engine...), nil
 	})
-
-	// The sweep: blocks of one source per clone. The pool fills the block's
-	// rows concurrently, job j into rows[j], then the block is emitted in
-	// source order. Peak extra memory is O(workers·n), never Θ(n²).
-	rows := make([][]int, workers)
-	for i := range rows {
-		rows[i] = make([]int, n)
+	sw := newApspSweep(n, 2*workers, emit)
+	// One Do over every source: the pool's clones claim sources in
+	// ascending order. The sweep reports its failures itself, so Do's own
+	// error (an empty pool) cannot occur.
+	_ = pool.Do(n, sw.source)
+	if sw.err != nil {
+		return ApspResult{}, sw.err
 	}
-	rounds := make([]int, workers)
-	base := 0
-	evalBlock := func(j int, es *congest.SkelEvalSession) error {
-		_, m, err := es.Eval(base+j, rows[j])
-		rounds[j] = m.Rounds
-		if err != nil {
-			return fmt.Errorf("apsp: source %d: %w", base+j, err)
-		}
-		return nil
-	}
-	res := ApspResult{Sources: n, Ecc: make([]int, n), InitRounds: in.pre + oracle.InitRounds, EvalRounds: -1}
-	for ; base < n; base += workers {
-		block := min(workers, n-base)
-		// Do reports the smallest job's error: the smallest-source failure,
-		// deterministic.
-		if err := pool.Do(block, evalBlock); err != nil {
-			return ApspResult{}, err
-		}
-		for j, row := range rows[:block] {
-			s := base + j
-			res.Ecc[s] = slices.Max(row)
-			// All phase durations are fixed, so the per-source cost must be
-			// input-independent — the same invariant query.EvalAll asserts.
-			if res.EvalRounds == -1 {
-				res.EvalRounds = rounds[j]
-			} else if rounds[j] != res.EvalRounds {
-				return ApspResult{}, fmt.Errorf("apsp: evaluation cost depends on input (source %d: %d rounds, source 0: %d)",
-					s, rounds[j], res.EvalRounds)
-			}
-			if emit != nil {
-				if err := emit(s, row); err != nil {
-					return ApspResult{}, err
-				}
-			}
-		}
-	}
+	res := ApspResult{Sources: n, Ecc: sw.ecc, InitRounds: in.pre + oracle.InitRounds, EvalRounds: sw.evalRounds}
 	res.Rounds = res.InitRounds + n*res.EvalRounds
 	return res, nil
+}
+
+// apspSweep is the state the clones of one APSP sweep share: a window of
+// reusable row slots, source s writing slot s mod len(rows), and the
+// emission point next. Source s starts only once s < next+len(rows), so its
+// slot's previous row has been emitted; peak extra memory is
+// O(len(rows)·n), never Θ(n²).
+type apspSweep struct {
+	emit func(source int, row []int) error
+
+	mu     sync.Mutex
+	moved  sync.Cond // broadcast when next advances or stop falls
+	rows   [][]int
+	rounds []int  // the measured rounds of each slot's row
+	done   []bool // the slot's row is complete and not yet emitted
+	next   int    // the smallest source not yet emitted
+	stop   int    // the smallest failing source (n while none has failed)
+	err    error  // the error of source stop
+
+	// Written only by the emitting goroutine; read after the sweep.
+	ecc        []int
+	evalRounds int
+}
+
+func newApspSweep(n, window int, emit func(int, []int) error) *apspSweep {
+	sw := &apspSweep{emit: emit, rows: make([][]int, window), rounds: make([]int, window),
+		done: make([]bool, window), stop: n, ecc: make([]int, n)}
+	sw.moved.L = &sw.mu
+	for i := range sw.rows {
+		sw.rows[i] = make([]int, n)
+	}
+	return sw
+}
+
+// source is the pool job for source s: it waits until s fits the window,
+// evaluates s into its slot and, if s is the emission point, emits every
+// completed row from s on. It always returns nil; failures go to fail.
+func (sw *apspSweep) source(s int, es *congest.SkelEvalSession) error {
+	w := len(sw.rows)
+	sw.mu.Lock()
+	for s >= sw.next+w && s < sw.stop {
+		sw.moved.Wait()
+	}
+	stopped := s >= sw.stop
+	sw.mu.Unlock()
+	if stopped {
+		return nil
+	}
+	_, m, err := es.Eval(s, sw.rows[s%w])
+	sw.mu.Lock()
+	if err != nil {
+		sw.fail(s, fmt.Errorf("apsp: source %d: %w", s, err))
+	} else {
+		sw.rounds[s%w], sw.done[s%w] = m.Rounds, true
+		if s == sw.next {
+			sw.emitCompleted()
+		}
+	}
+	sw.mu.Unlock()
+	return nil
+}
+
+// emitCompleted emits every completed row from the emission point on (mu
+// held, and released around each emit). Only the goroutine that completed
+// the emission point calls it, and the point does not move until it
+// returns, so emission is serialized.
+func (sw *apspSweep) emitCompleted() {
+	w := len(sw.rows)
+	for sw.next < sw.stop && sw.done[sw.next%w] {
+		s, slot := sw.next, sw.next%w
+		rounds := sw.rounds[slot]
+		sw.mu.Unlock()
+		err := sw.deliver(s, sw.rows[slot], rounds)
+		sw.mu.Lock()
+		if err != nil {
+			sw.fail(s, err)
+			return
+		}
+		sw.done[slot] = false
+		sw.next++
+		sw.moved.Broadcast()
+	}
+}
+
+// deliver checks and emits source s's row.
+func (sw *apspSweep) deliver(s int, row []int, rounds int) error {
+	sw.ecc[s] = slices.Max(row)
+	// All phase durations are fixed, so the per-source cost must be
+	// input-independent — the same invariant query.EvalAll asserts.
+	if s == 0 {
+		sw.evalRounds = rounds
+	} else if rounds != sw.evalRounds {
+		return fmt.Errorf("apsp: evaluation cost depends on input (source %d: %d rounds, source 0: %d)",
+			s, rounds, sw.evalRounds)
+	}
+	if sw.emit == nil {
+		return nil
+	}
+	return sw.emit(s, row)
+}
+
+// fail records a failure at source s (mu held): the sweep stops at the
+// smallest failing source, and clones parked above it wake up to return.
+func (sw *apspSweep) fail(s int, err error) {
+	if s < sw.stop {
+		sw.stop, sw.err = s, err
+		sw.moved.Broadcast()
+	}
 }

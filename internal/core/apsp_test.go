@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +21,11 @@ import (
 func apspRun(t *testing.T, g *graph.Graph, opts Options) ([][]int, ApspResult) {
 	t.Helper()
 	var rows [][]int
+	// emit may run on a sweep goroutine, where t.Fatalf must not be called:
+	// an order violation aborts the sweep through its error instead.
 	res, err := APSP(g, opts, func(source int, row []int) error {
 		if source != len(rows) {
-			t.Fatalf("row %d emitted at position %d (order contract)", source, len(rows))
+			return fmt.Errorf("row %d emitted at position %d (order contract)", source, len(rows))
 		}
 		rows = append(rows, append([]int(nil), row...))
 		return nil
@@ -220,32 +224,78 @@ func TestApspDegenerate(t *testing.T) {
 	}
 }
 
-// TestApspEmitContract checks the streaming contract: an emit error aborts
-// the sweep and is returned verbatim.
+// TestApspEmitContract checks the streaming contract at one, two, three
+// and eight cloned sessions: an emit error at source 2 is returned verbatim
+// after emit saw exactly sources 0, 1 and 2, and an Evaluation failure
+// returns the same error and emits no row whatever Parallel is. At four
+// sessions, emits never overlap (an unsynchronized counter the race
+// detector watches, and an atomic in-flight flag).
 func TestApspEmitContract(t *testing.T) {
 	g := graph.WithWeights(graph.RandomConnected(12, 0.2, 5), 6, 5)
-	sentinel := fmt.Errorf("stop after three rows")
-	seen := 0
-	_, err := APSP(g, Options{}, func(source int, row []int) error {
-		seen++
-		if source == 2 {
-			return sentinel
+	sentinel := errors.New("stop after three rows")
+	var evalErr string
+	for _, parallel := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("par%d", parallel), func(t *testing.T) {
+			var seen []int
+			_, err := APSP(g, Options{Parallel: parallel}, func(source int, _ []int) error {
+				seen = append(seen, source)
+				if source == 2 {
+					return sentinel
+				}
+				return nil
+			})
+			if err != sentinel {
+				t.Fatalf("err %v, want the emit sentinel verbatim", err)
+			}
+			if !slices.Equal(seen, []int{0, 1, 2}) {
+				t.Fatalf("emit saw sources %v, want [0 1 2]", seen)
+			}
+			emitted := 0
+			_, err = APSP(g, Options{Parallel: parallel, Engine: []congest.Option{congest.WithBandwidth(14)}},
+				func(int, []int) error { emitted++; return nil })
+			switch {
+			case err == nil:
+				t.Fatal("bandwidth 14: no Evaluation error")
+			case evalErr == "":
+				evalErr = err.Error()
+			case err.Error() != evalErr:
+				t.Fatalf("bandwidth 14: error %q, want %q as at Parallel 1", err, evalErr)
+			}
+			if emitted != 0 {
+				t.Fatalf("bandwidth 14: %d rows emitted before the failure, want 0", emitted)
+			}
+		})
+	}
+	t.Run("serialized/par4", func(t *testing.T) {
+		big := graph.WithWeights(graph.RandomConnected(40, 0.1, 3), 7, 3)
+		var inFlight atomic.Bool
+		count := 0
+		_, err := APSP(big, Options{Parallel: 4}, func(source int, _ []int) error {
+			if !inFlight.CompareAndSwap(false, true) {
+				return fmt.Errorf("emit of source %d overlaps another emit", source)
+			}
+			defer inFlight.Store(false)
+			if source != count {
+				return fmt.Errorf("source %d emitted at position %d", source, count)
+			}
+			count++
+			runtime.Gosched()
+			return nil
+		})
+		if err != nil || count != big.N() {
+			t.Fatalf("APSP: %v after %d emits, want %d", err, count, big.N())
 		}
-		return nil
 	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err %v, want the emit sentinel", err)
-	}
-	if seen != 3 {
-		t.Fatalf("emit called %d times before abort, want 3", seen)
-	}
 }
 
 // TestApspAbortLeaksNoGoroutines aborts the sweep both ways — an emit error
 // and an Evaluation error (a bandwidth the preprocessing fits but the
-// skeleton relay does not) — with one and with three cloned sessions: once
-// APSP returns, the goroutine count must be back at its baseline (the
-// pool's sweep goroutines have exited).
+// skeleton relay does not) — with one and with three cloned sessions, and
+// once more at three sessions while clones are parked on a full row
+// window (emit dawdles on sources 0 and 1, so the window fills again after
+// its first advance, then fails on source 1): once APSP
+// returns, the goroutine count must be back at its baseline (the pool's
+// sweep goroutines have exited).
 func TestApspAbortLeaksNoGoroutines(t *testing.T) {
 	g := graph.WithWeights(graph.RandomConnected(12, 0.2, 5), 6, 5)
 	sentinel := errors.New("stop at source 4")
@@ -255,34 +305,49 @@ func TestApspAbortLeaksNoGoroutines(t *testing.T) {
 		}
 		return nil
 	}
+	type abort struct {
+		name     string
+		parallel int
+		engine   []congest.Option
+		emit     func(int, []int) error
+		wantErr  func(error) bool
+	}
+	var cases []abort
 	for _, parallel := range []int{1, 3} {
-		for _, tc := range []struct {
-			name    string
-			engine  []congest.Option
-			emit    func(int, []int) error
-			wantErr func(error) bool
-		}{
-			{"emit", nil, stopAt4,
+		cases = append(cases,
+			abort{"emit", parallel, nil, stopAt4,
 				func(err error) bool { return errors.Is(err, sentinel) }},
-			{"eval", []congest.Option{congest.WithBandwidth(14)}, nil,
-				func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "apsp: source 0: ") }},
-		} {
-			t.Run(fmt.Sprintf("%s/par%d", tc.name, parallel), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				_, err := APSP(g, Options{Seed: 1, Parallel: parallel, Engine: tc.engine}, tc.emit)
-				if !tc.wantErr(err) {
-					t.Fatalf("APSP error %v", err)
+			abort{"eval", parallel, []congest.Option{congest.WithBandwidth(14)}, nil,
+				func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "apsp: source 0: ") }})
+	}
+	cases = append(cases, abort{"parked", 3, nil,
+		func(source int, _ []int) error {
+			if source > 1 {
+				return nil
+			}
+			time.Sleep(20 * time.Millisecond)
+			if source == 1 {
+				return sentinel
+			}
+			return nil
+		},
+		func(err error) bool { return errors.Is(err, sentinel) }})
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/par%d", tc.name, tc.parallel), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			_, err := APSP(g, Options{Seed: 1, Parallel: tc.parallel, Engine: tc.engine}, tc.emit)
+			if !tc.wantErr(err) {
+				t.Fatalf("APSP error %v", err)
+			}
+			// Stopped goroutines finish exiting asynchronously.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after the abort, %d before:\n%s",
+						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 				}
-				// Stopped goroutines finish exiting asynchronously.
-				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<16)
-						t.Fatalf("%d goroutines after the abort, %d before:\n%s",
-							runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-					}
-					time.Sleep(time.Millisecond)
-				}
-			})
-		}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

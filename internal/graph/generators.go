@@ -268,8 +268,10 @@ func RandomTree(n int, seed int64) *Graph {
 // SmallWorld returns a ring lattice where each vertex connects to its k
 // nearest neighbours on each side, with extra random chords added with
 // probability p per vertex (Watts-Strogatz-style but additive, so the graph
-// stays connected). Low diameter for moderate p.
+// stays connected). Low diameter for moderate p. A k below 1 is clamped to
+// 1, the plain ring, which keeps the graph connected.
 func SmallWorld(n, k int, p float64, seed int64) *Graph {
+	k = max(k, 1)
 	rng := rand.New(rand.NewSource(seed))
 	g := New(n)
 	for u := 0; u < n; u++ {

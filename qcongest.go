@@ -320,10 +320,14 @@ type ApspResult = core.ApspResult
 // the skeleton distance oracle (the Wang–Wu–Yao / Wu–Yao sublinear
 // Evaluation): Õ(sqrt(n) + D) rounds per source after an Õ(sqrt(n)·(sqrt(n)
 // + D))-round preprocessing. Rows arrive in source order through
-// emit(source, row); the row slice is reused between calls (copy to
-// retain), and a nil emit runs the sweep for its round accounting only.
+// emit(source, row), never concurrently but possibly on a sweep goroutine
+// rather than the caller's; the row slice is reused between calls (copy
+// to retain), and a nil emit runs the sweep for its round accounting only.
 // QuantumOptions.Parallel shards the sweep over cloned sessions without
-// changing any emitted value. Setting QuantumOptions.Sublinear routes
+// changing any emitted value or error: the sweep stops at the smallest
+// source whose Evaluation or emit fails, and emit has seen every source
+// before it, and that source itself only when its emit failed. Setting
+// QuantumOptions.Sublinear routes
 // WeightedDiameter, WeightedRadius and weighted Eccentricities through the
 // same oracle.
 func APSP(g *Graph, opts QuantumOptions, emit func(source int, row []int) error) (ApspResult, error) {
