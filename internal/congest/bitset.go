@@ -3,10 +3,10 @@ package congest
 // bitset is the compressed vertex-set representation behind the frontier
 // scheduler: a word layer with one bit per vertex, plus a summary layer
 // with one bit per word-layer word (set iff that word is non-zero).
-// Membership tests and inserts are O(1); iteration and clearing walk only
-// the summary bits that are set, so both cost O(set/64 + n/4096) instead of
-// O(n) — at ten million vertices an empty-ish frontier costs a scan of
-// ~2400 summary words, not ten million booleans.
+// Inserts are O(1); iteration and clearing walk only the summary bits that
+// are set, so both cost O(set/64 + n/4096) instead of O(n) — at ten million
+// vertices an empty-ish frontier costs a scan of ~2400 summary words, not
+// ten million booleans.
 
 import "math/bits"
 
@@ -33,11 +33,6 @@ func (b *bitset) add(v int32) bool {
 	b.words[w] |= mask
 	b.sum[w>>6] |= 1 << (w & 63)
 	return true
-}
-
-// has reports membership.
-func (b *bitset) has(v int32) bool {
-	return b.words[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
 }
 
 // clear empties the set, touching only the words the summary layer names.

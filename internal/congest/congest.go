@@ -143,21 +143,13 @@ type stagedMsg struct {
 // stagedRec is one staged message copy in the Outbox's per-round SoA
 // delivery queue: a compact record (the arena offset stands in for the
 // 32-byte WireView, which delivery reconstructs) threaded into its
-// receiver's chain through `next`.
+// receiver's circular chain through `next`.
 type stagedRec struct {
 	start int   // bit offset of the encoded copy in the arena
 	from  int32 // sender
-	next  int32 // next record for the same receiver; -1 ends the chain
+	next  int32 // next record for the same receiver; the tail's is the head
 	bits  int32 // encoded length, tag included
 	kind  Kind
-}
-
-// destChain heads one receiver's chain of staged records: head1 is the
-// first record's index plus one, so the zero value is the empty chain and a
-// freshly allocated dest array needs no initialization. beginRound empties
-// last round's chains through the touched list.
-type destChain struct {
-	head1, tail int32
 }
 
 // edgeCell is one directed edge's bit total for the current sender,
@@ -182,12 +174,14 @@ type Outbox struct {
 	arena Writer
 
 	// SoA delivery queue (DESIGN.md "Wire hot-path anatomy"): q holds one
-	// record per staged copy in staging order; dest[to] heads receiver
-	// `to`'s chain through q; touched lists the receivers first staged
-	// this round, in staging order (the frontier claim pass iterates it,
-	// and beginRound empties exactly those chains).
+	// record per staged copy in staging order; receiver `to`'s records form
+	// a circular chain through q, and dest[to] is its tail's index plus one
+	// (0: no chain), so one int32 per receiver reaches both ends; touched
+	// lists the receivers first staged this round, in staging order (the
+	// frontier claim pass iterates it, and beginRound empties exactly those
+	// chains).
 	q       []stagedRec
-	dest    []destChain
+	dest    []int32
 	touched []int32
 
 	// Observer support: the round's staged copies in staging order, kept
@@ -215,7 +209,7 @@ type Outbox struct {
 func newOutbox(nw *Network) *Outbox {
 	return &Outbox{
 		nw:       nw,
-		dest:     make([]destChain, nw.topo.n),
+		dest:     make([]int32, nw.topo.n),
 		keepMsgs: nw.observer != nil,
 		edge:     make([]edgeCell, nw.topo.maxDeg),
 	}
@@ -231,7 +225,7 @@ func (o *Outbox) beginRound(round int) {
 	o.arena.Reset(o.nw.topo.n)
 	o.q = o.q[:0]
 	for _, to := range o.touched {
-		o.dest[to] = destChain{}
+		o.dest[to] = 0
 	}
 	o.touched = o.touched[:0]
 	o.msgs = o.msgs[:0]
@@ -325,16 +319,18 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 	} else if int(eb) > o.maxEdge {
 		o.maxEdge = int(eb)
 	}
+	// The new record becomes the tail: it takes over the old tail's link to
+	// the head, and a first record is its own head.
 	rec := int32(len(o.q))
-	dc := &o.dest[to]
-	if dc.head1 != 0 {
-		o.q[dc.tail].next = rec
+	next := rec
+	if t := o.dest[to] - 1; t >= 0 {
+		next = o.q[t].next
+		o.q[t].next = rec
 	} else {
-		dc.head1 = rec + 1
 		o.touched = append(o.touched, int32(to))
 	}
-	dc.tail = rec
-	o.q = append(o.q, stagedRec{start: start, from: int32(o.sender), next: -1, bits: int32(bits), kind: k})
+	o.dest[to] = rec + 1
+	o.q = append(o.q, stagedRec{start: start, from: int32(o.sender), next: next, bits: int32(bits), kind: k})
 	if o.keepMsgs {
 		o.msgs = append(o.msgs, stagedMsg{from: o.sender, to: to, bits: bits, wire: o.arena.view(start, bits)})
 	}
@@ -355,14 +351,21 @@ func (o *Outbox) replay(obs Observer) {
 func (o *Outbox) sent() int { return len(o.q) }
 
 // appendChain materializes receiver to's staged messages onto buf, in
-// emission order. The views point into the outbox arena, which is stable
-// until the next beginRound (i.e. across the whole receive half).
+// emission order: from the head (the tail's next) round to the tail. The
+// views point into the outbox arena, which is stable until the next
+// beginRound (i.e. across the whole receive half).
 func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
-	for i := o.dest[to].head1 - 1; i >= 0; i = o.q[i].next {
+	t := o.dest[to] - 1
+	if t < 0 {
+		return buf
+	}
+	for i := o.q[t].next; ; i = o.q[i].next {
 		r := &o.q[i]
 		buf = append(buf, Inbound{From: int(r.from), Kind: r.kind, Bits: int(r.bits), wire: o.arena.view(r.start, int(r.bits))})
+		if i == t {
+			return buf
+		}
 	}
-	return buf
 }
 
 // Put encodes and stages one message to neighbor `to`. The cost charged

@@ -2,9 +2,11 @@ package congest
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -134,6 +136,93 @@ func TestEngineEnforcesBandwidth(t *testing.T) {
 	if err := nw.Run(10); err != nil {
 		t.Errorf("run with raised bandwidth: %v", err)
 	}
+}
+
+// TestDeliveryChainOrder pins the Outbox's circular delivery chains. Over
+// three rounds of one Outbox, senders in ascending order stage 1-3 copies
+// each to one receiver, by Put, by the neighbor-row Broadcast fast path and
+// by a validated Broadcast, so every receiver's chain interleaves with the
+// others'. Each inbox must list its copies in exact staging order, the
+// receiver nobody sends to must get an empty inbox, and beginRound must
+// leave every chain empty.
+func TestDeliveryChainOrder(t *testing.T) {
+	const n = 8
+	nw := NewNetworkOn(mustTopology(t, graph.Complete(n)), func(int) Node { return neverDone{} }, WithBandwidth(1<<16))
+	ob, env := newOutbox(nw), newEnv(n)
+	rng := rand.New(rand.NewSource(7))
+	type copyID struct{ from, seq int }
+	checkEmpty := func(when string) {
+		t.Helper()
+		for to := 0; to < n; to++ {
+			if ob.dest[to] != 0 || len(ob.appendChain(to, nil)) != 0 {
+				t.Fatalf("%s: receiver %d still has a chain", when, to)
+			}
+		}
+		if len(ob.touched) != 0 {
+			t.Fatalf("%s: %d receivers still touched", when, len(ob.touched))
+		}
+	}
+	for round := 1; round <= 3; round++ {
+		ob.beginRound(round)
+		checkEmpty(fmt.Sprintf("round %d start", round))
+		want := make([][]copyID, n)
+		// Vertex n-1 neither sends nor receives: in Complete(n) it ends
+		// every other vertex's row, so the Broadcast prefix row[:n-2]
+		// skips it, and every other target is drawn below it.
+		for v := 0; v < n-1; v++ {
+			ob.begin(v)
+			other := func() int {
+				for {
+					if u := rng.Intn(n - 1); u != v {
+						return u
+					}
+				}
+			}
+			to, copies := other(), 1+rng.Intn(3)
+			for seq := 0; seq < copies; seq++ {
+				m := &msgActivate{Dist: seq}
+				var targets []int
+				switch rng.Intn(3) {
+				case 0:
+					targets = []int{to}
+					ob.Put(to, m)
+				case 1:
+					targets = nw.topo.neighbors[v][:n-2]
+					ob.Broadcast(targets, m)
+				default:
+					targets = []int{other(), to}
+					ob.Broadcast(targets, m)
+				}
+				for _, u := range targets {
+					want[u] = append(want[u], copyID{v, seq})
+				}
+			}
+			if ob.err != nil {
+				t.Fatal(ob.err)
+			}
+		}
+		if len(want[n-1]) != 0 {
+			t.Fatalf("round %d: the test staged copies to the untouched receiver", round)
+		}
+		for to := 0; to < n; to++ {
+			inbox := ob.appendChain(to, nil)
+			if len(inbox) != len(want[to]) {
+				t.Fatalf("round %d: receiver %d got %d copies, want %d", round, to, len(inbox), len(want[to]))
+			}
+			for i := range inbox {
+				var m msgActivate
+				if err := inbox[i].Decode(&env, &m); err != nil {
+					t.Fatal(err)
+				}
+				if got := (copyID{inbox[i].From, m.Dist}); got != want[to][i] {
+					t.Fatalf("round %d: receiver %d copy %d = %+v, want %+v (staging order %+v)",
+						round, to, i, got, want[to][i], want[to])
+				}
+			}
+		}
+	}
+	ob.beginRound(4)
+	checkEmpty("after beginRound")
 }
 
 func TestEngineTimesOut(t *testing.T) {

@@ -73,11 +73,11 @@ func (f *capFloodNode) NextWake(env *Env, round int) int {
 // TestEngineFootprintPerVertex pins the engine's per-vertex bookkeeping:
 // the heap bytes NewNetworkOn plus a one-round Run (the capacity flood cut
 // at round 1) allocate on a 256x256 grid, excluding the node program
-// structs (preallocated here). What remains is the program table, the
-// wake and Done arrays, the frontier bitsets and one 8-byte delivery-chain
-// head per vertex (33.4 B in all when the bound was set); one more O(n)
-// array of 8-byte words, or an n-long interface table, breaks the 36 B
-// bound.
+// structs (preallocated here). What remains is 16 B of program table, a
+// 4-byte delivery-chain tail, a 4-byte wake round, one Done bit and about
+// 0.4 B of frontier bitsets per vertex (24.5 B in all when the bound was
+// set); one more O(n) array of 4-byte words, or an n-long interface
+// table, breaks the 27 B bound.
 func TestEngineFootprintPerVertex(t *testing.T) {
 	const side = 256
 	c, err := graph.BuildCSRFromStream(side*side, graph.GridEdges(side, side))
@@ -106,8 +106,8 @@ func TestEngineFootprintPerVertex(t *testing.T) {
 	}
 	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	t.Logf("%.1f B per vertex", perVertex)
-	if perVertex > 36 {
-		t.Errorf("engine allocates %.1f B per vertex, want <= 36", perVertex)
+	if perVertex > 27 {
+		t.Errorf("engine allocates %.1f B per vertex, want <= 27", perVertex)
 	}
 }
 

@@ -2,6 +2,8 @@ package congest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -464,6 +466,150 @@ func TestWaveWakeArenaBound(t *testing.T) {
 		}
 		if got := len(ecc.wave.e.fr.wakeVs); got > 2*n {
 			t.Errorf("EccSession Evaluation (u0 %d): %d wave arena entries, want at most 2n = %d", u0, got, 2*n)
+		}
+	}
+}
+
+// timerNode sleeps on up to two far rounds set as inputs before each Run:
+// the vertex turns Done once executed at or after doneAt (never when
+// doneAt is 0), and its timer fires once executed at or after timer (never
+// when 0), relaying one message to its neighbors the round after. Its
+// NextWake answers the earlier of the two rounds still pending, and keeps
+// answering the timer after the vertex is Done, so a run can end with that
+// registration live. Eager vertices run round 1 whatever their rounds;
+// the others' initial state, which is larger, is only sampled before
+// their first execution.
+type timerNode struct {
+	doneAt, timer int
+	eager         bool
+
+	done, pend bool
+	fired      int
+	seen       int
+	tx         msgChild
+}
+
+func (n *timerNode) Send(env *Env, out *Outbox) {
+	if n.pend {
+		n.pend = false
+		out.Broadcast(env.Neighbors, &n.tx)
+	}
+}
+
+func (n *timerNode) Receive(env *Env, inbox []Inbound) {
+	n.seen += len(inbox)
+	if n.timer != 0 && n.fired == 0 && env.Round >= n.timer {
+		n.fired, n.pend = env.Round, true
+	}
+	if n.doneAt != 0 && env.Round >= n.doneAt {
+		n.done = true
+	}
+}
+
+func (n *timerNode) Done() bool { return n.done && !n.pend }
+
+func (n *timerNode) StateBits() int {
+	if n.fired == 0 && !n.eager {
+		return 96 + n.seen
+	}
+	return 64 + n.seen
+}
+
+func (n *timerNode) NextWake(env *Env, round int) int {
+	if n.pend || (round == 0 && n.eager) {
+		return round + 1
+	}
+	wk := NeverWake
+	if !n.done && n.doneAt > round {
+		wk = n.doneAt
+	}
+	if n.fired == 0 && n.timer > round && (wk == NeverWake || n.timer < wk) {
+		wk = n.timer
+	}
+	return wk
+}
+
+func (n *timerNode) ResetNode() {
+	n.done, n.pend, n.fired, n.seen = false, false, 0, 0
+}
+
+// TestSessionWakeReuse pins the reuse of the wake array across the
+// executions of one Session. Each scenario's first run ends with far
+// registrations still live, either because every vertex turned Done while
+// holding its timer or at the no-quiescence error; later runs register the
+// same far rounds and different ones, which must fire as on a fresh
+// network. Far answers of maxRounds+1, 2^31 and math.MaxInt lie beyond
+// any round budget and must behave as in RunReference too. Every run must
+// match RunReference on a fresh network: outputs, Metrics and error.
+func TestSessionWakeReuse(t *testing.T) {
+	topo := mustTopology(t, graph.RandomConnected(30, 0.1, 3))
+	type input struct {
+		doneAt, timer func(v int) int
+		maxRounds     int
+		wantErr       bool
+	}
+	fingerprint := func(node func(v int) *timerNode) string {
+		var sb strings.Builder
+		for v := 0; v < topo.N(); v++ {
+			nd := node(v)
+			fmt.Fprintf(&sb, "%d/%d/%v;", nd.seen, nd.fired, nd.done)
+		}
+		return sb.String()
+	}
+	at := func(r int) func(int) int { return func(int) int { return r } }
+	spread := func(base, step int) func(int) int { return func(v int) int { return base + step*(v%3) } }
+	const never = 0
+	for _, sc := range []struct {
+		name string
+		runs []input
+	}{
+		{name: "done-with-live-timers", runs: []input{
+			{doneAt: at(1), timer: at(40), maxRounds: 60},
+			{doneAt: at(40), timer: at(40), maxRounds: 60},
+			{doneAt: spread(30, 4), timer: spread(25, 5), maxRounds: 60},
+		}},
+		{name: "timeout-with-live-timers", runs: []input{
+			{doneAt: at(never), timer: at(35), maxRounds: 30, wantErr: true},
+			{doneAt: at(35), timer: at(35), maxRounds: 60},
+			{doneAt: spread(20, 3), timer: spread(12, 7), maxRounds: 60},
+		}},
+		{name: "timers-past-any-budget", runs: []input{
+			{doneAt: at(never), timer: at(31), maxRounds: 30, wantErr: true},
+			{doneAt: at(never), timer: at(1 << 31), maxRounds: 30, wantErr: true},
+			{doneAt: at(3), timer: at(1 << 31), maxRounds: 30},
+			{doneAt: at(never), timer: at(math.MaxInt), maxRounds: 30, wantErr: true},
+			{doneAt: at(3), timer: at(math.MaxInt), maxRounds: 30},
+			{doneAt: spread(10, 1), timer: spread(9, 2), maxRounds: 30},
+		}},
+	} {
+		sess := NewSession(topo, func(v int) *timerNode { return &timerNode{eager: v%3 != 0} })
+		for i, in := range sc.runs {
+			set := func(nd *timerNode, v int) { nd.doneAt, nd.timer = in.doneAt(v), in.timer(v) }
+			ref := NewNetworkOn(topo, func(v int) Node {
+				nd := &timerNode{eager: v%3 != 0}
+				set(nd, v)
+				return nd
+			})
+			refErr := ref.RunReference(in.maxRounds)
+			if (refErr != nil) != in.wantErr {
+				t.Fatalf("%s run %d: reference err = %v, want error %v", sc.name, i+1, refErr, in.wantErr)
+			}
+			for v, nd := range sess.Nodes() {
+				set(nd, v)
+			}
+			err := sess.Run(in.maxRounds)
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Errorf("%s run %d: err %v, reference err %v", sc.name, i+1, err, refErr)
+			}
+			if i == 0 && !slices.ContainsFunc(sess.e.fr.wake, func(r int32) bool { return r != 0 }) {
+				t.Fatalf("%s: run 1 left no far registration live", sc.name)
+			}
+			if got, want := fingerprint(sess.Node), fingerprint(func(v int) *timerNode { return ref.Node(v).(*timerNode) }); got != want {
+				t.Errorf("%s run %d: outputs differ from RunReference", sc.name, i+1)
+			}
+			if got, want := sess.Metrics(), ref.Metrics(); got != want {
+				t.Errorf("%s run %d: Metrics = %+v, reference %+v", sc.name, i+1, got, want)
+			}
 		}
 	}
 }

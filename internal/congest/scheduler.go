@@ -56,9 +56,10 @@ package congest
 // Later wakes wait in one wake queue: a min-heap of round-keyed vertex
 // buckets (wakeBucket). Bucketing makes the common bulk pattern (every
 // vertex registers the same timer round) O(1) per vertex on both the
-// register and the drain side. Wake registrations are epoch-stamped
-// (wake[v] = epoch<<32|round), so resetting a persistent engine between
-// Session executions is one epoch increment, not an O(n) wipe. A
+// register and the drain side. wake[v] holds the round of v's live far
+// registration (0: none), and every live registration has an entry in the
+// execution's registration arena, so resetting a persistent engine between
+// Session executions walks that arena, not all n vertices. A
 // next-round wake leaves a vertex's far registration live (see register),
 // so an execution appends one arena entry per distinct far answer, not
 // one per reception: the all-initiator wave of ClassicalExactDiameter,
@@ -94,6 +95,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -152,8 +154,7 @@ const noBucket = int32(-1)
 // is allocated once (newFrontierState) and recycled across rounds and —
 // via reset — across the executions of a persistent Session engine, so
 // steady-state rounds and re-run Evaluations allocate nothing: the bitsets
-// are fixed arrays, the heap and arena are kept at capacity, and the epoch
-// stamps make the wake array reusable without wiping it.
+// are fixed arrays, and the heap and arena are kept at capacity.
 type frontierState struct {
 	alwaysOn []int32 // vertices without the Scheduled contract, ascending
 
@@ -164,18 +165,16 @@ type frontierState struct {
 	curCount int // |cur|
 	nxtCount int // |nxt|
 
-	epoch uint64   // current execution's stamp epoch (see wake)
-	wake  []uint64 // wake[v] = epoch<<32|round of v's live registration
+	wake []int32 // round of v's live far registration; 0: none
 
 	heap   []wakeBucket // min-heap of closed buckets, by round
 	open   wakeBucket   // the bucket currently receiving appends
 	wakeVs []int32      // append-only registration arena
 
-	done    []bool // last observed Done() per vertex
+	done    []uint64 // bit v&63 of done[v>>6]: v's last observed Done()
 	notDone int
 
-	preMax     int  // max initial StateBits over vertices outside frontier(1)
-	preSampled bool // preMax computed (at the first frontier build)
+	preMax int // max initial StateBits over vertices outside frontier(1)
 }
 
 func newFrontierState(n int, nodes []Node) *frontierState {
@@ -183,9 +182,9 @@ func newFrontierState(n int, nodes []Node) *frontierState {
 		cur:  newBitset(n),
 		nxt:  newBitset(n),
 		rcv:  newBitset(n),
-		wake: make([]uint64, n),
+		wake: make([]int32, n),
 		open: wakeBucket{round: noBucket},
-		done: make([]bool, n),
+		done: make([]uint64, (n+63)>>6),
 	}
 	// The always-active set is fixed by the program types, so it is
 	// collected once per engine. The Scheduled and StateSizer assertions
@@ -200,24 +199,15 @@ func newFrontierState(n int, nodes []Node) *frontierState {
 	return fr
 }
 
-// stamp is the wake-array encoding of a live registration for round wk in
-// the current epoch; stampNone marks "no live registration" this epoch.
-// Entries from earlier epochs never match either, which is what makes
-// reset O(1).
-func (fr *frontierState) stamp(wk int) uint64 { return fr.epoch<<32 | uint64(uint32(wk)) }
-func (fr *frontierState) stampNone() uint64   { return fr.epoch << 32 }
-
-// reset prepares the state for a fresh execution on a persistent engine:
-// an epoch bump invalidates every wake stamp, the heap and arena are
-// truncated, and the bitsets clear through their summary layers — nothing
-// is O(n).
+// reset prepares the state for a fresh execution on a persistent engine.
+// Every vertex with a live far registration has an entry in the previous
+// execution's arena, so clearing the wake rounds of the arena's vertices
+// clears them all; then the heap and arena are truncated, and the bitsets
+// clear through their summary layers. The Done flags are rewritten by
+// execute's initial scan.
 func (fr *frontierState) reset() {
-	fr.epoch++
-	if fr.epoch == 1<<32 {
-		// 2^32 executions on one engine: renumber before epoch<<32|round
-		// could collide with an ancient stamp. Unreachable in practice.
-		fr.epoch = 1
-		clear(fr.wake)
+	for _, v := range fr.wakeVs {
+		fr.wake[v] = 0
 	}
 	fr.heap = fr.heap[:0]
 	fr.wakeVs = fr.wakeVs[:0]
@@ -227,13 +217,12 @@ func (fr *frontierState) reset() {
 	fr.curCount, fr.nxtCount = 0, 0
 	fr.notDone = 0
 	fr.preMax = 0
-	fr.preSampled = false
 }
 
 // heapPush inserts a closed bucket into the min-heap by round. Several
 // buckets may carry the same round (registration runs that were
 // interleaved with other rounds); draining handles duplicates naturally,
-// and vertex-level dedup is the wake stamps' job, so no tie-break order is
+// and vertex-level dedup is the wake array's job, so no tie-break order is
 // needed.
 func (fr *frontierState) heapPush(b wakeBucket) {
 	h := append(fr.heap, b)
@@ -298,17 +287,20 @@ func (fr *frontierState) nextWakeRound() int {
 // Wakes due next round go straight into the next-frontier bitset; later
 // wakes append to the open bucket (same round) or close it and open a new
 // one. The latest far answer wins: re-registering replaces the previous
-// wake (entries with stale stamps are skipped at drain time).
+// wake (entries whose round no longer matches wake[v] are skipped at drain
+// time). A far round beyond MaxInt32 is clamped to it: no run gets through
+// 2^31 rounds, and a vertex executed before its wake is a no-op under the
+// Scheduled contract.
 //
 // A next-round wake leaves the live far registration in place. The vertex
 // runs next round and answers again: repeating the far round is then
-// deduplicated by the stamp instead of appending a fresh entry, a different
+// deduplicated by wake[v] instead of appending a fresh entry, a different
 // round or NeverWake supersedes it, and a bucket that falls due while the
 // vertex is already in the frontier drains it as a no-op. So the arena
 // holds one entry per distinct far answer, not one per reception.
 func (fr *frontierState) register(v int32, wk, cur int) {
 	if wk == NeverWake {
-		fr.wake[v] = fr.stampNone()
+		fr.wake[v] = 0
 		return
 	}
 	if wk <= cur+1 {
@@ -317,32 +309,31 @@ func (fr *frontierState) register(v int32, wk, cur int) {
 		}
 		return
 	}
-	st := fr.stamp(wk)
-	if fr.wake[v] == st {
+	r := int32(min(wk, math.MaxInt32))
+	if fr.wake[v] == r {
 		return // duplicate registration for the same round
 	}
-	fr.wake[v] = st
+	fr.wake[v] = r
 	ob := &fr.open
-	if ob.round != int32(wk) {
+	if ob.round != r {
 		if ob.round != noBucket {
 			ob.end = int32(len(fr.wakeVs))
 			fr.heapPush(*ob)
 		}
-		ob.round = int32(wk)
+		ob.round = r
 		ob.off = int32(len(fr.wakeVs))
 	}
 	fr.wakeVs = append(fr.wakeVs, v)
 }
 
 // drainBucket moves a due bucket's still-live registrations into the
-// frontier: O(1) per vertex (a stamp check and a bitset insert).
+// frontier: O(1) per vertex (a round check and a bitset insert).
 func (fr *frontierState) drainBucket(b wakeBucket) {
-	st := fr.stamp(int(b.round))
 	for _, v := range fr.wakeVs[b.off:b.end] {
-		if fr.wake[v] != st {
+		if fr.wake[v] != b.round {
 			continue // superseded registration
 		}
-		fr.wake[v] = fr.stampNone()
+		fr.wake[v] = 0
 		if fr.cur.add(v) {
 			fr.curCount++
 		}
@@ -371,29 +362,6 @@ func (e *engine) buildFrontier(round int) {
 			fr.curCount++
 		}
 	}
-}
-
-// samplePre records the initial StateBits of every vertex outside the
-// first frontier. RunReference samples every vertex every round, so the
-// states of vertices that are skipped before their first execution are
-// exactly their initial states; folding this maximum (at the end of the
-// first round, like RunReference's first samples) makes Metrics.MaxStateBits
-// match it.
-func (e *engine) samplePre() {
-	fr := e.fr
-	max := 0
-	for v, nd := range e.nw.nodes {
-		if fr.cur.has(int32(v)) {
-			continue
-		}
-		if s, ok := nd.(StateSizer); ok {
-			if b := s.StateBits(); b > max {
-				max = b
-			}
-		}
-	}
-	fr.preMax = max
-	fr.preSampled = true
 }
 
 // send runs the Send half over the frontier, iterating the bitset through
@@ -486,8 +454,8 @@ func (e *engine) receive() {
 						maxState = b
 					}
 				}
-				if d := nd.Done(); d != fr.done[v] {
-					fr.done[v] = d
+				if d, bit := nd.Done(), uint64(1)<<(v&63); d != (fr.done[v>>6]&bit != 0) {
+					fr.done[v>>6] ^= bit
 					if d {
 						fr.notDone--
 					} else {
@@ -500,8 +468,8 @@ func (e *engine) receive() {
 			}
 		}
 	}
-	// The pre-sampled state maximum is folded from the first round on,
-	// when RunReference folds its first samples.
+	// The initial state maximum is folded from the first round on, when
+	// RunReference folds its first samples.
 	m := &nw.metrics
 	m.MaxStateBits = max(m.MaxStateBits, maxState, fr.preMax)
 	m.MaxInboxSize = max(m.MaxInboxSize, maxInbox)
@@ -522,18 +490,31 @@ func (e *engine) execute(maxRounds int) error {
 		nw.observer(0, -1, -1, 0, WireView{}) // run boundary
 	}
 	// Initial scan, one pass over the programs: RunReference's pre-run
-	// allDone probe plus the initial self-wake collection (NextWake after
-	// construction/reset). Both are pure queries, so fusing the passes
-	// only improves locality.
+	// allDone probe, the initial self-wake collection (NextWake after
+	// construction/reset) and the initial StateBits of every vertex outside
+	// frontier(1). RunReference samples every vertex every round, so the
+	// state of a vertex skipped before its first execution is its initial
+	// state; receive folds this maximum from the first round on, when
+	// RunReference folds its first samples. A vertex is in frontier(1)
+	// exactly when it lacks the contract or answers a wake <= 1 other than
+	// NeverWake. All of these are pure queries, so fusing them into one
+	// pass only improves locality.
+	clear(fr.done)
 	env, nbrs := &e.env, nw.topo.neighbors
 	for v, nd := range nw.nodes {
-		d := nd.Done()
-		fr.done[v] = d
-		if !d {
+		if nd.Done() {
+			fr.done[v>>6] |= 1 << (v & 63)
+		} else {
 			fr.notDone++
 		}
-		if sc, ok := nd.(Scheduled); ok {
-			fr.register(int32(v), sc.NextWake(env.bind(v, nbrs[v], 0), 0), 0)
+		sc, ok := nd.(Scheduled)
+		if !ok {
+			continue
+		}
+		wk := sc.NextWake(env.bind(v, nbrs[v], 0), 0)
+		fr.register(int32(v), wk, 0)
+		if s, ok := nd.(StateSizer); ok && (wk == NeverWake || wk > 1) {
+			fr.preMax = max(fr.preMax, s.StateBits())
 		}
 	}
 
@@ -543,9 +524,6 @@ func (e *engine) execute(maxRounds int) error {
 			return nil
 		}
 		e.buildFrontier(round)
-		if !fr.preSampled {
-			e.samplePre()
-		}
 		if fr.curCount == 0 {
 			// Idle until the next self-wake: RunReference would execute
 			// these rounds as empty rounds. Account them identically and
