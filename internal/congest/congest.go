@@ -46,13 +46,14 @@
 // after every execution, including the Receive a message triggers) or
 // that lack the contract entirely are executed — bit-identical to
 // RunReference, which executes every vertex every round, but wall-clock
-// scales with the algorithm's total work instead of n·rounds. The
-// adjacency the engine runs on is a packed CSR core built once per
-// Topology (flat offset/arena arrays; Env.Neighbors slices are views into
-// the arena, and the per-message destination check is a binary search on
-// the packed row). DESIGN.md ("Execution engine", "Scheduler", "Wire
-// format") documents the concurrency model, the determinism argument and
-// the message encodings in full.
+// scales with the algorithm's total work instead of n·rounds. A Topology
+// is a packed CSR core built once (flat offset/arena arrays and nothing
+// per vertex beyond them): each Env.Neighbors is cut from the arena by
+// the vertex's offsets when the engine binds it, and the per-message
+// destination check is a binary search on the packed row. DESIGN.md
+// ("Execution engine", "Scheduler", "Wire format") documents the
+// concurrency model, the determinism argument and the message encodings
+// in full.
 //
 // # Execution sessions
 //
@@ -405,7 +406,7 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 	// take the path. Non-prefix subslices (row[i:] for i > 0) have a
 	// different base pointer and run through the validated path — correct,
 	// just not fast.
-	if row := o.nw.topo.neighbors[o.sender]; len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
+	if row := o.nw.topo.Neighbors(o.sender); len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
 		for i, to := range targets {
 			if o.err != nil {
 				return
@@ -674,9 +675,8 @@ func (nw *Network) Run(maxRounds int) error {
 // validation errors are identical by construction; only the execution
 // strategy differs (no frontier). New code should call Run.
 func (nw *Network) RunReference(maxRounds int) error {
-	n := nw.topo.n
-	nbrs := nw.topo.neighbors
-	env := newEnv(n) // one Env, re-bound before every program call
+	topo := nw.topo
+	env := newEnv(topo.n) // one Env, re-bound before every program call
 	ob := newOutbox(nw)
 	var inbox []Inbound // materialized-inbox scratch, reused per vertex
 	if nw.observer != nil {
@@ -704,7 +704,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 		ob.beginRound(round)
 		for v, nd := range nw.nodes {
 			ob.begin(v)
-			nd.Send(env.bind(v, nbrs[v], round), ob)
+			nd.Send(env.bind(v, topo.Neighbors(v), round), ob)
 			if ob.err != nil {
 				return ob.err
 			}
@@ -732,7 +732,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 			if len(in) > nw.metrics.MaxInboxSize {
 				nw.metrics.MaxInboxSize = len(in)
 			}
-			nd.Receive(env.bind(v, nbrs[v], round), in)
+			nd.Receive(env.bind(v, topo.Neighbors(v), round), in)
 			if s, ok := nd.(StateSizer); ok {
 				if b := s.StateBits(); b > nw.metrics.MaxStateBits {
 					nw.metrics.MaxStateBits = b

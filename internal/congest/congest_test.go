@@ -187,7 +187,7 @@ func TestDeliveryChainOrder(t *testing.T) {
 					targets = []int{to}
 					ob.Put(to, m)
 				case 1:
-					targets = nw.topo.neighbors[v][:n-2]
+					targets = nw.topo.Neighbors(v)[:n-2]
 					ob.Broadcast(targets, m)
 				default:
 					targets = []int{other(), to}

@@ -21,6 +21,7 @@ package congest
 //	go test -run '^$' -fuzz '^FuzzTopologyFromStream$' -fuzztime 60s ./internal/congest
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -223,9 +224,16 @@ func FuzzWireMessage(f *testing.F) {
 // nonzero drift makes the stream's second pass differ from its first (one
 // edge shifted, or dropped when drift's high bit is set); a nonzero corrupt
 // flips the low bit of one CSR offset or target between the two calls.
-// Neither call may panic. Whenever a topology is built, its cached maximum
-// degree must equal its longest row, and neighborIndex must agree with a
-// linear scan of the row for every pair, including out-of-range ones.
+// Neither call may panic. Whenever a topology is built, it must be
+// symmetric, its cached maximum degree must equal its longest row, and
+// neighborIndex must agree with a linear scan of the row for every pair,
+// including out-of-range ones.
+//
+// When the CSR is built and left uncorrupted, a *graph.Graph is built from
+// the same stream and NewTopology must agree with NewTopologyFromCSR:
+// both reject the graph as disconnected, or both give the same topology.
+// A weighted copy of that graph (weights up to 9), through NewTopology and
+// through BuildCSR plus NewTopologyFromCSR, must agree the same way.
 func FuzzTopologyFromStream(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 2, 3, 3, 4}, uint8(0), uint16(0))       // path
 	f.Add(uint8(5), []byte{1, 2, 1, 3, 1, 4, 1, 5}, uint8(0), uint16(0)) // star
@@ -269,6 +277,22 @@ func FuzzTopologyFromStream(f *testing.F) {
 			}
 		}
 		topo, err := NewTopologyFromCSR(c)
+		if corrupt == 0 {
+			g := graph.New(n)
+			stream(func(u, v int) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatalf("stream accepted by the CSR build: %v", err)
+				}
+			})
+			sameTopology(t, "unweighted", g, topo, err)
+			gw := graph.WithWeights(g, 9, int64(len(edges)))
+			cw, errW := gw.BuildCSR()
+			if errW != nil {
+				t.Fatal(errW)
+			}
+			topoW, errW := NewTopologyFromCSR(cw)
+			sameTopology(t, "weighted", gw, topoW, errW)
+		}
 		if err != nil {
 			return
 		}
@@ -281,6 +305,11 @@ func FuzzTopologyFromStream(f *testing.F) {
 					t.Fatalf("neighborIndex(%d, %d) = %d, linear scan of %v finds %d", u, v, got, row, want)
 				}
 			}
+			for _, v := range row {
+				if !topo.HasEdge(v, u) {
+					t.Fatalf("accepted an asymmetric CSR: row %d lists %d, row %d = %v", u, v, v, topo.Neighbors(v))
+				}
+			}
 		}
 		if topo.maxDeg != longest {
 			t.Fatalf("maxDeg = %d, longest row has %d neighbors", topo.maxDeg, longest)
@@ -289,4 +318,28 @@ func FuzzTopologyFromStream(f *testing.F) {
 			t.Fatal("neighborIndex accepts an out-of-range sender")
 		}
 	})
+}
+
+// sameTopology asserts that NewTopology(g) agrees with a topology built
+// from g's CSR (got, or its error): both report ErrDisconnected, or both
+// succeed with identical rows, weights, MaxWeight and maxDeg.
+func sameTopology(t *testing.T, name string, g *graph.Graph, got *Topology, gotErr error) {
+	t.Helper()
+	want, wantErr := NewTopology(g)
+	if errors.Is(gotErr, graph.ErrDisconnected) != errors.Is(wantErr, graph.ErrDisconnected) || (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: NewTopologyFromCSR err = %v, NewTopology err = %v", name, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if got.N() != want.N() || got.MaxWeight() != want.MaxWeight() || got.maxDeg != want.maxDeg || got.Weighted() != want.Weighted() {
+		t.Fatalf("%s: n/maxW/maxDeg/weighted = %d/%d/%d/%v from the CSR, %d/%d/%d/%v from the graph", name,
+			got.N(), got.MaxWeight(), got.maxDeg, got.Weighted(), want.N(), want.MaxWeight(), want.maxDeg, want.Weighted())
+	}
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || !slices.Equal(got.NeighborWeights(v), want.NeighborWeights(v)) {
+			t.Fatalf("%s: row %d = %v %v from the CSR, %v %v from the graph", name, v,
+				got.Neighbors(v), got.NeighborWeights(v), want.Neighbors(v), want.NeighborWeights(v))
+		}
+	}
 }

@@ -375,7 +375,7 @@ func (e *engine) send() error {
 	// beginRound recycles the previous round's delivery chains (the
 	// receive half is done with them) and the arena.
 	ob.beginRound(e.round)
-	env, nbrs, round := &e.env, nw.topo.neighbors, e.round
+	env, topo, round := &e.env, nw.topo, e.round
 	for si, sw := range cur.sum {
 		for sw != 0 {
 			wi := si<<6 + bits.TrailingZeros64(sw)
@@ -385,7 +385,7 @@ func (e *engine) send() error {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				ob.begin(v)
-				nw.nodes[v].Send(env.bind(v, nbrs[v], round), ob)
+				nw.nodes[v].Send(env.bind(v, topo.Neighbors(v), round), ob)
 				if ob.err != nil {
 					return ob.err
 				}
@@ -428,7 +428,7 @@ func (e *engine) receive() {
 	}
 	var maxState, maxInbox int
 	cur, rcv := fr.cur, fr.rcv
-	env, nbrs, round := &e.env, nw.topo.neighbors, e.round
+	env, topo, round := &e.env, nw.topo, e.round
 	for si := range cur.sum {
 		sw := cur.sum[si] | rcv.sum[si]
 		rcv.sum[si] = 0
@@ -446,7 +446,7 @@ func (e *engine) receive() {
 					maxInbox = len(inbox)
 				}
 				// The same binding serves Receive and the NextWake below.
-				env.bind(v, nbrs[v], round)
+				env.bind(v, topo.Neighbors(v), round)
 				nd := nw.nodes[v]
 				nd.Receive(env, inbox)
 				if s, ok := nd.(StateSizer); ok {
@@ -500,7 +500,7 @@ func (e *engine) execute(maxRounds int) error {
 	// NeverWake. All of these are pure queries, so fusing them into one
 	// pass only improves locality.
 	clear(fr.done)
-	env, nbrs := &e.env, nw.topo.neighbors
+	env, topo := &e.env, nw.topo
 	for v, nd := range nw.nodes {
 		if nd.Done() {
 			fr.done[v>>6] |= 1 << (v & 63)
@@ -511,7 +511,7 @@ func (e *engine) execute(maxRounds int) error {
 		if !ok {
 			continue
 		}
-		wk := sc.NextWake(env.bind(v, nbrs[v], 0), 0)
+		wk := sc.NextWake(env.bind(v, topo.Neighbors(v), 0), 0)
 		fr.register(int32(v), wk, 0)
 		if s, ok := nd.(StateSizer); ok && (wk == NeverWake || wk > 1) {
 			fr.preMax = max(fr.preMax, s.StateBits())

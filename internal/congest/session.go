@@ -27,28 +27,23 @@ import (
 // Topology never re-scans the graph. A Topology is immutable after
 // construction and safe to share across sessions, engines and Pool clones.
 //
-// The CSR layout packs the whole adjacency structure into flat arrays —
-// offsets (int32 row starts, one per vertex plus a sentinel) over a single
-// target arena, with an aligned weight arena for weighted graphs — built
-// once here. The per-vertex neighbor slices handed to node programs
-// (Env.Neighbors, Topology.Neighbors) are views into the arena: one
-// allocation per topology instead of one per vertex, contiguous in memory,
-// and the neighbor lookup behind HasEdge is a binary search on the packed
-// row — no graph call, no lock, which matters because the engine validates
-// every message against it. The arena is int-typed (programs address
-// neighbors as int, the public facade included); graph.CSR is the compact
-// int32 twin for callers that only need an oracle.
+// A Topology is its CSR arrays: offsets (int32 row starts, one per vertex
+// plus a sentinel) over a single target arena, with an aligned weight
+// arena for weighted graphs. The neighbor slices handed to node programs
+// (Env.Neighbors, Topology.Neighbors) are cut from the arena by the
+// offsets on demand, with no per-vertex table, and the neighbor lookup
+// behind HasEdge is a binary search on the packed row — no graph call, no
+// lock, which matters because the engine validates every message against
+// it. The arena is int-typed (programs address neighbors as int, the
+// public facade included); graph.CSR is the compact int32 twin for
+// callers that only need an oracle.
 type Topology struct {
-	g *graph.Graph
-	n int
-
-	offsets   []int32 // CSR row offsets, len n+1
-	arena     []int   // flat neighbor arena, row v = arena[offsets[v]:offsets[v+1]]
-	warena    []int   // flat weight arena aligned with arena; nil for unweighted graphs
-	neighbors [][]int // per-vertex views into arena
-	weights   [][]int // per-vertex views into warena; nil for unweighted graphs
-	maxW      int
-	maxDeg    int // longest row: the size of an Outbox's per-sender edge ledger
+	n       int
+	offsets []int32 // CSR row offsets, len n+1
+	arena   []int   // flat neighbor arena, row v = arena[offsets[v]:offsets[v+1]]
+	warena  []int   // flat weight arena aligned with arena; nil for unweighted graphs
+	maxW    int
+	maxDeg  int // longest row: the size of an Outbox's per-sender edge ledger
 }
 
 // errNilGraph is what every graph-taking entry point of this package
@@ -61,50 +56,30 @@ var errEmptyGraph = errors.New("congest: empty graph")
 
 // NewTopology validates g (it must be connected, like every algorithm in
 // this repository assumes) and packs its adjacency (and, for weighted
-// graphs, the aligned edge-weight tables) into the CSR arenas.
+// graphs, the aligned edge weights) into the CSR arenas. The graph is not
+// retained.
 func NewTopology(g *graph.Graph) (*Topology, error) {
 	if g == nil {
 		return nil, errNilGraph
 	}
-	if !g.Connected() {
-		return nil, graph.ErrDisconnected
-	}
 	n := g.N()
-	t := &Topology{
-		g:         g,
-		n:         n,
-		offsets:   make([]int32, n+1),
-		arena:     make([]int, 2*g.M()),
-		neighbors: make([][]int, n),
-		maxW:      1,
-	}
-	weighted := g.Weighted()
-	if weighted {
+	t := &Topology{n: n, offsets: make([]int32, n+1), arena: make([]int, 2*g.M())}
+	if g.Weighted() {
 		t.warena = make([]int, 2*g.M())
-		t.weights = make([][]int, n)
-		t.maxW = g.MaxWeight()
-	}
-	if err := validateDistBound(n, t.maxW); err != nil {
-		return nil, err
 	}
 	off := int32(0)
 	for v := 0; v < n; v++ {
 		t.offsets[v] = off
-		// Neighbors sorts the adjacency list on first use; after this loop
-		// the graph is never read again on any hot path.
+		// Neighbors sorts the adjacency list on first use.
 		row := g.Neighbors(v)
 		copy(t.arena[off:], row)
-		t.neighbors[v] = t.arena[off : off+int32(len(row)) : off+int32(len(row))]
-		t.maxDeg = max(t.maxDeg, len(row))
-		if weighted {
-			w := g.NeighborWeights(v)
-			copy(t.warena[off:], w)
-			t.weights[v] = t.warena[off : off+int32(len(w)) : off+int32(len(w))]
+		if t.warena != nil {
+			copy(t.warena[off:], g.NeighborWeights(v))
 		}
 		off += int32(len(row))
 	}
 	t.offsets[n] = off
-	return t, nil
+	return t.finish(nil)
 }
 
 // NewTopologyFromCSR builds a Topology directly from a packed CSR — the
@@ -112,31 +87,40 @@ func NewTopology(g *graph.Graph) (*Topology, error) {
 // constructor takes a 10M-vertex grid from nothing to a runnable Topology
 // in a handful of allocations, never materializing a *graph.Graph. The CSR
 // must describe a simple undirected graph with ascending rows (what
-// BuildCSR and BuildCSRFromStream produce); connectivity is verified here
-// with an allocation-lean BFS, and the int32 offsets array is shared with
-// the CSR rather than copied. A Topology built this way has no underlying
-// *graph.Graph (Graph returns nil).
+// BuildCSR and BuildCSRFromStream produce): one O(m) pass checks every
+// row's range, loops and order, and that each edge appears in both
+// directions with equal weights. The int32 offsets array is shared with
+// the CSR rather than copied.
 func NewTopologyFromCSR(c *graph.CSR) (*Topology, error) {
+	if c == nil {
+		return nil, errors.New("congest: nil CSR")
+	}
 	if len(c.Offsets) == 0 || c.Offsets[0] != 0 || int(c.Offsets[len(c.Offsets)-1]) != len(c.Targets) {
 		return nil, fmt.Errorf("congest: malformed CSR offsets")
 	}
-	n := c.N()
-	t := &Topology{
-		n:         n,
-		offsets:   c.Offsets,
-		arena:     make([]int, len(c.Targets)),
-		neighbors: make([][]int, n),
-		maxW:      1,
+	if c.Weights != nil && len(c.Weights) != len(c.Targets) {
+		return nil, fmt.Errorf("congest: malformed CSR: %d weights for %d targets", len(c.Weights), len(c.Targets))
 	}
+	n := c.N()
+	t := &Topology{n: n, offsets: c.Offsets, arena: make([]int, len(c.Targets))}
 	if c.Weights != nil {
 		t.warena = make([]int, len(c.Weights))
-		t.weights = make([][]int, n)
 	}
+	// Symmetry is checked in the same pass, against rows already checked:
+	// an entry w < v of row v must reappear in row w above the diagonal.
+	// Those upper entries of row w are exactly the later rows that list w,
+	// in ascending order, so one cursor per row, starting at its first
+	// upper entry, matches them as the rows go by. Each match consumes a
+	// distinct upper entry, so the CSR is symmetric exactly when the lower
+	// entries are half of all entries.
+	cursor := make([]int32, n)
+	lower := 0
 	for v := 0; v < n; v++ {
 		lo, hi := c.Offsets[v], c.Offsets[v+1]
 		if lo > hi || int(hi) > len(c.Targets) {
 			return nil, fmt.Errorf("congest: malformed CSR offsets at vertex %d", v)
 		}
+		cursor[v] = hi
 		prev := -1
 		for i := lo; i < hi; i++ {
 			w := int(c.Targets[i])
@@ -151,9 +135,25 @@ func NewTopologyFromCSR(c *graph.CSR) (*Topology, error) {
 			}
 			prev = w
 			t.arena[i] = w
+			if w > v {
+				if cursor[v] == hi {
+					cursor[v] = i
+				}
+				continue
+			}
+			lower++
+			j := cursor[w]
+			if j < c.Offsets[w+1] && int(c.Targets[j]) < v {
+				return nil, asymmetric(w, int(c.Targets[j]))
+			}
+			if j == c.Offsets[w+1] || int(c.Targets[j]) != v {
+				return nil, asymmetric(v, w)
+			}
+			if c.Weights != nil && c.Weights[j] != c.Weights[i] {
+				return nil, fmt.Errorf("congest: CSR edge {%d, %d} weighs %d in row %d but %d in row %d", w, v, c.Weights[j], w, c.Weights[i], v)
+			}
+			cursor[w]++
 		}
-		t.neighbors[v] = t.arena[lo:hi:hi]
-		t.maxDeg = max(t.maxDeg, int(hi-lo))
 		if c.Weights != nil {
 			for i := lo; i < hi; i++ {
 				wt := int(c.Weights[i])
@@ -161,38 +161,76 @@ func NewTopologyFromCSR(c *graph.CSR) (*Topology, error) {
 					return nil, fmt.Errorf("congest: CSR edge weight %d < 1 at vertex %d", wt, v)
 				}
 				t.warena[i] = wt
-				if wt > t.maxW {
-					t.maxW = wt
-				}
 			}
-			t.weights[v] = t.warena[lo:hi:hi]
 		}
 	}
-	if err := validateDistBound(n, t.maxW); err != nil {
-		return nil, err
+	if 2*lower != len(c.Targets) {
+		for w, j := range cursor {
+			if j != c.Offsets[w+1] {
+				return nil, asymmetric(w, int(c.Targets[j]))
+			}
+		}
 	}
-	if n > 0 {
-		dist := make([]int32, n)
-		queue := make([]int32, n)
-		if reached, _ := c.BFSInto(0, dist, queue); reached != n {
+	return t.finish(cursor)
+}
+
+// finish is both constructors' tail, run once the offsets and arenas are
+// filled: it derives the longest row and the largest weight, verifies
+// connectivity with one BFS over the arena, then rejects a distance bound
+// that overflows. queue is n-long int32 scratch the caller is done with,
+// or nil to allocate it.
+func (t *Topology) finish(queue []int32) (*Topology, error) {
+	t.maxW = 1
+	for _, w := range t.warena {
+		t.maxW = max(t.maxW, w)
+	}
+	if t.n > 0 {
+		if queue == nil {
+			queue = make([]int32, t.n)
+		}
+		// The BFS reads every row exactly when the graph is connected, so
+		// it also finds the longest one.
+		seen, reached := make([]uint64, (t.n+63)>>6), 1
+		seen[0], queue[0] = 1, 0
+		for head := 0; head < reached; head++ {
+			row := t.Neighbors(int(queue[head]))
+			t.maxDeg = max(t.maxDeg, len(row))
+			for _, w := range row {
+				if seen[w>>6]&(1<<(w&63)) == 0 {
+					seen[w>>6] |= 1 << (w & 63)
+					queue[reached] = int32(w)
+					reached++
+				}
+			}
+		}
+		if reached != t.n {
 			return nil, graph.ErrDisconnected
 		}
 	}
+	if err := validateDistBound(t.n, t.maxW); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// asymmetric is NewTopologyFromCSR's error for an entry v in row u whose
+// reverse entry u is missing from row v.
+func asymmetric(u, v int) error {
+	return fmt.Errorf("congest: CSR is not symmetric: row %d lists %d, row %d does not list %d", u, v, v, u)
 }
 
 // N returns the number of vertices.
 func (t *Topology) N() int { return t.n }
 
-// Graph returns the underlying graph (read-only by convention). Topologies
-// built by NewTopologyFromCSR have none; they return nil.
-func (t *Topology) Graph() *graph.Graph { return t.g }
-
-// Neighbors returns the sorted adjacency list of v; it must not be modified.
-func (t *Topology) Neighbors(v int) []int { return t.neighbors[v] }
+// Neighbors returns the sorted adjacency list of v, a view into the arena;
+// it must not be modified.
+func (t *Topology) Neighbors(v int) []int {
+	lo, hi := t.offsets[v], t.offsets[v+1]
+	return t.arena[lo:hi:hi]
+}
 
 // Degree returns the degree of v.
-func (t *Topology) Degree(v int) int { return len(t.neighbors[v]) }
+func (t *Topology) Degree(v int) int { return int(t.offsets[v+1] - t.offsets[v]) }
 
 // HasEdge reports whether {u, v} is an edge (see neighborIndex).
 func (t *Topology) HasEdge(u, v int) bool { return t.neighborIndex(u, v) >= 0 }
@@ -228,15 +266,16 @@ func neighborIndex(neighbors []int, id int) int {
 }
 
 // Weighted reports whether the underlying graph carries edge weights.
-func (t *Topology) Weighted() bool { return t.weights != nil }
+func (t *Topology) Weighted() bool { return t.warena != nil }
 
 // NeighborWeights returns the edge weights aligned with Neighbors(v), or nil
 // for an unweighted topology (all weights 1); it must not be modified.
 func (t *Topology) NeighborWeights(v int) []int {
-	if t.weights == nil {
+	if t.warena == nil {
 		return nil
 	}
-	return t.weights[v]
+	lo, hi := t.offsets[v], t.offsets[v+1]
+	return t.warena[lo:hi:hi]
 }
 
 // MaxWeight returns the largest edge weight (1 when unweighted).

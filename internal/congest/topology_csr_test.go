@@ -30,9 +30,6 @@ func TestTopologyFromCSRMatchesGraphPath(t *testing.T) {
 	if got.N() != want.N() {
 		t.Fatalf("N = %d, want %d", got.N(), want.N())
 	}
-	if got.Graph() != nil {
-		t.Errorf("CSR-built topology Graph() = %v, want nil", got.Graph())
-	}
 	for v := 0; v < want.N(); v++ {
 		a, b := got.Neighbors(v), want.Neighbors(v)
 		if len(a) != len(b) {
@@ -100,14 +97,31 @@ func TestTopologyFromCSRWeighted(t *testing.T) {
 	}
 }
 
-// TestTopologyFromCSRValidation rejects malformed and disconnected CSRs.
+// TestTopologyFromCSRValidation rejects malformed, asymmetric and
+// disconnected CSRs.
 func TestTopologyFromCSRValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		c    *graph.CSR
 		want string
 	}{
+		{"nil", nil, "nil CSR"},
 		{"empty-offsets", &graph.CSR{}, "malformed"},
+		{"short-weights", &graph.CSR{Offsets: []int32{0, 1, 2}, Targets: []int32{1, 0}, Weights: []int32{3}}, "malformed"},
+		{"long-weights", &graph.CSR{Offsets: []int32{0, 1, 2}, Targets: []int32{1, 0}, Weights: []int32{3, 3, 3}}, "malformed"},
+		{"one-way-up", &graph.CSR{Offsets: []int32{0, 1, 1}, Targets: []int32{1}}, "row 0 lists 1, row 1 does not list 0"},
+		{"one-way-down", &graph.CSR{Offsets: []int32{0, 0, 1}, Targets: []int32{0}}, "row 1 lists 0, row 0 does not list 1"},
+		{ // row 2 lists 0 and row 0 lists 2, but row 0's 1 is unanswered
+			name: "skipped",
+			c:    &graph.CSR{Offsets: []int32{0, 2, 2, 3}, Targets: []int32{1, 2, 0}},
+			want: "row 0 lists 1, row 1 does not list 0",
+		},
+		{ // 0-1 both ways, but 0-2 only from 0 and 1-2 only from 2
+			name: "crossed",
+			c:    &graph.CSR{Offsets: []int32{0, 2, 3, 4}, Targets: []int32{1, 2, 0, 1}},
+			want: "row 2 lists 1, row 1 does not list 2",
+		},
+		{"weight-asymmetric", &graph.CSR{Offsets: []int32{0, 1, 2}, Targets: []int32{1, 0}, Weights: []int32{3, 4}}, "weighs"},
 		{"bad-sentinel", &graph.CSR{Offsets: []int32{0, 1}, Targets: []int32{1, 0}}, "malformed"},
 		{"out-of-range", &graph.CSR{Offsets: []int32{0, 1, 2}, Targets: []int32{5, 0}}, "out of range"},
 		{"self-loop", &graph.CSR{Offsets: []int32{0, 1, 2}, Targets: []int32{0, 0}}, "self-loop"},

@@ -11,11 +11,11 @@ package graph
 //
 // — so a million-vertex network costs three allocations instead of
 // millions, fits in a fraction of the memory, and scans with perfect
-// locality. congest.Topology builds the same layout (with an int-typed
-// target arena, since node programs address neighbors as int); this type is
-// the compact reference form used by the scale tests, the metropolis
-// example and any caller that wants an oracle over graphs too large for
-// per-vertex slices.
+// locality. congest.Topology is the same layout and nothing more: it shares
+// a CSR's Offsets and copies Targets (and Weights) into int-typed arenas,
+// since node programs address neighbors as int. This type is the compact
+// reference form used by the scale tests, the metropolis example and any
+// caller that wants an oracle over graphs too large for per-vertex slices.
 
 import "fmt"
 
