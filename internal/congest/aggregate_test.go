@@ -19,21 +19,13 @@ var aggKinds = []Kind{KindMax, KindWMax, KindSum, KindCutSum}
 func TestConvergecastCountsOnlyItsKind(t *testing.T) {
 	const n, bound, own = 8, 20, 4
 	sent := map[Kind]int{KindMax: 5, KindWMax: 6, KindSum: 7, KindCutSum: 9}
-	var w Writer
-	w.Reset(n)
-	var inbox []Inbound
+	var msgs []WireMessage
 	for _, k := range aggKinds {
-		off := w.Len()
-		w.WriteUint(uint64(k), KindBits)
-		(&msgAgg{Value: sent[k], Witness: 3, Bound: bound, kind: k}).MarshalWire(&w)
-		if w.Err() != nil {
-			t.Fatalf("%v: %v", k, w.Err())
-		}
-		inbox = append(inbox, Inbound{From: 3, Kind: k, Bits: w.Len() - off, wire: w.view(off, w.Len()-off)})
+		msgs = append(msgs, &msgAgg{Value: sent[k], Witness: 3, Bound: bound, kind: k})
 	}
+	inbox, env := inboxOf(t, n, 3, msgs...)
 	for _, k := range aggKinds {
 		c := NewConvergecastNode(k, -1, []int{1, 2, 3}, own, 0, bound)
-		env := newEnv(n)
 		c.Receive(env.bind(0, []int{1, 2, 3}, 1), inbox)
 		want, wantWitness := max(own, sent[k]), 3
 		if k == KindSum || k == KindCutSum {
@@ -75,23 +67,11 @@ func TestConvergecastOtherKindFails(t *testing.T) {
 // and ignore the out-of-range slot instead of indexing past its vector.
 func TestSlotConvergecastKinds(t *testing.T) {
 	const n, slots, bound = 8, 2, 20
-	var w Writer
-	w.Reset(n)
-	var inbox []Inbound
-	for _, m := range []msgSlot{
-		{kind: KindSrcMax, Slot: 1, Val: 9},
-		{kind: KindSrcMax, Slot: n - 1, Val: 9},
-		{kind: KindSkelUp, Slot: 0, Val: 3, Slots: slots, Bound: bound},
-		{kind: KindSkelDown, Slot: 1, Val: 4, Slots: slots, Bound: bound},
-	} {
-		off := w.Len()
-		w.WriteUint(uint64(m.kind), KindBits)
-		m.MarshalWire(&w)
-		if w.Err() != nil {
-			t.Fatalf("%v: %v", m.kind, w.Err())
-		}
-		inbox = append(inbox, Inbound{From: 1, Kind: m.kind, Bits: w.Len() - off, wire: w.view(off, w.Len()-off)})
-	}
+	inbox, env := inboxOf(t, n, 1,
+		&msgSlot{kind: KindSrcMax, Slot: 1, Val: 9},
+		&msgSlot{kind: KindSrcMax, Slot: n - 1, Val: 9},
+		&msgSlot{kind: KindSkelUp, Slot: 0, Val: 3, Slots: slots, Bound: bound},
+		&msgSlot{kind: KindSkelDown, Slot: 1, Val: 4, Slots: slots, Bound: bound})
 	info := &PreInfo{Parent: []int{-1, 0}, Depth: []int{0, 1}, Children: [][]int{{1}, nil}, D: 1}
 	for _, c := range []struct {
 		node *SlotConvergecastNode
@@ -100,7 +80,6 @@ func TestSlotConvergecastKinds(t *testing.T) {
 		{NewSlotConvergecastNode(info, 0, KindSrcMax, kindInvalid, slots, 0, -1, []int{5, -1}), []int{5, 9}},
 		{NewSlotConvergecastNode(info, 0, KindSkelUp, KindSkelDown, slots, bound, 0, nil), []int{3, 4}},
 	} {
-		env := newEnv(n)
 		c.node.Receive(env.bind(0, []int{1}, 1), inbox)
 		if !slices.Equal(c.node.Vec, c.want) {
 			t.Errorf("%v node: Vec %v, want %v", c.node.up, c.node.Vec, c.want)

@@ -77,7 +77,7 @@ func TestBroadcastNeighborRowPrefix(t *testing.T) {
 			if len(got) != len(tc.targets) {
 				t.Fatalf("staged to %d destinations, want %d", len(got), len(tc.targets))
 			}
-			if !inboundMapsEqual(got, want) {
+			if !inboundMapsEqual(got, ob, want, obW) {
 				t.Errorf("Broadcast(%v) staging differs from the Put-per-target oracle", tc.targets)
 			}
 			if ob.sent() != obW.sent() || ob.bitsTotal != obW.bitsTotal || ob.maxEdge != obW.maxEdge {
@@ -92,7 +92,7 @@ func TestBroadcastNeighborRowPrefix(t *testing.T) {
 	if ob.err != nil {
 		t.Fatal(ob.err)
 	}
-	if !inboundMapsEqual(gotFull, wantFull) {
+	if !inboundMapsEqual(gotFull, ob, wantFull, obWant) {
 		t.Error("full-row Broadcast differs from the Put-per-target oracle")
 	}
 
@@ -116,9 +116,11 @@ func TestBroadcastNeighborRowPrefix(t *testing.T) {
 	}
 }
 
-// inboundMapsEqual compares staged inboxes by delivered content (sender,
-// kind, bits and the encoded wire bits), not by arena pointers.
-func inboundMapsEqual(a, b map[int][]Inbound) bool {
+// inboundMapsEqual compares staged inboxes, a of outbox ao and b of bo, by
+// delivered content (sender, kind, bits and the encoded wire bits), not by
+// arena positions.
+func inboundMapsEqual(a map[int][]Inbound, ao *Outbox, b map[int][]Inbound, bo *Outbox) bool {
+	aw, bw := ao.arena.written(), bo.arena.written()
 	if len(a) != len(b) {
 		return false
 	}
@@ -129,11 +131,12 @@ func inboundMapsEqual(a, b map[int][]Inbound) bool {
 		}
 		for i := range as {
 			x, y := as[i], bs[i]
-			if x.From != y.From || x.Kind != y.Kind || x.Bits != y.Bits || x.wire.Len() != y.wire.Len() {
+			if x.From != y.From || x.Kind != y.Kind || x.Bits != y.Bits {
 				return false
 			}
-			for j := 0; j < x.wire.Len(); j++ {
-				if x.wire.Bit(j) != y.wire.Bit(j) {
+			xw, yw := wireOf(aw, x), wireOf(bw, y)
+			for j := 0; j < xw.Len(); j++ {
+				if xw.Bit(j) != yw.Bit(j) {
 					return false
 				}
 			}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -47,4 +48,33 @@ func TestEngineConstructionBytesPerVertex(t *testing.T) {
 	if env := float64(unsafe.Sizeof(Env{})); perVertex >= env {
 		t.Errorf("engine construction costs %.1f B per vertex, want less than one %.0f B Env", perVertex, env)
 	}
+}
+
+// TestMessageRecordLayout pins the two records every delivered copy passes
+// through: the staged queue record at most 20 B, and the Inbound at 24 B
+// with no pointer-bearing field, so an inbox scratch is noscan memory and
+// writing a record pays no GC write barrier.
+func TestMessageRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Inbound{}); got != 24 {
+		t.Errorf("Inbound is %d B, want 24", got)
+	}
+	if got := unsafe.Sizeof(stagedRec{}); got > 20 {
+		t.Errorf("stagedRec is %d B, want at most 20", got)
+	}
+	var pointers func(typ reflect.Type, path string)
+	pointers = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				pointers(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			pointers(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %v: an Inbound must hold no pointer", path, typ.Kind())
+		}
+	}
+	pointers(reflect.TypeOf(Inbound{}), "Inbound")
 }

@@ -50,10 +50,10 @@
 // is a packed CSR core built once (flat offset/arena arrays and nothing
 // per vertex beyond them): each Env.Neighbors is cut from the arena by
 // the vertex's offsets when the engine binds it, and the per-message
-// destination check is a binary search on the packed row. DESIGN.md
-// ("Execution engine", "Scheduler", "Wire format") documents the
-// concurrency model, the determinism argument and the message encodings
-// in full.
+// destination check is a branchless binary search on the packed row.
+// DESIGN.md ("Execution engine", "Scheduler", "Wire format") documents
+// the concurrency model, the determinism argument and the message
+// encodings in full.
 //
 // # Execution sessions
 //
@@ -77,44 +77,60 @@ package congest
 
 import (
 	"fmt"
+	"slices"
 
 	"qcongest/internal/graph"
 )
 
 // Inbound is a message as seen by its receiver: the sender, the decoded
-// kind tag, the encoded length in bits (tag included), and the encoded
-// payload, which Decode unpacks into a typed message.
+// kind tag, the encoded length in bits (tag included), and where the
+// encoded message starts in the round's arena, which Decode reads through
+// the env to unpack a typed message.
+//
+// Every delivered copy writes one Inbound into the receiver's inbox, so
+// the record is kept at 24 B with no pointer in it: the arena position is
+// a word index and a bit shift, which fit in the padding after Kind, and
+// the arena itself is reached through the Env (an inbox of pointer-free
+// records is noscan memory, and copying one pays no GC write barrier).
 type Inbound struct {
 	From int
 	Kind Kind
-	Bits int
 
-	wire WireView
+	shift uint8  // bit offset of the message start within its first arena word
+	word  uint32 // index of that word in the round's arena
+
+	Bits int
 }
 
 // Decode unpacks the message payload into m, whose WireKind must equal the
-// inbound kind. The env must be the one the engine passed to Receive (it
-// holds the engine's decode scratch, which is what keeps the receive path
-// allocation-free); decode into a reusable struct for the same
-// reason.
+// inbound kind. The env must be the one the engine passed to Receive: it
+// holds the round's arena, which the inbound indexes, and the engine's
+// decode scratch, which is what keeps the receive path allocation-free;
+// decode into a reusable struct for the same reason. An env whose arena
+// does not hold the message (a zero Env, or one bound to another network)
+// is an error.
 func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	if k := m.WireKind(); k != in.Kind {
 		return fmt.Errorf("congest: cannot decode %v message into %v", in.Kind, k)
+	}
+	rd := &env.rd // rd.N is fixed to env.N, and rd.words is the arena
+	start := int(in.word)<<6 + int(in.shift)
+	if in.Bits < KindBits || in.Bits > len(rd.words)<<6-start {
+		return fmt.Errorf("congest: %v message at arena bit %d (%d bits) is outside the env's %d-word arena; decode with the env Receive was given",
+			in.Kind, start, in.Bits, len(rd.words))
 	}
 	// Single-word fast path for the built-in kinds: the whole message fits
 	// one uint64, so the payload is one shift-and-mask away. unpack accepts
 	// exactly the payloads the field-by-field decode accepts cleanly; on
 	// false we fall through to the generic path, which reproduces the
 	// canonical error.
-	if fm, fast := m.(fieldMessage); fast && in.wire.bits <= 64 {
-		if fm.fields(env.N).unpack(in.wire.word()>>KindBits, int(in.wire.bits)-KindBits) {
+	if fm, fast := m.(fieldMessage); fast && in.Bits <= 64 {
+		if fm.fields(env.N).unpack(arenaWord(rd.words, int(in.word), uint(in.shift), in.Bits)>>KindBits, in.Bits-KindBits) {
 			return nil
 		}
 	}
-	rd := &env.rd // rd.N is fixed to env.N by the engine
-	rd.words = in.wire.words
-	rd.off = int(in.wire.off) + KindBits
-	rd.end = int(in.wire.off) + int(in.wire.bits)
+	rd.off = start + KindBits
+	rd.end = start + in.Bits
 	if rd.err != nil {
 		rd.err = nil
 	}
@@ -125,14 +141,10 @@ func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	// The wire contract is exact: UnmarshalWire must consume every payload
 	// bit MarshalWire wrote, or the codec pair is inconsistent.
 	if left := rd.Remaining(); left != 0 {
-		return fmt.Errorf("congest: %v decode left %d of %d payload bits unread", in.Kind, left, int(in.wire.bits)-KindBits)
+		return fmt.Errorf("congest: %v decode left %d of %d payload bits unread", in.Kind, left, in.Bits-KindBits)
 	}
 	return nil
 }
-
-// Wire returns the encoded message (kind tag included). Like the inbox, the
-// view is only valid for the duration of the Receive call.
-func (in *Inbound) Wire() WireView { return in.wire }
 
 // stagedMsg is one staged message copy as the observer sees it.
 type stagedMsg struct {
@@ -142,14 +154,15 @@ type stagedMsg struct {
 }
 
 // stagedRec is one staged message copy in the Outbox's per-round SoA
-// delivery queue: a compact record (the arena offset stands in for the
-// 32-byte WireView, which delivery reconstructs) threaded into its
-// receiver's circular chain through `next`.
+// delivery queue: a compact 20-byte record, threaded into its receiver's
+// circular chain through `next`, from which appendChain writes the
+// receiver's Inbound (the arena position is the same word index and shift).
 type stagedRec struct {
-	start int   // bit offset of the encoded copy in the arena
-	from  int32 // sender
-	next  int32 // next record for the same receiver; the tail's is the head
-	bits  int32 // encoded length, tag included
+	word  uint32 // arena word holding the first bit of the encoded copy
+	from  int32  // sender
+	next  int32  // next record for the same receiver; the tail's is the head
+	bits  int32  // encoded length, tag included
+	shift uint8  // bit offset of the copy within arena word `word`
 	kind  Kind
 }
 
@@ -321,17 +334,26 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 		o.maxEdge = int(eb)
 	}
 	// The new record becomes the tail: it takes over the old tail's link to
-	// the head, and a first record is its own head.
+	// the head, and a first record is its own head. The queue grows by one
+	// element and the record is written field by field in place: appending
+	// a composite literal builds it on the stack first and copies it, a
+	// store-forwarding stall on every staged copy.
 	rec := int32(len(o.q))
-	next := rec
+	if len(o.q) == cap(o.q) {
+		o.q = slices.Grow(o.q, 1)
+	}
+	o.q = o.q[:rec+1]
+	r := &o.q[rec]
+	r.next = rec
 	if t := o.dest[to] - 1; t >= 0 {
-		next = o.q[t].next
+		r.next = o.q[t].next
 		o.q[t].next = rec
 	} else {
 		o.touched = append(o.touched, int32(to))
 	}
 	o.dest[to] = rec + 1
-	o.q = append(o.q, stagedRec{start: start, from: int32(o.sender), next: next, bits: int32(bits), kind: k})
+	r.word, r.shift = uint32(start>>6), uint8(start&63)
+	r.from, r.bits, r.kind = int32(o.sender), int32(bits), k
 	if o.keepMsgs {
 		o.msgs = append(o.msgs, stagedMsg{from: o.sender, to: to, bits: bits, wire: o.arena.view(start, bits)})
 	}
@@ -353,8 +375,11 @@ func (o *Outbox) sent() int { return len(o.q) }
 
 // appendChain materializes receiver to's staged messages onto buf, in
 // emission order: from the head (the tail's next) round to the tail. The
-// views point into the outbox arena, which is stable until the next
-// beginRound (i.e. across the whole receive half).
+// records index the outbox arena, which is stable until the next
+// beginRound (i.e. across the whole receive half); Decode reads it through
+// the Env, whose arena the engine sets to the outbox's at the start of the
+// half. Like stageEdge, it grows buf by one element and writes each
+// Inbound in place rather than appending a literal.
 func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 	t := o.dest[to] - 1
 	if t < 0 {
@@ -362,7 +387,14 @@ func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 	}
 	for i := o.q[t].next; ; i = o.q[i].next {
 		r := &o.q[i]
-		buf = append(buf, Inbound{From: int(r.from), Kind: r.kind, Bits: int(r.bits), wire: o.arena.view(r.start, int(r.bits))})
+		n := len(buf)
+		if n == cap(buf) {
+			buf = slices.Grow(buf, 1)
+		}
+		buf = buf[:n+1]
+		in := &buf[n]
+		in.From, in.Kind, in.Bits = int(r.from), r.kind, int(r.bits)
+		in.word, in.shift = r.word, r.shift
 		if i == t {
 			return buf
 		}
@@ -434,7 +466,10 @@ type Env struct {
 	Neighbors []int // ascending; must not be modified
 	Round     int   // current round, starting at 1
 
-	rd Reader // decode scratch used by Inbound.Decode, reset per message
+	// rd is the decode scratch Inbound.Decode reuses per message. Its words
+	// are the round's arena, which every Inbound indexes: the engines set
+	// them at the start of each receive half.
+	rd Reader
 }
 
 // newEnv returns an Env for a network of n vertices, not yet bound to a
@@ -443,7 +478,9 @@ func newEnv(n int) Env { return Env{N: n, rd: Reader{N: n}} }
 
 // bind points env at vertex v (whose sorted adjacency row is nbrs) in the
 // given round and returns it, ready to pass to one program call. N and the
-// decode scratch carry over: Decode resets the scratch per message.
+// decode scratch with its arena carry over: the engines set the arena at
+// the start of each receive half, and Decode resets the rest of the
+// scratch per message.
 func (env *Env) bind(v int, nbrs []int, round int) *Env {
 	env.ID, env.Neighbors, env.Round = v, nbrs, round
 	return env
@@ -725,7 +762,8 @@ func (nw *Network) RunReference(maxRounds int) error {
 
 		// Receive half. The single outbox's chains are already canonical
 		// (ascending senders by construction); each inbox is materialized
-		// into the reused scratch.
+		// into the reused scratch, and decodes from the round's arena.
+		env.rd.words = ob.arena.written()
 		for v, nd := range nw.nodes {
 			in := ob.appendChain(v, inbox[:0])
 			inbox = in

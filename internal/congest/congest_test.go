@@ -204,6 +204,7 @@ func TestDeliveryChainOrder(t *testing.T) {
 		if len(want[n-1]) != 0 {
 			t.Fatalf("round %d: the test staged copies to the untouched receiver", round)
 		}
+		env.rd.words = ob.arena.written()
 		for to := 0; to < n; to++ {
 			inbox := ob.appendChain(to, nil)
 			if len(inbox) != len(want[to]) {

@@ -87,8 +87,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		// The packed fast path's raw writer must lay down the identical bit
 		// stream (values are pre-masked, so the unvalidated append is legal),
-		// and WireView.word must read any <= 64-bit span back exactly from
-		// any bit offset.
+		// and arenaWord (the decode fast path's read) must read any <= 64-bit
+		// span back exactly from any bit offset.
 		var wr Writer
 		wr.Reset(1 << 16)
 		for _, fd := range fields {
@@ -102,9 +102,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		off := 0
 		for i, fd := range fields {
 			if fd.width > 0 {
-				v := w.view(off, fd.width)
-				if got := v.word(); got != fd.value {
-					t.Fatalf("field %d: view.word() = %#x at offset %d, wrote %#x (width %d)",
+				if got := arenaWord(w.words, off>>6, uint(off&63), fd.width); got != fd.value {
+					t.Fatalf("field %d: arenaWord = %#x at offset %d, wrote %#x (width %d)",
 						i, got, off, fd.value, fd.width)
 				}
 			}

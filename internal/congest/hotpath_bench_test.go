@@ -2,12 +2,16 @@ package congest
 
 // Microbenchmarks for the wire hot path (DESIGN.md "Wire hot-path
 // anatomy"): BenchmarkOutbox times the send half — word-packed encode,
-// maxDeg-sized edge ledger, SoA staging — and BenchmarkRecv times the
-// receive half — chain gathering into a reusable inbox. Both report
-// allocations; TestHotPathSteadyStateAllocs pins the steady state at zero.
+// branchless destination check, maxDeg-sized edge ledger, 20-byte staged
+// records written in place — and BenchmarkRecv times the receive half —
+// chain gathering into a reusable inbox of 24-byte pointer-free Inbound
+// records. Both report allocations; TestHotPathSteadyStateAllocs pins the
+// steady state at zero.
 //
 // One benchmark op is one full engine round over the whole graph, so
-// ns/op tracks the per-round cost the engines pay, not a single message.
+// ns/op tracks the per-round cost the engines pay; ns/copy divides it by
+// the round's staged copies (about 10.3k on the n=1024 fixture), the
+// per-message cost of the half.
 
 import (
 	"testing"
@@ -58,6 +62,12 @@ func (f *hotPathFixture) gatherAll() int {
 	return total
 }
 
+// reportPerCopy reports the benchmark's time per staged copy, for rounds
+// of `copies` copies each.
+func reportPerCopy(b *testing.B, copies int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(copies), "ns/copy")
+}
+
 func BenchmarkOutbox(b *testing.B) {
 	const n = 1024
 	run := func(b *testing.B, stage func(f *hotPathFixture)) {
@@ -68,9 +78,11 @@ func BenchmarkOutbox(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stage(f)
 		}
+		b.StopTimer()
 		if err := f.ob.err; err != nil {
 			b.Fatal(err)
 		}
+		reportPerCopy(b, f.ob.sent())
 	}
 	b.Run("packed/broadcast", func(b *testing.B) {
 		// msgWave fits one word with its tag: the encode is one writeRaw,
@@ -97,18 +109,17 @@ func BenchmarkOutbox(b *testing.B) {
 func BenchmarkRecv(b *testing.B) {
 	f := newHotPathFixture(b, 1024, WithStrictAccounting())
 	f.stageRound(&msgWave{Tau: 3, Delta: 5})
-	if f.gatherAll() == 0 {
+	copies := f.gatherAll()
+	if copies == 0 {
 		b.Fatal("no messages staged")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	total := 0
 	for i := 0; i < b.N; i++ {
-		total += f.gatherAll()
+		f.gatherAll()
 	}
-	if total == 0 {
-		b.Fatal("no messages delivered")
-	}
+	b.StopTimer()
+	reportPerCopy(b, copies)
 }
 
 // TestHotPathSteadyStateAllocs pins the hot path at zero steady-state

@@ -429,6 +429,7 @@ func (e *engine) receive() {
 	var maxState, maxInbox int
 	cur, rcv := fr.cur, fr.rcv
 	env, topo, round := &e.env, nw.topo, e.round
+	env.rd.words = ob.arena.written() // the inboxes index this round's arena
 	for si := range cur.sum {
 		sw := cur.sum[si] | rcv.sum[si]
 		rcv.sum[si] = 0

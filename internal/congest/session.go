@@ -247,20 +247,28 @@ func (t *Topology) neighborIndex(u, v int) int {
 	return neighborIndex(t.arena[t.offsets[u]:t.offsets[u+1]], v)
 }
 
-// neighborIndex locates id in the ascending neighbor list (binary search),
-// or returns -1 when it is absent.
+// neighborIndex locates id in the ascending list of non-negative neighbor
+// ids, or returns -1 when it is absent. The binary search is branchless:
+// each halving is one compare and one conditional add, base += half when
+// neighbors[base+half] <= id, so a destination check costs no mispredicted
+// branch however the ids fall. The compiler keeps an `if` here as a
+// branch, so the compare is the sign of id - neighbors[base+half], as a
+// mask on half. That difference overflows only for a negative id, which
+// no row holds, so the final compare still answers -1. base ends at the
+// last entry <= id (or at 0 when every entry is above it).
 func neighborIndex(neighbors []int, id int) int {
-	lo, hi := 0, len(neighbors)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if neighbors[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(neighbors)
+	if n == 0 {
+		return -1
 	}
-	if lo < len(neighbors) && neighbors[lo] == id {
-		return lo
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half &^ ((id - neighbors[base+half]) >> 63)
+		n -= half
+	}
+	if neighbors[base] == id {
+		return base
 	}
 	return -1
 }

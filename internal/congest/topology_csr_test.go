@@ -2,6 +2,8 @@ package congest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,6 +142,44 @@ func TestTopologyFromCSRValidation(t *testing.T) {
 		_, err := NewTopologyFromCSR(tc.c)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestNeighborIndex checks the branchless binary search against a linear
+// scan on rows of every length 0–17, for ids below the row, on each entry,
+// between entries and above the row (the extremes of int included), and
+// checks Topology.neighborIndex's guard for a sender outside [0, n).
+func TestNeighborIndex(t *testing.T) {
+	for length := 0; length <= 17; length++ {
+		row := make([]int, length)
+		for i := range row {
+			row[i] = 3 + 2*i // odd entries, so even ids fall between them
+		}
+		ids := []int{math.MinInt, -1, 0, 1, 2, 3 + 2*length, 4 + 2*length, math.MaxInt}
+		for i := range row {
+			ids = append(ids, row[i], row[i]+1)
+		}
+		for _, id := range ids {
+			if got, want := neighborIndex(row, id), slices.Index(row, id); got != want {
+				t.Errorf("row of %d: neighborIndex(%d) = %d, linear scan finds %d", length, id, got, want)
+			}
+		}
+	}
+	topo, err := NewTopology(graph.Complete(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{math.MinInt, -1, 18, 19, math.MaxInt} {
+		if got := topo.neighborIndex(u, 0); got != -1 {
+			t.Errorf("Topology.neighborIndex(%d, 0) = %d on an 18-vertex topology, want -1", u, got)
+		}
+	}
+	for u := 0; u < 18; u++ {
+		for v := -1; v <= 18; v++ {
+			if got, want := topo.neighborIndex(u, v), slices.Index(topo.Neighbors(u), v); got != want {
+				t.Errorf("Topology.neighborIndex(%d, %d) = %d, linear scan finds %d", u, v, got, want)
+			}
 		}
 	}
 }

@@ -200,23 +200,6 @@ func TestTotalWeight(t *testing.T) {
 	}
 }
 
-func TestNeighborIndex(t *testing.T) {
-	nbs := []int{2, 5, 9, 14}
-	for i, id := range nbs {
-		if got := neighborIndex(nbs, id); got != i {
-			t.Errorf("neighborIndex(%d) = %d, want %d", id, got, i)
-		}
-	}
-	for _, id := range []int{0, 3, 15} {
-		if got := neighborIndex(nbs, id); got != -1 {
-			t.Errorf("neighborIndex(%d) = %d, want -1", id, got)
-		}
-	}
-	if got := neighborIndex(nil, 3); got != -1 {
-		t.Errorf("neighborIndex(nil, 3) = %d, want -1", got)
-	}
-}
-
 // TestCutResetFromFields asserts the Resettable contract for the cut and
 // triangle programs: ResetNode discards the run state and restores exactly
 // the constructed state of the inputs the fields hold.

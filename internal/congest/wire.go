@@ -249,6 +249,10 @@ func (w *Writer) Reset(n int) {
 // Len returns the number of bits written.
 func (w *Writer) Len() int { return w.bits }
 
+// written returns the words that hold the bits written since the last
+// Reset: the arena a round's Inbound records index.
+func (w *Writer) written() []uint64 { return w.words[:(w.bits+63)>>6] }
+
 // Err returns the first encoding error (a value too wide for its field).
 func (w *Writer) Err() error { return w.err }
 
@@ -402,9 +406,8 @@ func (r *Reader) ReadID(bound int) int {
 // WireView is a read-only window onto one encoded message (kind tag
 // included) inside an engine arena. Views handed to observers are only
 // valid for the duration of the callback round; copy the bits out (e.g.
-// into a bitstring) to retain them.
-// The struct is deliberately compact: every message buffered by the engine
-// carries one.
+// into a bitstring) to retain them. Only the observer's log holds views;
+// the delivery records (stagedRec, Inbound) index the arena instead.
 type WireView struct {
 	words []uint64
 	off   int32 // bit offset of the message start within words[0]
@@ -436,17 +439,19 @@ func (v WireView) payloadReader(r *Reader, n int) {
 	*r = Reader{N: n, words: v.words, off: int(v.off) + KindBits, end: int(v.off) + int(v.bits)}
 }
 
-// word returns the whole encoded message — kind tag in the low KindBits,
-// payload above it — as one value. Only valid when Len() <= 64; the decode
-// fast path checks that before calling.
-func (v WireView) word() uint64 {
-	sh := uint(v.off)
-	w := v.words[0] >> sh
-	if int(v.off)+int(v.bits) > 64 {
-		w |= v.words[1] << (64 - sh)
+// arenaWord returns the nbits-bit message that starts at bit sh of
+// words[i] — for an encoded message, its kind tag in the low KindBits and
+// its payload above it — as one value. It needs 0 < nbits <= 64 and the
+// message inside words; a message that straddles a word boundary
+// (sh+nbits > 64) takes its high bits from words[i+1]. This is the decode
+// fast path's one read of a message.
+func arenaWord(words []uint64, i int, sh uint, nbits int) uint64 {
+	w := words[i] >> sh
+	if int(sh)+nbits > 64 {
+		w |= words[i+1] << (64 - sh)
 	}
-	if v.bits < 64 {
-		w &= 1<<uint(v.bits) - 1
+	if nbits < 64 {
+		w &= 1<<uint(nbits) - 1
 	}
 	return w
 }

@@ -102,16 +102,42 @@ func init() {
 	RegisterKind(kindTestShort, "test-short", func() WireMessage { return new(shortReadMsg) })
 }
 
-func TestDecodeRejectsUnconsumedPayload(t *testing.T) {
-	const n = 16
+// inboxOf encodes msgs back to back into one fresh arena, each behind its
+// kind tag as Outbox.encode's generic path writes it, and returns them as
+// the inbox an engine would deliver from sender `from`, together with an
+// Env for n vertices whose arena is the one they were encoded into. Every
+// test that builds an Inbound by hand goes through it.
+func inboxOf(tb testing.TB, n, from int, msgs ...WireMessage) ([]Inbound, Env) {
+	tb.Helper()
 	var w Writer
 	w.Reset(n)
-	w.WriteUint(uint64(kindTestShort), KindBits)
-	(&shortReadMsg{V: 0xAB}).MarshalWire(&w)
-	in := Inbound{From: 0, Kind: kindTestShort, Bits: w.Len(), wire: w.view(0, w.Len())}
-	env := Env{N: n, rd: Reader{N: n}}
+	inbox := make([]Inbound, len(msgs))
+	for i, m := range msgs {
+		off := w.Len()
+		w.WriteUint(uint64(m.WireKind()), KindBits)
+		m.MarshalWire(&w)
+		if w.Err() != nil {
+			tb.Fatalf("%v: %v", m.WireKind(), w.Err())
+		}
+		inbox[i] = Inbound{From: from, Kind: m.WireKind(), Bits: w.Len() - off, word: uint32(off >> 6), shift: uint8(off & 63)}
+	}
+	env := newEnv(n)
+	env.rd.words = w.written()
+	return inbox, env
+}
+
+// wireOf is the observer's view of the delivered copy in, whose arena is
+// words.
+func wireOf(words []uint64, in Inbound) WireView {
+	end := (int(in.word)<<6 + int(in.shift) + in.Bits + 63) >> 6
+	return WireView{words: words[in.word:end], off: int32(in.shift), bits: int32(in.Bits)}
+}
+
+func TestDecodeRejectsUnconsumedPayload(t *testing.T) {
+	const n = 16
+	inbox, env := inboxOf(t, n, 0, &shortReadMsg{V: 0xAB})
 	var got shortReadMsg
-	err := in.Decode(&env, &got)
+	err := inbox[0].Decode(&env, &got)
 	if err == nil || !strings.Contains(err.Error(), "4 of 8 payload bits unread") {
 		t.Errorf("under-reading decode: err = %v, want unread-payload error", err)
 	}
@@ -439,4 +465,183 @@ func RegisteredKinds() []Kind {
 		}
 	}
 	return out
+}
+
+// wideMsg is a hand-coded external-style kind of three 40-bit fields, 125
+// bits with its tag: it always takes the generic decode path.
+type wideMsg struct{ A, B, C uint64 }
+
+const kindTestWide Kind = 28
+
+func (m *wideMsg) WireKind() Kind { return kindTestWide }
+func (m *wideMsg) MarshalWire(w *Writer) {
+	w.WriteUint(m.A, 40)
+	w.WriteUint(m.B, 40)
+	w.WriteUint(m.C, 40)
+}
+func (m *wideMsg) UnmarshalWire(r *Reader) {
+	m.A, m.B, m.C = r.ReadUint(40), r.ReadUint(40), r.ReadUint(40)
+}
+
+func init() {
+	RegisterKind(kindTestWide, "test-wide", func() WireMessage { return new(wideMsg) })
+}
+
+// straddleNode is a two-vertex program for the arena-position tests: in
+// round 1 vertex 0 sends vertex 1 a raw filler of Pad bits, which moves
+// the next message's start through the arena word, then a single-word
+// wdist message (56 bits with its tag, the decode fast path) and a 125-bit
+// wideMsg (the generic path). Vertex 1 records each inbound's arena
+// position and decoded value, and keeps the inbox and its Env.
+type straddleNode struct {
+	Pad  int
+	done bool
+
+	recv  []straddleRecv
+	inbox []Inbound
+	env   Env
+}
+
+type straddleRecv struct {
+	word, shift, bits int
+	kind              Kind
+	dist              int
+	wide              wideMsg
+}
+
+const straddleBound = 1 << 50
+
+var straddleDist, straddleWide = 1<<49 + 12345, wideMsg{A: 1<<40 - 1, B: 0xabcdef1234, C: 1}
+
+func (s *straddleNode) Send(env *Env, out *Outbox) {
+	if env.ID != 0 || env.Round != 1 {
+		return
+	}
+	if s.Pad > 0 {
+		out.Put(1, &RawMessage{Width: s.Pad})
+	}
+	out.Put(1, &msgWDist{Dist: straddleDist, Bound: straddleBound})
+	w := straddleWide
+	out.Put(1, &w)
+}
+
+func (s *straddleNode) Receive(env *Env, inbox []Inbound) {
+	s.done = true
+	s.inbox = append(s.inbox[:0], inbox...)
+	s.env = *env
+	for i := range inbox {
+		in := &inbox[i]
+		r := straddleRecv{word: int(in.word), shift: int(in.shift), bits: in.Bits, kind: in.Kind}
+		var err error
+		switch in.Kind {
+		case KindRaw:
+			err = in.Decode(env, &RawMessage{})
+		case KindWDist:
+			m := msgWDist{Bound: straddleBound}
+			err = in.Decode(env, &m)
+			r.dist = m.Dist
+		case kindTestWide:
+			err = in.Decode(env, &r.wide)
+		}
+		if err != nil {
+			panic(err)
+		}
+		s.recv = append(s.recv, r)
+	}
+}
+
+func (s *straddleNode) Done() bool { return s.done }
+
+// runStraddle runs the straddle program with filler pad on Path(2) through
+// run (Run or RunReference) and returns vertex 1's program.
+func runStraddle(t *testing.T, pad int, run func(*Network) error) *straddleNode {
+	t.Helper()
+	nodes := []*straddleNode{{Pad: pad}, {Pad: pad}}
+	nw, err := NewNetwork(graph.Path(2), func(v int) Node { return nodes[v] }, WithBandwidth(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(nw); err != nil {
+		t.Fatal(err)
+	}
+	return nodes[1]
+}
+
+// TestArenaStraddleDelivery delivers messages at every bit offset of an
+// arena word through Run and RunReference: single-word messages whose
+// encoding straddles two arena words (shift + Bits > 64) must take the
+// fast path's two-word read, and a generic message of more than 64 bits at
+// a word index above 0 must decode through the Reader. Every copy must
+// decode to the value sent, and both engines must deliver identical
+// records.
+func TestArenaStraddleDelivery(t *testing.T) {
+	var fastStraddles, wideAbove0 int
+	for pad := 0; pad < 130; pad++ {
+		got := runStraddle(t, pad, func(nw *Network) error { return nw.Run(4) })
+		ref := runStraddle(t, pad, func(nw *Network) error { return nw.RunReference(4) })
+		if !reflect.DeepEqual(got.recv, ref.recv) {
+			t.Fatalf("pad %d: Run delivered %+v, RunReference %+v", pad, got.recv, ref.recv)
+		}
+		for _, r := range got.recv {
+			switch r.kind {
+			case KindWDist:
+				if r.dist != straddleDist {
+					t.Errorf("pad %d: wdist at word %d shift %d decoded %d, want %d", pad, r.word, r.shift, r.dist, straddleDist)
+				}
+				if r.shift+r.bits > 64 {
+					fastStraddles++
+				}
+			case kindTestWide:
+				if r.wide != straddleWide {
+					t.Errorf("pad %d: wide at word %d shift %d decoded %+v, want %+v", pad, r.word, r.shift, r.wide, straddleWide)
+				}
+				if r.bits > 64 && r.word > 0 {
+					wideAbove0++
+				}
+			}
+		}
+	}
+	if fastStraddles == 0 || wideAbove0 == 0 {
+		t.Fatalf("sweep delivered %d straddling single-word copies and %d wide copies above word 0; want both > 0", fastStraddles, wideAbove0)
+	}
+}
+
+// TestDecodeForeignEnv decodes a delivered inbox with an Env the engine
+// did not bind for it: the zero Env, and the Env of another network whose
+// round arena is shorter. Decode indexes the arena through the env, so
+// both must return an error rather than read out of range, while the
+// inbox's own Env still decodes it.
+func TestDecodeForeignEnv(t *testing.T) {
+	recv := runStraddle(t, 100, func(nw *Network) error { return nw.Run(4) })
+	other := runStraddle(t, 0, func(nw *Network) error { return nw.Run(4) })
+	wide := recv.inbox[len(recv.inbox)-1]
+	if wide.Kind != kindTestWide || wide.word == 0 {
+		t.Fatalf("last inbound is %v at word %d; want the wide message above word 0", wide.Kind, wide.word)
+	}
+	var m wideMsg
+	if err := wide.Decode(&recv.env, &m); err != nil || m != straddleWide {
+		t.Fatalf("own env: decoded %+v, %v; want %+v", m, err, straddleWide)
+	}
+	if len(other.env.rd.words) >= len(recv.env.rd.words) {
+		t.Fatalf("other network's arena has %d words, want fewer than %d", len(other.env.rd.words), len(recv.env.rd.words))
+	}
+	for name, env := range map[string]*Env{"zero Env": {}, "other network's Env": &other.env} {
+		checked := 0
+		for _, in := range recv.inbox {
+			msg := NewKindMessage(in.Kind)
+			if wd, ok := msg.(*msgWDist); ok {
+				wd.Bound = straddleBound
+			}
+			if int(in.word)<<6+int(in.shift)+in.Bits <= len(env.rd.words)<<6 {
+				continue // inside the other arena: decodes whatever lies there
+			}
+			if err := in.Decode(env, msg); err == nil || !strings.Contains(err.Error(), "outside the env's") {
+				t.Errorf("%s: decoding %v at word %d: err %v, want the arena-range error", name, in.Kind, in.word, err)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("%s: every inbound lies inside its arena; nothing was checked", name)
+		}
+	}
 }
