@@ -14,13 +14,15 @@ import (
 	"qcongest/internal/congest"
 )
 
-// --- Engine benchmark: sequential reference engine vs the sharded engine.
+// --- Engine benchmark: the frontier engine behind Run vs its oracle,
+// RunReference, which executes every vertex every round.
 //
 // The workload is max-id leader election (congest.LeaderElectNode): every
 // vertex floods improvements, so rounds carry work at every node — the
-// engine's per-round machinery (send validation, buffering, merge, receive
-// dispatch) dominates, which is exactly what this benchmark isolates. The
-// same workload and graphs back the speedup table in EXPERIMENTS.md.
+// engine's per-round machinery (send validation, staging, delivery,
+// receive dispatch) dominates, which is exactly what this benchmark
+// isolates. ROADMAP item 6 gates on Run being no slower than RunReference
+// here.
 
 // engineBenchGraph builds one of the three benchmark families.
 func engineBenchGraph(kind string, n int) *Graph {

@@ -335,6 +335,7 @@ type SlotConvergecastNode struct {
 	slot     int   // the vertex's own slot, or -1
 	up, down Kind  // down is KindSkelDown, or kindInvalid for a gather only
 	finished bool
+	parentAt int32   // the parent's position in the vertex's neighbor row; -1 until the first up send finds it
 	msg      msgSlot // Slots and Bound are configuration; one message serves both phases
 }
 
@@ -356,6 +357,7 @@ func NewSlotConvergecastNode(info *PreInfo, v int, up, down Kind, slots, bound, 
 		slot:     slot,
 		up:       up,
 		down:     down,
+		parentAt: -1,
 		msg:      msgSlot{Slots: slots, Bound: bound},
 	}
 	s.ResetNode()
@@ -395,11 +397,16 @@ func (s *SlotConvergecastNode) total() int {
 	return s.gatherEnd()
 }
 
-// Send implements Node: one slot per round in each phase's window.
+// Send implements Node: one slot per round in each phase's window. The
+// parent's row position is looked up once and kept across runs (the
+// topology does not change); putAt checks it against the row.
 func (s *SlotConvergecastNode) Send(env *Env, out *Outbox) {
 	if i := env.Round - (s.d - s.depth) - 1; s.parent >= 0 && i >= 0 && i < len(s.Vec) {
+		if s.parentAt < 0 {
+			s.parentAt = int32(neighborIndex(env.Neighbors, s.parent))
+		}
 		s.msg.kind, s.msg.Slot, s.msg.Val = s.up, i, s.Vec[i]
-		out.Put(s.parent, &s.msg)
+		out.putAt(int(s.parentAt), s.parent, &s.msg)
 	}
 	if i := env.Round - s.gatherEnd() - s.depth - 1; s.down != kindInvalid && i >= 0 && i < len(s.Vec) {
 		s.msg.kind, s.msg.Slot, s.msg.Val = s.down, i, s.Vec[i]

@@ -182,8 +182,9 @@ type edgeCell struct {
 // with that error.
 type Outbox struct {
 	nw     *Network
-	round  int
-	sender int
+	round  int32
+	sender int32
+	row    []int // the sender's neighbor row, which the engines bind as Env.Neighbors
 
 	arena Writer
 
@@ -200,15 +201,16 @@ type Outbox struct {
 
 	// Observer support: the round's staged copies in staging order, kept
 	// only when a run observer needs the canonical replay.
-	keepMsgs bool
-	msgs     []stagedMsg
+	msgs []stagedMsg
 
 	// Per-round accounting. The message count is derived at the end of the
 	// send half (len(q)); only the bit total and the edge maximum are
 	// tracked inline — the edge ledger is transient per sender, so its
-	// maximum cannot be recovered later.
+	// maximum cannot be recovered later. (The int32 fields pair up, so an
+	// Outbox fits the allocator's 256-byte size class.)
 	bitsTotal int
-	maxEdge   int
+	maxEdge   int32 // an edge total, as edgeCell.bits
+	keepMsgs  bool
 	err       error
 
 	// Directed-edge bit ledger for the current sender, indexed by the
@@ -234,8 +236,8 @@ func newOutbox(nw *Network) *Outbox {
 // touched list, so steady-state rounds allocate nothing and the reset costs
 // O(receivers), which staging already paid.
 func (o *Outbox) beginRound(round int) {
-	o.round = round
-	o.sender = -1
+	o.round = int32(round)
+	o.sender, o.row = -1, nil
 	o.arena.Reset(o.nw.topo.n)
 	o.q = o.q[:0]
 	for _, to := range o.touched {
@@ -249,11 +251,14 @@ func (o *Outbox) beginRound(round int) {
 	o.edgeSerial++
 }
 
-// begin starts staging for sender v; the serial bump is the O(1) per-edge
-// ledger reset.
-func (o *Outbox) begin(v int) {
-	o.sender = v
+// begin starts staging for sender v and returns v's neighbor row, sliced
+// from the offsets once per sender: the engines bind it as Env.Neighbors,
+// and the destination checks read it. The serial bump is the O(1)
+// per-edge ledger reset.
+func (o *Outbox) begin(v int) []int {
+	o.sender, o.row = int32(v), o.nw.topo.Neighbors(v)
 	o.edgeSerial++
+	return o.row
 }
 
 // encode marshals m (kind tag + payload) into the arena and returns its
@@ -305,7 +310,7 @@ func (o *Outbox) stageTo(to int, k Kind, bits, start int) {
 	if o.err != nil {
 		return
 	}
-	i := o.nw.topo.neighborIndex(o.sender, to)
+	i := neighborIndex(o.row, to)
 	if i < 0 {
 		o.err = fmt.Errorf("congest: round %d: node %d sent to non-neighbor %d", o.round, o.sender, to)
 		return
@@ -314,9 +319,9 @@ func (o *Outbox) stageTo(to int, k Kind, bits, start int) {
 }
 
 // stageEdge is stageTo for a destination already known to be the sender's
-// neighbor at row position i (the Broadcast-to-neighbor-row fast path
-// passes its loop index); the bandwidth ledger and the delivery staging
-// are identical.
+// neighbor at row position i (putAt, and Broadcast's row fast path and
+// forward walk); the bandwidth ledger and the delivery staging are
+// identical.
 func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 	ec := &o.edge[i]
 	eb := int32(bits)
@@ -330,8 +335,8 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 		o.err = fmt.Errorf("congest: round %d: edge %d->%d exceeds bandwidth (%d > %d bits)",
 			o.round, o.sender, to, eb, o.nw.bandwidth)
 		return
-	} else if int(eb) > o.maxEdge {
-		o.maxEdge = int(eb)
+	} else if eb > o.maxEdge {
+		o.maxEdge = eb
 	}
 	// The new record becomes the tail: it takes over the old tail's link to
 	// the head, and a first record is its own head. The queue grows by one
@@ -353,9 +358,9 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 	}
 	o.dest[to] = rec + 1
 	r.word, r.shift = uint32(start>>6), uint8(start&63)
-	r.from, r.bits, r.kind = int32(o.sender), int32(bits), k
+	r.from, r.bits, r.kind = o.sender, int32(bits), k
 	if o.keepMsgs {
-		o.msgs = append(o.msgs, stagedMsg{from: o.sender, to: to, bits: bits, wire: o.arena.view(start, bits)})
+		o.msgs = append(o.msgs, stagedMsg{from: int(o.sender), to: to, bits: bits, wire: o.arena.view(start, bits)})
 	}
 	o.bitsTotal += bits
 }
@@ -364,7 +369,7 @@ func (o *Outbox) stageEdge(i, to int, k Kind, bits, start int) {
 func (o *Outbox) replay(obs Observer) {
 	for i := range o.msgs {
 		r := &o.msgs[i]
-		obs(o.round, r.from, r.to, r.bits, r.wire)
+		obs(int(o.round), r.from, r.to, r.bits, r.wire)
 	}
 }
 
@@ -404,12 +409,24 @@ func (o *Outbox) appendChain(to int, buf []Inbound) []Inbound {
 // Put encodes and stages one message to neighbor `to`. The cost charged
 // against the edge bandwidth is the encoded length in bits, kind tag
 // included; there is no way to send bits the encoder did not produce.
-func (o *Outbox) Put(to int, m WireMessage) {
+func (o *Outbox) Put(to int, m WireMessage) { o.putAt(-1, to, m) }
+
+// putAt is Put(to, m) for a destination the caller knows sits at position
+// i of the sender's neighbor row (a loop index over env.Neighbors, or a
+// cached tree position), so the copy is staged without the binary search.
+// The position is checked against the row: a position that does not hold
+// `to`, a negative one included, takes the validated path (the search),
+// so it stages nothing wrong and reports the canonical non-neighbor error.
+func (o *Outbox) putAt(i, to int, m WireMessage) {
 	if o.err != nil {
 		return
 	}
 	start, bits, k, ok := o.encode(m)
 	if !ok {
+		return
+	}
+	if uint(i) < uint(len(o.row)) && o.row[i] == to {
+		o.stageEdge(i, to, k, bits, start)
 		return
 	}
 	o.stageTo(to, k, bits, start)
@@ -428,17 +445,16 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 	if !ok {
 		return
 	}
+	row := o.row
 	// Flooding fast path: when targets is the sender's own neighbor row —
 	// the idiomatic Broadcast(env.Neighbors, m) — or a prefix subslice of
 	// it (env.Neighbors[:j] is still all neighbors), every destination is a
 	// neighbor by construction and its row position is the loop index, so
 	// the per-copy adjacency probe is skipped.
-	// Identity is by slice identity (same base pointer as the topology row,
-	// length within it), never by content, so no caller-built slice can
-	// take the path. Non-prefix subslices (row[i:] for i > 0) have a
-	// different base pointer and run through the validated path — correct,
-	// just not fast.
-	if row := o.nw.topo.Neighbors(o.sender); len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
+	// Identity is by slice identity (same base pointer as the row, length
+	// within it), never by content, so no caller-built slice can take the
+	// path.
+	if len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
 		for i, to := range targets {
 			if o.err != nil {
 				return
@@ -447,7 +463,25 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 		}
 		return
 	}
+	// Validated path. Every other target list — a tree's children, a
+	// non-prefix subslice of the row — is checked copy by copy, walking the
+	// row forward: ascending targets (the common case) are found by the
+	// walk, so the path costs O(len(row) + len(targets)) compares and no
+	// binary search. A target the walk misses (unsorted, repeated, or not a
+	// neighbor) is binary-searched in the whole row, as Put does, so the
+	// records and the first error are those of a loop of Puts.
+	j := 0
 	for _, to := range targets {
+		if o.err != nil {
+			return
+		}
+		for j < len(row) && row[j] < to {
+			j++
+		}
+		if j < len(row) && row[j] == to {
+			o.stageEdge(j, to, k, bits, start)
+			continue
+		}
 		o.stageTo(to, k, bits, start)
 	}
 }
@@ -740,8 +774,7 @@ func (nw *Network) RunReference(maxRounds int) error {
 		// delivery buffer canonically ordered by construction.
 		ob.beginRound(round)
 		for v, nd := range nw.nodes {
-			ob.begin(v)
-			nd.Send(env.bind(v, topo.Neighbors(v), round), ob)
+			nd.Send(env.bind(v, ob.begin(v), round), ob)
 			if ob.err != nil {
 				return ob.err
 			}
@@ -753,8 +786,8 @@ func (nw *Network) RunReference(maxRounds int) error {
 		}
 		nw.metrics.Messages += ob.sent()
 		nw.metrics.Bits += ob.bitsTotal
-		if ob.maxEdge > nw.metrics.MaxEdgeBits {
-			nw.metrics.MaxEdgeBits = ob.maxEdge
+		if int(ob.maxEdge) > nw.metrics.MaxEdgeBits {
+			nw.metrics.MaxEdgeBits = int(ob.maxEdge)
 		}
 		if ob.sent() == 0 {
 			nw.metrics.DroppedRounds++

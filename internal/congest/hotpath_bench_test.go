@@ -2,7 +2,8 @@ package congest
 
 // Microbenchmarks for the wire hot path (DESIGN.md "Wire hot-path
 // anatomy"): BenchmarkOutbox times the send half — word-packed encode,
-// branchless destination check, maxDeg-sized edge ledger, 20-byte staged
+// destination check (a flood's own row, a tree's cached parent position
+// and forward-walked children), maxDeg-sized edge ledger, 20-byte staged
 // records written in place — and BenchmarkRecv times the receive half —
 // chain gathering into a reusable inbox of 24-byte pointer-free Inbound
 // records. Both report allocations; TestHotPathSteadyStateAllocs pins the
@@ -27,6 +28,11 @@ type hotPathFixture struct {
 	ob    *Outbox
 	inbox []Inbound
 	round int
+
+	// The BFS tree of the tree rounds (set by buildTree): each vertex's
+	// parent's position in its neighbor row (-1 at the root) and children.
+	parentAt []int
+	info     *PreInfo
 }
 
 func newHotPathFixture(tb testing.TB, n int, opts ...Option) *hotPathFixture {
@@ -51,6 +57,39 @@ func (f *hotPathFixture) stageRound(tx *msgWave) {
 	}
 }
 
+// buildTree computes the BFS tree the tree rounds send along, and each
+// vertex's parent position, as SlotConvergecastNode caches it.
+func (f *hotPathFixture) buildTree(tb testing.TB) {
+	tb.Helper()
+	info, _, err := PreprocessOn(f.topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.info = info
+	f.parentAt = make([]int, f.topo.N())
+	for v := range f.parentAt {
+		f.parentAt[v] = -1
+		if p := info.Parent[v]; p >= 0 {
+			f.parentAt[v] = neighborIndex(f.topo.Neighbors(v), p)
+		}
+	}
+}
+
+// treeRound runs one send half of a tree schedule: every vertex sends one
+// packed message to its parent at the parent's row position and
+// broadcasts it to its children, an ascending subset of its row.
+func (f *hotPathFixture) treeRound(tx *msgWave) {
+	f.round++
+	f.ob.beginRound(f.round)
+	for v := 0; v < f.topo.N(); v++ {
+		f.ob.begin(v)
+		if p := f.info.Parent[v]; p >= 0 {
+			f.ob.putAt(f.parentAt[v], p, tx)
+		}
+		f.ob.Broadcast(f.info.Children[v], tx)
+	}
+}
+
 // gatherAll runs one receive half: materialize every vertex's inbox from
 // the staged chains, reusing the fixture scratch like the engine does.
 func (f *hotPathFixture) gatherAll() int {
@@ -72,6 +111,7 @@ func BenchmarkOutbox(b *testing.B) {
 	const n = 1024
 	run := func(b *testing.B, stage func(f *hotPathFixture)) {
 		f := newHotPathFixture(b, n, WithStrictAccounting())
+		f.buildTree(b)
 		stage(f) // warm the arena and queue to steady-state capacity
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -89,6 +129,13 @@ func BenchmarkOutbox(b *testing.B) {
 		// with no strict check (its width is derived from its field list).
 		tx := &msgWave{Tau: 3, Delta: 5}
 		run(b, func(f *hotPathFixture) { f.stageRound(tx) })
+	})
+	b.Run("packed/tree", func(b *testing.B) {
+		// The tree schedules' send half (SlotConvergecastNode): a put to
+		// the parent at its cached row position, and a broadcast to the
+		// children through the validated path's forward walk.
+		tx := &msgWave{Tau: 3, Delta: 5}
+		run(b, func(f *hotPathFixture) { f.treeRound(tx) })
 	})
 	b.Run("generic/broadcast", func(b *testing.B) {
 		// RawMessage has a hand-written codec, so it takes the generic
@@ -139,6 +186,24 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("steady-state round: %v allocs per run, want 0", allocs)
+		}
+		if f.ob.err != nil {
+			t.Fatal(f.ob.err)
+		}
+	})
+	t.Run("tree", func(t *testing.T) {
+		f := newHotPathFixture(t, 256, WithStrictAccounting())
+		f.buildTree(t)
+		tx := &msgWave{Tau: 3, Delta: 5}
+		f.treeRound(tx)
+		f.gatherAll()
+		if allocs := testing.AllocsPerRun(10, func() {
+			f.treeRound(tx)
+			if f.gatherAll() != 2*(f.topo.N()-1) {
+				t.Fatal("a tree round must deliver one copy each way on every tree edge")
+			}
+		}); allocs != 0 {
+			t.Errorf("steady-state tree round: %v allocs per run, want 0", allocs)
 		}
 		if f.ob.err != nil {
 			t.Fatal(f.ob.err)

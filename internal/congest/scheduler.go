@@ -375,7 +375,7 @@ func (e *engine) send() error {
 	// beginRound recycles the previous round's delivery chains (the
 	// receive half is done with them) and the arena.
 	ob.beginRound(e.round)
-	env, topo, round := &e.env, nw.topo, e.round
+	env, round := &e.env, e.round
 	for si, sw := range cur.sum {
 		for sw != 0 {
 			wi := si<<6 + bits.TrailingZeros64(sw)
@@ -384,8 +384,7 @@ func (e *engine) send() error {
 			for word != 0 {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				ob.begin(v)
-				nw.nodes[v].Send(env.bind(v, topo.Neighbors(v), round), ob)
+				nw.nodes[v].Send(env.bind(v, ob.begin(v), round), ob)
 				if ob.err != nil {
 					return ob.err
 				}
@@ -395,8 +394,8 @@ func (e *engine) send() error {
 	m := &nw.metrics
 	m.Messages += ob.sent()
 	m.Bits += ob.bitsTotal
-	if ob.maxEdge > m.MaxEdgeBits {
-		m.MaxEdgeBits = ob.maxEdge
+	if int(ob.maxEdge) > m.MaxEdgeBits {
+		m.MaxEdgeBits = int(ob.maxEdge)
 	}
 	if ob.sent() == 0 {
 		m.DroppedRounds++

@@ -236,10 +236,9 @@ func (t *Topology) Degree(v int) int { return int(t.offsets[v+1] - t.offsets[v])
 func (t *Topology) HasEdge(u, v int) bool { return t.neighborIndex(u, v) >= 0 }
 
 // neighborIndex returns v's position in u's neighbor row, or -1 when {u, v}
-// is not an edge: a binary search on the packed CSR row of u. This is the
-// engine's per-message destination check, and the position indexes the
-// sender's bandwidth ledger, so it must not touch the graph (whose reads
-// synchronize against the lazy sort).
+// is not an edge (or u is not a vertex): a binary search on the packed CSR
+// row of u. HasEdge answers from it; the engine's destination checks
+// search the sender's row, which Outbox.begin keeps, directly.
 func (t *Topology) neighborIndex(u, v int) int {
 	if u < 0 || u >= t.n {
 		return -1

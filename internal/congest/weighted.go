@@ -109,7 +109,7 @@ func (s *WeightedSSSPNode) Send(env *Env, out *Outbox) {
 	s.tx.Bound = s.Bound
 	for i, nb := range env.Neighbors {
 		s.tx.Dist = s.Dist + s.weight(i)
-		out.Put(nb, &s.tx)
+		out.putAt(i, nb, &s.tx)
 	}
 }
 
