@@ -62,3 +62,14 @@ func TestCLIDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRejectsTrialsBelowOne: -trials 0 and -trials -1 are errors, not
+// panics.
+func TestCLIRejectsTrialsBelowOne(t *testing.T) {
+	for _, trials := range []string{"0", "-1"} {
+		var stdout, stderr strings.Builder
+		if err := run([]string{"-trials", trials}, &stdout, &stderr); err == nil {
+			t.Errorf("-trials %s accepted", trials)
+		}
+	}
+}

@@ -197,9 +197,11 @@ func TestOptimalIterationSweetSpot(t *testing.T) {
 	phi := uniformOver(1024, t)
 	marked := func(k int) bool { return k == 512 }
 	s := phi.Clone()
+	pos := phi.Mark(marked, nil)
 	kOpt := int(math.Round(math.Pi / 4 * math.Sqrt(1024)))
 	for i := 0; i < kOpt; i++ {
-		s.GroverIteration(phi, marked)
+		s.FlipAt(pos)
+		s.ReflectAbout(phi)
 	}
 	// P(marked) = |<512|s>|², the one marked label's squared amplitude.
 	basis, err := qsim.NewUniform([]int{512})

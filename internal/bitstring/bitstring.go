@@ -3,6 +3,7 @@
 package bitstring
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -105,9 +106,12 @@ func (b *Bits) String() string {
 }
 
 // Disj computes the disjointness function of the paper: DISJ(x, y) = 0 iff
-// there is an index i with x_i = y_i = 1, and 1 otherwise. Inputs of
-// different lengths are an error.
+// there is an index i with x_i = y_i = 1, and 1 otherwise. Nil inputs and
+// inputs of different lengths are errors.
 func Disj(x, y *Bits) (int, error) {
+	if x == nil || y == nil {
+		return 0, errors.New("bitstring: nil input")
+	}
 	if x.n != y.n {
 		return 0, fmt.Errorf("bitstring: length mismatch %d vs %d", x.n, y.n)
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 
+	"qcongest/internal/amplify"
 	"qcongest/internal/bitstring"
 	"qcongest/internal/qsim"
 )
@@ -27,12 +28,14 @@ type Metrics struct {
 	MaxQubits int // largest single message
 }
 
-func (m *Metrics) send(q int) {
-	m.Messages++
-	m.Qubits += q
-	if q > m.MaxQubits {
-		m.MaxQubits = q
+// send tallies times messages of q qubits each.
+func (m *Metrics) send(q, times int) {
+	if times < 1 {
+		return
 	}
+	m.Messages += times
+	m.Qubits += q * times
+	m.MaxQubits = max(m.MaxQubits, q)
 }
 
 // ClassicalDisj runs the trivial classical protocol: Alice ships her whole
@@ -44,8 +47,8 @@ func ClassicalDisj(x, y *bitstring.Bits) (int, Metrics, error) {
 		return 0, Metrics{}, fmt.Errorf("comm: %w", err)
 	}
 	var m Metrics
-	m.send(x.Len()) // Alice -> Bob: x
-	m.send(1)       // Bob -> Alice: DISJ(x, y)
+	m.send(x.Len(), 1) // Alice -> Bob: x
+	m.send(1, 1)       // Bob -> Alice: DISJ(x, y)
 	return result, m, nil
 }
 
@@ -70,38 +73,34 @@ type GroverDisjResult struct {
 // realizes the [BGK+15]-optimal Õ(k/r + r) tradeoff, and blocks = k gives
 // the Õ(sqrt(k)) protocol of [BCW98].
 //
-// The final classical verification (Alice ships the witness block) is
-// included in the metrics.
+// The search is amplify.Search, the BBHT loop of Theorem 6, with a budget
+// of 6·sqrt(blocks)+12 Grover iterations. The classical verification of
+// each measured block (Alice ships the block) is included in the metrics.
+// Nil inputs and a nil rng are errors.
 func BlockedGroverDisj(x, y *bitstring.Bits, blocks int, rng *rand.Rand) (GroverDisjResult, error) {
 	res := GroverDisjResult{Witness: -1}
-	k := x.Len()
-	if y.Len() != k {
-		return res, fmt.Errorf("comm: input lengths %d vs %d", k, y.Len())
+	switch {
+	case x == nil || y == nil:
+		return res, errors.New("comm: nil input")
+	case rng == nil:
+		return res, errors.New("comm: nil rng")
+	case x.Len() != y.Len():
+		return res, fmt.Errorf("comm: input lengths %d vs %d", x.Len(), y.Len())
 	}
+	k := x.Len()
 	if k == 0 {
 		res.Disj = 1
 		return res, nil
 	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	if blocks > k {
-		blocks = k
-	}
+	blocks = min(max(blocks, 1), k)
 	blockSize := (k + blocks - 1) / blocks
-	msgQubits := bitsFor(blocks) + blockSize + 1
-
-	blockIntersects := func(b int) bool {
-		lo, hi := b*blockSize, (b+1)*blockSize
-		if hi > k {
-			hi = k
-		}
-		for i := lo; i < hi; i++ {
+	common := func(b int) int { // first common index of block b, or -1
+		for i := b * blockSize; i < min((b+1)*blockSize, k); i++ {
 			if x.Get(i) && y.Get(i) {
-				return true
+				return i
 			}
 		}
-		return false
+		return -1
 	}
 
 	labels := make([]int, blocks)
@@ -112,49 +111,26 @@ func BlockedGroverDisj(x, y *bitstring.Bits, blocks int, rng *rand.Rand) (Grover
 	if err != nil {
 		return res, err
 	}
-
-	// BBHT amplitude amplification; every Grover iteration queries the
-	// distributed oracle once (Alice -> Bob -> Alice).
-	budget := int(6*math.Sqrt(float64(blocks))) + 12
-	mVal := 1.0
-	const lambda = 1.2
-	for iter := 0; iter < budget; {
-		j := rng.Intn(int(mVal) + 1)
-		if j > budget-iter {
-			j = budget - iter
-		}
-		s := phi.Clone()
-		for i := 0; i < j; i++ {
-			res.Metrics.send(msgQubits) // Alice -> Bob: label + block
-			res.Metrics.send(msgQubits) // Bob -> Alice: marked reply
-			s.GroverIteration(phi, blockIntersects)
-		}
-		iter += j
-		b := s.Measure(rng)
-		// Classical verification of the candidate block.
-		res.Metrics.send(bitsFor(blocks) + blockSize) // Alice -> Bob
-		res.Metrics.send(1 + bitsFor(k))              // Bob -> Alice: verdict + witness
-		if blockIntersects(b) {
-			res.Disj = 0
-			lo := b * blockSize
-			for i := lo; i < lo+blockSize && i < k; i++ {
-				if x.Get(i) && y.Get(i) {
-					res.Witness = i
-					break
-				}
-			}
-			return res, nil
-		}
-		mVal = math.Min(lambda*mVal, math.Sqrt(float64(blocks))*2)
-		if j == 0 && mVal < 1.5 {
-			mVal = 1.5
-		}
+	b, c, err := amplify.Search(phi, func(b int) bool { return common(b) >= 0 }, int(6*math.Sqrt(float64(blocks)))+12, rng)
+	switch {
+	case err == nil:
+		res.Witness = common(b)
+	case errors.Is(err, amplify.ErrNotFound):
+		// Budget exhausted without finding an intersecting block: declare
+		// disjoint. For actually-disjoint inputs this is always correct;
+		// for intersecting inputs the failure probability is exponentially
+		// small in the budget constant.
+		res.Disj = 1
+	default:
+		return res, err
 	}
-	// Budget exhausted without finding an intersecting block: declare
-	// disjoint. For actually-disjoint inputs this is always correct; for
-	// intersecting inputs the failure probability is exponentially small
-	// in the budget constant.
-	res.Disj = 1
+	// Every Grover iteration queries the distributed oracle once: Alice
+	// sends the label and block, Bob returns the marked reply. Every
+	// measurement is verified classically: Alice ships the candidate block,
+	// Bob answers with the verdict and a witness.
+	res.Metrics.send(bitsFor(blocks)+blockSize+1, 2*c.GroverIterations)
+	res.Metrics.send(bitsFor(blocks)+blockSize, c.Measurements)
+	res.Metrics.send(1+bitsFor(k), c.Measurements)
 	return res, nil
 }
 
@@ -170,32 +146,25 @@ type TradeoffPoint struct {
 // MeasureTradeoff runs BlockedGroverDisj across message budgets and reports
 // the measured communication, reproducing the Theorem 5 curve
 // Õ(k/r + r). Inputs are random intersecting pairs (the hard case), and
-// each point averages over trials.
+// each point averages over trials >= 1 runs, failed ones included: they
+// cost communication too.
 func MeasureTradeoff(k int, budgets []int, trials int, seed int64) ([]TradeoffPoint, error) {
 	if k < 4 {
 		return nil, errors.New("comm: k too small")
 	}
+	if trials < 1 {
+		return nil, fmt.Errorf("comm: trials %d < 1", trials)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]TradeoffPoint, 0, len(budgets))
 	for _, r := range budgets {
-		blocks := (r / 4) * (r / 4)
-		if blocks < 1 {
-			blocks = 1
-		}
-		if blocks > k {
-			blocks = k
-		}
+		blocks := min(max((r/4)*(r/4), 1), k)
 		var totalMsgs, totalQubits int
 		for i := 0; i < trials; i++ {
 			x, y := bitstring.RandomIntersectingPair(k, rng)
 			res, err := BlockedGroverDisj(x, y, blocks, rng)
 			if err != nil {
 				return nil, err
-			}
-			if res.Disj != 0 {
-				// Count failed runs too; they still cost communication.
-				// (Failures are rare; correctness is tested separately.)
-				_ = res
 			}
 			totalMsgs += res.Metrics.Messages
 			totalQubits += res.Metrics.Qubits

@@ -29,6 +29,9 @@ func TestClassicalDisj(t *testing.T) {
 	if _, _, err := ClassicalDisj(x, bitstring.New(3)); err == nil {
 		t.Error("length mismatch accepted")
 	}
+	if _, _, err := ClassicalDisj(x, nil); err == nil {
+		t.Error("nil input accepted")
+	}
 }
 
 func TestGroverDisjCorrectness(t *testing.T) {
@@ -81,6 +84,12 @@ func TestGroverDisjEdgeCases(t *testing.T) {
 	}
 	if _, err := BlockedGroverDisj(x, bitstring.New(2), 1, rng); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	if _, err := BlockedGroverDisj(nil, y, 1, rng); err == nil {
+		t.Error("nil input accepted")
+	}
+	if _, err := BlockedGroverDisj(x, y, 1, nil); err == nil {
+		t.Error("nil rng accepted")
 	}
 }
 
@@ -144,13 +153,59 @@ func TestTradeoffShape(t *testing.T) {
 	if _, err := MeasureTradeoff(2, []int{4}, 1, 1); err == nil {
 		t.Error("tiny k accepted")
 	}
+	for _, trials := range []int{0, -1} {
+		if _, err := MeasureTradeoff(k, []int{8}, trials, 1); err == nil {
+			t.Errorf("trials %d accepted", trials)
+		}
+	}
 }
 
 func TestMetricsAccounting(t *testing.T) {
 	var m Metrics
-	m.send(5)
-	m.send(3)
-	if m.Messages != 2 || m.Qubits != 8 || m.MaxQubits != 5 {
+	m.send(5, 1)
+	m.send(3, 2)
+	m.send(9, 0) // no message, so no maximum either
+	if m.Messages != 3 || m.Qubits != 11 || m.MaxQubits != 5 {
 		t.Errorf("metrics = %+v", m)
+	}
+}
+
+// TestBlockedGroverDisjPinned pins the protocol's full result for fixed
+// inputs and seeds: a change to the amplification loop, its RNG draws or
+// the message accounting shows here. The cases cover a k=1 input, one
+// block per index, a single block found by its first measurement (no
+// Grover iteration, so MaxQubits is a verification message), more blocks
+// requested than indices, and disjoint inputs that exhaust the budget.
+func TestBlockedGroverDisjPinned(t *testing.T) {
+	for _, tc := range []struct {
+		k, blocks int
+		seed      int64
+		disjoint  bool
+		disj, wit int
+		m         Metrics
+	}{
+		{1, 1, 1, false, 0, 0, Metrics{4, 10, 3}},
+		{16, 16, 2, false, 0, 3, Metrics{6, 32, 6}},
+		{64, 8, 3, true, 1, -1, Metrics{84, 924, 12}},
+		{100, 100, 4, false, 0, 75, Metrics{4, 34, 9}},
+		{257, 30, 5, false, 0, 159, Metrics{20, 264, 15}},
+		{128, 300, 6, true, 1, -1, Metrics{194, 1710, 9}},
+		{40, 1, 7, false, 0, 20, Metrics{2, 48, 41}},
+		{200, 64, 8, true, 1, -1, Metrics{156, 1662, 11}},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		pair := bitstring.RandomIntersectingPair
+		if tc.disjoint {
+			pair = bitstring.RandomDisjointPair
+		}
+		x, y := pair(tc.k, rng)
+		res, err := BlockedGroverDisj(x, y, tc.blocks, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := GroverDisjResult{Disj: tc.disj, Witness: tc.wit, Metrics: tc.m}
+		if res != want {
+			t.Errorf("k=%d blocks=%d seed=%d: %+v, want %+v", tc.k, tc.blocks, tc.seed, res, want)
+		}
 	}
 }

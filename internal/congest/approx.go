@@ -18,16 +18,13 @@ import (
 type ApproxPrep struct {
 	Info *PreInfo // leader, BFS(leader), d = ecc(leader)
 
-	S        []bool // the sampled hitting set of Step 1
-	W        int    // the vertex maximizing d(w, p(w)) (Step 2)
-	WParent  []int  // BFS(w) tree
-	WDepth   []int
-	WNatural [][]int // BFS(w) children
-	RMembers []bool  // R: the s closest vertices to w (Step 3)
+	S        []bool   // the sampled hitting set of Step 1
+	W        int      // the vertex maximizing d(w, p(w)) (Step 2)
+	WInfo    *PreInfo // BFS(w) rooted at w; WInfo.D = ecc(w), a free 2-approximation lower bound
+	RMembers []bool   // R: the s closest vertices to w (Step 3)
 	RSize    int
 	RChild   [][]int // BFS(w) children restricted to R (the R-subtree)
 	TauR     []int   // DFS numbers of R members along the R-subtree tour
-	EccW     int     // ecc(w), a free 2-approximation lower bound
 }
 
 // notifyNode is a one-shot program: every marked node tells its tree parent
@@ -168,112 +165,78 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	total.Add(bm)
 
 	// Step 3: BFS from w; the s closest vertices join R.
-	bfs, m, err := runOnce(topo, func(v int) *BFSNode { return NewBFSNode(w) }, 8*n+16, "bfs from w", opts...)
+	wInfo, m, err := bfsTree(topo, w, "bfs from w", opts...)
 	if err != nil {
 		return nil, total, err
 	}
 	total.Add(m)
-	prep.WParent = make([]int, n)
-	prep.WDepth = make([]int, n)
-	prep.WNatural = make([][]int, n)
-	for v, b := range bfs {
-		prep.WParent[v] = b.Parent
-		prep.WDepth[v] = b.Dist
-		prep.WNatural[v] = b.Children
-		if v == w {
-			prep.EccW = b.Ecc
-		}
-	}
+	prep.WInfo = wInfo
 
 	// Select R: the s closest vertices to w, ties broken by id. Two
 	// distributed binary searches (threshold on depth, then on id within
 	// the boundary layer), each probe one convergecast sum + broadcast —
 	// both on sessions built once for the whole search and re-run per probe.
-	wInfo := &PreInfo{Leader: w, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
 	sumW := newTreeAgg(topo, wInfo, KindSum, 0, "sum convergecast", opts...)
 	bcastW := NewSession(topo, func(v int) *BroadcastNode {
 		return NewBroadcastNode(wInfo.Parent[v], wInfo.Children[v], 0)
 	}, opts...)
-	runBcast := func(value int) error {
-		bcastW.Node(w).Value = value
+	// probe counts the vertices v with in(v, x) and broadcasts x.
+	probe := func(x int, in func(v, x int) bool) (int, error) {
+		for v := 0; v < n; v++ {
+			vals[v] = 0
+			if in(v, x) {
+				vals[v] = 1
+			}
+		}
+		c, err := runSum(sumW)
+		if err != nil {
+			return 0, err
+		}
+		bcastW.Node(w).Value = x
 		if err := bcastW.Run(4*n + 16); err != nil {
-			return fmt.Errorf("broadcast: %w", err)
+			return 0, fmt.Errorf("broadcast: %w", err)
 		}
 		total.Add(bcastW.Metrics())
-		return nil
-	}
-	countAtMostDepth := func(t int) (int, error) {
-		for v := 0; v < n; v++ {
-			vals[v] = 0
-			if prep.WDepth[v] <= t {
-				vals[v] = 1
-			}
-		}
-		c, err := runSum(sumW)
-		if err != nil {
-			return 0, err
-		}
-		if err := runBcast(t); err != nil {
-			return 0, err
-		}
 		return c, nil
 	}
-	lo, hi := 0, prep.EccW // smallest t with count(depth <= t) >= s
-	for lo < hi {
-		mid := (lo + hi) / 2
-		c, err := countAtMostDepth(mid)
-		if err != nil {
-			return nil, total, err
+	// least returns the smallest x in [0, hi] whose probe counts at least
+	// want vertices.
+	least := func(hi, want int, in func(v, x int) bool) (int, error) {
+		lo := 0
+		for lo < hi {
+			mid := (lo + hi) / 2
+			c, err := probe(mid, in)
+			if err != nil {
+				return 0, err
+			}
+			if c >= want {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
-		if c >= s {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+		return lo, nil
 	}
-	tStar := lo
+	depth := wInfo.Depth
+	atMostDepth := func(v, t int) bool { return depth[v] <= t }
+	tStar, err := least(wInfo.D, s, atMostDepth)
+	if err != nil {
+		return nil, total, err
+	}
 	below := 0
 	if tStar > 0 {
-		c, err := countAtMostDepth(tStar - 1)
-		if err != nil {
+		if below, err = probe(tStar-1, atMostDepth); err != nil {
 			return nil, total, err
 		}
-		below = c
 	}
-	need := s - below // how many depth == tStar vertices to admit, by id
-	countLayerIDAtMost := func(theta int) (int, error) {
-		for v := 0; v < n; v++ {
-			vals[v] = 0
-			if prep.WDepth[v] == tStar && v <= theta {
-				vals[v] = 1
-			}
-		}
-		c, err := runSum(sumW)
-		if err != nil {
-			return 0, err
-		}
-		if err := runBcast(theta); err != nil {
-			return 0, err
-		}
-		return c, nil
+	// Admit s - below vertices of the boundary layer depth == tStar, by id.
+	theta, err := least(n-1, s-below, func(v, theta int) bool { return depth[v] == tStar && v <= theta })
+	if err != nil {
+		return nil, total, err
 	}
-	lo, hi = 0, n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		c, err := countLayerIDAtMost(mid)
-		if err != nil {
-			return nil, total, err
-		}
-		if c >= need {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	theta := lo
 	prep.RMembers = make([]bool, n)
 	for v := 0; v < n; v++ {
-		if prep.WDepth[v] < tStar || (prep.WDepth[v] == tStar && v <= theta) {
+		if depth[v] < tStar || (depth[v] == tStar && v <= theta) {
 			prep.RMembers[v] = true
 			prep.RSize++
 		}
@@ -284,7 +247,7 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 
 	// R members notify their BFS(w) parents, yielding the R-subtree.
 	notify, m, err := runOnce(topo, func(v int) *notifyNode {
-		return &notifyNode{Parent: prep.WParent[v], Marked: prep.RMembers[v]}
+		return &notifyNode{Parent: wInfo.Parent[v], Marked: prep.RMembers[v]}
 	}, 8, "R notify", opts...)
 	if err != nil {
 		return nil, total, err
@@ -363,10 +326,9 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 	res.Metrics.Add(m)
 
 	// Per-source maximum convergecast on BFS(w): ecc of each R member.
-	wInfo := &PreInfo{Leader: prep.W, Parent: prep.WParent, Depth: prep.WDepth, Children: prep.WNatural, D: prep.EccW}
 	cc, m, err := runOnce(topo, func(v int) *SlotConvergecastNode {
-		return NewSlotConvergecastNode(wInfo, v, KindSrcMax, kindInvalid, sources, 0, -1, ssp[v].Dist)
-	}, wInfo.D+sources+8, "source max convergecast", opts...)
+		return NewSlotConvergecastNode(prep.WInfo, v, KindSrcMax, kindInvalid, sources, 0, -1, ssp[v].Dist)
+	}, prep.WInfo.D+sources+8, "source max convergecast", opts...)
 	if err != nil {
 		return res, err
 	}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -187,11 +188,45 @@ func TestPrepareApproxInvariants(t *testing.T) {
 	if !prep.RMembers[prep.W] {
 		t.Error("w must belong to R")
 	}
+	// WInfo is BFS(w) as the BFSNode rule builds it: hop distances from w,
+	// each parent the smallest-id neighbor one level up, children the
+	// ascending inverse of parent, and D = ecc(w).
+	wi := prep.WInfo
+	dist, _ := g.BFS(prep.W)
+	if wi.Leader != prep.W {
+		t.Errorf("WInfo.Leader = %d, want w = %d", wi.Leader, prep.W)
+	}
+	if !slices.Equal(wi.Depth, dist) {
+		t.Errorf("WInfo.Depth = %v, want the hop distances %v", wi.Depth, dist)
+	}
+	if ecc := slices.Max(dist); wi.D != ecc {
+		t.Errorf("WInfo.D = %d, want ecc(w) = %d", wi.D, ecc)
+	}
+	children := make([][]int, g.N())
+	for v := 0; v < g.N(); v++ {
+		parent := -1
+		for _, u := range g.Neighbors(v) {
+			if dist[u] == dist[v]-1 && (parent < 0 || u < parent) {
+				parent = u
+			}
+		}
+		if wi.Parent[v] != parent {
+			t.Errorf("WInfo.Parent[%d] = %d, want %d", v, wi.Parent[v], parent)
+		}
+		if parent >= 0 {
+			children[parent] = append(children[parent], v)
+		}
+	}
+	for v := range children {
+		if !slices.Equal(wi.Children[v], children[v]) {
+			t.Errorf("WInfo.Children[%d] = %v, want %v", v, wi.Children[v], children[v])
+		}
+	}
 	// R must be exactly the s closest vertices to w by (depth, id).
 	type key struct{ d, id int }
 	var all []key
 	for v := 0; v < g.N(); v++ {
-		all = append(all, key{prep.WDepth[v], v})
+		all = append(all, key{prep.WInfo.Depth[v], v})
 	}
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
@@ -212,7 +247,7 @@ func TestPrepareApproxInvariants(t *testing.T) {
 	// R is ancestor-closed: the parent of any non-w member is a member.
 	for v := 0; v < g.N(); v++ {
 		if prep.RMembers[v] && v != prep.W {
-			if p := prep.WParent[v]; !prep.RMembers[p] {
+			if p := prep.WInfo.Parent[v]; !prep.RMembers[p] {
 				t.Errorf("vertex %d in R but parent %d is not", v, p)
 			}
 		}

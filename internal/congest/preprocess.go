@@ -57,25 +57,11 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	}
 
 	// Phase 2: BFS(leader) with child discovery and ecc convergecast.
-	bfs, m, err := runOnce(topo, func(v int) *BFSNode { return NewBFSNode(leader) }, 8*n+16, "bfs construction", opts...)
+	info, m, err := bfsTree(topo, leader, "bfs construction", opts...)
 	if err != nil {
 		return nil, total, err
 	}
 	total.Add(m)
-	info := &PreInfo{
-		Leader:   leader,
-		Parent:   make([]int, n),
-		Depth:    make([]int, n),
-		Children: make([][]int, n),
-	}
-	for v, b := range bfs {
-		info.Parent[v] = b.Parent
-		info.Depth[v] = b.Dist
-		info.Children[v] = b.Children
-		if v == leader {
-			info.D = b.Ecc
-		}
-	}
 
 	// Phase 3: broadcast d = ecc(leader) down the tree so every node can
 	// schedule the fixed-length phases that follow.
@@ -92,6 +78,30 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 		}
 	}
 	return info, total, nil
+}
+
+// bfsTree runs the Figure 1 BFS from root (child discovery and ecc
+// convergecast) and reads the tree out as a PreInfo rooted at root: every
+// vertex's parent, depth and ascending children, and D = ecc(root). It is
+// the one BFS-tree phase: PreprocessOn's phase 2 and PrepareApproxOn's
+// Step 3.
+func bfsTree(topo *Topology, root int, what string, opts ...Option) (*PreInfo, Metrics, error) {
+	n := topo.N()
+	bfs, m, err := runOnce(topo, func(v int) *BFSNode { return NewBFSNode(root) }, 8*n+16, what, opts...)
+	if err != nil {
+		return nil, m, err
+	}
+	info := &PreInfo{
+		Leader:   root,
+		Parent:   make([]int, n),
+		Depth:    make([]int, n),
+		Children: make([][]int, n),
+		D:        bfs[root].Ecc,
+	}
+	for v, b := range bfs {
+		info.Parent[v], info.Depth[v], info.Children[v] = b.Parent, b.Dist, b.Children
+	}
+	return info, m, nil
 }
 
 // TokenWalkOn executes the Figure 2 Step 1 walk (L token steps from start

@@ -72,9 +72,6 @@ type Options struct {
 	Delta float64
 	// Seed drives all measurements.
 	Seed int64
-	// S overrides the sample size of ApproxDiameter (default
-	// n^{2/3} / d^{1/3} per Theorem 4).
-	S int
 	// Parallel is the number of cloned evaluation contexts used to run
 	// independent Evaluations concurrently. 0 (the default) selects the
 	// automatic CPU budget, congest.Contexts: min(GOMAXPROCS, Evaluations
@@ -316,11 +313,7 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 		return Result{Diameter: extremum(ecc, false)}, err
 	}
 	n := g.N()
-	s := opts.S
-	if s <= 0 {
-		s = int(math.Ceil(math.Pow(float64(n), 2.0/3.0) / math.Pow(math.Max(1, float64(in.info.D)), 1.0/3.0)))
-	}
-	s = min(max(s, 1), n)
+	s := min(int(math.Ceil(math.Pow(float64(n), 2.0/3.0)/math.Pow(math.Max(1, float64(in.info.D)), 1.0/3.0))), n)
 
 	prep, preM, err := congest.PrepareApproxOn(in.topo, s, opts.Seed, opts.Engine...)
 	if err != nil {
@@ -338,25 +331,18 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 	domain := make([]int, 0, prep.RSize)
 	for v := 0; v < n; v++ {
 		if prep.RMembers[v] {
-			tStar = max(tStar, prep.WDepth[v])
+			tStar = max(tStar, prep.WInfo.Depth[v])
 			domain = append(domain, v)
 		}
 	}
 	window := 2 * (tStar + d)
-	wInfo := &congest.PreInfo{
-		Leader:   prep.W,
-		Parent:   prep.WParent,
-		Depth:    prep.WDepth,
-		Children: prep.WNatural,
-		D:        prep.EccW,
-	}
 	inR := func(u0 int) error {
 		if !prep.RMembers[u0] {
 			return fmt.Errorf("core: evaluation input %d outside R", u0)
 		}
 		return nil
 	}
-	o := in.oracle(in.walkEccFamily(wInfo, prep.RChild, window, 2*window+2*d+2, inR), preM.Rounds)
+	o := in.oracle(in.walkEccFamily(prep.WInfo, prep.RChild, window, 2*window+2*d+2, inR), preM.Rounds)
 	o.domain = domain
 	o.setupRounds = tStar + 1 // broadcast down the R-subtree
 	eps := min(1, float64(d)/(2*float64(prep.RSize)))

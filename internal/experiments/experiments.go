@@ -61,6 +61,9 @@ func (s Series) Slope(x func(Point) float64) float64 {
 // CPU budget: concurrent trials each run one context (Parallel 1), and a
 // sequential sweep leaves each call the automatic budget (Parallel 0).
 func runTrials(trials, parallel int, seed int64, engine []congest.Option, run func(opts core.Options) (core.Result, error)) (rounds int, lastDiam int, hits func(ok func(int) bool) int, err error) {
+	if trials < 1 {
+		return 0, 0, nil, fmt.Errorf("experiments: trials %d < 1", trials)
+	}
 	inner := 0
 	if parallel > 1 {
 		inner = 1

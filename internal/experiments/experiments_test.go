@@ -164,6 +164,23 @@ func TestRunTrialsSharesBudget(t *testing.T) {
 	}
 }
 
+// TestTrialsBelowOneAreErrors: every trial-averaging sweep rejects a trial
+// count below one with an error instead of dividing by it.
+func TestTrialsBelowOneAreErrors(t *testing.T) {
+	sizes := []int{12}
+	for _, trials := range []int{0, -1} {
+		if _, _, err := ExactComparison(sizes, 3, trials, 1, 1); err == nil {
+			t.Errorf("ExactComparison: trials %d accepted", trials)
+		}
+		if _, err := DiameterSweep(12, []int{3}, trials, 1, 1); err == nil {
+			t.Errorf("DiameterSweep: trials %d accepted", trials)
+		}
+		if _, _, err := ApproxComparison(sizes, 3, trials, 1, 1); err == nil {
+			t.Errorf("ApproxComparison: trials %d accepted", trials)
+		}
+	}
+}
+
 // TestSuiteComparison drives the distance-parameter sweep end to end: every
 // point must match its oracle (the driver sets OK), and the parallel sweep
 // must reproduce the sequential one exactly.

@@ -106,18 +106,8 @@ func (s *Sparse) Norm() float64 {
 	return math.Sqrt(t)
 }
 
-// PhaseFlip applies the oracle that negates the amplitude of every marked
-// basis label: |x> -> -|x> when marked(x).
-func (s *Sparse) PhaseFlip(marked func(int) bool) {
-	for i, k := range s.labels {
-		if marked(k) {
-			s.amp[i] = -s.amp[i]
-		}
-	}
-}
-
 // Mark appends to pos the positions of the labels for which marked holds,
-// calling marked once per label in ascending order, as PhaseFlip does.
+// calling marked once per label in ascending order.
 // FlipAt replays the positions on any state that shares s's label slice,
 // so a fixed predicate is evaluated once, not once per Grover iteration.
 func (s *Sparse) Mark(marked func(int) bool, pos []int) []int {
@@ -130,7 +120,8 @@ func (s *Sparse) Mark(marked func(int) bool, pos []int) []int {
 }
 
 // FlipAt negates the amplitudes at positions pos (from Mark on a state
-// sharing s's label slice): PhaseFlip with the predicate evaluated.
+// sharing s's label slice): the phase oracle |x> -> -|x> on the marked
+// labels, with the predicate already evaluated.
 func (s *Sparse) FlipAt(pos []int) {
 	for _, i := range pos {
 		s.amp[i] = -s.amp[i]
@@ -191,13 +182,6 @@ func (s *Sparse) ReflectAbout(phi *Sparse) {
 		}
 	}
 	s.labels, s.amp = labels, amp
-}
-
-// GroverIteration applies one amplitude-amplification step: the marked-set
-// phase flip followed by the reflection about phi.
-func (s *Sparse) GroverIteration(phi *Sparse, marked func(int) bool) {
-	s.PhaseFlip(marked)
-	s.ReflectAbout(phi)
 }
 
 // Measure samples a basis label from the state's distribution using rng,

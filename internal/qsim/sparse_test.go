@@ -2,8 +2,10 @@ package qsim
 
 import "sort"
 
-// Test-side constructor and read-outs of Sparse states for the oracle and
-// property tests; the library builds its states with NewUniform.
+// Test-side constructor, read-outs and predicate-driven Grover steps of
+// Sparse states for the oracle and property tests; the library builds its
+// states with NewUniform and amplifies with Mark, FlipAt and ReflectAbout
+// (internal/amplify).
 
 // NewState returns a state with the given amplitudes, normalized.
 func NewState(amps map[int]complex128) (*Sparse, error) {
@@ -56,4 +58,21 @@ func (s *Sparse) Probability(pred func(int) bool) float64 {
 		}
 	}
 	return t
+}
+
+// PhaseFlip applies the oracle that negates the amplitude of every marked
+// basis label: |x> -> -|x> when marked(x).
+func (s *Sparse) PhaseFlip(marked func(int) bool) {
+	for i, k := range s.labels {
+		if marked(k) {
+			s.amp[i] = -s.amp[i]
+		}
+	}
+}
+
+// GroverIteration applies one amplitude-amplification step: the marked-set
+// phase flip followed by the reflection about phi.
+func (s *Sparse) GroverIteration(phi *Sparse, marked func(int) bool) {
+	s.PhaseFlip(marked)
+	s.ReflectAbout(phi)
 }

@@ -38,8 +38,12 @@ type Reduction struct {
 	Hy func(y *bitstring.Bits) [][2]int
 }
 
-// Build constructs Gn(x, y): the base graph plus gn(x) and hn(y).
+// Build constructs Gn(x, y): the base graph plus gn(x) and hn(y). Nil
+// inputs are errors.
 func (r *Reduction) Build(x, y *bitstring.Bits) (*graph.Graph, error) {
+	if x == nil || y == nil {
+		return nil, fmt.Errorf("reduction %s: nil input", r.Name)
+	}
 	if x.Len() != r.K || y.Len() != r.K {
 		return nil, fmt.Errorf("reduction %s: input lengths %d,%d, want %d", r.Name, x.Len(), y.Len(), r.K)
 	}

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -35,9 +36,13 @@ type SimulationResult struct {
 // crossing the cut into the transcript bit-for-bit, so the decided DISJ
 // value comes with the real communication string, not an estimate. The run
 // fails if the algorithm's diameter output falls strictly between d1 and d2
-// (impossible for a correct reduction).
+// (impossible for a correct reduction). A nil reduction or input is an
+// error.
 func TwoPartyFromCongest(red *Reduction, x, y *bitstring.Bits, engine ...congest.Option) (SimulationResult, error) {
 	res := SimulationResult{Transcript: bitstring.New(0)}
+	if red == nil {
+		return res, errors.New("reduction: nil reduction")
+	}
 	g, err := red.Build(x, y)
 	if err != nil {
 		return res, err

@@ -79,6 +79,29 @@ func TestPublicLowerBoundAPI(t *testing.T) {
 	if _, err := Disj(NewBits(3), NewBits(4)); err == nil {
 		t.Error("Disj accepted inputs of lengths 3 and 4")
 	}
+	// Nil inputs, a nil rng and a nil reduction are errors, never panics.
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Disj nil bits", func() error { _, err := Disj(nil, y); return err }},
+		{"ClassicalDisj nil bits", func() error { _, _, err := ClassicalDisj(x, nil); return err }},
+		{"BlockedGroverDisj nil bits", func() error { _, err := BlockedGroverDisj(nil, y, 2, rng); return err }},
+		{"BlockedGroverDisj nil rng", func() error { _, err := BlockedGroverDisj(x, y, 2, nil); return err }},
+		{"TwoPartyFromCongest nil reduction", func() error { _, err := TwoPartyFromCongest(nil, x, y); return err }},
+		{"TwoPartyFromCongest nil bits", func() error { _, err := TwoPartyFromCongest(red, x, nil); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("no error")
+			}
+		})
+	}
 
 	alg := RelayAlgorithm(3, func(a, b uint64) uint64 { return a ^ b })
 	native, err := alg.RunNative(5, 9)
