@@ -53,7 +53,10 @@ func run() error {
 	}
 
 	fmt.Println("\n=== Theorem 10: CONGEST run as a two-party protocol ===")
-	x, y := qcongest.RandomIntersectingPair(hw.K, rng)
+	x, y, err := qcongest.RandomIntersectingPair(hw.K, rng)
+	if err != nil {
+		return err
+	}
 	sim, err := qcongest.TwoPartyFromCongest(hw, x, y)
 	if err != nil {
 		return err
@@ -73,8 +76,14 @@ func run() error {
 
 	fmt.Println("\n=== Figure 8: subdivided graphs, diameter d+4 vs d+5 ===")
 	for _, d := range []int{2, 5, 10} {
-		xd, yd := qcongest.RandomDisjointPair(achk.K, rng)
-		xi, yi := qcongest.RandomIntersectingPair(achk.K, rng)
+		xd, yd, err := qcongest.RandomDisjointPair(achk.K, rng)
+		if err != nil {
+			return err
+		}
+		xi, yi, err := qcongest.RandomIntersectingPair(achk.K, rng)
+		if err != nil {
+			return err
+		}
 		sub1, err := qcongest.BuildSubdivided(achk, xd, yd, d)
 		if err != nil {
 			return err
@@ -114,14 +123,18 @@ func run() error {
 }
 
 func verifyPairs(red *qcongest.Reduction, trials int, rng *rand.Rand) error {
+	pairs := []func(int, *rand.Rand) (x, y *bitstring.Bits, err error){
+		bitstring.RandomDisjointPair, bitstring.RandomIntersectingPair,
+	}
 	for i := 0; i < trials; i++ {
-		x, y := bitstring.RandomDisjointPair(red.K, rng)
-		if err := red.Verify(x, y); err != nil {
-			return err
-		}
-		x, y = bitstring.RandomIntersectingPair(red.K, rng)
-		if err := red.Verify(x, y); err != nil {
-			return err
+		for _, pair := range pairs {
+			x, y, err := pair(red.K, rng)
+			if err != nil {
+				return err
+			}
+			if err := red.Verify(x, y); err != nil {
+				return err
+			}
 		}
 	}
 	fmt.Printf("verified %d disjoint + %d intersecting input pairs\n", trials, trials)

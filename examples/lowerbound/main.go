@@ -22,11 +22,13 @@ func main() {
 		red.Base.N(), red.B, red.K)
 
 	for trial := 0; trial < 4; trial++ {
-		var x, y *qcongest.Bits
-		if trial%2 == 0 {
-			x, y = qcongest.RandomDisjointPair(red.K, rng)
-		} else {
-			x, y = qcongest.RandomIntersectingPair(red.K, rng)
+		pair := qcongest.RandomDisjointPair
+		if trial%2 == 1 {
+			pair = qcongest.RandomIntersectingPair
+		}
+		x, y, err := pair(red.K, rng)
+		if err != nil {
+			log.Fatal(err)
 		}
 		g, err := red.Build(x, y)
 		if err != nil {

@@ -123,9 +123,16 @@ func Disj(x, y *Bits) (int, error) {
 	return 1, nil
 }
 
+// errNilRng is what the random pair generators return for a nil rng.
+var errNilRng = errors.New("bitstring: nil rng")
+
 // RandomDisjointPair returns (x, y) with DISJ(x, y) = 1: each index is
-// assigned to x only, y only, or neither.
-func RandomDisjointPair(n int, rng *rand.Rand) (x, y *Bits) {
+// assigned to x only, y only, or neither. A pair of length 0 is valid; a
+// nil rng is an error.
+func RandomDisjointPair(n int, rng *rand.Rand) (x, y *Bits, err error) {
+	if rng == nil {
+		return nil, nil, errNilRng
+	}
 	x, y = New(n), New(n)
 	for i := 0; i < n; i++ {
 		switch rng.Intn(3) {
@@ -135,15 +142,21 @@ func RandomDisjointPair(n int, rng *rand.Rand) (x, y *Bits) {
 			y.Set(i, true)
 		}
 	}
-	return x, y
+	return x, y, nil
 }
 
 // RandomIntersectingPair returns (x, y) with DISJ(x, y) = 0: a random pair
-// plus one forced common index.
-func RandomIntersectingPair(n int, rng *rand.Rand) (x, y *Bits) {
-	x, y = RandomDisjointPair(n, rng)
+// plus one forced common index. It needs n >= 1, which has a common index
+// to force, and a non-nil rng.
+func RandomIntersectingPair(n int, rng *rand.Rand) (x, y *Bits, err error) {
+	if n < 1 {
+		return nil, nil, fmt.Errorf("bitstring: intersecting pair of length %d, want at least 1", n)
+	}
+	if x, y, err = RandomDisjointPair(n, rng); err != nil {
+		return nil, nil, err
+	}
 	i := rng.Intn(n)
 	x.Set(i, true)
 	y.Set(i, true)
-	return x, y
+	return x, y, nil
 }

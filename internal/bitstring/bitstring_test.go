@@ -90,14 +90,30 @@ func mustDisj(t *testing.T, x, y *Bits) int {
 func TestRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		x, y := RandomDisjointPair(70, rng)
+		x, y := mustPair(t, RandomDisjointPair, 70, rng)
 		if mustDisj(t, x, y) != 1 {
 			t.Fatalf("RandomDisjointPair produced intersecting pair %s %s", x, y)
 		}
-		x, y = RandomIntersectingPair(70, rng)
+		x, y = mustPair(t, RandomIntersectingPair, 70, rng)
 		if mustDisj(t, x, y) != 0 {
 			t.Fatalf("RandomIntersectingPair produced disjoint pair %s %s", x, y)
 		}
+	}
+	// A disjoint pair of length 0 is valid; an intersecting one needs a
+	// common index, and neither draws from a nil rng.
+	if x, y := mustPair(t, RandomDisjointPair, 0, rng); x.Len() != 0 || y.Len() != 0 {
+		t.Errorf("RandomDisjointPair(0) has lengths %d, %d", x.Len(), y.Len())
+	}
+	for _, n := range []int{0, -1} {
+		if _, _, err := RandomIntersectingPair(n, rng); err == nil {
+			t.Errorf("RandomIntersectingPair(%d) returned no error", n)
+		}
+	}
+	if _, _, err := RandomDisjointPair(3, nil); err == nil {
+		t.Error("RandomDisjointPair with a nil rng returned no error")
+	}
+	if _, _, err := RandomIntersectingPair(3, nil); err == nil {
+		t.Error("RandomIntersectingPair with a nil rng returned no error")
 	}
 }
 
@@ -193,4 +209,15 @@ func FirstCommon(x, y *Bits) int {
 		}
 	}
 	return -1
+}
+
+// mustPair draws one input pair of length n from gen, failing the test on
+// an error.
+func mustPair(t *testing.T, gen func(int, *rand.Rand) (x, y *Bits, err error), n int, rng *rand.Rand) (x, y *Bits) {
+	t.Helper()
+	x, y, err := gen(n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y
 }

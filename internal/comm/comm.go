@@ -161,7 +161,8 @@ func MeasureTradeoff(k int, budgets []int, trials int, seed int64) ([]TradeoffPo
 		blocks := min(max((r/4)*(r/4), 1), k)
 		var totalMsgs, totalQubits int
 		for i := 0; i < trials; i++ {
-			x, y := bitstring.RandomIntersectingPair(k, rng)
+			// k >= 4 and rng is not nil, so the pair draw cannot fail.
+			x, y, _ := bitstring.RandomIntersectingPair(k, rng)
 			res, err := BlockedGroverDisj(x, y, blocks, rng)
 			if err != nil {
 				return nil, err

@@ -43,10 +43,10 @@ func TestGroverDisjCorrectness(t *testing.T) {
 		var x, y *bitstring.Bits
 		var want int
 		if i%2 == 0 {
-			x, y = bitstring.RandomIntersectingPair(k, rng)
+			x, y = mustPair(t, bitstring.RandomIntersectingPair, k, rng)
 			want = 0
 		} else {
-			x, y = bitstring.RandomDisjointPair(k, rng)
+			x, y = mustPair(t, bitstring.RandomDisjointPair, k, rng)
 			want = 1
 		}
 		res, err := BlockedGroverDisj(x, y, x.Len(), rng)
@@ -101,7 +101,7 @@ func TestSqrtProtocolCommunication(t *testing.T) {
 		total := 0
 		const trials = 20
 		for i := 0; i < trials; i++ {
-			x, y := bitstring.RandomIntersectingPair(k, rng)
+			x, y := mustPair(t, bitstring.RandomIntersectingPair, k, rng)
 			res, err := BlockedGroverDisj(x, y, x.Len(), rng)
 			if err != nil {
 				t.Fatal(err)
@@ -198,7 +198,7 @@ func TestBlockedGroverDisjPinned(t *testing.T) {
 		if tc.disjoint {
 			pair = bitstring.RandomDisjointPair
 		}
-		x, y := pair(tc.k, rng)
+		x, y := mustPair(t, pair, tc.k, rng)
 		res, err := BlockedGroverDisj(x, y, tc.blocks, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -208,4 +208,15 @@ func TestBlockedGroverDisjPinned(t *testing.T) {
 			t.Errorf("k=%d blocks=%d seed=%d: %+v, want %+v", tc.k, tc.blocks, tc.seed, res, want)
 		}
 	}
+}
+
+// mustPair draws one input pair of length n from gen, failing the test on
+// an error.
+func mustPair(t *testing.T, gen func(int, *rand.Rand) (x, y *bitstring.Bits, err error), n int, rng *rand.Rand) (x, y *bitstring.Bits) {
+	t.Helper()
+	x, y, err := gen(n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y
 }

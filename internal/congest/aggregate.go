@@ -1,7 +1,5 @@
 package congest
 
-import "fmt"
-
 // Tree aggregation programs: convergecast of one value per vertex toward
 // the root (Figure 2 Step 3: "the transmission is done bottom up on
 // BFS(leader), and at each node only the maximum of received values is
@@ -202,36 +200,34 @@ func (c *ConvergecastNode) StateBits() int {
 	return 4 * 64
 }
 
-// treeAgg is a reusable convergecast session rooted at root; what prefixes
-// its run errors.
+// treeAgg is the phase runner of the tree convergecast rooted at root.
 type treeAgg struct {
-	s    *Session[*ConvergecastNode]
+	phase[*ConvergecastNode]
 	root int
-	what string
 }
 
 // newTreeAgg builds the convergecast session of the given kind on the tree
 // described by info, rooted at its leader; each vertex witnesses itself.
 func newTreeAgg(topo *Topology, info *PreInfo, kind Kind, bound int, what string, opts ...Option) treeAgg {
 	return treeAgg{
-		s: NewSession(topo, func(v int) *ConvergecastNode {
+		phase: newPhase(topo, func(v int) *ConvergecastNode {
 			return NewConvergecastNode(kind, info.Parent[v], info.Children[v], 0, v, bound)
-		}, opts...),
+		}, 4*topo.N()+16, what, opts...),
 		root: info.Leader,
-		what: what,
 	}
 }
 
 // run aggregates values and returns the aggregate at the root with the
 // run's Metrics.
 func (a treeAgg) run(values []int) (int, Metrics, error) {
-	for v, c := range a.s.Nodes() {
+	for v, c := range a.Nodes() {
 		c.Value = values[v]
 	}
-	if err := a.s.Run(4*a.s.Topology().N() + 16); err != nil {
-		return 0, a.s.Metrics(), fmt.Errorf("%s: %w", a.what, err)
+	m, err := a.exec()
+	if err != nil {
+		return 0, m, err
 	}
-	return a.s.Node(a.root).Agg, a.s.Metrics(), nil
+	return a.Node(a.root).Agg, m, nil
 }
 
 // BroadcastNode distributes the root's value down a tree.
@@ -304,6 +300,30 @@ func (b *BroadcastNode) NextWake(env *Env, round int) int {
 
 // StateBits implements StateSizer.
 func (b *BroadcastNode) StateBits() int { return 64 }
+
+// treeBcast is the phase runner of the broadcast down the tree rooted at
+// root.
+type treeBcast struct {
+	phase[*BroadcastNode]
+	root int
+}
+
+// newTreeBcast builds the broadcast session on the tree described by info,
+// rooted at its leader.
+func newTreeBcast(topo *Topology, info *PreInfo, what string, opts ...Option) treeBcast {
+	return treeBcast{
+		phase: newPhase(topo, func(v int) *BroadcastNode {
+			return NewBroadcastNode(info.Parent[v], info.Children[v], 0)
+		}, 4*topo.N()+16, what, opts...),
+		root: info.Leader,
+	}
+}
+
+// run broadcasts value from the root and returns the run's Metrics.
+func (b treeBcast) run(value int) (Metrics, error) {
+	b.Node(b.root).Value = value
+	return b.exec()
+}
 
 // SlotConvergecastNode is the pipelined per-slot convergecast: every node
 // holds a vector of Slots values and the tree combines them slot by slot

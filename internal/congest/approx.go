@@ -80,8 +80,7 @@ func (nn *notifyNode) NextWake(env *Env, round int) int {
 // sampling (with derived seeds) when Step 1's abort condition triggers or
 // the sample is empty. The repeated counting probes of the R-selection
 // binary searches (one convergecast sum plus one broadcast each, O(log n)
-// of them) run on two sessions built once and re-run per probe instead of
-// fresh networks.
+// of them) re-run one sum treeAgg and one treeBcast, both built once.
 func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*ApproxPrep, Metrics, error) {
 	var total Metrics
 	n := topo.N()
@@ -158,11 +157,11 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	prep.W = w
 
 	// Broadcast w so every node can join the BFS from it.
-	bm, err := BroadcastOn(topo, info, w, opts...)
+	m, err = newTreeBcast(topo, info, "broadcast", opts...).run(w)
 	if err != nil {
 		return nil, total, err
 	}
-	total.Add(bm)
+	total.Add(m)
 
 	// Step 3: BFS from w; the s closest vertices join R.
 	wInfo, m, err := bfsTree(topo, w, "bfs from w", opts...)
@@ -177,9 +176,7 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 	// the boundary layer), each probe one convergecast sum + broadcast —
 	// both on sessions built once for the whole search and re-run per probe.
 	sumW := newTreeAgg(topo, wInfo, KindSum, 0, "sum convergecast", opts...)
-	bcastW := NewSession(topo, func(v int) *BroadcastNode {
-		return NewBroadcastNode(wInfo.Parent[v], wInfo.Children[v], 0)
-	}, opts...)
+	bcastW := newTreeBcast(topo, wInfo, "broadcast", opts...)
 	// probe counts the vertices v with in(v, x) and broadcasts x.
 	probe := func(x int, in func(v, x int) bool) (int, error) {
 		for v := 0; v < n; v++ {
@@ -192,11 +189,11 @@ func PrepareApproxOn(topo *Topology, s int, seed int64, opts ...Option) (*Approx
 		if err != nil {
 			return 0, err
 		}
-		bcastW.Node(w).Value = x
-		if err := bcastW.Run(4*n + 16); err != nil {
-			return 0, fmt.Errorf("broadcast: %w", err)
+		m, err := bcastW.run(x)
+		if err != nil {
+			return 0, err
 		}
-		total.Add(bcastW.Metrics())
+		total.Add(m)
 		return c, nil
 	}
 	// least returns the smallest x in [0, hi] whose probe counts at least
@@ -341,13 +338,4 @@ func ClassicalApproxDiameter(g *graph.Graph, s int, seed int64, opts ...Option) 
 	}
 	res.Diameter = best
 	return res, nil
-}
-
-// BroadcastOn broadcasts value down the tree info describes, on an
-// already-built topology.
-func BroadcastOn(topo *Topology, info *PreInfo, value int, opts ...Option) (Metrics, error) {
-	_, m, err := runOnce(topo, func(v int) *BroadcastNode {
-		return NewBroadcastNode(info.Parent[v], info.Children[v], value)
-	}, 4*topo.N()+16, "broadcast", opts...)
-	return m, err
 }

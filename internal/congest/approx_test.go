@@ -94,7 +94,7 @@ func TestAggregationRejectsOverCapValues(t *testing.T) {
 	if _, err := runSum(g, info, vals); err == nil {
 		t.Error("over-cap convergecast sum accepted")
 	}
-	if _, err := BroadcastOn(mustTopology(t, g), info, 1<<20); err == nil {
+	if _, err := newTreeBcast(mustTopology(t, g), info, "broadcast").run(1 << 20); err == nil {
 		t.Error("over-cap broadcast value accepted")
 	}
 }

@@ -113,14 +113,25 @@ func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h int, opts ..
 		o.slotOf[v] = j
 	}
 
-	// Phase 1: d^H(s_i, v) for every skeleton vertex, measured.
+	// Phase 1: d^H(s_i, v) for every skeleton vertex (skelInf for vertices
+	// unreached within H hops), each relaxation's rounds measured.
 	s := len(o.Skeleton)
 	hmat := make([][]int, s)
-	for i := range hmat {
+	r := newRelaxation(topo, h, "", opts...) // each run's error prefix names its source
+	for i, src := range o.Skeleton {
+		r.what = fmt.Sprintf("skeleton relaxation from %d", src)
+		dist, m, err := r.run(src)
+		if err != nil {
+			return nil, err
+		}
+		o.InitRounds += m.Rounds
 		hmat[i] = make([]int, n)
-	}
-	if err := o.runInitRelaxations(hmat, opts...); err != nil {
-		return nil, err
+		for v, d := range dist {
+			if d < 0 {
+				d = skelInf
+			}
+			hmat[i][v] = d
+		}
 	}
 
 	// Phase 2: exact skeleton-to-skeleton distances — the Floyd–Warshall
@@ -178,33 +189,6 @@ func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h int, opts ..
 	return o, nil
 }
 
-// runInitRelaxations fills hmat[i] with the H-hop-bounded distances from
-// skeleton vertex i (skelInf for vertices unreached within H hops) and adds
-// the measured rounds of every relaxation to InitRounds.
-func (o *SkelOracle) runInitRelaxations(hmat [][]int, opts ...Option) error {
-	topo, h, bound := o.topo, o.H, o.bound
-	ses := NewSession(topo, func(v int) *WeightedSSSPNode {
-		return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, h)
-	}, opts...)
-	for i, src := range o.Skeleton {
-		for v, s := range ses.Nodes() {
-			s.Source = v == src
-		}
-		if err := ses.Run(h + 4); err != nil {
-			return fmt.Errorf("skeleton relaxation from %d: %w", src, err)
-		}
-		o.InitRounds += ses.Metrics().Rounds
-		for v, s := range ses.Nodes() {
-			if s.Dist < 0 {
-				hmat[i][v] = skelInf
-			} else {
-				hmat[i][v] = s.Dist
-			}
-		}
-	}
-	return nil
-}
-
 // combineRow computes row[v] = min( d^H(u, v), min_j vec[j] + dsv[v][j] )
 // for every vertex — each vertex's local combine of its own relaxation
 // estimate, the relayed skeleton vector and its stored table. It fails when
@@ -240,15 +224,14 @@ func (o *SkelOracle) relayDuration() int { return 2 * (o.info.D + len(o.Skeleton
 // SkelEvalSession evaluates the oracle for one source at a time: the
 // weighted counterpart of WeightedEccSession with the n-1-round inner loop
 // replaced by the oracle's H + relay schedule. Build once per context,
-// Eval per Evaluation.
+// Eval per Evaluation. Eval returns the Metrics of every run it executed,
+// the failing run included.
 type SkelEvalSession struct {
 	o     *SkelOracle
-	bf    *Session[*WeightedSSSPNode]
-	relay *Session[*SlotConvergecastNode]
+	bf    relaxation
+	relay phase[*SlotConvergecastNode]
 	cc    treeAgg
-
-	dist []int
-	row  []int
+	row   []int
 }
 
 // NewEvalSession builds the relaxation + relay + convergecast triple.
@@ -257,16 +240,13 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 	n := topo.N()
 	s := len(o.Skeleton)
 	return &SkelEvalSession{
-		o: o,
-		bf: NewSession(topo, func(v int) *WeightedSSSPNode {
-			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), o.bound, o.H)
-		}, opts...),
-		relay: NewSession(topo, func(v int) *SlotConvergecastNode {
+		o:  o,
+		bf: newRelaxation(topo, o.H, "skeleton relaxation", opts...),
+		relay: newPhase(topo, func(v int) *SlotConvergecastNode {
 			return NewSlotConvergecastNode(info, v, KindSkelUp, KindSkelDown, s, o.bound, o.slotOf[v], nil)
-		}, opts...),
-		cc:   newTreeAgg(topo, info, KindWMax, o.bound, "weighted convergecast", opts...),
-		dist: make([]int, n),
-		row:  make([]int, n),
+		}, o.relayDuration()+4, "skeleton relay", opts...),
+		cc:  newTreeAgg(topo, info, KindWMax, o.bound, "weighted convergecast", opts...),
+		row: make([]int, n),
 	}
 }
 
@@ -275,33 +255,26 @@ func (o *SkelOracle) NewEvalSession(opts ...Option) *SkelEvalSession {
 // d(source, v) — the value every vertex v holds locally after the combine.
 func (es *SkelEvalSession) Eval(source int, row []int) (int, Metrics, error) {
 	o := es.o
-	var total Metrics
-	for v, s := range es.bf.Nodes() {
-		s.Source = v == source
-	}
-	if err := es.bf.Run(o.H + 4); err != nil {
-		return 0, total, fmt.Errorf("skeleton relaxation: %w", err)
-	}
-	total.Add(es.bf.Metrics())
-	relay := es.relay.Nodes()
-	for v, s := range es.bf.Nodes() {
-		es.dist[v] = s.Dist
-		relay[v].Own = s.Dist
-	}
-	if err := es.relay.Run(o.relayDuration() + 4); err != nil {
-		return 0, total, fmt.Errorf("skeleton relay: %w", err)
-	}
-	total.Add(es.relay.Metrics())
-	if row == nil {
-		row = es.row
-	}
-	if err := o.combineRow(source, es.dist, relay[o.info.Leader].Vec, row); err != nil {
-		return 0, total, err
-	}
-	ecc, m, err := es.cc.run(row)
+	dist, total, err := es.bf.run(source)
 	if err != nil {
 		return 0, total, err
 	}
+	relay := es.relay.Nodes()
+	for v, d := range dist {
+		relay[v].Own = d
+	}
+	m, err := es.relay.exec()
 	total.Add(m)
-	return ecc, total, nil
+	if err != nil {
+		return 0, total, err
+	}
+	if row == nil {
+		row = es.row
+	}
+	if err := o.combineRow(source, dist, relay[o.info.Leader].Vec, row); err != nil {
+		return 0, total, err
+	}
+	ecc, m, err := es.cc.run(row)
+	total.Add(m)
+	return ecc, total, err
 }

@@ -13,8 +13,6 @@ package congest
 // ConvergecastNode, aggregate.go). All three phases have
 // input-independent round counts, the property the quantum layer needs.
 
-import "fmt"
-
 // msgSide carries one side bit of the mark flood (1 = inside the subtree of
 // the current evaluation's root, 0 = outside).
 type msgSide struct{ Marked int }
@@ -138,14 +136,13 @@ func (t *Topology) TotalWeight() int {
 // Eval(u0) computes the total weight of the edges crossing
 // (subtree(u0), rest) on the preprocessing tree. Mark flood and sum
 // convergecast both run fixed schedules, so the round count never depends
-// on u0.
+// on u0. Eval returns the Metrics of every run it executed, the failing
+// run included.
 type CutSession struct {
-	mark *Session[*CutMarkNode]
+	mark phase[*CutMarkNode]
 	sum  treeAgg
 	topo *Topology
-
-	duration int
-	vals     []int
+	vals []int
 }
 
 // NewCutSession builds the mark-flood + sum-convergecast pair on the tree
@@ -154,26 +151,24 @@ func NewCutSession(topo *Topology, info *PreInfo, opts ...Option) *CutSession {
 	duration := info.D + 1
 	bound := topo.TotalWeight()
 	return &CutSession{
-		mark: NewSession(topo, func(v int) *CutMarkNode {
+		mark: newPhase(topo, func(v int) *CutMarkNode {
 			return NewCutMarkNode(info.Parent[v], topo.Degree(v), duration)
-		}, opts...),
-		sum:      newTreeAgg(topo, info, KindCutSum, bound, "cut convergecast", opts...),
-		topo:     topo,
-		duration: duration,
-		vals:     make([]int, topo.N()),
+		}, duration+4, "cut mark flood", opts...),
+		sum:  newTreeAgg(topo, info, KindCutSum, bound, "cut convergecast", opts...),
+		topo: topo,
+		vals: make([]int, topo.N()),
 	}
 }
 
 // Eval computes the crossing weight of the tree cut rooted at u0.
 func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
-	var total Metrics
 	for v, mn := range cs.mark.Nodes() {
 		mn.Marked = v == u0
 	}
-	if err := cs.mark.Run(cs.duration + 4); err != nil {
-		return 0, total, fmt.Errorf("cut mark flood: %w", err)
+	total, err := cs.mark.exec()
+	if err != nil {
+		return 0, total, err
 	}
-	total.Add(cs.mark.Metrics())
 	// Local tally: vertex v charges each crossing edge to its smaller-id
 	// endpoint, so every crossing edge contributes exactly once.
 	for v, mn := range cs.mark.Nodes() {
@@ -191,9 +186,6 @@ func (cs *CutSession) Eval(u0 int) (int, Metrics, error) {
 		cs.vals[v] = tally
 	}
 	cut, m, err := cs.sum.run(cs.vals)
-	if err != nil {
-		return 0, total, err
-	}
 	total.Add(m)
-	return cut, total, nil
+	return cut, total, err
 }

@@ -1,23 +1,20 @@
 package congest
 
-// Composite sessions for the paper's Evaluation procedure (Figure 2): the
-// quantum algorithms run one token walk plus one wave-and-convergecast per
-// Evaluation, hundreds of times per optimization. WalkSession and
-// EccSession are the reusable counterparts of the one-shot TokenWalkOn and
-// WaveOn + ConvergecastMaxOn runs: built once per (topology, tree,
-// schedule), then one Run per Evaluation. Each Eval is bit-for-bit
-// identical — values, Metrics, observer traces, error strings — to those
-// fresh-network runs; the session determinism tests assert that
-// equivalence.
+// The Figure 2 Evaluation sessions: the quantum algorithms run one token
+// walk plus one wave-and-convergecast per Evaluation, hundreds of times per
+// optimization. WalkSession and EccSession are built once per (topology,
+// tree, schedule), then run once per Evaluation; the one-shot TokenWalkOn,
+// WaveOn and ConvergecastMaxOn are single runs of the same runners. Every
+// run is bit-for-bit identical — values, Metrics, observer traces, error
+// strings — to a run of freshly constructed programs; the session
+// determinism tests assert that equivalence against RunReference.
 
-import "fmt"
-
-// WalkSession is a reusable TokenWalkOn: the Figure 2 Step 1 walk over a
-// fixed tree, re-runnable from a different start vertex per execution.
+// WalkSession is the Figure 2 Step 1 walk over a fixed tree, re-runnable
+// from a different start vertex per execution. Eval returns the Metrics of
+// its one run, the failing run included.
 type WalkSession struct {
-	s     *Session[*TokenWalkNode]
-	steps int
-	tau   []int
+	p   phase[*TokenWalkNode]
+	tau []int
 }
 
 // NewWalkSession builds the walk session: L = steps token moves on the tree
@@ -25,28 +22,28 @@ type WalkSession struct {
 // is an Eval argument, not fixed here.
 func NewWalkSession(topo *Topology, info *PreInfo, children [][]int, steps int, opts ...Option) *WalkSession {
 	return &WalkSession{
-		s: NewSession(topo, func(v int) *TokenWalkNode {
+		p: newPhase(topo, func(v int) *TokenWalkNode {
 			return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, -1, steps)
-		}, opts...),
-		steps: steps,
-		tau:   make([]int, topo.N()),
+		}, steps+4, "token walk", opts...),
+		tau: make([]int, topo.N()),
 	}
 }
 
 // Eval runs one walk from start and returns tau' (-1 for unvisited
-// vertices). The returned slice is owned by the session and only valid
-// until the next Eval.
+// vertices) with the walk's Metrics. The returned slice is owned by the
+// session and only valid until the next Eval.
 func (ws *WalkSession) Eval(start int) ([]int, Metrics, error) {
-	for _, tw := range ws.s.Nodes() {
+	for _, tw := range ws.p.Nodes() {
 		tw.Start = start
 	}
-	if err := ws.s.Run(ws.steps + 4); err != nil {
-		return nil, ws.s.Metrics(), fmt.Errorf("token walk: %w", err)
+	m, err := ws.p.exec()
+	if err != nil {
+		return nil, m, err
 	}
-	for v, tw := range ws.s.Nodes() {
+	for v, tw := range ws.p.Nodes() {
 		ws.tau[v] = tw.Tau
 	}
-	return ws.tau, ws.s.Metrics(), nil
+	return ws.tau, m, nil
 }
 
 // Close is a no-op: a session holds nothing to release. Its one caller is
@@ -58,12 +55,11 @@ func (ws *WalkSession) Close() {}
 // EccSession is the Figure 2 Step 2 wave process followed by the Step 3
 // max convergecast on BFS(leader), re-runnable with a different tau'
 // assignment per execution: the classical core that the quantum Evaluation
-// procedure quantizes.
+// procedure quantizes. Eval returns the Metrics of every run it executed,
+// the failing run included.
 type EccSession struct {
-	wave     *Session[*WaveNode]
-	cc       treeAgg
-	duration int
-	dv       []int
+	wave waveProcess
+	cc   treeAgg
 }
 
 // NewEccSession builds the wave+convergecast pair on the tree described by
@@ -71,38 +67,21 @@ type EccSession struct {
 // at least 2*max(tau') + 2*ecc bounds, and callers derive it from d.
 func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Option) *EccSession {
 	return &EccSession{
-		wave: NewSession(topo, func(v int) *WaveNode {
-			return NewWaveNode(false, -1, waveDuration)
-		}, opts...),
-		cc:       newTreeAgg(topo, info, KindMax, 0, "convergecast", opts...),
-		duration: waveDuration,
-		dv:       make([]int, topo.N()),
+		wave: newWaveProcess(topo, waveDuration, opts...),
+		cc:   newTreeAgg(topo, info, KindMax, 0, "convergecast", opts...),
 	}
 }
 
 // Eval computes max_{u in S} ecc(u) for the set S given as tau'
 // assignments (tau[v] >= 0 iff v in S).
 func (es *EccSession) Eval(tau []int) (int, Metrics, error) {
-	var total Metrics
-	for v, wn := range es.wave.Nodes() {
-		wn.InS, wn.TauPrime = tau[v] >= 0, tau[v]
-	}
-	if err := es.wave.Run(es.duration + 4); err != nil {
-		return 0, total, fmt.Errorf("wave process: %w", err)
-	}
-	for v, wn := range es.wave.Nodes() {
-		if wn.Violation != nil {
-			return 0, total, wn.Violation
-		}
-		es.dv[v] = wn.DV
-	}
-	total.Add(es.wave.Metrics())
-	ecc, m, err := es.cc.run(es.dv)
+	dv, total, err := es.wave.run(tau)
 	if err != nil {
 		return 0, total, err
 	}
+	ecc, m, err := es.cc.run(dv)
 	total.Add(m)
-	return ecc, total, nil
+	return ecc, total, err
 }
 
 // Close is a no-op: a session holds nothing to release. Its only callers

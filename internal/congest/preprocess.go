@@ -64,19 +64,14 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	total.Add(m)
 
 	// Phase 3: broadcast d = ecc(leader) down the tree so every node can
-	// schedule the fixed-length phases that follow.
-	bcast, m, err := runOnce(topo, func(v int) *BroadcastNode {
-		return NewBroadcastNode(info.Parent[v], info.Children[v], info.D)
-	}, 4*n+16, "broadcast d", opts...)
+	// schedule the fixed-length phases that follow. A run that completes
+	// has delivered d everywhere: a vertex finishes only by forwarding the
+	// value it received.
+	m, err = newTreeBcast(topo, info, "broadcast d", opts...).run(info.D)
 	if err != nil {
 		return nil, total, err
 	}
 	total.Add(m)
-	for v, b := range bcast {
-		if b.Value != info.D {
-			return nil, total, fmt.Errorf("congest: node %d received d=%d, want %d", v, b.Value, info.D)
-		}
-	}
 	return info, total, nil
 }
 
@@ -106,54 +101,33 @@ func bfsTree(topo *Topology, root int, what string, opts ...Option) (*PreInfo, M
 
 // TokenWalkOn executes the Figure 2 Step 1 walk (L token steps from start
 // on the tree described by info, with the given per-node child lists) on
-// an already-built topology and returns tau' (-1 for unvisited vertices).
+// an already-built topology and returns tau' (-1 for unvisited vertices):
+// one Eval of a WalkSession.
 func TokenWalkOn(topo *Topology, info *PreInfo, children [][]int, start, steps int, opts ...Option) ([]int, Metrics, error) {
-	walk, m, err := runOnce(topo, func(v int) *TokenWalkNode {
-		return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, start, steps)
-	}, steps+4, "token walk", opts...)
-	if err != nil {
-		return nil, m, err
-	}
-	tau := make([]int, len(walk))
-	for v, tw := range walk {
-		tau[v] = tw.Tau
-	}
-	return tau, m, nil
+	return NewWalkSession(topo, info, children, steps, opts...).Eval(start)
 }
 
 // WaveOn executes the Figure 2 Step 2 wave process for the initiators
 // marked in tau (tau[v] >= 0 means v in S with tau'(v) = tau[v]) on an
-// already-built topology and returns each node's dv.
+// already-built topology and returns each node's dv: one run of the wave
+// half of an EccSession.
 func WaveOn(topo *Topology, tau []int, duration int, opts ...Option) ([]int, Metrics, error) {
-	wave, m, err := runOnce(topo, func(v int) *WaveNode {
-		return NewWaveNode(tau[v] >= 0, tau[v], duration)
-	}, duration+4, "wave process", opts...)
-	if err != nil {
-		return nil, m, err
-	}
-	dv := make([]int, len(wave))
-	for v, wn := range wave {
-		if wn.Violation != nil {
-			return nil, m, wn.Violation
-		}
-		dv[v] = wn.DV
-	}
-	return dv, m, nil
+	return newWaveProcess(topo, duration, opts...).run(tau)
 }
 
 // ConvergecastMaxOn aggregates max(values) at the root of the tree info
-// describes, on an already-built topology, and returns (max, witness).
+// describes, on an already-built topology, and returns (max, witness): one
+// max treeAgg run. A nil witnesses lets every vertex witness itself.
 func ConvergecastMaxOn(topo *Topology, info *PreInfo, values, witnesses []int, opts ...Option) (int, int, Metrics, error) {
-	cc, m, err := runOnce(topo, func(v int) *ConvergecastNode {
-		w := v
-		if witnesses != nil {
-			w = witnesses[v]
+	a := newTreeAgg(topo, info, KindMax, 0, "convergecast", opts...)
+	if witnesses != nil {
+		for v, c := range a.Nodes() {
+			c.Witness = witnesses[v]
 		}
-		return NewConvergecastNode(KindMax, info.Parent[v], info.Children[v], values[v], w, 0)
-	}, 4*topo.N()+16, "convergecast", opts...)
+	}
+	agg, m, err := a.run(values)
 	if err != nil {
 		return 0, 0, m, err
 	}
-	root := cc[info.Leader]
-	return root.Agg, root.AggWitness, m, nil
+	return agg, a.Node(a.root).AggWitness, m, nil
 }

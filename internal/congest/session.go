@@ -351,32 +351,49 @@ type Session[T Resettable] struct {
 	e        *engine
 }
 
-// NewSession builds a session for the program family make over topo. The
+// NewSession builds a session for the program family mk over topo. The
 // node programs are constructed once, here; every Run restarts them.
-func NewSession[T Resettable](topo *Topology, make func(v int) T, opts ...Option) *Session[T] {
-	nw, nodes := networkOf(topo, make, opts...)
-	return &Session[T]{nw: nw, nodes: nodes, makeNode: make, opts: opts}
-}
-
-// networkOf builds the network over topo whose vertex v runs mk(v), and
-// returns it with the programs typed.
-func networkOf[T Node](topo *Topology, mk func(v int) T, opts ...Option) (*Network, []T) {
+func NewSession[T Resettable](topo *Topology, mk func(v int) T, opts ...Option) *Session[T] {
 	nodes := make([]T, topo.n)
 	for v := range nodes {
 		nodes[v] = mk(v)
 	}
-	return NewNetworkOn(topo, func(v int) Node { return nodes[v] }, opts...), nodes
+	nw := NewNetworkOn(topo, func(v int) Node { return nodes[v] }, opts...)
+	return &Session[T]{nw: nw, nodes: nodes, makeNode: mk, opts: opts}
 }
 
-// runOnce builds a one-shot network of the programs mk(v) over topo and
-// runs it for at most maxRounds rounds. It returns the programs, to read
-// their outputs, with the run's Metrics; a run error is prefixed with what.
-func runOnce[T Node](topo *Topology, mk func(v int) T, maxRounds int, what string, opts ...Option) ([]T, Metrics, error) {
-	nw, nodes := networkOf(topo, mk, opts...)
-	if err := nw.Run(maxRounds); err != nil {
-		return nil, nw.Metrics(), fmt.Errorf("%s: %w", what, err)
+// phase is a session of one CONGEST phase's program family together with
+// the phase's round budget and the prefix of a failed run's error. Each
+// phase runner (WalkSession, waveProcess, treeAgg, treeBcast, relaxation)
+// holds one and adds how its inputs are written and its results read back.
+type phase[T Resettable] struct {
+	*Session[T]
+	rounds int
+	what   string
+}
+
+// newPhase builds the phase whose vertex v runs mk(v), each run allowed
+// rounds rounds.
+func newPhase[T Resettable](topo *Topology, mk func(v int) T, rounds int, what string, opts ...Option) phase[T] {
+	return phase[T]{NewSession(topo, mk, opts...), rounds, what}
+}
+
+// exec runs the phase once. It returns the run's Metrics, a failed run's
+// included, and prefixes a run error with what.
+func (p phase[T]) exec() (Metrics, error) {
+	err := p.Run(p.rounds)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", p.what, err)
 	}
-	return nodes, nw.Metrics(), nil
+	return p.Metrics(), err
+}
+
+// runOnce is a single run of the phase of programs mk(v) over topo. It
+// returns the programs, to read their outputs, with the run's Metrics.
+func runOnce[T Resettable](topo *Topology, mk func(v int) T, rounds int, what string, opts ...Option) ([]T, Metrics, error) {
+	p := newPhase(topo, mk, rounds, what, opts...)
+	m, err := p.exec()
+	return p.Nodes(), m, err
 }
 
 // Run executes one full run: every node program is restored to its

@@ -33,27 +33,56 @@ type figure2Result struct {
 	Trace      []string
 }
 
-// freshFigure2 runs one Evaluation the pre-session way: a fresh network per
-// phase.
+// runRef builds a network of freshly constructed programs mk(v) over topo
+// and executes it with RunReference, the oracle executor, failing the test
+// on an error. It returns the programs, to read their outputs, and the
+// run's Metrics: the independent reference the sessions are held to.
+func runRef[T Node](t *testing.T, topo *Topology, mk func(v int) T, maxRounds int, opts ...Option) ([]T, Metrics) {
+	t.Helper()
+	nodes := make([]T, topo.N())
+	nw := NewNetworkOn(topo, func(v int) Node {
+		nodes[v] = mk(v)
+		return nodes[v]
+	}, opts...)
+	if err := nw.RunReference(maxRounds); err != nil {
+		t.Fatal(err)
+	}
+	return nodes, nw.Metrics()
+}
+
+// refClassicalPhases runs the Figure 2 walk from start, the wave process
+// and the max convergecast on RunReference networks of fresh programs, and
+// returns the maximum at the leader with each phase's Metrics.
+func refClassicalPhases(t *testing.T, topo *Topology, info *PreInfo, start, steps, duration int, opts ...Option) (int, [3]Metrics) {
+	t.Helper()
+	var m [3]Metrics
+	walk, m0 := runRef(t, topo, func(v int) *TokenWalkNode {
+		return NewTokenWalkNode(info.Parent[v], info.Children[v], info.Leader, start, steps)
+	}, steps+4, opts...)
+	wave, m1 := runRef(t, topo, func(v int) *WaveNode {
+		return NewWaveNode(walk[v].Tau >= 0, walk[v].Tau, duration)
+	}, duration+4, opts...)
+	for _, wn := range wave {
+		if wn.Violation != nil {
+			t.Fatal(wn.Violation)
+		}
+	}
+	cc, m2 := runRef(t, topo, func(v int) *ConvergecastNode {
+		return NewConvergecastNode(KindMax, info.Parent[v], info.Children[v], wave[v].DV, v, 0)
+	}, 4*topo.N()+16, opts...)
+	m[0], m[1], m[2] = m0, m1, m2
+	return cc[info.Leader].Agg, m
+}
+
+// freshFigure2 runs one Evaluation the reference way: freshly constructed
+// programs on a new network per phase, executed by RunReference.
 func freshFigure2(t *testing.T, g *graph.Graph, info *PreInfo, u0 int, opts ...Option) figure2Result {
 	t.Helper()
 	var r figure2Result
 	o := append([]Option{WithObserver(recordObs(&r.Trace))}, opts...)
-	topo := mustTopology(t, g)
-	tau, mW, err := TokenWalkOn(topo, info, info.Children, u0, 2*info.D, o...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv, mR, err := WaveOn(topo, tau, 6*info.D+2, o...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, _, mC, err := ConvergecastMaxOn(topo, info, dv, nil, o...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mR.Add(mC)
-	r.Value, r.Walk, r.Rest = val, mW, mR
+	val, m := refClassicalPhases(t, mustTopology(t, g), info, u0, 2*info.D, 6*info.D+2, o...)
+	m[1].Add(m[2])
+	r.Value, r.Walk, r.Rest = val, m[0], m[1]
 	return r
 }
 
@@ -448,21 +477,11 @@ func TestTopologySharedAcrossNetworks(t *testing.T) {
 		}
 		got := ExactResult{}
 		got.Metrics.Add(m)
-		tau, m2, err := TokenWalkOn(topo, info, info.Children, info.Leader, 2*(g.N()-1))
-		if err != nil {
-			t.Fatal(err)
+		tourLen := 2 * (g.N() - 1)
+		diam, phases := refClassicalPhases(t, topo, info, info.Leader, tourLen, 2*tourLen+2*info.D+2)
+		for _, pm := range phases {
+			got.Metrics.Add(pm)
 		}
-		got.Metrics.Add(m2)
-		dv, m3, err := WaveOn(topo, tau, 4*(g.N()-1)+2*info.D+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Metrics.Add(m3)
-		diam, _, m4, err := ConvergecastMaxOn(topo, info, dv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Metrics.Add(m4)
 		got.Diameter = diam
 		if got != want {
 			t.Fatalf("rep %d: composed run on shared topology %+v, want %+v", rep, got, want)

@@ -128,7 +128,8 @@ func TriangleFlagsOn(topo *Topology, opts ...Option) ([]bool, Metrics, error) {
 // given the precomputed flags, Eval(u0) extracts u0's flag at the leader by
 // one max convergecast (value 1 at u0 iff u0 lies on a triangle, 0
 // elsewhere). The convergecast duration is tree-determined, so the round
-// count never depends on u0.
+// count never depends on u0. Eval returns the Metrics of its one run, the
+// failing run included.
 type TriangleSession struct {
 	cc    treeAgg
 	flags []bool

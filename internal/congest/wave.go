@@ -178,3 +178,42 @@ func (w *WaveNode) StateBits() int {
 	}
 	return b
 }
+
+// waveProcess is the phase runner of the wave process of a fixed duration:
+// the wave half of an EccSession and, run once, WaveOn.
+type waveProcess struct {
+	phase[*WaveNode]
+	dv []int
+}
+
+// newWaveProcess builds the wave session; the initiators and their tau'
+// are a run argument.
+func newWaveProcess(topo *Topology, duration int, opts ...Option) waveProcess {
+	return waveProcess{
+		phase: newPhase(topo, func(v int) *WaveNode {
+			return NewWaveNode(false, -1, duration)
+		}, duration+4, "wave process", opts...),
+		dv: make([]int, topo.N()),
+	}
+}
+
+// run executes the process for the initiators marked in tau and returns
+// each node's dv with the run's Metrics. The dv slice is owned by the
+// process and only valid until the next run. A breach of the ordering
+// lemmas fails the run with the smallest violating vertex's error.
+func (w waveProcess) run(tau []int) ([]int, Metrics, error) {
+	for v, wn := range w.Nodes() {
+		wn.InS, wn.TauPrime = tau[v] >= 0, tau[v]
+	}
+	m, err := w.exec()
+	if err != nil {
+		return nil, m, err
+	}
+	for v, wn := range w.Nodes() {
+		if wn.Violation != nil {
+			return nil, m, wn.Violation
+		}
+		w.dv[v] = wn.DV
+	}
+	return w.dv, m, nil
+}

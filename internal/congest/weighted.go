@@ -156,64 +156,78 @@ func (s *WeightedSSSPNode) StateBits() int { return 2 * 64 }
 
 // ssspDuration is the fixed Bellman–Ford schedule length: n-1 relaxation
 // rounds reach every shortest path (at most n-1 hops).
-func ssspDuration(n int) int {
-	if n <= 1 {
-		return 1
+func ssspDuration(n int) int { return max(n-1, 1) }
+
+// relaxation is the phase runner of the Bellman–Ford relaxation of a fixed
+// duration: the n-1-round relaxation of WeightedEccSession and the H-round
+// truncated one of the skeleton oracle's init phase and SkelEvalSession.
+type relaxation struct {
+	phase[*WeightedSSSPNode]
+	dist []int
+}
+
+// newRelaxation builds the relaxation over topo's edge weights, with
+// distance fields sized to topo.DistBound(); the source is a run argument.
+func newRelaxation(topo *Topology, duration int, what string, opts ...Option) relaxation {
+	return relaxation{
+		phase: newPhase(topo, func(v int) *WeightedSSSPNode {
+			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), topo.DistBound(), duration)
+		}, duration+4, what, opts...),
+		dist: make([]int, topo.N()),
 	}
-	return n - 1
+}
+
+// run relaxes from source and returns every vertex's distance estimate
+// (-1 for a vertex no estimate reached) with the run's Metrics. The slice
+// is owned by the relaxation and only valid until the next run.
+func (r relaxation) run(source int) ([]int, Metrics, error) {
+	for v, s := range r.Nodes() {
+		s.Source = v == source
+	}
+	m, err := r.exec()
+	if err != nil {
+		return nil, m, err
+	}
+	for v, s := range r.Nodes() {
+		r.dist[v] = s.Dist
+	}
+	return r.dist, m, nil
 }
 
 // WeightedEccSession is the Evaluation of the weighted suite, the weighted
 // counterpart of EccSession: one Bellman–Ford relaxation (n-1 rounds) plus
 // one weighted max convergecast on BFS(leader), both of fixed,
 // input-independent duration. It is built once per topology and run once
-// per Evaluation.
+// per Evaluation; Eval returns the Metrics of every run it executed, the
+// failing run included.
 type WeightedEccSession struct {
-	sssp *Session[*WeightedSSSPNode]
+	sssp relaxation
 	cc   treeAgg
-
-	duration int
-	dv       []int
 }
 
 // NewWeightedEccSession builds the Bellman–Ford + weighted-convergecast pair
 // on the tree described by info.
 func NewWeightedEccSession(topo *Topology, info *PreInfo, opts ...Option) *WeightedEccSession {
-	n := topo.N()
-	duration := ssspDuration(n)
-	bound := topo.DistBound()
 	return &WeightedEccSession{
-		sssp: NewSession(topo, func(v int) *WeightedSSSPNode {
-			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, duration)
-		}, opts...),
-		cc:       newTreeAgg(topo, info, KindWMax, bound, "weighted convergecast", opts...),
-		duration: duration,
-		dv:       make([]int, n),
+		sssp: newRelaxation(topo, ssspDuration(topo.N()), "weighted sssp", opts...),
+		cc:   newTreeAgg(topo, info, KindWMax, topo.DistBound(), "weighted convergecast", opts...),
 	}
 }
 
 // Eval computes the weighted eccentricity of source.
 func (es *WeightedEccSession) Eval(source int) (int, Metrics, error) {
-	var total Metrics
-	for v, s := range es.sssp.Nodes() {
-		s.Source = v == source
-	}
-	if err := es.sssp.Run(es.duration + 4); err != nil {
-		return 0, total, fmt.Errorf("weighted sssp: %w", err)
-	}
-	for v, s := range es.sssp.Nodes() {
-		if s.Dist < 0 {
-			return 0, total, fmt.Errorf("congest: vertex %d unreached by weighted sssp from %d", v, source)
-		}
-		es.dv[v] = s.Dist
-	}
-	total.Add(es.sssp.Metrics())
-	ecc, m, err := es.cc.run(es.dv)
+	dist, total, err := es.sssp.run(source)
 	if err != nil {
 		return 0, total, err
 	}
+	for v, d := range dist {
+		if d < 0 {
+			return 0, total, fmt.Errorf("congest: vertex %d unreached by weighted sssp from %d", v, source)
+		}
+	}
+	ecc, m, err := es.cc.run(dist)
 	total.Add(m)
-	return ecc, total, nil
+	return ecc, total, err
 }
 
 // ClassicalWeightedDiameter computes the exact weighted diameter by running

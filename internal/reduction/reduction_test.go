@@ -66,11 +66,11 @@ func TestHW12ReductionRandomLarge(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 30; i++ {
-		x, y := bitstring.RandomDisjointPair(36, rng)
+		x, y := mustPair(t, bitstring.RandomDisjointPair, 36, rng)
 		if err := red.Verify(x, y); err != nil {
 			t.Fatal(err)
 		}
-		x, y = bitstring.RandomIntersectingPair(36, rng)
+		x, y = mustPair(t, bitstring.RandomIntersectingPair, 36, rng)
 		if err := red.Verify(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestACHK16ReductionRandomLarge(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
-		x, y := bitstring.RandomDisjointPair(m, rng)
+		x, y := mustPair(t, bitstring.RandomDisjointPair, m, rng)
 		if err := red.Verify(x, y); err != nil {
 			t.Fatal(err)
 		}
-		x, y = bitstring.RandomIntersectingPair(m, rng)
+		x, y = mustPair(t, bitstring.RandomIntersectingPair, m, rng)
 		if err := red.Verify(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +214,11 @@ func TestSubdividedACHK16(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, d := range []int{1, 2, 5, 9} {
 		for i := 0; i < 6; i++ {
-			x, y := bitstring.RandomDisjointPair(8, rng)
+			x, y := mustPair(t, bitstring.RandomDisjointPair, 8, rng)
 			if err := VerifySubdivided(red, x, y, d); err != nil {
 				t.Fatal(err)
 			}
-			x, y = bitstring.RandomIntersectingPair(8, rng)
+			x, y = mustPair(t, bitstring.RandomIntersectingPair, 8, rng)
 			if err := VerifySubdivided(red, x, y, d); err != nil {
 				t.Fatal(err)
 			}
@@ -267,10 +267,10 @@ func TestTwoPartyFromCongest(t *testing.T) {
 		var x, y *bitstring.Bits
 		var want int
 		if trial%2 == 0 {
-			x, y = bitstring.RandomDisjointPair(9, rng)
+			x, y = mustPair(t, bitstring.RandomDisjointPair, 9, rng)
 			want = 1
 		} else {
-			x, y = bitstring.RandomIntersectingPair(9, rng)
+			x, y = mustPair(t, bitstring.RandomIntersectingPair, 9, rng)
 			want = 0
 		}
 		res, err := TwoPartyFromCongest(red, x, y)
@@ -304,7 +304,7 @@ func TestTwoPartyTranscriptMatchesCutBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	x, y := bitstring.RandomIntersectingPair(9, rng)
+	x, y := mustPair(t, bitstring.RandomIntersectingPair, 9, rng)
 	res, err := TwoPartyFromCongest(red, x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -454,4 +454,15 @@ func VerifySubdivided(red *Reduction, x, y *bitstring.Bits, d int) error {
 // times bandwidth bits, the O(b log n) factor of Theorem 10.
 func MaxCutTrafficPerRound(red *Reduction) int {
 	return red.B * congest.DefaultBandwidth(red.Base.N())
+}
+
+// mustPair draws one input pair of length n from gen, failing the test on
+// an error.
+func mustPair(t *testing.T, gen func(int, *rand.Rand) (x, y *bitstring.Bits, err error), n int, rng *rand.Rand) (x, y *bitstring.Bits) {
+	t.Helper()
+	x, y, err := gen(n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y
 }

@@ -23,7 +23,7 @@ func TestTheorem3ChainConsistency(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, d := range []int{2, 6} {
-		x, y := bitstring.RandomIntersectingPair(red.K, rng)
+		x, y := mustPair(t, bitstring.RandomIntersectingPair, red.K, rng)
 		sub, err := BuildSubdivided(red, x, y, d)
 		if err != nil {
 			t.Fatal(err)

@@ -56,7 +56,10 @@ func TestPublicLowerBoundAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	x, y := RandomIntersectingPair(red.K, rng)
+	x, y, err := RandomIntersectingPair(red.K, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := TwoPartyFromCongest(red, x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +82,8 @@ func TestPublicLowerBoundAPI(t *testing.T) {
 	if _, err := Disj(NewBits(3), NewBits(4)); err == nil {
 		t.Error("Disj accepted inputs of lengths 3 and 4")
 	}
-	// Nil inputs, a nil rng and a nil reduction are errors, never panics.
+	// Nil inputs, a nil rng, a nil reduction and an intersecting pair with
+	// no index to share are errors, never panics.
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -90,6 +94,10 @@ func TestPublicLowerBoundAPI(t *testing.T) {
 		{"BlockedGroverDisj nil rng", func() error { _, err := BlockedGroverDisj(x, y, 2, nil); return err }},
 		{"TwoPartyFromCongest nil reduction", func() error { _, err := TwoPartyFromCongest(nil, x, y); return err }},
 		{"TwoPartyFromCongest nil bits", func() error { _, err := TwoPartyFromCongest(red, x, nil); return err }},
+		{"RandomIntersectingPair n=0", func() error { _, _, err := RandomIntersectingPair(0, rng); return err }},
+		{"RandomIntersectingPair n=-1", func() error { _, _, err := RandomIntersectingPair(-1, rng); return err }},
+		{"RandomIntersectingPair nil rng", func() error { _, _, err := RandomIntersectingPair(4, nil); return err }},
+		{"RandomDisjointPair nil rng", func() error { _, _, err := RandomDisjointPair(4, nil); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -304,7 +312,10 @@ func TestTheorem10TranscriptStableAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	x, y := RandomIntersectingPair(red.K, rng)
+	x, y, err := RandomIntersectingPair(red.K, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, err := TwoPartyFromCongest(red, x, y)
 	if err != nil {
 		t.Fatal(err)
